@@ -7,9 +7,9 @@ import (
 	"testing"
 
 	"hygraph/internal/coord"
-	"hygraph/internal/core"
 	"hygraph/internal/dataset"
 	"hygraph/internal/hyql"
+	"hygraph/internal/lpg"
 	"hygraph/internal/obs"
 	"hygraph/internal/storage/ttdb"
 	"hygraph/internal/ts"
@@ -18,8 +18,9 @@ import (
 // The differential battery runs Q1–Q8 through every execution path the repo
 // has — the all-in-graph engine, the polyglot engine sequential and fanned
 // out, the polyglot engine with instrumentation attached, and the HyQL
-// surface over the equivalent HyGraph — and requires element-wise identical
-// results. Timestamps must match exactly; floats within tolerance (the HyQL
+// surface, both over the equivalent HyGraph and over the stores themselves
+// (hyql.View with store-backed series handles, single engine and partitioned)
+// — and requires element-wise identical results. Timestamps must match exactly; floats within tolerance (the HyQL
 // path may fold sums in a different order than a store pushdown).
 
 // diffTol is the relative float tolerance of the battery.
@@ -91,15 +92,20 @@ func engineResults(data *dataset.BikeData, e ttdb.Engine, ids []ttdb.StationID) 
 func hyqlResults(t *testing.T, data *dataset.BikeData) qResults {
 	t.Helper()
 	h, _ := data.ToHyGraph()
-	return hyqlResultsOn(t, data, h)
+	return hyqlResultsOn(t, data, hyql.NewEngine(h))
 }
 
-// hyqlResultsOn runs the HyQL battery over an explicit HyGraph — the hook
-// the partitioned path uses to prove coord.View() answers identically to
-// the dataset-built graph.
-func hyqlResultsOn(t *testing.T, data *dataset.BikeData, h *core.HyGraph) qResults {
+// storeEngine is the HyQL engine a served tenant runs: structure from the
+// stores, every series a handle onto them.
+func storeEngine(structure *lpg.Graph) *hyql.Engine {
+	return hyql.NewEngineOver(hyql.NewView(structure))
+}
+
+// hyqlResultsOn runs the HyQL battery through an explicit engine — the hook
+// the store-backed paths use to prove they answer identically to the
+// dataset-built graph.
+func hyqlResultsOn(t *testing.T, data *dataset.BikeData, eng *hyql.Engine) qResults {
 	t.Helper()
-	eng := hyql.NewEngine(h)
 	start, end := data.Span()
 	qStart := start + (end-start)/4
 	qEnd := qStart + (end-start)/2
@@ -275,6 +281,7 @@ func TestDifferentialBattery(t *testing.T) {
 			idsSeq := load(seq)
 			seq.SetWorkers(1)
 			comparePaths(t, "ttdb-seq", ref, engineResults(data, seq, idsSeq))
+			comparePaths(t, "ttdb-seq-hyql", ref, hyqlResultsOn(t, data, storeEngine(seq.Structure())))
 
 			// Chunk compression is on by default, so the paths above already
 			// run over sealed blocks. Pin the raw layout explicitly, then the
@@ -283,6 +290,7 @@ func TestDifferentialBattery(t *testing.T) {
 			raw.T.SetCompress(false)
 			idsRaw := load(raw)
 			comparePaths(t, "ttdb-raw", ref, engineResults(data, raw, idsRaw))
+			comparePaths(t, "ttdb-raw-hyql", ref, hyqlResultsOn(t, data, storeEngine(raw.Structure())))
 
 			tiered := ttdb.NewPolyglot(ts.Week)
 			idsTiered := load(tiered)
@@ -295,6 +303,8 @@ func TestDifferentialBattery(t *testing.T) {
 			tiered.T.DropBlockCache()
 			comparePaths(t, "ttdb-tiered-cold", ref, engineResults(data, tiered, idsTiered))
 			comparePaths(t, "ttdb-tiered-warm", ref, engineResults(data, tiered, idsTiered))
+			tiered.T.DropBlockCache()
+			comparePaths(t, "ttdb-tiered-cold-hyql", ref, hyqlResultsOn(t, data, storeEngine(tiered.Structure())))
 			if err := tiered.T.Err(); err != nil {
 				t.Fatalf("tiered path degraded: %v", err)
 			}
@@ -327,7 +337,7 @@ func TestDifferentialBattery(t *testing.T) {
 
 			// Partitioned paths: the scatter-gather coordinator at 1, 2 and 4
 			// partitions must be element-wise identical to the oracles, both
-			// through the Engine surface and through HyQL over its view —
+			// through the Engine surface and through HyQL over its stores —
 			// partition count is an execution detail, never an answer change.
 			for _, nparts := range []int{1, 2, 4} {
 				co, err := coord.NewMem(nparts, ts.Week)
@@ -339,7 +349,7 @@ func TestDifferentialBattery(t *testing.T) {
 				comparePaths(t, label, ref, engineResults(data, co, idsCo))
 				co.SetWorkers(2)
 				comparePaths(t, label+"-par", ref, engineResults(data, co, idsCo))
-				comparePaths(t, label+"-hyql", ref, hyqlResultsOn(t, data, co.View()))
+				comparePaths(t, label+"-hyql", ref, hyqlResultsOn(t, data, storeEngine(co.Structure())))
 			}
 		})
 	}

@@ -1,8 +1,9 @@
 // Package coord horizontally partitions the polyglot engine: stations (and
 // their series plus incident trip edges) are hash-partitioned across N
 // independent durable engines (ttdb.DurablePolyglot) behind a placement map,
-// and a scatter-gather coordinator plans Q1–Q8 and the HyQL view as
-// partition-local fragments executed in parallel and merged deterministically.
+// and a scatter-gather coordinator plans Q1–Q8 as partition-local fragments
+// executed in parallel and merged deterministically; HyQL matches against the
+// coordinator's structure and reads each series on the partition that owns it.
 //
 // Determinism discipline (the same insertion-sequence rule the striped stores
 // use): the coordinator allocates monotonically increasing global station ids
@@ -30,6 +31,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"sync"
 
 	"hygraph/internal/storage/tsstore"
@@ -61,7 +63,7 @@ type stationMeta struct {
 }
 
 // tripRec remembers one logical trip edge in coordinator id space, so
-// Repartition can replay topology and View can rebuild the HyQL graph.
+// Repartition can replay topology and Structure can lay out the HyQL graph.
 type tripRec struct {
 	a, b  ttdb.StationID // gids
 	count int
@@ -362,7 +364,7 @@ func (c *Coordinator) Repartition(n int) error {
 	c.parts, c.local2g, c.bnd2g, c.meta = parts, local2g, bnd2g, meta
 	for _, gid := range c.order {
 		om := oldMeta[gid]
-		series := oldParts[om.part].Engine().T.RangeSeries(seriesKey(om.local), 0, ts.MaxTime)
+		series := oldParts[om.part].Engine().T.RangeSeries(seriesKey(om.local), math.MinInt64, ts.MaxTime)
 		if series == nil {
 			series = ts.New(ttdb.Metric)
 		} else {

@@ -167,11 +167,11 @@ func checkAnswers(t *testing.T, label string, w *world, ora *ttdb.DurablePolyglo
 	}
 }
 
-// hyqlSnapshot runs a fixed HyQL query set over the coordinator's view and
+// hyqlSnapshot runs a fixed HyQL query set over the coordinator's stores and
 // returns the flattened rows, for invariance comparison across partitionings.
 func hyqlSnapshot(t *testing.T, c *coord.Coordinator) []string {
 	t.Helper()
-	eng := hyql.NewEngine(c.View())
+	eng := hyql.NewEngineOver(hyql.NewView(c.Structure()))
 	at := 3 * propSpan / 4
 	start, end := propSpan/4, 3*propSpan/4
 	queries := []string{

@@ -1,54 +1,38 @@
 package coord
 
 import (
-	"hygraph/internal/core"
 	"hygraph/internal/lpg"
 	"hygraph/internal/storage/ttdb"
-	"hygraph/internal/tpg"
-	"hygraph/internal/ts"
 )
 
-// View materializes a core.HyGraph of the whole partitioned deployment in
-// the same shape dataset.BikeData.ToHyGraph and the server's single-engine
-// view produce: Station PG vertices with name/district properties in ingest
-// (gid) order, their availability series as first-class TS vertices linked
-// by HAS_SERIES, and TRIP edges carrying count in ingest order. HyQL queries
-// therefore answer identically over a partitioned tenant and a single-engine
-// one — the coordinator's HyQL execution path IS this view.
-func (c *Coordinator) View() *core.HyGraph {
+// Structure lays the whole partitioned deployment out as the graph HyQL
+// matches against (ttdb.BuildView): stations in ingest (gid) order, logical
+// trips in ingest order, and each station's series as a handle onto the
+// partition that owns it. No sample leaves its partition until a ts.*
+// function asks for it, so HyQL answers identically over a partitioned tenant
+// and a single-engine one at O(touched chunks) per query. The graph is a
+// snapshot of structure only: it goes stale when a station or trip is
+// written or the coordinator repartitions, never when a point is appended.
+func (c *Coordinator) Structure() *lpg.Graph {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	h := core.New()
-	vids := make(map[ttdb.StationID]core.VID, len(c.order))
-	for _, gid := range c.order {
+	index := make(map[ttdb.StationID]int, len(c.order))
+	stations := make([]ttdb.ViewStation, len(c.order))
+	for i, gid := range c.order {
 		m := c.meta[gid]
-		v, err := h.AddVertex(tpg.Always, "Station")
-		if err != nil {
-			continue
-		}
-		h.SetVertexProp(v, "name", lpg.Str(m.name))
-		h.SetVertexProp(v, "district", lpg.Str(m.district))
-		vids[gid] = v
-		series := c.parts[m.part].Engine().T.RangeSeries(seriesKey(m.local), 0, ts.MaxTime)
-		if series == nil || series.Empty() {
-			continue
-		}
-		series.SetName(ttdb.Metric)
-		if tsv, err := h.AddTSVertexUni(series, "Availability"); err == nil {
-			_, _ = h.AddEdge(v, tsv, "HAS_SERIES", tpg.Always)
+		index[gid] = i
+		stations[i] = ttdb.ViewStation{
+			Name: m.name, District: m.district,
+			Series: c.parts[m.part].Engine().Series(m.local),
 		}
 	}
+	trips := make([]ttdb.ViewTrip, 0, len(c.trips))
 	for _, tr := range c.trips {
-		from, okF := vids[tr.a]
-		to, okT := vids[tr.b]
-		if !okF || !okT {
-			continue
+		from, okF := index[tr.a]
+		to, okT := index[tr.b]
+		if okF && okT {
+			trips = append(trips, ttdb.ViewTrip{From: from, To: to, Count: int64(tr.count)})
 		}
-		e, err := h.AddEdge(from, to, "TRIP", tpg.Always)
-		if err != nil {
-			continue
-		}
-		h.SetEdgeProp(e, "count", lpg.Int(int64(tr.count)))
 	}
-	return h
+	return ttdb.BuildView(stations, trips)
 }

@@ -331,9 +331,10 @@ func evalCall(c Call, ctx *evalCtx) (Value, error) {
 }
 
 // resolveSeries extracts the univariate series an expression refers to:
-// either a TS element binding (its δ series' first variable), a
-// series-valued property, or a named variable via ts.var(x, 'name').
-func resolveSeries(e Expr, ctx *evalCtx) (*ts.Series, error) {
+// either a TS element binding (its δ series' first variable) or a
+// series-valued property. The series may be held in the graph or by reference
+// in a store; callers see only the Series interface.
+func resolveSeries(e Expr, ctx *evalCtx) (Series, error) {
 	switch x := e.(type) {
 	case Ident:
 		b, ok := ctx.row[x.Name]
@@ -349,14 +350,11 @@ func resolveSeries(e Expr, ctx *evalCtx) (*ts.Series, error) {
 		default:
 			return nil, fmt.Errorf("hyql: %q has no series", x.Name)
 		}
-		if m, ok := val.AsMulti(); ok {
-			if len(m.Vars()) == 0 {
-				return nil, fmt.Errorf("hyql: %q has an empty series", x.Name)
-			}
-			return m.MustVar(m.Vars()[0]), nil
-		}
-		if s, ok := val.AsSeries(); ok {
+		if s, ok := seriesOf(val); ok {
 			return s, nil
+		}
+		if val.IsSeries() {
+			return nil, fmt.Errorf("hyql: %q has an empty series", x.Name)
 		}
 		return nil, fmt.Errorf("hyql: %q is not a time-series element", x.Name)
 	case PropAccess:
@@ -364,11 +362,8 @@ func resolveSeries(e Expr, ctx *evalCtx) (*ts.Series, error) {
 		if err != nil {
 			return nil, err
 		}
-		if s, ok := v.AsScalar().AsSeries(); ok {
+		if s, ok := seriesOf(v.AsScalar()); ok {
 			return s, nil
-		}
-		if m, ok := v.AsScalar().AsMulti(); ok && len(m.Vars()) > 0 {
-			return m.MustVar(m.Vars()[0]), nil
 		}
 		return nil, fmt.Errorf("hyql: %s.%s is not a series property", x.On, x.Key)
 	}
@@ -396,13 +391,29 @@ func asTime(v Value) (ts.Time, error) {
 	return 0, fmt.Errorf("hyql: expected a time, got %s", v)
 }
 
-// evalTSCall evaluates ts.* functions.
+// evalTSCall evaluates ts.* functions. Each resolves its series to a Series
+// handle and works through that interface only; the unwindowed forms are the
+// windowed ones over every instant.
 func evalTSCall(c Call, ctx *evalCtx) (Value, error) {
 	need := func(n int) error {
 		if len(c.Args) != n {
 			return fmt.Errorf("hyql: ts.%s expects %d arguments, got %d", c.Name, n, len(c.Args))
 		}
 		return nil
+	}
+	// window evaluates the optional (start, end) argument pair at positions
+	// i and i+1; absent, the window is the whole series.
+	window := func(windowed bool, i int) (ts.Time, ts.Time, error) {
+		if !windowed {
+			return wholeStart, wholeEnd, nil
+		}
+		return evalTimePair(c.Args[i], c.Args[i+1], ctx)
+	}
+	float := func(f float64) Value {
+		if math.IsNaN(f) {
+			return NullValue
+		}
+		return Scalar(lpg.Float(f))
 	}
 	// Aggregations over one series: ts.f(x) or ts.f(x, start, end).
 	if agg, err := ts.ParseAggFunc(c.Name); err == nil {
@@ -413,20 +424,11 @@ func evalTSCall(c Call, ctx *evalCtx) (Value, error) {
 		if err != nil {
 			return NullValue, err
 		}
-		var out float64
-		if len(c.Args) == 3 {
-			a, b, err := evalTimePair(c.Args[1], c.Args[2], ctx)
-			if err != nil {
-				return NullValue, err
-			}
-			out = s.AggregateRange(agg, a, b)
-		} else {
-			out = s.Aggregate(agg)
+		start, end, err := window(len(c.Args) == 3, 1)
+		if err != nil {
+			return NullValue, err
 		}
-		if math.IsNaN(out) {
-			return NullValue, nil
-		}
-		return Scalar(lpg.Float(out)), nil
+		return float(s.Aggregate(agg, start, end)), nil
 	}
 	switch c.Name {
 	case "slope":
@@ -437,11 +439,8 @@ func evalTSCall(c Call, ctx *evalCtx) (Value, error) {
 		if err != nil {
 			return NullValue, err
 		}
-		_, slope := s.Trend()
-		if math.IsNaN(slope) {
-			return NullValue, nil
-		}
-		return Scalar(lpg.Float(slope)), nil
+		_, slope := s.Range(wholeStart, wholeEnd).Trend()
+		return float(slope), nil
 	case "corr":
 		// ts.corr(a, b, bucket) over the whole series, or
 		// ts.corr(a, b, start, end, bucket) windowed to [start, end).
@@ -456,13 +455,10 @@ func evalTSCall(c Call, ctx *evalCtx) (Value, error) {
 		if err != nil {
 			return NullValue, err
 		}
-		if len(c.Args) == 5 {
-			start, end, err := evalTimePair(c.Args[2], c.Args[3], ctx)
-			if err != nil {
-				return NullValue, err
-			}
-			a = a.SliceView(start, end)
-			b = b.SliceView(start, end)
+		windowed := len(c.Args) == 5
+		start, end, err := window(windowed, 2)
+		if err != nil {
+			return NullValue, err
 		}
 		bucketV, err := eval(c.Args[len(c.Args)-1], ctx)
 		if err != nil {
@@ -472,11 +468,12 @@ func evalTSCall(c Call, ctx *evalCtx) (Value, error) {
 		if err != nil {
 			return NullValue, err
 		}
-		r := ts.Correlation(a, b, bucket)
-		if math.IsNaN(r) {
-			return NullValue, nil
+		if !windowed {
+			// No window to key a store's aggregate cache on: correlate the
+			// samples themselves.
+			return float(ts.Correlation(a.Range(start, end), b.Range(start, end), bucket)), nil
 		}
-		return Scalar(lpg.Float(r)), nil
+		return float(a.Corr(b, start, end, bucket)), nil
 	case "resample":
 		// ts.resample(s, bucket, agg) over the whole series, or
 		// ts.resample(s, start, end, bucket, agg) windowed to [start, end):
@@ -490,12 +487,10 @@ func evalTSCall(c Call, ctx *evalCtx) (Value, error) {
 		if err != nil {
 			return NullValue, err
 		}
-		if len(c.Args) == 5 {
-			start, end, err := evalTimePair(c.Args[1], c.Args[2], ctx)
-			if err != nil {
-				return NullValue, err
-			}
-			s = s.SliceView(start, end)
+		windowed := len(c.Args) == 5
+		start, end, err := window(windowed, 1)
+		if err != nil {
+			return NullValue, err
 		}
 		bucketV, err := eval(c.Args[len(c.Args)-2], ctx)
 		if err != nil {
@@ -520,7 +515,10 @@ func evalTSCall(c Call, ctx *evalCtx) (Value, error) {
 		if err != nil {
 			return NullValue, err
 		}
-		return pointList(s.Resample(bucket, agg), nil), nil
+		if !windowed {
+			return pointList(s.Range(start, end).Resample(bucket, agg), nil), nil
+		}
+		return pointList(s.Resample(start, end, bucket, agg), nil), nil
 	case "points":
 		// ts.points(s) or ts.points(s, start, end): the raw observations as a
 		// list of [timestamp, value] pairs, in time order.
@@ -531,14 +529,11 @@ func evalTSCall(c Call, ctx *evalCtx) (Value, error) {
 		if err != nil {
 			return NullValue, err
 		}
-		if len(c.Args) == 3 {
-			start, end, err := evalTimePair(c.Args[1], c.Args[2], ctx)
-			if err != nil {
-				return NullValue, err
-			}
-			s = s.SliceView(start, end)
+		start, end, err := window(len(c.Args) == 3, 1)
+		if err != nil {
+			return NullValue, err
 		}
-		return pointList(s, nil), nil
+		return pointList(s.Range(start, end), nil), nil
 	case "below":
 		// ts.below(s, start, end, threshold): the windowed observations with
 		// value < threshold, as a list of [timestamp, value] pairs.
@@ -562,7 +557,7 @@ func evalTSCall(c Call, ctx *evalCtx) (Value, error) {
 			return NullValue, fmt.Errorf("hyql: ts.below threshold must be numeric")
 		}
 		keep := func(v float64) bool { return v < th }
-		return pointList(s.SliceView(start, end), keep), nil
+		return pointList(s.Range(start, end), keep), nil
 	case "anomalies":
 		if err := need(2); err != nil {
 			return NullValue, err
@@ -579,7 +574,7 @@ func evalTSCall(c Call, ctx *evalCtx) (Value, error) {
 		if !ok {
 			return NullValue, fmt.Errorf("hyql: ts.anomalies threshold must be numeric")
 		}
-		return Scalar(lpg.Int(int64(len(s.ZScoreAnomalies(th))))), nil
+		return Scalar(lpg.Int(int64(len(s.Range(wholeStart, wholeEnd).ZScoreAnomalies(th))))), nil
 	case "len":
 		if err := need(1); err != nil {
 			return NullValue, err
@@ -588,7 +583,7 @@ func evalTSCall(c Call, ctx *evalCtx) (Value, error) {
 		if err != nil {
 			return NullValue, err
 		}
-		return Scalar(lpg.Int(int64(s.Len()))), nil
+		return Scalar(lpg.Int(int64(s.Aggregate(ts.AggCount, wholeStart, wholeEnd)))), nil
 	}
 	return NullValue, fmt.Errorf("hyql: unknown function ts.%s (have %s)", c.Name, strings.Join(tsFuncNames, ", "))
 }

@@ -13,15 +13,25 @@ import (
 // the instance's state "as of" an instant (SnapshotAt), so temporal validity
 // and series lifetimes are respected.
 //
-// The engine caches recent snapshot views keyed by (instant, instance
-// version): repeated queries at the same instant — the continuous-query
-// pattern — skip view construction entirely, and any mutation of the
-// instance invalidates the cache through the version stamp (the paper's
-// "in-memory caching techniques" roadmap item).
+// An engine built by NewEngine caches recent snapshot views keyed by
+// (instant, instance version): repeated queries at the same instant — the
+// continuous-query pattern — skip view construction entirely, and any
+// mutation of the instance invalidates the cache through the version stamp
+// (the paper's "in-memory caching techniques" roadmap item). That cache makes
+// it single-goroutine. An engine built by NewEngineOver keeps no state of its
+// own between queries and is as safe for concurrent use as its Source.
 type Engine struct {
-	H     *core.HyGraph
+	H     *core.HyGraph // nil for an engine built by NewEngineOver
+	src   Source
 	views map[ts.Time]cachedView
 	obs   engineObs // metric handles; zero value = instrumentation off
+}
+
+// Source supplies the static graph a query "as of" an instant is matched
+// against. Series-valued properties in it may be lpg.SeriesRef handles
+// implementing Series, so the graph need not hold a single sample.
+type Source interface {
+	SnapshotAt(at ts.Time) *lpg.Graph
 }
 
 type cachedView struct {
@@ -35,6 +45,17 @@ const viewCacheSize = 16
 // NewEngine returns an engine over the instance.
 func NewEngine(h *core.HyGraph) *Engine {
 	return &Engine{H: h, views: map[ts.Time]cachedView{}}
+}
+
+// NewEngineOver returns an engine that asks src for the graph of every query.
+func NewEngineOver(src Source) *Engine { return &Engine{src: src} }
+
+// graphAt returns the graph a query at the instant runs against.
+func (e *Engine) graphAt(at ts.Time) *lpg.Graph {
+	if e.src != nil {
+		return e.src.SnapshotAt(at)
+	}
+	return e.viewAt(at).Graph
 }
 
 // viewAt returns the (possibly cached) snapshot view at the instant.
@@ -77,9 +98,9 @@ func (e *Engine) Query(src string, at ts.Time) (*Result, error) {
 
 // Exec executes a parsed query at the given instant.
 func (e *Engine) Exec(q *Query, at ts.Time) (*Result, error) {
-	view := e.viewAt(at)
+	g := e.graphAt(at)
 	sw := e.obs.match.Start()
-	rows, edgeNames, err := matchRows(view.Graph, q, e.obs)
+	rows, edgeNames, err := matchRows(g, q, e.obs)
 	sw.Stop()
 	if err != nil {
 		return nil, err

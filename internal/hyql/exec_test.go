@@ -1,6 +1,7 @@
 package hyql
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -76,13 +77,41 @@ func fraudHG(t *testing.T) *core.HyGraph {
 	return h
 }
 
+// query runs src twice — over the instance, every series held in the graph,
+// and over the same structure with every series held by reference — and
+// requires one answer, so each test that uses it also proves that where a
+// series lives does not show in a result.
 func query(t *testing.T, h *core.HyGraph, src string) *Result {
 	t.Helper()
-	res, err := NewEngine(h).Query(src, 10*ts.Hour)
+	const at = 10 * ts.Hour
+	res, err := NewEngine(h).Query(src, at)
 	if err != nil {
 		t.Fatalf("query %q: %v", src, err)
 	}
+	byRef, err := NewEngineOver(NewView(byReference(h.SnapshotAt(at).Graph))).Query(src, at)
+	if err != nil {
+		t.Fatalf("query %q by reference: %v", src, err)
+	}
+	if got, want := fmt.Sprint(byRef.Columns, byRef.Rows), fmt.Sprint(res.Columns, res.Rows); got != want {
+		t.Fatalf("query %q by reference:\n got %s\nwant %s", src, got, want)
+	}
 	return res
+}
+
+// refSeries is a Series held by reference whose samples can grow under a
+// View, like a series in a store.
+type refSeries struct{ memSeries }
+
+// byReference rewrites every TS vertex of a snapshot graph to hold its
+// series as a SeriesRef handle.
+func byReference(g *lpg.Graph) *lpg.Graph {
+	g.Vertices(func(v *lpg.Vertex) bool {
+		if m, ok := v.Prop("_series").AsMulti(); ok {
+			g.SetVertexProp(v.ID, "_series", lpg.SeriesRef(&refSeries{memSeries{m.MustVar(m.Vars()[0])}}))
+		}
+		return true
+	})
+	return g
 }
 
 func col(t *testing.T, res *Result, name string) int {

@@ -19,8 +19,8 @@ import (
 // Kind enumerates the property value types.
 type Kind int
 
-// Supported value kinds. KindSeries and KindMulti are the N_TS values of the
-// paper; the rest are the static N_Σ values.
+// Supported value kinds. KindSeries, KindMulti and KindSeriesRef are the
+// N_TS values of the paper; the rest are the static N_Σ values.
 const (
 	KindNull Kind = iota
 	KindBool
@@ -30,6 +30,7 @@ const (
 	KindTime
 	KindSeries
 	KindMulti
+	KindSeriesRef
 )
 
 // String returns the kind name.
@@ -51,6 +52,8 @@ func (k Kind) String() string {
 		return "series"
 	case KindMulti:
 		return "multiseries"
+	case KindSeriesRef:
+		return "seriesref"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -65,6 +68,7 @@ type Value struct {
 	b     bool
 	ser   *ts.Series
 	multi *ts.MultiSeries
+	ref   any // KindSeriesRef handle
 }
 
 // Null is the null value.
@@ -91,14 +95,23 @@ func SeriesVal(s *ts.Series) Value { return Value{kind: KindSeries, ser: s} }
 // MultiVal wraps a multivariate time series.
 func MultiVal(m *ts.MultiSeries) Value { return Value{kind: KindMulti, multi: m} }
 
+// SeriesRef wraps a handle to a series whose samples live outside the graph,
+// in a time-series store: the graph holds the series' identity, the store its
+// measurements. lpg never looks inside the handle; whoever attached it reads
+// it back with AsSeriesRef. Handles must be comparable (pointers are).
+func SeriesRef(handle any) Value { return Value{kind: KindSeriesRef, ref: handle} }
+
 // Kind returns the value's kind.
 func (v Value) Kind() Kind { return v.kind }
 
 // IsNull reports whether the value is null.
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
-// IsSeries reports whether the value is a (multi)series — an N_TS value.
-func (v Value) IsSeries() bool { return v.kind == KindSeries || v.kind == KindMulti }
+// IsSeries reports whether the value is a (multi)series, held inline or by
+// reference — an N_TS value.
+func (v Value) IsSeries() bool {
+	return v.kind == KindSeries || v.kind == KindMulti || v.kind == KindSeriesRef
+}
 
 // AsBool returns the bool payload.
 func (v Value) AsBool() (bool, bool) { return v.b, v.kind == KindBool }
@@ -129,6 +142,9 @@ func (v Value) AsSeries() (*ts.Series, bool) { return v.ser, v.kind == KindSerie
 // AsMulti returns the multiseries payload.
 func (v Value) AsMulti() (*ts.MultiSeries, bool) { return v.multi, v.kind == KindMulti }
 
+// AsSeriesRef returns the handle of a series held by reference.
+func (v Value) AsSeriesRef() (any, bool) { return v.ref, v.kind == KindSeriesRef }
+
 // Equal reports deep equality. Series values compare by content.
 func (v Value) Equal(o Value) bool {
 	if v.kind != o.kind {
@@ -149,13 +165,15 @@ func (v Value) Equal(o Value) bool {
 		return v.ser.Equal(o.ser)
 	case KindMulti:
 		return v.multi.Equal(o.multi)
+	case KindSeriesRef:
+		return v.ref == o.ref
 	}
 	return false
 }
 
 // Compare orders two values: null < bool < int/float (numeric order) <
-// string < time < series (by length). Values of incomparable kinds order by
-// kind. Returns -1, 0 or 1.
+// string < time < series (by length; series held by reference all tie).
+// Values of incomparable kinds order by kind. Returns -1, 0 or 1.
 func (v Value) Compare(o Value) int {
 	ka, kb := v.orderClass(), o.orderClass()
 	if ka != kb {
@@ -174,6 +192,8 @@ func (v Value) Compare(o Value) int {
 		return cmpInt(v.ser.Len(), o.ser.Len())
 	case KindMulti:
 		return cmpInt(v.multi.Len(), o.multi.Len())
+	case KindSeriesRef:
+		return 0
 	default: // numeric
 		fa, _ := v.AsFloat()
 		fb, _ := o.AsFloat()
@@ -196,8 +216,10 @@ func (v Value) orderClass() int {
 		return 4
 	case KindSeries:
 		return 5
-	default:
+	case KindMulti:
 		return 6
+	default:
+		return 7
 	}
 }
 
@@ -270,6 +292,8 @@ func (v Value) String() string {
 		return v.ser.String()
 	case KindMulti:
 		return v.multi.String()
+	case KindSeriesRef:
+		return fmt.Sprint(v.ref)
 	}
 	return "?"
 }

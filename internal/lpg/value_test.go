@@ -113,3 +113,32 @@ func TestIndexKey(t *testing.T) {
 		t.Fatal("series must not be indexable")
 	}
 }
+
+// TestSeriesRef: a series held by reference is an N_TS value whose handle
+// lpg stores and returns without looking inside.
+func TestSeriesRef(t *testing.T) {
+	type handle struct{ name string }
+	a, b := &handle{"a"}, &handle{"b"}
+	va, vb := SeriesRef(a), SeriesRef(b)
+	if !va.IsSeries() || va.Kind() != KindSeriesRef || va.Kind().String() != "seriesref" {
+		t.Fatalf("kind = %v", va.Kind())
+	}
+	if got, ok := va.AsSeriesRef(); !ok || got != any(a) {
+		t.Fatalf("AsSeriesRef = %v, %v", got, ok)
+	}
+	if _, ok := SeriesVal(ts.New("s")).AsSeriesRef(); ok {
+		t.Fatal("an inline series is not a reference")
+	}
+	if !va.Equal(SeriesRef(a)) || va.Equal(vb) {
+		t.Fatal("references are equal by handle identity")
+	}
+	if va.Compare(vb) != 0 || Str("x").Compare(va) >= 0 || SeriesVal(ts.New("s")).Compare(va) >= 0 {
+		t.Fatal("references tie with each other and order after every inline value")
+	}
+	if va.String() != "&{a}" {
+		t.Fatalf("String = %q", va.String())
+	}
+	if _, ok := va.indexKey(); ok {
+		t.Fatal("a series reference is not indexable")
+	}
+}

@@ -13,17 +13,17 @@ import (
 	"sync"
 
 	"hygraph/internal/coord"
-	"hygraph/internal/core"
+	"hygraph/internal/lpg"
 	"hygraph/internal/obs"
 	"hygraph/internal/storage/ttdb"
 	"hygraph/internal/ts"
 )
 
 // Conn is what the server needs from a tenant's storage: durable writes,
-// the deadline-threaded Q1–Q8, a HyQL view, and shutdown flushing. Both a
-// single DurablePolyglot (engineConn) and the scatter-gather coordinator
-// over N partitions (coord.Coordinator) satisfy it, so the serving layer is
-// partition-agnostic.
+// the deadline-threaded Q1–Q8, the structure HyQL matches against, and
+// shutdown flushing. Both a single DurablePolyglot (engineConn) and the
+// scatter-gather coordinator over N partitions (coord.Coordinator) satisfy
+// it, so the serving layer is partition-agnostic.
 type Conn interface {
 	IngestStation(name, district string, s *ts.Series) (ttdb.StationID, error)
 	AppendPoint(st ttdb.StationID, t ts.Time, v float64) error
@@ -43,8 +43,10 @@ type Conn interface {
 	// read-your-writes semantics relative to acknowledged AppendPoints.
 	DownsampleCtx(ctx context.Context, st ttdb.StationID, start, end, bucket ts.Time, agg ts.AggFunc) ([]ts.Point, error)
 
-	// View materializes the HyQL-queryable hybrid graph of current state.
-	View() *core.HyGraph
+	// Structure lays current stations and trips out as the graph HyQL
+	// matches against (ttdb.BuildView). It holds a handle per series and no
+	// samples, so it is stale only after a station or trip write.
+	Structure() *lpg.Graph
 	// NumStations reports the logical station count (never boundary replicas).
 	NumStations() int
 	Instrument(reg *obs.Registry)
@@ -73,7 +75,7 @@ type engineConn struct {
 	*ttdb.DurablePolyglot
 }
 
-func (c engineConn) View() *core.HyGraph { return buildView(c.Engine()) }
+func (c engineConn) Structure() *lpg.Graph { return c.Engine().Structure() }
 
 func (c engineConn) NumStations() int {
 	return len(c.Engine().G.NodesByLabel("Station"))

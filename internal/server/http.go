@@ -317,7 +317,9 @@ func (s *Server) handleTrips(ctx context.Context, r *http.Request, t *tenant) re
 	if err := decode(r, &req); err != nil {
 		return errJSON(http.StatusBadRequest, "bad_body", err.Error())
 	}
-	if err := t.db.AddTrip(ttdb.StationID(req.From), ttdb.StationID(req.To), req.Count); err != nil {
+	err := t.db.AddTrip(ttdb.StationID(req.From), ttdb.StationID(req.To), req.Count)
+	t.wroteStructure()
+	if err != nil {
 		return s.writeErr(err, "trip_failed")
 	}
 	t.version.Add(1)
@@ -408,16 +410,16 @@ type hyqlReq struct {
 	At    int64  `json:"at"`
 }
 
-// handleHyQL executes a HyQL query against the tenant's materialized view.
+// handleHyQL executes a HyQL query over the tenant's stores.
 func (s *Server) handleHyQL(ctx context.Context, r *http.Request, t *tenant) response {
 	var req hyqlReq
 	if err := decode(r, &req); err != nil {
 		return errJSON(http.StatusBadRequest, "bad_body", err.Error())
 	}
-	if err := ctx.Err(); err != nil {
+	res, err := t.hyqlQuery(ctx, req.Query, ts.Time(req.At))
+	if errors.Is(err, errHyQLNotRun) {
 		return s.asTimeout(err, "hyql_failed")
 	}
-	res, err := t.hyqlQuery(req.Query, ts.Time(req.At))
 	if err != nil {
 		return errJSON(http.StatusBadRequest, "hyql_error", err.Error())
 	}

@@ -68,6 +68,10 @@ const (
 	// the classic "acknowledged or not?" ambiguity retry clients must
 	// handle with idempotency keys.
 	FaultDropResponse = "server.response.drop"
+	// FaultHyQL fires inside a tenant's HyQL execution, before the query is
+	// parsed. Injected latency waits under the request deadline; it holds no
+	// tenant lock, so a slow query delays nobody's ingest.
+	FaultHyQL = "server.hyql"
 )
 
 // Limits bounds the admission controller. The zero value of any field

@@ -1,18 +1,17 @@
 package server
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
-	"hygraph/internal/core"
+	"hygraph/internal/faults"
 	"hygraph/internal/hyql"
 	"hygraph/internal/lpg"
 	"hygraph/internal/obs"
-	"hygraph/internal/storage/graphstore"
-	"hygraph/internal/storage/tsstore"
 	"hygraph/internal/storage/ttdb"
-	"hygraph/internal/tpg"
 	"hygraph/internal/ts"
 )
 
@@ -32,7 +31,7 @@ type idemEntry struct {
 
 // tenant is one namespace: a durable engine plus the per-tenant admission
 // state (concurrency slots, token bucket), the idempotency table, and the
-// cached HyQL view.
+// HyQL engine with the structure it matches against.
 type tenant struct {
 	name   string
 	db     Conn
@@ -41,25 +40,48 @@ type tenant struct {
 	bucket *bucket
 	lat    *obs.Histogram // per-tenant end-to-end latency
 
-	version atomic.Uint64 // bumped on every committed write; invalidates the view
+	version atomic.Uint64 // bumped on every committed write; reported by stats
 
-	mu          sync.Mutex
-	idem        map[string]*idemEntry
-	view        *hyql.Engine
+	mu   sync.Mutex // guards idem, nothing else
+	idem map[string]*idemEntry
+
+	// HyQL runs over the stores, not over a copy: hyql asks the tenant (a
+	// hyql.Source) for the graph of each query, and the tenant answers from
+	// a memo of db.Structure() — stations, trips and one handle per series,
+	// no samples. structure counts station and trip writes; the memo is
+	// rebuilt when it has moved and at no other time, so an appended point
+	// costs the next query nothing. viewMu guards the memo only — queries
+	// execute outside it, concurrently.
+	hyql        *hyql.Engine
+	structure   atomic.Uint64
+	rebuilds    *obs.Counter
+	viewMu      sync.Mutex
+	view        *hyql.View
 	viewVersion uint64
 }
 
 func newTenant(name string, db Conn, closer interface{ Close() error }, l Limits, reg *obs.Registry) *tenant {
-	return &tenant{
-		name:   name,
-		db:     db,
-		closer: closer,
-		sem:    make(chan struct{}, l.TenantConcurrent),
-		bucket: newBucket(l.TenantRate, l.TenantBurst),
-		lat:    reg.Histogram("server.tenant." + name + ".latency"),
-		idem:   map[string]*idemEntry{},
+	t := &tenant{
+		name:     name,
+		db:       db,
+		closer:   closer,
+		sem:      make(chan struct{}, l.TenantConcurrent),
+		bucket:   newBucket(l.TenantRate, l.TenantBurst),
+		lat:      reg.Histogram("server.tenant." + name + ".latency"),
+		idem:     map[string]*idemEntry{},
+		rebuilds: reg.Counter("hyql.view.structural_rebuilds"),
 	}
+	t.hyql = hyql.NewEngineOver(t)
+	t.hyql.Instrument(reg)
+	return t
 }
+
+// wroteStructure records that a station or trip write has finished, whether
+// or not it succeeded (a failed ingest may still have left a station
+// behind). It is called after the write and before the acknowledgement, so a
+// query that follows the ack rebuilds the structure from state that holds
+// the write.
+func (t *tenant) wroteStructure() { t.structure.Add(1) }
 
 // ingestStation runs one idempotency-keyed station ingest. With an empty
 // key it executes unconditionally (the caller accepted at-most-once ⇒ maybe
@@ -70,6 +92,7 @@ func newTenant(name string, db Conn, closer interface{ Close() error }, l Limits
 func (t *tenant) ingestStation(key, name, district string, s *ts.Series) (ttdb.StationID, error) {
 	if key == "" {
 		id, err := t.db.IngestStation(name, district, s)
+		t.wroteStructure()
 		if err == nil {
 			t.version.Add(1)
 		}
@@ -95,6 +118,7 @@ func (t *tenant) ingestStation(key, name, district string, s *ts.Series) (ttdb.S
 		t.mu.Unlock()
 
 		id, err := t.db.IngestStation(name, district, s)
+		t.wroteStructure()
 		t.mu.Lock()
 		if err != nil {
 			delete(t.idem, key)
@@ -123,76 +147,38 @@ func (t *tenant) evictIdemLocked() {
 	}
 }
 
-// hyqlQuery executes a HyQL query against a materialized view of the
-// tenant's engine state as of the write version at build time. The view is
-// cached and rebuilt only after writes; HyQL execution is serialized per
-// tenant because the hyql engine's snapshot cache is single-threaded —
-// cross-tenant queries still run concurrently, and the per-tenant
-// concurrency cap bounds the queue behind the lock.
-func (t *tenant) hyqlQuery(src string, at ts.Time) (*hyql.Result, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	v := t.version.Load()
-	if t.view == nil || t.viewVersion != v {
-		t.view = hyql.NewEngine(t.db.View())
-		t.viewVersion = v
+// hyqlQuery executes a HyQL query over the tenant's stores. Consistency is
+// read-committed per series: each ts.* call reads its series as of the moment
+// it runs, so every append acknowledged before the query is visible to it,
+// and so is every station and trip.
+//
+// The query itself is not cancellable: the budget is checked, and latency
+// injected at FaultHyQL waited out, once before it starts. An error from
+// that step is marked errHyQLNotRun; any other error is the query's own.
+func (t *tenant) hyqlQuery(ctx context.Context, src string, at ts.Time) (*hyql.Result, error) {
+	if err := faults.CheckCtx(ctx, FaultHyQL); err != nil {
+		return nil, fmt.Errorf("%w: %w", errHyQLNotRun, err)
 	}
-	return t.view.Query(src, at)
+	return t.hyql.Query(src, at)
 }
 
-// buildView materializes a core.HyGraph from the polyglot stores in the
-// same shape dataset.BikeData.ToHyGraph produces: Station PG vertices with
-// name/district properties, their availability series as first-class TS
-// vertices linked by HAS_SERIES, and TRIP edges carrying count. HyQL
-// queries written against generated datasets therefore run unchanged
-// against served tenants.
-func buildView(eng *ttdb.Polyglot) *core.HyGraph {
-	h := core.New()
-	stations := eng.G.NodesByLabel("Station")
-	vids := make(map[ttdb.StationID]core.VID, len(stations))
-	for _, st := range stations {
-		v, err := h.AddVertex(tpg.Always, "Station")
-		if err != nil {
-			continue
-		}
-		for _, prop := range []string{"name", "district"} {
-			if pv, ok := eng.G.NodeProp(st, prop); ok {
-				h.SetVertexProp(v, prop, lpg.Str(pv.S))
-			}
-		}
-		vids[st] = v
-		series := eng.T.RangeSeries(tsstore.SeriesKey{Entity: uint32(st), Metric: ttdb.Metric}, 0, ts.MaxTime)
-		if series == nil || series.Empty() {
-			continue
-		}
-		series.SetName(ttdb.Metric)
-		if tsv, err := h.AddTSVertexUni(series, "Availability"); err == nil {
-			_, _ = h.AddEdge(v, tsv, "HAS_SERIES", tpg.Always)
-		}
+var errHyQLNotRun = errors.New("hyql query not run")
+
+// SnapshotAt implements hyql.Source from the memoised structure. Validity of
+// a series vertex at the instant is decided inside, per call (hyql.View).
+func (t *tenant) SnapshotAt(at ts.Time) *lpg.Graph {
+	t.viewMu.Lock()
+	// Read the counter before building: a write that lands mid-build bumps
+	// it past what is recorded here, and the next query builds again.
+	v := t.structure.Load()
+	if t.view == nil || t.viewVersion != v {
+		t.view = hyql.NewView(t.db.Structure())
+		t.viewVersion = v
+		t.rebuilds.Inc()
 	}
-	seen := map[graphstore.RelID]bool{}
-	for _, st := range stations {
-		eng.G.Rels(st, func(r graphstore.Rel) bool {
-			if r.Type != "TRIP" || seen[r.ID] {
-				return true
-			}
-			seen[r.ID] = true
-			from, okF := vids[r.From]
-			to, okT := vids[r.To]
-			if !okF || !okT {
-				return true
-			}
-			e, err := h.AddEdge(from, to, "TRIP", tpg.Always)
-			if err != nil {
-				return true
-			}
-			if cv, ok := eng.G.RelProp(r.ID, "count"); ok {
-				h.SetEdgeProp(e, "count", lpg.Int(cv.I))
-			}
-			return true
-		})
-	}
-	return h
+	view := t.view
+	t.viewMu.Unlock()
+	return view.SnapshotAt(at)
 }
 
 // String identifies the tenant in errors.

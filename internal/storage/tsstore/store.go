@@ -418,6 +418,27 @@ func (db *DB) HasSeries(key SeriesKey) bool {
 	return ok
 }
 
+// Span reports the times of a series' first and last point; ok is false when
+// the key holds none. Only the two outermost chunks are looked at, and a
+// sealed one decodes through the block cache like any scan, so a caller that
+// needs to know whether a series covers an instant does not pay for a range
+// read.
+func (db *DB) Span(key SeriesKey) (first, last ts.Time, ok bool) {
+	sh := db.shard(key)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	s, found := sh.data[key]
+	if !found || len(s.chunks) == 0 {
+		return 0, 0, false
+	}
+	head, _ := sh.chunkPoints(db, key, s.chunks[0])
+	tail, _ := sh.chunkPoints(db, key, s.chunks[len(s.chunks)-1])
+	if len(head) == 0 || len(tail) == 0 {
+		return 0, 0, false
+	}
+	return head[0], tail[len(tail)-1], true
+}
+
 // seqKey pairs a key with its global insertion sequence for merged iteration.
 type seqKey struct {
 	seq uint64

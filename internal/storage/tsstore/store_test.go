@@ -278,3 +278,38 @@ func TestAggregateAllParallelMatchesSerial(t *testing.T) {
 		}
 	}
 }
+
+// TestSpan: the first and last sample times, whatever state the outermost
+// chunks are in, following appends on both ends; nothing for a key without
+// samples.
+func TestSpan(t *testing.T) {
+	db := New(100)
+	if _, _, ok := db.Span(k(1)); ok {
+		t.Fatal("span of an absent series")
+	}
+	for _, at := range []ts.Time{250, 30, 170, 999} {
+		db.Insert(k(1), at, 1)
+	}
+	check := func(label string, first, last ts.Time) {
+		t.Helper()
+		if f, l, ok := db.Span(k(1)); !ok || f != first || l != last {
+			t.Fatalf("%s: span = [%d, %d] %v, want [%d, %d]", label, f, l, ok, first, last)
+		}
+	}
+	check("open and sealed chunks", 30, 999)
+	if err := db.EnableColdTier(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Spill(); err != nil {
+		t.Fatal(err)
+	}
+	db.DropBlockCache()
+	check("spilled head chunk", 30, 999)
+	db.Insert(k(1), -5, 1)
+	db.Insert(k(1), 1200, 1)
+	check("extended on both ends", -5, 1200)
+	db.DeleteSeries(k(1))
+	if _, _, ok := db.Span(k(1)); ok {
+		t.Fatal("span of a deleted series")
+	}
+}

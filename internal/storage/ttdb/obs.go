@@ -70,6 +70,7 @@ func (a *AllInGraph) Instrument(r *obs.Registry) {
 // goroutines; a nil registry detaches instrumentation.
 func (p *Polyglot) Instrument(r *obs.Registry) {
 	p.obs = newQueryObs(r, "ttdb")
+	p.series = newSeriesObs(r)
 	p.G.Instrument(r)
 	p.T.Instrument(r)
 }

@@ -300,7 +300,8 @@ type Polyglot struct {
 	G       *graphstore.DB
 	T       *tsstore.DB
 	workers int
-	obs     queryObs // metric handles; zero value = instrumentation off
+	obs     queryObs  // metric handles; zero value = instrumentation off
+	series  seriesObs // HyQL series-handle counters (hyql.go), same discipline
 }
 
 // NewPolyglot returns an empty polyglot engine with the given chunk width

@@ -203,8 +203,7 @@ func (s *Series) Aggregate(f AggFunc) float64 { return f.Apply(s.vals) }
 // AggregateRange applies an AggFunc over the window start <= t < end without
 // copying values.
 func (s *Series) AggregateRange(f AggFunc, start, end Time) float64 {
-	lo := s.searchTime(start)
-	hi := s.searchTime(end)
+	lo, hi := s.window(start, end)
 	return f.Apply(s.vals[lo:hi])
 }
 

@@ -213,11 +213,20 @@ func (s *Series) ValueAtOrBefore(t Time) (float64, bool) {
 	return s.vals[i-1], true
 }
 
+// window returns the index range of the observations with start <= t < end;
+// the range is empty, never inverted, when end <= start.
+func (s *Series) window(start, end Time) (lo, hi int) {
+	lo, hi = s.searchTime(start), s.searchTime(end)
+	if hi < lo {
+		hi = lo
+	}
+	return lo, hi
+}
+
 // Slice returns the observations with start <= t < end as a new series
 // sharing no storage with s.
 func (s *Series) Slice(start, end Time) *Series {
-	lo := s.searchTime(start)
-	hi := s.searchTime(end)
+	lo, hi := s.window(start, end)
 	out := &Series{
 		name:  s.name,
 		times: append([]Time(nil), s.times[lo:hi]...),
@@ -230,8 +239,7 @@ func (s *Series) Slice(start, end Time) *Series {
 // start <= t < end without copying. The view aliases s and must not be
 // mutated while s is in use.
 func (s *Series) SliceView(start, end Time) *Series {
-	lo := s.searchTime(start)
-	hi := s.searchTime(end)
+	lo, hi := s.window(start, end)
 	return &Series{name: s.name, times: s.times[lo:hi], vals: s.vals[lo:hi]}
 }
 

@@ -246,3 +246,22 @@ func TestCloneAndEqual(t *testing.T) {
 		t.Fatal("clone aliases parent")
 	}
 }
+
+// TestInvertedWindowIsEmpty: a window whose end precedes its start selects
+// nothing — it used to slice [lo:hi] with hi < lo and panic, which a HyQL
+// query could trigger with ts.mean(x, b, a).
+func TestInvertedWindowIsEmpty(t *testing.T) {
+	s := FromSamples("s", 0, 10, []float64{1, 2, 3, 4, 5})
+	if got := s.SliceView(30, 10).Len(); got != 0 {
+		t.Fatalf("SliceView(30, 10) has %d points", got)
+	}
+	if got := s.Slice(30, 10).Len(); got != 0 {
+		t.Fatalf("Slice(30, 10) has %d points", got)
+	}
+	if got := s.AggregateRange(AggCount, 30, 10); got != 0 {
+		t.Fatalf("count over an inverted window = %v", got)
+	}
+	if got := s.AggregateRange(AggMean, 30, 10); !math.IsNaN(got) {
+		t.Fatalf("mean over an inverted window = %v", got)
+	}
+}
