@@ -7,6 +7,7 @@
 package hygraph_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -85,57 +86,21 @@ func iotFixture() {
 
 func BenchmarkTable1(b *testing.B) {
 	bikeFixture()
-	start, end := bikeData.Span()
-	qs, qe := start+(end-start)/4, start+3*(end-start)/4
-	type eng struct {
+	ctx := context.Background()
+	for _, en := range []struct {
 		name string
 		e    ttdb.Engine
 		ids  []ttdb.StationID
-	}
-	engines := []eng{{"Neo4jSim", neoEng, neoIDs}, {"TTDB", pgEng, pgIDs}}
-	for _, en := range engines {
-		e, ids := en.e, en.ids
-		st0, st1 := ids[0], ids[len(ids)/2]
-		b.Run("Q1_TimeRange/"+en.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				e.Q1TimeRange(st0, qs, qs+2*ts.Day)
-			}
-		})
-		b.Run("Q2_FilteredRange/"+en.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				e.Q2FilteredRange(st0, qs, qe, 10)
-			}
-		})
-		b.Run("Q3_StationMean/"+en.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				e.Q3StationMean(st0, qs, qe)
-			}
-		})
-		b.Run("Q4_AllStationMeans/"+en.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				e.Q4AllStationMeans(qs, qe)
-			}
-		})
-		b.Run("Q5_DistrictSums/"+en.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				e.Q5DistrictSums(qs, qe)
-			}
-		})
-		b.Run("Q6_TopK/"+en.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				e.Q6TopKStations(qs, qe, 10)
-			}
-		})
-		b.Run("Q7_Correlation/"+en.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				e.Q7Correlation(st0, st1, qs, qe, ts.Hour)
-			}
-		})
-		b.Run("Q8_NeighborMeans/"+en.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				e.Q8NeighborMeans(st0, qs, qe)
-			}
-		})
+	}{{"Neo4jSim", neoEng, neoIDs}, {"TTDB", pgEng, pgIDs}} {
+		for _, q := range bikeData.Table1Queries(en.ids) {
+			b.Run(q.Op.String()+"/"+en.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := en.e.Exec(ctx, q); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -148,7 +113,7 @@ func BenchmarkTable1_Harness(b *testing.B) {
 		Reps: 3,
 	}
 	for i := 0; i < b.N; i++ {
-		rows, err := bench.Run(cfg)
+		rows, err := bench.Run(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -76,6 +76,14 @@ func parseCounts(s string) ([]int, error) {
 	return counts, nil
 }
 
+// check ends the run with the harness's error line when a step failed.
+func check(err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hybench: %v\n", err)
+		os.Exit(1)
+	}
+}
+
 func main() {
 	scale := flag.String("scale", "default", "workload scale: small, default, or paper")
 	reps := flag.Int("reps", 0, "measured repetitions per query (0 = scale default)")
@@ -106,15 +114,10 @@ func main() {
 
 	if *checkPath != "" {
 		f, err := os.Open(*checkPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hybench: %v\n", err)
-			os.Exit(1)
-		}
+		check(err)
 		defer f.Close()
-		if _, err := bench.ReadBaseline(f); err != nil {
-			fmt.Fprintf(os.Stderr, "hybench: %v\n", err)
-			os.Exit(1)
-		}
+		_, err = bench.ReadBaseline(f)
+		check(err)
 		fmt.Printf("%s: valid %s baseline\n", *checkPath, bench.BaselineSchema)
 		return
 	}
@@ -154,22 +157,19 @@ func main() {
 	fmt.Printf("Table 1 reproduction — %d stations, %d days (%d points), %d reps/query\n\n",
 		cfg.Bike.Stations, cfg.Bike.Days, points, cfg.Reps)
 
-	rows, err := bench.Run(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hybench: %v\n", err)
-		os.Exit(1)
-	}
+	// The harness has no request to inherit a deadline from: every section
+	// runs under main's context.
+	ctx := context.Background()
+	rows, err := bench.Run(ctx, cfg)
+	check(err)
 	fmt.Print(bench.Format(rows))
 
 	baseline := &bench.Baseline{Schema: bench.BaselineSchema, Config: cfg, Rows: rows}
 
 	if *parallel {
 		fmt.Println()
-		prows, w, err := bench.RunParallel(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hybench: %v\n", err)
-			os.Exit(1)
-		}
+		prows, w, err := bench.RunParallel(ctx, cfg)
+		check(err)
 		fmt.Print(bench.FormatParallel(prows, w))
 		baseline.Parallel, baseline.Workers = prows, w
 		// Record the resolved fan-out width in the config too: Workers=0
@@ -185,33 +185,24 @@ func main() {
 
 	if *clients > 0 {
 		fmt.Println()
-		rep, err := bench.Throughput(cfg, *clients, *ops)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hybench: %v\n", err)
-			os.Exit(1)
-		}
+		rep, err := bench.Throughput(ctx, cfg, *clients, *ops)
+		check(err)
 		fmt.Println(bench.FormatThroughput(rep))
 		baseline.Throughput = &rep
 	}
 
 	if *mixed {
 		fmt.Println()
-		cmp, err := bench.RunMixed(cfg, *ingest, *query, *mixedMS)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hybench: %v\n", err)
-			os.Exit(1)
-		}
+		cmp, err := bench.RunMixed(ctx, cfg, *ingest, *query, *mixedMS)
+		check(err)
 		fmt.Print(bench.FormatMixed(cmp))
 		baseline.Mixed = &cmp
 	}
 
 	if *storage {
 		fmt.Println()
-		rep, err := bench.RunStorage(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hybench: %v\n", err)
-			os.Exit(1)
-		}
+		rep, err := bench.RunStorage(ctx, cfg)
+		check(err)
 		fmt.Print(bench.FormatStorage(rep))
 		baseline.Storage = &rep
 		if problems := bench.CheckStorage(&rep); len(problems) > 0 {
@@ -230,11 +221,8 @@ func main() {
 			os.Exit(2)
 		}
 		fmt.Println()
-		rep, err := bench.RunPartitions(cfg, counts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hybench: %v\n", err)
-			os.Exit(1)
-		}
+		rep, err := bench.RunPartitions(ctx, cfg, counts)
+		check(err)
 		fmt.Print(bench.FormatPartitions(rep))
 		baseline.Partitions = &rep
 		for _, lvl := range rep.Levels {
@@ -247,15 +235,12 @@ func main() {
 
 	if *streaming {
 		fmt.Println()
-		rep, err := bench.RunStreaming(cfg, bench.StreamingConfig{
+		rep, err := bench.RunStreaming(ctx, cfg, bench.StreamingConfig{
 			IngestClients: *ingest,
 			ReadClients:   *sread,
 			WindowMS:      *streamMS,
 		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hybench: %v\n", err)
-			os.Exit(1)
-		}
+		check(err)
 		fmt.Print(bench.FormatStreaming(rep))
 		baseline.Streaming = &rep
 		if !rep.Incremental.Identical || !rep.Recompute.Identical {
@@ -273,24 +258,18 @@ func main() {
 
 	if *serve {
 		fmt.Println()
-		rep, err := bench.RunServe(context.Background(), bench.ServeConfig{
+		rep, err := bench.RunServe(ctx, bench.ServeConfig{
 			Tenants:       *serveTenants,
 			RatePerTenant: *serveRate,
 			WindowMS:      *serveMS,
 		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hybench: %v\n", err)
-			os.Exit(1)
-		}
+		check(err)
 		fmt.Print(bench.FormatServe(rep))
 		baseline.Serve = &rep
 	}
 
 	if *metrics {
-		if err := bench.DurableExercise(cfg, reg); err != nil {
-			fmt.Fprintf(os.Stderr, "hybench: %v\n", err)
-			os.Exit(1)
-		}
+		check(bench.DurableExercise(ctx, cfg, reg))
 		snap := reg.Snapshot()
 		baseline.Metrics = snap
 		if problems := bench.CheckMetrics(snap); len(problems) > 0 {
@@ -308,19 +287,12 @@ func main() {
 
 	if *jsonPath != "" {
 		f, err := os.Create(*jsonPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hybench: %v\n", err)
-			os.Exit(1)
+		check(err)
+		err = bench.WriteBaseline(f, baseline)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		if err := bench.WriteBaseline(f, baseline); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "hybench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "hybench: %v\n", err)
-			os.Exit(1)
-		}
+		check(err)
 		fmt.Printf("\nbaseline written to %s\n", *jsonPath)
 	}
 

@@ -33,6 +33,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -124,7 +125,7 @@ func main() {
 	}
 
 	if cmd == "stats" {
-		runStats(reg, *seed, *workers)
+		runStats(context.Background(), reg, *seed, *workers)
 		return
 	}
 

@@ -206,12 +206,12 @@ func runServeSmoke(dir string) {
 	if err := ttdb.CheckConsistency(eng); err != nil {
 		fail("smoke recovery: " + err.Error())
 	}
-	got := eng.Q1TimeRange(ttdb.StationID(id), 0, 3)
-	if len(got) != 3 {
-		fail(fmt.Sprintf("smoke recovery: %d points recovered, want 3", len(got)))
+	got, err := eng.Exec(ctx, ttdb.Q1(ttdb.StationID(id), 0, 3))
+	if err != nil || len(got.Points) != 3 {
+		fail(fmt.Sprintf("smoke recovery: %d points recovered (%v), want 3", len(got.Points), err))
 	}
-	if mean := eng.Q3StationMean(ttdb.StationID(id), 0, ts.MaxTime); mean != 8 {
-		fail(fmt.Sprintf("smoke recovery: Q3 mean = %v, want 8", mean))
+	if mean, err := eng.Exec(ctx, ttdb.Q3(ttdb.StationID(id), 0, ts.MaxTime)); err != nil || mean.Scalar != 8 {
+		fail(fmt.Sprintf("smoke recovery: Q3 mean = %v (%v), want 8", mean.Scalar, err))
 	}
 	fmt.Println("smoke: graceful stop + recovery check PASS")
 }

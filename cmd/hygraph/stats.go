@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -13,11 +14,11 @@ import (
 )
 
 // runStats exercises every instrumented layer once over the bike workload —
-// the polyglot Q1–Q8 suite (Q7 twice, so the resample cache shows both a
-// miss and a hit), and a HyQL query over the equivalent HyGraph — then
-// prints the registry snapshot as indented JSON. It is the quickest way to
-// see which metrics exist and what a healthy run looks like.
-func runStats(reg *obs.Registry, seed int64, workers int) {
+// the canonical Q1–Q8 list on the polyglot engine, and a HyQL query over the
+// equivalent HyGraph — then prints the registry snapshot as indented JSON. It
+// is the quickest way to see which metrics exist and what a healthy run looks
+// like.
+func runStats(ctx context.Context, reg *obs.Registry, seed int64, workers int) {
 	cfg := dataset.DefaultBike()
 	cfg.Seed = seed
 	data := dataset.GenerateBike(cfg)
@@ -28,19 +29,13 @@ func runStats(reg *obs.Registry, seed int64, workers int) {
 	}
 	pg.SetWorkers(workers)
 	pg.Instrument(reg)
-	start, end := data.Span()
-	qStart := start + (end-start)/4
-	qEnd := qStart + (end-start)/2
-	st0, st1 := ids[0], ids[len(ids)/2]
-	pg.Q1TimeRange(st0, qStart, qStart+2*ts.Day)
-	pg.Q2FilteredRange(st0, qStart, qEnd, 10)
-	pg.Q3StationMean(st0, qStart, qEnd)
-	pg.Q4AllStationMeans(qStart, qEnd)
-	pg.Q5DistrictSums(qStart, qEnd)
-	pg.Q6TopKStations(qStart, qEnd, 10)
-	pg.Q7Correlation(st0, st1, qStart, qEnd, ts.Hour)
-	pg.Q7Correlation(st0, st1, qStart, qEnd, ts.Hour)
-	pg.Q8NeighborMeans(st0, qStart, qEnd)
+	qs := data.Table1Queries(ids)
+	for _, q := range qs {
+		if _, err := pg.Exec(ctx, q); err != nil {
+			fail(err.Error())
+		}
+	}
+	qStart, qEnd := qs[len(qs)-1].Start, qs[len(qs)-1].End // the HyQL query reads the same window
 
 	h, _ := data.ToHyGraph()
 	eng := hyql.NewEngine(h)

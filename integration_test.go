@@ -6,6 +6,7 @@
 package hygraph_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -29,7 +30,7 @@ func TestTable1ShapeSmall(t *testing.T) {
 			StepMinutes: 60, TripsPerSt: 4, Seed: 7},
 		Reps: 3,
 	}
-	rows, err := bench.Run(cfg)
+	rows, err := bench.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,15 +67,23 @@ func TestEnginesAgreeOnGeneratedWorkload(t *testing.T) {
 	start, end := data.Span()
 	qs, qe := start+3*ts.Day, end-3*ts.Day
 
-	mN := neo.Q4AllStationMeans(qs, qe)
-	mP := pg.Q4AllStationMeans(qs, qe)
+	exec := func(e ttdb.Querier, q ttdb.Query) ttdb.Result {
+		t.Helper()
+		res, err := e.Exec(context.Background(), q)
+		if err != nil {
+			t.Fatalf("%s: %v", q.Op, err)
+		}
+		return res
+	}
+	mN := exec(neo, ttdb.Q4(qs, qe)).ByStation
+	mP := exec(pg, ttdb.Q4(qs, qe)).ByStation
 	for i := range idsN {
 		if math.Abs(mN[idsN[i]]-mP[idsP[i]]) > 1e-9 {
 			t.Fatalf("station %d means differ: %v vs %v", i, mN[idsN[i]], mP[idsP[i]])
 		}
 	}
-	dN := neo.Q5DistrictSums(qs, qe)
-	dP := pg.Q5DistrictSums(qs, qe)
+	dN := exec(neo, ttdb.Q5(qs, qe)).ByDistrict
+	dP := exec(pg, ttdb.Q5(qs, qe)).ByDistrict
 	if len(dN) != len(dP) {
 		t.Fatalf("district counts differ: %d vs %d", len(dN), len(dP))
 	}
@@ -83,16 +92,16 @@ func TestEnginesAgreeOnGeneratedWorkload(t *testing.T) {
 			t.Fatalf("district %s sums differ: %v vs %v", k, v, dP[k])
 		}
 	}
-	kN := neo.Q6TopKStations(qs, qe, 5)
-	kP := pg.Q6TopKStations(qs, qe, 5)
+	kN := exec(neo, ttdb.Q6(qs, qe, 5)).Stations
+	kP := exec(pg, ttdb.Q6(qs, qe, 5)).Stations
 	for i := range kN {
 		// Translate engine-local ids through the shared load order.
 		if kN[i] != kP[i] { // both engines assign dense ids in load order
 			t.Fatalf("top-k order differs: %v vs %v", kN, kP)
 		}
 	}
-	cN := neo.Q7Correlation(idsN[0], idsN[1], qs, qe, ts.Hour)
-	cP := pg.Q7Correlation(idsP[0], idsP[1], qs, qe, ts.Hour)
+	cN := exec(neo, ttdb.Q7(idsN[0], idsN[1], qs, qe, ts.Hour)).Scalar
+	cP := exec(pg, ttdb.Q7(idsP[0], idsP[1], qs, qe, ts.Hour)).Scalar
 	if math.Abs(cN-cP) > 1e-6 {
 		t.Fatalf("correlations differ: %v vs %v", cN, cP)
 	}

@@ -12,9 +12,11 @@ import (
 // server-assigned budget actually cancels work. Four rules, over the call
 // graph and cross-package facts:
 //
-//  1. (variant) A function holding a ctx must not call an in-module
-//     function Foo when a ctx-variant FooCtx exists — calling the plain
-//     variant silently detaches the callee from the request deadline.
+//  1. (dropped) The error of an in-module call that takes a context — the
+//     query path's Exec, any *Ctx method — must not be assigned to `_`.
+//     That error is how a deadline miss, a degraded store or a lost
+//     partition reaches the caller; discarding it turns a partial answer
+//     into a silently wrong one.
 //  2. (ambient) Scoped packages are request-path code: they must never
 //     manufacture context.Background()/context.TODO(). A function that
 //     needs a context accepts one.
@@ -160,6 +162,7 @@ func runCtxFlow(pass *Pass) {
 				pass.Reportf(site.Pos, "context.%s() manufactured on a request path: accept and thread the caller's context instead", site.Callee.Name())
 			}
 		}
+		checkDroppedCtxErrors(pass, fd)
 		ctxObj, ok := ctxParam(pass.Info, fd)
 		if !ok {
 			return
@@ -167,12 +170,6 @@ func runCtxFlow(pass *Pass) {
 		for _, site := range node.Out {
 			callee := site.Callee
 			if callee == nil || !sameModule(pass.Pkg, callee.Pkg()) || sigHasCtxFn(callee) {
-				continue
-			}
-			// Rule 1: a ctx-variant exists and is being bypassed. The
-			// variant's own body legitimately delegates to the base.
-			if variant := ctxVariant(callee); variant != nil && fd.Name.Name != variant.Name() {
-				pass.Reportf(site.Pos, "call to %s drops the request context: call %s with ctx so the deadline propagates", callee.Name(), variant.Name())
 				continue
 			}
 			// Rule 3: the ctx-less callee manufactures its own context.
@@ -186,37 +183,31 @@ func runCtxFlow(pass *Pass) {
 	})
 }
 
-// ctxVariant finds the ctx-taking variant of fn: a sibling named
-// <fn.Name()>Ctx — on the same named receiver type for methods, in the same
-// package for functions — whose signature is ctx plus fn's parameters.
-func ctxVariant(fn *types.Func) *types.Func {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return nil
-	}
-	want := fn.Name() + "Ctx"
-	if named := receiverNamed(fn); named != nil {
-		for i := 0; i < named.NumMethods(); i++ {
-			if m := named.Method(i); m.Name() == want && isCtxVariantSig(m, sig) {
-				return m
-			}
+// checkDroppedCtxErrors applies rule 1 to every assignment in the function.
+func checkDroppedCtxErrors(pass *Pass, fd *ast.FuncDecl) {
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || len(as.Rhs) != 1 {
+			return true
 		}
-		return nil
-	}
-	if fn.Pkg() == nil {
-		return nil
-	}
-	if obj, ok := fn.Pkg().Scope().Lookup(want).(*types.Func); ok && isCtxVariantSig(obj, sig) {
-		return obj
-	}
-	return nil
-}
-
-// isCtxVariantSig reports whether variant's signature is (ctx, base params...).
-func isCtxVariantSig(variant *types.Func, base *types.Signature) bool {
-	vsig, ok := variant.Type().(*types.Signature)
-	return ok && vsig.Params().Len() == base.Params().Len()+1 &&
-		vsig.Params().Len() > 0 && isContextType(vsig.Params().At(0).Type())
+		call, ok := as.Rhs[0].(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		callee := staticCallee(pass.Info, call)
+		if callee == nil || !sameModule(pass.Pkg, callee.Pkg()) || !sigHasCtxFn(callee) {
+			return true
+		}
+		res := callee.Type().(*types.Signature).Results()
+		last := res.Len() - 1
+		if last < 0 || len(as.Lhs) != res.Len() || !types.Identical(res.At(last).Type(), types.Universe.Lookup("error").Type()) {
+			return true
+		}
+		if id, ok := as.Lhs[last].(*ast.Ident); ok && id.Name == "_" {
+			pass.Reportf(call.Pos(), "error from %s is discarded with _: it carries the deadline miss or the degraded/partial answer the caller must see", callee.Name())
+		}
+		return true
+	})
 }
 
 // checkCtxLoops applies rule 4 to every loop in the function body.

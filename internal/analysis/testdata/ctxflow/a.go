@@ -9,15 +9,27 @@ import (
 
 type Store struct{}
 
-// Flush is the plain variant.
-func (s *Store) Flush() {}
+// FlushCtx threads a context and reports how the flush went.
+func (s *Store) FlushCtx(ctx context.Context) error { return nil }
 
-// FlushCtx is the context-threading variant.
-func (s *Store) FlushCtx(ctx context.Context) {}
+// Exec is the query path's shape: an answer beside the error.
+func (s *Store) Exec(ctx context.Context, q int) (int, error) { return q, nil }
 
-// Drain holds a ctx but calls the plain variant — rule 1.
-func Drain(ctx context.Context, s *Store) {
-	s.Flush() // want "call to Flush drops the request context: call FlushCtx with ctx so the deadline propagates"
+// Drain discards the error of a context-taking call — rule 1.
+func Drain(ctx context.Context, s *Store) int {
+	_ = s.FlushCtx(ctx)      // want "error from FlushCtx is discarded with _"
+	n, _ := s.Exec(ctx, 1)   // want "error from Exec is discarded with _: it carries the deadline miss"
+	m, err := s.Exec(ctx, 2) // handled: no finding
+	if err != nil {
+		return n
+	}
+	return n + m
+}
+
+// Probe documents a reviewed best-effort call, suppressed with a reason.
+func Probe(ctx context.Context, s *Store) int {
+	n, _ := s.Exec(ctx, 3) //hyvet:allow ctxflow warm-up probe: the answer is unused and the next call reports the same failure
+	return n
 }
 
 // Detached manufactures an ambient context on a request path — rule 2.
@@ -55,9 +67,9 @@ func BroadcastCtx(ctx context.Context, chans []chan int) {
 	}
 }
 
-// ThreadThrough passes ctx into the variant — correct (no finding).
-func ThreadThrough(ctx context.Context, s *Store) {
-	s.FlushCtx(ctx)
+// ThreadThrough passes ctx on and its error up — correct (no finding).
+func ThreadThrough(ctx context.Context, s *Store) error {
+	return s.FlushCtx(ctx)
 }
 
 // Retry documents a reviewed bounded backoff loop, suppressed with a reason.

@@ -70,12 +70,12 @@ func (b *Baseline) Validate() []string {
 	if b.Schema != BaselineSchema {
 		problems = append(problems, fmt.Sprintf("schema %q, want %q", b.Schema, BaselineSchema))
 	}
-	if len(b.Rows) != len(ttdb.QueryNames) {
-		problems = append(problems, fmt.Sprintf("%d rows, want %d", len(b.Rows), len(ttdb.QueryNames)))
+	if len(b.Rows) != int(ttdb.OpQ8) {
+		problems = append(problems, fmt.Sprintf("%d rows, want %d", len(b.Rows), ttdb.OpQ8))
 	}
 	for i, r := range b.Rows {
-		if i < len(ttdb.QueryNames) && r.Query != ttdb.QueryNames[i] {
-			problems = append(problems, fmt.Sprintf("row %d is %q, want %q", i, r.Query, ttdb.QueryNames[i]))
+		if want := ttdb.OpQ1 + ttdb.Op(i); want <= ttdb.OpQ8 && r.Query != want.String() {
+			problems = append(problems, fmt.Sprintf("row %d is %q, want %q", i, r.Query, want))
 		}
 		for _, m := range []struct {
 			name string

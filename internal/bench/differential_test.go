@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"context"
 	"fmt"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -57,7 +59,8 @@ type qResults struct {
 
 // engineResults runs the battery against a loaded Table 1 engine, mapping
 // station ids to names via generation order (ids[i] is data.Stations[i]).
-func engineResults(data *dataset.BikeData, e ttdb.Engine, ids []ttdb.StationID) qResults {
+func engineResults(t *testing.T, data *dataset.BikeData, e ttdb.Querier, ids []ttdb.StationID) qResults {
+	t.Helper()
 	names := make(map[ttdb.StationID]string, len(ids))
 	for i, id := range ids {
 		names[id] = data.Stations[i].Name
@@ -69,21 +72,24 @@ func engineResults(data *dataset.BikeData, e ttdb.Engine, ids []ttdb.StationID) 
 		}
 		return out
 	}
-	start, end := data.Span()
-	qStart := start + (end-start)/4
-	qEnd := qStart + (end-start)/2
-	st0, st1 := ids[0], ids[len(ids)/2]
+	var res [8]ttdb.Result
+	for i, q := range data.Table1Queries(ids) {
+		var err error
+		if res[i], err = e.Exec(context.Background(), q); err != nil {
+			t.Fatalf("%s: %v", q.Op, err)
+		}
+	}
 	var r qResults
-	r.q1 = e.Q1TimeRange(st0, qStart, qStart+2*ts.Day)
-	r.q2 = e.Q2FilteredRange(st0, qStart, qEnd, 10)
-	r.q3 = e.Q3StationMean(st0, qStart, qEnd)
-	r.q4 = byName(e.Q4AllStationMeans(qStart, qEnd))
-	r.q5 = e.Q5DistrictSums(qStart, qEnd)
-	for _, id := range e.Q6TopKStations(qStart, qEnd, 10) {
+	r.q1 = res[0].Points
+	r.q2 = res[1].Points
+	r.q3 = res[2].Scalar
+	r.q4 = byName(res[3].ByStation)
+	r.q5 = res[4].ByDistrict
+	for _, id := range res[5].Stations {
 		r.q6 = append(r.q6, names[id])
 	}
-	r.q7 = e.Q7Correlation(st0, st1, qStart, qEnd, ts.Hour)
-	r.q8 = byName(e.Q8NeighborMeans(st0, qStart, qEnd))
+	r.q7 = res[6].Scalar
+	r.q8 = byName(res[7].ByStation)
 	return r
 }
 
@@ -275,12 +281,12 @@ func TestDifferentialBattery(t *testing.T) {
 				return ids
 			}
 			neo := ttdb.NewAllInGraph()
-			ref := engineResults(data, neo, load(neo))
+			ref := engineResults(t, data, neo, load(neo))
 
 			seq := ttdb.NewPolyglot(ts.Week)
 			idsSeq := load(seq)
 			seq.SetWorkers(1)
-			comparePaths(t, "ttdb-seq", ref, engineResults(data, seq, idsSeq))
+			comparePaths(t, "ttdb-seq", ref, engineResults(t, data, seq, idsSeq))
 			comparePaths(t, "ttdb-seq-hyql", ref, hyqlResultsOn(t, data, storeEngine(seq.Structure())))
 
 			// Chunk compression is on by default, so the paths above already
@@ -289,7 +295,7 @@ func TestDifferentialBattery(t *testing.T) {
 			raw := ttdb.NewPolyglot(ts.Week)
 			raw.T.SetCompress(false)
 			idsRaw := load(raw)
-			comparePaths(t, "ttdb-raw", ref, engineResults(data, raw, idsRaw))
+			comparePaths(t, "ttdb-raw", ref, engineResults(t, data, raw, idsRaw))
 			comparePaths(t, "ttdb-raw-hyql", ref, hyqlResultsOn(t, data, storeEngine(raw.Structure())))
 
 			tiered := ttdb.NewPolyglot(ts.Week)
@@ -301,18 +307,27 @@ func TestDifferentialBattery(t *testing.T) {
 				t.Fatal(err)
 			}
 			tiered.T.DropBlockCache()
-			comparePaths(t, "ttdb-tiered-cold", ref, engineResults(data, tiered, idsTiered))
-			comparePaths(t, "ttdb-tiered-warm", ref, engineResults(data, tiered, idsTiered))
+			comparePaths(t, "ttdb-tiered-cold", ref, engineResults(t, data, tiered, idsTiered))
+			comparePaths(t, "ttdb-tiered-warm", ref, engineResults(t, data, tiered, idsTiered))
 			tiered.T.DropBlockCache()
 			comparePaths(t, "ttdb-tiered-cold-hyql", ref, hyqlResultsOn(t, data, storeEngine(tiered.Structure())))
 			if err := tiered.T.Err(); err != nil {
 				t.Fatalf("tiered path degraded: %v", err)
 			}
 
+			// The durable engine over the same stores: same answers, plus the
+			// degraded-mode check every call makes.
+			dur := ttdb.NewDurable(ts.Week, io.Discard, io.Discard, io.Discard)
+			idsDur, err := preload(context.Background(), dur, data.Stations, data.Trips)
+			if err != nil {
+				t.Fatal(err)
+			}
+			comparePaths(t, "ttdb-durable", ref, engineResults(t, data, dur, idsDur))
+
 			par := ttdb.NewPolyglot(ts.Week)
 			idsPar := load(par)
 			par.SetWorkers(4)
-			comparePaths(t, "ttdb-par", ref, engineResults(data, par, idsPar))
+			comparePaths(t, "ttdb-par", ref, engineResults(t, data, par, idsPar))
 
 			// Instrumentation attached must not change a single element,
 			// and the per-query timers must actually fire.
@@ -321,10 +336,10 @@ func TestDifferentialBattery(t *testing.T) {
 			idsIns := load(ins)
 			ins.SetWorkers(4)
 			ins.Instrument(reg)
-			comparePaths(t, "ttdb-instrumented", ref, engineResults(data, ins, idsIns))
+			comparePaths(t, "ttdb-instrumented", ref, engineResults(t, data, ins, idsIns))
 			snap := reg.Snapshot()
-			for _, q := range ttdb.QueryNames {
-				name := "ttdb." + strings.ToLower(q)
+			for op := ttdb.OpQ1; op <= ttdb.OpQ8; op++ {
+				name := "ttdb." + strings.ToLower(op.String())
 				if st := snap.Durations[name]; st.Count == 0 {
 					t.Fatalf("instrumented path: timer %s never fired", name)
 				}
@@ -346,9 +361,9 @@ func TestDifferentialBattery(t *testing.T) {
 				}
 				idsCo := load(co)
 				label := fmt.Sprintf("coord-%dp", nparts)
-				comparePaths(t, label, ref, engineResults(data, co, idsCo))
+				comparePaths(t, label, ref, engineResults(t, data, co, idsCo))
 				co.SetWorkers(2)
-				comparePaths(t, label+"-par", ref, engineResults(data, co, idsCo))
+				comparePaths(t, label+"-par", ref, engineResults(t, data, co, idsCo))
 				comparePaths(t, label+"-hyql", ref, hyqlResultsOn(t, data, storeEngine(co.Structure())))
 			}
 		})

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 
@@ -18,7 +19,7 @@ import (
 // logs, answers one durable query, replays the logs through
 // RecoverPolyglotObserved (recording recovery spans into reg), and checks
 // cross-store consistency of the recovered engine.
-func DurableExercise(cfg Config, reg *obs.Registry) error {
+func DurableExercise(ctx context.Context, cfg Config, reg *obs.Registry) error {
 	small := cfg.Bike
 	if small.Stations > 8 {
 		small.Stations = 8
@@ -33,27 +34,18 @@ func DurableExercise(cfg Config, reg *obs.Registry) error {
 	var graphLog, tsLog, journal bytes.Buffer
 	d := ttdb.NewDurable(ts.Week, &graphLog, &tsLog, &journal)
 	d.Instrument(reg)
-	ids := make([]ttdb.StationID, len(data.Stations))
-	for i, st := range data.Stations {
-		id, err := d.IngestStation(st.Name, st.District, st.Availability)
-		if err != nil {
-			return fmt.Errorf("bench: durable ingest %s: %w", st.Name, err)
-		}
-		ids[i] = id
-	}
-	for _, tr := range data.Trips {
-		if err := d.AddTrip(ids[tr.From], ids[tr.To], tr.Count); err != nil {
-			return fmt.Errorf("bench: durable trip: %w", err)
-		}
+	ids, err := preload(ctx, d, data.Stations, data.Trips)
+	if err != nil {
+		return err
 	}
 	start, end := data.Span()
-	if _, err := d.Q3StationMean(ids[0], start, end); err != nil {
+	if _, err := d.Exec(ctx, ttdb.Q3(ids[0], start, end)); err != nil {
 		return fmt.Errorf("bench: durable query: %w", err)
 	}
 	// Warm one continuous-aggregate window, then append through the durable
 	// path: the instrumented run must show the write-through patch counter
 	// moving, not just hit/miss traffic.
-	if _, err := d.Downsample(ids[0], start, end+ts.Week, ts.Day, ts.AggMean); err != nil {
+	if _, err := d.Exec(ctx, ttdb.Downsample(ids[0], start, end+ts.Week, ts.Day, ts.AggMean)); err != nil {
 		return fmt.Errorf("bench: durable downsample: %w", err)
 	}
 	if err := d.AppendPoint(ids[0], end+ts.Minute, 1); err != nil {
@@ -80,8 +72,8 @@ func DurableExercise(cfg Config, reg *obs.Registry) error {
 func CheckMetrics(s *obs.Snapshot) []string {
 	var problems []string
 	for _, prefix := range []string{"ttdb", "neo4j"} {
-		for _, q := range ttdb.QueryNames {
-			name := prefix + "." + strings.ToLower(q)
+		for op := ttdb.OpQ1; op <= ttdb.OpQ8; op++ {
+			name := prefix + "." + strings.ToLower(op.String())
 			if st, ok := s.Durations[name]; !ok || st.Count == 0 {
 				problems = append(problems, fmt.Sprintf("timer %s never fired", name))
 			}

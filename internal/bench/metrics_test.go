@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"hygraph/internal/obs"
@@ -14,10 +15,10 @@ func TestInstrumentedRunPassesCheckMetrics(t *testing.T) {
 	reg := obs.New()
 	cfg := tinyConfig()
 	cfg.Obs = reg
-	if _, err := Run(cfg); err != nil {
+	if _, err := Run(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
-	if err := DurableExercise(cfg, reg); err != nil {
+	if err := DurableExercise(context.Background(), cfg, reg); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
@@ -63,7 +64,7 @@ func TestCheckMetricsReportsSilentSubsystems(t *testing.T) {
 // rows without a recorded width, or a config that disagrees with the
 // top-level field, are structural violations.
 func TestValidateEffectiveWorkers(t *testing.T) {
-	rows, err := Run(tinyConfig())
+	rows, err := Run(context.Background(), tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

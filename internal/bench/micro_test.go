@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -105,8 +106,8 @@ func BenchmarkAggregateSharded(b *testing.B) {
 			eng, _, qStart, qEnd := microEngine(b, shards)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if m := eng.Q4AllStationMeans(qStart, qEnd); len(m) == 0 {
-					b.Fatal("empty aggregate")
+				if m, err := eng.Exec(context.Background(), ttdb.Q4(qStart, qEnd)); err != nil || len(m.ByStation) == 0 {
+					b.Fatalf("aggregate: %d stations, %v", len(m.ByStation), err)
 				}
 			}
 		})
@@ -135,9 +136,9 @@ func BenchmarkMixedReadWrite(b *testing.B) {
 					var err error
 					switch n % 8 {
 					case 0:
-						_, err = d.Q4AllStationMeans(qStart, qEnd)
+						_, err = d.Exec(context.Background(), ttdb.Q4(qStart, qEnd))
 					case 1, 2, 3:
-						_, err = d.Q3StationMean(st, qStart, qEnd)
+						_, err = d.Exec(context.Background(), ttdb.Q3(st, qStart, qEnd))
 					default:
 						err = d.AppendPoint(st, end+ts.Time(n)*ts.Minute, float64(n%48))
 					}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -97,7 +98,7 @@ type MixedComparison struct {
 // WAL flush costs a syscall, as deployed). Every client loops until the
 // window closes; the report carries completed ops of each kind plus the
 // measured-phase WAL append/flush counts.
-func MixedThroughput(bike dataset.BikeConfig, mc MixedConfig) (MixedReport, error) {
+func MixedThroughput(ctx context.Context, bike dataset.BikeConfig, mc MixedConfig) (MixedReport, error) {
 	if mc.IngestClients <= 0 || mc.QueryClients <= 0 {
 		return MixedReport{}, fmt.Errorf("bench: mixed client counts must be positive, got %d/%d",
 			mc.IngestClients, mc.QueryClients)
@@ -117,24 +118,11 @@ func MixedThroughput(bike dataset.BikeConfig, mc MixedConfig) (MixedReport, erro
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(mc.Procs))
 	data := dataset.GenerateBike(bike)
 
-	dir, err := os.MkdirTemp("", "hybench-mixed-")
+	logs, closeLogs, err := tempLogs("hybench-mixed-")
 	if err != nil {
-		return MixedReport{}, fmt.Errorf("bench: mixed temp dir: %w", err)
+		return MixedReport{}, err
 	}
-	defer os.RemoveAll(dir)
-	logs := make([]*os.File, 0, 3)
-	defer func() {
-		for _, f := range logs {
-			f.Close()
-		}
-	}()
-	for _, name := range []string{"graph.wal", "ts.wal", "intent.journal"} {
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			return MixedReport{}, fmt.Errorf("bench: mixed log file: %w", err)
-		}
-		logs = append(logs, f)
-	}
+	defer closeLogs()
 
 	reg := obs.New()
 	eng := ttdb.NewPolyglotSharded(ts.Week, mc.Shards)
@@ -152,32 +140,15 @@ func MixedThroughput(bike dataset.BikeConfig, mc MixedConfig) (MixedReport, erro
 	d.SetGroupCommit(mc.GroupCommit)
 	d.Instrument(reg)
 
-	ids := make([]ttdb.StationID, len(data.Stations))
-	for i, st := range data.Stations {
-		id, err := d.IngestStation(st.Name, st.District, st.Availability)
-		if err != nil {
-			return MixedReport{}, fmt.Errorf("bench: mixed preload %s: %w", st.Name, err)
-		}
-		ids[i] = id
+	ids, err := preload(ctx, d, data.Stations, data.Trips)
+	if err != nil {
+		return MixedReport{}, err
 	}
-	for _, tr := range data.Trips {
-		if err := d.AddTrip(ids[tr.From], ids[tr.To], tr.Count); err != nil {
-			return MixedReport{}, fmt.Errorf("bench: mixed preload trip: %w", err)
-		}
-	}
-	start, end := data.Span()
-	qStart := start + (end-start)/4
-	qEnd := qStart + (end-start)/2
+	_, end := data.Span()
+	qs := data.Table1Queries(ids)
 
-	var errMu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
+	var failed firstError
+	fail := failed.set
 
 	// One counter for the whole run (all reps): every append gets a fresh
 	// timestamp past the preloaded span, so ingest is always an append,
@@ -188,31 +159,6 @@ func MixedThroughput(bike dataset.BikeConfig, mc MixedConfig) (MixedReport, erro
 		t := end + ts.Time(tsSeq.Add(1))*ts.Minute
 		return d.AppendPoint(st, t, float64((c+op)%48))
 	}
-	query := func(c, op int) error {
-		st := ids[(c*7919+op)%len(ids)]
-		st2 := ids[(c*7919+op+len(ids)/2)%len(ids)]
-		var err error
-		switch op % len(ttdb.QueryNames) {
-		case 0:
-			_, err = d.Q1TimeRange(st, qStart, qStart+2*ts.Day)
-		case 1:
-			_, err = d.Q2FilteredRange(st, qStart, qEnd, 10)
-		case 2:
-			_, err = d.Q3StationMean(st, qStart, qEnd)
-		case 3:
-			_, err = d.Q4AllStationMeans(qStart, qEnd)
-		case 4:
-			_, err = d.Q5DistrictSums(qStart, qEnd)
-		case 5:
-			_, err = d.Q6TopKStations(qStart, qEnd, 10)
-		case 6:
-			_, err = d.Q7Correlation(st, st2, qStart, qEnd, ts.Hour)
-		case 7:
-			_, err = d.Q8NeighborMeans(st, qStart, qEnd)
-		}
-		return err
-	}
-
 	window := time.Duration(mc.WindowMS) * time.Millisecond
 	// Writers deliver their offered rate in 5ms batches, the way sensor
 	// gateways flush: coarse slots survive scheduler wake-up jitter that
@@ -241,7 +187,7 @@ func MixedThroughput(bike dataset.BikeConfig, mc MixedConfig) (MixedReport, erro
 				next := t0
 				for op := 0; ; {
 					now := time.Now()
-					if !now.Before(deadline) {
+					if !now.Before(deadline) || ctx.Err() != nil {
 						return
 					}
 					if now.Before(next) {
@@ -269,7 +215,7 @@ func MixedThroughput(bike dataset.BikeConfig, mc MixedConfig) (MixedReport, erro
 			go func(c int) {
 				defer wg.Done()
 				for op := 0; time.Now().Before(deadline); op++ {
-					if err := query(c, op); err != nil {
+					if _, err := d.Exec(ctx, spreadQuery(qs, ids, c, op)); err != nil {
 						fail(fmt.Errorf("bench: mixed query client %d: %w", c, err))
 						return
 					}
@@ -279,8 +225,8 @@ func MixedThroughput(bike dataset.BikeConfig, mc MixedConfig) (MixedReport, erro
 		}
 		wg.Wait()
 		elapsed = time.Since(t0)
-		if firstErr != nil {
-			return 0, 0, 0, 0, 0, firstErr
+		if failed.err != nil {
+			return 0, 0, 0, 0, 0, failed.err
 		}
 		post := reg.Snapshot()
 		return nIngest.Load(), nQuery.Load(), elapsed,
@@ -331,17 +277,84 @@ func MixedThroughput(bike dataset.BikeConfig, mc MixedConfig) (MixedReport, erro
 	return rep, nil
 }
 
+// firstError keeps the first error any client goroutine of a section
+// reports; read err once the goroutines are joined.
+type firstError struct {
+	mu  sync.Mutex
+	err error
+}
+
+func (f *firstError) set(err error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.err == nil {
+		f.err = err
+	}
+}
+
+// tempLogs creates the three log files of a durable engine (graph WAL,
+// time-series WAL, intent journal, in that order) in a fresh temp directory,
+// so a WAL flush costs a syscall, as deployed. The returned func closes the
+// files and removes the directory.
+func tempLogs(prefix string) ([]*os.File, func(), error) {
+	dir, err := os.MkdirTemp("", prefix)
+	if err != nil {
+		return nil, nil, fmt.Errorf("bench: temp dir: %w", err)
+	}
+	var logs []*os.File
+	cleanup := func() {
+		for _, f := range logs {
+			f.Close()
+		}
+		os.RemoveAll(dir)
+	}
+	for _, name := range []string{"graph.wal", "ts.wal", "intent.journal"} {
+		f, err := os.Create(filepath.Join(dir, name))
+		if err != nil {
+			cleanup()
+			return nil, nil, fmt.Errorf("bench: log file: %w", err)
+		}
+		logs = append(logs, f)
+	}
+	return logs, cleanup, nil
+}
+
+// preload durably ingests the stations and the trips among them, returning
+// the station ids in the given order.
+func preload(ctx context.Context, d *ttdb.DurablePolyglot, stations []dataset.BikeStation, trips []dataset.BikeTrip) ([]ttdb.StationID, error) {
+	ids := make([]ttdb.StationID, len(stations))
+	for i, st := range stations {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		id, err := d.IngestStation(st.Name, st.District, st.Availability)
+		if err != nil {
+			return nil, fmt.Errorf("bench: preload %s: %w", st.Name, err)
+		}
+		ids[i] = id
+	}
+	for _, tr := range trips {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if err := d.AddTrip(ids[tr.From], ids[tr.To], tr.Count); err != nil {
+			return nil, fmt.Errorf("bench: preload trip: %w", err)
+		}
+	}
+	return ids, nil
+}
+
 // RunMixed runs the mixed workload twice — single stripe with per-record
 // flushing, then striped stores with group commit — and pairs the reports.
-func RunMixed(cfg Config, ingest, query, windowMS int) (MixedComparison, error) {
-	base, err := MixedThroughput(cfg.Bike, MixedConfig{
+func RunMixed(ctx context.Context, cfg Config, ingest, query, windowMS int) (MixedComparison, error) {
+	base, err := MixedThroughput(ctx, cfg.Bike, MixedConfig{
 		IngestClients: ingest, QueryClients: query, WindowMS: windowMS,
 		Shards: 1, GroupCommit: 1,
 	})
 	if err != nil {
 		return MixedComparison{}, err
 	}
-	sharded, err := MixedThroughput(cfg.Bike, MixedConfig{
+	sharded, err := MixedThroughput(ctx, cfg.Bike, MixedConfig{
 		IngestClients: ingest, QueryClients: query, WindowMS: windowMS,
 		Shards: tsstore.DefaultShards, GroupCommit: 64,
 	})

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -12,16 +13,16 @@ func tinyBike() dataset.BikeConfig {
 }
 
 func TestMixedThroughputRejectsEmptyClients(t *testing.T) {
-	if _, err := MixedThroughput(tinyBike(), MixedConfig{IngestClients: 0, QueryClients: 1}); err == nil {
+	if _, err := MixedThroughput(context.Background(), tinyBike(), MixedConfig{IngestClients: 0, QueryClients: 1}); err == nil {
 		t.Fatal("want error for zero ingest clients")
 	}
-	if _, err := MixedThroughput(tinyBike(), MixedConfig{IngestClients: 1, QueryClients: 0}); err == nil {
+	if _, err := MixedThroughput(context.Background(), tinyBike(), MixedConfig{IngestClients: 1, QueryClients: 0}); err == nil {
 		t.Fatal("want error for zero query clients")
 	}
 }
 
 func TestMixedThroughputReport(t *testing.T) {
-	rep, err := MixedThroughput(tinyBike(), MixedConfig{
+	rep, err := MixedThroughput(context.Background(), tinyBike(), MixedConfig{
 		IngestClients: 2, QueryClients: 2, IngestRate: 1000, WindowMS: 30,
 		Shards: 4, GroupCommit: 8, Reps: 1,
 	})
@@ -53,7 +54,7 @@ func TestMixedThroughputReport(t *testing.T) {
 func TestRunMixedComparison(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Bike = tinyBike()
-	cmp, err := RunMixed(cfg, 2, 2, 25)
+	cmp, err := RunMixed(context.Background(), cfg, 2, 2, 25)
 	if err != nil {
 		t.Fatal(err)
 	}

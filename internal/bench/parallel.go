@@ -1,11 +1,11 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
-	"time"
 
 	"hygraph/internal/dataset"
 	"hygraph/internal/storage/ttdb"
@@ -27,15 +27,13 @@ type ParallelRow struct {
 	Identical bool
 }
 
-// ParallelQueries are the multi-station queries the worker pool fans out.
-// Q7 rides along to exercise the resample cache under the same harness.
-var ParallelQueries = []string{"Q4", "Q5", "Q6", "Q7", "Q8"}
-
-// RunParallel loads the polyglot engine once and times Q4–Q8 sequentially
-// (workers=1) and fanned out (cfg.Workers, defaulting to GOMAXPROCS when
-// unset), verifying that both modes return identical results. Workers
-// reports the fan-out width actually used.
-func RunParallel(cfg Config) (rows []ParallelRow, workers int, err error) {
+// RunParallel loads the polyglot engine once and times the multi-station
+// queries the worker pool fans out, Q4–Q8 (Q7 rides along to exercise the
+// resample cache under the same harness), sequentially (workers=1) and
+// fanned out (cfg.Workers, defaulting to GOMAXPROCS when unset), verifying
+// that both modes return identical results. Workers reports the fan-out
+// width actually used.
+func RunParallel(ctx context.Context, cfg Config) (rows []ParallelRow, workers int, err error) {
 	workers = cfg.Workers
 	if workers <= 1 {
 		workers = runtime.GOMAXPROCS(0)
@@ -49,45 +47,18 @@ func RunParallel(cfg Config) (rows []ParallelRow, workers int, err error) {
 	if cfg.Obs != nil {
 		pg.Instrument(cfg.Obs)
 	}
-	start, end := data.Span()
-	qStart := start + (end-start)/4
-	qEnd := qStart + (end-start)/2
-	st0, st1 := ids[0], ids[len(ids)/2]
-
-	// Each query returns its result so the two modes can be compared.
-	query := func(q string) any {
-		switch q {
-		case "Q4":
-			return pg.Q4AllStationMeans(qStart, qEnd)
-		case "Q5":
-			return pg.Q5DistrictSums(qStart, qEnd)
-		case "Q6":
-			return pg.Q6TopKStations(qStart, qEnd, 10)
-		case "Q7":
-			return pg.Q7Correlation(st0, st1, qStart, qEnd, ts.Hour)
-		case "Q8":
-			return pg.Q8NeighborMeans(st0, qStart, qEnd)
-		}
-		panic("bench: unknown parallel query " + q)
-	}
-	measure := func(q string) (res any, mrs, cv float64) {
-		res = query(q) // warm-up rep, not measured
-		samples := make([]float64, 0, cfg.Reps)
-		for r := 0; r < cfg.Reps; r++ {
-			t0 := time.Now()
-			query(q)
-			samples = append(samples, float64(time.Since(t0).Nanoseconds())/1e6)
-		}
-		mrs, cv = stats(samples)
-		return res, mrs, cv
-	}
-
-	for _, q := range ParallelQueries {
-		row := ParallelRow{Query: q, Desc: ttdb.Describe(q)}
+	for _, q := range fanoutQueries(data, ids) {
+		row := ParallelRow{Query: q.Op.String(), Desc: q.Op.Describe()}
 		pg.SetWorkers(1)
-		seqRes, seqMRS, seqCV := measure(q)
+		seqRes, seqMRS, seqCV, err := timeQuery(ctx, pg, q, cfg.Reps)
+		if err != nil {
+			return nil, 0, err
+		}
 		pg.SetWorkers(workers)
-		parRes, parMRS, parCV := measure(q)
+		parRes, parMRS, parCV, err := timeQuery(ctx, pg, q, cfg.Reps)
+		if err != nil {
+			return nil, 0, err
+		}
 		row.SeqMRS, row.SeqCV = seqMRS, seqCV
 		row.ParMRS, row.ParCV = parMRS, parCV
 		if parMRS > 0 {
@@ -97,6 +68,15 @@ func RunParallel(cfg Config) (rows []ParallelRow, workers int, err error) {
 		rows = append(rows, row)
 	}
 	return rows, workers, nil
+}
+
+// fanoutOps are the multi-station operations the in-engine worker pool fans
+// out and the coordinator scatters — the rows of the parallel and partition
+// sections, and the tail of the canonical workload.
+var fanoutOps = []ttdb.Op{ttdb.OpQ4, ttdb.OpQ5, ttdb.OpQ6, ttdb.OpQ7, ttdb.OpQ8}
+
+func fanoutQueries(data *dataset.BikeData, ids []ttdb.StationID) []ttdb.Query {
+	return data.Table1Queries(ids)[fanoutOps[0]-ttdb.OpQ1:]
 }
 
 // FormatParallel renders the sequential-vs-parallel comparison.

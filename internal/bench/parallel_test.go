@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -9,15 +10,15 @@ import (
 func TestRunParallelIdenticalResults(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Workers = 4
-	rows, workers, err := RunParallel(cfg)
+	rows, workers, err := RunParallel(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if workers != 4 {
 		t.Fatalf("workers=%d", workers)
 	}
-	if len(rows) != len(ParallelQueries) {
-		t.Fatalf("rows=%d want %d", len(rows), len(ParallelQueries))
+	if len(rows) != len(fanoutOps) {
+		t.Fatalf("rows=%d want %d", len(rows), len(fanoutOps))
 	}
 	for _, r := range rows {
 		if !r.Identical {
@@ -36,7 +37,7 @@ func TestRunParallelIdenticalResults(t *testing.T) {
 }
 
 func TestThroughput(t *testing.T) {
-	rep, err := Throughput(tinyConfig(), 4, 6)
+	rep, err := Throughput(context.Background(), tinyConfig(), 4, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,14 +50,14 @@ func TestThroughput(t *testing.T) {
 	if !strings.Contains(FormatThroughput(rep), "q/s") {
 		t.Fatalf("format: %s", FormatThroughput(rep))
 	}
-	if _, err := Throughput(tinyConfig(), 0, 5); err == nil {
+	if _, err := Throughput(context.Background(), tinyConfig(), 0, 5); err == nil {
 		t.Fatal("zero clients accepted")
 	}
 }
 
 func TestBaselineRoundTripAndValidate(t *testing.T) {
 	cfg := tinyConfig()
-	rows, err := Run(cfg)
+	rows, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

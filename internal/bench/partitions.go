@@ -7,11 +7,11 @@ package bench
 // and scaling (Q4–Q8 mean response time vs the 1-partition reference).
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
 	"strings"
-	"time"
 
 	"hygraph/internal/coord"
 	"hygraph/internal/dataset"
@@ -49,14 +49,10 @@ type PartitionsReport struct {
 	Levels []PartitionLevel `json:"levels"`
 }
 
-// PartitionQueries are the multi-station queries the coordinator scatters;
-// the same set the in-engine worker pool fans out (ParallelQueries).
-var PartitionQueries = []string{"Q4", "Q5", "Q6", "Q7", "Q8"}
-
 // RunPartitions loads the single-engine oracle once and the coordinator at
 // each partition count, verifies element-wise identity of the Q1–Q8 answers,
-// and times Q4–Q8 per level.
-func RunPartitions(cfg Config, counts []int) (PartitionsReport, error) {
+// and times Q4–Q8 (fanoutOps) per level.
+func RunPartitions(ctx context.Context, cfg Config, counts []int) (PartitionsReport, error) {
 	rep := PartitionsReport{Counts: counts, Procs: runtime.GOMAXPROCS(0)}
 	if len(counts) == 0 {
 		return rep, fmt.Errorf("bench: -partitions needs at least one count")
@@ -67,9 +63,6 @@ func RunPartitions(cfg Config, counts []int) (PartitionsReport, error) {
 	if err != nil {
 		return rep, fmt.Errorf("bench: loading %s: %w", ora.Name(), err)
 	}
-	start, end := data.Span()
-	qStart := start + (end-start)/4
-	qEnd := qStart + (end-start)/2
 
 	var base []float64 // 1st level's MRS per query, the speedup denominator
 	for li, n := range counts {
@@ -85,34 +78,16 @@ func RunPartitions(cfg Config, counts []int) (PartitionsReport, error) {
 		if cfg.Obs != nil {
 			c.Instrument(cfg.Obs)
 		}
-		lvl := PartitionLevel{
-			Parts:     n,
-			Identical: partitionsIdentical(ora, oIDs, c, cIDs, qStart, qEnd),
+		lvl := PartitionLevel{Parts: n}
+		if lvl.Identical, err = partitionsIdentical(ctx, data, ora, oIDs, c, cIDs); err != nil {
+			return rep, fmt.Errorf("bench: partitions=%d: %w", n, err)
 		}
-		st0, st1 := cIDs[0], cIDs[len(cIDs)/2]
-		for qi, q := range PartitionQueries {
-			var fn func()
-			switch q {
-			case "Q4":
-				fn = func() { c.Q4AllStationMeans(qStart, qEnd) }
-			case "Q5":
-				fn = func() { c.Q5DistrictSums(qStart, qEnd) }
-			case "Q6":
-				fn = func() { c.Q6TopKStations(qStart, qEnd, 10) }
-			case "Q7":
-				fn = func() { c.Q7Correlation(st0, st1, qStart, qEnd, ts.Hour) }
-			case "Q8":
-				fn = func() { c.Q8NeighborMeans(st0, qStart, qEnd) }
+		for qi, q := range fanoutQueries(data, cIDs) {
+			_, mrs, cv, err := timeQuery(ctx, c, q, cfg.Reps)
+			if err != nil {
+				return rep, fmt.Errorf("bench: partitions=%d: %w", n, err)
 			}
-			fn() // warm-up rep, not measured
-			samples := make([]float64, 0, cfg.Reps)
-			for r := 0; r < cfg.Reps; r++ {
-				t0 := time.Now()
-				fn()
-				samples = append(samples, float64(time.Since(t0).Nanoseconds())/1e6)
-			}
-			mrs, cv := stats(samples)
-			row := PartitionRow{Query: q, Desc: ttdb.Describe(q), MRS: mrs, CV: cv}
+			row := PartitionRow{Query: q.Op.String(), Desc: q.Op.Describe(), MRS: mrs, CV: cv}
 			if li == 0 {
 				base = append(base, mrs)
 				row.Speedup = 1
@@ -129,8 +104,10 @@ func RunPartitions(cfg Config, counts []int) (PartitionsReport, error) {
 // partitionsIdentical compares every Q1–Q8 answer of the coordinator against
 // the oracle, element-wise within 1e-9. Station ids differ between the two
 // engines, so answers are aligned through the shared ingest order: oIDs[i]
-// and cIDs[i] name the same logical station.
-func partitionsIdentical(ora ttdb.Engine, oIDs []ttdb.StationID, c ttdb.Engine, cIDs []ttdb.StationID, qStart, qEnd ts.Time) bool {
+// and cIDs[i] name the same logical station. An error from either side — a
+// PartialError from the coordinator included — fails the gate instead of
+// comparing a partial answer.
+func partitionsIdentical(ctx context.Context, data *dataset.BikeData, ora ttdb.Querier, oIDs []ttdb.StationID, c ttdb.Querier, cIDs []ttdb.StationID) (bool, error) {
 	const tol = 1e-9
 	eq := func(a, b float64) bool {
 		if math.IsNaN(a) && math.IsNaN(b) {
@@ -139,84 +116,50 @@ func partitionsIdentical(ora ttdb.Engine, oIDs []ttdb.StationID, c ttdb.Engine, 
 		return math.Abs(a-b) <= tol
 	}
 	if len(oIDs) != len(cIDs) || len(oIDs) == 0 {
-		return false
+		return false, nil
 	}
-	oIdx := make(map[ttdb.StationID]int, len(oIDs))
-	cIdx := make(map[ttdb.StationID]int, len(cIDs))
-	for i := range oIDs {
-		oIdx[oIDs[i]] = i
-		cIdx[cIDs[i]] = i
+	// toOracle maps a coordinator station id onto the oracle's.
+	toOracle := make(map[ttdb.StationID]ttdb.StationID, len(cIDs))
+	for i := range cIDs {
+		toOracle[cIDs[i]] = oIDs[i]
 	}
-	st0o, st1o := oIDs[0], oIDs[len(oIDs)/2]
-	st0c, st1c := cIDs[0], cIDs[len(cIDs)/2]
-
-	po := ora.Q1TimeRange(st0o, qStart, qStart+2*ts.Day)
-	pc := c.Q1TimeRange(st0c, qStart, qStart+2*ts.Day)
-	if len(po) != len(pc) {
-		return false
-	}
-	for i := range po {
-		if po[i].T != pc[i].T || !eq(po[i].V, pc[i].V) {
-			return false
+	cQs := data.Table1Queries(cIDs)
+	for i, oq := range data.Table1Queries(oIDs) {
+		want, err := ora.Exec(ctx, oq)
+		if err != nil {
+			return false, fmt.Errorf("oracle %s: %w", oq.Op, err)
+		}
+		got, err := c.Exec(ctx, cQs[i])
+		if err != nil {
+			return false, fmt.Errorf("coordinator %s: %w", oq.Op, err)
+		}
+		if len(got.Points) != len(want.Points) || len(got.ByStation) != len(want.ByStation) ||
+			len(got.ByDistrict) != len(want.ByDistrict) || len(got.Stations) != len(want.Stations) ||
+			!eq(got.Scalar, want.Scalar) {
+			return false, nil
+		}
+		for j, p := range want.Points {
+			if p.T != got.Points[j].T || !eq(p.V, got.Points[j].V) {
+				return false, nil
+			}
+		}
+		for st, v := range got.ByStation {
+			if w, ok := want.ByStation[toOracle[st]]; !ok || !eq(v, w) {
+				return false, nil
+			}
+		}
+		for k, v := range want.ByDistrict {
+			if w, ok := got.ByDistrict[k]; !ok || !eq(v, w) {
+				return false, nil
+			}
+		}
+		for j, st := range got.Stations {
+			if toOracle[st] != want.Stations[j] {
+				return false, nil
+			}
 		}
 	}
-	fo := ora.Q2FilteredRange(st0o, qStart, qEnd, 10)
-	fc := c.Q2FilteredRange(st0c, qStart, qEnd, 10)
-	if len(fo) != len(fc) {
-		return false
-	}
-	for i := range fo {
-		if fo[i].T != fc[i].T || !eq(fo[i].V, fc[i].V) {
-			return false
-		}
-	}
-	if !eq(ora.Q3StationMean(st0o, qStart, qEnd), c.Q3StationMean(st0c, qStart, qEnd)) {
-		return false
-	}
-	mo, mc := ora.Q4AllStationMeans(qStart, qEnd), c.Q4AllStationMeans(qStart, qEnd)
-	if len(mo) != len(mc) {
-		return false
-	}
-	for i := range oIDs {
-		vo, oko := mo[oIDs[i]]
-		vc, okc := mc[cIDs[i]]
-		if oko != okc || !eq(vo, vc) {
-			return false
-		}
-	}
-	do, dc := ora.Q5DistrictSums(qStart, qEnd), c.Q5DistrictSums(qStart, qEnd)
-	if len(do) != len(dc) {
-		return false
-	}
-	for k, v := range do {
-		w, ok := dc[k]
-		if !ok || !eq(v, w) {
-			return false
-		}
-	}
-	to, tc := ora.Q6TopKStations(qStart, qEnd, 10), c.Q6TopKStations(qStart, qEnd, 10)
-	if len(to) != len(tc) {
-		return false
-	}
-	for i := range to {
-		if oIdx[to[i]] != cIdx[tc[i]] {
-			return false
-		}
-	}
-	if !eq(ora.Q7Correlation(st0o, st1o, qStart, qEnd, ts.Hour), c.Q7Correlation(st0c, st1c, qStart, qEnd, ts.Hour)) {
-		return false
-	}
-	no, nc := ora.Q8NeighborMeans(st0o, qStart, qEnd), c.Q8NeighborMeans(st0c, qStart, qEnd)
-	if len(no) != len(nc) {
-		return false
-	}
-	for k, v := range no {
-		w, ok := nc[cIDs[oIdx[k]]]
-		if !ok || !eq(v, w) {
-			return false
-		}
-	}
-	return true
+	return true, nil
 }
 
 // FormatPartitions renders the partition-scaling section.
@@ -272,13 +215,13 @@ func checkPartitions(r *PartitionsReport) []string {
 		if !lvl.Identical {
 			problems = append(problems, fmt.Sprintf("%s: results differ from the single-engine oracle", tag))
 		}
-		if len(lvl.Rows) != len(PartitionQueries) {
-			problems = append(problems, fmt.Sprintf("%s: %d rows, want %d", tag, len(lvl.Rows), len(PartitionQueries)))
+		if len(lvl.Rows) != len(fanoutOps) {
+			problems = append(problems, fmt.Sprintf("%s: %d rows, want %d", tag, len(lvl.Rows), len(fanoutOps)))
 			continue
 		}
 		for i, row := range lvl.Rows {
-			if row.Query != PartitionQueries[i] {
-				problems = append(problems, fmt.Sprintf("%s: row %d is %q, want %q", tag, i, row.Query, PartitionQueries[i]))
+			if row.Query != fanoutOps[i].String() {
+				problems = append(problems, fmt.Sprintf("%s: row %d is %q, want %q", tag, i, row.Query, fanoutOps[i]))
 			}
 			for _, m := range []struct {
 				name string
@@ -292,9 +235,9 @@ func checkPartitions(r *PartitionsReport) []string {
 		}
 	}
 	if r.Procs >= 4 && len(r.Levels) >= 2 {
-		for qi, q := range PartitionQueries {
+		for qi, q := range fanoutOps {
 			for li := 1; li < len(r.Levels); li++ {
-				if len(r.Levels[li].Rows) != len(PartitionQueries) || len(r.Levels[li-1].Rows) != len(PartitionQueries) {
+				if len(r.Levels[li].Rows) != len(fanoutOps) || len(r.Levels[li-1].Rows) != len(fanoutOps) {
 					continue
 				}
 				sp, spPrev := r.Levels[li].Rows[qi].Speedup, r.Levels[li-1].Rows[qi].Speedup

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -13,7 +14,7 @@ func TestRunPartitionsReport(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Bike = tinyBike()
 	cfg.Reps = 2
-	rep, err := RunPartitions(cfg, []int{1, 2, 3})
+	rep, err := RunPartitions(context.Background(), cfg, []int{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestRunPartitionsReport(t *testing.T) {
 func TestRunPartitionsRejectsEmptyCounts(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Bike = tinyBike()
-	if _, err := RunPartitions(cfg, nil); err == nil {
+	if _, err := RunPartitions(context.Background(), cfg, nil); err == nil {
 		t.Fatal("want error for empty counts")
 	}
 }
@@ -53,8 +54,8 @@ func TestCheckPartitionsFlagsViolations(t *testing.T) {
 	}
 	rows := func(sp float64) []PartitionRow {
 		var rs []PartitionRow
-		for _, q := range PartitionQueries {
-			rs = append(rs, row(q, sp))
+		for _, op := range fanoutOps {
+			rs = append(rs, row(op.String(), sp))
 		}
 		return rs
 	}

@@ -107,7 +107,7 @@ type outcome struct {
 // returning, so the report covers a full service lifecycle. ctx bounds the
 // whole run — seeding, every fired request, and everything in between;
 // cancelling it abandons the benchmark mid-level.
-func RunServe(ctx context.Context, sc ServeConfig) (ServeReport, error) {
+func RunServe(ctx context.Context, sc ServeConfig) (rep ServeReport, err error) {
 	sc = sc.withDefaults()
 
 	srv, err := server.New(server.Config{
@@ -133,10 +133,12 @@ func RunServe(ctx context.Context, sc ServeConfig) (ServeReport, error) {
 		// for longer than the drain budget.
 		sctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 5*time.Second)
 		defer cancel()
-		_ = srv.Shutdown(sctx)
+		if serr := srv.Shutdown(sctx); serr != nil && err == nil {
+			err = fmt.Errorf("bench: draining the server: %w", serr)
+		}
 	}()
 
-	rep := ServeReport{
+	rep = ServeReport{
 		Tenants:       sc.Tenants,
 		Stations:      sc.Stations,
 		RatePerTenant: sc.RatePerTenant,

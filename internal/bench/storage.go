@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"os"
@@ -111,7 +112,7 @@ func storageEqual(a, b []float64) bool {
 
 // RunStorage measures the compression + tiering layer. The footprint and
 // equality numbers are deterministic; the scan and query timings are not.
-func RunStorage(cfg Config) (StorageReport, error) {
+func RunStorage(ctx context.Context, cfg Config) (StorageReport, error) {
 	const series, points = 64, 4096 // ~262k points, ~36 sealed chunks/series
 	var rep StorageReport
 
@@ -166,7 +167,7 @@ func RunStorage(cfg Config) (StorageReport, error) {
 	}
 
 	// Q1–Q8 deltas on the Table 1 workload: raw vs compressed polyglot.
-	deltas, err := storageQueryDeltas(cfg)
+	deltas, err := storageQueryDeltas(ctx, cfg)
 	if err != nil {
 		return rep, err
 	}
@@ -177,7 +178,7 @@ func RunStorage(cfg Config) (StorageReport, error) {
 // storageQueryDeltas times Q1–Q8 on two polyglot engines over the same
 // dataset — chunk compression off vs on — and reports the relative MRS
 // delta per query.
-func storageQueryDeltas(cfg Config) (map[string]float64, error) {
+func storageQueryDeltas(ctx context.Context, cfg Config) (map[string]float64, error) {
 	data := dataset.GenerateBike(cfg.Bike)
 	rawE := ttdb.NewPolyglot(ts.Week)
 	rawE.T.SetCompress(false)
@@ -190,32 +191,7 @@ func storageQueryDeltas(cfg Config) (map[string]float64, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bench: loading compressed engine: %w", err)
 	}
-	start, end := data.Span()
-	qStart := start + (end-start)/4
-	qEnd := qStart + (end-start)/2
-
-	query := func(e ttdb.Engine, ids []ttdb.StationID, q string) func() {
-		st0, st1 := ids[0], ids[len(ids)/2]
-		switch q {
-		case "Q1":
-			return func() { e.Q1TimeRange(st0, qStart, qStart+2*ts.Day) }
-		case "Q2":
-			return func() { e.Q2FilteredRange(st0, qStart, qEnd, 10) }
-		case "Q3":
-			return func() { e.Q3StationMean(st0, qStart, qEnd) }
-		case "Q4":
-			return func() { e.Q4AllStationMeans(qStart, qEnd) }
-		case "Q5":
-			return func() { e.Q5DistrictSums(qStart, qEnd) }
-		case "Q6":
-			return func() { e.Q6TopKStations(qStart, qEnd, 10) }
-		case "Q7":
-			return func() { e.Q7Correlation(st0, st1, qStart, qEnd, ts.Hour) }
-		case "Q8":
-			return func() { e.Q8NeighborMeans(st0, qStart, qEnd) }
-		}
-		return nil
-	}
+	rawQs, compQs := data.Table1Queries(idsRaw), data.Table1Queries(idsComp)
 
 	// The queries are sub-millisecond, so the delta needs noise control the
 	// MRS table doesn't: batch each timing sample to ≥2ms of work (timer
@@ -228,36 +204,45 @@ func storageQueryDeltas(cfg Config) (map[string]float64, error) {
 	if reps < 11 {
 		reps = 11
 	}
-	deltas := make(map[string]float64, len(ttdb.QueryNames))
-	for _, q := range ttdb.QueryNames {
-		rawFn, compFn := query(rawE, idsRaw, q), query(compE, idsComp, q)
-		t0 := time.Now()
-		rawFn()
-		once := time.Since(t0)
-		compFn() // warm-up both legs
+	// sample is the mean ns of iters back-to-back runs of q.
+	sample := func(e ttdb.Querier, q ttdb.Query, iters int) (float64, error) {
+		s0 := time.Now()
+		for i := 0; i < iters; i++ {
+			if _, err := e.Exec(ctx, q); err != nil {
+				return 0, fmt.Errorf("bench: storage %s: %w", q.Op, err)
+			}
+		}
+		return float64(time.Since(s0).Nanoseconds()) / float64(iters), nil
+	}
+	deltas := make(map[string]float64, len(rawQs))
+	for i, rawQ := range rawQs {
+		once, err := sample(rawE, rawQ, 1)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := sample(compE, compQs[i], 1); err != nil { // warm-up both legs
+			return nil, err
+		}
 		iters := 1
-		if once > 0 && once < targetSample {
-			iters = int(targetSample / once)
+		if once > 0 && once < float64(targetSample) {
+			iters = int(float64(targetSample) / once)
 			if iters > 4096 {
 				iters = 4096
 			}
 		}
-		sample := func(fn func()) float64 {
-			s0 := time.Now()
-			for i := 0; i < iters; i++ {
-				fn()
-			}
-			return float64(time.Since(s0).Nanoseconds()) / float64(iters)
-		}
-		rawS := make([]float64, 0, reps)
-		compS := make([]float64, 0, reps)
+		rawS := make([]float64, reps)
+		compS := make([]float64, reps)
 		for r := 0; r < reps; r++ {
-			rawS = append(rawS, sample(rawFn))
-			compS = append(compS, sample(compFn))
+			if rawS[r], err = sample(rawE, rawQ, iters); err != nil {
+				return nil, err
+			}
+			if compS[r], err = sample(compE, compQs[i], iters); err != nil {
+				return nil, err
+			}
 		}
 		rawMin, compMin := minSample(rawS), minSample(compS)
 		if rawMin > 0 {
-			deltas[q] = (compMin - rawMin) / rawMin
+			deltas[rawQ.Op.String()] = (compMin - rawMin) / rawMin
 		}
 	}
 	return deltas, nil
@@ -274,8 +259,8 @@ func FormatStorage(r StorageReport) string {
 	fmt.Fprintf(&b, "  cold tier    %d blocks (%.1f MB) spilled; scan cold %.1f ms, warm %.1f ms\n",
 		r.SpilledBlocks, float64(r.SpilledBytes)/1e6, r.ColdScanMS, r.WarmScanMS)
 	b.WriteString("  Q deltas     ")
-	for _, q := range ttdb.QueryNames {
-		fmt.Fprintf(&b, "%s %+.0f%%  ", q, 100*r.QueryDeltas[q])
+	for op := ttdb.OpQ1; op <= ttdb.OpQ8; op++ {
+		fmt.Fprintf(&b, "%s %+.0f%%  ", op, 100*r.QueryDeltas[op.String()])
 	}
 	b.WriteString("\n")
 	return b.String()
@@ -305,7 +290,8 @@ func CheckStorage(r *StorageReport) []string {
 	if r.ColdScanMS < 0 || r.WarmScanMS < 0 {
 		problems = append(problems, "storage: negative scan timings")
 	}
-	for _, q := range ttdb.QueryNames {
+	for op := ttdb.OpQ1; op <= ttdb.OpQ8; op++ {
+		q := op.String()
 		d, ok := r.QueryDeltas[q]
 		if !ok {
 			problems = append(problems, fmt.Sprintf("storage: missing query delta for %s", q))

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -9,7 +10,7 @@ func TestRunStorageReport(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Bike = tinyBike()
 	cfg.Reps = 2
-	rep, err := RunStorage(cfg)
+	rep, err := RunStorage(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,9 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -144,31 +143,18 @@ func (sc StreamingConfig) withDefaults(nStations int) StreamingConfig {
 }
 
 // streamingLeg runs one maintenance strategy over a fresh durable engine.
-func streamingLeg(data *dataset.BikeData, sc StreamingConfig, writeThrough bool) (StreamingLeg, error) {
+func streamingLeg(ctx context.Context, data *dataset.BikeData, sc StreamingConfig, writeThrough bool) (StreamingLeg, error) {
 	mode := "incremental"
 	if !writeThrough {
 		mode = "recompute"
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(sc.Procs))
 
-	dir, err := os.MkdirTemp("", "hybench-streaming-")
+	logs, closeLogs, err := tempLogs("hybench-streaming-")
 	if err != nil {
-		return StreamingLeg{}, fmt.Errorf("bench: streaming temp dir: %w", err)
+		return StreamingLeg{}, err
 	}
-	defer os.RemoveAll(dir)
-	logs := make([]*os.File, 0, 3)
-	defer func() {
-		for _, f := range logs {
-			f.Close()
-		}
-	}()
-	for _, name := range []string{"graph.wal", "ts.wal", "intent.journal"} {
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			return StreamingLeg{}, fmt.Errorf("bench: streaming log file: %w", err)
-		}
-		logs = append(logs, f)
-	}
+	defer closeLogs()
 
 	const groupCommit = 64
 	eng := ttdb.NewPolyglotSharded(ts.Week, tsstore.DefaultShards)
@@ -176,37 +162,26 @@ func streamingLeg(data *dataset.BikeData, sc StreamingConfig, writeThrough bool)
 	d := ttdb.ResumeDurable(eng, logs[0], logs[1], logs[2], 0)
 	d.SetGroupCommit(groupCommit)
 
-	ids := make([]ttdb.StationID, 0, sc.Stations)
-	for i := 0; i < sc.Stations; i++ {
-		st := data.Stations[i]
-		id, err := d.IngestStation(st.Name, st.District, st.Availability)
-		if err != nil {
-			return StreamingLeg{}, fmt.Errorf("bench: streaming preload %s: %w", st.Name, err)
-		}
-		ids = append(ids, id)
+	ids, err := preload(ctx, d, data.Stations[:sc.Stations], nil)
+	if err != nil {
+		return StreamingLeg{}, err
 	}
 	_, end := data.Span()
 
 	// Warm every station's aggregate window once, so the measured phase
 	// exercises maintenance (patch vs invalidate+recompute), not cold misses.
-	readOne := func(st ttdb.StationID) ([]ts.Point, error) {
-		return d.Downsample(st, 0, ts.MaxTime, streamBucket, ts.AggMean)
+	readOne := func(ctx context.Context, st ttdb.StationID) ([]ts.Point, error) {
+		res, err := d.Exec(ctx, ttdb.Downsample(st, 0, ts.MaxTime, streamBucket, ts.AggMean))
+		return res.Points, err
 	}
 	for _, st := range ids {
-		if _, err := readOne(st); err != nil {
+		if _, err := readOne(ctx, st); err != nil {
 			return StreamingLeg{}, fmt.Errorf("bench: streaming warmup: %w", err)
 		}
 	}
 
-	var errMu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
+	var failed firstError
+	fail := failed.set
 
 	pre := eng.T.ResampleCacheStats()
 	var tsSeq atomic.Int64
@@ -234,7 +209,7 @@ func streamingLeg(data *dataset.BikeData, sc StreamingConfig, writeThrough bool)
 			defer wg.Done()
 			for op := 0; ; {
 				now := time.Now()
-				if !now.Before(deadline) {
+				if !now.Before(deadline) || ctx.Err() != nil {
 					return
 				}
 				next := now.Add(slot)
@@ -253,7 +228,7 @@ func streamingLeg(data *dataset.BikeData, sc StreamingConfig, writeThrough bool)
 						}
 						want := ts.BucketStart(t, streamBucket)
 						for {
-							pts, err := readOne(st)
+							pts, err := readOne(ctx, st)
 							if err != nil {
 								fail(err)
 								return
@@ -282,14 +257,14 @@ func streamingLeg(data *dataset.BikeData, sc StreamingConfig, writeThrough bool)
 			defer wg.Done()
 			for op := 0; ; {
 				now := time.Now()
-				if !now.Before(deadline) {
+				if !now.Before(deadline) || ctx.Err() != nil {
 					return
 				}
 				next := now.Add(slot)
 				for i := 0; i < readsPerSlot; i++ {
 					st := ids[(c*7919+op)%len(ids)]
 					r0 := time.Now()
-					if _, err := readOne(st); err != nil {
+					if _, err := readOne(ctx, st); err != nil {
 						fail(fmt.Errorf("bench: streaming read client %d: %w", c, err))
 						return
 					}
@@ -305,8 +280,8 @@ func streamingLeg(data *dataset.BikeData, sc StreamingConfig, writeThrough bool)
 	}
 	wg.Wait()
 	elapsed := time.Since(t0)
-	if firstErr != nil {
-		return StreamingLeg{}, firstErr
+	if failed.err != nil {
+		return StreamingLeg{}, failed.err
 	}
 	post := eng.T.ResampleCacheStats()
 
@@ -348,18 +323,18 @@ func streamingLeg(data *dataset.BikeData, sc StreamingConfig, writeThrough bool)
 	leg.Identical = true
 check:
 	for _, st := range ids {
-		raw, err := d.Q1TimeRange(st, 0, ts.MaxTime)
+		raw, err := d.Exec(ctx, ttdb.Q1(st, 0, ts.MaxTime))
 		if err != nil {
 			return StreamingLeg{}, err
 		}
-		s := ts.FromPoints("raw", raw)
+		s := ts.FromPoints("raw", raw.Points)
 		for _, agg := range streamAggs {
-			got, err := d.Downsample(st, 0, ts.MaxTime, streamBucket, agg)
+			got, err := d.Exec(ctx, ttdb.Downsample(st, 0, ts.MaxTime, streamBucket, agg))
 			if err != nil {
 				return StreamingLeg{}, err
 			}
 			want := s.Resample(streamBucket, agg).Points()
-			if !pointsEqual(got, want) {
+			if !pointsEqual(got.Points, want) {
 				leg.Identical = false
 				break check
 			}
@@ -392,14 +367,14 @@ func pointsEqual(a, b []ts.Point) bool {
 
 // RunStreaming runs the two maintenance legs over the identical workload and
 // pairs them.
-func RunStreaming(cfg Config, sc StreamingConfig) (StreamingReport, error) {
+func RunStreaming(ctx context.Context, cfg Config, sc StreamingConfig) (StreamingReport, error) {
 	data := dataset.GenerateBike(cfg.Bike)
 	sc = sc.withDefaults(len(data.Stations))
-	inc, err := streamingLeg(data, sc, true)
+	inc, err := streamingLeg(ctx, data, sc, true)
 	if err != nil {
 		return StreamingReport{}, err
 	}
-	rec, err := streamingLeg(data, sc, false)
+	rec, err := streamingLeg(ctx, data, sc, false)
 	if err != nil {
 		return StreamingReport{}, err
 	}

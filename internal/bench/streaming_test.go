@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -16,7 +17,7 @@ func smallBike() dataset.BikeConfig {
 func TestRunStreamingReport(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Bike = smallBike()
-	rep, err := RunStreaming(cfg, StreamingConfig{
+	rep, err := RunStreaming(context.Background(), cfg, StreamingConfig{
 		IngestClients: 2, ReadClients: 2, IngestRate: 2000, WindowMS: 40,
 	})
 	if err != nil {

@@ -5,6 +5,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -62,7 +63,7 @@ func PaperScaleConfig() Config {
 
 // Run generates the workload, loads both engines and times all eight
 // queries, returning the table rows in query order.
-func Run(cfg Config) ([]Row, error) {
+func Run(ctx context.Context, cfg Config) ([]Row, error) {
 	data := dataset.GenerateBike(cfg.Bike)
 	neo := ttdb.NewAllInGraph()
 	pg := ttdb.NewPolyglot(ts.Week)
@@ -80,66 +81,44 @@ func Run(cfg Config) ([]Row, error) {
 		neo.Instrument(cfg.Obs)
 		pg.Instrument(cfg.Obs)
 	}
-	start, end := data.Span()
-	// The queried window: the middle half of the data.
-	qStart := start + (end-start)/4
-	qEnd := qStart + (end-start)/2
+	neoQs, pgQs := data.Table1Queries(idsNeo), data.Table1Queries(idsPg)
 
-	type target struct {
-		e   ttdb.Engine
-		ids []ttdb.StationID
-	}
-	targets := []target{{neo, idsNeo}, {pg, idsPg}}
-
-	runQuery := func(tg target, q string) func() {
-		e, ids := tg.e, tg.ids
-		st0, st1 := ids[0], ids[len(ids)/2]
-		switch q {
-		case "Q1":
-			return func() { e.Q1TimeRange(st0, qStart, qStart+2*ts.Day) }
-		case "Q2":
-			return func() { e.Q2FilteredRange(st0, qStart, qEnd, 10) }
-		case "Q3":
-			return func() { e.Q3StationMean(st0, qStart, qEnd) }
-		case "Q4":
-			return func() { e.Q4AllStationMeans(qStart, qEnd) }
-		case "Q5":
-			return func() { e.Q5DistrictSums(qStart, qEnd) }
-		case "Q6":
-			return func() { e.Q6TopKStations(qStart, qEnd, 10) }
-		case "Q7":
-			return func() { e.Q7Correlation(st0, st1, qStart, qEnd, ts.Hour) }
-		case "Q8":
-			return func() { e.Q8NeighborMeans(st0, qStart, qEnd) }
+	rows := make([]Row, len(pgQs))
+	for i, q := range pgQs {
+		row := Row{Query: q.Op.String(), Desc: q.Op.Describe()}
+		if _, row.NeoMRS, row.NeoCV, err = timeQuery(ctx, neo, neoQs[i], cfg.Reps); err != nil {
+			return nil, err
 		}
-		panic("bench: unknown query " + q)
-	}
-
-	var rows []Row
-	for _, q := range ttdb.QueryNames {
-		row := Row{Query: q, Desc: ttdb.Describe(q)}
-		for ti, tg := range targets {
-			fn := runQuery(tg, q)
-			fn() // warm-up rep, not measured
-			samples := make([]float64, 0, cfg.Reps)
-			for r := 0; r < cfg.Reps; r++ {
-				t0 := time.Now()
-				fn()
-				samples = append(samples, float64(time.Since(t0).Nanoseconds())/1e6)
-			}
-			mrs, cv := stats(samples)
-			if ti == 0 {
-				row.NeoMRS, row.NeoCV = mrs, cv
-			} else {
-				row.TTDBMRS, row.TTDBCV = mrs, cv
-			}
+		if _, row.TTDBMRS, row.TTDBCV, err = timeQuery(ctx, pg, q, cfg.Reps); err != nil {
+			return nil, err
 		}
 		if row.TTDBMRS > 0 {
 			row.Speedup = row.NeoMRS / row.TTDBMRS
 		}
-		rows = append(rows, row)
+		rows[i] = row
 	}
 	return rows, nil
+}
+
+// timeQuery runs q once unmeasured (the warm-up rep, whose answer it
+// returns) and then reps timed times, reporting mean response time (ms) and
+// coefficient of variation (%). Any error — a degraded or partial answer
+// included — fails the measurement: a section must not time answers it
+// would not accept.
+func timeQuery(ctx context.Context, e ttdb.Querier, q ttdb.Query, reps int) (res ttdb.Result, mrs, cv float64, err error) {
+	if res, err = e.Exec(ctx, q); err != nil {
+		return res, 0, 0, fmt.Errorf("bench: %s: %w", q.Op, err)
+	}
+	samples := make([]float64, 0, reps)
+	for r := 0; r < reps; r++ {
+		t0 := time.Now()
+		if _, err = e.Exec(ctx, q); err != nil {
+			return res, 0, 0, fmt.Errorf("bench: %s: %w", q.Op, err)
+		}
+		samples = append(samples, float64(time.Since(t0).Nanoseconds())/1e6)
+	}
+	mrs, cv = stats(samples)
+	return res, mrs, cv, nil
 }
 
 // Format renders rows as the paper's Table 1 layout.

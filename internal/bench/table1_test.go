@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -16,7 +17,7 @@ func tinyConfig() Config {
 }
 
 func TestRunProducesAllRows(t *testing.T) {
-	rows, err := Run(tinyConfig())
+	rows, err := Run(context.Background(), tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestRunProducesAllRows(t *testing.T) {
 }
 
 func TestFormatContainsEveryQuery(t *testing.T) {
-	rows, err := Run(tinyConfig())
+	rows, err := Run(context.Background(), tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

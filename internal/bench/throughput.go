@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -28,7 +30,7 @@ type ThroughputReport struct {
 // -race to surface ordering bugs — and measures aggregate queries/second.
 // The engine's intra-query fan-out stays at cfg.Workers; with many clients
 // the inter-query concurrency already saturates the cores.
-func Throughput(cfg Config, clients, opsPerClient int) (ThroughputReport, error) {
+func Throughput(ctx context.Context, cfg Config, clients, opsPerClient int) (ThroughputReport, error) {
 	if clients <= 0 || opsPerClient <= 0 {
 		return ThroughputReport{}, fmt.Errorf("bench: clients and ops must be positive, got %d/%d", clients, opsPerClient)
 	}
@@ -39,46 +41,25 @@ func Throughput(cfg Config, clients, opsPerClient int) (ThroughputReport, error)
 		return ThroughputReport{}, fmt.Errorf("bench: loading %s: %w", pg.Name(), err)
 	}
 	pg.SetWorkers(cfg.Workers)
-	start, end := data.Span()
-	qStart := start + (end-start)/4
-	qEnd := qStart + (end-start)/2
-
-	run := func(client, op int) {
-		st := ids[(client*7919+op)%len(ids)] // deterministic spread over stations
-		st2 := ids[(client*7919+op+len(ids)/2)%len(ids)]
-		switch op % len(ttdb.QueryNames) {
-		case 0:
-			pg.Q1TimeRange(st, qStart, qStart+2*ts.Day)
-		case 1:
-			pg.Q2FilteredRange(st, qStart, qEnd, 10)
-		case 2:
-			pg.Q3StationMean(st, qStart, qEnd)
-		case 3:
-			pg.Q4AllStationMeans(qStart, qEnd)
-		case 4:
-			pg.Q5DistrictSums(qStart, qEnd)
-		case 5:
-			pg.Q6TopKStations(qStart, qEnd, 10)
-		case 6:
-			pg.Q7Correlation(st, st2, qStart, qEnd, ts.Hour)
-		case 7:
-			pg.Q8NeighborMeans(st, qStart, qEnd)
-		}
-	}
+	qs := data.Table1Queries(ids)
 
 	var wg sync.WaitGroup
+	errs := make([]error, clients)
 	t0 := time.Now()
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			for op := 0; op < opsPerClient; op++ {
-				run(c, op)
+			for op := 0; op < opsPerClient && errs[c] == nil; op++ {
+				_, errs[c] = pg.Exec(ctx, spreadQuery(qs, ids, c, op))
 			}
 		}(c)
 	}
 	wg.Wait()
 	elapsed := time.Since(t0)
+	if err := errors.Join(errs...); err != nil {
+		return ThroughputReport{}, fmt.Errorf("bench: throughput: %w", err)
+	}
 
 	total := clients * opsPerClient
 	rep := ThroughputReport{
@@ -92,6 +73,15 @@ func Throughput(cfg Config, clients, opsPerClient int) (ThroughputReport, error)
 		rep.OpsPerSec = float64(total) / elapsed.Seconds()
 	}
 	return rep, nil
+}
+
+// spreadQuery is one client's op-th query: the canonical workload round-robin,
+// with the probed stations spread deterministically over ids.
+func spreadQuery(qs []ttdb.Query, ids []ttdb.StationID, client, op int) ttdb.Query {
+	q := qs[op%len(qs)]
+	q.Station = ids[(client*7919+op)%len(ids)]
+	q.Other = ids[(client*7919+op+len(ids)/2)%len(ids)]
+	return q
 }
 
 // FormatThroughput renders a throughput report as one readable block.

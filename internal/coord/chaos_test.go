@@ -47,7 +47,7 @@ func partOwning(t *testing.T, c *coord.Coordinator, gids []ttdb.StationID) (int,
 	for p := 0; p < c.NumPartitions(); p++ {
 		faults.Enable(coord.FaultPartition(p), faults.Spec{Err: errors.New("probe")})
 		for _, gid := range gids {
-			if _, err := c.Q3StationMeanCtx(context.Background(), gid, 0, propSpan); err != nil {
+			if _, err := c.Exec(context.Background(), ttdb.Q3(gid, 0, propSpan)); err != nil {
 				faults.Reset()
 				return p, gid
 			}
@@ -68,19 +68,21 @@ func TestPartitionFaultYieldsTypedPartial(t *testing.T) {
 	start, end := propSpan/4, 3*propSpan/4
 	ctx := context.Background()
 
-	healthyQ4, err := c.Q4AllStationMeansCtx(ctx, start, end)
+	healthy, err := c.Exec(ctx, ttdb.Q4(start, end))
 	if err != nil {
 		t.Fatalf("healthy Q4: %v", err)
 	}
+	healthyQ4 := healthy.ByStation
 
 	pf, victim := partOwning(t, c, gids)
 	cause := errors.New("partition network cable pulled")
 	faults.Enable(coord.FaultPartition(pf), faults.Spec{Err: cause})
 
-	got, err := c.Q4AllStationMeansCtx(ctx, start, end)
+	faulted, err := c.Exec(ctx, ttdb.Q4(start, end))
 	if err == nil {
 		t.Fatal("faulted Q4 returned no error")
 	}
+	got := faulted.ByStation
 	if !errors.Is(err, ttdb.ErrDegraded) {
 		t.Fatalf("faulted Q4 error is not ErrDegraded: %v", err)
 	}
@@ -121,20 +123,20 @@ func TestPartitionFaultYieldsTypedPartial(t *testing.T) {
 	}
 
 	// Q5 and Q6 degrade the same way (typed, accounted, no hang).
-	if _, err := c.Q5DistrictSumsCtx(ctx, start, end); !errors.Is(err, ttdb.ErrDegraded) {
+	if _, err := c.Exec(ctx, ttdb.Q5(start, end)); !errors.Is(err, ttdb.ErrDegraded) {
 		t.Fatalf("faulted Q5: %v", err)
 	}
-	if _, err := c.Q6TopKStationsCtx(ctx, start, end, 5); !errors.Is(err, ttdb.ErrDegraded) {
+	if _, err := c.Exec(ctx, ttdb.Q6(start, end, 5)); !errors.Is(err, ttdb.ErrDegraded) {
 		t.Fatalf("faulted Q6: %v", err)
 	}
 
 	// Routed queries: the victim's owner degrades, other owners answer clean.
-	if _, err := c.Q3StationMeanCtx(ctx, victim, start, end); !errors.Is(err, ttdb.ErrDegraded) {
+	if _, err := c.Exec(ctx, ttdb.Q3(victim, start, end)); !errors.Is(err, ttdb.ErrDegraded) {
 		t.Fatalf("Q3 on victim's owner: %v", err)
 	}
 	cleanSeen := false
 	for _, gid := range gids {
-		if _, err := c.Q3StationMeanCtx(ctx, gid, start, end); err == nil {
+		if _, err := c.Exec(ctx, ttdb.Q3(gid, start, end)); err == nil {
 			cleanSeen = true
 			break
 		}
@@ -144,10 +146,11 @@ func TestPartitionFaultYieldsTypedPartial(t *testing.T) {
 	}
 
 	// Q8 with the home partition down: neighbor set survives with zero means.
-	ns, err := c.Q8NeighborMeansCtx(ctx, victim, start, end)
+	q8, err := c.Exec(ctx, ttdb.Q8(victim, start, end))
 	if !errors.Is(err, ttdb.ErrDegraded) {
 		t.Fatalf("Q8 on victim: %v", err)
 	}
+	ns := q8.ByStation
 	if len(ns) == 0 {
 		t.Fatal("Q8 partial lost the neighbor set")
 	}
@@ -160,16 +163,17 @@ func TestPartitionFaultYieldsTypedPartial(t *testing.T) {
 	// A done context wins over the partial.
 	done, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := c.Q4AllStationMeansCtx(done, start, end); !errors.Is(err, context.Canceled) {
+	if _, err := c.Exec(done, ttdb.Q4(start, end)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled Q4 = %v, want context.Canceled", err)
 	}
 
 	// Disarm: answers heal completely.
 	faults.Reset()
-	healed, err := c.Q4AllStationMeansCtx(ctx, start, end)
+	healedQ4, err := c.Exec(ctx, ttdb.Q4(start, end))
 	if err != nil {
 		t.Fatalf("healed Q4: %v", err)
 	}
+	healed := healedQ4.ByStation
 	for gid, v := range healthyQ4 {
 		if healed[gid] != v {
 			t.Fatalf("healed Q4[%d] = %v, want %v", gid, healed[gid], v)
@@ -213,19 +217,19 @@ func TestChaosConcurrent(t *testing.T) {
 					gid := gids[(w+i)%len(gids)]
 					switch i % 5 {
 					case 0:
-						_, err := c.Q4AllStationMeansCtx(ctx, start, end)
+						_, err := c.Exec(ctx, ttdb.Q4(start, end))
 						checkErr(err)
 					case 1:
-						_, err := c.Q5DistrictSumsCtx(ctx, start, end)
+						_, err := c.Exec(ctx, ttdb.Q5(start, end))
 						checkErr(err)
 					case 2:
-						_, err := c.Q6TopKStationsCtx(ctx, start, end, 5)
+						_, err := c.Exec(ctx, ttdb.Q6(start, end, 5))
 						checkErr(err)
 					case 3:
-						_, err := c.Q8NeighborMeansCtx(ctx, gid, start, end)
+						_, err := c.Exec(ctx, ttdb.Q8(gid, start, end))
 						checkErr(err)
 					default:
-						_, err := c.Q7CorrelationCtx(ctx, gid, gids[(w+i+3)%len(gids)], start, end, ts.Hour)
+						_, err := c.Exec(ctx, ttdb.Q7(gid, gids[(w+i+3)%len(gids)], start, end, ts.Hour))
 						checkErr(err)
 					}
 					cancel()
@@ -276,7 +280,7 @@ func TestChaosConcurrent(t *testing.T) {
 		faults.Reset()
 
 		// The survivors still answer exactly once the chaos stops.
-		if _, err := c.Q4AllStationMeansCtx(context.Background(), start, end); err != nil {
+		if _, err := c.Exec(context.Background(), ttdb.Q4(start, end)); err != nil {
 			t.Fatalf("iteration %d: post-chaos Q4: %v", iter, err)
 		}
 	}

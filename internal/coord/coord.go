@@ -69,9 +69,9 @@ type tripRec struct {
 	count int
 }
 
-// Coordinator is the partitioned engine. It implements ttdb.Engine (plain
-// query surface) plus the *Ctx variants with typed partial results, so it
-// drops into every harness the single-process engines run under.
+// Coordinator is the partitioned engine. It implements ttdb.Engine — loading
+// plus Exec, with typed partial results — so it drops into every harness the
+// single-process engines run under.
 type Coordinator struct {
 	mu      sync.RWMutex
 	factory Factory

@@ -2,6 +2,7 @@ package coord_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -66,6 +67,17 @@ func (w *world) aliveIdx(rng *rand.Rand) (int, bool) {
 	return live[rng.Intn(len(live))], true
 }
 
+// exec runs q and fails the test on any error — a PartialError included: the
+// batteries compare complete answers only.
+func exec(t testing.TB, e ttdb.Querier, q ttdb.Query) ttdb.Result {
+	t.Helper()
+	res, err := e.Exec(context.Background(), q)
+	if err != nil {
+		t.Fatalf("%s: %v", q.Op, err)
+	}
+	return res
+}
+
 // checkAnswers compares every query's answer between the oracle and the
 // coordinator, name-keyed so the two id spaces never leak into the
 // comparison.
@@ -105,16 +117,16 @@ func checkAnswers(t *testing.T, label string, w *world, ora *ttdb.DurablePolyglo
 		}
 	}
 
-	wantQ4, _ := ora.Q4AllStationMeans(start, end)
-	gotQ4 := c.Q4AllStationMeans(start, end)
+	wantQ4 := exec(t, ora, ttdb.Q4(start, end)).ByStation
+	gotQ4 := exec(t, c, ttdb.Q4(start, end)).ByStation
 	cmpMap("Q4", byName(wantQ4, oraName), byName(gotQ4, gidName))
 
-	wantQ5, _ := ora.Q5DistrictSums(start, end)
-	gotQ5 := c.Q5DistrictSums(start, end)
+	wantQ5 := exec(t, ora, ttdb.Q5(start, end)).ByDistrict
+	gotQ5 := exec(t, c, ttdb.Q5(start, end)).ByDistrict
 	cmpMap("Q5", wantQ5, gotQ5)
 
-	wantQ6, _ := ora.Q6TopKStations(start, end, 5)
-	gotQ6 := c.Q6TopKStations(start, end, 5)
+	wantQ6 := exec(t, ora, ttdb.Q6(start, end, 5)).Stations
+	gotQ6 := exec(t, c, ttdb.Q6(start, end, 5)).Stations
 	if len(wantQ6) != len(gotQ6) {
 		t.Fatalf("%s Q6: %d vs %d ids", label, len(wantQ6), len(gotQ6))
 	}
@@ -131,8 +143,8 @@ func checkAnswers(t *testing.T, label string, w *world, ora *ttdb.DurablePolyglo
 		probe = probe[:3]
 	}
 	for _, i := range probe {
-		wantPts, _ := ora.Q1TimeRange(w.oraIDs[i], start, start+2*ts.Day)
-		gotPts := c.Q1TimeRange(w.gids[i], start, start+2*ts.Day)
+		wantPts := exec(t, ora, ttdb.Q1(w.oraIDs[i], start, start+2*ts.Day)).Points
+		gotPts := exec(t, c, ttdb.Q1(w.gids[i], start, start+2*ts.Day)).Points
 		if len(wantPts) != len(gotPts) {
 			t.Fatalf("%s Q1(%s): %d vs %d points", label, w.names[i], len(wantPts), len(gotPts))
 		}
@@ -141,27 +153,27 @@ func checkAnswers(t *testing.T, label string, w *world, ora *ttdb.DurablePolyglo
 				t.Fatalf("%s Q1(%s)[%d]: %v vs %v", label, w.names[i], j, wantPts[j], gotPts[j])
 			}
 		}
-		wantF, _ := ora.Q2FilteredRange(w.oraIDs[i], start, end, 12)
-		gotF := c.Q2FilteredRange(w.gids[i], start, end, 12)
+		wantF := exec(t, ora, ttdb.Q2(w.oraIDs[i], start, end, 12)).Points
+		gotF := exec(t, c, ttdb.Q2(w.gids[i], start, end, 12)).Points
 		if len(wantF) != len(gotF) {
 			t.Fatalf("%s Q2(%s): %d vs %d points", label, w.names[i], len(wantF), len(gotF))
 		}
-		wantM, _ := ora.Q3StationMean(w.oraIDs[i], start, end)
-		if gotM := c.Q3StationMean(w.gids[i], start, end); !propEq(wantM, gotM) {
+		wantM := exec(t, ora, ttdb.Q3(w.oraIDs[i], start, end)).Scalar
+		if gotM := exec(t, c, ttdb.Q3(w.gids[i], start, end)).Scalar; !propEq(wantM, gotM) {
 			t.Fatalf("%s Q3(%s): %v vs %v", label, w.names[i], wantM, gotM)
 		}
-		wantN, _ := ora.Q8NeighborMeans(w.oraIDs[i], start, end)
-		gotN := c.Q8NeighborMeans(w.gids[i], start, end)
+		wantN := exec(t, ora, ttdb.Q8(w.oraIDs[i], start, end)).ByStation
+		gotN := exec(t, c, ttdb.Q8(w.gids[i], start, end)).ByStation
 		cmpMap("Q8("+w.names[i]+")", byName(wantN, oraName), byName(gotN, gidName))
 	}
 	if len(liveIdx) >= 2 {
 		a, b := liveIdx[0], liveIdx[len(liveIdx)/2]
-		wantC, _ := ora.Q7Correlation(w.oraIDs[a], w.oraIDs[b], start, end, ts.Hour)
-		if gotC := c.Q7Correlation(w.gids[a], w.gids[b], start, end, ts.Hour); !propEq(wantC, gotC) {
+		wantC := exec(t, ora, ttdb.Q7(w.oraIDs[a], w.oraIDs[b], start, end, ts.Hour)).Scalar
+		if gotC := exec(t, c, ttdb.Q7(w.gids[a], w.gids[b], start, end, ts.Hour)).Scalar; !propEq(wantC, gotC) {
 			t.Fatalf("%s Q7(%s,%s): %v vs %v", label, w.names[a], w.names[b], wantC, gotC)
 		}
-		wantR, _ := ora.Q7Correlation(w.oraIDs[a], w.oraIDs[b], start, end, 0)
-		if gotR := c.Q7Correlation(w.gids[a], w.gids[b], start, end, 0); !propEq(wantR, gotR) {
+		wantR := exec(t, ora, ttdb.Q7(w.oraIDs[a], w.oraIDs[b], start, end, 0)).Scalar
+		if gotR := exec(t, c, ttdb.Q7(w.gids[a], w.gids[b], start, end, 0)).Scalar; !propEq(wantR, gotR) {
 			t.Fatalf("%s Q7raw(%s,%s): %v vs %v", label, w.names[a], w.names[b], wantR, gotR)
 		}
 	}
@@ -364,7 +376,7 @@ func TestPartitionInvarianceProperty(t *testing.T) {
 				if !w.alive[i] {
 					continue
 				}
-				pts := c.Q1TimeRange(w.gids[i], 0, ts.MaxTime)
+				pts := exec(t, c, ttdb.Q1(w.gids[i], 0, ts.MaxTime)).Points
 				if err := twin.LoadSeries(tw.gids[i], ts.FromPoints(ttdb.Metric, pts)); err != nil {
 					t.Fatal(err)
 				}

@@ -11,33 +11,62 @@ import (
 	"hygraph/internal/ts"
 )
 
-// ctxErr is the nil-safe done-context probe (same contract as the engine's).
-func ctxErr(ctx context.Context) error {
-	if ctx == nil {
-		return nil
+// Exec plans one query over the partitions (docs/PARTITIONING.md has the
+// routing table): the single-station operations and a co-located Q7 are
+// rewritten from coordinator ids to the owner's local ids and routed there;
+// Q4–Q6 scatter one summary fragment to every partition and merge by gid; a
+// cross-partition Q7 fetches both point sets; Q8 resolves adjacency at home
+// and scatters per-neighbor means to the neighbors' owners. A lost partition
+// turns the answer into a typed partial beside a *PartialError; a done
+// context wins over any answer. Unknown stations answer like a single
+// engine probing an absent series.
+func (c *Coordinator) Exec(ctx context.Context, q ttdb.Query) (ttdb.Result, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if err := ctx.Err(); err != nil {
+		return ttdb.Result{}, err
 	}
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
+	if err := q.Validate(); err != nil {
+		return ttdb.Result{}, err
+	}
+	res := ttdb.Result{Op: q.Op}
+	var perr *PartialError
+	switch q.Op {
+	case ttdb.OpQ4, ttdb.OpQ5, ttdb.OpQ6:
+		res, perr = c.mergeSummariesLocked(ctx, q)
+	case ttdb.OpQ7:
+		res, perr = c.correlationLocked(ctx, q)
+	case ttdb.OpQ8:
+		res, perr = c.neighborMeansLocked(ctx, q)
 	default:
-		return nil
+		if m, ok := c.meta[q.Station]; ok {
+			q.Station = m.local
+			res, perr = c.routeLocked(ctx, m.part, q)
+		}
 	}
+	if err := ctx.Err(); err != nil {
+		return ttdb.Result{}, err
+	}
+	if perr != nil {
+		return res, perr
+	}
+	return res, nil
 }
 
-// asErr keeps the *PartialError → error conversion honest: a nil typed
-// pointer must become a nil interface.
-func asErr(perr *PartialError) error {
-	if perr == nil {
-		return nil
-	}
-	return perr
-}
-
-// routeLocked runs a single-owner fragment against partition part with the
-// fault-point and accounting discipline of a one-element scatter. Caller
+// routeLocked sends a query already rewritten to partition-local ids to its
+// single owner, with the fault-point and accounting discipline of a
+// one-element scatter. A failed owner leaves nothing to answer with. Caller
 // holds at least the read lock.
-func (c *Coordinator) routeLocked(ctx context.Context, query string, part int, fn func() error) *PartialError {
-	return c.scatterLocked(ctx, query, []int{part}, func(int) error { return fn() })
+func (c *Coordinator) routeLocked(ctx context.Context, part int, local ttdb.Query) (ttdb.Result, *PartialError) {
+	res := ttdb.Result{Op: local.Op}
+	perr := c.scatterLocked(ctx, local.Op, []int{part}, func(int) error {
+		r, err := c.parts[part].Exec(ctx, local)
+		if err == nil {
+			res = r
+		}
+		return err
+	})
+	return res, perr
 }
 
 // gidRow is one merged aggregate row: a fragment's per-entity summary lifted
@@ -52,10 +81,10 @@ type gidRow struct {
 // deterministic order every downstream fold relies on. Entities without a
 // coordinator mapping (none in a consistent deployment) are dropped. Caller
 // holds at least the read lock.
-func (c *Coordinator) summariesLocked(ctx context.Context, query string, start, end ts.Time) ([]gidRow, *PartialError) {
+func (c *Coordinator) summariesLocked(ctx context.Context, q ttdb.Query) ([]gidRow, *PartialError) {
 	frags := make([][]tsstore.EntitySummary, len(c.parts))
-	perr := c.scatterLocked(ctx, query, c.allPartsLocked(), func(p int) error {
-		s, err := c.parts[p].EntitySummariesCtx(ctx, start, end)
+	perr := c.scatterLocked(ctx, q.Op, c.allPartsLocked(), func(p int) error {
+		s, err := c.parts[p].EntitySummariesCtx(ctx, q.Start, q.End)
 		if err != nil {
 			return err
 		}
@@ -74,265 +103,101 @@ func (c *Coordinator) summariesLocked(ctx context.Context, query string, start, 
 	return rows, perr
 }
 
-// Q1TimeRangeCtx routes the range fetch to the station's owner. Unknown
-// stations return no points, like a single engine probing an absent series.
-func (c *Coordinator) Q1TimeRangeCtx(ctx context.Context, st ttdb.StationID, start, end ts.Time) ([]ts.Point, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	m, ok := c.meta[st]
-	if !ok {
-		return nil, nil
-	}
-	var pts []ts.Point
-	perr := c.routeLocked(ctx, "Q1", m.part, func() error {
-		p, err := c.parts[m.part].Q1TimeRangeCtx(ctx, m.local, start, end)
-		pts = p
-		return err
-	})
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	return pts, asErr(perr)
-}
-
-// Q2FilteredRangeCtx routes the filtered fetch to the station's owner.
-func (c *Coordinator) Q2FilteredRangeCtx(ctx context.Context, st ttdb.StationID, start, end ts.Time, below float64) ([]ts.Point, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	m, ok := c.meta[st]
-	if !ok {
-		return nil, nil
-	}
-	var pts []ts.Point
-	perr := c.routeLocked(ctx, "Q2", m.part, func() error {
-		p, err := c.parts[m.part].Q2FilteredRangeCtx(ctx, m.local, start, end, below)
-		pts = p
-		return err
-	})
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	return pts, asErr(perr)
-}
-
-// Q3StationMeanCtx routes the single-station mean to the owner.
-func (c *Coordinator) Q3StationMeanCtx(ctx context.Context, st ttdb.StationID, start, end ts.Time) (float64, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if err := ctxErr(ctx); err != nil {
-		return 0, err
-	}
-	m, ok := c.meta[st]
-	if !ok {
-		return 0, nil
-	}
-	var mean float64
-	perr := c.routeLocked(ctx, "Q3", m.part, func() error {
-		v, err := c.parts[m.part].Q3StationMeanCtx(ctx, m.local, start, end)
-		mean = v
-		return err
-	})
-	if err := ctxErr(ctx); err != nil {
-		return 0, err
-	}
-	return mean, asErr(perr)
-}
-
-// Q4AllStationMeansCtx scatters per-entity summaries and merges by gid. A
-// failed partition's stations degrade to zero means (the entity set comes
-// from the placement map, which the coordinator always has), with the
-// partial accounted in the returned PartialError.
-func (c *Coordinator) Q4AllStationMeansCtx(ctx context.Context, start, end ts.Time) (map[ttdb.StationID]float64, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	rows, perr := c.summariesLocked(ctx, "Q4", start, end)
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	out := make(map[ttdb.StationID]float64, len(rows))
-	for _, r := range rows {
-		if r.sum.Count > 0 {
-			out[r.gid] = r.sum.Mean()
-		} else {
-			out[r.gid] = 0
+// mergeSummariesLocked answers Q4–Q6 from the merged summary rows. The
+// entity set comes from the placement map, which the coordinator always has,
+// so a failed partition's stations degrade in place: zero means in Q4, zero
+// contribution to their districts in Q5, absent from the Q6 ranking.
+func (c *Coordinator) mergeSummariesLocked(ctx context.Context, q ttdb.Query) (ttdb.Result, *PartialError) {
+	rows, perr := c.summariesLocked(ctx, q)
+	failed := func(gid ttdb.StationID) bool {
+		if perr == nil {
+			return false
 		}
+		_, lost := perr.Failed[c.meta[gid].part]
+		return lost
 	}
-	if perr != nil {
+	res := ttdb.Result{Op: q.Op}
+	switch q.Op {
+	case ttdb.OpQ4:
+		res.ByStation = make(map[ttdb.StationID]float64, len(c.order))
+		for _, r := range rows {
+			res.ByStation[r.gid] = 0
+			if r.sum.Count > 0 {
+				res.ByStation[r.gid] = r.sum.Mean()
+			}
+		}
 		for _, gid := range c.order {
-			if _, failed := perr.Failed[c.meta[gid].part]; failed {
-				out[gid] = 0
+			if failed(gid) {
+				res.ByStation[gid] = 0
 			}
 		}
-	}
-	return out, asErr(perr)
-}
-
-// Q5DistrictSumsCtx scatters per-entity summaries and folds districts in
-// ascending gid order — single-engine ingest order, so the float
-// accumulation order matches the oracle's hypertable-insertion-order fold
-// exactly. Districts come from the placement map, which agrees with the
-// partitions' graph properties by construction. A failed partition's
-// stations contribute zero to their districts.
-func (c *Coordinator) Q5DistrictSumsCtx(ctx context.Context, start, end ts.Time) (map[string]float64, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	rows, perr := c.summariesLocked(ctx, "Q5", start, end)
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	sums := make(map[ttdb.StationID]float64, len(rows))
-	for _, r := range rows {
-		sums[r.gid] = r.sum.Sum
-	}
-	out := map[string]float64{}
-	for _, gid := range c.order {
-		m := c.meta[gid]
-		if perr != nil {
-			if _, failed := perr.Failed[m.part]; failed {
-				out[m.district] += 0
-				continue
+	case ttdb.OpQ5:
+		// Districts fold in ascending gid order — single-engine ingest
+		// order, so the float accumulation order matches the oracle's
+		// hypertable-insertion-order fold exactly. They come from the
+		// placement map, which agrees with the partitions' graph properties
+		// by construction.
+		sums := make(map[ttdb.StationID]float64, len(rows))
+		for _, r := range rows {
+			sums[r.gid] = r.sum.Sum
+		}
+		res.ByDistrict = map[string]float64{}
+		for _, gid := range c.order {
+			if s, ok := sums[gid]; ok || failed(gid) {
+				res.ByDistrict[c.meta[gid].district] += s
 			}
 		}
-		if s, ok := sums[gid]; ok {
-			out[m.district] += s
+	case ttdb.OpQ6:
+		// The engine's ranking rule (ties by ascending id) in coordinator
+		// id space.
+		means := make(map[ttdb.StationID]float64, len(rows))
+		for _, r := range rows {
+			if r.sum.Count > 0 {
+				means[r.gid] = r.sum.Mean()
+			}
 		}
+		res.Stations = ttdb.TopK(means, q.K)
 	}
-	return out, asErr(perr)
+	return res, perr
 }
 
-// Q6TopKStationsCtx scatters per-entity summaries, ranks the merged means
-// and returns the top k (ties by ascending gid, the engine's tie rule in
-// coordinator id space). A partial ranks only the answering partitions'
-// stations.
-func (c *Coordinator) Q6TopKStationsCtx(ctx context.Context, start, end ts.Time, k int) ([]ttdb.StationID, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	rows, perr := c.summariesLocked(ctx, "Q6", start, end)
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	type pair struct {
-		gid ttdb.StationID
-		v   float64
-	}
-	ps := make([]pair, 0, len(rows))
-	for _, r := range rows {
-		if r.sum.Count > 0 {
-			ps = append(ps, pair{r.gid, r.sum.Mean()})
-		}
-	}
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].v != ps[j].v {
-			return ps[i].v > ps[j].v
-		}
-		return ps[i].gid < ps[j].gid
-	})
-	if k > len(ps) {
-		k = len(ps)
-	}
-	if k < 0 {
-		k = 0
-	}
-	out := make([]ttdb.StationID, k)
-	for i := range out {
-		out[i] = ps[i].gid
-	}
-	return out, asErr(perr)
-}
-
-// Q7CorrelationCtx correlates two stations. Co-located pairs push the whole
-// computation down to the owning partition (bit-identical to the single
-// engine); cross-partition pairs fetch both point sets in parallel and
-// correlate at the coordinator — bucketed via the shared resample grid
-// (ts.Correlation), raw via an exact-timestamp merge join, both within the
-// battery's tolerance of the pushdown.
-func (c *Coordinator) Q7CorrelationCtx(ctx context.Context, x, y ttdb.StationID, start, end, bucket ts.Time) (float64, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if err := ctxErr(ctx); err != nil {
-		return 0, err
-	}
-	mx, okX := c.meta[x]
-	my, okY := c.meta[y]
+// correlationLocked answers Q7. Co-located pairs push the whole computation
+// down to the owning partition (bit-identical to the single engine);
+// cross-partition pairs fetch both point sets in parallel and correlate at
+// the coordinator — bucketed via the shared resample grid (ts.Correlation),
+// raw via an exact-timestamp merge join, both within the battery's tolerance
+// of the pushdown. Losing either side leaves nothing to correlate.
+func (c *Coordinator) correlationLocked(ctx context.Context, q ttdb.Query) (ttdb.Result, *PartialError) {
+	res := ttdb.Result{Op: q.Op}
+	mx, okX := c.meta[q.Station]
+	my, okY := c.meta[q.Other]
 	if !okX || !okY {
-		return math.NaN(), nil
+		res.Scalar = math.NaN()
+		return res, nil
 	}
 	if mx.part == my.part {
-		var v float64
-		perr := c.routeLocked(ctx, "Q7", mx.part, func() error {
-			r, err := c.parts[mx.part].Q7CorrelationCtx(ctx, mx.local, my.local, start, end, bucket)
-			v = r
-			return err
-		})
-		if err := ctxErr(ctx); err != nil {
-			return 0, err
-		}
-		return v, asErr(perr)
+		q.Station, q.Other = mx.local, my.local
+		return c.routeLocked(ctx, mx.part, q)
 	}
 	var px, py []ts.Point
-	perr := c.scatterLocked(ctx, "Q7", []int{mx.part, my.part}, func(p int) error {
-		if p == mx.part {
-			pts, err := c.parts[p].Q1TimeRangeCtx(ctx, mx.local, start, end)
-			px = pts
-			return err
+	perr := c.scatterLocked(ctx, q.Op, []int{mx.part, my.part}, func(p int) error {
+		side, dst := mx, &px
+		if p == my.part {
+			side, dst = my, &py
 		}
-		pts, err := c.parts[p].Q1TimeRangeCtx(ctx, my.local, start, end)
-		py = pts
+		r, err := c.parts[p].Exec(ctx, ttdb.Q1(side.local, q.Start, q.End))
+		*dst = r.Points
 		return err
 	})
-	if err := ctxErr(ctx); err != nil {
-		return 0, err
-	}
 	if perr != nil {
-		return 0, perr
+		return res, perr
 	}
-	if bucket > 0 {
-		return ts.Correlation(ts.FromPoints("x", px), ts.FromPoints("y", py), bucket), nil
+	if q.Bucket > 0 {
+		res.Scalar = ts.Correlation(ts.FromPoints("x", px), ts.FromPoints("y", py), q.Bucket)
+	} else {
+		res.Scalar = pearsonJoined(px, py)
 	}
-	return pearsonJoined(px, py), nil
-}
-
-// DownsampleCtx routes the windowed-aggregate read to the station's owner
-// partition, whose continuous-aggregate cache serves it under write-through
-// delta maintenance. Because AppendPoint also routes to the owner and the
-// delta applies before the append acknowledges, a client reading through the
-// coordinator sees its own acknowledged writes in the aggregate. Unknown
-// stations return no buckets, like a single engine probing an absent series.
-func (c *Coordinator) DownsampleCtx(ctx context.Context, st ttdb.StationID, start, end, bucket ts.Time, agg ts.AggFunc) ([]ts.Point, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	m, ok := c.meta[st]
-	if !ok {
-		return nil, nil
-	}
-	var pts []ts.Point
-	perr := c.routeLocked(ctx, "DS", m.part, func() error {
-		p, err := c.parts[m.part].DownsampleCtx(ctx, m.local, start, end, bucket, agg)
-		pts = p
-		return err
-	})
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	return pts, asErr(perr)
+	return res, nil
 }
 
 // pearsonJoined is the raw-timestamp correlation fold of the time-series
@@ -373,147 +238,66 @@ func pearsonJoined(pa, pb []ts.Point) float64 {
 	return cov / math.Sqrt(vx*vy)
 }
 
-// Q8NeighborMeansCtx answers adjacency from the station's home partition
-// (boundary replication makes every neighbor visible there), then scatters
-// the per-neighbor means to the neighbors' owners. A failed owner partition
-// degrades to the coordinator-topology neighbor set with zero means; failed
-// neighbor owners degrade their neighbors' means to zero. Both partials are
-// accounted in the returned PartialError.
-func (c *Coordinator) Q8NeighborMeansCtx(ctx context.Context, st ttdb.StationID, start, end ts.Time) (map[ttdb.StationID]float64, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	m, ok := c.meta[st]
+// neighborMeansLocked answers Q8: adjacency from the station's home
+// partition (boundary replication makes every neighbor visible there), then
+// the per-neighbor means scattered to the neighbors' owners as Q3 fragments.
+// A failed home partition degrades to the coordinator-topology neighbor set
+// with zero means; failed neighbor owners degrade their neighbors' means to
+// zero. Both partials are accounted in the returned PartialError.
+func (c *Coordinator) neighborMeansLocked(ctx context.Context, q ttdb.Query) (ttdb.Result, *PartialError) {
+	res := ttdb.Result{Op: q.Op, ByStation: map[ttdb.StationID]float64{}}
+	m, ok := c.meta[q.Station]
 	if !ok {
-		return map[ttdb.StationID]float64{}, nil
+		return res, nil
 	}
 	if err := faults.CheckCtx(ctx, FaultPartition(m.part)); err != nil {
-		if cerr := ctxErr(ctx); cerr != nil {
-			return nil, cerr
-		}
 		// Home partition down: the neighbor set is still derivable from the
 		// coordinator's topology record, with zero means — the same "graph
 		// part survives" shape the durable layer degrades to.
-		out := map[ttdb.StationID]float64{}
 		for _, tr := range c.trips {
 			switch {
-			case tr.a == st && tr.b != st:
-				out[tr.b] = 0
-			case tr.b == st && tr.a != st:
-				out[tr.a] = 0
+			case tr.a == q.Station && tr.b != q.Station:
+				res.ByStation[tr.b] = 0
+			case tr.b == q.Station && tr.a != q.Station:
+				res.ByStation[tr.a] = 0
 			}
 		}
-		return out, &PartialError{Query: "Q8", Failed: map[int]error{m.part: err}}
-	}
-	var neighbors []ttdb.StationID
-	for _, n := range c.parts[m.part].Engine().G.Neighbors(m.local, "TRIP") {
-		if gid, ok := c.local2g[m.part][n]; ok {
-			neighbors = append(neighbors, gid)
-		} else if gid, ok := c.bnd2g[m.part][n]; ok {
-			neighbors = append(neighbors, gid)
-		}
+		return res, &PartialError{Query: q.Op.String(), Failed: map[int]error{m.part: err}}
 	}
 	byPart := map[int][]ttdb.StationID{}
-	for _, gid := range neighbors {
-		p := c.meta[gid].part
-		byPart[p] = append(byPart[p], gid)
+	for _, n := range c.parts[m.part].Engine().G.Neighbors(m.local, "TRIP") {
+		gid, ok := c.local2g[m.part][n]
+		if !ok {
+			gid, ok = c.bnd2g[m.part][n]
+		}
+		if ok {
+			res.ByStation[gid] = 0
+			p := c.meta[gid].part
+			byPart[p] = append(byPart[p], gid)
+		}
 	}
 	parts := make([]int, 0, len(byPart))
 	for p := range byPart {
 		parts = append(parts, p)
 	}
 	sort.Ints(parts)
-	frags := make([]map[ttdb.StationID]float64, len(parts))
-	slot := make(map[int]int, len(parts))
-	for i, p := range parts {
-		slot[p] = i
-	}
-	perr := c.scatterLocked(ctx, "Q8", parts, func(p int) error {
-		means := make(map[ttdb.StationID]float64, len(byPart[p]))
-		for _, gid := range byPart[p] {
-			v, err := c.parts[p].Q3StationMeanCtx(ctx, c.meta[gid].local, start, end)
+	frags := make([][]float64, len(c.parts))
+	perr := c.scatterLocked(ctx, q.Op, parts, func(p int) error {
+		means := make([]float64, len(byPart[p]))
+		for i, gid := range byPart[p] {
+			r, err := c.parts[p].Exec(ctx, ttdb.Q3(c.meta[gid].local, q.Start, q.End))
 			if err != nil {
 				return err
 			}
-			means[gid] = v
+			means[i] = r.Scalar
 		}
-		frags[slot[p]] = means
+		frags[p] = means
 		return nil
 	})
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	out := make(map[ttdb.StationID]float64, len(neighbors))
-	for _, gid := range neighbors {
-		out[gid] = 0
-	}
-	for _, frag := range frags {
-		for gid, v := range frag {
-			out[gid] = v
+	for p, means := range frags {
+		for i, v := range means {
+			res.ByStation[byPart[p][i]] = v
 		}
 	}
-	return out, asErr(perr)
-}
-
-// ---------------------------------------------------------------------------
-// Plain ttdb.Engine surface: the Ctx variants with a nil (never-cancelling)
-// context, the same convention the durable engine uses. The value is the
-// (possibly degraded-partial) answer; the error channel is only reachable
-// through the Ctx methods, matching how the durable engine's plain
-// Engine-shaped callers consume it.
-
-// Q1TimeRange implements ttdb.Engine.
-func (c *Coordinator) Q1TimeRange(st ttdb.StationID, start, end ts.Time) []ts.Point {
-	pts, _ := c.Q1TimeRangeCtx(nil, st, start, end)
-	return pts
-}
-
-// Q2FilteredRange implements ttdb.Engine.
-func (c *Coordinator) Q2FilteredRange(st ttdb.StationID, start, end ts.Time, below float64) []ts.Point {
-	pts, _ := c.Q2FilteredRangeCtx(nil, st, start, end, below)
-	return pts
-}
-
-// Q3StationMean implements ttdb.Engine.
-func (c *Coordinator) Q3StationMean(st ttdb.StationID, start, end ts.Time) float64 {
-	v, _ := c.Q3StationMeanCtx(nil, st, start, end)
-	return v
-}
-
-// Q4AllStationMeans implements ttdb.Engine.
-func (c *Coordinator) Q4AllStationMeans(start, end ts.Time) map[ttdb.StationID]float64 {
-	out, _ := c.Q4AllStationMeansCtx(nil, start, end)
-	return out
-}
-
-// Q5DistrictSums implements ttdb.Engine.
-func (c *Coordinator) Q5DistrictSums(start, end ts.Time) map[string]float64 {
-	out, _ := c.Q5DistrictSumsCtx(nil, start, end)
-	return out
-}
-
-// Q6TopKStations implements ttdb.Engine.
-func (c *Coordinator) Q6TopKStations(start, end ts.Time, k int) []ttdb.StationID {
-	out, _ := c.Q6TopKStationsCtx(nil, start, end, k)
-	return out
-}
-
-// Q7Correlation implements ttdb.Engine.
-func (c *Coordinator) Q7Correlation(x, y ttdb.StationID, start, end, bucket ts.Time) float64 {
-	v, _ := c.Q7CorrelationCtx(nil, x, y, start, end, bucket)
-	return v
-}
-
-// Q8NeighborMeans implements ttdb.Engine.
-func (c *Coordinator) Q8NeighborMeans(st ttdb.StationID, start, end ts.Time) map[ttdb.StationID]float64 {
-	out, _ := c.Q8NeighborMeansCtx(nil, st, start, end)
-	return out
-}
-
-// Downsample is DownsampleCtx with a nil (never-cancelling) context.
-func (c *Coordinator) Downsample(st ttdb.StationID, start, end, bucket ts.Time, agg ts.AggFunc) []ts.Point {
-	pts, _ := c.DownsampleCtx(nil, st, start, end, bucket, agg)
-	return pts
+	return res, perr
 }

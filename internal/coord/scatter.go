@@ -109,8 +109,8 @@ func (c *Coordinator) Instrument(r *obs.Registry) {
 // fragment first consults its partition's fault point; failures land in the
 // returned PartialError (nil when every partition answered). Caller holds at
 // least the read lock, so the partition set is stable for the duration.
-func (c *Coordinator) scatterLocked(ctx context.Context, query string, parts []int, fn func(part int) error) *PartialError {
-	span := c.obs.reg.Tracer().Start("coord.scatter." + query)
+func (c *Coordinator) scatterLocked(ctx context.Context, op ttdb.Op, parts []int, fn func(part int) error) *PartialError {
+	span := c.obs.reg.Tracer().Start("coord.scatter." + op.String())
 	defer span.End()
 	c.obs.scatters.Inc()
 	c.obs.fragments.Add(int64(len(parts)))
@@ -128,7 +128,7 @@ func (c *Coordinator) scatterLocked(ctx context.Context, query string, parts []i
 		}(i, p)
 	}
 	wg.Wait()
-	perr := &PartialError{Query: query, Failed: map[int]error{}}
+	perr := &PartialError{Query: op.String(), Failed: map[int]error{}}
 	for i, p := range parts {
 		if errs[i] != nil {
 			perr.Failed[p] = errs[i]

@@ -30,14 +30,11 @@ func checkDownsample(t *testing.T, label string, ora *ttdb.DurablePolyglot, oid 
 	c *coord.Coordinator, gid ttdb.StationID, start, end, bucket ts.Time) {
 	t.Helper()
 	for _, agg := range dsAggs {
-		got := c.Downsample(gid, start, end, bucket, agg)
-		raw := c.Q1TimeRange(gid, start, end)
+		got := exec(t, c, ttdb.Downsample(gid, start, end, bucket, agg)).Points
+		raw := exec(t, c, ttdb.Q1(gid, start, end)).Points
 		want := ts.FromPoints("raw", raw).Resample(bucket, agg).Points()
 		cmpPts(t, label+"/scratch", agg, got, want)
-		oraPts, err := ora.Downsample(oid, start, end, bucket, agg)
-		if err != nil {
-			t.Fatalf("%s: oracle downsample: %v", label, err)
-		}
+		oraPts := exec(t, ora, ttdb.Downsample(oid, start, end, bucket, agg)).Points
 		cmpPts(t, label+"/oracle", agg, got, oraPts)
 	}
 }
@@ -134,7 +131,7 @@ func TestStreamingAggregatesAcrossPartitions(t *testing.T) {
 			if err := c.DeleteStation(gids[0]); err != nil {
 				t.Fatal(err)
 			}
-			if pts := c.Downsample(gids[0], 0, span, ts.Hour, ts.AggMean); len(pts) != 0 {
+			if pts := exec(t, c, ttdb.Downsample(gids[0], 0, span, ts.Hour, ts.AggMean)).Points; len(pts) != 0 {
 				t.Fatalf("deleted station still answers %d buckets", len(pts))
 			}
 

@@ -145,6 +145,29 @@ func (d *BikeData) LoadEngine(e ttdb.Engine) ([]ttdb.StationID, error) {
 	return ids, nil
 }
 
+// Table1Queries returns the canonical Table 1 workload over this dataset, in
+// Q1..Q8 order — the one list every harness section and `hygraph stats`
+// times. The window is the middle half of the span (Q1 probes its first two
+// days); the probed station is the first one loaded and Q7 pairs it with the
+// middle one. ids are the station ids LoadEngine (or an ingest loop in the
+// same order) returned.
+func (d *BikeData) Table1Queries(ids []ttdb.StationID) []ttdb.Query {
+	start, end := d.Span()
+	qs := start + (end-start)/4
+	qe := qs + (end-start)/2
+	st0, st1 := ids[0], ids[len(ids)/2]
+	return []ttdb.Query{
+		ttdb.Q1(st0, qs, qs+2*ts.Day),
+		ttdb.Q2(st0, qs, qe, 10),
+		ttdb.Q3(st0, qs, qe),
+		ttdb.Q4(qs, qe),
+		ttdb.Q5(qs, qe),
+		ttdb.Q6(qs, qe, 10),
+		ttdb.Q7(st0, st1, qs, qe, ts.Hour),
+		ttdb.Q8(st0, qs, qe),
+	}
+}
+
 // ToHyGraph builds a HyGraph instance: stations as PG vertices, their
 // availability as first-class TS vertices linked by HAS_SERIES edges, and
 // trips as PG edges carrying a count property.

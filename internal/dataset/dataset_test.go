@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"context"
 	"testing"
 
 	"hygraph/internal/core"
@@ -75,9 +76,13 @@ func TestBikeLoadEngineAndHyGraph(t *testing.T) {
 		t.Fatalf("ids=%d", len(ids))
 	}
 	start, end := d.Span()
-	means := eng.Q4AllStationMeans(start, end)
-	if len(means) != 10 {
-		t.Fatalf("means=%d", len(means))
+	means, err := eng.Exec(context.Background(), ttdb.Q4(start, end))
+	if err != nil || len(means.ByStation) != 10 {
+		t.Fatalf("means=%d, %v", len(means.ByStation), err)
+	}
+	if qs := d.Table1Queries(ids); len(qs) != 8 || qs[0].Op != ttdb.OpQ1 || qs[7].Op != ttdb.OpQ8 ||
+		qs[6].Station != ids[0] || qs[6].Other != ids[5] || qs[3].Start != end/4 || qs[3].End != 3*end/4 {
+		t.Fatalf("canonical workload: %+v", qs)
 	}
 	h, hids := d.ToHyGraph()
 	pv, pe := h.CountByKind(core.PG)

@@ -20,8 +20,8 @@ import (
 )
 
 // Conn is what the server needs from a tenant's storage: durable writes,
-// the deadline-threaded Q1–Q8, the structure HyQL matches against, and
-// shutdown flushing. Both a single DurablePolyglot (engineConn) and the
+// the one deadline-threaded query method, the structure HyQL matches against,
+// and shutdown flushing. Both a single DurablePolyglot (engineConn) and the
 // scatter-gather coordinator over N partitions (coord.Coordinator) satisfy
 // it, so the serving layer is partition-agnostic.
 type Conn interface {
@@ -29,19 +29,8 @@ type Conn interface {
 	AppendPoint(st ttdb.StationID, t ts.Time, v float64) error
 	AddTrip(from, to ttdb.StationID, count int) error
 
-	Q1TimeRangeCtx(ctx context.Context, st ttdb.StationID, start, end ts.Time) ([]ts.Point, error)
-	Q2FilteredRangeCtx(ctx context.Context, st ttdb.StationID, start, end ts.Time, below float64) ([]ts.Point, error)
-	Q3StationMeanCtx(ctx context.Context, st ttdb.StationID, start, end ts.Time) (float64, error)
-	Q4AllStationMeansCtx(ctx context.Context, start, end ts.Time) (map[ttdb.StationID]float64, error)
-	Q5DistrictSumsCtx(ctx context.Context, start, end ts.Time) (map[string]float64, error)
-	Q6TopKStationsCtx(ctx context.Context, start, end ts.Time, k int) ([]ttdb.StationID, error)
-	Q7CorrelationCtx(ctx context.Context, x, y ttdb.StationID, start, end, bucket ts.Time) (float64, error)
-	Q8NeighborMeansCtx(ctx context.Context, st ttdb.StationID, start, end ts.Time) (map[ttdb.StationID]float64, error)
-
-	// DownsampleCtx reads a station's windowed aggregate from the engine's
-	// continuous-aggregate cache (write-through delta maintenance), with
-	// read-your-writes semantics relative to acknowledged AppendPoints.
-	DownsampleCtx(ctx context.Context, st ttdb.StationID, start, end, bucket ts.Time, agg ts.AggFunc) ([]ts.Point, error)
+	// Exec answers Q1–Q8 and downsample under the request deadline.
+	Exec(ctx context.Context, q ttdb.Query) (ttdb.Result, error)
 
 	// Structure lays current stations and trips out as the graph HyQL
 	// matches against (ttdb.BuildView). It holds a handle per series and no

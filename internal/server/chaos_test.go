@@ -231,7 +231,11 @@ func TestChaosHammer(t *testing.T) {
 	for _, p := range pts {
 		found := false
 		// The range is half-open; [t, t+1) isolates the exact sample.
-		for _, q := range engines[p.tenant].Q1TimeRange(ttdb.StationID(p.station), ts.Time(p.t), ts.Time(p.t)+1) {
+		got, err := engines[p.tenant].Exec(context.Background(), ttdb.Q1(ttdb.StationID(p.station), ts.Time(p.t), ts.Time(p.t)+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range got.Points {
 			if q.V == p.v {
 				found = true
 			}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -183,8 +184,8 @@ func (s *Server) budget(r *http.Request) (time.Duration, *response) {
 	return budget, nil
 }
 
-// asTimeout maps a context deadline error to 504 (accounting the miss);
-// anything else to 500 under the given code.
+// asTimeout maps an engine error: a context deadline to 504 (accounting the
+// miss), anything else to 500 under the given code.
 func (s *Server) asTimeout(err error, code string) response {
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 		s.o.deadlineMiss.Inc()
@@ -217,10 +218,11 @@ func (s *Server) finish(w http.ResponseWriter, r *http.Request, t *tenant, t0 ti
 		// client sees io.EOF for work that may already be durable.
 		panic(http.ErrAbortHandler)
 	}
+	status, buf := marshal(resp.status, resp.body)
 	switch {
-	case resp.status < 300:
+	case status < 300:
 		s.o.ok.Inc()
-	case resp.status < 500:
+	case status < 500:
 		s.o.clientErr.Inc()
 	default:
 		s.o.serverErr.Inc()
@@ -230,13 +232,35 @@ func (s *Server) finish(w http.ResponseWriter, r *http.Request, t *tenant, t0 ti
 	if t != nil {
 		t.lat.Observe(d)
 	}
-	writeJSON(w, resp.status, resp.body)
+	send(w, status, buf)
+}
+
+// marshal encodes a response before anything is written, so a body the
+// encoder refuses becomes a 500 encode_failed instead of a 200 with an empty
+// body. The trailing newline is json.Encoder's framing, kept for clients
+// that read line by line.
+func marshal(status int, body any) (int, []byte) {
+	if raw, ok := body.(encoded); ok {
+		return status, raw
+	}
+	buf, err := json.Marshal(body)
+	if err != nil {
+		status = http.StatusInternalServerError
+		buf, _ = json.Marshal(errorBody{apiError{"encode_failed", err.Error()}}) // two strings always encode
+	}
+	return status, append(buf, '\n')
+}
+
+func send(w http.ResponseWriter, status int, buf []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	// The client may be gone; there is nobody left to report a failed write to.
+	_, _ = w.Write(buf)
 }
 
 func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
+	status, buf := marshal(status, body)
+	send(w, status, buf)
 }
 
 // decode reads a JSON body with the size cap.
@@ -279,7 +303,7 @@ func (s *Server) handleStations(ctx context.Context, r *http.Request, t *tenant)
 	}
 	id, err := t.ingestStation(r.Header.Get("X-Idempotency-Key"), req.Name, req.District, series)
 	if err != nil {
-		return s.writeErr(err, "ingest_failed")
+		return s.asTimeout(err, "ingest_failed")
 	}
 	return okJSON(map[string]any{"station": id})
 }
@@ -298,7 +322,7 @@ func (s *Server) handlePoints(ctx context.Context, r *http.Request, t *tenant) r
 		return errJSON(http.StatusBadRequest, "bad_body", err.Error())
 	}
 	if err := t.db.AppendPoint(ttdb.StationID(req.Station), ts.Time(req.T), req.V); err != nil {
-		return s.writeErr(err, "append_failed")
+		return s.asTimeout(err, "append_failed")
 	}
 	t.version.Add(1)
 	return okJSON(map[string]any{"ok": true})
@@ -320,89 +344,104 @@ func (s *Server) handleTrips(ctx context.Context, r *http.Request, t *tenant) re
 	err := t.db.AddTrip(ttdb.StationID(req.From), ttdb.StationID(req.To), req.Count)
 	t.wroteStructure()
 	if err != nil {
-		return s.writeErr(err, "trip_failed")
+		return s.asTimeout(err, "trip_failed")
 	}
 	t.version.Add(1)
 	return okJSON(map[string]any{"ok": true})
 }
 
-// writeErr maps a storage-side error: deadline → 504, anything else → 500.
-func (s *Server) writeErr(err error, code string) response {
-	return s.asTimeout(err, code)
-}
-
 // ---------------------------------------------------------------------------
 // Query endpoints
 
-// handleQuery dispatches the Table 1 queries Q1–Q8 by name, threading the
-// request context through the engine (ttdb *Ctx variants) so the deadline
-// cancels mid-fan-out. A degraded time-series store yields HTTP 200 with
-// "degraded": true and the graph-derivable partial result.
+// handleQuery answers Q1–Q8 and downsample: URL → ttdb.Query → Exec →
+// Result. The request context threads through every layer's Exec, so the
+// deadline cancels mid-fan-out. A degraded time-series store (or a lost
+// partition) yields HTTP 200 with "degraded": true and the partial result.
 func (s *Server) handleQuery(ctx context.Context, r *http.Request, t *tenant) response {
-	q := r.URL.Query()
-	name := q.Get("name")
-	getI := func(key string, def int64) int64 {
-		raw := q.Get(key)
+	q, err := parseQuery(r.URL.Query())
+	if err != nil {
+		return errJSON(http.StatusBadRequest, "bad_query", err.Error())
+	}
+	res, err := t.db.Exec(ctx, q)
+	degraded := errors.Is(err, ttdb.ErrDegraded)
+	switch {
+	case err == nil || degraded:
+	case errors.Is(err, ttdb.ErrBadQuery):
+		return errJSON(http.StatusBadRequest, "bad_query", err.Error())
+	default:
+		return s.asTimeout(err, "query_failed")
+	}
+	return okJSON(queryBody(q.Op, res, degraded))
+}
+
+// encoded is a response body that is already JSON, newline included.
+type encoded []byte
+
+// queryBody writes a query answer exactly as encoding/json writes
+// map[string]any{"degraded": true, "query": name, "result": res} (keys
+// sorted; "degraded" only when set), appending the Result's encoding in place:
+// behind json.Marshal its bytes would be re-scanned for validity, which
+// triples the cost of a long Q1 answer.
+func queryBody(op ttdb.Op, res ttdb.Result, degraded bool) encoded {
+	b := make([]byte, 0, 64)
+	b = append(b, '{')
+	if degraded {
+		b = append(b, `"degraded":true,`...)
+	}
+	b = append(b, `"query":"`...)
+	b = append(b, op.String()...)
+	b = append(b, `","result":`...)
+	b = res.AppendJSON(b)
+	return append(b, "}\n"...)
+}
+
+// parseQuery reads the query endpoint's parameters into a descriptor. An
+// absent parameter takes its default (station, x, y, start 0; end open; k 3;
+// bucket one hour); one that is present but malformed is an error naming it.
+// Q2 requires below, downsample requires agg; what the values must satisfy
+// is Query.Validate's business.
+func parseQuery(v url.Values) (ttdb.Query, error) {
+	op, ok := ttdb.ParseOp(v.Get("name"))
+	if !ok {
+		return ttdb.Query{}, fmt.Errorf("unknown query %q (want Q1..Q8 or downsample)", v.Get("name"))
+	}
+	var bad error
+	num := func(key string, def int64) int64 {
+		raw := v.Get(key)
 		if raw == "" {
 			return def
 		}
-		v, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil {
-			return def
+		n, err := strconv.ParseInt(raw, 10, 64)
+		if err != nil && bad == nil {
+			bad = fmt.Errorf("parameter %s=%q is not an integer", key, raw)
 		}
-		return v
+		return n
 	}
-	st := ttdb.StationID(getI("station", 0))
-	start := ts.Time(getI("start", 0))
-	end := ts.Time(getI("end", int64(ts.MaxTime)))
-
-	var result any
-	var err error
-	switch name {
-	case "Q1":
-		result, err = t.db.Q1TimeRangeCtx(ctx, st, start, end)
-	case "Q2":
-		below, perr := strconv.ParseFloat(q.Get("below"), 64)
-		if perr != nil {
-			return errJSON(http.StatusBadRequest, "bad_query", "Q2 needs below=<float>")
-		}
-		result, err = t.db.Q2FilteredRangeCtx(ctx, st, start, end, below)
-	case "Q3":
-		result, err = t.db.Q3StationMeanCtx(ctx, st, start, end)
-	case "Q4":
-		result, err = t.db.Q4AllStationMeansCtx(ctx, start, end)
-	case "Q5":
-		result, err = t.db.Q5DistrictSumsCtx(ctx, start, end)
-	case "Q6":
-		result, err = t.db.Q6TopKStationsCtx(ctx, start, end, int(getI("k", 3)))
-	case "Q7":
-		x := ttdb.StationID(getI("x", 0))
-		y := ttdb.StationID(getI("y", 0))
-		bucket := ts.Time(getI("bucket", int64(ts.Hour)))
-		result, err = t.db.Q7CorrelationCtx(ctx, x, y, start, end, bucket)
-	case "Q8":
-		result, err = t.db.Q8NeighborMeansCtx(ctx, st, start, end)
-	case "downsample":
-		agg, perr := ts.ParseAggFunc(q.Get("agg"))
-		if perr != nil {
-			return errJSON(http.StatusBadRequest, "bad_query", perr.Error())
-		}
-		bucket := ts.Time(getI("bucket", int64(ts.Hour)))
-		if bucket <= 0 {
-			return errJSON(http.StatusBadRequest, "bad_query", "downsample needs bucket > 0")
-		}
-		result, err = t.db.DownsampleCtx(ctx, st, start, end, bucket, agg)
-	default:
-		return errJSON(http.StatusBadRequest, "bad_query",
-			fmt.Sprintf("unknown query %q (want Q1..Q8 or downsample)", name))
+	q := ttdb.Query{
+		Op:      op,
+		Station: ttdb.StationID(num("station", 0)),
+		Start:   ts.Time(num("start", 0)),
+		End:     ts.Time(num("end", int64(ts.MaxTime))),
+		Bucket:  ts.Time(num("bucket", int64(ts.Hour))),
+		K:       int(num("k", 3)),
 	}
-	if err != nil {
-		if errors.Is(err, ttdb.ErrDegraded) {
-			return okJSON(map[string]any{"query": name, "result": result, "degraded": true})
+	switch op {
+	case ttdb.OpQ2:
+		below, err := strconv.ParseFloat(v.Get("below"), 64)
+		if err != nil && bad == nil {
+			bad = fmt.Errorf("Q2 needs below=<float>")
 		}
-		return s.asTimeout(err, "query_failed")
+		q.Below = below
+	case ttdb.OpQ7:
+		q.Station, q.Other = ttdb.StationID(num("x", 0)), ttdb.StationID(num("y", 0))
+	case ttdb.OpDownsample:
+		agg, err := ts.ParseAggFunc(v.Get("agg"))
+		if err != nil && bad == nil {
+			bad = err
+		}
+		q.Agg = agg
 	}
-	return okJSON(map[string]any{"query": name, "result": result})
+	return q, bad
 }
 
 type hyqlReq struct {

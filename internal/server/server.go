@@ -14,7 +14,7 @@
 //
 //   - Deadlines. Each request runs under a server-assigned context budget
 //     (client-requestable, capped) that is threaded through the engine's
-//     worker pool and store reads (ttdb *Ctx variants), so a slow Q8 is
+//     worker pool and store reads (every layer's Exec), so a slow Q8 is
 //     cancelled mid-fan-out. Queries against a degraded time-series store
 //     return the graph-derivable partial result marked degraded, exactly
 //     like the embedded engine.

@@ -522,9 +522,9 @@ func TestGracefulShutdownFlushesAndSheds(t *testing.T) {
 	if got := len(eng.G.NodesByLabel("Station")); got != 1 {
 		t.Fatalf("recovered %d stations, want 1", got)
 	}
-	pts := eng.Q1TimeRange(ttdb.StationID(id), 0, 1000)
-	if len(pts) != 2 {
-		t.Fatalf("recovered series = %v, want the 2 acknowledged points", pts)
+	pts, err := eng.Exec(context.Background(), ttdb.Q1(ttdb.StationID(id), 0, 1000))
+	if err != nil || len(pts.Points) != 2 {
+		t.Fatalf("recovered series = %v (%v), want the 2 acknowledged points", pts.Points, err)
 	}
 }
 

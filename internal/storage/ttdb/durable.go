@@ -1,6 +1,7 @@
 package ttdb
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -460,109 +461,95 @@ func (d *DurablePolyglot) AppendPoint(st StationID, t ts.Time, v float64) error 
 // tsCheck reports whether the time-series store is usable for query q,
 // returning a DegradedError otherwise.
 func (d *DurablePolyglot) tsCheck(q string) error {
-	if err := faults.Check(FaultQueryTS); err != nil {
-		d.obs.degraded.Inc()
-		return &DegradedError{Query: q, Cause: err}
+	err := faults.Check(FaultQueryTS)
+	if err == nil {
+		err = d.tsErr.get()
 	}
-	if err := d.tsErr.get(); err != nil {
-		d.obs.degraded.Inc()
-		return &DegradedError{Query: q, Cause: err}
+	if err == nil {
+		return nil
+	}
+	d.obs.degraded.Inc()
+	return &DegradedError{Query: q, Cause: err}
+}
+
+// Exec is the wrapped engine's Exec under the degraded-mode contract. A done
+// context wins over everything (the caller's budget is spent, so not even a
+// partial is computed). With the time-series store unavailable the answer is
+// the part the graph store alone can derive, beside an error matching
+// ErrDegraded: Q4 still enumerates the stations, Q5 the districts and Q8 the
+// neighbors, all with zero aggregates; the other operations need the series
+// and answer nothing.
+func (d *DurablePolyglot) Exec(ctx context.Context, q Query) (Result, error) {
+	if err := begin(ctx, q); err != nil {
+		return Result{}, err
+	}
+	derr := d.tsCheck(q.Op.String())
+	if derr == nil {
+		return d.eng.run(ctx, q)
+	}
+	res := Result{Op: q.Op}
+	switch q.Op {
+	case OpQ4:
+		res.ByStation = zeroMeans(d.eng.G.NodesByLabel("Station"))
+	case OpQ5:
+		res.ByDistrict = map[string]float64{}
+		for _, st := range d.eng.G.NodesByLabel("Station") {
+			// The partition walks every station under the graph lock; a
+			// cancelled caller should not keep paying for it.
+			if err := ctx.Err(); err != nil {
+				return Result{}, err
+			}
+			res.ByDistrict[d.eng.district(st)] += 0
+		}
+	case OpQ8:
+		res.ByStation = zeroMeans(d.eng.G.Neighbors(q.Station, "TRIP"))
+	}
+	return res, derr
+}
+
+// zeroMeans is the degraded shape of a per-station answer: the entity set
+// survives, the aggregates do not.
+func zeroMeans(stations []StationID) map[StationID]float64 {
+	out := make(map[StationID]float64, len(stations))
+	for _, st := range stations {
+		out[st] = 0
+	}
+	return out
+}
+
+// EntitySummariesCtx returns the per-entity summaries of the metric over
+// [start, end) in hypertable insertion order — the partition-local fragment a
+// scatter-gather coordinator (internal/coord) merges for Q4–Q6. Entities are
+// LOCAL station ids; the caller owns the mapping back to its global id space.
+// Same contract as Exec: a done context wins, a degraded TS store returns an
+// error satisfying errors.Is(err, ErrDegraded).
+func (d *DurablePolyglot) EntitySummariesCtx(ctx context.Context, start, end ts.Time) ([]tsstore.EntitySummary, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := d.tsCheck("EntitySummaries"); err != nil {
+		return nil, err
+	}
+	return d.eng.shardSummaries(ctx, start, end)
+}
+
+// SyncAll forces every buffered record on all three logs (graph WAL,
+// time-series WAL, intent journal) to durable storage — the drain step of a
+// graceful server shutdown: after SyncAll returns nil, every acknowledged
+// write is recoverable even though streaming appends only Commit (ride
+// shared flushes) on the hot path. The first failing log aborts the sync;
+// its error names the log so operators know which artifact is suspect.
+func (d *DurablePolyglot) SyncAll() error {
+	if err := d.gw.Flush(); err != nil {
+		return fmt.Errorf("ttdb: sync graph wal: %w", err)
+	}
+	if err := d.tw.Flush(); err != nil {
+		return fmt.Errorf("ttdb: sync ts wal: %w", err)
+	}
+	if err := d.jw.Sync(); err != nil {
+		return fmt.Errorf("ttdb: sync intent journal: %w", err)
 	}
 	return nil
-}
-
-// Q1TimeRange is Engine.Q1TimeRange with degradation: no partial result is
-// derivable from the graph alone, so a degraded call returns nil points.
-func (d *DurablePolyglot) Q1TimeRange(st StationID, start, end ts.Time) ([]ts.Point, error) {
-	if err := d.tsCheck("Q1"); err != nil {
-		return nil, err
-	}
-	return d.eng.Q1TimeRange(st, start, end), nil
-}
-
-// Q2FilteredRange is Engine.Q2FilteredRange with degradation.
-func (d *DurablePolyglot) Q2FilteredRange(st StationID, start, end ts.Time, below float64) ([]ts.Point, error) {
-	if err := d.tsCheck("Q2"); err != nil {
-		return nil, err
-	}
-	return d.eng.Q2FilteredRange(st, start, end, below), nil
-}
-
-// Q3StationMean is Engine.Q3StationMean with degradation.
-func (d *DurablePolyglot) Q3StationMean(st StationID, start, end ts.Time) (float64, error) {
-	if err := d.tsCheck("Q3"); err != nil {
-		return 0, err
-	}
-	return d.eng.Q3StationMean(st, start, end), nil
-}
-
-// Q4AllStationMeans is Engine.Q4AllStationMeans with degradation: the station
-// set still comes from the graph store, with zero means, so callers can at
-// least enumerate entities while the TS side is down.
-func (d *DurablePolyglot) Q4AllStationMeans(start, end ts.Time) (map[StationID]float64, error) {
-	if err := d.tsCheck("Q4"); err != nil {
-		out := map[StationID]float64{}
-		for _, st := range d.eng.G.NodesByLabel("Station") {
-			out[st] = 0
-		}
-		return out, err
-	}
-	return d.eng.Q4AllStationMeans(start, end), nil
-}
-
-// Q5DistrictSums is Engine.Q5DistrictSums with degradation: the district
-// partition survives (it lives in the graph), the sums degrade to zero.
-func (d *DurablePolyglot) Q5DistrictSums(start, end ts.Time) (map[string]float64, error) {
-	if err := d.tsCheck("Q5"); err != nil {
-		out := map[string]float64{}
-		for _, st := range d.eng.G.NodesByLabel("Station") {
-			district := "?"
-			if v, ok := d.eng.G.NodeProp(st, "district"); ok {
-				district = v.S
-			}
-			out[district] += 0
-		}
-		return out, err
-	}
-	return d.eng.Q5DistrictSums(start, end), nil
-}
-
-// Q6TopKStations is Engine.Q6TopKStations with degradation: ranking needs the
-// series, so a degraded call returns no ids.
-func (d *DurablePolyglot) Q6TopKStations(start, end ts.Time, k int) ([]StationID, error) {
-	if err := d.tsCheck("Q6"); err != nil {
-		return nil, err
-	}
-	return d.eng.Q6TopKStations(start, end, k), nil
-}
-
-// Q7Correlation is Engine.Q7Correlation with degradation.
-func (d *DurablePolyglot) Q7Correlation(x, y StationID, start, end, bucket ts.Time) (float64, error) {
-	if err := d.tsCheck("Q7"); err != nil {
-		return 0, err
-	}
-	return d.eng.Q7Correlation(x, y, start, end, bucket), nil
-}
-
-// Downsample is Engine.Downsample with the durable degraded-mode contract.
-func (d *DurablePolyglot) Downsample(st StationID, start, end, bucket ts.Time, agg ts.AggFunc) ([]ts.Point, error) {
-	if err := d.tsCheck("Downsample"); err != nil {
-		return nil, err
-	}
-	return d.eng.Downsample(st, start, end, bucket, agg), nil
-}
-
-// Q8NeighborMeans is Engine.Q8NeighborMeans with degradation: the neighbor
-// set is pure topology and survives, with zero means.
-func (d *DurablePolyglot) Q8NeighborMeans(st StationID, start, end ts.Time) (map[StationID]float64, error) {
-	if err := d.tsCheck("Q8"); err != nil {
-		out := map[StationID]float64{}
-		for _, n := range d.eng.G.Neighbors(st, "TRIP") {
-			out[n] = 0
-		}
-		return out, err
-	}
-	return d.eng.Q8NeighborMeans(st, start, end), nil
 }
 
 // ---------------------------------------------------------------------------

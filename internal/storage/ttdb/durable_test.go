@@ -2,6 +2,7 @@ package ttdb
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -244,49 +245,50 @@ func TestDegradedQueries(t *testing.T) {
 	start, end := ts.Time(0), 48*ts.Hour
 
 	// Healthy path first.
-	if pts, err := d.Q1TimeRange(ids[0], start, end); err != nil || len(pts) != 48 {
-		t.Fatalf("healthy Q1: %d pts, %v", len(pts), err)
+	ctx := context.Background()
+	if res, err := d.Exec(ctx, Q1(ids[0], start, end)); err != nil || len(res.Points) != 48 {
+		t.Fatalf("healthy Q1: %d pts, %v", len(res.Points), err)
 	}
 
 	faults.Enable(FaultQueryTS, faults.Spec{Err: errors.New("ts backend down")})
-	if _, err := d.Q1TimeRange(ids[0], start, end); !errors.Is(err, ErrDegraded) {
+	if _, err := d.Exec(ctx, Q1(ids[0], start, end)); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("Q1 degraded err: %v", err)
 	}
-	if _, err := d.Q2FilteredRange(ids[0], start, end, 11); !errors.Is(err, ErrDegraded) {
+	if _, err := d.Exec(ctx, Q2(ids[0], start, end, 11)); !errors.Is(err, ErrDegraded) {
 		t.Fatal("Q2 not degraded")
 	}
-	if _, err := d.Q3StationMean(ids[0], start, end); !errors.Is(err, ErrDegraded) {
+	if _, err := d.Exec(ctx, Q3(ids[0], start, end)); !errors.Is(err, ErrDegraded) {
 		t.Fatal("Q3 not degraded")
 	}
-	means, err := d.Q4AllStationMeans(start, end)
-	if !errors.Is(err, ErrDegraded) || len(means) != 4 {
-		t.Fatalf("Q4 partial: %d entries, %v", len(means), err)
+	means, err := d.Exec(ctx, Q4(start, end))
+	if !errors.Is(err, ErrDegraded) || len(means.ByStation) != 4 {
+		t.Fatalf("Q4 partial: %d entries, %v", len(means.ByStation), err)
 	}
-	sums, err := d.Q5DistrictSums(start, end)
-	if !errors.Is(err, ErrDegraded) || len(sums) != 2 {
-		t.Fatalf("Q5 partial: %v, %v", sums, err)
+	sums, err := d.Exec(ctx, Q5(start, end))
+	if !errors.Is(err, ErrDegraded) || len(sums.ByDistrict) != 2 {
+		t.Fatalf("Q5 partial: %v, %v", sums.ByDistrict, err)
 	}
-	if _, err := d.Q6TopKStations(start, end, 2); !errors.Is(err, ErrDegraded) {
+	if _, err := d.Exec(ctx, Q6(start, end, 2)); !errors.Is(err, ErrDegraded) {
 		t.Fatal("Q6 not degraded")
 	}
-	if _, err := d.Q7Correlation(ids[0], ids[1], start, end, ts.Hour); !errors.Is(err, ErrDegraded) {
+	if _, err := d.Exec(ctx, Q7(ids[0], ids[1], start, end, ts.Hour)); !errors.Is(err, ErrDegraded) {
 		t.Fatal("Q7 not degraded")
 	}
-	nm, err := d.Q8NeighborMeans(ids[0], start, end)
-	if !errors.Is(err, ErrDegraded) || len(nm) != 1 {
-		t.Fatalf("Q8 partial: %v, %v", nm, err)
+	nm, err := d.Exec(ctx, Q8(ids[0], start, end))
+	if !errors.Is(err, ErrDegraded) || len(nm.ByStation) != 1 {
+		t.Fatalf("Q8 partial: %v, %v", nm.ByStation, err)
 	}
 	// The typed error carries the query name and unwraps to the cause.
 	var de *DegradedError
-	_, err = d.Q3StationMean(ids[0], start, end)
+	_, err = d.Exec(ctx, Q3(ids[0], start, end))
 	if !errors.As(err, &de) || de.Query != "Q3" || !strings.Contains(de.Error(), "ts store unavailable") {
 		t.Fatalf("degraded error shape: %#v", err)
 	}
 
 	// Recovery clears degradation.
 	faults.Reset()
-	if m, err := d.Q3StationMean(ids[0], start, end); err != nil || m == 0 {
-		t.Fatalf("post-recovery Q3: %v, %v", m, err)
+	if m, err := d.Exec(ctx, Q3(ids[0], start, end)); err != nil || m.Scalar == 0 {
+		t.Fatalf("post-recovery Q3: %v, %v", m.Scalar, err)
 	}
 }
 
@@ -305,13 +307,13 @@ func TestPermanentTSFailureDegradesUntilSuccess(t *testing.T) {
 		t.Fatal("ingest survived permanent TS failure")
 	}
 	faults.Reset()
-	if _, err := d.Q3StationMean(0, 0, 48*ts.Hour); !errors.Is(err, ErrDegraded) {
+	if _, err := d.Exec(context.Background(), Q3(0, 0, 48*ts.Hour)); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("queries not degraded after permanent TS failure: %v", err)
 	}
 	if _, err := d.IngestStation("again", "d", stationSeries(2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Q3StationMean(0, 0, 48*ts.Hour); err != nil {
+	if _, err := d.Exec(context.Background(), Q3(0, 0, 48*ts.Hour)); err != nil {
 		t.Fatalf("degradation not cleared by successful write: %v", err)
 	}
 }
@@ -405,5 +407,36 @@ func TestCheckConsistencyDetectsBothOrphans(t *testing.T) {
 	eng.T.InsertSeries(key(99), stationSeries(1))
 	if err := CheckConsistency(eng); err == nil {
 		t.Fatal("orphan series undetected")
+	}
+}
+
+// SyncAll is the drain step of a graceful server shutdown: after it returns
+// nil, streaming appends that only rode shared flushes are recoverable from
+// the logs alone.
+func TestSyncAllMakesStreamedAppendsRecoverable(t *testing.T) {
+	faults.Reset()
+	var dk disk
+	d := dk.open(t)
+	d.SetGroupCommit(64)
+	id, err := d.IngestStation("st", "north", stationSeries(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for h := 48; h < 80; h++ {
+		if err := d.AppendPoint(id, ts.Time(h)*ts.Hour, float64(h)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.SyncAll(); err != nil {
+		t.Fatal(err)
+	}
+	eng, _ := dk.recover(t)
+	got := exec(t, eng, Q1(id, 0, 80*ts.Hour)).Points
+	if len(got) != 80 {
+		t.Fatalf("recovered %d points after SyncAll, want 80", len(got))
+	}
+	// Engine/Name accessors used by service code.
+	if d.Engine() == nil || d.Name() == "" {
+		t.Fatal("Engine/Name accessors broken")
 	}
 }

@@ -2,6 +2,7 @@ package ttdb
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 
@@ -57,15 +58,15 @@ func TestGroupCommitIngestQueryHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 60; i++ {
 				st := ids[(q+i)%len(ids)]
-				if _, err := d.Q3StationMean(st, 0, base); err != nil {
+				if _, err := d.Exec(context.Background(), Q3(st, 0, base)); err != nil {
 					t.Errorf("q3: %v", err)
 					return
 				}
-				if _, err := d.Q4AllStationMeans(0, base+ts.Time(writers*perWriter)*ts.Minute); err != nil {
+				if _, err := d.Exec(context.Background(), Q4(0, base+ts.Time(writers*perWriter)*ts.Minute)); err != nil {
 					t.Errorf("q4: %v", err)
 					return
 				}
-				if _, err := d.Q8NeighborMeans(st, 0, base); err != nil {
+				if _, err := d.Exec(context.Background(), Q8(st, 0, base)); err != nil {
 					t.Errorf("q8: %v", err)
 					return
 				}
@@ -90,7 +91,7 @@ func TestGroupCommitIngestQueryHammer(t *testing.T) {
 		perStation[ids[seq%len(ids)]]++
 	}
 	for st, want := range perStation {
-		pts := rec.Q1TimeRange(st, base+ts.Minute, base+ts.Time(writers*perWriter+1)*ts.Minute)
+		pts := exec(t, rec, Q1(st, base+ts.Minute, base+ts.Time(writers*perWriter+1)*ts.Minute)).Points
 		if len(pts) != want {
 			t.Fatalf("station %d: recovered %d appended points, want %d", st, len(pts), want)
 		}

@@ -8,14 +8,14 @@ import (
 )
 
 // queryObs holds an engine's preallocated metric handles: one latency
-// histogram per Table 1 query plus worker-pool fan-out counters. The zero
-// value (all nil) is the disabled state — every Start/Stop and increment is a
+// histogram per operation plus worker-pool fan-out counters. The zero value
+// (all nil) is the disabled state — every Start/Stop and increment is a
 // nil-check no-op that never reads the clock.
 type queryObs struct {
-	q      [8]*obs.Histogram // q[i] times Q(i+1)
-	fanout *obs.Counter      // parallel fan-outs issued
-	items  *obs.Counter      // work items dispatched across fan-outs
-	active *obs.Gauge        // in-flight workers; High() = peak fan-out width
+	q      [len(ops)]*obs.Histogram // indexed by Op; "<prefix>.q1".."q8", "<prefix>.downsample"
+	fanout *obs.Counter             // parallel fan-outs issued
+	items  *obs.Counter             // work items dispatched across fan-outs
+	active *obs.Gauge               // in-flight workers; High() = peak fan-out width
 }
 
 // newQueryObs builds the handle set under a name prefix ("ttdb" / "neo4j").
@@ -24,8 +24,8 @@ func newQueryObs(r *obs.Registry, prefix string) queryObs {
 	if r == nil {
 		return o
 	}
-	for i, name := range QueryNames {
-		o.q[i] = r.Histogram(prefix + "." + strings.ToLower(name))
+	for op := OpQ1; op.valid(); op++ {
+		o.q[op] = r.Histogram(prefix + "." + strings.ToLower(op.String()))
 	}
 	o.fanout = r.Counter(prefix + ".fanout.calls")
 	o.items = r.Counter(prefix + ".fanout.items")
@@ -33,28 +33,14 @@ func newQueryObs(r *obs.Registry, prefix string) queryObs {
 	return o
 }
 
-// parallelFor dispatches a fan-out through the worker pool, tracking the
-// in-flight worker count when instrumented. The uninstrumented path is the
-// bare executor.
-func (o queryObs) parallelFor(workers, n int, fn func(int)) {
-	if o.active == nil {
-		parallelFor(workers, n, fn)
-		return
-	}
-	o.fanout.Inc()
-	o.items.Add(int64(n))
-	parallelForGauged(workers, n, o.active, fn)
-}
-
-// parallelForCtx dispatches a cancellable fan-out through the worker pool,
-// tracking the in-flight worker count when instrumented. A nil context is
-// the uncancellable path, identical to parallelFor.
-func (o queryObs) parallelForCtx(ctx context.Context, workers, n int, fn func(int)) error {
+// parallelFor dispatches a cancellable fan-out through the worker pool,
+// tracking the in-flight worker count when instrumented.
+func (o *queryObs) parallelFor(ctx context.Context, workers, n int, fn func(int)) error {
 	if o.active != nil {
 		o.fanout.Inc()
 		o.items.Add(int64(n))
 	}
-	return parallelForCtx(ctx, workers, n, o.active, fn)
+	return parallelFor(ctx, workers, n, o.active, fn)
 }
 
 // Instrument attaches per-query timers and fan-out metrics to the engine and

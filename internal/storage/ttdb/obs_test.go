@@ -2,6 +2,7 @@ package ttdb
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"testing"
@@ -62,10 +63,10 @@ func TestObservedDegradedQueries(t *testing.T) {
 		t.Fatal("ingest survived the injected TS failure")
 	}
 	faults.Reset()
-	if _, err := d.Q1TimeRange(id, 0, 48*ts.Hour); !errors.Is(err, ErrDegraded) {
+	if _, err := d.Exec(context.Background(), Q1(id, 0, 48*ts.Hour)); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("latched failure: got %v, want ErrDegraded", err)
 	}
-	if _, err := d.Q3StationMean(id, 0, 48*ts.Hour); !errors.Is(err, ErrDegraded) {
+	if _, err := d.Exec(context.Background(), Q3(id, 0, 48*ts.Hour)); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("latched failure: got %v, want ErrDegraded", err)
 	}
 	if got := reg.Snapshot().Counters["ttdb.queries.degraded"]; got != 2 {
@@ -74,7 +75,7 @@ func TestObservedDegradedQueries(t *testing.T) {
 
 	// The query-time fault point also counts, while armed.
 	faults.Enable(FaultQueryTS, faults.Spec{Err: errors.New("query-time outage")})
-	if _, err := d.Q2FilteredRange(id, 0, 48*ts.Hour, 11); !errors.Is(err, ErrDegraded) {
+	if _, err := d.Exec(context.Background(), Q2(id, 0, 48*ts.Hour, 11)); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("armed fault: got %v, want ErrDegraded", err)
 	}
 	// Snapshots must serialize cleanly even mid-outage.

@@ -15,58 +15,19 @@ import (
 // what keeps parallel query results byte-identical to sequential ones (see
 // docs/PARALLELISM.md). workers <= 1 degrades to a plain loop with no
 // goroutine overhead, which is also the sequential reference path.
-func parallelFor(workers, n int, fn func(i int)) {
-	parallelForGauged(workers, n, nil, fn)
-}
-
-// parallelForGauged is parallelFor with an in-flight gauge tracked at
-// *worker* granularity: striding means at most `workers` items run at once,
-// so per-worker accounting yields the same high watermark (peak concurrent
-// width) as per-item accounting at O(workers) instead of O(n) gauge
-// updates. A nil gauge is the uninstrumented path — its Add is a no-op, so
-// the only cost is one nil check per worker, never per item.
-func parallelForGauged(workers, n int, active *obs.Gauge, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		active.Add(1)
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		active.Add(-1)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			active.Add(1)
-			defer active.Add(-1)
-			for i := w; i < n; i += workers {
-				fn(i)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// parallelForCtx is parallelFor with cooperative cancellation: every worker
-// checks the context between items and stops dispatching once it is done, so
-// a server-assigned deadline cancels a fan-out after at most one in-flight
-// item per worker. Items completed before the cancellation are left in the
-// caller's result slice; the non-nil error tells the caller to discard them.
-// The item → worker assignment is the same pure striding as parallelFor, so
-// an uncancelled run is byte-identical to the plain executor's.
-func parallelForCtx(ctx context.Context, workers, n int, active *obs.Gauge, fn func(i int)) error {
-	if ctx == nil {
-		parallelForGauged(workers, n, active, fn)
-		return nil
-	}
+//
+// Cancellation is cooperative: every worker checks the context between items
+// and stops dispatching once it is done, so a server-assigned deadline
+// cancels a fan-out after at most one in-flight item per worker. Items
+// completed before the cancellation are left in the caller's result slice;
+// the non-nil error tells the caller to discard them.
+//
+// The in-flight gauge is tracked at *worker* granularity: striding means at
+// most `workers` items run at once, so per-worker accounting yields the same
+// high watermark (peak concurrent width) as per-item accounting at
+// O(workers) instead of O(n) gauge updates. A nil gauge is the
+// uninstrumented path — its Add is a no-op.
+func parallelFor(ctx context.Context, workers, n int, active *obs.Gauge, fn func(i int)) error {
 	if n <= 0 {
 		return ctx.Err()
 	}

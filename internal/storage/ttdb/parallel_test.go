@@ -2,6 +2,7 @@ package ttdb
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"reflect"
 	"sync"
@@ -22,24 +23,21 @@ func TestParallelMatchesSequential(t *testing.T) {
 		e := mk()
 		sts := loadWorkload(t, e)
 		start, end := 2*ts.Day, 9*ts.Day
-		queries := map[string]func() any{
-			"Q4": func() any { return e.Q4AllStationMeans(start, end) },
-			"Q5": func() any { return e.Q5DistrictSums(start, end) },
-			"Q6": func() any { return e.Q6TopKStations(start, end, 3) },
-			"Q7": func() any { return e.Q7Correlation(sts[0], sts[5], start, end, ts.Hour) },
-			"Q8": func() any { return e.Q8NeighborMeans(sts[0], start, end) },
+		queries := []Query{
+			Q4(start, end), Q5(start, end), Q6(start, end, 3),
+			Q7(sts[0], sts[5], start, end, ts.Hour), Q8(sts[0], start, end),
 		}
 		e.SetWorkers(1)
-		seq := map[string]any{}
-		for q, fn := range queries {
-			seq[q] = fn()
+		seq := map[Op]Result{}
+		for _, q := range queries {
+			seq[q.Op] = exec(t, e, q)
 		}
 		for _, workers := range []int{2, 3, 8, 64} {
 			e.SetWorkers(workers)
-			for q, fn := range queries {
-				if got := fn(); !reflect.DeepEqual(got, seq[q]) {
+			for _, q := range queries {
+				if got := exec(t, e, q); !reflect.DeepEqual(got, seq[q.Op]) {
 					t.Fatalf("%s %s workers=%d: %v != sequential %v",
-						e.Name(), q, workers, got, seq[q])
+						e.Name(), q.Op, workers, got, seq[q.Op])
 				}
 			}
 		}
@@ -52,11 +50,13 @@ func TestParallelForCoverage(t *testing.T) {
 		for _, n := range []int{0, 1, 2, 5, 97} {
 			visits := make([]int, n)
 			var mu sync.Mutex
-			parallelFor(workers, n, func(i int) {
+			if err := parallelFor(context.Background(), workers, n, nil, func(i int) {
 				mu.Lock()
 				visits[i]++
 				mu.Unlock()
-			})
+			}); err != nil {
+				t.Fatal(err)
+			}
 			for i, v := range visits {
 				if v != 1 {
 					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, v)
@@ -73,8 +73,9 @@ func TestConcurrentMixedQueries(t *testing.T) {
 	sts := loadWorkload(t, pg)
 	pg.SetWorkers(4)
 	start, end := 2*ts.Day, 9*ts.Day
-	wantQ3 := pg.Q3StationMean(sts[2], start, end)
-	wantQ5 := pg.Q5DistrictSums(start, end)
+	ctx := context.Background()
+	wantQ3 := exec(t, pg, Q3(sts[2], start, end)).Scalar
+	wantQ5 := exec(t, pg, Q5(start, end)).ByDistrict
 
 	var wg sync.WaitGroup
 	errc := make(chan error, 16)
@@ -84,20 +85,24 @@ func TestConcurrentMixedQueries(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
 				st := sts[(c+i)%len(sts)]
-				pg.Q1TimeRange(st, start, end)
-				pg.Q2FilteredRange(st, start, end, 9.5)
-				if got := pg.Q3StationMean(sts[2], start, end); got != wantQ3 {
-					errc <- errors.New("Q3 unstable under concurrency")
-					return
+				for _, q := range []Query{
+					Q1(st, start, end), Q2(st, start, end, 9.5), Q3(sts[2], start, end), Q4(start, end),
+					Q5(start, end), Q6(start, end, 3), Q7(st, sts[(c+i+4)%len(sts)], start, end, ts.Hour),
+					Q8(st, start, end),
+				} {
+					got, err := pg.Exec(ctx, q)
+					switch {
+					case err != nil:
+						errc <- err
+						return
+					case q.Op == OpQ3 && got.Scalar != wantQ3:
+						errc <- errors.New("Q3 unstable under concurrency")
+						return
+					case q.Op == OpQ5 && !reflect.DeepEqual(got.ByDistrict, wantQ5):
+						errc <- errors.New("Q5 unstable under concurrency")
+						return
+					}
 				}
-				pg.Q4AllStationMeans(start, end)
-				if got := pg.Q5DistrictSums(start, end); !reflect.DeepEqual(got, wantQ5) {
-					errc <- errors.New("Q5 unstable under concurrency")
-					return
-				}
-				pg.Q6TopKStations(start, end, 3)
-				pg.Q7Correlation(st, sts[(c+i+4)%len(sts)], start, end, ts.Hour)
-				pg.Q8NeighborMeans(st, start, end)
 			}
 		}(c)
 	}
@@ -123,9 +128,12 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				pg.Q4AllStationMeans(start, end)
-				pg.Q5DistrictSums(start, end)
-				pg.Q6TopKStations(start, end, 3)
+				for _, q := range []Query{Q4(start, end), Q5(start, end), Q6(start, end, 3)} {
+					if _, err := pg.Exec(context.Background(), q); err != nil {
+						t.Error(err)
+						return
+					}
+				}
 			}
 		}()
 	}
@@ -151,7 +159,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	if got := len(pg.Q4AllStationMeans(start, end)); got != 9+2*5 {
+	if got := len(exec(t, pg, Q4(start, end)).ByStation); got != 9+2*5 {
 		t.Fatalf("stations after concurrent ingest: %d", got)
 	}
 }
@@ -173,17 +181,18 @@ func TestDurableDegradationFiresWithWorkers(t *testing.T) {
 	}
 	d.SetWorkers(8)
 	faults.Enable(FaultQueryTS, faults.Spec{Err: errors.New("ts backend down")})
-	if _, err := d.Q4AllStationMeans(0, 48*ts.Hour); !errors.Is(err, ErrDegraded) {
+	ctx := context.Background()
+	if _, err := d.Exec(ctx, Q4(0, 48*ts.Hour)); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("parallel Q4 on degraded backend: %v", err)
 	}
-	if _, err := d.Q5DistrictSums(0, 48*ts.Hour); !errors.Is(err, ErrDegraded) {
+	if _, err := d.Exec(ctx, Q5(0, 48*ts.Hour)); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("parallel Q5 on degraded backend: %v", err)
 	}
-	if _, err := d.Q8NeighborMeans(st, 0, 48*ts.Hour); !errors.Is(err, ErrDegraded) {
+	if _, err := d.Exec(ctx, Q8(st, 0, 48*ts.Hour)); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("parallel Q8 on degraded backend: %v", err)
 	}
 	faults.Reset()
-	if _, err := d.Q4AllStationMeans(0, 48*ts.Hour); err != nil {
+	if _, err := d.Exec(ctx, Q4(0, 48*ts.Hour)); err != nil {
 		t.Fatalf("Q4 after fault cleared: %v", err)
 	}
 }

@@ -13,8 +13,9 @@
 //     persistence). Queries route the structural part to the graph store and
 //     the temporal part to the hypertable.
 //
-// Both engines expose the same eight queries Q1–Q8 over a bike-sharing
-// network so the Table 1 harness can time them head-to-head. Q1 is a plain
+// Both engines answer the same eight queries Q1–Q8 over a bike-sharing
+// network, expressed as one descriptor (Query) run by one method (Exec), so
+// the Table 1 harness can time them head-to-head. Q1 is a plain
 // time-range probe (the one query the paper shows Neo4j winning), Q2–Q3 add
 // filters and single-entity aggregation, and Q4–Q8 aggregate, join, rank and
 // correlate across many entities — the regime where all-in-graph storage
@@ -22,7 +23,7 @@
 package ttdb
 
 import (
-	"fmt"
+	"context"
 	"sort"
 	"strconv"
 	"strings"
@@ -39,9 +40,10 @@ const Metric = "availability"
 // StationID identifies a station in either engine (the graph-store node id).
 type StationID = graphstore.NodeID
 
-// Engine is the common query surface of both storage architectures. The
-// mutating methods return errors rather than panicking: callers on the
-// library path handle them, and only explicit Must* helpers may panic.
+// Engine is the common surface of both storage architectures: loading plus
+// the one query method. The mutating methods return errors rather than
+// panicking: callers on the library path handle them, and only explicit
+// Must* helpers may panic.
 type Engine interface {
 	// Name identifies the engine in reports ("neo4j-sim" / "ttdb").
 	Name() string
@@ -61,22 +63,12 @@ type Engine interface {
 	// unaffected either way.
 	Instrument(r *obs.Registry)
 
-	// Q1: raw time-range fetch for one station.
-	Q1TimeRange(st StationID, start, end ts.Time) []ts.Point
-	// Q2: range fetch keeping only values below the threshold.
-	Q2FilteredRange(st StationID, start, end ts.Time, below float64) []ts.Point
-	// Q3: mean of one station over the range.
-	Q3StationMean(st StationID, start, end ts.Time) float64
-	// Q4: mean per station over the range, for every station.
-	Q4AllStationMeans(start, end ts.Time) map[StationID]float64
-	// Q5: total availability per district over the range.
-	Q5DistrictSums(start, end ts.Time) map[string]float64
-	// Q6: the k stations with the highest mean over the range.
-	Q6TopKStations(start, end ts.Time, k int) []StationID
-	// Q7: Pearson correlation of two stations' series over the range.
-	Q7Correlation(a, b StationID, start, end, bucket ts.Time) float64
-	// Q8: mean availability of every station adjacent to st via trips.
-	Q8NeighborMeans(st StationID, start, end ts.Time) map[StationID]float64
+	// Exec answers one query (query.go). The fan-out operations Q4–Q6 and Q8
+	// check the context between work items inside the worker pool, so a
+	// cancelled caller stops a multi-station scan after at most one
+	// in-flight item per worker; the single-entity probes check it on entry
+	// and exit, which bounds wasted work by one series scan.
+	Querier
 }
 
 // ---------------------------------------------------------------------------
@@ -162,8 +154,55 @@ func (a *AllInGraph) scan(st StationID, start, end ts.Time, fn func(ts.Time, flo
 	})
 }
 
-// rangePoints is the untimed Q1 body, shared with Q7 so composite queries
-// don't double-count into Q1's histogram.
+// Exec implements Engine: the entry check, the per-op timer, then one body
+// per operation. Composite operations share the untimed bodies (Q7 reads
+// through rangePoints, Q4/Q6/Q8 through meanOf), so no query double-counts
+// into another's histogram or pays its timer per item.
+func (a *AllInGraph) Exec(ctx context.Context, q Query) (Result, error) {
+	if err := begin(ctx, q); err != nil {
+		return Result{}, err
+	}
+	sw := a.obs.q[q.Op].Start()
+	defer sw.Stop()
+	res := Result{Op: q.Op}
+	var err error
+	switch q.Op {
+	case OpQ1:
+		res.Points = a.rangePoints(q.Station, q.Start, q.End)
+	case OpQ2:
+		a.scan(q.Station, q.Start, q.End, func(t ts.Time, v float64) {
+			if v < q.Below {
+				res.Points = append(res.Points, ts.Point{T: t, V: v})
+			}
+		})
+		sort.Slice(res.Points, func(i, j int) bool { return res.Points[i].T < res.Points[j].T })
+	case OpQ3:
+		res.Scalar = a.meanOf(q.Station, q.Start, q.End)
+	case OpQ4:
+		res.ByStation, err = a.meansOf(ctx, a.G.NodesByLabel("Station"), q.Start, q.End)
+	case OpQ5:
+		res.ByDistrict, err = a.districtSums(ctx, q.Start, q.End)
+	case OpQ6:
+		var means map[StationID]float64
+		means, err = a.meansOf(ctx, a.G.NodesByLabel("Station"), q.Start, q.End)
+		res.Stations = TopK(means, q.K)
+	case OpQ7:
+		sx := ts.FromPoints("x", a.rangePoints(q.Station, q.Start, q.End))
+		sy := ts.FromPoints("y", a.rangePoints(q.Other, q.Start, q.End))
+		res.Scalar = ts.Correlation(sx, sy, q.Bucket)
+	case OpQ8:
+		// The graph store answers adjacency, then the per-neighbor chain
+		// scans fan out across the worker pool.
+		res.ByStation, err = a.meansOf(ctx, a.G.Neighbors(q.Station, "TRIP"), q.Start, q.End)
+	case OpDownsample:
+		raw := ts.FromPoints(Metric, a.rangePoints(q.Station, q.Start, q.End))
+		res.Points = raw.Resample(q.Bucket, q.Agg).Points()
+	}
+	return finish(ctx, res, err)
+}
+
+// rangePoints is the Q1 body: the station's points in the window, in time
+// order (the property chain is not).
 func (a *AllInGraph) rangePoints(st StationID, start, end ts.Time) []ts.Point {
 	var pts []ts.Point
 	a.scan(st, start, end, func(t ts.Time, v float64) { pts = append(pts, ts.Point{T: t, V: v}) })
@@ -171,29 +210,7 @@ func (a *AllInGraph) rangePoints(st StationID, start, end ts.Time) []ts.Point {
 	return pts
 }
 
-// Q1TimeRange implements Engine.
-func (a *AllInGraph) Q1TimeRange(st StationID, start, end ts.Time) []ts.Point {
-	sw := a.obs.q[0].Start()
-	defer sw.Stop()
-	return a.rangePoints(st, start, end)
-}
-
-// Q2FilteredRange implements Engine.
-func (a *AllInGraph) Q2FilteredRange(st StationID, start, end ts.Time, below float64) []ts.Point {
-	sw := a.obs.q[1].Start()
-	defer sw.Stop()
-	var pts []ts.Point
-	a.scan(st, start, end, func(t ts.Time, v float64) {
-		if v < below {
-			pts = append(pts, ts.Point{T: t, V: v})
-		}
-	})
-	sort.Slice(pts, func(i, j int) bool { return pts[i].T < pts[j].T })
-	return pts
-}
-
-// meanOf is the untimed Q3 body, shared with Q4/Q6/Q8 fan-outs so composite
-// queries don't double-count into Q3's histogram (or pay its timer per item).
+// meanOf is the Q3 body.
 func (a *AllInGraph) meanOf(st StationID, start, end ts.Time) float64 {
 	var sum float64
 	var n int
@@ -204,46 +221,31 @@ func (a *AllInGraph) meanOf(st StationID, start, end ts.Time) float64 {
 	return sum / float64(n)
 }
 
-// Q3StationMean implements Engine.
-func (a *AllInGraph) Q3StationMean(st StationID, start, end ts.Time) float64 {
-	sw := a.obs.q[2].Start()
-	defer sw.Stop()
-	return a.meanOf(st, start, end)
-}
-
-// allMeans is the untimed Q4 body, shared with Q6.
-func (a *AllInGraph) allMeans(start, end ts.Time) map[StationID]float64 {
-	stations := a.G.NodesByLabel("Station")
+// meansOf is the Q4/Q6/Q8 body: the per-station scans are independent, so
+// they fan out across the worker pool; the merge folds the result slice in
+// station order regardless of width.
+func (a *AllInGraph) meansOf(ctx context.Context, stations []StationID, start, end ts.Time) (map[StationID]float64, error) {
 	means := make([]float64, len(stations))
-	a.obs.parallelFor(a.workers, len(stations), func(i int) {
+	if err := a.obs.parallelFor(ctx, a.workers, len(stations), func(i int) {
 		means[i] = a.meanOf(stations[i], start, end)
-	})
+	}); err != nil {
+		return nil, err
+	}
 	out := make(map[StationID]float64, len(stations))
 	for i, st := range stations {
 		out[st] = means[i]
 	}
-	return out
+	return out, nil
 }
 
-// Q4AllStationMeans implements Engine. The per-station scans are
-// independent, so they fan out across the worker pool; the merge folds the
-// result slice in station order regardless of width.
-func (a *AllInGraph) Q4AllStationMeans(start, end ts.Time) map[StationID]float64 {
-	sw := a.obs.q[3].Start()
-	defer sw.Stop()
-	return a.allMeans(start, end)
-}
-
-// Q5DistrictSums implements Engine. Per-station sums and district lookups
-// run on the worker pool; the district fold runs sequentially in station
-// order so float accumulation order is fixed.
-func (a *AllInGraph) Q5DistrictSums(start, end ts.Time) map[string]float64 {
-	sw := a.obs.q[4].Start()
-	defer sw.Stop()
+// districtSums is the Q5 body. Per-station sums and district lookups run on
+// the worker pool; the district fold runs sequentially in station order so
+// float accumulation order is fixed.
+func (a *AllInGraph) districtSums(ctx context.Context, start, end ts.Time) (map[string]float64, error) {
 	stations := a.G.NodesByLabel("Station")
 	districts := make([]string, len(stations))
 	sums := make([]float64, len(stations))
-	a.obs.parallelFor(a.workers, len(stations), func(i int) {
+	if err := a.obs.parallelFor(ctx, a.workers, len(stations), func(i int) {
 		districts[i] = "?"
 		if v, ok := a.G.NodeProp(stations[i], "district"); ok {
 			districts[i] = v.S
@@ -251,45 +253,14 @@ func (a *AllInGraph) Q5DistrictSums(start, end ts.Time) map[string]float64 {
 		var sum float64
 		a.scan(stations[i], start, end, func(_ ts.Time, v float64) { sum += v })
 		sums[i] = sum
-	})
+	}); err != nil {
+		return nil, err
+	}
 	out := map[string]float64{}
 	for i := range stations {
 		out[districts[i]] += sums[i]
 	}
-	return out
-}
-
-// Q6TopKStations implements Engine.
-func (a *AllInGraph) Q6TopKStations(start, end ts.Time, k int) []StationID {
-	sw := a.obs.q[5].Start()
-	defer sw.Stop()
-	return topK(a.allMeans(start, end), k)
-}
-
-// Q7Correlation implements Engine.
-func (a *AllInGraph) Q7Correlation(x, y StationID, start, end, bucket ts.Time) float64 {
-	sw := a.obs.q[6].Start()
-	defer sw.Stop()
-	sx := ts.FromPoints("x", a.rangePoints(x, start, end))
-	sy := ts.FromPoints("y", a.rangePoints(y, start, end))
-	return ts.Correlation(sx, sy, bucket)
-}
-
-// Q8NeighborMeans implements Engine: the graph store answers adjacency,
-// then the per-neighbor chain scans fan out across the worker pool.
-func (a *AllInGraph) Q8NeighborMeans(st StationID, start, end ts.Time) map[StationID]float64 {
-	sw := a.obs.q[7].Start()
-	defer sw.Stop()
-	ns := a.G.Neighbors(st, "TRIP")
-	means := make([]float64, len(ns))
-	a.obs.parallelFor(a.workers, len(ns), func(i int) {
-		means[i] = a.meanOf(ns[i], start, end)
-	})
-	out := make(map[StationID]float64, len(ns))
-	for i, n := range ns {
-		out[n] = means[i]
-	}
-	return out
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -354,29 +325,69 @@ func (p *Polyglot) LoadSeries(st StationID, s *ts.Series) error {
 	return nil
 }
 
-// Q1TimeRange implements Engine.
-func (p *Polyglot) Q1TimeRange(st StationID, start, end ts.Time) []ts.Point {
-	sw := p.obs.q[0].Start()
-	defer sw.Stop()
-	return p.T.Range(key(st), start, end)
+// Exec implements Engine.
+func (p *Polyglot) Exec(ctx context.Context, q Query) (Result, error) {
+	if err := begin(ctx, q); err != nil {
+		return Result{}, err
+	}
+	return p.run(ctx, q)
 }
 
-// Q2FilteredRange implements Engine: the value filter is pushed into the
-// chunk scan so only matching points are materialized.
-func (p *Polyglot) Q2FilteredRange(st StationID, start, end ts.Time, below float64) []ts.Point {
-	sw := p.obs.q[1].Start()
+// run is Exec after the entry check — where the durable layer, which has
+// made that check itself, enters. It owns the per-op timer; the bodies below
+// are untimed so composite operations (Q8 over meanOf) don't double-count.
+func (p *Polyglot) run(ctx context.Context, q Query) (Result, error) {
+	sw := p.obs.q[q.Op].Start()
 	defer sw.Stop()
-	var out []ts.Point
-	p.T.RangeFunc(key(st), start, end, func(t ts.Time, v float64) {
-		if v < below {
-			out = append(out, ts.Point{T: t, V: v})
+	res := Result{Op: q.Op}
+	var err error
+	switch q.Op {
+	case OpQ1:
+		res.Points = p.T.Range(key(q.Station), q.Start, q.End)
+	case OpQ2:
+		// The value filter is pushed into the chunk scan so only matching
+		// points are materialized.
+		p.T.RangeFunc(key(q.Station), q.Start, q.End, func(t ts.Time, v float64) {
+			if v < q.Below {
+				res.Points = append(res.Points, ts.Point{T: t, V: v})
+			}
+		})
+	case OpQ3:
+		res.Scalar = p.meanOf(q.Station, q.Start, q.End)
+	case OpQ4:
+		res.ByStation, err = p.allMeans(ctx, q.Start, q.End, true)
+	case OpQ5:
+		res.ByDistrict, err = p.districtSums(ctx, q.Start, q.End)
+	case OpQ6:
+		// Summaries fan out like Q4 (stations without samples don't rank),
+		// then one deterministic sort (ties by ascending id).
+		var means map[StationID]float64
+		means, err = p.allMeans(ctx, q.Start, q.End, false)
+		res.Stations = TopK(means, q.K)
+	case OpQ7:
+		// Correlation is pushed down into the time-series store, the way a
+		// TimescaleDB deployment computes corr() in SQL instead of shipping
+		// points to a client. With a positive bucket both sides go through
+		// the resample cache (bucket means joined on the shared grid,
+		// matching ts.Correlation); bucket <= 0 merge-joins raw points on
+		// exact timestamps.
+		if q.Bucket > 0 {
+			res.Scalar = p.T.CorrelateResampled(key(q.Station), key(q.Other), q.Start, q.End, q.Bucket)
+		} else {
+			res.Scalar = p.T.Correlate(key(q.Station), key(q.Other), q.Start, q.End)
 		}
-	})
-	return out
+	case OpQ8:
+		res.ByStation, err = p.neighborMeans(ctx, q.Station, q.Start, q.End)
+	case OpDownsample:
+		// Served from the hypertable's continuous-aggregate cache; the
+		// result is element-wise identical to a from-scratch Resample of
+		// the raw range.
+		res.Points = p.T.Downsample(key(q.Station), q.Start, q.End, q.Bucket, q.Agg).Points()
+	}
+	return finish(ctx, res, err)
 }
 
-// meanOf is the untimed Q3 body, shared with the Q8 fan-out so composite
-// queries don't double-count into Q3's histogram (or pay its timer per item).
+// meanOf is the Q3 body, shared with the Q8 fan-out.
 func (p *Polyglot) meanOf(st StationID, start, end ts.Time) float64 {
 	s := p.T.Aggregate(key(st), start, end)
 	if s.Count == 0 {
@@ -385,127 +396,94 @@ func (p *Polyglot) meanOf(st StationID, start, end ts.Time) float64 {
 	return s.Mean()
 }
 
-// Q3StationMean implements Engine.
-func (p *Polyglot) Q3StationMean(st StationID, start, end ts.Time) float64 {
-	sw := p.obs.q[2].Start()
-	defer sw.Stop()
-	return p.meanOf(st, start, end)
-}
-
 // shardSummaries fans the metric's per-entity summaries out across the
 // worker pool, one whole lock stripe per work item, and merges the parts
 // back into hypertable insertion order. Each worker takes a shard's read
 // lock exactly once for its whole batch instead of once per station, and
 // the merged order makes every downstream fold byte-identical at any worker
-// width.
-func (p *Polyglot) shardSummaries(start, end ts.Time) []tsstore.EntitySummary {
+// width. On cancellation the partial parts are discarded.
+func (p *Polyglot) shardSummaries(ctx context.Context, start, end ts.Time) ([]tsstore.EntitySummary, error) {
 	parts := make([][]tsstore.EntitySummary, p.T.NumShards())
-	p.obs.parallelFor(p.workers, len(parts), func(i int) {
+	if err := p.obs.parallelFor(ctx, p.workers, len(parts), func(i int) {
 		parts[i] = p.T.AggregateShard(i, Metric, start, end)
-	})
-	return tsstore.MergeBySeq(parts)
+	}); err != nil {
+		return nil, err
+	}
+	return tsstore.MergeBySeq(parts), nil
 }
 
-// Q4AllStationMeans implements Engine: per-shard summary batches fan out
-// across the worker pool, merged in insertion order.
-func (p *Polyglot) Q4AllStationMeans(start, end ts.Time) map[StationID]float64 {
-	sw := p.obs.q[3].Start()
-	defer sw.Stop()
-	sums := p.shardSummaries(start, end)
+// allMeans is the Q4/Q6 body: per-shard summary batches fan out across the
+// worker pool, merged in insertion order. A station without samples in the
+// window has mean 0 when withEmpty, and is left out otherwise.
+func (p *Polyglot) allMeans(ctx context.Context, start, end ts.Time, withEmpty bool) (map[StationID]float64, error) {
+	sums, err := p.shardSummaries(ctx, start, end)
+	if err != nil {
+		return nil, err
+	}
 	out := make(map[StationID]float64, len(sums))
 	for _, e := range sums {
 		if e.Count > 0 {
 			out[StationID(e.Entity)] = e.Mean()
-		} else {
+		} else if withEmpty {
 			out[StationID(e.Entity)] = 0
 		}
 	}
-	return out
+	return out, nil
 }
 
-// Q5DistrictSums implements Engine: aggregation pushdown fans out one lock
-// stripe per worker, then the district lookups (graph-store topology) fan
-// out per station. The district fold runs sequentially in hypertable
-// insertion order, fixing the float accumulation order — sequential and
-// parallel runs, and repeated runs of either, all produce bit-identical
-// sums (a map-iteration fold would make even two sequential runs differ in
-// the last ulp).
-func (p *Polyglot) Q5DistrictSums(start, end ts.Time) map[string]float64 {
-	sw := p.obs.q[4].Start()
-	defer sw.Stop()
-	sums := p.shardSummaries(start, end)
+// districtSums is the Q5 body: aggregation pushdown fans out one lock stripe
+// per worker, then the district lookups (graph-store topology) fan out per
+// station. The district fold runs sequentially in hypertable insertion
+// order, fixing the float accumulation order — sequential and parallel runs,
+// and repeated runs of either, all produce bit-identical sums (a
+// map-iteration fold would make even two sequential runs differ in the last
+// ulp).
+func (p *Polyglot) districtSums(ctx context.Context, start, end ts.Time) (map[string]float64, error) {
+	sums, err := p.shardSummaries(ctx, start, end)
+	if err != nil {
+		return nil, err
+	}
 	districts := make([]string, len(sums))
-	p.obs.parallelFor(p.workers, len(sums), func(i int) {
-		districts[i] = "?"
-		if v, ok := p.G.NodeProp(StationID(sums[i].Entity), "district"); ok {
-			districts[i] = v.S
-		}
-	})
+	if err := p.obs.parallelFor(ctx, p.workers, len(sums), func(i int) {
+		districts[i] = p.district(StationID(sums[i].Entity))
+	}); err != nil {
+		return nil, err
+	}
 	out := map[string]float64{}
 	for i := range sums {
 		out[districts[i]] += sums[i].Sum
 	}
-	return out
+	return out, nil
 }
 
-// Q6TopKStations implements Engine: summaries fan out like Q4, then one
-// deterministic sort ranks the stations (ties by ascending id).
-func (p *Polyglot) Q6TopKStations(start, end ts.Time, k int) []StationID {
-	sw := p.obs.q[5].Start()
-	defer sw.Stop()
-	sums := p.shardSummaries(start, end)
-	m := make(map[StationID]float64, len(sums))
-	for _, e := range sums {
-		if e.Count > 0 {
-			m[StationID(e.Entity)] = e.Mean()
-		}
+// district reads a station's district from the graph store ("?" when unset).
+func (p *Polyglot) district(st StationID) string {
+	if v, ok := p.G.NodeProp(st, "district"); ok {
+		return v.S
 	}
-	return topK(m, k)
+	return "?"
 }
 
-// Q7Correlation implements Engine: correlation is pushed down into the
-// time-series store, the way a TimescaleDB deployment computes corr() in
-// SQL instead of shipping points to a client. With a positive bucket both
-// sides go through the memoized resample cache (bucket means joined on the
-// shared grid, matching ts.Correlation); bucket <= 0 merge-joins raw
-// points on exact timestamps.
-func (p *Polyglot) Q7Correlation(x, y StationID, start, end, bucket ts.Time) float64 {
-	sw := p.obs.q[6].Start()
-	defer sw.Stop()
-	if bucket > 0 {
-		return p.T.CorrelateResampled(key(x), key(y), start, end, bucket)
-	}
-	return p.T.Correlate(key(x), key(y), start, end)
-}
-
-// Downsample returns one station's series resampled to bucket-wide windows
-// under agg, served from the hypertable's continuous-aggregate cache: a warm
-// window is patched in place per append (write-through deltas), so repeated
-// reads under sustained ingest never recompute the whole window. The result
-// is element-wise identical to a from-scratch Resample of the raw range.
-func (p *Polyglot) Downsample(st StationID, start, end, bucket ts.Time, agg ts.AggFunc) []ts.Point {
-	return p.T.Downsample(key(st), start, end, bucket, agg).Points()
-}
-
-// Q8NeighborMeans implements Engine: adjacency from the graph store, then
+// neighborMeans is the Q8 body: adjacency from the graph store, then
 // per-neighbor summary pushdowns on the worker pool.
-func (p *Polyglot) Q8NeighborMeans(st StationID, start, end ts.Time) map[StationID]float64 {
-	sw := p.obs.q[7].Start()
-	defer sw.Stop()
+func (p *Polyglot) neighborMeans(ctx context.Context, st StationID, start, end ts.Time) (map[StationID]float64, error) {
 	ns := p.G.Neighbors(st, "TRIP")
 	means := make([]float64, len(ns))
-	p.obs.parallelFor(p.workers, len(ns), func(i int) {
+	if err := p.obs.parallelFor(ctx, p.workers, len(ns), func(i int) {
 		means[i] = p.meanOf(ns[i], start, end)
-	})
+	}); err != nil {
+		return nil, err
+	}
 	out := make(map[StationID]float64, len(ns))
 	for i, n := range ns {
 		out[n] = means[i]
 	}
-	return out
+	return out, nil
 }
 
-// topK returns the k keys with the largest values, ties by ascending id.
-func topK(m map[StationID]float64, k int) []StationID {
+// TopK returns the k keys with the largest values, ties by ascending id —
+// the Q6 ranking rule, shared with the coordinator's merge.
+func TopK(m map[StationID]float64, k int) []StationID {
 	type pair struct {
 		id StationID
 		v  float64
@@ -528,30 +506,4 @@ func topK(m map[StationID]float64, k int) []StationID {
 		out[i] = ps[i].id
 	}
 	return out
-}
-
-// QueryNames lists the Table 1 query ids in order.
-var QueryNames = []string{"Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7", "Q8"}
-
-// Describe returns the human description of a Table 1 query id.
-func Describe(q string) string {
-	switch q {
-	case "Q1":
-		return "time-range fetch, one station"
-	case "Q2":
-		return "filtered range (value threshold), one station"
-	case "Q3":
-		return "mean over range, one station"
-	case "Q4":
-		return "mean over range, all stations"
-	case "Q5":
-		return "sum per district (topology join + aggregation)"
-	case "Q6":
-		return "top-k stations by mean"
-	case "Q7":
-		return "correlation of two stations"
-	case "Q8":
-		return "graph neighbors + per-neighbor mean (hybrid)"
-	}
-	return fmt.Sprintf("unknown query %s", q)
 }

@@ -1,22 +1,36 @@
 package ttdb
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"hygraph/internal/ts"
 )
 
+var workloadDistricts = []string{"north", "south", "east"}
+
+// workloadSeries is station i's series in the shared workload: 14 days
+// hourly, a daily sine around a per-station level.
+func workloadSeries(i int) *ts.Series {
+	s := ts.New(Metric)
+	for h := 0; h < 24*14; h++ {
+		v := 10 + float64(i) + 3*math.Sin(2*math.Pi*float64(h%24)/24)
+		s.MustAppend(ts.Time(h)*ts.Hour, v)
+	}
+	return s
+}
+
 // loadWorkload fills an engine with a small deterministic bike-sharing
-// workload and returns the station ids.
+// workload — nine stations on a ring of trips — and returns the station ids.
 func loadWorkload(t *testing.T, e Engine) []StationID {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
-	districts := []string{"north", "south", "east"}
 	var sts []StationID
 	for i := 0; i < 9; i++ {
-		st, err := e.AddStation("st", districts[i%3])
+		st, err := e.AddStation("st", workloadDistricts[i%3])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -28,16 +42,21 @@ func loadWorkload(t *testing.T, e Engine) []StationID {
 		}
 	}
 	for i, st := range sts {
-		s := ts.New(Metric)
-		for h := 0; h < 24*14; h++ { // 14 days hourly
-			v := 10 + float64(i) + 3*math.Sin(2*math.Pi*float64(h%24)/24)
-			s.MustAppend(ts.Time(h)*ts.Hour, v)
-		}
-		if err := e.LoadSeries(st, s); err != nil {
+		if err := e.LoadSeries(st, workloadSeries(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return sts
+}
+
+// exec runs q against e and fails the test on any error.
+func exec(t testing.TB, e Querier, q Query) Result {
+	t.Helper()
+	res, err := e.Exec(context.Background(), q)
+	if err != nil {
+		t.Fatalf("%s: %v", q.Op, err)
+	}
+	return res
 }
 
 // Both engines must return identical answers on every query: the polyglot
@@ -50,8 +69,8 @@ func TestEnginesAgree(t *testing.T) {
 	start, end := 2*ts.Day, 9*ts.Day
 
 	// Q1
-	p1 := neo.Q1TimeRange(stN[0], start, end)
-	p2 := pg.Q1TimeRange(stP[0], start, end)
+	p1 := exec(t, neo, Q1(stN[0], start, end)).Points
+	p2 := exec(t, pg, Q1(stP[0], start, end)).Points
 	if len(p1) != len(p2) || len(p1) != 24*7 {
 		t.Fatalf("Q1 lens %d vs %d", len(p1), len(p2))
 	}
@@ -61,8 +80,8 @@ func TestEnginesAgree(t *testing.T) {
 		}
 	}
 	// Q2
-	f1 := neo.Q2FilteredRange(stN[1], start, end, 9.5)
-	f2 := pg.Q2FilteredRange(stP[1], start, end, 9.5)
+	f1 := exec(t, neo, Q2(stN[1], start, end, 9.5)).Points
+	f2 := exec(t, pg, Q2(stP[1], start, end, 9.5)).Points
 	if len(f1) != len(f2) || len(f1) == 0 {
 		t.Fatalf("Q2 lens %d vs %d", len(f1), len(f2))
 	}
@@ -72,14 +91,14 @@ func TestEnginesAgree(t *testing.T) {
 		}
 	}
 	// Q3
-	m1 := neo.Q3StationMean(stN[2], start, end)
-	m2 := pg.Q3StationMean(stP[2], start, end)
+	m1 := exec(t, neo, Q3(stN[2], start, end)).Scalar
+	m2 := exec(t, pg, Q3(stP[2], start, end)).Scalar
 	if math.Abs(m1-m2) > 1e-9 || math.Abs(m1-12) > 0.01 {
 		t.Fatalf("Q3 %v vs %v", m1, m2)
 	}
 	// Q4
-	a1 := neo.Q4AllStationMeans(start, end)
-	a2 := pg.Q4AllStationMeans(start, end)
+	a1 := exec(t, neo, Q4(start, end)).ByStation
+	a2 := exec(t, pg, Q4(start, end)).ByStation
 	if len(a1) != 9 || len(a2) != 9 {
 		t.Fatalf("Q4 sizes %d/%d", len(a1), len(a2))
 	}
@@ -89,8 +108,8 @@ func TestEnginesAgree(t *testing.T) {
 		}
 	}
 	// Q5
-	d1 := neo.Q5DistrictSums(start, end)
-	d2 := pg.Q5DistrictSums(start, end)
+	d1 := exec(t, neo, Q5(start, end)).ByDistrict
+	d2 := exec(t, pg, Q5(start, end)).ByDistrict
 	if len(d1) != 3 || len(d2) != 3 {
 		t.Fatalf("Q5 sizes %d/%d", len(d1), len(d2))
 	}
@@ -100,8 +119,8 @@ func TestEnginesAgree(t *testing.T) {
 		}
 	}
 	// Q6: highest-index stations have the highest base level.
-	k1 := neo.Q6TopKStations(start, end, 3)
-	k2 := pg.Q6TopKStations(start, end, 3)
+	k1 := exec(t, neo, Q6(start, end, 3)).Stations
+	k2 := exec(t, pg, Q6(start, end, 3)).Stations
 	if len(k1) != 3 || len(k2) != 3 {
 		t.Fatalf("Q6 %v / %v", k1, k2)
 	}
@@ -111,14 +130,14 @@ func TestEnginesAgree(t *testing.T) {
 		}
 	}
 	// Q7: all stations share the same daily shape → correlation ≈ 1.
-	c1 := neo.Q7Correlation(stN[0], stN[5], start, end, ts.Hour)
-	c2 := pg.Q7Correlation(stP[0], stP[5], start, end, ts.Hour)
+	c1 := exec(t, neo, Q7(stN[0], stN[5], start, end, ts.Hour)).Scalar
+	c2 := exec(t, pg, Q7(stP[0], stP[5], start, end, ts.Hour)).Scalar
 	if math.Abs(c1-c2) > 1e-6 || c1 < 0.99 {
 		t.Fatalf("Q7 %v vs %v", c1, c2)
 	}
 	// Q8: ring topology → exactly two neighbors each.
-	n1 := neo.Q8NeighborMeans(stN[0], start, end)
-	n2 := pg.Q8NeighborMeans(stP[0], start, end)
+	n1 := exec(t, neo, Q8(stN[0], start, end)).ByStation
+	n2 := exec(t, pg, Q8(stP[0], start, end)).ByStation
 	if len(n1) != 2 || len(n2) != 2 {
 		t.Fatalf("Q8 sizes %d/%d", len(n1), len(n2))
 	}
@@ -169,13 +188,21 @@ func TestPointKeyRoundTrip(t *testing.T) {
 }
 
 func TestDescribeAndNames(t *testing.T) {
-	if len(QueryNames) != 8 {
-		t.Fatalf("names=%v", QueryNames)
-	}
-	for _, q := range QueryNames {
-		if Describe(q) == "" || Describe(q) == Describe("Q99") {
-			t.Fatalf("describe(%s)=%q", q, Describe(q))
+	var names []string
+	for op := OpQ1; op <= OpDownsample; op++ {
+		names = append(names, op.String())
+		if op.Describe() == "" || op.Describe() == Op(99).Describe() {
+			t.Fatalf("describe(%s)=%q", op, op.Describe())
 		}
+		if back, ok := ParseOp(op.String()); !ok || back != op {
+			t.Fatalf("ParseOp(%q) = %v, %v", op.String(), back, ok)
+		}
+	}
+	if want := "Q1 Q2 Q3 Q4 Q5 Q6 Q7 Q8 downsample"; strings.Join(names, " ") != want {
+		t.Fatalf("names=%v, want %s", names, want)
+	}
+	if _, ok := ParseOp("Q9"); ok {
+		t.Fatal("ParseOp accepted Q9")
 	}
 }
 
