@@ -3,9 +3,15 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: verify vet lint build test race fuzz bench benchsmoke servesmoke cover
+.PHONY: verify fmt vet lint build test race fuzz bench benchsmoke servesmoke cover
 
-verify: vet lint build race fuzz benchsmoke servesmoke cover
+verify: fmt vet lint build race fuzz benchsmoke servesmoke cover
+
+# gofmt gate: every git-tracked Go file must already be gofmt-clean; any
+# file gofmt -l lists fails the build.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -48,27 +54,21 @@ bench:
 # deltas). The fifth run smokes the partition-scaling path under -race:
 # the scatter-gather coordinator at 1 and 2 partitions, which exits
 # non-zero unless every merged answer is element-wise identical to the
-# single-engine oracle. The sixth run smokes the streaming path: write-
-# through continuous aggregates vs invalidate-and-recompute under paced
-# ingest + aggregate reads (not under -race — the latency ratio is the
-# point being measured), which exits non-zero unless both legs pass the
-# from-scratch identity gate, with the v6 baseline schema validated by
-# -check. Writes to scratch files so the committed BENCH_table1.json is
-# never clobbered by a -race-skewed run.
+# single-engine oracle. Every emitted baseline is validated by -check, and
+# the first must carry the v6 schema tag. Writes to scratch files so the
+# committed BENCH_table1.json is never clobbered by a -race-skewed run.
 benchsmoke:
 	$(GO) run -race ./cmd/hybench -reps 2 -parallel -clients 4 -ops 8 -metrics -json /tmp/hybench_smoke.json
 	$(GO) run -race ./cmd/hybench -scale small -reps 2 -mixed -ingest 2 -query 2 -mixedms 25 -shapemin 5 -json /tmp/hybench_smoke_mixed.json
 	$(GO) run ./cmd/hybench -scale small -reps 2 -serve -servems 200 -shapemin 5 -json /tmp/hybench_smoke_serve.json
 	$(GO) run -race ./cmd/hybench -scale small -reps 2 -storage -shapemin 5 -json /tmp/hybench_smoke_storage.json
 	$(GO) run -race ./cmd/hybench -scale small -reps 2 -partitions 1,2 -shapemin 5 -json /tmp/hybench_smoke_parts.json
-	$(GO) run ./cmd/hybench -scale small -reps 2 -streaming -ingest 2 -sread 2 -streamms 60 -shapemin 5 -json /tmp/hybench_smoke_streaming.json
 	$(GO) run ./cmd/hybench -check /tmp/hybench_smoke.json
 	$(GO) run ./cmd/hybench -check /tmp/hybench_smoke_mixed.json
 	$(GO) run ./cmd/hybench -check /tmp/hybench_smoke_serve.json
 	$(GO) run ./cmd/hybench -check /tmp/hybench_smoke_storage.json
 	$(GO) run ./cmd/hybench -check /tmp/hybench_smoke_parts.json
-	$(GO) run ./cmd/hybench -check /tmp/hybench_smoke_streaming.json
-	grep -q '"schema": "hybench-table1/v6"' /tmp/hybench_smoke_streaming.json
+	grep -q '"schema": "hybench-table1/v6"' /tmp/hybench_smoke.json
 
 # Server smoke (docs/SERVICE.md): one live `hygraph serve -smoke` run under
 # -race — random loopback port, durable ingest + query through the retry
@@ -80,11 +80,12 @@ servesmoke:
 	$(GO) run -race ./cmd/hygraph serve -smoke -dir /tmp/hygraph_servesmoke
 
 # Coverage gate: statement coverage of the storage engines, the coordinator,
-# the streaming layer, the observability layer, the bench harness, and the
-# HyQL engine must stay at or above the floor recorded in coverage.txt (a
-# bare percentage; raise it as tests accumulate).
+# the time-series library (home of the ContAgg continuous aggregates), the
+# observability layer, the bench harness, and the HyQL engine must stay at
+# or above the floor recorded in coverage.txt (a bare percentage; raise it
+# as tests accumulate).
 cover:
-	$(GO) test -coverprofile=/tmp/hygraph_cover.out ./internal/storage/... ./internal/coord ./internal/stream ./internal/obs ./internal/bench ./internal/hyql
+	$(GO) test -coverprofile=/tmp/hygraph_cover.out ./internal/storage/... ./internal/coord ./internal/ts ./internal/obs ./internal/bench ./internal/hyql
 	@total=$$($(GO) tool cover -func=/tmp/hygraph_cover.out | awk '/^total:/ { sub(/%/, "", $$3); print $$3 }'); \
 	floor=$$(cat coverage.txt); \
 	echo "coverage: $$total% (floor $$floor%)"; \

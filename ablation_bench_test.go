@@ -1,7 +1,7 @@
 // Ablation benchmarks for the design choices behind the reproduction:
 // hypertable chunk width, property-chain length (the mechanism behind
-// Table 1), embedding dimensionality, vector-index cell counts, and the
-// cost split between HyQL parsing and execution.
+// Table 1), embedding dimensionality, and the cost split between HyQL
+// parsing and execution.
 package hygraph_test
 
 import (
@@ -14,7 +14,6 @@ import (
 	"hygraph/internal/dataset"
 	"hygraph/internal/embed"
 	"hygraph/internal/hyql"
-	"hygraph/internal/index"
 	"hygraph/internal/storage/graphstore"
 	"hygraph/internal/storage/tsstore"
 	"hygraph/internal/ts"
@@ -75,39 +74,6 @@ func BenchmarkAblation_FastRPDim(b *testing.B) {
 		b.Run(fmt.Sprintf("dim=%d", dim), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				embed.FastRP(view.Graph, cfg)
-			}
-		})
-	}
-}
-
-// BenchmarkAblation_VectorIndexCells sweeps the IVF cell count: more cells
-// cut probe cost but lower recall at fixed nProbe. Recall is reported as a
-// custom metric.
-func BenchmarkAblation_VectorIndexCells(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	n, d := 2000, 24
-	vecs := make([][]float64, n)
-	ids := make([]int64, n)
-	for i := range vecs {
-		v := make([]float64, d)
-		for j := range v {
-			v[j] = rng.NormFloat64()
-		}
-		vecs[i] = v
-		ids[i] = int64(i)
-	}
-	for _, cells := range []int{1, 8, 32, 128} {
-		ix, err := index.BuildVectorIndex(vecs, ids, cells, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("cells=%d", cells), func(b *testing.B) {
-			b.ReportMetric(ix.Recall(10, 2, 20), "recall@2probes")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ix.Nearest(vecs[i%n], 10, 2); err != nil {
-					b.Fatal(err)
-				}
 			}
 		})
 	}

@@ -15,7 +15,6 @@ import (
 	"hygraph/internal/core"
 	"hygraph/internal/dataset"
 	"hygraph/internal/embed"
-	"hygraph/internal/hybridar"
 	"hygraph/internal/hyql"
 	"hygraph/internal/lpg"
 	"hygraph/internal/ml"
@@ -257,11 +256,6 @@ func BenchmarkTable2_E_Embeddings(b *testing.B) {
 			embed.FastRP(view.Graph, embed.DefaultFastRP())
 		}
 	})
-	b.Run("RandomWalk", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			embed.RandomWalkEmbedding(view.Graph, embed.DefaultWalks())
-		}
-	})
 	b.Run("SeriesFeatures", func(b *testing.B) {
 		var series []*ts.Series
 		bikeHG.Vertices(func(v *core.Vertex) bool {
@@ -277,28 +271,6 @@ func BenchmarkTable2_E_Embeddings(b *testing.B) {
 			embed.SeriesFeatures(series)
 		}
 	})
-}
-
-func BenchmarkTable2_C1_Classification(b *testing.B) {
-	fraudFixture()
-	var rows [][]float64
-	var labels []int
-	for u := range fraudData.Users {
-		s, _ := fraudData.H.Vertex(fraudData.Cards[u]).SeriesVar("")
-		rows = append(rows, s.Features())
-		if fraudData.Truth[u] == dataset.Fraudster {
-			labels = append(labels, 1)
-		} else {
-			labels = append(labels, 0)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := ml.TrainLogReg(rows, labels, 0.05, 1e-4, 20, 1)
-		for _, r := range rows {
-			m.Predict(r)
-		}
-	}
 }
 
 func BenchmarkTable2_C2_Clustering(b *testing.B) {
@@ -402,39 +374,4 @@ func BenchmarkFig4_Pipeline(b *testing.B) {
 			b.Fatalf("pipeline lost a fraudster: %+v", r.HybridMetrics)
 		}
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Section 6, "HyGraph and AI" — graph-coupled forecasting (the GC-LSTM idea
-// in closed form). The bench reports the hybrid and isolated mean MAEs as
-// custom metrics so the "hybrid wins" shape is visible in bench output.
-
-func BenchmarkRoadmap_AI_GraphCoupledForecast(b *testing.B) {
-	cfg := dataset.DefaultIoT()
-	cfg.Hours = 24 * 14
-	cfg.FaultyMachines = 0
-	cfg.Coupling = 0.9
-	cfg.CouplingLag = 1
-	d := dataset.GenerateIoT(cfg)
-	mcfg := hybridar.DefaultConfig(ts.Hour)
-	mcfg.NeighborHops = 3
-	split := ts.Time(cfg.Hours-12) * ts.Hour
-	end := ts.Time(cfg.Hours) * ts.Hour
-	var hyMean, isoMean float64
-	for i := 0; i < b.N; i++ {
-		hy, iso, err := hybridar.Evaluate(d.H, mcfg, 0, split, end)
-		if err != nil {
-			b.Fatal(err)
-		}
-		hyMean, isoMean = 0, 0
-		for v, m := range hy {
-			hyMean += m
-			isoMean += iso[v]
-		}
-		n := float64(len(hy))
-		hyMean /= n
-		isoMean /= n
-	}
-	b.ReportMetric(hyMean, "hybridMAE")
-	b.ReportMetric(isoMean, "isolatedMAE")
 }

@@ -9,7 +9,6 @@
 //	        [-mixed] [-ingest N] [-query N] [-mixedms N] [-shapemin X]
 //	        [-serve] [-serverate R] [-servems N] [-servetenants N]
 //	        [-partitions "1,2,4,8"]
-//	        [-streaming] [-streamms N] [-sread N]
 //	        [-json FILE] [-check FILE] [-metrics]
 //
 // The default scale (200 stations × 180 days hourly) finishes in well under
@@ -33,12 +32,6 @@
 // coordinator (internal/coord) over N in-process partitions at each listed
 // count, every level verified element-wise identical to the single-engine
 // oracle before Q4–Q8 are timed against the 1-partition reference.
-// -streaming runs the continuous-aggregate mode: -ingest writers stream
-// durable appends at the -mixed offered rate while -sread readers issue
-// windowed-aggregate reads for a -streamms window, once with write-through
-// delta maintenance and once with invalidate-and-recompute, reporting
-// aggregate-read latency, ingest-to-visible staleness, cache accounting,
-// and the identity gate against a from-scratch resample.
 // -json writes the machine-readable BENCH_table1.json
 // baseline; -check validates an existing baseline file's schema and exits.
 // -metrics attaches the observability registry to every engine, pushes a
@@ -99,9 +92,6 @@ func main() {
 	mixedMS := flag.Int("mixedms", 100, "measured window per rep in -mixed mode, milliseconds")
 	storage := flag.Bool("storage", false, "storage mode: points-per-MB of raw vs compressed chunk layouts, cold-tier spill + scan cost, and Q1-Q8 deltas of a compressed engine")
 	partitions := flag.String("partitions", "", "partition-scaling mode: comma-separated partition counts (e.g. 1,2,4,8) for the scatter-gather coordinator, each level verified identical to the single-engine oracle")
-	streaming := flag.Bool("streaming", false, "continuous-aggregate mode: write-through delta maintenance vs invalidate-and-recompute under sustained ingest")
-	streamMS := flag.Int("streamms", 150, "measured window per leg in -streaming mode, milliseconds")
-	sread := flag.Int("sread", 4, "aggregate-read clients in -streaming mode")
 	serve := flag.Bool("serve", false, "served-workload mode: open-loop load against the network query service at levels below and above the admission limit")
 	serveRate := flag.Float64("serverate", 400, "per-tenant admitted request rate in -serve mode, req/s")
 	serveMS := flag.Int("servems", 500, "measured window per offered-load level in -serve mode, milliseconds")
@@ -230,29 +220,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "hybench: %d-partition results differ from the single-engine oracle\n", lvl.Parts)
 				os.Exit(1)
 			}
-		}
-	}
-
-	if *streaming {
-		fmt.Println()
-		rep, err := bench.RunStreaming(ctx, cfg, bench.StreamingConfig{
-			IngestClients: *ingest,
-			ReadClients:   *sread,
-			WindowMS:      *streamMS,
-		})
-		check(err)
-		fmt.Print(bench.FormatStreaming(rep))
-		baseline.Streaming = &rep
-		if !rep.Incremental.Identical || !rep.Recompute.Identical {
-			fmt.Fprintln(os.Stderr, "hybench: streamed aggregates differ from a from-scratch resample")
-			os.Exit(1)
-		}
-		if problems := bench.CheckStreaming(&rep); len(problems) > 0 {
-			fmt.Fprintln(os.Stderr, "hybench: streaming check FAIL")
-			for _, p := range problems {
-				fmt.Fprintln(os.Stderr, "  "+p)
-			}
-			os.Exit(1)
 		}
 	}
 

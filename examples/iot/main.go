@@ -13,7 +13,6 @@ import (
 
 	"hygraph/internal/core"
 	"hygraph/internal/dataset"
-	"hygraph/internal/hybridar"
 	"hygraph/internal/lpg"
 	"hygraph/internal/ts"
 )
@@ -114,11 +113,11 @@ func main() {
 	ccfg.Coupling = 0.9
 	ccfg.CouplingLag = 1
 	coupled := dataset.GenerateIoT(ccfg)
-	mcfg := hybridar.DefaultConfig(ts.Hour)
+	mcfg := DefaultConfig(ts.Hour) // hybridar.go
 	mcfg.NeighborHops = 3
 	split := ts.Time(ccfg.Hours-12) * ts.Hour
 	end := ts.Time(ccfg.Hours) * ts.Hour
-	hy, iso, err := hybridar.Evaluate(coupled.H, mcfg, 0, split, end)
+	hy, iso, err := Evaluate(coupled.H, mcfg, 0, split, end)
 	if err != nil {
 		fmt.Println("graph-coupled forecast:", err)
 		return

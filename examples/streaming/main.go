@@ -1,7 +1,9 @@
-// Streaming: requirement R3 live. Observations and structural changes
-// stream into a HyGraph instance while a continuous HyQL query re-evaluates
-// on tumbling windows — an online version of the fraud watchlist: "users
-// whose card balance collapsed within the current window".
+// Streaming: requirement R3 live. Observations, a late correction and
+// structural changes stream into a HyGraph instance while a continuous HyQL
+// query re-evaluates on tumbling windows — an online version of the fraud
+// watchlist: "users whose card balance collapsed". The drained card is
+// revoked mid-stream and its user linked to a replacement card, and the
+// alerts stop with the revocation. The ingestion layer lives in stream.go.
 //
 //	go run ./examples/streaming
 package main
@@ -14,7 +16,6 @@ import (
 	"hygraph/internal/core"
 	"hygraph/internal/hyql"
 	"hygraph/internal/lpg"
-	"hygraph/internal/stream"
 	"hygraph/internal/tpg"
 	"hygraph/internal/ts"
 )
@@ -23,24 +24,30 @@ func main() {
 	h := core.New()
 	rng := rand.New(rand.NewSource(1))
 
-	// Three users with cards; card-2 will be drained mid-stream.
-	var cards []core.VID
-	for i := 0; i < 3; i++ {
-		u, err := h.AddVertex(tpg.Always, "User")
-		check(err)
-		check(h.SetVertexProp(u, "name", lpg.Str(fmt.Sprintf("user-%d", i))))
+	// Three users with cards; card-2 will be drained mid-stream. card-3 is
+	// issued up front but linked to nobody until it replaces card-2.
+	var users, cards []core.VID
+	var uses []core.EID
+	for i := 0; i < 4; i++ {
 		seed := ts.New("balance")
 		seed.MustAppend(0, 1000)
 		c, err := h.AddTSVertexUni(seed, "CreditCard")
 		check(err)
 		check(h.SetVertexProp(c, "name", lpg.Str(fmt.Sprintf("card-%d", i))))
-		_, err = h.AddEdge(u, c, "USES", tpg.Always)
-		check(err)
 		cards = append(cards, c)
+		if i == 3 {
+			break
+		}
+		u, err := h.AddVertex(tpg.Always, "User")
+		check(err)
+		check(h.SetVertexProp(u, "name", lpg.Str(fmt.Sprintf("user-%d", i))))
+		e, err := h.AddEdge(u, c, "USES", tpg.Always)
+		check(err)
+		users, uses = append(users, u), append(uses, e)
 	}
 
-	in := stream.NewIngestor(h)
-	watch := &stream.Continuous{
+	in := NewIngestor(h)
+	watch := &Continuous{
 		Query: `
 			MATCH (u:User)-[:USES]->(c:CreditCard)
 			WHERE ts.min(c) < 0.2 * ts.mean(c)
@@ -66,14 +73,25 @@ func main() {
 			if i == 2 && hh >= 20 && hh < 24 {
 				v = 40
 			}
-			if err := in.Apply(stream.Update{Kind: stream.Append, At: at, Vertex: c, Value: v}); err != nil {
-				log.Fatal(err)
-			}
+			apply(in, Update{Kind: Append, At: at, Vertex: c, Value: v})
+		}
+		switch hh {
+		case 12: // a late correction re-sends card-0's hour-11 balance
+			apply(in, Update{Kind: Upsert, At: at - ts.Hour, Vertex: cards[0], Value: 1000})
+		case 30: // the bank revokes card-2 and links user-2 to card-3
+			apply(in, Update{Kind: EndEdge, At: at, Edge: uses[2]})
+			apply(in, Update{Kind: AddEdge, At: at, From: users[2], To: cards[3], Label: "USES"})
 		}
 	}
 	st := in.Stats()
-	fmt.Printf("\ningested %d appends across %d series; %d continuous evaluations\n",
-		st.Appended, len(cards), watch.Fires())
+	fmt.Printf("\ningested %d appends, %d correction, %d edges added and %d ended across %d series; %d continuous evaluations\n",
+		st.Appended, st.Upserted, st.EdgesAdded, st.EdgesEnded, len(cards), watch.Fires())
+}
+
+func apply(in *Ingestor, u Update) {
+	if err := in.Apply(u); err != nil {
+		log.Fatal(err)
+	}
 }
 
 func check(err error) {

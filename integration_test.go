@@ -1,8 +1,8 @@
 // Integration tests exercising full cross-module flows: dataset → storage
-// engines, dataset → HyGraph → HyQL, the fraud pipeline end to end, the
-// semantic index over a generated instance, and streaming ingestion feeding
-// continuous queries — the repository's subsystems working together the way
-// the paper's architecture diagram (Figure 1) composes them.
+// engines, dataset → HyGraph → HyQL, and the fraud pipeline end to end — the
+// repository's subsystems working together the way the paper's architecture
+// diagram (Figure 1) composes them. Streaming ingestion feeding continuous
+// queries is exercised beside its code in examples/streaming.
 package hygraph_test
 
 import (
@@ -14,10 +14,8 @@ import (
 	"hygraph/internal/core"
 	"hygraph/internal/dataset"
 	"hygraph/internal/hyql"
-	"hygraph/internal/index"
 	"hygraph/internal/pipeline"
 	"hygraph/internal/storage/ttdb"
-	"hygraph/internal/stream"
 	"hygraph/internal/ts"
 )
 
@@ -168,119 +166,6 @@ func TestPipelineAcrossScales(t *testing.T) {
 		if r.HybridMetrics.Precision() < r.GraphMetrics.Precision() {
 			t.Fatalf("users=%d: hybrid precision below graph-only", users)
 		}
-	}
-}
-
-// TestSemanticIndexOverIoT: GraphRAG-style retrieval finds the faulty
-// machines' sensors near each other.
-func TestSemanticIndexOverIoT(t *testing.T) {
-	d := dataset.GenerateIoT(dataset.DefaultIoT())
-	mid := ts.Time(d.Config.Hours/2) * ts.Hour
-	sem, err := index.BuildSemantic(d.H, index.DefaultSemantic(mid))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Combined index buckets group sensors of the same duty cycle.
-	ci := index.BuildCombined(d.H, 8, 4)
-	if len(ci.Buckets()) == 0 {
-		t.Fatal("no combined-index buckets")
-	}
-	total := 0
-	for _, b := range ci.Buckets() {
-		total += len(ci.Lookup(b))
-	}
-	if total != len(d.Sensors) {
-		t.Fatalf("indexed %d of %d sensors", total, len(d.Sensors))
-	}
-	// Faulty machines' sensors rank other faulty sensors among their
-	// semantic neighbors (their features share drift+spike signature).
-	var faultySensors []core.VID
-	for mi := range d.Machines {
-		if d.Faulty[mi] {
-			for s := 0; s < d.Config.SensorsPerMach; s++ {
-				faultySensors = append(faultySensors, d.Sensors[mi*d.Config.SensorsPerMach+s])
-			}
-		}
-	}
-	if len(faultySensors) < 2 {
-		t.Skip("not enough faulty sensors")
-	}
-	isFaulty := map[core.VID]bool{}
-	for _, s := range faultySensors {
-		isFaulty[s] = true
-	}
-	hits := 0
-	for _, s := range faultySensors {
-		peers, err := sem.Similar(s, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range peers {
-			if isFaulty[p] {
-				hits++
-				break
-			}
-		}
-	}
-	if hits < len(faultySensors)/2 {
-		t.Fatalf("only %d/%d faulty sensors found a faulty peer", hits, len(faultySensors))
-	}
-}
-
-// TestStreamingIntoQueries: stream a day of points into a generated
-// instance and watch a continuous hybrid query pick up the change.
-func TestStreamingIntoQueries(t *testing.T) {
-	data := dataset.GenerateBike(dataset.BikeConfig{
-		Stations: 5, Districts: 1, Days: 2, StepMinutes: 60, TripsPerSt: 1, Seed: 2})
-	h, stations := data.ToHyGraph()
-	// Find station 0's series vertex.
-	var tsv core.VID = -1
-	for _, e := range h.OutEdges(stations[0]) {
-		if e.Label == "HAS_SERIES" {
-			tsv = e.To
-		}
-	}
-	if tsv < 0 {
-		t.Fatal("no series vertex")
-	}
-	in := stream.NewIngestor(h)
-	fires := 0
-	c := &stream.Continuous{
-		Query: `MATCH (a:Availability) RETURN count(a) AS n`,
-		Slide: 6 * ts.Hour,
-		Emit: func(_ ts.Time, res *hyql.Result) {
-			fires++
-			// Past the generated span only the streamed series is still
-			// valid (TS validity = series time span), so each window sees
-			// exactly one live Availability vertex.
-			if n, _ := res.Rows[0][0].AsFloat(); n != 1 {
-				t.Errorf("window saw %v series vertices", n)
-			}
-		},
-	}
-	_, end := data.Span()
-	if err := in.Register(c, end); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 24; i++ {
-		at := end + ts.Time(i)*ts.Hour
-		if err := in.Apply(stream.Update{Kind: stream.Append, At: at, Vertex: tsv, Value: 20}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if fires != 3 { // windows at end+6h, +12h, +18h
-		t.Fatalf("fires=%d", fires)
-	}
-	// The streamed points are queryable through HyQL immediately.
-	res, err := hyql.NewEngine(h).Query(`
-		MATCH (a:Availability)
-		WHERE ts.len(a) > 60
-		RETURN count(a) AS grown`, end+23*ts.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rows[0][0].String() != "1" {
-		t.Fatalf("grown=%v", res.Rows[0][0])
 	}
 }
 

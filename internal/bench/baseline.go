@@ -19,9 +19,8 @@ import (
 // points-per-MB, compression ratio, cold/warm scan, Q1–Q8 deltas); v5 added
 // the partition-scaling section (scatter-gather coordinator at 1/2/4/8
 // partitions: Q4–Q8 MRS + speedup per level, oracle-identity flag); v6 added
-// the streaming section (write-through continuous aggregates under sustained
-// ingest: incremental vs recompute aggregate-read latency, read-your-writes
-// staleness, cache patch/invalidate accounting, identity gate).
+// a streaming section, since removed with the invalidate-and-recompute mode
+// it compared against — it was optional, so v6 files without it still read.
 const BaselineSchema = "hybench-table1/v6"
 
 // Baseline is the machine-readable record of one Table 1 run, written to
@@ -55,11 +54,6 @@ type Baseline struct {
 	// the scatter-gather coordinator at increasing partition counts, each
 	// level oracle-identical and timed on Q4–Q8.
 	Partitions *PartitionsReport `json:"partitions,omitempty"`
-	// Streaming is the continuous-aggregate section (hybench -streaming):
-	// write-through delta maintenance vs invalidate-and-recompute under the
-	// same sustained ingest — aggregate-read latency, read-your-writes
-	// staleness, and the identity gate against a from-scratch resample.
-	Streaming *StreamingReport `json:"streaming,omitempty"`
 }
 
 // Validate checks the structural invariants of a baseline: schema tag,
@@ -121,9 +115,6 @@ func (b *Baseline) Validate() []string {
 	}
 	if b.Partitions != nil {
 		problems = append(problems, checkPartitions(b.Partitions)...)
-	}
-	if b.Streaming != nil {
-		problems = append(problems, CheckStreaming(b.Streaming)...)
 	}
 	return problems
 }

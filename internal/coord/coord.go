@@ -77,8 +77,8 @@ type Coordinator struct {
 	factory Factory
 	parts   []*ttdb.DurablePolyglot
 	nextGid uint64
-	order   []ttdb.StationID                // gids in ingest order (ascending)
-	meta    map[ttdb.StationID]*stationMeta // by gid
+	order   []ttdb.StationID                    // gids in ingest order (ascending)
+	meta    map[ttdb.StationID]*stationMeta     // by gid
 	local2g []map[ttdb.StationID]ttdb.StationID // per-partition: local station id -> gid
 	bnd2g   []map[ttdb.StationID]ttdb.StationID // per-partition: boundary node id -> gid
 	trips   []tripRec

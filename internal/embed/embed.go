@@ -1,9 +1,8 @@
 // Package embed implements the embedding methods the paper's roadmap names
-// for HyGraph-and-AI (Table 2, row E): FastRP-style structural embeddings
-// via very sparse random projections over adjacency powers, random-walk
-// co-occurrence embeddings (node2vec-style), PCA via power iteration for
-// time-series dimensionality reduction, and hybrid embeddings concatenating
-// structural and temporal features.
+// for HyGraph-and-AI (Table 2, row E) that the Figure-4 fraud pipeline
+// (internal/pipeline) builds its hybrid embeddings from: FastRP-style
+// structural embeddings via very sparse random projections over adjacency
+// powers, and standardized time-series feature matrices.
 package embed
 
 import (
@@ -130,188 +129,6 @@ func l2NormalizeRow(row []float64) {
 	}
 }
 
-// WalkConfig configures random-walk co-occurrence embeddings.
-type WalkConfig struct {
-	Dim    int
-	Walks  int // walks per vertex
-	Length int // steps per walk
-	Window int // co-occurrence window
-	Seed   int64
-}
-
-// DefaultWalks is a small-graph configuration.
-func DefaultWalks() WalkConfig {
-	return WalkConfig{Dim: 16, Walks: 10, Length: 20, Window: 4, Seed: 1}
-}
-
-// RandomWalkEmbedding runs uniform random walks, builds the PPMI
-// co-occurrence matrix, and reduces it to cfg.Dim dimensions with PCA —
-// a deterministic, dependency-free stand-in for node2vec/DeepWalk that
-// preserves the "nearby vertices embed similarly" property.
-func RandomWalkEmbedding(g *lpg.Graph, cfg WalkConfig) (*Matrix, map[lpg.VertexID]int) {
-	ids := g.VertexIDs()
-	index := make(map[lpg.VertexID]int, len(ids))
-	for i, id := range ids {
-		index[id] = i
-	}
-	n := len(ids)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	cooc := NewMatrix(n, n)
-	for _, start := range ids {
-		for w := 0; w < cfg.Walks; w++ {
-			walk := []int{index[start]}
-			at := start
-			for step := 1; step < cfg.Length; step++ {
-				nbrs := g.Neighbors(at)
-				if len(nbrs) == 0 {
-					break
-				}
-				at = nbrs[rng.Intn(len(nbrs))]
-				walk = append(walk, index[at])
-			}
-			for i, a := range walk {
-				for j := i + 1; j <= i+cfg.Window && j < len(walk); j++ {
-					b := walk[j]
-					cooc.Data[a*n+b]++
-					cooc.Data[b*n+a]++
-				}
-			}
-		}
-	}
-	// PPMI transform.
-	var total float64
-	rowSum := make([]float64, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			rowSum[i] += cooc.At(i, j)
-		}
-		total += rowSum[i]
-	}
-	if total > 0 {
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				c := cooc.At(i, j)
-				if c == 0 || rowSum[i] == 0 || rowSum[j] == 0 {
-					continue
-				}
-				pmi := math.Log(c * total / (rowSum[i] * rowSum[j]))
-				if pmi < 0 {
-					pmi = 0
-				}
-				cooc.Set(i, j, pmi)
-			}
-		}
-	}
-	dim := cfg.Dim
-	if dim > n {
-		dim = n
-	}
-	emb := PCA(cooc, dim, cfg.Seed)
-	return emb, index
-}
-
-// PCA projects the rows of m onto its top-k principal components, computed
-// with power iteration and deflation over the covariance matrix. Rows of
-// the result are the k-dimensional scores. This is the paper's proposed
-// time-series embedding primitive (PCA-based similarity, Yang & Shahabi).
-func PCA(m *Matrix, k int, seed int64) *Matrix {
-	n, d := m.Rows, m.Cols
-	if k > d {
-		k = d
-	}
-	// Center columns.
-	centered := NewMatrix(n, d)
-	means := make([]float64, d)
-	for j := 0; j < d; j++ {
-		for i := 0; i < n; i++ {
-			means[j] += m.At(i, j)
-		}
-		means[j] /= float64(n)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < d; j++ {
-			centered.Set(i, j, m.At(i, j)-means[j])
-		}
-	}
-	rng := rand.New(rand.NewSource(seed))
-	comps := make([][]float64, 0, k)
-	work := centered
-	for c := 0; c < k; c++ {
-		v := make([]float64, d)
-		for j := range v {
-			v[j] = rng.NormFloat64()
-		}
-		l2NormalizeRow(v)
-		for iter := 0; iter < 100; iter++ {
-			// w = Xᵀ (X v): covariance-vector product without forming XᵀX.
-			xv := make([]float64, n)
-			for i := 0; i < n; i++ {
-				row := work.Row(i)
-				var s float64
-				for j := 0; j < d; j++ {
-					s += row[j] * v[j]
-				}
-				xv[i] = s
-			}
-			w := make([]float64, d)
-			for i := 0; i < n; i++ {
-				row := work.Row(i)
-				for j := 0; j < d; j++ {
-					w[j] += row[j] * xv[i]
-				}
-			}
-			prev := append([]float64(nil), v...)
-			copy(v, w)
-			// Re-orthogonalize against found components: deflation leaves
-			// floating-point residue along them that power iteration would
-			// otherwise amplify back.
-			for _, c := range comps {
-				var dot float64
-				for j := range v {
-					dot += v[j] * c[j]
-				}
-				for j := range v {
-					v[j] -= dot * c[j]
-				}
-			}
-			l2NormalizeRow(v)
-			var diff float64
-			for j := range v {
-				diff += math.Abs(v[j] - prev[j])
-			}
-			if diff < 1e-9 {
-				break
-			}
-		}
-		comps = append(comps, v)
-		// Deflate: remove the component from the data.
-		for i := 0; i < n; i++ {
-			row := work.Row(i)
-			var s float64
-			for j := 0; j < d; j++ {
-				s += row[j] * v[j]
-			}
-			for j := 0; j < d; j++ {
-				row[j] -= s * v[j]
-			}
-		}
-	}
-	out := NewMatrix(n, k)
-	for i := 0; i < n; i++ {
-		row := centered.Row(i)
-		_ = row
-		for c, v := range comps {
-			var s float64
-			orig := m.Row(i)
-			for j := 0; j < d; j++ {
-				s += (orig[j] - means[j]) * v[j]
-			}
-			out.Set(i, c, s)
-		}
-	}
-	return out
-}
-
 // SeriesFeatures builds the feature matrix of ts.Features vectors, one row
 // per series.
 func SeriesFeatures(series []*ts.Series) *Matrix {
@@ -320,20 +137,6 @@ func SeriesFeatures(series []*ts.Series) *Matrix {
 		copy(m.Row(i), s.Features())
 	}
 	return m
-}
-
-// Concat joins two matrices column-wise; both must have equal row counts.
-// This is the hybrid embedding: structural columns ++ temporal columns.
-func Concat(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		panic("embed: Concat row mismatch")
-	}
-	out := NewMatrix(a.Rows, a.Cols+b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		copy(out.Row(i)[:a.Cols], a.Row(i))
-		copy(out.Row(i)[a.Cols:], b.Row(i))
-	}
-	return out
 }
 
 // StandardizeColumns scales every column to zero mean and unit variance in
@@ -361,18 +164,4 @@ func StandardizeColumns(m *Matrix) {
 			}
 		}
 	}
-}
-
-// CosineSim returns the cosine similarity of two equal-length vectors.
-func CosineSim(a, b []float64) float64 {
-	var dot, na, nb float64
-	for i := range a {
-		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / math.Sqrt(na*nb)
 }

@@ -34,17 +34,32 @@ func meanIntraInterSim(m *Matrix, idx map[lpg.VertexID]int, a, b []lpg.VertexID)
 	var ni, nx int
 	for i := 0; i < len(a); i++ {
 		for j := i + 1; j < len(a); j++ {
-			intra += CosineSim(m.Row(idx[a[i]]), m.Row(idx[a[j]]))
+			intra += cosineSim(m.Row(idx[a[i]]), m.Row(idx[a[j]]))
 			ni++
 		}
 	}
 	for _, x := range a {
 		for _, y := range b {
-			inter += CosineSim(m.Row(idx[x]), m.Row(idx[y]))
+			inter += cosineSim(m.Row(idx[x]), m.Row(idx[y]))
 			nx++
 		}
 	}
 	return intra / float64(ni), inter / float64(nx)
+}
+
+// cosineSim returns the cosine similarity of two equal-length vectors — the
+// oracle the community-separation test scores embeddings with.
+func cosineSim(a, b []float64) float64 {
+	var dot, na, nb float64
+	for i := range a {
+		dot += a[i] * b[i]
+		na += a[i] * a[i]
+		nb += b[i] * b[i]
+	}
+	if na == 0 || nb == 0 {
+		return 0
+	}
+	return dot / math.Sqrt(na*nb)
 }
 
 func TestFastRPSeparatesCommunities(t *testing.T) {
@@ -97,83 +112,22 @@ func TestFastRPNormalization(t *testing.T) {
 	}
 }
 
-func TestRandomWalkEmbeddingSeparates(t *testing.T) {
-	g, a, b := twoCliques(6)
-	m, idx := RandomWalkEmbedding(g, DefaultWalks())
-	intra, inter := meanIntraInterSim(m, idx, a, b)
-	if intra <= inter {
-		t.Fatalf("walk embedding: intra %v <= inter %v", intra, inter)
-	}
-}
-
-func TestPCARecoveredVariance(t *testing.T) {
-	// Points on a line in 3D: first component captures everything.
-	n := 50
-	m := NewMatrix(n, 3)
-	for i := 0; i < n; i++ {
-		tt := float64(i)
-		m.Set(i, 0, 2*tt)
-		m.Set(i, 1, -tt)
-		m.Set(i, 2, 0.5*tt)
-	}
-	p := PCA(m, 2, 1)
-	if p.Rows != n || p.Cols != 2 {
-		t.Fatalf("shape %dx%d", p.Rows, p.Cols)
-	}
-	// First component scores vary; second is ~0 (all variance in one dim).
-	var v1, v2 float64
-	mean1, mean2 := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		mean1 += p.At(i, 0)
-		mean2 += p.At(i, 1)
-	}
-	mean1 /= float64(n)
-	mean2 /= float64(n)
-	for i := 0; i < n; i++ {
-		v1 += sqd(p.At(i, 0) - mean1)
-		v2 += sqd(p.At(i, 1) - mean2)
-	}
-	if v2 > v1*1e-6 {
-		t.Fatalf("second component variance %v vs first %v", v2, v1)
-	}
-	// Scores along the first component are monotone in i (up to sign).
-	inc, dec := true, true
-	for i := 1; i < n; i++ {
-		if p.At(i, 0) < p.At(i-1, 0) {
-			inc = false
-		}
-		if p.At(i, 0) > p.At(i-1, 0) {
-			dec = false
-		}
-	}
-	if !inc && !dec {
-		t.Fatal("first component not monotone along the line")
-	}
-}
-
 func sqd(x float64) float64 { return x * x }
 
-func TestSeriesFeaturesAndConcat(t *testing.T) {
+func TestSeriesFeatures(t *testing.T) {
 	s1 := ts.FromSamples("a", 0, 1, []float64{1, 2, 3, 4})
 	s2 := ts.FromSamples("b", 0, 1, []float64{4, 4, 4, 4})
 	f := SeriesFeatures([]*ts.Series{s1, s2})
 	if f.Rows != 2 || f.Cols != ts.NumFeatures {
 		t.Fatalf("shape %dx%d", f.Rows, f.Cols)
 	}
-	other := NewMatrix(2, 3)
-	c := Concat(f, other)
-	if c.Cols != ts.NumFeatures+3 {
-		t.Fatalf("concat cols=%d", c.Cols)
-	}
-	if c.At(0, 0) != f.At(0, 0) {
-		t.Fatal("concat contents")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("row-mismatched concat must panic")
+	for i, s := range []*ts.Series{s1, s2} {
+		for j, v := range s.Features() {
+			if f.At(i, j) != v {
+				t.Fatalf("row %d col %d = %v, want %v", i, j, f.At(i, j), v)
+			}
 		}
-	}()
-	Concat(f, NewMatrix(3, 1))
+	}
 }
 
 func TestStandardizeColumns(t *testing.T) {
@@ -203,16 +157,16 @@ func TestStandardizeColumns(t *testing.T) {
 }
 
 func TestCosineSim(t *testing.T) {
-	if got := CosineSim([]float64{1, 0}, []float64{1, 0}); math.Abs(got-1) > 1e-12 {
+	if got := cosineSim([]float64{1, 0}, []float64{1, 0}); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("parallel=%v", got)
 	}
-	if got := CosineSim([]float64{1, 0}, []float64{0, 1}); math.Abs(got) > 1e-12 {
+	if got := cosineSim([]float64{1, 0}, []float64{0, 1}); math.Abs(got) > 1e-12 {
 		t.Fatalf("orthogonal=%v", got)
 	}
-	if got := CosineSim([]float64{1, 0}, []float64{-1, 0}); math.Abs(got+1) > 1e-12 {
+	if got := cosineSim([]float64{1, 0}, []float64{-1, 0}); math.Abs(got+1) > 1e-12 {
 		t.Fatalf("antiparallel=%v", got)
 	}
-	if got := CosineSim([]float64{0, 0}, []float64{1, 0}); got != 0 {
+	if got := cosineSim([]float64{0, 0}, []float64{1, 0}); got != 0 {
 		t.Fatalf("zero vector=%v", got)
 	}
 }

@@ -24,6 +24,9 @@ func FuzzParse(f *testing.F) {
 		"MATCH (a) WHERE RETURN a",
 		"MATCH (a) RETURN a LIMIT 99999999999999999999",
 		"match (a) return a", // keywords are case-insensitive
+		"MATCH (a)-[*1..99999999999999999999]->(b) RETURN a",
+		"MATCH (a)-[*1.5]->(b) RETURN a",
+		"MATCH (a)-[*3..1]->(b) RETURN a",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -44,6 +47,11 @@ func FuzzParse(f *testing.F) {
 		for _, p := range q1.Patterns {
 			if len(p.Nodes) != len(p.Edges)+1 {
 				t.Fatalf("accepted %q with ragged pattern", src)
+			}
+			for _, e := range p.Edges {
+				if e.MinHops < 0 || e.MinHops > e.MaxHops || e.MaxHops > maxVarHops {
+					t.Fatalf("accepted %q with hop range %d..%d", src, e.MinHops, e.MaxHops)
+				}
 			}
 		}
 		// Rendering every return expression must not panic and must

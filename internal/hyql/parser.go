@@ -152,6 +152,24 @@ func (p *parser) parseQuery() (*Query, error) {
 	return q, nil
 }
 
+// maxVarHops is both the upper bound of a bare `*` and the largest explicit
+// hop bound a query may ask for: trail enumeration grows exponentially with
+// it and runs without a context, so the parser is what keeps a served
+// variable-length match finite.
+const maxVarHops = 8
+
+// parseHops consumes one variable-length hop bound: an integer in
+// [0, maxVarHops].
+func (p *parser) parseHops() (int, error) {
+	t := p.peek()
+	v, err := strconv.Atoi(t.text)
+	if err != nil || v < 0 || v > maxVarHops {
+		return 0, p.errf("hop bound %q is not an integer in [0, %d]", t.text, maxVarHops)
+	}
+	p.next()
+	return v, nil
+}
+
 // parsePattern parses "(a:L)-[e:T]->(b)...".
 func (p *parser) parsePattern() (*PatternPath, error) {
 	pat := &PatternPath{}
@@ -182,18 +200,26 @@ func (p *parser) parsePattern() (*PatternPath, error) {
 			}
 			if p.eat(tokSymbol, "*") {
 				// *min..max, *..max, *min.., or bare *
-				edge.MinHops, edge.MaxHops = 1, 8 // default bound keeps search finite
+				edge.MinHops, edge.MaxHops = 1, maxVarHops
 				if p.at(tokNumber, "") {
-					v, _ := strconv.Atoi(p.next().text)
-					edge.MinHops = v
-					edge.MaxHops = v
+					v, err := p.parseHops()
+					if err != nil {
+						return nil, err
+					}
+					edge.MinHops, edge.MaxHops = v, v
 				}
 				if p.eat(tokSymbol, "..") {
-					edge.MaxHops = 8
+					edge.MaxHops = maxVarHops
 					if p.at(tokNumber, "") {
-						v, _ := strconv.Atoi(p.next().text)
+						v, err := p.parseHops()
+						if err != nil {
+							return nil, err
+						}
 						edge.MaxHops = v
 					}
+				}
+				if edge.MinHops > edge.MaxHops {
+					return nil, p.errf("empty hop range *%d..%d", edge.MinHops, edge.MaxHops)
 				}
 			}
 			if err := p.expect(tokSymbol, "]"); err != nil {

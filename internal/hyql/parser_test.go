@@ -72,6 +72,48 @@ func TestParseVarLength(t *testing.T) {
 	}
 }
 
+// Variable-length hop bounds are integers in [0, maxVarHops] with min <=
+// max; anything else is a parse error, because the matcher enumerates
+// trails without a context and the parser is the only bound a served
+// request has.
+func TestParseHopBounds(t *testing.T) {
+	for _, c := range []struct {
+		hops     string
+		min, max int
+		ok       bool
+	}{
+		{"*", 1, maxVarHops, true},
+		{"*2", 2, 2, true},
+		{"*1..3", 1, 3, true},
+		{"*..4", 1, 4, true},
+		{"*3..", 3, maxVarHops, true},
+		{"*0..2", 0, 2, true},
+		{"*1..8", 1, 8, true},
+		{"*1..99999999999999999999", 0, 0, false}, // overflows int
+		{"*1.5", 0, 0, false},                     // not an integer
+		{"*3..1", 0, 0, false},                    // empty range
+		{"*1..9", 0, 0, false},                    // above the bare-* ceiling
+		{"*9", 0, 0, false},
+		{"*..9", 0, 0, false},
+	} {
+		q, err := Parse("MATCH (a)-[:T" + c.hops + "]->(b) RETURN a")
+		if !c.ok {
+			if err == nil {
+				e := q.Patterns[0].Edges[0]
+				t.Errorf("%s: parsed as %d..%d, want an error", c.hops, e.MinHops, e.MaxHops)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", c.hops, err)
+			continue
+		}
+		if e := q.Patterns[0].Edges[0]; e.MinHops != c.min || e.MaxHops != c.max {
+			t.Errorf("%s: hops %d..%d, want %d..%d", c.hops, e.MinHops, e.MaxHops, c.min, c.max)
+		}
+	}
+}
+
 func TestParseWhereExpr(t *testing.T) {
 	q := mustParse(t, `MATCH (u:User) WHERE u.age > 18 AND NOT u.name = 'bob' OR u.vip RETURN u`)
 	b, ok := q.Where.(Binary)

@@ -1,13 +1,12 @@
-// Package ml implements the classification and clustering primitives the
-// paper's roadmap assigns to HyGraph-and-AI (Table 2, rows C1 and C2):
-// k-means, k-nearest-neighbors, logistic regression, and the evaluation
-// metrics to score them against planted ground truth.
+// Package ml implements the clustering primitive and the evaluation metrics
+// the Figure-4 fraud pipeline (internal/pipeline) uses from the paper's
+// HyGraph-and-AI roadmap (Table 2, row C2): k-means, and binary
+// precision/recall/F1 to score detectors against planted ground truth.
 package ml
 
 import (
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // Euclidean returns the Euclidean distance between two vectors.
@@ -136,154 +135,6 @@ func KMeans(rows [][]float64, k int, maxIter int, seed int64) KMeansResult {
 
 func sq(x float64) float64 { return x * x }
 
-// Silhouette returns the mean silhouette coefficient of an assignment, a
-// clustering quality score in [-1, 1].
-func Silhouette(rows [][]float64, assign []int) float64 {
-	n := len(rows)
-	if n < 2 {
-		return 0
-	}
-	var total float64
-	counted := 0
-	for i := range rows {
-		var a, b float64
-		aCount := 0
-		bBest := math.Inf(1)
-		byCluster := map[int][]float64{}
-		for j := range rows {
-			if j == i {
-				continue
-			}
-			d := Euclidean(rows[i], rows[j])
-			byCluster[assign[j]] = append(byCluster[assign[j]], d)
-		}
-		for cl, ds := range byCluster {
-			m := mean(ds)
-			if cl == assign[i] {
-				a = m
-				aCount = len(ds)
-			} else if m < bBest {
-				bBest = m
-			}
-		}
-		if aCount == 0 || math.IsInf(bBest, 1) {
-			continue
-		}
-		b = bBest
-		den := math.Max(a, b)
-		if den > 0 {
-			total += (b - a) / den
-			counted++
-		}
-	}
-	if counted == 0 {
-		return 0
-	}
-	return total / float64(counted)
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// KNN is a k-nearest-neighbors classifier over dense vectors.
-type KNN struct {
-	K int
-	X [][]float64
-	Y []int
-}
-
-// NewKNN builds a classifier from training rows and integer labels.
-func NewKNN(k int, x [][]float64, y []int) *KNN { return &KNN{K: k, X: x, Y: y} }
-
-// Predict returns the majority label among the k nearest training rows
-// (ties break toward the smaller label).
-func (m *KNN) Predict(row []float64) int {
-	type nd struct {
-		d float64
-		y int
-	}
-	ns := make([]nd, len(m.X))
-	for i, x := range m.X {
-		ns[i] = nd{Euclidean(row, x), m.Y[i]}
-	}
-	sort.Slice(ns, func(i, j int) bool { return ns[i].d < ns[j].d })
-	k := m.K
-	if k > len(ns) {
-		k = len(ns)
-	}
-	votes := map[int]int{}
-	for _, n := range ns[:k] {
-		votes[n.y]++
-	}
-	best, bestC := 0, -1
-	for y, c := range votes {
-		if c > bestC || (c == bestC && y < best) {
-			best, bestC = y, c
-		}
-	}
-	return best
-}
-
-// LogReg is a binary logistic regression classifier trained with SGD.
-type LogReg struct {
-	W    []float64
-	Bias float64
-}
-
-// TrainLogReg fits binary labels (0/1) with lr learning rate, l2
-// regularization and the given epochs. Deterministic for a seed.
-func TrainLogReg(x [][]float64, y []int, lr, l2 float64, epochs int, seed int64) *LogReg {
-	if len(x) == 0 {
-		return &LogReg{}
-	}
-	d := len(x[0])
-	m := &LogReg{W: make([]float64, d)}
-	rng := rand.New(rand.NewSource(seed))
-	idx := make([]int, len(x))
-	for i := range idx {
-		idx[i] = i
-	}
-	for e := 0; e < epochs; e++ {
-		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		for _, i := range idx {
-			p := m.Prob(x[i])
-			g := p - float64(y[i])
-			for j := 0; j < d; j++ {
-				m.W[j] -= lr * (g*x[i][j] + l2*m.W[j])
-			}
-			m.Bias -= lr * g
-		}
-	}
-	return m
-}
-
-// Prob returns P(y=1 | row).
-func (m *LogReg) Prob(row []float64) float64 {
-	z := m.Bias
-	for j, w := range m.W {
-		if j < len(row) {
-			z += w * row[j]
-		}
-	}
-	return 1 / (1 + math.Exp(-z))
-}
-
-// Predict thresholds Prob at 0.5.
-func (m *LogReg) Predict(row []float64) int {
-	if m.Prob(row) >= 0.5 {
-		return 1
-	}
-	return 0
-}
-
 // BinaryMetrics holds precision/recall/F1 for the positive class.
 type BinaryMetrics struct {
 	TP, FP, TN, FN int
@@ -339,39 +190,4 @@ func (m BinaryMetrics) Accuracy() float64 {
 		return 0
 	}
 	return float64(m.TP+m.TN) / float64(total)
-}
-
-// AdjustedRandIndex scores a clustering against ground-truth classes;
-// 1 is perfect agreement, ~0 is random.
-func AdjustedRandIndex(assign, truth []int) float64 {
-	n := len(assign)
-	if n < 2 {
-		return 0
-	}
-	cont := map[[2]int]int{}
-	aCount := map[int]int{}
-	bCount := map[int]int{}
-	for i := 0; i < n; i++ {
-		cont[[2]int{assign[i], truth[i]}]++
-		aCount[assign[i]]++
-		bCount[truth[i]]++
-	}
-	choose2 := func(x int) float64 { return float64(x) * float64(x-1) / 2 }
-	var sumC, sumA, sumB float64
-	for _, c := range cont {
-		sumC += choose2(c) //hyvet:allow maporderfold choose2 of integer counts is an exact float64; adding exact integers is order-free
-	}
-	for _, c := range aCount {
-		sumA += choose2(c) //hyvet:allow maporderfold choose2 of integer counts is an exact float64; adding exact integers is order-free
-	}
-	for _, c := range bCount {
-		sumB += choose2(c) //hyvet:allow maporderfold choose2 of integer counts is an exact float64; adding exact integers is order-free
-	}
-	total := choose2(n)
-	expected := sumA * sumB / total
-	maxIdx := (sumA + sumB) / 2
-	if maxIdx == expected {
-		return 0
-	}
-	return (sumC - expected) / (maxIdx - expected)
 }

@@ -295,3 +295,18 @@ func TestConcurrentHyQLWithWrites(t *testing.T) {
 		}
 	})
 }
+
+// A variable-length hop bound the parser rejects is a 400 hyql_error, not an
+// unbounded trail enumeration on the request path.
+func TestHyQLRejectsUnboundedHops(t *testing.T) {
+	_, hs, _, _ := newTestServer(t, Limits{})
+	for _, hops := range []string{"*1..99999999999999999999", "*1.5", "*3..1"} {
+		q := "MATCH (a)-[" + hops + "]->(b) RETURN count(*)"
+		code, body, _ := doJSON(t, "POST", hs.URL+"/v1/tenants/acme/hyql",
+			map[string]any{"query": q, "at": 0}, nil)
+		e, _ := body["error"].(map[string]any)
+		if code != http.StatusBadRequest || e["code"] != "hyql_error" {
+			t.Fatalf("%s: %d %v, want 400 hyql_error", hops, code, body)
+		}
+	}
+}

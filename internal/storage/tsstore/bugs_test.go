@@ -142,12 +142,12 @@ func TestLoadSkipsZeroChunkKeys(t *testing.T) {
 	var raw bytes.Buffer
 	raw.WriteString(snapshotMagic)
 	putUvarint(&raw, snapshotVersion)
-	putUvarint(&raw, 10)      // chunk width
-	putUvarint(&raw, 1)       // one key
-	putUvarint(&raw, 7)       // entity
-	putUvarint(&raw, 5)       // metric length
-	raw.WriteString("ghost")  //
-	putUvarint(&raw, 0)       // zero chunks: deleted mid-Save
+	putUvarint(&raw, 10)     // chunk width
+	putUvarint(&raw, 1)      // one key
+	putUvarint(&raw, 7)      // entity
+	putUvarint(&raw, 5)      // metric length
+	raw.WriteString("ghost") //
+	putUvarint(&raw, 0)      // zero chunks: deleted mid-Save
 	db, err := Load(&raw)
 	if err != nil {
 		t.Fatal(err)

@@ -139,6 +139,25 @@ func TestResampleCache(t *testing.T) {
 	if after.Len() != first.Len()+1 {
 		t.Fatalf("post-write downsample stale: %d vs %d buckets", after.Len(), first.Len())
 	}
+
+	// DeleteSeries invalidates exactly the deleted series' entries; the
+	// other series' entry still hits, and deleting the now-absent key drops
+	// nothing.
+	cached := len(db.shard(keys[0]).ridx[keys[0]])
+	if cached != 4 {
+		t.Fatalf("series 0 has %d cached windows, want 4", cached)
+	}
+	preDel := db.ResampleCacheStats()
+	db.DeleteSeries(keys[0])
+	db.DeleteSeries(keys[0])
+	st7 := db.ResampleCacheStats()
+	if st7.Invalidations-preDel.Invalidations != int64(cached) {
+		t.Fatalf("DeleteSeries invalidated %d entries, want %d", st7.Invalidations-preDel.Invalidations, cached)
+	}
+	db.Downsample(keys[1], 0, end, ts.Day, ts.AggMean)
+	if st8 := db.ResampleCacheStats(); st8.Hits-st7.Hits != 1 || st8.Misses != st7.Misses {
+		t.Fatalf("other series' entry lost to the delete: %+v vs %+v", st8, st7)
+	}
 }
 
 // CorrelateResampled must agree with ts.Correlation over the same window

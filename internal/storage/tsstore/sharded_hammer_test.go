@@ -8,20 +8,48 @@ import (
 	"hygraph/internal/ts"
 )
 
+// hammerBatch is the bulk writer's InsertSeries input for one entity: ten
+// points on half-minute offsets, which no single-point writer uses, so the
+// final store contents do not depend on interleaving.
+func hammerBatch(e, perWrite int) *ts.Series {
+	s := ts.New("bulk")
+	for j := 0; j < 10; j++ {
+		s.MustAppend(ts.Time(j*perWrite/10)*ts.Minute+30*ts.Second, float64(e+j))
+	}
+	return s
+}
+
 // Race-detector hammer: writers spread over every stripe while aggregate
 // scans, point reads, and cached downsamples run against the same store.
 // Correctness of the concurrent phase is checked after quiescence by
 // replaying the identical inserts into a single-stripe reference store and
-// comparing the merged insertion-order fold element by element.
+// comparing the merged insertion-order fold element by element, and by
+// checking every write-through-maintained downsample window against a
+// from-scratch resample.
 func TestShardedIngestQueryHammer(t *testing.T) {
 	const (
 		writers  = 4
 		readers  = 4
 		perWrite = 300
+		entities = 64
 	)
 	db := NewSharded(ts.Hour, 8)
+	end := ts.Time(perWrite) * ts.Minute
+	keys := make([]SeriesKey, entities)
+	for e := range keys {
+		keys[e] = SeriesKey{Entity: uint32(e), Metric: "m"}
+		// Warm every reader window up front so each write below patches it.
+		db.Downsample(keys[e], 0, end, 10*ts.Minute, ts.AggMean)
+	}
 
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // one bulk writer
+		defer wg.Done()
+		for e, key := range keys {
+			db.InsertSeries(key, hammerBatch(e, perWrite))
+		}
+	}()
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -59,6 +87,9 @@ func TestShardedIngestQueryHammer(t *testing.T) {
 			ref.Insert(key, ts.Time(i)*ts.Minute, float64(w*i))
 		}
 	}
+	for e, key := range keys {
+		ref.InsertSeries(key, hammerBatch(e, perWrite))
+	}
 	got := db.AggregateAll("m", 0, ts.Time(perWrite)*ts.Minute)
 	want := ref.AggregateAll("m", 0, ts.Time(perWrite)*ts.Minute)
 	if len(got) != len(want) {
@@ -72,6 +103,17 @@ func TestShardedIngestQueryHammer(t *testing.T) {
 		if gs.Count != ws.Count || gs.Min != ws.Min || gs.Max != ws.Max {
 			t.Fatalf("entity %d: got %+v want %+v", e, gs, ws)
 		}
+	}
+
+	// Every warmed window was maintained by patches alone — appends never
+	// invalidate — and still serves a hit equal to a from-scratch resample.
+	st := db.ResampleCacheStats()
+	if st.Patches == 0 || st.Invalidations != 0 {
+		t.Fatalf("write-through accounting: %+v, want patches > 0 and no invalidations", st)
+	}
+	checkWindows(t, db, keys, []streamWindow{{0, end, 10 * ts.Minute, ts.AggMean}}, "quiesced")
+	if after := db.ResampleCacheStats(); after.Misses != st.Misses {
+		t.Fatalf("a warmed window was lost: %d misses, want %d", after.Misses, st.Misses)
 	}
 }
 

@@ -183,11 +183,11 @@ type resampleKey struct {
 // rcEntry is one continuous aggregate: an incrementally maintained
 // resampled view (ts.ContAgg) plus its cache key and its position in the
 // shard's key list, kept in sync so random eviction, invalidation, and
-// write-through patching are all cheap. In write-through mode a write
-// inside the entry's window routes to the owning bucket and patches it in
-// place; only std/median tail appends and backfills mark the bucket dirty,
-// and those are finalized lazily — a bounded bucket-local rescan — the
-// next time the entry is read (see docs/STREAMING.md).
+// write-through patching are all cheap. A write inside the entry's window
+// routes to the owning bucket and patches it in place; only std/median
+// tail appends and backfills mark the bucket dirty, and those are
+// finalized lazily — a bounded bucket-local rescan — the next time the
+// entry is read (see docs/STREAMING.md).
 type rcEntry struct {
 	rk  resampleKey
 	ca  *ts.ContAgg
@@ -204,7 +204,7 @@ const maxResampleCache = 1024
 type CacheStats struct {
 	Hits          int64
 	Misses        int64
-	Invalidations int64 // entries dropped by writes to their series
+	Invalidations int64 // entries dropped by DeleteSeries of their series
 	Evictions     int64 // entries dropped by random eviction at capacity
 	Patches       int64 // write-through in-place bucket updates
 }
@@ -221,9 +221,9 @@ type tsShard struct {
 	seqs []uint64    // global insertion sequence per key, for merged iteration
 
 	rcache map[resampleKey]*rcEntry
-	rkeys  []resampleKey // parallel key list for O(1) random eviction
-	ridx   map[SeriesKey][]*rcEntry // per-series entry list for write-through patching
-	rng    uint64        // deterministic xorshift state for eviction picks
+	rkeys  []resampleKey            // parallel key list for O(1) random eviction
+	ridx   map[SeriesKey][]*rcEntry // per-series entries: write-through patching, DeleteSeries invalidation
+	rng    uint64                   // deterministic xorshift state for eviction picks
 
 	// bc memoizes decoded blocks of sealed chunks. It carries its own lock
 	// (see blockCache) so read paths holding only mu's read side can still
@@ -261,19 +261,6 @@ type DB struct {
 	// read failure). Scans return no points for the affected chunk; callers
 	// observe the condition via Err().
 	deg errLatch
-
-	// writeThrough selects continuous-aggregate maintenance: writes patch
-	// cached resample entries in place instead of evicting them. On by
-	// default; SetWriteThrough(false) restores invalidate-and-recompute
-	// (the bench's comparison baseline). Set before the store is shared.
-	writeThrough bool
-
-	// observers is the copy-on-write subscriber list (observe.go): the
-	// notify path is one atomic load under the owning shard's write lock,
-	// so an empty registry costs the write path nothing. subMu serializes
-	// Subscribe/Unsubscribe.
-	observers atomic.Pointer[[]Observer]
-	subMu     sync.Mutex
 
 	// Cache counters are atomics so the hit path stays on the read lock.
 	cacheHits, cacheMisses, cacheInvalidations, cacheEvictions, cachePatches atomic.Int64
@@ -332,12 +319,11 @@ func NewSharded(chunkWidth ts.Time, shards int) *DB {
 		n <<= 1
 	}
 	db := &DB{
-		chunkWidth:   chunkWidth,
-		mask:         uint32(n - 1),
-		shards:       make([]tsShard, n),
-		shardCap:     maxResampleCache / n,
-		compress:     true,
-		writeThrough: true,
+		chunkWidth: chunkWidth,
+		mask:       uint32(n - 1),
+		shards:     make([]tsShard, n),
+		shardCap:   maxResampleCache / n,
+		compress:   true,
 	}
 	if db.shardCap < 1 {
 		db.shardCap = 1
@@ -364,14 +350,6 @@ func NewSharded(chunkWidth ts.Time, shards int) *DB {
 // Disabling it yields the pre-compression raw layout — the baseline the
 // storage benchmark and the differential battery compare against.
 func (db *DB) SetCompress(on bool) { db.compress = on }
-
-// SetWriteThrough toggles continuous-aggregate maintenance of the resample
-// cache. On (the default), writes patch every cached window that covers
-// them in place; off restores the invalidate-and-recompute behaviour — the
-// baseline the streaming benchmark and the differential battery compare
-// against. Call before the store is shared: the flag is read on every
-// write path without synchronization.
-func (db *DB) SetWriteThrough(on bool) { db.writeThrough = on }
 
 // Err returns the first permanent storage error the store latched (corrupt
 // compressed block, spill-file read failure). While non-nil, scans over the
@@ -493,25 +471,18 @@ func (db *DB) slotOf(t ts.Time) int64 {
 	return s
 }
 
-// Insert adds one point. Upserts on duplicate timestamps. Applied writes
-// patch the covering continuous-aggregate entries in place (or, with
-// write-through off, invalidate them) and fan out to subscribed observers
-// before the shard lock is released, so a read that follows the insert —
-// from any goroutine — sees the aggregate including the new point.
+// Insert adds one point. Upserts on duplicate timestamps. An applied write
+// patches the covering continuous-aggregate entries in place before the
+// shard lock is released, so a read that follows the insert — from any
+// goroutine — sees the aggregate including the new point.
 func (db *DB) Insert(key SeriesKey, t ts.Time, v float64) {
 	db.obs.writes.Inc()
 	sh := db.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if !sh.insertLocked(db, key, t, v) {
-		return
-	}
-	if db.writeThrough {
+	if sh.insertLocked(db, key, t, v) {
 		sh.patchLocked(db, key, t, v)
-	} else {
-		sh.invalidateLocked(db, key)
 	}
-	sh.notifyLocked(db, MutPoint, key, t, v)
 }
 
 // insertLocked applies one point, reporting false when the write was
@@ -634,8 +605,8 @@ func (sh *tsShard) chunkPoints(db *DB, key SeriesKey, c *chunk) ([]ts.Time, []fl
 }
 
 // InsertSeries bulk-loads a whole series under the key. Each applied point
-// routes through the continuous aggregates and the observer fan-out in
-// order, exactly as the equivalent sequence of Inserts would.
+// routes through the continuous aggregates in order, exactly as the
+// equivalent sequence of Inserts would.
 func (db *DB) InsertSeries(key SeriesKey, src *ts.Series) {
 	db.obs.writes.Inc()
 	sh := db.shard(key)
@@ -643,16 +614,9 @@ func (db *DB) InsertSeries(key SeriesKey, src *ts.Series) {
 	defer sh.mu.Unlock()
 	for i := 0; i < src.Len(); i++ {
 		t, v := src.TimeAt(i), src.ValueAt(i)
-		if !sh.insertLocked(db, key, t, v) {
-			continue
-		}
-		if db.writeThrough {
+		if sh.insertLocked(db, key, t, v) {
 			sh.patchLocked(db, key, t, v)
 		}
-		sh.notifyLocked(db, MutPoint, key, t, v)
-	}
-	if !db.writeThrough {
-		sh.invalidateLocked(db, key)
 	}
 }
 
@@ -680,20 +644,20 @@ func (db *DB) DeleteSeries(key SeriesKey) bool {
 			break
 		}
 	}
-	sh.notifyLocked(db, MutDeleteSeries, key, 0, 0)
 	return true
 }
 
-// invalidateLocked drops every cached resample derived from the series.
-// Resample entries live in the shard of their series key, so invalidation
-// never has to look outside the shard. Callers hold the write lock.
+// invalidateLocked drops every cached resample derived from the series,
+// walking the series' own entry list — O(its entries), so deleting a key
+// with nothing cached costs one map lookup. Resample entries live in the
+// shard of their series key, so invalidation never has to look outside the
+// shard. Callers hold the write lock.
 func (sh *tsShard) invalidateLocked(db *DB, key SeriesKey) {
-	for rk := range sh.rcache {
-		if rk.key == key {
-			sh.removeCacheEntryLocked(rk)
-			db.cacheInvalidations.Add(1)
-			db.obs.cacheInvalidations.Inc()
-		}
+	for es := sh.ridx[key]; len(es) > 0; es = sh.ridx[key] {
+		// Removing the head swaps the list's tail into slot 0 and shrinks it.
+		sh.removeCacheEntryLocked(es[0].rk)
+		db.cacheInvalidations.Add(1)
+		db.obs.cacheInvalidations.Inc()
 	}
 }
 
@@ -1128,9 +1092,9 @@ func (db *DB) TopKByMean(metric string, start, end ts.Time, k int) []uint32 {
 // aggregation — a continuous-aggregate style query. Results are memoized per
 // (series, range, bucket, aggregation) in the series' shard: repeated
 // downsampling, as issued by correlation queries and dashboard-style refresh
-// loops, hits the warm entry until a write to the series invalidates it or
-// random eviction reclaims the slot. The returned series is a copy the
-// caller owns.
+// loops, hits the warm entry — writes inside its window patch it in place —
+// until DeleteSeries invalidates it or random eviction reclaims the slot.
+// The returned series is a copy the caller owns.
 func (db *DB) Downsample(key SeriesKey, start, end, bucket ts.Time, agg ts.AggFunc) *ts.Series {
 	db.obs.reads.Inc()
 	rk := resampleKey{key: key, start: start, end: end, bucket: bucket, agg: agg}

@@ -198,130 +198,3 @@ func TestStreamingDifferentialInterleavings(t *testing.T) {
 		checkWindows(t, db2, keys, windows, "post-load continued")
 	}
 }
-
-// countingObserver tallies deliveries and verifies Scan sees the mutation.
-type countingObserver struct {
-	points, deletes int
-	lastSeen        float64
-}
-
-func (o *countingObserver) OnMutation(m Mutation) {
-	switch m.Kind {
-	case MutPoint:
-		o.points++
-		m.Scan(m.T, m.T+1, func(_ ts.Time, v float64) { o.lastSeen = v })
-	case MutDeleteSeries:
-		o.deletes++
-	}
-}
-
-// Observers see every applied point exactly once — either via the seed or
-// via a mutation — in apply order, with the store already reflecting it.
-func TestObserverSeedAndDelivery(t *testing.T) {
-	db := New(ts.Day)
-	key := SeriesKey{Entity: 1, Metric: "m"}
-	for i := 0; i < 50; i++ {
-		db.Insert(key, ts.Time(i), float64(i))
-	}
-
-	seeded := 0
-	o := &countingObserver{}
-	db.Subscribe(o, func(v SeedView) {
-		for _, k := range v.Keys() {
-			v.Scan(k, 0, ts.MaxTime, func(ts.Time, float64) { seeded++ })
-		}
-	})
-	if seeded != 50 {
-		t.Fatalf("seed saw %d points, want 50", seeded)
-	}
-	if db.NumObservers() != 1 {
-		t.Fatalf("NumObservers = %d", db.NumObservers())
-	}
-
-	for i := 50; i < 70; i++ {
-		db.Insert(key, ts.Time(i), float64(i))
-	}
-	if o.points != 20 {
-		t.Fatalf("delivered %d mutations, want 20", o.points)
-	}
-	if o.lastSeen != 69 {
-		t.Fatalf("Scan inside OnMutation saw %v, want 69 (store must reflect the write)", o.lastSeen)
-	}
-	db.DeleteSeries(key)
-	if o.deletes != 1 {
-		t.Fatalf("deletes = %d", o.deletes)
-	}
-	db.Unsubscribe(o)
-	db.Insert(key, 1000, 1)
-	if o.points != 20 {
-		t.Fatal("unsubscribed observer still receives deliveries")
-	}
-}
-
-// Crash recovery: replaying the WAL into a fresh store and re-subscribing
-// (the rebuild contract) yields observer state identical to a subscriber
-// that lived through the original writes.
-func TestRecoveryRebuildsSubscriptions(t *testing.T) {
-	var log bytes.Buffer
-	db := New(ts.Hour)
-	wal := NewWAL(db, &log)
-	key := SeriesKey{Entity: 7, Metric: "avail"}
-
-	live := &sumObserver{}
-	db.Subscribe(live, nil)
-	rng := rand.New(rand.NewSource(99))
-	cur := ts.Time(0)
-	for i := 0; i < 200; i++ {
-		if rng.Intn(5) == 0 { // out-of-order
-			if err := wal.Insert(key, ts.Time(rng.Intn(int(cur+2))), rng.Float64()*10); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			cur += ts.Time(1 + rng.Intn(900000))
-			if err := wal.Insert(key, cur, rng.Float64()*10); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := wal.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	// "Crash": rebuild from the log alone, then re-subscribe and seed.
-	db2 := New(ts.Hour)
-	if _, err := Replay(db2, bytes.NewReader(log.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	rebuilt := &sumObserver{}
-	db2.Subscribe(rebuilt, func(v SeedView) {
-		for _, k := range v.Keys() {
-			v.Scan(k, 0, ts.MaxTime, func(pt ts.Time, val float64) { rebuilt.add(pt, val) })
-		}
-	})
-	if live.n != rebuilt.n || math.Abs(live.sum-rebuilt.sum) > 1e-9 {
-		t.Fatalf("rebuilt observer state diverged: live (n=%d sum=%v) vs rebuilt (n=%d sum=%v)",
-			live.n, live.sum, rebuilt.n, rebuilt.sum)
-	}
-	// Both stores agree on the maintained aggregates too.
-	end := cur + ts.Hour
-	a := db.Downsample(key, 0, end, ts.Hour, ts.AggMean)
-	b := db2.Downsample(key, 0, end, ts.Hour, ts.AggMean)
-	if !sameResample(a, b) {
-		t.Fatal("recovered downsample diverged from original")
-	}
-}
-
-// sumObserver folds delivered points into (count, sum) — enough state to
-// detect any lost, duplicated, or reordered delivery in expectation.
-type sumObserver struct {
-	n   int
-	sum float64
-}
-
-func (o *sumObserver) add(_ ts.Time, v float64) { o.n++; o.sum += v }
-
-func (o *sumObserver) OnMutation(m Mutation) {
-	if m.Kind == MutPoint {
-		o.add(m.T, m.V)
-	}
-}

@@ -6,11 +6,11 @@ import (
 )
 
 // ContAgg maintains the resampled view of one series incrementally: the
-// continuous-aggregate core shared by the tsstore resample cache and the
-// stream layer's materialized aggregates. The materialized output is, at
-// every quiescent point, element-wise identical to
-// raw.Resample(width, agg) over the observed points — not merely within
-// tolerance. Exactness comes from preserving fold order:
+// continuous-aggregate core behind the tsstore write-through resample
+// cache. The materialized output is, at every quiescent point,
+// element-wise identical to raw.Resample(width, agg) over the observed
+// points — not merely within tolerance. Exactness comes from preserving
+// fold order:
 //
 //   - A point past the watermark (a tail append) extends the per-bucket
 //     left fold Apply performs: sum/count/mean accumulate the same
@@ -200,16 +200,6 @@ func (c *ContAgg) DirtyBuckets() []Time {
 	return bs
 }
 
-// Width returns the bucket width.
-func (c *ContAgg) Width() Time { return c.width }
-
-// Agg returns the aggregation function.
-func (c *ContAgg) Agg() AggFunc { return c.agg }
-
-// Watermark returns the largest observed timestamp; ok is false before the
-// first point.
-func (c *ContAgg) Watermark() (Time, bool) { return c.wm, c.hasWM }
-
 // Finalize recomputes one dirty bucket from vals — the bucket's point
 // values in time order, as rescanned by the owner. An empty rescan removes
 // the bucket (the owner deleted its points).
@@ -236,8 +226,5 @@ func (c *ContAgg) Finalize(b Time, vals []float64) {
 
 // View returns the live materialized series. The caller owns the
 // aggregator and must not read it while buckets are dirty or mutate the
-// result; use Snapshot for an owned copy.
+// result; clone it for an owned copy.
 func (c *ContAgg) View() *Series { return c.out }
-
-// Snapshot returns an owned copy of the materialized view.
-func (c *ContAgg) Snapshot() *Series { return c.out.Clone() }

@@ -10,8 +10,7 @@ import (
 // each dirty bucket from the authoritative series and feed the values back.
 func finalizeDirty(c *ContAgg, raw *Series) {
 	for _, b := range c.DirtyBuckets() {
-		w := c.Width()
-		view := raw.SliceView(b, b+w)
+		view := raw.SliceView(b, b+c.width)
 		vals := make([]float64, 0, view.Len())
 		for i := 0; i < view.Len(); i++ {
 			vals = append(vals, view.ValueAt(i))
@@ -112,8 +111,8 @@ func TestContAggSeed(t *testing.T) {
 		if !sameSeries(c.View(), raw.Resample(60, agg)) {
 			t.Fatalf("agg=%v: seeded view != Resample", agg)
 		}
-		if wm, ok := c.Watermark(); !ok || wm != raw.End() {
-			t.Fatalf("agg=%v: watermark %v/%v, want %v", agg, wm, ok, raw.End())
+		if !c.hasWM || c.wm != raw.End() {
+			t.Fatalf("agg=%v: watermark %v/%v, want %v", agg, c.wm, c.hasWM, raw.End())
 		}
 		// Continue past the seed.
 		for i := 0; i < 50; i++ {
@@ -145,7 +144,7 @@ func TestContAggGapAndEmptyFinalize(t *testing.T) {
 	want.MustAppend(0, 1)
 	want.MustAppend(10, 3)
 	want.MustAppend(30, 2)
-	got := c.Snapshot()
+	got := c.View()
 	if got.Len() != 3 {
 		t.Fatalf("got %d buckets", got.Len())
 	}
