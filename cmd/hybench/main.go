@@ -5,10 +5,8 @@
 // Usage:
 //
 //	hybench [-scale small|default|paper] [-reps N] [-stations N] [-days N]
-//	        [-parallel] [-workers N] [-clients N] [-ops N]
-//	        [-mixed] [-ingest N] [-query N] [-mixedms N] [-shapemin X]
-//	        [-serve] [-serverate R] [-servems N] [-servetenants N]
-//	        [-partitions "1,2,4,8"]
+//	        [-parallel] [-workers N] [-storage] [-partitions "1,2,4,8"]
+//	        [-shapemin X]
 //	        [-json FILE] [-check FILE] [-metrics]
 //
 // The default scale (200 stations × 180 days hourly) finishes in well under
@@ -17,17 +15,10 @@
 //
 // -parallel additionally times the polyglot engine's Q4–Q8 sequential vs
 // fanned out over the worker pool (-workers, default GOMAXPROCS) and
-// verifies both modes return identical results. -clients N runs the
-// concurrent-client throughput mode: N goroutines issuing the Q1–Q8 mix,
-// -ops queries each. -mixed runs the mixed read/write scaling comparison —
-// -ingest writer clients streaming durable appends alongside -query reader
-// clients for a -mixedms window, once on the single-stripe per-record-flush
-// baseline and once on sharded stores with WAL group commit.
-// -serve runs the served-workload mode: it boots the network
-// query service (internal/server) on a loopback port and drives an
-// open-loop load generator at offered rates below and above the admission
-// limit, reporting served QPS, latency quantiles, shed rate and
-// deadline-miss rate per level.
+// verifies both modes return identical results.
+// -storage measures points-per-MB of the raw vs compressed chunk layouts,
+// the cold-tier spill and scan cost, and the Q1–Q8 deltas of a compressed
+// engine.
 // -partitions runs the partition-scaling mode: the scatter-gather
 // coordinator (internal/coord) over N in-process partitions at each listed
 // count, every level verified element-wise identical to the single-engine
@@ -84,18 +75,8 @@ func main() {
 	days := flag.Int("days", 0, "override number of days")
 	parallel := flag.Bool("parallel", false, "also compare sequential vs parallel Q4-Q8 on the polyglot engine")
 	workers := flag.Int("workers", 0, "fan-out width for -parallel and Table 1 queries (0 = GOMAXPROCS for -parallel, sequential otherwise)")
-	clients := flag.Int("clients", 0, "concurrent-client throughput mode: N goroutines issuing the Q1-Q8 mix")
-	ops := flag.Int("ops", 32, "queries per client in throughput mode")
-	mixed := flag.Bool("mixed", false, "mixed read/write scaling: single-lock baseline vs sharded stores with WAL group commit")
-	ingest := flag.Int("ingest", 4, "ingest clients in -mixed mode")
-	query := flag.Int("query", 4, "query clients in -mixed mode")
-	mixedMS := flag.Int("mixedms", 100, "measured window per rep in -mixed mode, milliseconds")
 	storage := flag.Bool("storage", false, "storage mode: points-per-MB of raw vs compressed chunk layouts, cold-tier spill + scan cost, and Q1-Q8 deltas of a compressed engine")
 	partitions := flag.String("partitions", "", "partition-scaling mode: comma-separated partition counts (e.g. 1,2,4,8) for the scatter-gather coordinator, each level verified identical to the single-engine oracle")
-	serve := flag.Bool("serve", false, "served-workload mode: open-loop load against the network query service at levels below and above the admission limit")
-	serveRate := flag.Float64("serverate", 400, "per-tenant admitted request rate in -serve mode, req/s")
-	serveMS := flag.Int("servems", 500, "measured window per offered-load level in -serve mode, milliseconds")
-	serveTenants := flag.Int("servetenants", 2, "tenant namespaces under load in -serve mode")
 	shapeMin := flag.Float64("shapemin", 50, "minimum Q4-Q6/Q8 speedup the Table 1 shape check enforces (lower it for -scale small smokes)")
 	jsonPath := flag.String("json", "", "write the machine-readable baseline to this file")
 	checkPath := flag.String("check", "", "validate an existing baseline file's schema and exit")
@@ -173,22 +154,6 @@ func main() {
 		}
 	}
 
-	if *clients > 0 {
-		fmt.Println()
-		rep, err := bench.Throughput(ctx, cfg, *clients, *ops)
-		check(err)
-		fmt.Println(bench.FormatThroughput(rep))
-		baseline.Throughput = &rep
-	}
-
-	if *mixed {
-		fmt.Println()
-		cmp, err := bench.RunMixed(ctx, cfg, *ingest, *query, *mixedMS)
-		check(err)
-		fmt.Print(bench.FormatMixed(cmp))
-		baseline.Mixed = &cmp
-	}
-
 	if *storage {
 		fmt.Println()
 		rep, err := bench.RunStorage(ctx, cfg)
@@ -221,18 +186,6 @@ func main() {
 				os.Exit(1)
 			}
 		}
-	}
-
-	if *serve {
-		fmt.Println()
-		rep, err := bench.RunServe(ctx, bench.ServeConfig{
-			Tenants:       *serveTenants,
-			RatePerTenant: *serveRate,
-			WindowMS:      *serveMS,
-		})
-		check(err)
-		fmt.Print(bench.FormatServe(rep))
-		baseline.Serve = &rep
 	}
 
 	if *metrics {

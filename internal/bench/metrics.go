@@ -64,6 +64,31 @@ func DurableExercise(ctx context.Context, cfg Config, reg *obs.Registry) error {
 	return nil
 }
 
+// preload durably ingests the stations and the trips among them, returning
+// the station ids in the given order.
+func preload(ctx context.Context, d *ttdb.DurablePolyglot, stations []dataset.BikeStation, trips []dataset.BikeTrip) ([]ttdb.StationID, error) {
+	ids := make([]ttdb.StationID, len(stations))
+	for i, st := range stations {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		id, err := d.IngestStation(st.Name, st.District, st.Availability)
+		if err != nil {
+			return nil, fmt.Errorf("bench: preload %s: %w", st.Name, err)
+		}
+		ids[i] = id
+	}
+	for _, tr := range trips {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if err := d.AddTrip(ids[tr.From], ids[tr.To], tr.Count); err != nil {
+			return nil, fmt.Errorf("bench: preload trip: %w", err)
+		}
+	}
+	return ids, nil
+}
+
 // CheckMetrics verifies that a snapshot from an instrumented benchmark run
 // (Run + RunParallel + DurableExercise sharing one registry) shows every
 // subsystem actually reporting: nonzero per-query timers on both engines,

@@ -114,10 +114,11 @@ func BenchmarkAggregateSharded(b *testing.B) {
 	}
 }
 
-// BenchmarkMixedReadWrite interleaves durable appends with reads (7 cheap
-// point reads + 1 fan-out aggregate per 8-op cycle, mirroring the mixed
-// bench's query mix) on every goroutine. Run with -cpu 1,4,8: the single
-// stripe serializes readers behind each writer, the striped store does not.
+// BenchmarkMixedReadWrite interleaves durable appends with reads (per 8-op
+// cycle: 4 appends, 3 Q3 point reads, 1 Q4 fan-out aggregate) on every
+// goroutine — the repo's single-stripe vs striped group-commit read/write
+// comparison. Run with -cpu 1,4,8: the single stripe serializes readers
+// behind each writer, the striped store does not.
 func BenchmarkMixedReadWrite(b *testing.B) {
 	for _, p := range []struct{ shards, group int }{
 		{1, 1},

@@ -5,6 +5,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"hygraph/internal/storage/ttdb"
 )
 
 func TestRunParallelIdenticalResults(t *testing.T) {
@@ -33,25 +35,6 @@ func TestRunParallelIdenticalResults(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("format missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestThroughput(t *testing.T) {
-	rep, err := Throughput(context.Background(), tinyConfig(), 4, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.TotalOps != 24 || rep.Clients != 4 || rep.OpsPerClient != 6 {
-		t.Fatalf("report %+v", rep)
-	}
-	if rep.ElapsedMS <= 0 || rep.OpsPerSec <= 0 {
-		t.Fatalf("degenerate timing %+v", rep)
-	}
-	if !strings.Contains(FormatThroughput(rep), "q/s") {
-		t.Fatalf("format: %s", FormatThroughput(rep))
-	}
-	if _, err := Throughput(context.Background(), tinyConfig(), 0, 5); err == nil {
-		t.Fatal("zero clients accepted")
 	}
 }
 
@@ -93,5 +76,27 @@ func TestBaselineRoundTripAndValidate(t *testing.T) {
 	}
 	if _, err := ReadBaseline(strings.NewReader(`{garbage`)); err == nil {
 		t.Fatal("garbage parsed")
+	}
+}
+
+// A section the code no longer knows must fail -check rather than pass as a
+// valid baseline: each key below was once a hybench section.
+func TestReadBaselineRejectsUnknownSection(t *testing.T) {
+	b := &Baseline{Schema: BaselineSchema, Config: tinyConfig()}
+	for op := ttdb.OpQ1; op <= ttdb.OpQ8; op++ {
+		b.Rows = append(b.Rows, Row{Query: op.String()})
+	}
+	var buf bytes.Buffer
+	if err := WriteBaseline(&buf, b); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadBaseline(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("valid baseline rejected: %v", err)
+	}
+	for _, key := range []string{"mixed", "serve", "throughput", "streaming"} {
+		stale := strings.Replace(buf.String(), "{", `{"`+key+`": {},`, 1)
+		if _, err := ReadBaseline(strings.NewReader(stale)); err == nil {
+			t.Errorf("baseline with a stale %q section read cleanly", key)
+		}
 	}
 }

@@ -49,6 +49,11 @@ type PartitionsReport struct {
 	Levels []PartitionLevel `json:"levels"`
 }
 
+// scalingGateProcs is the GOMAXPROCS below which checkPartitions drops its
+// monotone-speedup gate: with fewer cores the fan-out serializes and a
+// speedup regression says nothing about the coordinator.
+const scalingGateProcs = 4
+
 // RunPartitions loads the single-engine oracle once and the coordinator at
 // each partition count, verifies element-wise identity of the Q1–Q8 answers,
 // and times Q4–Q8 (fanoutOps) per level.
@@ -179,6 +184,9 @@ func FormatPartitions(r PartitionsReport) string {
 				parts, row.Query, row.MRS, row.CV, row.Speedup, lvl.Identical, row.Desc)
 		}
 	}
+	if r.Procs < scalingGateProcs {
+		fmt.Fprintf(&b, "scaling gate: skipped — needs ≥%d procs, have %d\n", scalingGateProcs, r.Procs)
+	}
 	return b.String()
 }
 
@@ -186,8 +194,8 @@ func FormatPartitions(r PartitionsReport) string {
 // section: the 1-partition reference leads at least two strictly increasing
 // levels, every level is element-wise identical to the oracle, all timings
 // are finite, and — on boxes with enough cores for the fan-out to mean
-// anything (Procs ≥ 4) — the Q4–Q8 speedup grows monotonically with the
-// partition count (2% measurement-noise allowance).
+// anything (Procs ≥ scalingGateProcs) — the Q4–Q8 speedup grows
+// monotonically with the partition count (2% measurement-noise allowance).
 func checkPartitions(r *PartitionsReport) []string {
 	var problems []string
 	if r.Procs < 1 {
@@ -234,7 +242,7 @@ func checkPartitions(r *PartitionsReport) []string {
 			}
 		}
 	}
-	if r.Procs >= 4 && len(r.Levels) >= 2 {
+	if r.Procs >= scalingGateProcs && len(r.Levels) >= 2 {
 		for qi, q := range fanoutOps {
 			for li := 1; li < len(r.Levels); li++ {
 				if len(r.Levels[li].Rows) != len(fanoutOps) || len(r.Levels[li-1].Rows) != len(fanoutOps) {

@@ -4,7 +4,13 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"hygraph/internal/dataset"
 )
+
+func tinyBike() dataset.BikeConfig {
+	return dataset.BikeConfig{Stations: 12, Districts: 3, Days: 3, StepMinutes: 60, TripsPerSt: 2, Seed: 7}
+}
 
 // TestRunPartitionsReport drives the partition-scaling section at tiny scale:
 // the coordinator at 1, 2, and 3 partitions must be element-wise identical to
@@ -133,5 +139,20 @@ func TestCheckPartitionsFlagsViolations(t *testing.T) {
 		if strings.Contains(p, "speedup regressed") {
 			t.Fatalf("speedup rule must be gated off below 4 procs, got %v", p)
 		}
+	}
+}
+
+// A gate that is skipped must say so: below 4 procs the rendered section
+// names the skipped scaling gate and the proc count; at 4 it does not.
+func TestFormatPartitionsSaysWhenScalingGateSkipped(t *testing.T) {
+	rep := PartitionsReport{Counts: []int{1, 2}, Procs: 2, Levels: []PartitionLevel{
+		{Parts: 1, Identical: true}, {Parts: 2, Identical: true},
+	}}
+	if out := FormatPartitions(rep); !strings.Contains(out, "scaling gate: skipped — needs ≥4 procs, have 2") {
+		t.Fatalf("skipped gate not reported:\n%s", out)
+	}
+	rep.Procs = 4
+	if out := FormatPartitions(rep); strings.Contains(out, "scaling gate: skipped") {
+		t.Fatalf("gate reported skipped at 4 procs:\n%s", out)
 	}
 }

@@ -1,15 +1,11 @@
 package bench
 
 // Sample-statistics helpers shared by every bench section (Table 1, storage,
-// serve, mixed, partitions). One guarded implementation — the guards (empty
-// input, n<2, zero mean) live here exactly once so new reporters cannot
-// reintroduce a ±Inf CV or an out-of-range quantile by re-deriving them.
+// partitions). One guarded implementation — the guards (empty input, n<2,
+// zero mean) live here exactly once so new reporters cannot reintroduce a
+// ±Inf CV by re-deriving them.
 
-import (
-	"math"
-	"sort"
-	"time"
-)
+import "math"
 
 // stats returns mean and coefficient of variation (%) of samples. CV uses
 // the sample (n−1) standard deviation — the paper's convention for its Reps
@@ -53,19 +49,4 @@ func minSample(s []float64) float64 {
 		}
 	}
 	return m
-}
-
-// quantilesMS returns the p50/p99 of the sample in milliseconds (0,0 for an
-// empty sample).
-func quantilesMS(lat []time.Duration) (p50, p99 float64) {
-	if len(lat) == 0 {
-		return 0, 0
-	}
-	sorted := append([]time.Duration(nil), lat...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	at := func(q float64) float64 {
-		i := int(q * float64(len(sorted)-1))
-		return float64(sorted[i]) / float64(time.Millisecond)
-	}
-	return at(0.50), at(0.99)
 }

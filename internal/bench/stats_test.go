@@ -3,11 +3,10 @@ package bench
 import (
 	"math"
 	"testing"
-	"time"
 )
 
 // The guards below are the reason the helpers live in one file: every bench
-// section (Table 1, storage, serve, partitions) folds raw samples through
+// section (Table 1, storage, partitions) folds raw samples through
 // them, and a re-derived copy once shipped a ±Inf CV on a zero mean.
 
 func TestStats(t *testing.T) {
@@ -46,19 +45,5 @@ func TestMinSample(t *testing.T) {
 	}
 	if m := minSample([]float64{-3, 1, 2}); m != -3 {
 		t.Fatalf("negative min = %v, want -3", m)
-	}
-}
-
-func TestQuantilesMS(t *testing.T) {
-	if p50, p99 := quantilesMS(nil); p50 != 0 || p99 != 0 {
-		t.Fatalf("empty sample: %v %v", p50, p99)
-	}
-	lat := make([]time.Duration, 100)
-	for i := range lat {
-		lat[i] = time.Duration(i+1) * time.Millisecond
-	}
-	p50, p99 := quantilesMS(lat)
-	if p50 != 50 || p99 != 99 {
-		t.Fatalf("quantiles of 1..100ms: p50=%v p99=%v", p50, p99)
 	}
 }

@@ -93,11 +93,6 @@ type Limits struct {
 	TenantBurst float64
 }
 
-// Resolved returns the limits with every zero field replaced by its
-// default — what a Server built from l actually enforces. Reporting code
-// (hybench -serve) uses it to record effective limits in baselines.
-func (l Limits) Resolved() Limits { return l.withDefaults() }
-
 // withDefaults resolves zero fields.
 func (l Limits) withDefaults() Limits {
 	if l.MaxConcurrent <= 0 {
