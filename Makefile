@@ -31,11 +31,14 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz runs of the corpus-seeded fuzzers: the WAL replayer must never
-# panic or mis-recover on arbitrary log bytes, and the HyQL parser must never
-# panic on arbitrary query text.
+# panic or mis-recover on arbitrary log bytes, the HyQL parser must never
+# panic on arbitrary query text, and the sealed-chunk block decoder must
+# accept, reject and decode arbitrary bytes exactly as the bit-at-a-time
+# reference decoder in its tests does.
 fuzz:
 	$(GO) test ./internal/storage/graphstore -run FuzzWALReplay -fuzz FuzzWALReplay -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hyql -run FuzzParse -fuzz FuzzParse -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/storage/tsstore -run FuzzDecodeChunk -fuzz FuzzDecodeChunk -fuzztime $(FUZZTIME)
 
 bench:
 	$(GO) test -bench . -benchmem ./...

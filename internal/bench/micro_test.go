@@ -99,18 +99,32 @@ func BenchmarkIngest(b *testing.B) {
 
 // BenchmarkAggregateSharded measures the fan-out aggregate (Q4: per-station
 // means folded in insertion order) against stripe count. With -cpu 1,4,8
-// the striped store scales the scan; the single stripe cannot.
+// the striped store scales the scan; the single stripe cannot. The plain
+// cases run warm, every edge chunk already decoded; the cold cases empty
+// the block cache before each query, so both edge chunks of every series
+// are decoded again.
 func BenchmarkAggregateSharded(b *testing.B) {
 	for _, shards := range []int{1, 4, tsstore.DefaultShards} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			eng, _, qStart, qEnd := microEngine(b, shards)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if m, err := eng.Exec(context.Background(), ttdb.Q4(qStart, qEnd)); err != nil || len(m.ByStation) == 0 {
-					b.Fatalf("aggregate: %d stations, %v", len(m.ByStation), err)
-				}
+		for _, cold := range []bool{false, true} {
+			name := fmt.Sprintf("shards=%d", shards)
+			if cold {
+				name += ",cold"
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				eng, _, qStart, qEnd := microEngine(b, shards)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if cold {
+						b.StopTimer()
+						eng.T.DropBlockCache()
+						b.StartTimer()
+					}
+					if m, err := eng.Exec(context.Background(), ttdb.Q4(qStart, qEnd)); err != nil || len(m.ByStation) == 0 {
+						b.Fatalf("aggregate: %d stations, %v", len(m.ByStation), err)
+					}
+				}
+			})
+		}
 	}
 }
 

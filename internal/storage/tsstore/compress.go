@@ -2,6 +2,7 @@ package tsstore
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -60,32 +61,66 @@ func (w *bitWriter) writeBits(v uint64, n uint) {
 	}
 }
 
-// bitReader consumes bits MSB-first from a byte slice.
+var errValuesTruncated = errors.New("tsstore: value stream truncated")
+
+// bitReader consumes bits MSB-first from a byte slice through a 64-bit
+// accumulator that is refilled a word at a time, so a read that the
+// accumulator covers is a compare and two shifts.
 type bitReader struct {
-	b   []byte
-	pos uint // bits consumed so far
+	b   []byte // bytes not yet loaded into acc
+	acc uint64 // buffered bits, MSB-aligned; the bits below the top n are zero
+	n   uint   // buffered bit count
 }
 
-func (r *bitReader) readBit() (uint64, error) {
-	i := r.pos >> 3
-	if i >= uint(len(r.b)) {
-		return 0, fmt.Errorf("tsstore: value stream truncated")
-	}
-	bit := uint64(r.b[i]>>(7-(r.pos&7))) & 1
-	r.pos++
-	return bit, nil
-}
-
+// readBits returns the next n <= 64 bits. A read past the end of the stream
+// fails without consuming anything.
 func (r *bitReader) readBits(n uint) (uint64, error) {
-	var v uint64
-	for ; n > 0; n-- {
-		bit, err := r.readBit()
-		if err != nil {
-			return 0, err
-		}
-		v = v<<1 | bit
+	if r.n < n {
+		return r.readSlow(n)
 	}
-	return v, nil
+	return r.take(n), nil
+}
+
+// take consumes n bits the accumulator already holds.
+func (r *bitReader) take(n uint) uint64 {
+	v := r.acc >> (64 - n)
+	r.acc <<= n
+	r.n -= n
+	return v
+}
+
+// readSlow is readBits when the accumulator holds fewer than n bits. One
+// refill guarantees only 57 buffered bits, so wider reads take two.
+func (r *bitReader) readSlow(n uint) (uint64, error) {
+	if r.n+8*uint(len(r.b)) < n {
+		return 0, errValuesTruncated
+	}
+	r.refill()
+	if n <= 56 {
+		return r.take(n), nil
+	}
+	hi := r.take(n - 32)
+	r.refill()
+	return hi<<32 | r.take(32), nil
+}
+
+// refill tops the accumulator up with whole bytes: one big-endian word load
+// while at least 8 bytes remain, bytewise at the tail. Afterwards it holds
+// at least min(57, bits left in the stream) bits.
+func (r *bitReader) refill() {
+	if len(r.b) >= 8 {
+		k := (64 - r.n) >> 3 // whole bytes that fit
+		w := binary.BigEndian.Uint64(r.b)
+		r.acc |= w >> (64 - 8*k) << (64 - 8*k - r.n)
+		r.b = r.b[k:]
+		r.n += 8 * k
+		return
+	}
+	for r.n <= 56 && len(r.b) > 0 {
+		r.acc |= uint64(r.b[0]) << (56 - r.n)
+		r.b = r.b[1:]
+		r.n += 8
+	}
 }
 
 // encodeChunk compresses one chunk's points (times strictly increasing,
@@ -154,9 +189,9 @@ func decodeChunk(block []byte) ([]ts.Time, []float64, error) {
 		return nil, nil, fmt.Errorf("tsstore: corrupt block count")
 	}
 	rd = rd[w:]
-	// Every point past the second costs >= 1 timestamp byte and >= 1 value
-	// bit; cap n before allocating so corrupt headers can't OOM the loader.
-	if n > uint64(len(block))*8+2 {
+	// Every point past the second costs >= 1 timestamp byte; cap n before
+	// allocating so corrupt headers can't OOM the loader.
+	if n > uint64(len(block))+2 {
 		return nil, nil, fmt.Errorf("tsstore: block count %d exceeds payload", n)
 	}
 	times := make([]ts.Time, n)
@@ -178,11 +213,17 @@ func decodeChunk(block []byte) ([]ts.Time, []float64, error) {
 		rd = rd[w:]
 		times[1] = times[0] + ts.Time(delta)
 		for i := uint64(2); i < n; i++ {
-			dod, w := binary.Varint(rd)
-			if w <= 0 {
-				return nil, nil, fmt.Errorf("tsstore: corrupt block dod at %d", i)
+			var dod int64
+			if len(rd) > 0 && rd[0] < 0x80 { // one-byte varint: every point of a regular grid
+				dod = int64(rd[0]>>1) ^ -int64(rd[0]&1)
+				rd = rd[1:]
+			} else {
+				var w int
+				if dod, w = binary.Varint(rd); w <= 0 {
+					return nil, nil, fmt.Errorf("tsstore: corrupt block dod at %d", i)
+				}
+				rd = rd[w:]
 			}
-			rd = rd[w:]
 			delta += dod
 			times[i] = times[i-1] + ts.Time(delta)
 		}
@@ -200,7 +241,7 @@ func decodeChunk(block []byte) ([]ts.Time, []float64, error) {
 	vals[0] = math.Float64frombits(first)
 	lead, sig := uint(0), uint(0)
 	for i := uint64(1); i < n; i++ {
-		ctrl, err := br.readBit()
+		ctrl, err := br.readBits(1)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -208,20 +249,16 @@ func decodeChunk(block []byte) ([]ts.Time, []float64, error) {
 			vals[i] = math.Float64frombits(prev)
 			continue
 		}
-		reuse, err := br.readBit()
+		reuse, err := br.readBits(1)
 		if err != nil {
 			return nil, nil, err
 		}
-		if reuse == 1 { // '1''1': new window
-			l, err := br.readBits(5)
+		if reuse == 1 { // '1''1': new window, 5-bit lead and 6-bit sig-1 as one field
+			hdr, err := br.readBits(11)
 			if err != nil {
 				return nil, nil, err
 			}
-			s, err := br.readBits(6)
-			if err != nil {
-				return nil, nil, err
-			}
-			lead, sig = uint(l), uint(s)+1
+			lead, sig = uint(hdr>>6), uint(hdr&63)+1
 		} else if sig == 0 {
 			return nil, nil, fmt.Errorf("tsstore: block reuses window before defining one")
 		}
