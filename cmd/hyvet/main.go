@@ -9,21 +9,15 @@
 // The suite is interprocedural: analyzers export per-function and per-field
 // summaries (facts) while visiting each package, and packages are analyzed
 // in dependency order so a caller is checked against its callees' facts even
-// across package boundaries.
+// across package boundaries. The command is a thin layer over analysis.Run.
 //
 // Usage:
 //
-//	hyvet [-policy hyvet.policy.json] [-json] [-nocache] [-cachedir DIR] [packages...]
+//	hyvet [-policy hyvet.policy.json] [-json] [-checks] [packages...]
 //
 // Packages default to ./.... Exit status is 0 when clean, 1 when findings
 // exist, 2 when the run itself failed (bad policy, malformed directive,
-// packages that do not load). Results are cached incrementally, keyed by
-// each package's build ID plus its transitive dependency build IDs, the
-// policy, and the analyzer binary itself — unchanged packages replay their
-// findings and facts from disk. -nocache forces a full re-analysis;
-// -cachedir moves the cache from its default under the OS temp dir. Every
-// run logs a stats line (packages, cache hits, wall time) to stderr.
-// Findings can be suppressed in source with
+// packages that do not load). Findings can be suppressed in source with
 //
 //	//hyvet:allow <check> <reason>
 //
@@ -38,7 +32,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"hygraph/internal/analysis"
 )
@@ -47,8 +40,6 @@ func main() {
 	policyPath := flag.String("policy", "hyvet.policy.json", "policy file scoping each check (searched upward from the working directory)")
 	jsonOut := flag.Bool("json", false, "emit findings as JSON on stdout for machine consumption")
 	listChecks := flag.Bool("checks", false, "list the analyzer suite and exit")
-	noCache := flag.Bool("nocache", false, "disable the incremental result cache and re-analyze every package")
-	cacheDir := flag.String("cachedir", "", "incremental cache directory (default: hyvet-cache under the OS temp dir)")
 	flag.Parse()
 
 	if *listChecks {
@@ -66,19 +57,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	patterns := flag.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	findings, stats, err := analysis.RunWithOptions("", policy, analysis.RunOptions{
-		Cache:    !*noCache,
-		CacheDir: *cacheDir,
-	}, patterns...)
+	findings, err := analysis.Run("", policy, flag.Args()...)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "hyvet: %d package(s) (%d cached) in %s\n",
-		stats.Packages, stats.Cached, stats.Duration.Round(time.Millisecond))
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")

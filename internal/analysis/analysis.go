@@ -60,9 +60,7 @@ type Pass struct {
 }
 
 // ExportFact attaches a fact to fn under this analyzer's check name. Facts
-// survive to every later package in the run (and into the incremental
-// cache); they must be JSON-round-trippable pointers of the analyzer's
-// FactType.
+// survive to every later package in the run.
 func (p *Pass) ExportFact(fn *types.Func, fact any) {
 	p.ExportSymbolFact(FuncSymbol(fn), fact)
 }
@@ -119,9 +117,6 @@ type Analyzer struct {
 	// before any Run, exporting function/field summaries the analyzer's Run
 	// consumes interprocedurally. It must only export facts, never report.
 	Facts func(*Pass)
-	// FactType constructs an empty fact value for JSON decoding (a pointer
-	// to the analyzer's fact struct). Required when Facts is set.
-	FactType func() any
 	// Run inspects one package and reports findings through the pass.
 	Run func(*Pass)
 }

@@ -28,17 +28,16 @@ import (
 // atomicity, and requiring atomic.Store in constructors hides real races by
 // normalizing noise.
 var AtomicMix = &Analyzer{
-	Name:     "atomicmix",
-	Doc:      "a field accessed via sync/atomic must never be accessed plainly elsewhere",
-	Facts:    atomicMixFacts,
-	FactType: func() any { return new(AtomicFact) },
-	Run:      runAtomicMix,
+	Name:  "atomicmix",
+	Doc:   "a field accessed via sync/atomic must never be accessed plainly elsewhere",
+	Facts: atomicMixFacts,
+	Run:   runAtomicMix,
 }
 
 // AtomicFact marks a field as atomically accessed; At records one such site
 // for the finding message.
 type AtomicFact struct {
-	At string `json:"at"`
+	At string
 }
 
 // atomicMixFacts exports an AtomicFact for every field passed by address to
@@ -145,7 +144,7 @@ func runAtomicMix(pass *Pass) {
 				}
 				fact, _ := factAny.(*AtomicFact)
 				kind := accessKind(parents, sel)
-				if isCtor && kind == "write" && symbolPackage(sym) == pass.Pkg.Path() {
+				if isCtor && kind == "write" && sitePackage(sym) == pass.Pkg.Path() {
 					// Constructor initialization before the value escapes.
 					return true
 				}

@@ -32,17 +32,16 @@ import (
 // UncheckedParams (a parameter flows unguarded into a make size — callers
 // passing decoded values into it are reported at the call site).
 var BoundedAlloc = &Analyzer{
-	Name:     "boundedalloc",
-	Doc:      "sizes decoded from stored bytes must be bound-checked before sizing an allocation",
-	Facts:    boundedAllocFacts,
-	FactType: func() any { return new(AllocFact) },
-	Run:      runBoundedAlloc,
+	Name:  "boundedalloc",
+	Doc:   "sizes decoded from stored bytes must be bound-checked before sizing an allocation",
+	Facts: boundedAllocFacts,
+	Run:   runBoundedAlloc,
 }
 
 // AllocFact summarizes how decoded sizes flow through a function boundary.
 type AllocFact struct {
-	TaintedResults  []int `json:"tainted_results,omitempty"`
-	UncheckedParams []int `json:"unchecked_params,omitempty"`
+	TaintedResults  []int
+	UncheckedParams []int
 }
 
 // originDecoded marks a value derived from a decode source; non-negative

@@ -47,11 +47,8 @@ func NewCallGraph() *CallGraph {
 	return &CallGraph{nodes: map[string]*CallNode{}}
 }
 
-// Node returns the node for sym, or nil when the function was neither
+// NodeFor returns the node for fn, or nil when the function was neither
 // declared in nor called from any analyzed package.
-func (g *CallGraph) Node(sym string) *CallNode { return g.nodes[sym] }
-
-// NodeFor is Node keyed by a function object.
 func (g *CallGraph) NodeFor(fn *types.Func) *CallNode { return g.nodes[FuncSymbol(fn)] }
 
 func (g *CallGraph) ensure(sym string) *CallNode {

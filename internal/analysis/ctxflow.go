@@ -32,11 +32,10 @@ import (
 //     fan-out loops are exactly where expired requests keep burning the
 //     engine.
 var CtxFlow = &Analyzer{
-	Name:     "ctxflow",
-	Doc:      "request contexts must thread into every blocking callee; no ambient contexts on request paths",
-	Facts:    ctxFlowFacts,
-	FactType: func() any { return new(CtxFact) },
-	Run:      runCtxFlow,
+	Name:  "ctxflow",
+	Doc:   "request contexts must thread into every blocking callee; no ambient contexts on request paths",
+	Facts: ctxFlowFacts,
+	Run:   runCtxFlow,
 }
 
 // CtxFact summarizes a function for the interprocedural rules.
@@ -44,10 +43,10 @@ type CtxFact struct {
 	// Ambient is non-empty when the function (transitively, through
 	// ctx-less in-module calls) manufactures an ambient context; it names
 	// the origin ("context.Background" or a callee symbol).
-	Ambient string `json:"ambient,omitempty"`
+	Ambient string
 	// Blocking is non-empty when the function can block (transitively); it
 	// names the reason.
-	Blocking string `json:"blocking,omitempty"`
+	Blocking string
 }
 
 // blockingPkgs are stdlib packages whose calls count as blocking work.

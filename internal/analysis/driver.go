@@ -2,10 +2,7 @@ package analysis
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"time"
 )
 
 // Run loads the patterns, runs every policied analyzer over the in-scope
@@ -16,238 +13,67 @@ import (
 // complete (load failure, malformed policy/directive), not that findings
 // exist.
 //
-// Run never touches the incremental cache — the clean-tree test gate and
-// other library callers always analyze fresh. cmd/hyvet opts into caching
-// through RunWithOptions.
+// Load type-checks in parallel; runPackages analyzes in dependency order.
+// Type-checking only needs the export data of imports, never their source
+// analysis, so the first step has no ordering constraints.
 func Run(dir string, policy *Policy, patterns ...string) ([]Finding, error) {
-	findings, _, err := RunWithOptions(dir, policy, RunOptions{}, patterns...)
-	return findings, err
-}
-
-// RunOptions configures one driver run.
-type RunOptions struct {
-	// Cache enables the incremental result cache: packages whose build ID
-	// (including all transitive dependency build IDs), policy, and analyzer
-	// binary are unchanged replay their findings and facts from disk
-	// instead of being re-analyzed.
-	Cache bool
-	// CacheDir overrides the cache location (default: hyvet-cache under the
-	// OS temp dir).
-	CacheDir string
-}
-
-// RunStats reports what one run did, for the CLI's wall-time log line.
-type RunStats struct {
-	Packages int           // packages analyzed or replayed
-	Cached   int           // of those, replayed from the incremental cache
-	Duration time.Duration // load + analysis wall time
-}
-
-// pkgResult is one package's per-run state, produced in parallel (phase A)
-// and consumed in dependency order (phase B).
-type pkgResult struct {
-	lp       listedPackage
-	pkg      *Package // type-checked source; nil when replayed from cache
-	cached   bool
-	findings []Finding // post-suppression findings (cache replay only)
-	allow    []string  // allowlist entries used (cache replay only)
-	facts    []byte    // EncodePackage output (cache replay only)
-	key      string    // cache key ("" when caching is off or keyless)
-	err      error
-}
-
-// RunWithOptions is Run with caching and stats. The two phases:
-//
-// Phase A (parallel): every matched package is either replayed from the
-// cache or parsed + type-checked, workers bounded by GOMAXPROCS. Source
-// type-checking only needs the *export data* of imports, never their
-// source analysis, so phase A has no ordering constraints.
-//
-// Phase B (sequential, dependency order): per package — parse directives,
-// extend the call graph, run every analyzer's Facts hook (all packages),
-// run scoped analyzers, apply suppressions. Dependency order guarantees an
-// analyzer visiting a package already holds the facts of everything it
-// imports. Cached packages only replay their facts and findings; they
-// contribute no call-graph nodes, which is why cross-package reasoning must
-// flow through facts, never through graph edges.
-func RunWithOptions(dir string, policy *Policy, opt RunOptions, patterns ...string) ([]Finding, *RunStats, error) {
-	start := time.Now()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	listed, err := goList(dir, patterns)
+	pkgs, err := Load(dir, patterns...)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	matched, err := matchedPackages(listed)
-	if err != nil {
-		return nil, nil, err
-	}
-	order := topoListed(matched)
+	return runPackages(pkgs, policy)
+}
 
-	var cacheDir, runHash string
-	if opt.Cache {
-		cacheDir = opt.CacheDir
-		if cacheDir == "" {
-			cacheDir = defaultCacheDir()
-		}
-		runHash = runFingerprint(policy)
-	}
-	buildIDs := map[string]string{}
-	for _, lp := range listed {
-		buildIDs[lp.ImportPath] = lp.BuildID
-	}
-
-	loader := newLoader(listed)
-	results := make([]*pkgResult, len(order))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(order) {
-		workers = len(order)
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				results[i] = loadOrReplay(loader, order[i], opt.Cache, cacheDir, runHash, buildIDs)
-			}
-		}()
-	}
-	for i := range order {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-
+// runPackages runs the suite over pre-loaded packages — shared with tests
+// that build packages without the go tool. Packages are processed in
+// dependency order among themselves.
+func runPackages(pkgs []*Package, policy *Policy) ([]Finding, error) {
 	st := &analyzeState{
 		facts:     NewFactStore(),
 		graph:     NewCallGraph(),
 		analyzers: Analyzers(),
 		policy:    policy,
+		allowUsed: map[string]bool{},
 	}
 	var findings []Finding
-	allowUsed := map[string]bool{}
-	visited := make([]string, 0, len(order))
-	cached := 0
-	for _, r := range results {
-		if r.err != nil {
-			return nil, nil, r.err
-		}
-		visited = append(visited, r.lp.ImportPath)
-		if r.cached {
-			cached++
-			if err := st.facts.DecodePackage(r.facts); err != nil {
-				return nil, nil, err
-			}
-			findings = append(findings, r.findings...)
-			for _, entry := range r.allow {
-				allowUsed[entry] = true
-			}
-			continue
-		}
-		fs, used, err := analyzePackage(st, r.pkg)
-		if err != nil {
-			return nil, nil, err
-		}
-		findings = append(findings, fs...)
-		for entry := range used {
-			allowUsed[entry] = true
-		}
-		if r.key != "" {
-			factBytes, err := st.facts.EncodePackage(r.pkg.Path)
-			if err != nil {
-				return nil, nil, err
-			}
-			cacheStore(cacheDir, r.key, &cacheEntry{
-				Key:       r.key,
-				Findings:  fs,
-				AllowUsed: sortedKeys(used),
-				Facts:     factBytes,
-			})
-		}
-	}
-	findings = append(findings, staleAllowances(policy, visited, allowUsed)...)
-	sortFindings(findings)
-	stats := &RunStats{Packages: len(order), Cached: cached, Duration: time.Since(start)}
-	return findings, stats, nil
-}
-
-// loadOrReplay produces one package's phase-A result: a cache replay when
-// possible, a fresh parse + type-check otherwise.
-func loadOrReplay(loader *loader, lp listedPackage, useCache bool, cacheDir, runHash string, buildIDs map[string]string) *pkgResult {
-	r := &pkgResult{lp: lp}
-	if useCache {
-		r.key = cacheKey(runHash, lp, buildIDs)
-	}
-	if r.key != "" {
-		if ent, ok := cacheLoad(cacheDir, r.key); ok {
-			r.cached = true
-			r.findings = ent.Findings
-			r.allow = ent.AllowUsed
-			r.facts = ent.Facts
-			return r
-		}
-	}
-	r.pkg, r.err = loader.check(lp)
-	return r
-}
-
-// runPackages runs the suite over pre-loaded packages — shared with tests
-// that build packages without the go tool. Packages are processed in
-// dependency order among themselves; extra analyzers participate fully
-// (facts hooks included).
-func runPackages(pkgs []*Package, policy *Policy, extra ...*Analyzer) ([]Finding, error) {
-	st := &analyzeState{
-		facts:     NewFactStore(),
-		graph:     NewCallGraph(),
-		analyzers: append(Analyzers(), extra...),
-		policy:    policy,
-	}
-	var findings []Finding
-	allowUsed := map[string]bool{}
 	var visited []string
 	for _, pkg := range topoPackages(pkgs) {
 		visited = append(visited, pkg.Path)
-		fs, used, err := analyzePackage(st, pkg)
+		fs, err := analyzePackage(st, pkg)
 		if err != nil {
 			return nil, err
 		}
 		findings = append(findings, fs...)
-		for entry := range used {
-			allowUsed[entry] = true
-		}
 	}
-	findings = append(findings, staleAllowances(policy, visited, allowUsed)...)
+	findings = append(findings, staleAllowances(policy, visited, st.allowUsed)...)
 	sortFindings(findings)
 	return findings, nil
 }
 
-// analyzeState is the run-wide interprocedural state threaded through
-// phase B.
+// analyzeState is the run-wide interprocedural state runPackages threads
+// through every package.
 type analyzeState struct {
 	facts     *FactStore
 	graph     *CallGraph
 	analyzers []*Analyzer
 	policy    *Policy
+	allowUsed map[string]bool // "check:site" allowlist entries that fired
 }
 
 // analyzePackage runs one package through directives, the call-graph
-// builder, every facts hook, and every in-scope analyzer. It returns the
-// package's post-suppression findings and the allowlist entries that fired.
-func analyzePackage(st *analyzeState, pkg *Package) ([]Finding, map[string]bool, error) {
+// builder, every facts hook, and every in-scope analyzer, and returns the
+// package's post-suppression findings.
+func analyzePackage(st *analyzeState, pkg *Package) ([]Finding, error) {
 	var dirs []*Directive
 	for _, f := range pkg.Files {
 		ds, errs := parseDirectives(pkg.Fset, f)
 		if len(errs) > 0 {
-			return nil, nil, errs[0]
+			return nil, errs[0]
 		}
 		dirs = append(dirs, ds...)
 	}
 	st.graph.addPackage(pkg)
 	var findings []Finding
-	used := map[string]bool{}
 	// Facts hooks run over every package, in scope or not: a server handler
 	// can only be checked against ttdb's summaries if ttdb exported them,
 	// whether or not ttdb itself is in the check's package list.
@@ -271,14 +97,12 @@ func analyzePackage(st *analyzeState, pkg *Package) ([]Finding, map[string]bool,
 			f.Check = check
 			findings = append(findings, f)
 		}
-		allow := func(entry string) { used[check+":"+entry] = true }
+		allow := func(entry string) { st.allowUsed[check+":"+entry] = true }
 		a.Run(newPass(pkg, a, cp, st, report, allow))
 	}
 	// Directives only ever match findings in their own file, so applying
-	// them per package is equivalent to the old whole-run application — and
-	// it makes the post-suppression result cacheable per package.
-	findings = applyDirectives(findings, dirs)
-	return findings, used, nil
+	// them per package is equivalent to applying them to the whole run.
+	return applyDirectives(findings, dirs), nil
 }
 
 // newPass assembles a Pass for one (package, analyzer) pair.
@@ -337,42 +161,6 @@ func topoPackages(pkgs []*Package) []*Package {
 	return order
 }
 
-// topoListed is topoPackages over `go list` metadata, used before any
-// type-checking has happened.
-func topoListed(matched []listedPackage) []listedPackage {
-	byPath := map[string]*listedPackage{}
-	for i := range matched {
-		byPath[matched[i].ImportPath] = &matched[i]
-	}
-	paths := make([]string, 0, len(matched))
-	for _, lp := range matched {
-		paths = append(paths, lp.ImportPath)
-	}
-	sort.Strings(paths)
-	order := make([]listedPackage, 0, len(matched))
-	state := map[string]int{}
-	var visit func(lp *listedPackage)
-	visit = func(lp *listedPackage) {
-		if state[lp.ImportPath] != 0 {
-			return
-		}
-		state[lp.ImportPath] = 1
-		deps := append([]string(nil), lp.Imports...)
-		sort.Strings(deps)
-		for _, dep := range deps {
-			if d := byPath[dep]; d != nil {
-				visit(d)
-			}
-		}
-		state[lp.ImportPath] = 2
-		order = append(order, *lp)
-	}
-	for _, path := range paths {
-		visit(byPath[path])
-	}
-	return order
-}
-
 // sortFindings orders findings by position, then message.
 func sortFindings(findings []Finding) {
 	sort.Slice(findings, func(i, j int) bool {
@@ -388,15 +176,6 @@ func sortFindings(findings []Finding) {
 		}
 		return a.Message < b.Message
 	})
-}
-
-func sortedKeys(m map[string]bool) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // staleAllowances reports policy allowlist entries that matched no site in
@@ -443,8 +222,8 @@ func allowanceVisited(cp *CheckPolicy, visited []string, site string) bool {
 	return false
 }
 
-// sitePackage extracts the import path from an allowlist site of the form
-// "path/to/pkg.Func" or "path/to/pkg.Recv.Method".
+// sitePackage extracts the import path from an allowlist site or a fact
+// symbol, of the form "path/to/pkg.Func" or "path/to/pkg.Recv.Method".
 func sitePackage(site string) string {
 	// The package path is everything before the first dot after the last
 	// slash (import paths may contain dots in earlier elements).

@@ -213,42 +213,3 @@ func TestRunRepository(t *testing.T) {
 		t.Errorf("finding on clean tree: %s", f)
 	}
 }
-
-// TestRunRepositoryCacheReplay runs the repository twice against a fresh
-// cache directory: the warm run must replay every package and produce
-// byte-identical findings (none, on a clean tree — but the comparison holds
-// regardless).
-func TestRunRepositoryCacheReplay(t *testing.T) {
-	if testing.Short() {
-		t.Skip("repository-wide analysis in -short mode")
-	}
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	policy, err := LoadPolicy(filepath.Join(root, "hyvet.policy.json"))
-	if err != nil {
-		t.Fatalf("policy: %v", err)
-	}
-	opt := RunOptions{Cache: true, CacheDir: t.TempDir()}
-	cold, coldStats, err := RunWithOptions(root, policy, opt, "./...")
-	if err != nil {
-		t.Fatalf("cold run: %v", err)
-	}
-	warm, warmStats, err := RunWithOptions(root, policy, opt, "./...")
-	if err != nil {
-		t.Fatalf("warm run: %v", err)
-	}
-	if warmStats.Cached != warmStats.Packages {
-		t.Errorf("warm run replayed %d of %d packages; want all (cold run cached %d)",
-			warmStats.Cached, warmStats.Packages, coldStats.Packages-coldStats.Cached)
-	}
-	if len(cold) != len(warm) {
-		t.Fatalf("cold run %d findings, warm run %d", len(cold), len(warm))
-	}
-	for i := range cold {
-		if cold[i] != warm[i] {
-			t.Errorf("finding %d differs: cold %v, warm %v", i, cold[i], warm[i])
-		}
-	}
-}

@@ -1,12 +1,6 @@
 package analysis
 
-import (
-	"encoding/json"
-	"fmt"
-	"go/types"
-	"sort"
-	"strings"
-)
+import "go/types"
 
 // The fact store is what makes hyvet interprocedural: analyzers attach small
 // summaries ("manufactures an ambient context", "field is accessed
@@ -17,9 +11,7 @@ import (
 // them. Facts are keyed by stable symbol strings, not object pointers,
 // because the same function is represented by *different* types.Func objects
 // in its source-checked home package and in the export-data view an
-// importing package sees. Facts serialize to JSON (see EncodePackage /
-// DecodePackage) so the incremental cache can replay a package's summaries
-// without re-analyzing it, exactly like its findings.
+// importing package sees. Facts live in memory for one run.
 
 // FuncSymbol names a function stably across packages and loads:
 // "pkgpath.Func" for package functions, "pkgpath.Recv.Method" for methods
@@ -74,93 +66,4 @@ func (s *FactStore) set(check, symbol string, fact any) {
 func (s *FactStore) get(check, symbol string) (any, bool) {
 	fact, ok := s.facts[check][symbol]
 	return fact, ok
-}
-
-// symbolPackage extracts the import path from a fact symbol (same shape as
-// policy allowlist sites).
-func symbolPackage(symbol string) string { return sitePackage(symbol) }
-
-// EncodePackage serializes the facts attached to symbols of one package as
-// deterministic JSON: {"check": {"symbol": fact}}. Facts of other packages
-// are excluded, so a cache entry carries exactly what analyzing the package
-// produced.
-func (s *FactStore) EncodePackage(pkgPath string) ([]byte, error) {
-	out := map[string]map[string]json.RawMessage{}
-	for check, syms := range s.facts {
-		for sym, fact := range syms {
-			if symbolPackage(sym) != pkgPath {
-				continue
-			}
-			raw, err := json.Marshal(fact)
-			if err != nil {
-				return nil, fmt.Errorf("hyvet: encoding fact %s/%s: %v", check, sym, err)
-			}
-			if out[check] == nil {
-				out[check] = map[string]json.RawMessage{}
-			}
-			out[check][sym] = raw
-		}
-	}
-	return json.Marshal(out)
-}
-
-// DecodePackage merges facts serialized by EncodePackage into the store,
-// resolving each fact's concrete type through the owning analyzer's FactType
-// constructor. Facts for checks without a registered fact type are a hard
-// error — a cache entry from a different analyzer suite must not silently
-// half-load.
-func (s *FactStore) DecodePackage(data []byte) error {
-	if len(data) == 0 {
-		return nil
-	}
-	var in map[string]map[string]json.RawMessage
-	if err := json.Unmarshal(data, &in); err != nil {
-		return fmt.Errorf("hyvet: decoding facts: %v", err)
-	}
-	for check, syms := range in {
-		newFact := factType(check)
-		if newFact == nil {
-			return fmt.Errorf("hyvet: facts for %s, which registers no fact type", check)
-		}
-		for sym, raw := range syms {
-			fact := newFact()
-			if err := json.Unmarshal(raw, fact); err != nil {
-				return fmt.Errorf("hyvet: decoding fact %s/%s: %v", check, sym, err)
-			}
-			s.set(check, sym, fact)
-		}
-	}
-	return nil
-}
-
-// factType resolves a check's fact constructor from the analyzer suite.
-func factType(check string) func() any {
-	for _, a := range Analyzers() {
-		if a.Name == check {
-			return a.FactType
-		}
-	}
-	return nil
-}
-
-// Symbols returns every symbol carrying a fact for the check, sorted — for
-// tests and debugging.
-func (s *FactStore) Symbols(check string) []string {
-	var out []string
-	for sym := range s.facts[check] {
-		out = append(out, sym)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// packageOfSymbols reports whether any stored symbol belongs to pkgPath —
-// used by tests asserting cross-package flow.
-func (s *FactStore) hasPackage(check, pkgPath string) bool {
-	for sym := range s.facts[check] {
-		if strings.HasPrefix(sym, pkgPath+".") {
-			return true
-		}
-	}
-	return false
 }

@@ -13,51 +13,6 @@ import (
 	"testing"
 )
 
-// TestFactEncodeDecodeRoundTrip serializes one package's facts and decodes
-// them into a fresh store, asserting symbols, concrete types, and contents
-// survive — and that other packages' facts are excluded.
-func TestFactEncodeDecodeRoundTrip(t *testing.T) {
-	src := NewFactStore()
-	src.set("ctxflow", "example.com/a.Detach", &CtxFact{Ambient: "context.Background"})
-	src.set("boundedalloc", "example.com/a.alloc", &AllocFact{UncheckedParams: []int{0}})
-	src.set("atomicmix", "example.com/other.T.f", &AtomicFact{At: "other.go:1"})
-
-	raw, err := src.EncodePackage("example.com/a")
-	if err != nil {
-		t.Fatalf("EncodePackage: %v", err)
-	}
-	dst := NewFactStore()
-	if err := dst.DecodePackage(raw); err != nil {
-		t.Fatalf("DecodePackage: %v", err)
-	}
-
-	got, ok := dst.get("ctxflow", "example.com/a.Detach")
-	if !ok {
-		t.Fatal("ctxflow fact lost in round trip")
-	}
-	if cf, _ := got.(*CtxFact); cf == nil || cf.Ambient != "context.Background" {
-		t.Errorf("ctxflow fact = %#v, want Ambient=context.Background", got)
-	}
-	got, ok = dst.get("boundedalloc", "example.com/a.alloc")
-	if !ok {
-		t.Fatal("boundedalloc fact lost in round trip")
-	}
-	if af, _ := got.(*AllocFact); af == nil || len(af.UncheckedParams) != 1 || af.UncheckedParams[0] != 0 {
-		t.Errorf("boundedalloc fact = %#v, want UncheckedParams=[0]", got)
-	}
-	if dst.hasPackage("atomicmix", "example.com/other") {
-		t.Error("EncodePackage leaked another package's facts")
-	}
-}
-
-// TestFactDecodeUnknownCheckErrors: facts from an analyzer this suite does
-// not register must be a hard error, not a silent half-load.
-func TestFactDecodeUnknownCheckErrors(t *testing.T) {
-	if err := NewFactStore().DecodePackage([]byte(`{"nosuchcheck":{"p.F":{}}}`)); err == nil {
-		t.Fatal("DecodePackage accepted facts for an unregistered check")
-	}
-}
-
 // localImporter resolves in-memory test packages before falling back to
 // stdlib export data.
 type localImporter struct {
@@ -141,35 +96,5 @@ func TestCrossPackageFactFlow(t *testing.T) {
 	f := findings[0]
 	if f.Check != "ctxflow" || !strings.Contains(f.Message, "manufactures an ambient context") {
 		t.Errorf("finding = %+v, want the rule-3 ambient message", f)
-	}
-}
-
-// TestCrossPackageFactReplay simulates the incremental cache: a is analyzed
-// once, its facts are serialized, and a *fresh* run over b alone decodes
-// them instead of re-analyzing a. b must still get the interprocedural
-// finding, proving cached packages need contribute nothing but their facts.
-func TestCrossPackageFactReplay(t *testing.T) {
-	a, b := loadDependent(t, "example.com/a", ambientDepSrc, "example.com/b", ambientUserSrc)
-	policy := &Policy{Checks: map[string]*CheckPolicy{"ctxflow": {Packages: []string{"example.com/b"}}}}
-
-	st := &analyzeState{facts: NewFactStore(), graph: NewCallGraph(), analyzers: Analyzers(), policy: policy}
-	if _, _, err := analyzePackage(st, a); err != nil {
-		t.Fatalf("analyze a: %v", err)
-	}
-	raw, err := st.facts.EncodePackage(a.Path)
-	if err != nil {
-		t.Fatalf("EncodePackage: %v", err)
-	}
-
-	replay := &analyzeState{facts: NewFactStore(), graph: NewCallGraph(), analyzers: Analyzers(), policy: policy}
-	if err := replay.facts.DecodePackage(raw); err != nil {
-		t.Fatalf("DecodePackage: %v", err)
-	}
-	findings, _, err := analyzePackage(replay, b)
-	if err != nil {
-		t.Fatalf("analyze b: %v", err)
-	}
-	if len(findings) != 1 || !strings.Contains(findings[0].Message, "manufactures an ambient context") {
-		t.Fatalf("findings = %v, want the interprocedural finding from replayed facts", findings)
 	}
 }

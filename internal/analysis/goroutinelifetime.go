@@ -29,17 +29,16 @@ import (
 // even when run's select on ctx.Done() sits two calls down in another
 // package.
 var GoroutineLifetime = &Analyzer{
-	Name:     "goroutinelifetime",
-	Doc:      "every goroutine needs a join, a stop channel, a ctx, or a lifecycle pairing",
-	Facts:    goroutineLifetimeFacts,
-	FactType: func() any { return new(LifetimeFact) },
-	Run:      runGoroutineLifetime,
+	Name:  "goroutinelifetime",
+	Doc:   "every goroutine needs a join, a stop channel, a ctx, or a lifecycle pairing",
+	Facts: goroutineLifetimeFacts,
+	Run:   runGoroutineLifetime,
 }
 
 // LifetimeFact marks a function that observes a context (directly or through
 // a Cancellable callee it hands its ctx to).
 type LifetimeFact struct {
-	Cancellable bool `json:"cancellable,omitempty"`
+	Cancellable bool
 }
 
 // lifecycleNames are method names that tie a spawned sibling goroutine to

@@ -96,7 +96,7 @@ func loadTestdata(t *testing.T, dir string) *Package {
 	if err != nil {
 		t.Fatalf("type-checking %s: %v", dir, err)
 	}
-	return &Package{Path: path, Dir: dir, Fset: fset, Files: files, Pkg: tpkg, Info: info}
+	return &Package{Path: path, Fset: fset, Files: files, Pkg: tpkg, Info: info}
 }
 
 // wantRe matches one quoted expectation inside a `// want` comment.

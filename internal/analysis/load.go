@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 )
@@ -20,7 +21,6 @@ import (
 // Package is one loaded, parsed and type-checked target package.
 type Package struct {
 	Path  string
-	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Pkg   *types.Package
@@ -28,31 +28,22 @@ type Package struct {
 }
 
 // listedPackage is the subset of `go list -json` output the loader needs.
-// BuildID, Imports and Deps feed the incremental cache and the dependency
-// ordering: BuildID changes whenever the package's compiled content changes,
-// and Deps names every transitive import so a cache key can incorporate the
-// whole dependency cone's build IDs.
 type listedPackage struct {
 	ImportPath string
 	Dir        string
-	Name       string
 	GoFiles    []string
 	Export     string
-	BuildID    string
-	Imports    []string
-	Deps       []string
 	Standard   bool
 	DepOnly    bool
-	Incomplete bool
 	Error      *struct{ Err string }
 }
 
 // Load lists patterns with the go tool, then parses and type-checks every
-// matched (non-dependency) package. Imports — stdlib and intra-module alike
-// — are resolved from compiler export data reported by `go list -export`,
-// so no package is ever type-checked twice and the standard library is
-// never re-parsed from source. dir is the working directory for the go
-// tool ("" = current).
+// matched (non-dependency) package in parallel, workers bounded by
+// GOMAXPROCS. Imports — stdlib and intra-module alike — are resolved from
+// compiler export data reported by `go list -export`, so no package is ever
+// type-checked twice and the standard library is never re-parsed from
+// source. dir is the working directory for the go tool ("" = current).
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -66,13 +57,28 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		return nil, err
 	}
 	loader := newLoader(listed)
-	var pkgs []*Package
-	for _, lp := range matched {
-		pkg, err := loader.check(lp)
+	pkgs := make([]*Package, len(matched))
+	errs := make([]error, len(matched))
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for w := 0; w < min(runtime.GOMAXPROCS(0), len(matched)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				pkgs[i], errs[i] = loader.check(matched[i])
+			}
+		}()
+	}
+	for i := range matched {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
 }
@@ -102,7 +108,7 @@ func matchedPackages(listed []listedPackage) ([]listedPackage, error) {
 
 // goList runs `go list -e -export -json -deps` over the patterns and decodes
 // the JSON stream. -deps pulls in export data for every transitive import;
-// -export populates the build cache so Export paths and build IDs are valid.
+// -export populates the build cache so Export paths are valid.
 func goList(dir string, patterns []string) ([]listedPackage, error) {
 	args := append([]string{"list", "-e", "-export", "-json", "-deps", "--"}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -157,7 +163,7 @@ func newLoader(listed []listedPackage) *loader {
 }
 
 // lockedImporter serializes Import calls: the gc importer memoizes loaded
-// packages in an unsynchronized map, and phase A type-checks packages in
+// packages in an unsynchronized map, and Load type-checks packages in
 // parallel.
 type lockedImporter struct {
 	mu  sync.Mutex
@@ -188,7 +194,6 @@ func (l *loader) check(lp listedPackage) (*Package, error) {
 	}
 	return &Package{
 		Path:  lp.ImportPath,
-		Dir:   lp.Dir,
 		Fset:  l.fset,
 		Files: files,
 		Pkg:   tpkg,

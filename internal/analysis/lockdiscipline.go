@@ -47,18 +47,17 @@ import (
 // guarded type it imported is checked against the callee's real locking
 // behavior, not its name.
 var LockDiscipline = &Analyzer{
-	Name:     "lockdiscipline",
-	Doc:      "lock-taking methods must not nest; *Locked internals require the lock held",
-	Facts:    lockDisciplineFacts,
-	FactType: func() any { return new(LockFact) },
-	Run:      runLockDiscipline,
+	Name:  "lockdiscipline",
+	Doc:   "lock-taking methods must not nest; *Locked internals require the lock held",
+	Facts: lockDisciplineFacts,
+	Run:   runLockDiscipline,
 }
 
 // LockFact is the cross-package form of a method's lock class.
 type LockFact struct {
-	Read  bool   `json:"read,omitempty"`
-	Write bool   `json:"write,omitempty"`
-	Via   string `json:"via,omitempty"`
+	Read  bool
+	Write bool
+	Via   string
 }
 
 // lockClass records which locks a method takes on its own receiver; via

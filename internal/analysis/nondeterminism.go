@@ -23,18 +23,17 @@ import (
 // users, so they neither report nor export facts: calling into obs from
 // storage stays legal.
 var Nondeterminism = &Analyzer{
-	Name:     "nondeterminism",
-	Doc:      "no time.Now or global math/rand in deterministic packages; inject clocks and seeded sources",
-	Facts:    nondeterminismFacts,
-	FactType: func() any { return new(DetFact) },
-	Run:      runNondeterminism,
+	Name:  "nondeterminism",
+	Doc:   "no time.Now or global math/rand in deterministic packages; inject clocks and seeded sources",
+	Facts: nondeterminismFacts,
+	Run:   runNondeterminism,
 }
 
 // DetFact marks a function that transitively reaches ambient
 // nondeterminism; Source names what it reaches ("time.Now" or the symbol of
 // the callee it reaches it through).
 type DetFact struct {
-	Source string `json:"source"`
+	Source string
 }
 
 // wallClockFuncs are the time package functions that read the ambient clock.

@@ -77,16 +77,6 @@ func mentionsObj(info *types.Info, e ast.Expr, obj types.Object) bool {
 	return found
 }
 
-// callArgsMention reports whether any argument of the call references obj.
-func callArgsMention(info *types.Info, call *ast.CallExpr, obj types.Object) bool {
-	for _, arg := range call.Args {
-		if mentionsObj(info, arg, obj) {
-			return true
-		}
-	}
-	return false
-}
-
 // funcDecls yields every function declaration with a body in the pass's
 // files, with its definition object.
 func funcDecls(pass *Pass, fn func(*ast.FuncDecl, *types.Func)) {

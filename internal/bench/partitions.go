@@ -59,8 +59,8 @@ const scalingGateProcs = 4
 // and times Q4–Q8 (fanoutOps) per level.
 func RunPartitions(ctx context.Context, cfg Config, counts []int) (PartitionsReport, error) {
 	rep := PartitionsReport{Counts: counts, Procs: runtime.GOMAXPROCS(0)}
-	if len(counts) == 0 {
-		return rep, fmt.Errorf("bench: -partitions needs at least one count")
+	if problems := countProblems(counts); len(problems) > 0 {
+		return rep, fmt.Errorf("bench: -partitions %v: %s", counts, strings.Join(problems, "; "))
 	}
 	data := dataset.GenerateBike(cfg.Bike)
 	ora := ttdb.NewPolyglot(ts.Week)
@@ -190,6 +190,27 @@ func FormatPartitions(r PartitionsReport) string {
 	return b.String()
 }
 
+// countProblems is the one rule for a partition-count list, applied before
+// RunPartitions loads anything and again by checkPartitions: the 1-partition
+// reference leads at least two strictly increasing levels.
+func countProblems(counts []int) []string {
+	var problems []string
+	if len(counts) < 2 {
+		problems = append(problems, fmt.Sprintf(
+			"partitions: %d levels; scaling needs at least the reference and one fan-out", len(counts)))
+	}
+	if len(counts) > 0 && counts[0] != 1 {
+		problems = append(problems, fmt.Sprintf(
+			"partitions: first level is %d partitions, want the 1-partition reference", counts[0]))
+	}
+	for i := 1; i < len(counts); i++ {
+		if counts[i] <= counts[i-1] {
+			problems = append(problems, fmt.Sprintf("partitions@%d: counts not strictly increasing", counts[i]))
+		}
+	}
+	return problems
+}
+
 // checkPartitions validates the structural invariants of the partitions
 // section: the 1-partition reference leads at least two strictly increasing
 // levels, every level is element-wise identical to the oracle, all timings
@@ -201,25 +222,17 @@ func checkPartitions(r *PartitionsReport) []string {
 	if r.Procs < 1 {
 		problems = append(problems, fmt.Sprintf("partitions: procs %d not positive", r.Procs))
 	}
-	if len(r.Levels) < 2 {
-		problems = append(problems, fmt.Sprintf(
-			"partitions: %d levels; scaling needs at least the reference and one fan-out", len(r.Levels)))
-	}
 	if len(r.Counts) != len(r.Levels) {
 		problems = append(problems, fmt.Sprintf(
 			"partitions: %d counts but %d levels", len(r.Counts), len(r.Levels)))
 	}
-	if len(r.Levels) > 0 && r.Levels[0].Parts != 1 {
-		problems = append(problems, fmt.Sprintf(
-			"partitions: first level is %d partitions, want the 1-partition reference", r.Levels[0].Parts))
+	parts := make([]int, len(r.Levels))
+	for i, lvl := range r.Levels {
+		parts[i] = lvl.Parts
 	}
-	prev := 0
+	problems = append(problems, countProblems(parts)...)
 	for _, lvl := range r.Levels {
 		tag := fmt.Sprintf("partitions@%d", lvl.Parts)
-		if lvl.Parts <= prev {
-			problems = append(problems, fmt.Sprintf("%s: counts not strictly increasing", tag))
-		}
-		prev = lvl.Parts
 		if !lvl.Identical {
 			problems = append(problems, fmt.Sprintf("%s: results differ from the single-engine oracle", tag))
 		}

@@ -43,11 +43,16 @@ func TestRunPartitionsReport(t *testing.T) {
 	}
 }
 
-func TestRunPartitionsRejectsEmptyCounts(t *testing.T) {
+// RunPartitions refuses, before loading anything, every count list its own
+// -check would reject: no 1-partition reference first, counts not strictly
+// increasing, or fewer than two levels.
+func TestRunPartitionsRejectsBadCounts(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Bike = tinyBike()
-	if _, err := RunPartitions(context.Background(), cfg, nil); err == nil {
-		t.Fatal("want error for empty counts")
+	for _, counts := range [][]int{nil, {2, 4}, {1, 1}, {1}} {
+		if _, err := RunPartitions(context.Background(), cfg, counts); err == nil {
+			t.Fatalf("counts %v: want error", counts)
+		}
 	}
 }
 

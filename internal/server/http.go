@@ -177,11 +177,12 @@ func (s *Server) budget(r *http.Request) (time.Duration, *response) {
 		resp := errJSON(http.StatusBadRequest, "bad_timeout", "timeout_ms must be a positive integer")
 		return 0, &resp
 	}
-	budget := time.Duration(ms) * time.Millisecond
-	if budget > s.cfg.MaxTimeout {
-		budget = s.cfg.MaxTimeout
+	// Clamp in milliseconds: converting first overflows a Duration for any
+	// value above ~9.2e12 ms and wraps to an already-expired budget.
+	if ms > s.cfg.MaxTimeout.Milliseconds() {
+		return s.cfg.MaxTimeout, nil
 	}
-	return budget, nil
+	return time.Duration(ms) * time.Millisecond, nil
 }
 
 // asTimeout maps an engine error: a context deadline to 504 (accounting the

@@ -414,6 +414,25 @@ func TestDeadlineExceeded(t *testing.T) {
 	}
 }
 
+// A requested budget too large for a time.Duration is clamped to MaxTimeout,
+// not wrapped into an already-expired deadline.
+func TestHugeTimeoutClampsToMax(t *testing.T) {
+	_, hs, _, reg := newTestServer(t, Limits{})
+	base := hs.URL
+	st := ingestStation(t, base, "acme", "s", "d", []map[string]any{{"t": 0, "v": 1}}, "")
+	for _, ms := range []string{"9223372036854775807", "10000000000000"} {
+		code, body, _ := doJSON(t, "GET",
+			fmt.Sprintf("%s/v1/tenants/acme/query?name=Q3&station=%.0f", base, st), nil,
+			map[string]string{"X-Timeout-MS": ms})
+		if code != http.StatusOK {
+			t.Fatalf("X-Timeout-MS %s: status = %d %v, want 200", ms, code, body)
+		}
+	}
+	if n := reg.Snapshot().Counters["server.deadline_miss"]; n != 0 {
+		t.Fatalf("deadline_miss = %d, want 0", n)
+	}
+}
+
 func TestDegradedQueryReturnsPartialResult(t *testing.T) {
 	defer faults.Reset()
 	_, hs, _, _ := newTestServer(t, Limits{})
