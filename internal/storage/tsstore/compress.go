@@ -179,100 +179,307 @@ func encodeChunk(times []ts.Time, vals []float64) []byte {
 	return append(buf, bw.b...)
 }
 
+// blockCursor is the decoder's state between two points of a block: each
+// stream's read position and the last decoded point. The time and value
+// streams advance independently, since the value stream starts only where
+// the time stream ends: decodeChunk walks every time, then every value, and
+// an edge fold reopens both at a sub-slot checkpoint and walks them together.
+type blockCursor struct {
+	td    []byte    // time stream, from the next point's delta-of-delta on
+	t     ts.Time   // last decoded time
+	delta int64     // last decoded delta
+	vr    bitReader // value stream, from the next point's control bit on
+	v     uint64    // last decoded value bits
+	lead  uint      // XOR window of the last new-window value
+	sig   uint      // its width; 0 means no window yet
+}
+
+var (
+	errCorruptDod       = errors.New("tsstore: corrupt block delta-of-delta")
+	errTimesNotIncrease = errors.New("tsstore: block timestamps not increasing")
+	errReuseBeforeDef   = errors.New("tsstore: block reuses window before defining one")
+)
+
+// openBlock parses a block's point count and first timestamp. The cursor is
+// on point 0's time; its time stream continues at the first delta, which
+// decodes as a delta-of-delta against a zero delta.
+func openBlock(block []byte) (int, blockCursor, error) {
+	var c blockCursor
+	n, w := binary.Uvarint(block)
+	if w <= 0 {
+		return 0, c, fmt.Errorf("tsstore: corrupt block count")
+	}
+	// Every point past the second costs >= 1 timestamp byte; cap n before
+	// anyone allocates so corrupt headers can't OOM the loader.
+	if n > uint64(len(block))+2 {
+		return 0, c, fmt.Errorf("tsstore: block count %d exceeds payload", n)
+	}
+	if n == 0 {
+		return 0, c, nil
+	}
+	rd := block[w:]
+	t0, w := binary.Varint(rd)
+	if w <= 0 {
+		return 0, c, fmt.Errorf("tsstore: corrupt block t0")
+	}
+	c.td, c.t = rd[w:], ts.Time(t0)
+	return int(n), c, nil
+}
+
+// nextTime decodes the next point's timestamp, which must exceed the last.
+func (c *blockCursor) nextTime() error {
+	var dod int64
+	if len(c.td) > 0 && c.td[0] < 0x80 { // one-byte varint: every point of a regular grid
+		dod = int64(c.td[0]>>1) ^ -int64(c.td[0]&1)
+		c.td = c.td[1:]
+	} else {
+		var w int
+		if dod, w = binary.Varint(c.td); w <= 0 {
+			return errCorruptDod
+		}
+		c.td = c.td[w:]
+	}
+	c.delta += dod
+	t := c.t + ts.Time(c.delta)
+	if t <= c.t {
+		return errTimesNotIncrease
+	}
+	c.t = t
+	return nil
+}
+
+// openValues reads the value stream's length where the time stream ends and
+// point 0's value from its head. It returns the stream's end as an offset
+// from where the time stream ended.
+func (c *blockCursor) openValues() (end int, err error) {
+	vlen, w := binary.Uvarint(c.td)
+	if w <= 0 || vlen > uint64(len(c.td[w:])) {
+		return 0, fmt.Errorf("tsstore: corrupt block value length")
+	}
+	end = w + int(vlen)
+	c.vr = bitReader{b: c.td[w:end]}
+	c.td = nil
+	if c.v, err = c.vr.readBits(64); err != nil {
+		return 0, err
+	}
+	return end, nil
+}
+
+// nextValue decodes the next point's value bits. The control bits and the
+// 11-bit window header come straight from the accumulator after at most
+// one refill; a refill leaves at least 57 bits buffered unless the stream
+// ends, so a short buffer then means a truncated stream.
+func (c *blockCursor) nextValue() error {
+	r := &c.vr
+	if r.n < 13 {
+		r.refill()
+	}
+	if r.n < 1 {
+		return errValuesTruncated
+	}
+	if r.take(1) == 0 {
+		return nil // identical to its predecessor
+	}
+	if r.n < 1 {
+		return errValuesTruncated
+	}
+	if r.take(1) == 1 { // '1''1': new window, 5-bit lead and 6-bit sig-1 as one field
+		if r.n < 11 {
+			return errValuesTruncated
+		}
+		hdr := r.take(11)
+		c.lead, c.sig = uint(hdr>>6), uint(hdr&63)+1
+	} else if c.sig == 0 {
+		return errReuseBeforeDef
+	}
+	mbits, err := r.readBits(c.sig)
+	if err != nil {
+		return err
+	}
+	c.v ^= mbits << (64 - c.lead - c.sig)
+	return nil
+}
+
+// next advances both streams to the following point.
+func (c *blockCursor) next() error {
+	if err := c.nextTime(); err != nil {
+		return err
+	}
+	return c.nextValue()
+}
+
 // decodeChunk inflates a block produced by encodeChunk into freshly
 // allocated slices. Corrupt input returns an error, never a panic — blocks
 // also arrive from snapshots and spill files.
 func decodeChunk(block []byte) ([]ts.Time, []float64, error) {
-	rd := block
-	n, w := binary.Uvarint(rd)
-	if w <= 0 {
-		return nil, nil, fmt.Errorf("tsstore: corrupt block count")
-	}
-	rd = rd[w:]
-	// Every point past the second costs >= 1 timestamp byte; cap n before
-	// allocating so corrupt headers can't OOM the loader.
-	if n > uint64(len(block))+2 {
-		return nil, nil, fmt.Errorf("tsstore: block count %d exceeds payload", n)
+	n, cur, err := openBlock(block)
+	if err != nil {
+		return nil, nil, err
 	}
 	times := make([]ts.Time, n)
 	vals := make([]float64, n)
 	if n == 0 {
 		return times, vals, nil
 	}
-	t0, w := binary.Varint(rd)
-	if w <= 0 {
-		return nil, nil, fmt.Errorf("tsstore: corrupt block t0")
-	}
-	rd = rd[w:]
-	times[0] = ts.Time(t0)
-	if n >= 2 {
-		delta, w := binary.Varint(rd)
-		if w <= 0 {
-			return nil, nil, fmt.Errorf("tsstore: corrupt block delta")
+	times[0] = cur.t
+	for i := 1; i < n; i++ {
+		if err := cur.nextTime(); err != nil {
+			return nil, nil, err
 		}
-		rd = rd[w:]
-		times[1] = times[0] + ts.Time(delta)
-		for i := uint64(2); i < n; i++ {
-			var dod int64
-			if len(rd) > 0 && rd[0] < 0x80 { // one-byte varint: every point of a regular grid
-				dod = int64(rd[0]>>1) ^ -int64(rd[0]&1)
-				rd = rd[1:]
-			} else {
-				var w int
-				if dod, w = binary.Varint(rd); w <= 0 {
-					return nil, nil, fmt.Errorf("tsstore: corrupt block dod at %d", i)
-				}
-				rd = rd[w:]
-			}
-			delta += dod
-			times[i] = times[i-1] + ts.Time(delta)
-		}
+		times[i] = cur.t
 	}
-	vlen, w := binary.Uvarint(rd)
-	if w <= 0 || vlen > uint64(len(rd[w:])) {
-		return nil, nil, fmt.Errorf("tsstore: corrupt block value length")
-	}
-	br := bitReader{b: rd[w : w+int(vlen)]}
-	first, err := br.readBits(64)
-	if err != nil {
+	if _, err := cur.openValues(); err != nil {
 		return nil, nil, err
 	}
-	prev := first
-	vals[0] = math.Float64frombits(first)
-	lead, sig := uint(0), uint(0)
-	for i := uint64(1); i < n; i++ {
-		ctrl, err := br.readBits(1)
-		if err != nil {
+	vals[0] = math.Float64frombits(cur.v)
+	for i := 1; i < n; i++ {
+		if err := cur.nextValue(); err != nil {
 			return nil, nil, err
 		}
-		if ctrl == 0 {
-			vals[i] = math.Float64frombits(prev)
-			continue
-		}
-		reuse, err := br.readBits(1)
-		if err != nil {
-			return nil, nil, err
-		}
-		if reuse == 1 { // '1''1': new window, 5-bit lead and 6-bit sig-1 as one field
-			hdr, err := br.readBits(11)
-			if err != nil {
-				return nil, nil, err
-			}
-			lead, sig = uint(hdr>>6), uint(hdr&63)+1
-		} else if sig == 0 {
-			return nil, nil, fmt.Errorf("tsstore: block reuses window before defining one")
-		}
-		mbits, err := br.readBits(sig)
-		if err != nil {
-			return nil, nil, err
-		}
-		prev ^= mbits << (64 - lead - sig)
-		vals[i] = math.Float64frombits(prev)
-	}
-	for i := uint64(1); i < n; i++ {
-		if times[i] <= times[i-1] {
-			return nil, nil, fmt.Errorf("tsstore: block timestamps not increasing at %d", i)
-		}
+		vals[i] = math.Float64frombits(cur.v)
 	}
 	return times, vals, nil
+}
+
+// subSlots is K, the sub-slot count of a sealed chunk's index. K = 8 was
+// measured first and doubled the index; see docs/STORAGE.md for both.
+const subSlots = 4
+
+// maxIndexedBlock bounds the blocks an index can address: offsets are 32
+// bits, and value-stream offsets count bits.
+const maxIndexedBlock = math.MaxUint32 / 8
+
+// subSlotIndex is the derived, in-memory index of one sealed block: its
+// points split by count into up to subSlots sub-slots of per points each,
+// with a resume checkpoint and a summary per sub-slot. It lets an aggregate
+// fold the sub-slots inside its window from their summaries and decode at
+// most one sub-slot at each end. It is built by one validating pass over
+// the block (buildIndex) and never persisted.
+//
+// Each array holds one field for every sub-slot, so no padding is paid per
+// checkpoint: the whole index is 256 bytes. Sub-slot k's checkpoint is the
+// cursor on its first point.
+type subSlotIndex struct {
+	t         [subSlots]ts.Time // the point's time
+	delta     [subSlots]int64   // its delta from the previous point (0 for point 0)
+	v         [subSlots]uint64  // its value bits
+	tOff      [subSlots]uint32  // block offset of the next point's delta-of-delta
+	vOff      [subSlots]uint32  // block bit offset of the next point's control bit
+	lead, sig [subSlots]uint8   // the XOR window in force
+
+	// The sub-slot's summary; its count is the index difference.
+	sum, min, max [subSlots]float64
+
+	last ts.Time // the block's last time
+	n    int32   // points in the block
+	per  int32   // points per sub-slot, ceil(n/subSlots)
+	k    int32   // sub-slots in use, ceil(n/per)
+	vEnd uint32  // block offset of the value stream's end
+}
+
+// buildIndex makes one validating pass over a block — it accepts exactly
+// the blocks decodeChunk accepts — recording each sub-slot's checkpoint and
+// folding its summary.
+func buildIndex(block []byte) (*subSlotIndex, error) {
+	if len(block) > maxIndexedBlock {
+		return nil, fmt.Errorf("tsstore: block of %d bytes exceeds the sub-slot index's %d", len(block), maxIndexedBlock)
+	}
+	n, cur, err := openBlock(block)
+	if err != nil {
+		return nil, err
+	}
+	x := &subSlotIndex{n: int32(n)}
+	if n == 0 {
+		return x, nil
+	}
+	per := (n + subSlots - 1) / subSlots
+	x.per, x.k = int32(per), int32((n+per-1)/per)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			if err := cur.nextTime(); err != nil {
+				return nil, err
+			}
+		}
+		if k := i / per; i%per == 0 {
+			x.t[k], x.delta[k], x.tOff[k] = cur.t, cur.delta, uint32(len(block)-len(cur.td))
+		}
+	}
+	x.last = cur.t
+	at := len(block) - len(cur.td) // where the time stream ends
+	end, err := cur.openValues()
+	if err != nil {
+		return nil, err
+	}
+	x.vEnd = uint32(at + end)
+	var sub Summary
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			if err := cur.nextValue(); err != nil {
+				return nil, err
+			}
+		}
+		k := i / per
+		if i%per == 0 {
+			x.v[k], x.lead[k], x.sig[k] = cur.v, uint8(cur.lead), uint8(cur.sig)
+			// Bits consumed: bytes taken from the stream less those still
+			// buffered in the accumulator.
+			x.vOff[k] = uint32(8*(int(x.vEnd)-len(cur.vr.b)) - int(cur.vr.n))
+			sub = Summary{Min: math.Inf(1), Max: math.Inf(-1)}
+		}
+		v := math.Float64frombits(cur.v)
+		sub.add(1, v, v, v)
+		x.sum[k], x.min[k], x.max[k] = sub.Sum, sub.Min, sub.Max
+	}
+	return x, nil
+}
+
+// count is the number of points in sub-slot k.
+func (x *subSlotIndex) count(k int) int {
+	return int(min(x.per, x.n-int32(k)*x.per))
+}
+
+// below reports whether every point of sub-slot k lies before t: the next
+// sub-slot starts at or before t, or, for the last one, the block's last
+// time is before t. It compares times only, so no bound can wrap.
+func (x *subSlotIndex) below(k int, t ts.Time) bool {
+	if k+1 < int(x.k) {
+		return x.t[k+1] <= t
+	}
+	return x.last < t
+}
+
+// resume returns a cursor on sub-slot k's first point, ready to decode the
+// points after it. Every later step keeps decodeChunk's per-point checks.
+func (x *subSlotIndex) resume(block []byte, k int) (blockCursor, error) {
+	c := blockCursor{
+		td: block[x.tOff[k]:], t: x.t[k], delta: x.delta[k],
+		vr: bitReader{b: block[x.vOff[k]/8 : x.vEnd]}, v: x.v[k], lead: uint(x.lead[k]), sig: uint(x.sig[k]),
+	}
+	if _, err := c.vr.readBits(uint(x.vOff[k] % 8)); err != nil {
+		return c, err
+	}
+	return c, nil
+}
+
+// fold folds the points of sub-slot k that lie in [start, end) into out,
+// decoding from the sub-slot's checkpoint in place and stopping at the
+// first point at or past end.
+func (x *subSlotIndex) fold(block []byte, k int, start, end ts.Time, out *Summary) error {
+	cur, err := x.resume(block, k)
+	if err != nil {
+		return err
+	}
+	for left := x.count(k); cur.t < end; {
+		if cur.t >= start {
+			v := math.Float64frombits(cur.v)
+			out.add(1, v, v, v)
+		}
+		if left--; left == 0 {
+			return nil
+		}
+		if err := cur.next(); err != nil {
+			return err
+		}
+	}
+	return nil
 }

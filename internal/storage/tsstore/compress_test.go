@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"hygraph/internal/ts"
 )
@@ -210,6 +211,8 @@ func TestBitReaderWordBoundaries(t *testing.T) {
 // FuzzDecodeChunk checks the word-at-a-time decoder against the reference
 // bit-at-a-time decoder on arbitrary bytes: both accept or both reject, and
 // an accepted block decodes to identical times and bit-identical values.
+// The sub-slot index builder accepts exactly the same blocks, and on an
+// accepted one checkIndex proves every checkpoint and sub-slot summary.
 func FuzzDecodeChunk(f *testing.F) {
 	for _, tc := range codecShapes {
 		f.Add(encodeChunk(tc.times, tc.vals))
@@ -224,6 +227,10 @@ func FuzzDecodeChunk(f *testing.F) {
 		if (err == nil) != (refErr == nil) {
 			t.Fatalf("decoder err = %v, reference err = %v", err, refErr)
 		}
+		x, idxErr := buildIndex(block)
+		if (idxErr == nil) != (err == nil) {
+			t.Fatalf("index builder err = %v, decoder err = %v", idxErr, err)
+		}
 		if err != nil {
 			return
 		}
@@ -235,7 +242,51 @@ func FuzzDecodeChunk(f *testing.F) {
 				t.Fatalf("point %d: (%d, %x), reference (%d, %x)", i, gotT[i], math.Float64bits(gotV[i]), wantT[i], math.Float64bits(wantV[i]))
 			}
 		}
+		checkIndex(t, block, x, wantT, wantV)
 	})
+}
+
+// checkIndex proves a block's sub-slot index against its full decode: the
+// checkpoints split the points by count, checkpoint k resumes to exactly
+// suffix k of the decode (times equal, value bits equal), each sub-slot
+// summary equals a fold of its points, and the last time is the block's.
+func checkIndex(t *testing.T, block []byte, x *subSlotIndex, times []ts.Time, vals []float64) {
+	t.Helper()
+	n := len(times)
+	if int(x.n) != n {
+		t.Fatalf("index holds %d points, decode %d", x.n, n)
+	}
+	if n == 0 {
+		return
+	}
+	per, nk := int(x.per), int(x.k)
+	if x.last != times[n-1] || per != (n+subSlots-1)/subSlots || nk < 1 || nk > subSlots || (nk-1)*per >= n || nk*per < n {
+		t.Fatalf("index shape: n %d per %d k %d last %d, want last %d", n, x.per, x.k, x.last, times[n-1])
+	}
+	for k := 0; k < nk; k++ {
+		first := k * per
+		cur, err := x.resume(block, k)
+		if err != nil {
+			t.Fatalf("resume %d: %v", k, err)
+		}
+		for i := first; i < n; i++ {
+			if i > first {
+				if err := cur.next(); err != nil {
+					t.Fatalf("resume %d: point %d: %v", k, i, err)
+				}
+			}
+			if cur.t != times[i] || cur.v != math.Float64bits(vals[i]) {
+				t.Fatalf("resume %d: point %d = (%d, %x), decode (%d, %x)", k, i, cur.t, cur.v, times[i], math.Float64bits(vals[i]))
+			}
+		}
+		want := Summary{Min: math.Inf(1), Max: math.Inf(-1)}
+		for _, v := range vals[first : first+x.count(k)] {
+			want.add(1, v, v, v)
+		}
+		if math.Float64bits(x.sum[k]) != math.Float64bits(want.Sum) || x.min[k] != want.Min || x.max[k] != want.Max {
+			t.Fatalf("sub-slot %d summary {%v %v %v}, fold {%v %v %v}", k, x.sum[k], x.min[k], x.max[k], want.Sum, want.Min, want.Max)
+		}
+	}
 }
 
 func BenchmarkDecodeChunk(b *testing.B) {
@@ -381,5 +432,13 @@ func TestDecodeRejectsNonIncreasingTimes(t *testing.T) {
 	block[2] = 0x13
 	if _, _, err := decodeChunk(block); err == nil {
 		t.Fatal("non-increasing timestamps accepted")
+	}
+}
+
+// The index is paid once per chunk that has been an edge, so its size is
+// part of the design (docs/STORAGE.md): one allocation of 256 bytes.
+func TestSubSlotIndexSize(t *testing.T) {
+	if got := unsafe.Sizeof(subSlotIndex{}); got != 256 {
+		t.Fatalf("subSlotIndex is %d bytes, want 256", got)
 	}
 }

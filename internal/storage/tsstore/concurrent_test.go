@@ -28,6 +28,10 @@ func TestConcurrentReaders(t *testing.T) {
 	wantAgg := db.Aggregate(keys[3], 0, end)
 	wantAll := db.AggregateAll("availability", 0, end)
 	wantTop := db.TopKByMean("availability", 0, end, 3)
+	// A window that cuts both edge chunks mid-day, with its answer taken
+	// from Range so the readers below race to build the sub-slot indexes.
+	lo, hi := 5*ts.Hour, end-7*ts.Hour
+	wantEdge := foldRange(db, keys[5], lo, hi)
 
 	var wg sync.WaitGroup
 	for c := 0; c < 8; c++ {
@@ -40,6 +44,14 @@ func TestConcurrentReaders(t *testing.T) {
 				db.RangeSeries(k, 0, end)
 				if got := db.Aggregate(keys[3], 0, end); got != wantAgg {
 					t.Error("Aggregate unstable")
+					return
+				}
+				if got := db.Aggregate(keys[5], lo, hi); got != wantEdge {
+					t.Error("edge Aggregate unstable")
+					return
+				}
+				if first, last, ok := db.Span(k); !ok || first != 0 || last != end-ts.Hour {
+					t.Error("Span unstable")
 					return
 				}
 				if got := db.AggregateAll("availability", 0, end); !reflect.DeepEqual(got, wantAll) {

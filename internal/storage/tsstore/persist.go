@@ -35,6 +35,11 @@ const (
 	maxSnapBlockLen  = 1 << 26 // bytes in one compressed block
 )
 
+// snapPrealloc bounds what a length field may allocate before its data is
+// read (points of a raw chunk, bytes of a block); past it, buffers grow as
+// data arrives. Real chunks fit: a week of hourly points is 168.
+const snapPrealloc = 1 << 12
+
 // Save writes a binary snapshot of the store. Keys are emitted in merged
 // first-insertion order (one short read lock per shard while walking each
 // key's series), so the on-disk layout is byte-identical regardless of the
@@ -207,7 +212,10 @@ func loadChunk(br *bufio.Reader, version uint64) (*chunk, error) {
 		if nPts > maxSnapChunkPts {
 			return nil, fmt.Errorf("tsstore: corrupt snapshot: %d points in one chunk exceeds cap %d", nPts, maxSnapChunkPts)
 		}
-		c := &chunk{slot: slot, times: make([]ts.Time, nPts), vals: make([]float64, nPts)}
+		// Grow from the points actually read: a corrupt count then fails at
+		// the end of the input, not after a cap-sized allocation.
+		prealloc := min(nPts, snapPrealloc)
+		c := &chunk{slot: slot, times: make([]ts.Time, 0, prealloc), vals: make([]float64, 0, prealloc)}
 		prev := int64(0)
 		for i := uint64(0); i < nPts; i++ {
 			d, err := binary.ReadVarint(br)
@@ -219,14 +227,14 @@ func loadChunk(br *bufio.Reader, version uint64) (*chunk, error) {
 			} else {
 				prev += d
 			}
-			c.times[i] = ts.Time(prev)
+			c.times = append(c.times, ts.Time(prev))
 		}
 		for i := uint64(0); i < nPts; i++ {
 			v, err := readFloatBits(br)
 			if err != nil {
 				return nil, err
 			}
-			c.vals[i] = v
+			c.vals = append(c.vals, v)
 		}
 		c.recomputeSummary()
 		return c, nil
@@ -252,8 +260,7 @@ func loadChunk(br *bufio.Reader, version uint64) (*chunk, error) {
 		if blen > maxSnapBlockLen {
 			return nil, fmt.Errorf("tsstore: corrupt snapshot: compressed block of %d bytes exceeds cap %d", blen, maxSnapBlockLen)
 		}
-		c.enc = make([]byte, blen)
-		if _, err := io.ReadFull(br, c.enc); err != nil {
+		if c.enc, err = readBytes(br, blen); err != nil {
 			return nil, err
 		}
 		return c, nil
@@ -278,6 +285,20 @@ func writeFloatBits(w *bufio.Writer, v float64) {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
 	w.Write(buf[:]) //hyvet:allow walerrlatch bufio.Writer latches its first error; Save's checked Flush reports it
+}
+
+// readBytes reads exactly n bytes, allocating at most snapPrealloc ahead of
+// the data read.
+func readBytes(br *bufio.Reader, n uint64) ([]byte, error) {
+	buf := make([]byte, 0, min(n, snapPrealloc))
+	for uint64(len(buf)) < n {
+		step := int(min(n-uint64(len(buf)), snapPrealloc))
+		buf = append(buf, make([]byte, step)...)
+		if _, err := io.ReadFull(br, buf[len(buf)-step:]); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 func readFloatBits(br *bufio.Reader) (float64, error) {

@@ -51,6 +51,11 @@ type chunk struct {
 	// it without touching the cache mutex; scans over sealed chunks cost
 	// one atomic load when warm.
 	dec atomic.Pointer[blockDec]
+	// idx is the sub-slot index of an in-memory sealed block (compress.go),
+	// built on the chunk's first edge fold or Span and published the same
+	// lock-free way as dec. It is derived from enc and never evicted: it is
+	// cleared exactly where enc is replaced or dropped (inflate, spill).
+	idx atomic.Pointer[subSlotIndex]
 	// summary
 	n    int
 	sum  float64
@@ -397,10 +402,10 @@ func (db *DB) HasSeries(key SeriesKey) bool {
 }
 
 // Span reports the times of a series' first and last point; ok is false when
-// the key holds none. Only the two outermost chunks are looked at, and a
-// sealed one decodes through the block cache like any scan, so a caller that
-// needs to know whether a series covers an instant does not pay for a range
-// read.
+// the key holds none. Only the two outermost chunks are looked at: an
+// in-memory sealed one answers from its sub-slot index, and only a spilled
+// one decodes, through the block cache. So a caller that needs to know
+// whether a series covers an instant does not pay for a range read.
 func (db *DB) Span(key SeriesKey) (first, last ts.Time, ok bool) {
 	sh := db.shard(key)
 	sh.mu.RLock()
@@ -409,12 +414,44 @@ func (db *DB) Span(key SeriesKey) (first, last ts.Time, ok bool) {
 	if !found || len(s.chunks) == 0 {
 		return 0, 0, false
 	}
-	head, _ := sh.chunkPoints(db, key, s.chunks[0])
-	tail, _ := sh.chunkPoints(db, key, s.chunks[len(s.chunks)-1])
-	if len(head) == 0 || len(tail) == 0 {
+	first, _, okHead := sh.chunkBounds(db, key, s.chunks[0])
+	_, last, okTail := sh.chunkBounds(db, key, s.chunks[len(s.chunks)-1])
+	return first, last, okHead && okTail
+}
+
+// chunkBounds returns the times of a chunk's first and last point; ok is
+// false when it yields none. Callers hold the lock (either side).
+func (sh *tsShard) chunkBounds(db *DB, key SeriesKey, c *chunk) (first, last ts.Time, ok bool) {
+	if c.enc != nil {
+		x := db.index(c)
+		if x == nil || x.n == 0 {
+			return 0, 0, false
+		}
+		return x.t[0], x.last, true
+	}
+	times, _ := sh.chunkPoints(db, key, c)
+	if len(times) == 0 {
 		return 0, 0, false
 	}
-	return head[0], tail[len(tail)-1], true
+	return times[0], times[len(times)-1], true
+}
+
+// index returns an in-memory sealed chunk's sub-slot index, building and
+// publishing it on first use. Concurrent readers may race to build it; the
+// second store overwrites the first with an identical index. A block that
+// fails validation latches the error and yields nil. Callers hold the
+// shard's lock (either side), which keeps c.enc fixed.
+func (db *DB) index(c *chunk) *subSlotIndex {
+	if x := c.idx.Load(); x != nil {
+		return x
+	}
+	x, err := buildIndex(c.enc)
+	if err != nil {
+		db.deg.set(err)
+		return nil
+	}
+	c.idx.Store(x)
+	return x
 }
 
 // seqKey pairs a key with its global insertion sequence for merged iteration.
@@ -548,6 +585,7 @@ func (sh *tsShard) inflateLocked(db *DB, key SeriesKey, c *chunk) bool {
 	}
 	c.times, c.vals = times, vals
 	c.enc, c.spill = nil, nil
+	c.idx.Store(nil)
 	sh.bc.invalidate(blockKey{key: key, slot: c.slot})
 	db.inflates.Add(1)
 	db.obs.inflates.Inc()
@@ -572,10 +610,11 @@ func (sh *tsShard) blockBytes(db *DB, c *chunk) ([]byte, error) {
 // a payload that cannot be recovered latches the error and yields no points.
 //
 // The warm path is one atomic load: the decode hint lives on the chunk
-// itself, so the edge scans of an aggregation pushdown don't pay a mutex +
-// map lookup per chunk (that overhead was ~25% of Q4–Q8 latency on the
-// bench workload). The blockCache still owns the hint — put registers it,
-// eviction and invalidation clear it — so decoded memory stays bounded.
+// itself, so a scan doesn't pay a mutex + map lookup per chunk. The
+// blockCache still owns the hint — put registers it, eviction and
+// invalidation clear it — so decoded memory stays bounded. Aggregates don't
+// come here for in-memory sealed chunks; they fold through the sub-slot
+// index instead.
 func (sh *tsShard) chunkPoints(db *DB, key SeriesKey, c *chunk) ([]ts.Time, []float64) {
 	if !c.sealed() {
 		return c.times, c.vals
@@ -870,6 +909,21 @@ type Summary struct {
 	Max   float64
 }
 
+// add folds n points with the given sum and extrema into s: a chunk
+// summary, a sub-slot summary, or one point as add(1, v, v, v). NaN
+// comparisons are false, so NaN extrema (and NaN points) leave Min/Max
+// untouched while a NaN sum poisons Sum.
+func (s *Summary) add(n int, sum, lo, hi float64) {
+	s.Count += n
+	s.Sum += sum
+	if lo < s.Min {
+		s.Min = lo
+	}
+	if hi > s.Max {
+		s.Max = hi
+	}
+}
+
 // Mean returns Sum/Count (NaN when empty).
 func (s Summary) Mean() float64 {
 	if s.Count == 0 {
@@ -894,39 +948,60 @@ func (sh *tsShard) aggregateLocked(db *DB, key SeriesKey, start, end ts.Time) Su
 		return normalize(out)
 	}
 	loSlot, hiSlot := db.slotOf(start), db.slotOf(end-1)
+	// Slots fullLo..fullHi lie wholly inside the window: the first is the
+	// one start opens (or the next), the last the one before end's.
+	// Comparing slot numbers, not slot*width bounds, keeps the test exact in
+	// the outermost slots, where those products wrap.
+	fullLo, fullHi := loSlot, db.slotOf(end)-1
+	if start != math.MinInt64 && db.slotOf(start-1) == loSlot {
+		fullLo++
+	}
 	i := sort.Search(len(s.chunks), func(i int) bool { return s.chunks[i].slot >= loSlot })
 	for ; i < len(s.chunks) && s.chunks[i].slot <= hiSlot; i++ {
 		c := s.chunks[i]
-		chunkStart := ts.Time(c.slot) * db.chunkWidth
-		chunkEnd := chunkStart + db.chunkWidth
-		if start <= chunkStart && chunkEnd <= end {
+		switch {
+		case fullLo <= c.slot && c.slot <= fullHi:
 			// Pushdown: the whole chunk is inside the range. Only the hot
 			// summary is read — never the (possibly compressed) payload.
-			out.Count += c.n
-			out.Sum += c.sum
-			if c.minV < out.Min {
-				out.Min = c.minV
-			}
-			if c.maxV > out.Max {
-				out.Max = c.maxV
-			}
-			continue
-		}
-		times, vals := sh.chunkPoints(db, key, c)
-		lo := sort.Search(len(times), func(j int) bool { return times[j] >= start })
-		for j := lo; j < len(times) && times[j] < end; j++ {
-			v := vals[j]
-			out.Count++
-			out.Sum += v
-			if v < out.Min {
-				out.Min = v
-			}
-			if v > out.Max {
-				out.Max = v
+			out.add(c.n, c.sum, c.minV, c.maxV)
+		case c.enc != nil:
+			db.foldEdge(c, start, end, &out)
+		default:
+			// Open chunks fold their raw points; spilled ones decode
+			// through the block cache.
+			times, vals := sh.chunkPoints(db, key, c)
+			lo := sort.Search(len(times), func(j int) bool { return times[j] >= start })
+			for j := lo; j < len(times) && times[j] < end; j++ {
+				v := vals[j]
+				out.add(1, v, v, v)
 			}
 		}
 	}
 	return normalize(out)
+}
+
+// foldEdge folds the points of an in-memory sealed edge chunk that lie in
+// [start, end) through its sub-slot index: a sub-slot wholly inside the
+// window folds its summary, and one that straddles a window bound decodes
+// from its checkpoint. At most one sub-slot per bound decodes, nothing is
+// allocated once the index exists, and the block cache is not touched.
+func (db *DB) foldEdge(c *chunk, start, end ts.Time, out *Summary) {
+	x := db.index(c)
+	if x == nil {
+		return
+	}
+	for k := 0; k < int(x.k) && x.t[k] < end; k++ {
+		switch {
+		case x.below(k, start): // wholly before the window
+		case x.t[k] >= start && x.below(k, end):
+			out.add(x.count(k), x.sum[k], x.min[k], x.max[k])
+		default:
+			if err := x.fold(c.enc, k, start, end, out); err != nil {
+				db.deg.set(err)
+				return
+			}
+		}
+	}
 }
 
 func normalize(s Summary) Summary {

@@ -297,6 +297,12 @@ func TestSpan(t *testing.T) {
 		}
 	}
 	check("open and sealed chunks", 30, 999)
+	db.Insert(k(1), 250, 1) // reopens slot 2, sealing the tail chunk
+	db.DropBlockCache()
+	check("sealed head and tail", 30, 999)
+	if n := db.blockCacheLen(); n != 0 {
+		t.Fatalf("span of sealed in-memory chunks decoded %d blocks into the cache", n)
+	}
 	if err := db.EnableColdTier(t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
@@ -311,5 +317,156 @@ func TestSpan(t *testing.T) {
 	db.DeleteSeries(k(1))
 	if _, _, ok := db.Span(k(1)); ok {
 		t.Fatal("span of a deleted series")
+	}
+}
+
+// sameFloat is bit equality, with every NaN equal to every other.
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+}
+
+// foldRange is the reference aggregate: a per-point fold of Range.
+func foldRange(db *DB, key SeriesKey, start, end ts.Time) Summary {
+	out := Summary{Min: math.Inf(1), Max: math.Inf(-1)}
+	for _, p := range db.Range(key, start, end) {
+		out.add(1, p.V, p.V, p.V)
+	}
+	return normalize(out)
+}
+
+// Regression: the full-cover test computed a slot's end as
+// slot*width+width, which wraps in the last slot, so an edge chunk there
+// counted as covered and Aggregate folded points past end; slot*width wraps
+// the same way in the first slot. Each case must agree with Range, on the
+// raw layout and with the extreme chunk sealed.
+func TestAggregateSlotBoundsNoWrap(t *testing.T) {
+	const maxT, minT = ts.Time(math.MaxInt64), ts.Time(math.MinInt64)
+	cases := []struct {
+		name       string
+		width      ts.Time
+		at         ts.Time // the extreme point, inserted first so its chunk seals
+		start, end ts.Time
+		want       int
+	}{
+		{"last slot, end before the point", 0, maxT - 10, 1, maxT - 15, 0},
+		{"last slot, narrow width", 100, maxT - 1, 1, maxT - 1, 0},
+		{"last slot, end past the point", 100, maxT - 1, 1, maxT, 1},
+		{"first slot, start past the point", 0, minT + 10, minT + 15, 1, 1},
+		{"first slot, narrow width", 100, minT + 1, minT + 2, 0, 0},
+		{"first slot, whole slot", 100, minT + 1, minT, 0, 1},
+	}
+	for _, tc := range cases {
+		for _, compress := range []bool{false, true} {
+			db := New(tc.width)
+			db.SetCompress(compress)
+			db.Insert(k(1), tc.at, 5)
+			db.Insert(k(1), 0, 1)
+			got := db.Aggregate(k(1), tc.start, tc.end)
+			if got.Count != tc.want || len(db.Range(k(1), tc.start, tc.end)) != tc.want {
+				t.Errorf("%s (compress %v): Aggregate counts %d, Range %d, want %d",
+					tc.name, compress, got.Count, len(db.Range(k(1), tc.start, tc.end)), tc.want)
+			}
+		}
+	}
+}
+
+// Aggregate over sealed edge chunks folds sub-slot summaries and decodes at
+// most one sub-slot per window bound. Sweep windows whose bounds fall on,
+// next to and between sub-slot boundaries: every answer must equal the
+// per-point fold of Range, and none may fill the block cache.
+func TestAggregateEdgeMatchesRange(t *testing.T) {
+	db := New(1000)
+	rng := rand.New(rand.NewSource(21))
+	var times []ts.Time
+	for at := ts.Time(-3000); at < 3000; at += ts.Time(1 + rng.Intn(6)) {
+		v := float64(rng.Intn(50))
+		if rng.Intn(40) == 0 {
+			v = math.NaN()
+		}
+		db.Insert(k(1), at, v)
+		times = append(times, at)
+	}
+	db.Insert(k(1), 5000, 1) // seal the last swept chunk
+	db.DropBlockCache()
+	var bounds []ts.Time
+	for i := 0; i < len(times); i += 1 + rng.Intn(9) {
+		bounds = append(bounds, times[i]-1, times[i], times[i]+1)
+	}
+	for trial := 0; trial < 4000; trial++ {
+		a, b := bounds[rng.Intn(len(bounds))], bounds[rng.Intn(len(bounds))]
+		if a > b {
+			a, b = b, a
+		}
+		got, want := db.Aggregate(k(1), a, b), foldRange(db, k(1), a, b)
+		if got.Count != want.Count || !sameFloat(got.Sum, want.Sum) || !sameFloat(got.Min, want.Min) || !sameFloat(got.Max, want.Max) {
+			t.Fatalf("[%d, %d): Aggregate %+v, fold of Range %+v", a, b, got, want)
+		}
+		db.DropBlockCache() // Range filled it; Aggregate must not
+		if n := db.blockCacheLen(); n != 0 {
+			t.Fatalf("cache not emptied: %d", n)
+		}
+	}
+	db.Aggregate(k(1), -2500, 2500)
+	if n := db.blockCacheLen(); n != 0 {
+		t.Fatalf("Aggregate decoded %d edge blocks into the cache", n)
+	}
+	if db.Err() != nil {
+		t.Fatal(db.Err())
+	}
+}
+
+// An aggregate whose two edges fall in indexed sealed chunks allocates
+// nothing: sub-slots fold in place and the edge decode runs on the stack.
+func TestAggregateEdgeNoAlloc(t *testing.T) {
+	db := New(ts.Week)
+	for h := ts.Time(0); h < 8*ts.Week; h += ts.Hour {
+		db.Insert(k(1), h, float64(h/ts.Hour%40))
+	}
+	start, end := ts.Week+5*ts.Hour, 6*ts.Week+77*ts.Hour
+	db.Aggregate(k(1), start, end) // builds both edge indexes
+	if allocs := testing.AllocsPerRun(100, func() { db.Aggregate(k(1), start, end) }); allocs != 0 {
+		t.Fatalf("edge aggregate allocates %v times per run", allocs)
+	}
+}
+
+// BenchmarkAggregateEdge measures Aggregate on one hourly series, a year of
+// week chunks, over windows that cut both edge chunks at random hours. The
+// cold case empties the block cache before each query. DropBlockCache
+// leaves the sub-slot indexes in place, so with the index the cold case
+// costs what the warm one does; before it, cold meant two full decodes.
+func BenchmarkAggregateEdge(b *testing.B) {
+	db := New(ts.Week)
+	for h := ts.Time(0); h < 52*ts.Week; h += ts.Hour {
+		db.Insert(k(1), h, float64(h/ts.Hour%40))
+	}
+	rng := rand.New(rand.NewSource(9))
+	wins := make([][2]ts.Time, 1024)
+	for i := range wins {
+		start := ts.Time(rng.Intn(26*7*24)) * ts.Hour
+		wins[i] = [2]ts.Time{start, start + ts.Time(7*24+rng.Intn(26*7*24))*ts.Hour}
+	}
+	for _, cold := range []bool{false, true} {
+		name := "warm"
+		if cold {
+			name = "cold"
+		}
+		b.Run(name, func(b *testing.B) {
+			for _, w := range wins {
+				db.Aggregate(k(1), w[0], w[1])
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if cold {
+					b.StopTimer()
+					db.DropBlockCache()
+					b.StartTimer()
+				}
+				w := wins[i%len(wins)]
+				if s := db.Aggregate(k(1), w[0], w[1]); s.Count == 0 {
+					b.Fatal("empty window")
+				}
+			}
+		})
 	}
 }

@@ -154,6 +154,7 @@ func (sh *tsShard) spillLocked(db *DB) (int, int64, error) {
 	t.size[sh.idx] = off + int64(len(batch))
 	for _, c := range moved {
 		c.enc = nil
+		c.idx.Store(nil)
 	}
 	return len(moved), int64(len(batch)), nil
 }
