@@ -35,13 +35,15 @@ race:
 # panic on arbitrary query text, and the sealed-chunk block decoder must
 # accept, reject and decode arbitrary bytes exactly as the bit-at-a-time
 # reference decoder in its tests does (and its sub-slot index must resume
-# to exactly the decoded points), and the snapshot loader must never panic,
-# nor let a query over what it loaded panic or hide a corrupt block.
+# and scan to exactly the decoded points), the snapshot loader must never
+# panic, nor let a query over what it loaded panic or hide a corrupt block,
+# and the time-series WAL replayer must never panic nor half-apply a record.
 fuzz:
 	$(GO) test ./internal/storage/graphstore -run FuzzWALReplay -fuzz FuzzWALReplay -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hyql -run FuzzParse -fuzz FuzzParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage/tsstore -run FuzzDecodeChunk -fuzz FuzzDecodeChunk -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage/tsstore -run FuzzLoadSnapshot -fuzz FuzzLoadSnapshot -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/storage/tsstore -run FuzzTSWALReplay -fuzz FuzzTSWALReplay -fuzztime $(FUZZTIME)
 
 bench:
 	$(GO) test -bench . -benchmem ./...
@@ -51,7 +53,7 @@ bench:
 # exits non-zero if the parallel results ever diverge) and the instrumented
 # durable exercise (-metrics). The second run, at small scale, smokes the
 # storage path — chunk compression + cold tier (points-per-MB, the 4x ratio
-# floor, spill + cold/warm scans, Q1-Q8 deltas) — and the partition-scaling
+# floor, spill + a scan that reads every block back, Q1-Q8 deltas) — and the partition-scaling
 # path: the scatter-gather coordinator at 1 and 2 partitions, which exits
 # non-zero unless every merged answer is element-wise identical to the
 # single-engine oracle. Both runs assert the Table 1 shape. Every emitted

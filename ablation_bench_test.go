@@ -6,6 +6,7 @@ package hygraph_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"hygraph/internal/hyql"
 	"hygraph/internal/storage/graphstore"
 	"hygraph/internal/storage/tsstore"
+	"hygraph/internal/storage/ttdb"
 	"hygraph/internal/ts"
 )
 
@@ -220,19 +222,30 @@ func BenchmarkAblation_ParallelCorrelation(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_ParallelAggregateAll sweeps worker counts for hypertable
-// fan-out aggregation.
+// BenchmarkAblation_ParallelAggregateAll sweeps the Q4–Q8 fan-out width
+// (Polyglot.SetWorkers) on Q4, the per-station mean over every hypertable.
 func BenchmarkAblation_ParallelAggregateAll(b *testing.B) {
-	db := tsstore.New(ts.Week)
-	for e := uint32(0); e < 200; e++ {
+	eng := ttdb.NewPolyglot(ts.Week)
+	for e := 0; e < 200; e++ {
+		st, err := eng.AddStation(fmt.Sprintf("s%d", e), "d")
+		if err != nil {
+			b.Fatal(err)
+		}
+		s := ts.New(ttdb.Metric)
 		for i := 0; i < 24*90; i++ {
-			db.Insert(tsstore.SeriesKey{Entity: e, Metric: "m"}, ts.Time(i)*ts.Hour, float64(i%24))
+			s.MustAppend(ts.Time(i)*ts.Hour, float64(i%24))
+		}
+		if err := eng.LoadSeries(st, s); err != nil {
+			b.Fatal(err)
 		}
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			eng.SetWorkers(workers)
 			for i := 0; i < b.N; i++ {
-				db.AggregateAllParallel("m", 10*ts.Day, 80*ts.Day, workers)
+				if _, err := eng.Exec(context.Background(), ttdb.Q4(10*ts.Day, 80*ts.Day)); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -278,7 +278,6 @@ func TestHyQLStoreBackedEqualsCopyBacked(t *testing.T) {
 				if _, err := p.T.Spill(); err != nil {
 					t.Fatal(err)
 				}
-				p.T.DropBlockCache()
 			}},
 	}
 	for _, v := range variants {

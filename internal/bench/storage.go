@@ -17,9 +17,9 @@ import (
 // The storage benchmark measures what the compression + tiering layer buys:
 // points-per-MB of the raw vs compressed layouts on the sealed-chunk
 // workload (hourly integer availability counts — the shape bike telemetry
-// actually has), cold vs warm scan cost through the spill tier, and the
-// Q1–Q8 latency deltas of a compressed polyglot engine against a raw one on
-// the regular Table 1 workload.
+// actually has), the cost of a scan that reads every block back from the
+// spill tier, and the Q1–Q8 latency deltas of a compressed polyglot engine
+// against a raw one on the regular Table 1 workload.
 
 // StorageReport is the baseline's storage section (schema v4).
 type StorageReport struct {
@@ -37,12 +37,11 @@ type StorageReport struct {
 	// Identical reports that raw, compressed, and spilled stores returned
 	// element-wise identical Range/Aggregate/Downsample results.
 	Identical bool `json:"identical"`
-	// Cold tier: every sealed block spilled to disk, then scanned with an
-	// empty block cache (cold) and again with it warm.
+	// Cold tier: every sealed block spilled to disk, then scanned, each
+	// block read back from its spill file and decoded.
 	SpilledBlocks int     `json:"spilled_blocks"`
 	SpilledBytes  int64   `json:"spilled_bytes"`
 	ColdScanMS    float64 `json:"cold_scan_ms"`
-	WarmScanMS    float64 `json:"warm_scan_ms"`
 	// QueryDeltas maps Q1–Q8 to (compressedMRS - rawMRS) / rawMRS on the
 	// Table 1 workload: the latency price of the compressed layout.
 	// Timing-dependent, so reported rather than validated.
@@ -137,7 +136,8 @@ func RunStorage(ctx context.Context, cfg Config) (StorageReport, error) {
 	want := storageObserve(raw, series, points)
 	rep.Identical = storageEqual(want, storageObserve(comp, series, points))
 
-	// Cold tier: spill every sealed block, then time a cold and a warm scan.
+	// Cold tier: spill every sealed block, then time a scan that reads every
+	// block back.
 	dir, err := os.MkdirTemp("", "hybench-tier-")
 	if err != nil {
 		return rep, fmt.Errorf("bench: storage temp dir: %w", err)
@@ -151,14 +151,10 @@ func RunStorage(ctx context.Context, cfg Config) (StorageReport, error) {
 		return rep, err
 	}
 	rep.SpilledBlocks, rep.SpilledBytes = st.Blocks, st.Bytes
-	comp.DropBlockCache()
 	t0 := time.Now()
 	cold := storageObserve(comp, series, points)
 	rep.ColdScanMS = float64(time.Since(t0).Nanoseconds()) / 1e6
-	t0 = time.Now()
-	warm := storageObserve(comp, series, points)
-	rep.WarmScanMS = float64(time.Since(t0).Nanoseconds()) / 1e6
-	rep.Identical = rep.Identical && storageEqual(want, cold) && storageEqual(want, warm)
+	rep.Identical = rep.Identical && storageEqual(want, cold)
 	if err := comp.Err(); err != nil {
 		return rep, fmt.Errorf("bench: tiered store degraded: %w", err)
 	}
@@ -256,8 +252,8 @@ func FormatStorage(r StorageReport) string {
 		float64(r.RawBytes)/1e6, float64(r.CompressedBytes)/1e6, r.CompressionRatio,
 		map[bool]string{true: "identical results", false: "RESULTS DIFFER"}[r.Identical])
 	fmt.Fprintf(&b, "  points/MB    raw %.0f → compressed %.0f\n", r.PointsPerMBRaw, r.PointsPerMB)
-	fmt.Fprintf(&b, "  cold tier    %d blocks (%.1f MB) spilled; scan cold %.1f ms, warm %.1f ms\n",
-		r.SpilledBlocks, float64(r.SpilledBytes)/1e6, r.ColdScanMS, r.WarmScanMS)
+	fmt.Fprintf(&b, "  cold tier    %d blocks (%.1f MB) spilled; scan %.1f ms\n",
+		r.SpilledBlocks, float64(r.SpilledBytes)/1e6, r.ColdScanMS)
 	b.WriteString("  Q deltas     ")
 	for op := ttdb.OpQ1; op <= ttdb.OpQ8; op++ {
 		fmt.Fprintf(&b, "%s %+.0f%%  ", op, 100*r.QueryDeltas[op.String()])
@@ -287,8 +283,8 @@ func CheckStorage(r *StorageReport) []string {
 	if r.SpilledBlocks < 1 || r.SpilledBytes < 1 {
 		problems = append(problems, "storage: cold tier spilled nothing")
 	}
-	if r.ColdScanMS < 0 || r.WarmScanMS < 0 {
-		problems = append(problems, "storage: negative scan timings")
+	if r.ColdScanMS < 0 {
+		problems = append(problems, "storage: negative scan timing")
 	}
 	for op := ttdb.OpQ1; op <= ttdb.OpQ8; op++ {
 		q := op.String()

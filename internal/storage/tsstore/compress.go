@@ -183,7 +183,8 @@ func encodeChunk(times []ts.Time, vals []float64) []byte {
 // stream's read position and the last decoded point. The time and value
 // streams advance independently, since the value stream starts only where
 // the time stream ends: decodeChunk walks every time, then every value, and
-// an edge fold reopens both at a sub-slot checkpoint and walks them together.
+// a scan or edge fold reopens both at a sub-slot checkpoint and walks them
+// together.
 type blockCursor struct {
 	td    []byte    // time stream, from the next point's delta-of-delta on
 	t     ts.Time   // last decoded time
@@ -353,7 +354,8 @@ const maxIndexedBlock = math.MaxUint32 / 8
 // points split by count into up to subSlots sub-slots of per points each,
 // with a resume checkpoint and a summary per sub-slot. It lets an aggregate
 // fold the sub-slots inside its window from their summaries and decode at
-// most one sub-slot at each end. It is built by one validating pass over
+// most one sub-slot at each end, and a scan start decoding at the sub-slot
+// that holds its window's start. It is built by one validating pass over
 // the block (buildIndex) and never persisted.
 //
 // Each array holds one field for every sub-slot, so no padding is paid per
@@ -461,9 +463,40 @@ func (x *subSlotIndex) resume(block []byte, k int) (blockCursor, error) {
 	return c, nil
 }
 
+// scan visits the block's points in [start, end) in time order: it resumes
+// at the last checkpoint at or before start and decodes in place, stopping
+// at the first point at or past end.
+func (x *subSlotIndex) scan(block []byte, start, end ts.Time, fn func(ts.Time, float64)) error {
+	if x.n == 0 || x.last < start {
+		return nil
+	}
+	k := 0
+	for k+1 < int(x.k) && x.t[k+1] <= start {
+		k++
+	}
+	cur, err := x.resume(block, k)
+	if err != nil {
+		return err
+	}
+	for left := int(x.n - int32(k)*x.per); cur.t < end; {
+		if cur.t >= start {
+			fn(cur.t, math.Float64frombits(cur.v))
+		}
+		if left--; left == 0 {
+			return nil
+		}
+		if err := cur.next(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // fold folds the points of sub-slot k that lie in [start, end) into out,
 // decoding from the sub-slot's checkpoint in place and stopping at the
-// first point at or past end.
+// first point at or past end. It is scan bounded to one sub-slot, kept
+// apart so that an aggregate edge — the hot path of the all-station
+// aggregates — pays no visitor call per point.
 func (x *subSlotIndex) fold(block []byte, k int, start, end ts.Time, out *Summary) error {
 	cur, err := x.resume(block, k)
 	if err != nil {

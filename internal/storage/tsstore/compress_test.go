@@ -212,16 +212,17 @@ func TestBitReaderWordBoundaries(t *testing.T) {
 // bit-at-a-time decoder on arbitrary bytes: both accept or both reject, and
 // an accepted block decodes to identical times and bit-identical values.
 // The sub-slot index builder accepts exactly the same blocks, and on an
-// accepted one checkIndex proves every checkpoint and sub-slot summary.
+// accepted one checkIndex proves every checkpoint and sub-slot summary and
+// checkScan proves the index scan over a window picked by lo and hi.
 func FuzzDecodeChunk(f *testing.F) {
-	for _, tc := range codecShapes {
-		f.Add(encodeChunk(tc.times, tc.vals))
+	for i, tc := range codecShapes {
+		f.Add(encodeChunk(tc.times, tc.vals), uint16(i), uint16(3*i+5))
 	}
 	block := hourlyBlock()
 	for cut := 0; cut <= len(block); cut++ {
-		f.Add(block[:cut])
+		f.Add(block[:cut], uint16(cut), uint16(cut*7+1))
 	}
-	f.Fuzz(func(t *testing.T, block []byte) {
+	f.Fuzz(func(t *testing.T, block []byte, lo, hi uint16) {
 		gotT, gotV, err := decodeChunk(block)
 		wantT, wantV, refErr := refDecodeChunk(block)
 		if (err == nil) != (refErr == nil) {
@@ -243,7 +244,55 @@ func FuzzDecodeChunk(f *testing.F) {
 			}
 		}
 		checkIndex(t, block, x, wantT, wantV)
+		checkScan(t, block, x, wantT, wantV, lo, hi)
 	})
+}
+
+// checkScan proves the index scan against a block's full decode over the
+// whole time line and over one window whose bounds lo and hi pick from the
+// checkpoint times, two decoded times and both ends of the time line, each
+// also moved one either way: the scan yields exactly the decoded points in
+// the window, times equal and value bits equal.
+func checkScan(t *testing.T, block []byte, x *subSlotIndex, times []ts.Time, vals []float64, lo, hi uint16) {
+	t.Helper()
+	const minT, maxT = ts.Time(math.MinInt64), ts.Time(math.MaxInt64)
+	bounds := []ts.Time{minT, maxT}
+	for k := 0; k < int(x.k); k++ {
+		bounds = append(bounds, x.t[k])
+	}
+	if n := len(times); n > 0 {
+		bounds = append(bounds, times[int(lo)%n], times[int(hi)%n], times[n-1])
+	}
+	for _, b := range bounds[:len(bounds):len(bounds)] {
+		bounds = append(bounds, b-1, b+1)
+	}
+	windows := [][2]ts.Time{{minT, maxT}, {bounds[int(lo)%len(bounds)], bounds[int(hi)%len(bounds)]}}
+	for _, w := range windows {
+		start, end := w[0], w[1]
+		var gotT []ts.Time
+		var gotV []uint64
+		err := x.scan(block, start, end, func(at ts.Time, v float64) {
+			gotT = append(gotT, at)
+			gotV = append(gotV, math.Float64bits(v))
+		})
+		if err != nil {
+			t.Fatalf("scan [%d, %d): %v", start, end, err)
+		}
+		j := 0
+		for i, at := range times {
+			if at < start || at >= end {
+				continue
+			}
+			if j >= len(gotT) || gotT[j] != at || gotV[j] != math.Float64bits(vals[i]) {
+				t.Fatalf("scan [%d, %d): point %d of the window differs from decoded point %d (%d, %x); scan yielded %d points",
+					start, end, j, i, at, math.Float64bits(vals[i]), len(gotT))
+			}
+			j++
+		}
+		if j != len(gotT) {
+			t.Fatalf("scan [%d, %d) yielded %d points, decode has %d in the window", start, end, len(gotT), j)
+		}
+	}
 }
 
 // checkIndex proves a block's sub-slot index against its full decode: the

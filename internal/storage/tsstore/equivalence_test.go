@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 
 	"hygraph/internal/ts"
@@ -67,9 +66,6 @@ func TestCompressedTieredObservationalEquivalence(t *testing.T) {
 				default: // compaction pass on the tiered store only
 					if _, err := tiered.Spill(); err != nil {
 						t.Fatal(err)
-					}
-					if rng.Intn(2) == 0 {
-						tiered.DropBlockCache()
 					}
 				}
 			}
@@ -141,15 +137,9 @@ func observe(db *DB, metrics []string, horizon ts.Time) []string {
 				out = append(out, fmt.Sprintf("ds %d %s", ds.TimeAt(i), f(ds.ValueAt(i))))
 			}
 		}
-		all := db.AggregateAll(m, 0, horizon+1)
-		ents := make([]uint32, 0, len(all))
-		for e := range all {
-			ents = append(ents, e)
-		}
-		sort.Slice(ents, func(i, j int) bool { return ents[i] < ents[j] })
-		for _, e := range ents {
-			s := all[e]
-			out = append(out, fmt.Sprintf("all %s %d %d %s %s %s", m, e, s.Count, f(s.Sum), f(s.Min), f(s.Max)))
+		for _, es := range aggregateShards(db, m, 0, horizon+1) {
+			s := es.Summary
+			out = append(out, fmt.Sprintf("all %s %d %d %s %s %s", m, es.Entity, s.Count, f(s.Sum), f(s.Min), f(s.Max)))
 		}
 	}
 	return out

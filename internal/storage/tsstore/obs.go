@@ -16,12 +16,9 @@ type storeObs struct {
 	cacheEvictions     *obs.Counter
 	cachePatches       *obs.Counter // write-through in-place bucket updates
 	// Compression/tiering lifecycle counters (see docs/STORAGE.md).
-	seals          *obs.Counter // open chunks encoded into immutable blocks
-	inflates       *obs.Counter // sealed chunks decoded back to raw for mutation
-	spills         *obs.Counter // compressed blocks evicted to spill files
-	blockHits      *obs.Counter // sealed-chunk scans served from the decoded-block cache
-	blockMisses    *obs.Counter // sealed-chunk scans that had to decode
-	blockEvictions *obs.Counter // decoded-block cache evictions
+	seals    *obs.Counter // open chunks encoded into immutable blocks
+	inflates *obs.Counter // sealed chunks decoded back to raw for mutation
+	spills   *obs.Counter // compressed blocks evicted to spill files
 }
 
 // Instrument attaches metric handles from r to the store. Call it once,
@@ -40,9 +37,6 @@ func (db *DB) Instrument(r *obs.Registry) {
 		seals:              r.Counter("tsstore.compress.seals"),
 		inflates:           r.Counter("tsstore.compress.inflates"),
 		spills:             r.Counter("tsstore.compress.spills"),
-		blockHits:          r.Counter("tsstore.block.hits"),
-		blockMisses:        r.Counter("tsstore.block.misses"),
-		blockEvictions:     r.Counter("tsstore.block.evictions"),
 	}
 }
 

@@ -67,13 +67,8 @@ func TestShardedIngestQueryHammer(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				key := SeriesKey{Entity: uint32(i % 64), Metric: "m"}
 				db.Aggregate(key, 0, ts.Time(perWrite)*ts.Minute)
-				db.AggregateEach("m", 0, ts.Time(perWrite)*ts.Minute, func(uint32, Summary) {})
 				db.Downsample(key, 0, ts.Time(perWrite)*ts.Minute, 10*ts.Minute, ts.AggMean)
-				parts := make([][]EntitySummary, db.NumShards())
-				for s := range parts {
-					parts[s] = db.AggregateShard(s, "m", 0, ts.Time(perWrite)*ts.Minute)
-				}
-				MergeBySeq(parts)
+				aggregateShards(db, "m", 0, ts.Time(perWrite)*ts.Minute)
 			}
 		}(r)
 	}
@@ -90,8 +85,8 @@ func TestShardedIngestQueryHammer(t *testing.T) {
 	for e, key := range keys {
 		ref.InsertSeries(key, hammerBatch(e, perWrite))
 	}
-	got := db.AggregateAll("m", 0, ts.Time(perWrite)*ts.Minute)
-	want := ref.AggregateAll("m", 0, ts.Time(perWrite)*ts.Minute)
+	got := aggregateByEntity(db, "m", 0, ts.Time(perWrite)*ts.Minute)
+	want := aggregateByEntity(ref, "m", 0, ts.Time(perWrite)*ts.Minute)
 	if len(got) != len(want) {
 		t.Fatalf("entity count: got %d want %d", len(got), len(want))
 	}
@@ -129,15 +124,8 @@ func TestShardedIterationOrderMatchesMerge(t *testing.T) {
 				key := SeriesKey{Entity: uint32(i), Metric: "m"}
 				db.Insert(key, ts.Time(i)*ts.Minute, float64(i))
 			}
-			var each []uint32
-			db.AggregateEach("m", 0, 200*ts.Minute, func(e uint32, _ Summary) {
-				each = append(each, e)
-			})
-			parts := make([][]EntitySummary, db.NumShards())
-			for s := range parts {
-				parts[s] = db.AggregateShard(s, "m", 0, 200*ts.Minute)
-			}
-			merged := MergeBySeq(parts)
+			each := db.EntitiesOf("m")
+			merged := aggregateShards(db, "m", 0, 200*ts.Minute)
 			if len(each) != 200 || len(merged) != 200 {
 				t.Fatalf("lengths: each=%d merged=%d", len(each), len(merged))
 			}

@@ -45,28 +45,17 @@ type chunk struct {
 	vals  []float64
 	enc   []byte    // compressed block when sealed in memory
 	spill *spillRef // block location in the spill file when evicted
-	// dec is the chunk's cached decode — a lock-free hint owned by the
-	// shard's blockCache, which bounds how many chunks hold one and clears
-	// it on eviction/invalidation. Readers under the shard's read lock load
-	// it without touching the cache mutex; scans over sealed chunks cost
-	// one atomic load when warm.
-	dec atomic.Pointer[blockDec]
 	// idx is the sub-slot index of an in-memory sealed block (compress.go),
-	// built on the chunk's first edge fold or Span and published the same
-	// lock-free way as dec. It is derived from enc and never evicted: it is
-	// cleared exactly where enc is replaced or dropped (inflate, spill).
+	// built on the chunk's first scan, edge fold or Span and published
+	// atomically, so readers under the shard's read lock can fill it. It is
+	// derived from enc and never evicted: it is cleared exactly where enc is
+	// replaced or dropped (inflate, spill).
 	idx atomic.Pointer[subSlotIndex]
 	// summary
 	n    int
 	sum  float64
 	minV float64
 	maxV float64
-}
-
-// blockDec is one decoded block: immutable once published via chunk.dec.
-type blockDec struct {
-	times []ts.Time
-	vals  []float64
 }
 
 func newChunk(slot int64) *chunk {
@@ -229,11 +218,6 @@ type tsShard struct {
 	rkeys  []resampleKey            // parallel key list for O(1) random eviction
 	ridx   map[SeriesKey][]*rcEntry // per-series entries: write-through patching, DeleteSeries invalidation
 	rng    uint64                   // deterministic xorshift state for eviction picks
-
-	// bc memoizes decoded blocks of sealed chunks. It carries its own lock
-	// (see blockCache) so read paths holding only mu's read side can still
-	// fill it.
-	bc blockCache
 }
 
 // DB is the time-series store. All exported methods are safe for concurrent
@@ -242,7 +226,7 @@ type tsShard struct {
 // almost never contend, and the parallel Q4–Q8 fan-out partitions whole
 // shards per worker instead of bouncing one store-wide lock. Each inserted
 // key records a global sequence number, so merged iteration (Keys,
-// AggregateEach, Save) reproduces the exact single-writer first-insertion
+// MergeBySeq, Save) reproduces the exact single-writer first-insertion
 // order and floating-point folds over it stay byte-identical to the
 // pre-striping store.
 type DB struct {
@@ -270,8 +254,8 @@ type DB struct {
 	// Cache counters are atomics so the hit path stays on the read lock.
 	cacheHits, cacheMisses, cacheInvalidations, cacheEvictions, cachePatches atomic.Int64
 
-	// Compression and block-cache counters, same discipline.
-	seals, inflates, blockHits, blockMisses, blockEvictions atomic.Int64
+	// Compression counters, same discipline.
+	seals, inflates atomic.Int64
 
 	obs storeObs // metric handles; zero value = instrumentation off
 }
@@ -333,10 +317,6 @@ func NewSharded(chunkWidth ts.Time, shards int) *DB {
 	if db.shardCap < 1 {
 		db.shardCap = 1
 	}
-	bcCap := maxBlockCache / n
-	if bcCap < 1 {
-		bcCap = 1
-	}
 	for i := range db.shards {
 		sh := &db.shards[i]
 		sh.idx = i
@@ -345,7 +325,6 @@ func NewSharded(chunkWidth ts.Time, shards int) *DB {
 		sh.ridx = map[SeriesKey][]*rcEntry{}
 		// Fixed per-shard seed: eviction picks are deterministic across runs.
 		sh.rng = 0x9E3779B97F4A7C15 * uint64(i+1)
-		sh.bc.init(bcCap, 0xD1B54A32D192ED03*uint64(i+1))
 	}
 	return db
 }
@@ -404,7 +383,7 @@ func (db *DB) HasSeries(key SeriesKey) bool {
 // Span reports the times of a series' first and last point; ok is false when
 // the key holds none. Only the two outermost chunks are looked at: an
 // in-memory sealed one answers from its sub-slot index, and only a spilled
-// one decodes, through the block cache. So a caller that needs to know
+// one is read back and decoded. So a caller that needs to know
 // whether a series covers an instant does not pay for a range read.
 func (db *DB) Span(key SeriesKey) (first, last ts.Time, ok bool) {
 	sh := db.shard(key)
@@ -414,14 +393,14 @@ func (db *DB) Span(key SeriesKey) (first, last ts.Time, ok bool) {
 	if !found || len(s.chunks) == 0 {
 		return 0, 0, false
 	}
-	first, _, okHead := sh.chunkBounds(db, key, s.chunks[0])
-	_, last, okTail := sh.chunkBounds(db, key, s.chunks[len(s.chunks)-1])
+	first, _, okHead := sh.chunkBounds(db, s.chunks[0])
+	_, last, okTail := sh.chunkBounds(db, s.chunks[len(s.chunks)-1])
 	return first, last, okHead && okTail
 }
 
 // chunkBounds returns the times of a chunk's first and last point; ok is
 // false when it yields none. Callers hold the lock (either side).
-func (sh *tsShard) chunkBounds(db *DB, key SeriesKey, c *chunk) (first, last ts.Time, ok bool) {
+func (sh *tsShard) chunkBounds(db *DB, c *chunk) (first, last ts.Time, ok bool) {
 	if c.enc != nil {
 		x := db.index(c)
 		if x == nil || x.n == 0 {
@@ -429,7 +408,7 @@ func (sh *tsShard) chunkBounds(db *DB, key SeriesKey, c *chunk) (first, last ts.
 		}
 		return x.t[0], x.last, true
 	}
-	times, _ := sh.chunkPoints(db, key, c)
+	times, _ := sh.chunkPoints(db, c)
 	if len(times) == 0 {
 		return 0, 0, false
 	}
@@ -543,7 +522,7 @@ func (sh *tsShard) insertLocked(db *DB, key SeriesKey, t ts.Time, v float64) boo
 		sh.sealLocked(db, s.open)
 		s.open = nil
 	}
-	if c.sealed() && !sh.inflateLocked(db, key, c) {
+	if c.sealed() && !sh.inflateLocked(db, c) {
 		return false
 	}
 	s.open = c
@@ -565,11 +544,11 @@ func (sh *tsShard) sealLocked(db *DB, c *chunk) {
 }
 
 // inflateLocked restores a sealed chunk's raw layout so it can be mutated,
-// reading the block back from memory or the spill file and dropping any
-// cached decode (it is about to go stale). It reports false — with the error
-// latched — when the payload cannot be recovered. Callers hold the write
-// lock.
-func (sh *tsShard) inflateLocked(db *DB, key SeriesKey, c *chunk) bool {
+// reading the block back from memory or the spill file and dropping its
+// sub-slot index (it is about to go stale). It reports false — with the
+// error latched — when the payload cannot be recovered. Callers hold the
+// write lock.
+func (sh *tsShard) inflateLocked(db *DB, c *chunk) bool {
 	if !c.sealed() {
 		return true
 	}
@@ -586,7 +565,6 @@ func (sh *tsShard) inflateLocked(db *DB, key SeriesKey, c *chunk) bool {
 	c.times, c.vals = times, vals
 	c.enc, c.spill = nil, nil
 	c.idx.Store(nil)
-	sh.bc.invalidate(blockKey{key: key, slot: c.slot})
 	db.inflates.Add(1)
 	db.obs.inflates.Inc()
 	return true
@@ -604,28 +582,16 @@ func (sh *tsShard) blockBytes(db *DB, c *chunk) ([]byte, error) {
 	return db.tier.read(sh.idx, c.spill)
 }
 
-// chunkPoints returns a chunk's points in time order, decoding sealed
-// payloads through the shard's block cache. The returned slices are shared —
-// callers must treat them as read-only. Callers hold the lock (either side);
-// a payload that cannot be recovered latches the error and yields no points.
-//
-// The warm path is one atomic load: the decode hint lives on the chunk
-// itself, so a scan doesn't pay a mutex + map lookup per chunk. The
-// blockCache still owns the hint — put registers it, eviction and
-// invalidation clear it — so decoded memory stays bounded. Aggregates don't
-// come here for in-memory sealed chunks; they fold through the sub-slot
-// index instead.
-func (sh *tsShard) chunkPoints(db *DB, key SeriesKey, c *chunk) ([]ts.Time, []float64) {
+// chunkPoints returns the points of an open chunk, or of a spilled one read
+// back from the spill file and decoded into fresh slices. An open chunk's
+// slices are its own — callers must treat them as read-only. In-memory
+// sealed chunks never come here: scans and aggregates walk them through
+// the sub-slot index. Callers hold the lock (either side); a payload that
+// cannot be recovered latches the error and yields no points.
+func (sh *tsShard) chunkPoints(db *DB, c *chunk) ([]ts.Time, []float64) {
 	if !c.sealed() {
 		return c.times, c.vals
 	}
-	if d := c.dec.Load(); d != nil {
-		db.blockHits.Add(1)
-		db.obs.blockHits.Inc()
-		return d.times, d.vals
-	}
-	db.blockMisses.Add(1)
-	db.obs.blockMisses.Inc()
 	block, err := sh.blockBytes(db, c)
 	if err != nil {
 		db.deg.set(err)
@@ -635,10 +601,6 @@ func (sh *tsShard) chunkPoints(db *DB, key SeriesKey, c *chunk) ([]ts.Time, []fl
 	if err != nil {
 		db.deg.set(err)
 		return nil, nil
-	}
-	if evicted := sh.bc.put(blockKey{key: key, slot: c.slot}, c, &blockDec{times: times, vals: vals}); evicted {
-		db.blockEvictions.Add(1)
-		db.obs.blockEvictions.Inc()
 	}
 	return times, vals
 }
@@ -674,7 +636,6 @@ func (db *DB) DeleteSeries(key SeriesKey) bool {
 		return false
 	}
 	db.obs.writes.Inc()
-	sh.bc.invalidateKey(key)
 	delete(sh.data, key)
 	for i, k := range sh.keys {
 		if k == key {
@@ -789,14 +750,7 @@ func (sh *tsShard) evictOneLocked(db *DB) {
 // Range returns the points of a series with start <= t < end in time order.
 func (db *DB) Range(key SeriesKey, start, end ts.Time) []ts.Point {
 	db.obs.reads.Inc()
-	sh := db.shard(key)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	var out []ts.Point
-	sh.scanRangeLocked(db, key, start, end, func(t ts.Time, v float64) {
-		out = append(out, ts.Point{T: t, V: v})
-	})
-	return out
+	return db.collectRange(key, start, end)
 }
 
 // RangeSeries is Range materialized as a ts.Series named after the metric.
@@ -815,8 +769,9 @@ func (sh *tsShard) rangeSeriesLocked(db *DB, key SeriesKey, start, end ts.Time) 
 }
 
 // scanRangeLocked visits points in [start, end), locating the first chunk by
-// binary search and the range within each chunk by binary search. Sealed
-// chunks decompress transparently through the block cache.
+// binary search. An in-memory sealed chunk streams its points from the last
+// sub-slot checkpoint at or before start (scanSealed); open and spilled
+// chunks locate the range by binary search over their points.
 func (sh *tsShard) scanRangeLocked(db *DB, key SeriesKey, start, end ts.Time, fn func(ts.Time, float64)) {
 	s, ok := sh.data[key]
 	if !ok || start >= end {
@@ -825,11 +780,30 @@ func (sh *tsShard) scanRangeLocked(db *DB, key SeriesKey, start, end ts.Time, fn
 	loSlot, hiSlot := db.slotOf(start), db.slotOf(end-1)
 	i := sort.Search(len(s.chunks), func(i int) bool { return s.chunks[i].slot >= loSlot })
 	for ; i < len(s.chunks) && s.chunks[i].slot <= hiSlot; i++ {
-		times, vals := sh.chunkPoints(db, key, s.chunks[i])
+		c := s.chunks[i]
+		if c.enc != nil {
+			db.scanSealed(c, start, end, fn)
+			continue
+		}
+		times, vals := sh.chunkPoints(db, c)
 		lo := sort.Search(len(times), func(j int) bool { return times[j] >= start })
 		for j := lo; j < len(times) && times[j] < end; j++ {
 			fn(times[j], vals[j])
 		}
+	}
+}
+
+// scanSealed visits the points of an in-memory sealed chunk that lie in
+// [start, end) through its sub-slot index: it decodes in place from the
+// checkpoint at or before start and stops at the first point at or past
+// end, allocating nothing once the index exists.
+func (db *DB) scanSealed(c *chunk, start, end ts.Time, fn func(ts.Time, float64)) {
+	x := db.index(c)
+	if x == nil {
+		return
+	}
+	if err := x.scan(c.enc, start, end, fn); err != nil {
+		db.deg.set(err)
 	}
 }
 
@@ -852,8 +826,8 @@ func (db *DB) RangeFunc(key SeriesKey, start, end ts.Time, fn func(ts.Time, floa
 // NaN when fewer than two joint points exist or a side is constant.
 func (db *DB) Correlate(a, b SeriesKey, start, end ts.Time) float64 {
 	db.obs.reads.Inc()
-	pa := db.rangeSnapshot(a, start, end)
-	pb := db.rangeSnapshot(b, start, end)
+	pa := db.collectRange(a, start, end)
+	pb := db.collectRange(b, start, end)
 	var n float64
 	var sx, sy, sxx, syy, sxy float64
 	i, j := 0, 0
@@ -887,9 +861,9 @@ func (db *DB) Correlate(a, b SeriesKey, start, end ts.Time) float64 {
 	return cov / math.Sqrt(vx*vy)
 }
 
-// rangeSnapshot is Range without the read-counter increment, for internal
-// composition.
-func (db *DB) rangeSnapshot(key SeriesKey, start, end ts.Time) []ts.Point {
+// collectRange is Range's body: the points of a series in [start, end),
+// collected under its shard's read lock. Callers count their own reads.
+func (db *DB) collectRange(key SeriesKey, start, end ts.Time) []ts.Point {
 	sh := db.shard(key)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -967,9 +941,9 @@ func (sh *tsShard) aggregateLocked(db *DB, key SeriesKey, start, end ts.Time) Su
 		case c.enc != nil:
 			db.foldEdge(c, start, end, &out)
 		default:
-			// Open chunks fold their raw points; spilled ones decode
-			// through the block cache.
-			times, vals := sh.chunkPoints(db, key, c)
+			// Open chunks fold their raw points; spilled ones are read back
+			// and decoded.
+			times, vals := sh.chunkPoints(db, c)
 			lo := sort.Search(len(times), func(j int) bool { return times[j] >= start })
 			for j := lo; j < len(times) && times[j] < end; j++ {
 				v := vals[j]
@@ -983,8 +957,8 @@ func (sh *tsShard) aggregateLocked(db *DB, key SeriesKey, start, end ts.Time) Su
 // foldEdge folds the points of an in-memory sealed edge chunk that lie in
 // [start, end) through its sub-slot index: a sub-slot wholly inside the
 // window folds its summary, and one that straddles a window bound decodes
-// from its checkpoint. At most one sub-slot per bound decodes, nothing is
-// allocated once the index exists, and the block cache is not touched.
+// from its checkpoint. At most one sub-slot per bound decodes, and nothing
+// is allocated once the index exists.
 func (db *DB) foldEdge(c *chunk, start, end ts.Time, out *Summary) {
 	x := db.index(c)
 	if x == nil {
@@ -1023,9 +997,13 @@ type EntitySummary struct {
 	Summary
 }
 
-// aggregateShard summarizes every series of the metric in one shard under a
-// single read lock — the per-worker locked batch of the parallel executor.
-func (db *DB) aggregateShard(shard int, metric string, start, end ts.Time) []EntitySummary {
+// AggregateShard summarizes every series of the metric held by one lock
+// stripe (0 <= shard < NumShards), taking that stripe's read lock exactly
+// once — the per-worker locked batch of the parallel executor. Callers fan
+// shards out across workers and MergeBySeq the parts; the fan-out as a
+// whole counts as one store read, which the caller's entry point accounts
+// for.
+func (db *DB) AggregateShard(shard int, metric string, start, end ts.Time) []EntitySummary {
 	sh := &db.shards[shard]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -1042,15 +1020,6 @@ func (db *DB) aggregateShard(shard int, metric string, start, end ts.Time) []Ent
 	return out
 }
 
-// AggregateShard summarizes every series of the metric held by one lock
-// stripe (0 <= shard < NumShards), taking that stripe's read lock exactly
-// once. Callers fan shards out across workers and MergeBySeq the parts; the
-// fan-out as a whole counts as one store read, which the caller's entry
-// point accounts for.
-func (db *DB) AggregateShard(shard int, metric string, start, end ts.Time) []EntitySummary {
-	return db.aggregateShard(shard, metric, start, end)
-}
-
 // MergeBySeq flattens per-shard summary batches into global first-insertion
 // order.
 func MergeBySeq(parts [][]EntitySummary) []EntitySummary {
@@ -1059,107 +1028,6 @@ func MergeBySeq(parts [][]EntitySummary) []EntitySummary {
 		out = append(out, p...)
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
-	return out
-}
-
-// aggregateSeq computes the metric's summaries shard by shard (one read lock
-// per shard) and merges them into first-insertion order.
-func (db *DB) aggregateSeq(metric string, start, end ts.Time) []EntitySummary {
-	parts := make([][]EntitySummary, len(db.shards))
-	for i := range db.shards {
-		parts[i] = db.aggregateShard(i, metric, start, end)
-	}
-	return MergeBySeq(parts)
-}
-
-// AggregateAll aggregates every series of the given metric over [start,
-// end), returning per-entity summaries. One call counts as one read.
-func (db *DB) AggregateAll(metric string, start, end ts.Time) map[uint32]Summary {
-	db.obs.reads.Inc()
-	es := db.aggregateSeq(metric, start, end)
-	out := make(map[uint32]Summary, len(es))
-	for _, e := range es {
-		out[e.Entity] = e.Summary
-	}
-	return out
-}
-
-// AggregateEach visits every series of the metric in first-insertion order,
-// calling fn with each entity's summary. The fixed visit order makes
-// floating-point folds over the results (district sums, global totals)
-// deterministic — the property the parallel executor's merge phase relies
-// on to stay byte-identical with sequential execution. Summaries are
-// computed as one locked batch per shard; fn runs after the locks are
-// released and must not assume a store-wide atomic snapshot.
-func (db *DB) AggregateEach(metric string, start, end ts.Time, fn func(entity uint32, s Summary)) {
-	db.obs.reads.Inc()
-	for _, e := range db.aggregateSeq(metric, start, end) {
-		fn(e.Entity, e.Summary)
-	}
-}
-
-// AggregateAllParallel is AggregateAll fanned out over `workers` goroutines
-// — the horizontal-scaling lever of requirement R4. Work is partitioned by
-// shard: each worker takes whole lock stripes and summarizes them under a
-// single read lock per stripe, so one fan-out costs one read-counter
-// increment and O(shards) lock operations instead of one of each per key.
-// Results are merged by insertion sequence, so output is deterministic
-// regardless of scheduling. workers <= 1 falls back to the serial path.
-func (db *DB) AggregateAllParallel(metric string, start, end ts.Time, workers int) map[uint32]Summary {
-	if workers <= 1 {
-		return db.AggregateAll(metric, start, end)
-	}
-	db.obs.reads.Inc()
-	nsh := len(db.shards)
-	if workers > nsh {
-		workers = nsh
-	}
-	parts := make([][]EntitySummary, nsh)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < nsh; i += workers {
-				parts[i] = db.aggregateShard(i, metric, start, end)
-			}
-		}(w)
-	}
-	wg.Wait()
-	es := MergeBySeq(parts)
-	out := make(map[uint32]Summary, len(es))
-	for _, e := range es {
-		out[e.Entity] = e.Summary
-	}
-	return out
-}
-
-// TopKByMean returns the k entities with the highest mean of the metric over
-// the range, best first; ties break by ascending entity id.
-func (db *DB) TopKByMean(metric string, start, end ts.Time, k int) []uint32 {
-	type pair struct {
-		entity uint32
-		mean   float64
-	}
-	var ps []pair
-	db.AggregateEach(metric, start, end, func(e uint32, s Summary) {
-		if s.Count > 0 {
-			ps = append(ps, pair{e, s.Mean()})
-		}
-	})
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].mean != ps[j].mean {
-			return ps[i].mean > ps[j].mean
-		}
-		return ps[i].entity < ps[j].entity
-	})
-	if k > len(ps) {
-		k = len(ps)
-	}
-	out := make([]uint32, k)
-	for i := 0; i < k; i++ {
-		out[i] = ps[i].entity
-	}
 	return out
 }
 
@@ -1264,9 +1132,9 @@ func (db *DB) resampleCacheLen() int {
 // Stats describes storage shape for capacity reports. MemBytes counts
 // payload bytes resident in memory: 16 per point for open chunks (8 time +
 // 8 value), the block length for compressed chunks, nothing for spilled ones
-// (their blocks live in the tier's files; the bounded block cache is extra
-// and not counted here). The hot per-chunk summaries are a few dozen bytes
-// per chunk in every state.
+// (their blocks live in the tier's files). The hot per-chunk summaries are a
+// few dozen bytes per chunk in every state, plus a 256-byte sub-slot index
+// on each in-memory sealed chunk once it has been read.
 type Stats struct {
 	Series int
 	Chunks int
@@ -1306,31 +1174,14 @@ func (db *DB) Stats() Stats {
 	return st
 }
 
-// CompressionStats reports sealing and block-cache behaviour for tests,
-// capacity reports and the storage benchmark.
+// CompressionStats reports sealing behaviour for tests, capacity reports
+// and the storage benchmark.
 type CompressionStats struct {
-	Seals          int64 // chunks compressed (including reseals)
-	Inflates       int64 // sealed chunks decompressed for mutation
-	BlockHits      int64 // decoded-block cache hits
-	BlockMisses    int64 // decoded-block cache misses (payload decoded)
-	BlockEvictions int64 // cache entries dropped by random eviction
+	Seals    int64 // chunks compressed (including reseals)
+	Inflates int64 // sealed chunks decompressed for mutation
 }
 
 // CompressionStats returns the compression counters since creation.
 func (db *DB) CompressionStats() CompressionStats {
-	return CompressionStats{
-		Seals:          db.seals.Load(),
-		Inflates:       db.inflates.Load(),
-		BlockHits:      db.blockHits.Load(),
-		BlockMisses:    db.blockMisses.Load(),
-		BlockEvictions: db.blockEvictions.Load(),
-	}
-}
-
-// DropBlockCache empties every shard's decoded-block cache — the memory-
-// pressure valve, and how the storage benchmark measures a truly cold scan.
-func (db *DB) DropBlockCache() {
-	for i := range db.shards {
-		db.shards[i].bc.drop()
-	}
+	return CompressionStats{Seals: db.seals.Load(), Inflates: db.inflates.Load()}
 }

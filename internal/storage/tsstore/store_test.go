@@ -109,29 +109,53 @@ func TestAggregatePushdownMatchesScan(t *testing.T) {
 	}
 }
 
-func TestAggregateAllAndTopK(t *testing.T) {
+// aggregateShards is the shard-batched path ttdb fans out: every stripe's
+// AggregateShard, merged into first-insertion order.
+func aggregateShards(db *DB, metric string, start, end ts.Time) []EntitySummary {
+	parts := make([][]EntitySummary, db.NumShards())
+	for s := range parts {
+		parts[s] = db.AggregateShard(s, metric, start, end)
+	}
+	return MergeBySeq(parts)
+}
+
+// aggregateByEntity is the per-key reference: one Aggregate per series of
+// the metric.
+func aggregateByEntity(db *DB, metric string, start, end ts.Time) map[uint32]Summary {
+	out := map[uint32]Summary{}
+	for _, e := range db.EntitiesOf(metric) {
+		out[e] = db.Aggregate(SeriesKey{Entity: e, Metric: metric}, start, end)
+	}
+	return out
+}
+
+// The shard-batched aggregate returns one summary per series of the metric,
+// in first-insertion order, each equal to that series' own Aggregate.
+func TestAggregateShardsMatchPerKey(t *testing.T) {
 	db := New(100)
-	// Entity e has constant value e*10 over 100 points.
-	for e := uint32(1); e <= 5; e++ {
+	// Entity e has constant value e*10 over 100 points; insert high ids first.
+	for e := uint32(5); e >= 1; e-- {
 		for i := 0; i < 100; i++ {
 			db.Insert(SeriesKey{Entity: e, Metric: "m"}, ts.Time(i), float64(e*10))
 		}
 	}
 	// Another metric must not leak in.
 	db.Insert(SeriesKey{Entity: 9, Metric: "other"}, 0, 1e9)
-	all := db.AggregateAll("m", 0, 100)
-	if len(all) != 5 {
-		t.Fatalf("aggregateAll=%d", len(all))
+	got := aggregateShards(db, "m", 0, 100)
+	want := aggregateByEntity(db, "m", 0, 100)
+	if len(got) != 5 || len(want) != 5 {
+		t.Fatalf("%d batched, %d per-key summaries, want 5", len(got), len(want))
 	}
-	if all[3].Mean() != 30 {
-		t.Fatalf("entity 3 mean=%v", all[3].Mean())
+	for i, es := range got {
+		if es.Entity != uint32(5-i) {
+			t.Fatalf("position %d holds entity %d, want insertion order", i, es.Entity)
+		}
+		if es.Summary != want[es.Entity] {
+			t.Fatalf("entity %d: batched %+v, per-key %+v", es.Entity, es.Summary, want[es.Entity])
+		}
 	}
-	top := db.TopKByMean("m", 0, 100, 2)
-	if len(top) != 2 || top[0] != 5 || top[1] != 4 {
-		t.Fatalf("topk=%v", top)
-	}
-	if got := db.TopKByMean("m", 0, 100, 99); len(got) != 5 {
-		t.Fatalf("topk clamp=%v", got)
+	if m := want[3].Mean(); m != 30 {
+		t.Fatalf("entity 3 mean=%v", m)
 	}
 }
 
@@ -253,32 +277,6 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestAggregateAllParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	db := New(ts.Day)
-	for e := uint32(0); e < 40; e++ {
-		tt := ts.Time(0)
-		for i := 0; i < 300; i++ {
-			tt += ts.Time(1+rng.Intn(60)) * ts.Minute
-			db.Insert(SeriesKey{Entity: e, Metric: "m"}, tt, rng.NormFloat64())
-		}
-	}
-	serial := db.AggregateAll("m", 0, 1<<40)
-	for _, workers := range []int{1, 2, 8} {
-		par := db.AggregateAllParallel("m", 0, 1<<40, workers)
-		if len(par) != len(serial) {
-			t.Fatalf("workers=%d: %d vs %d entities", workers, len(par), len(serial))
-		}
-		for e, want := range serial {
-			got := par[e]
-			if got.Count != want.Count || math.Abs(got.Sum-want.Sum) > 1e-9 ||
-				got.Min != want.Min || got.Max != want.Max {
-				t.Fatalf("workers=%d entity %d: %+v vs %+v", workers, e, got, want)
-			}
-		}
-	}
-}
-
 // TestSpan: the first and last sample times, whatever state the outermost
 // chunks are in, following appends on both ends; nothing for a key without
 // samples.
@@ -298,18 +296,13 @@ func TestSpan(t *testing.T) {
 	}
 	check("open and sealed chunks", 30, 999)
 	db.Insert(k(1), 250, 1) // reopens slot 2, sealing the tail chunk
-	db.DropBlockCache()
 	check("sealed head and tail", 30, 999)
-	if n := db.blockCacheLen(); n != 0 {
-		t.Fatalf("span of sealed in-memory chunks decoded %d blocks into the cache", n)
-	}
 	if err := db.EnableColdTier(t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Spill(); err != nil {
 		t.Fatal(err)
 	}
-	db.DropBlockCache()
 	check("spilled head chunk", 30, 999)
 	db.Insert(k(1), -5, 1)
 	db.Insert(k(1), 1200, 1)
@@ -373,7 +366,7 @@ func TestAggregateSlotBoundsNoWrap(t *testing.T) {
 // Aggregate over sealed edge chunks folds sub-slot summaries and decodes at
 // most one sub-slot per window bound. Sweep windows whose bounds fall on,
 // next to and between sub-slot boundaries: every answer must equal the
-// per-point fold of Range, and none may fill the block cache.
+// per-point fold of Range.
 func TestAggregateEdgeMatchesRange(t *testing.T) {
 	db := New(1000)
 	rng := rand.New(rand.NewSource(21))
@@ -387,7 +380,6 @@ func TestAggregateEdgeMatchesRange(t *testing.T) {
 		times = append(times, at)
 	}
 	db.Insert(k(1), 5000, 1) // seal the last swept chunk
-	db.DropBlockCache()
 	var bounds []ts.Time
 	for i := 0; i < len(times); i += 1 + rng.Intn(9) {
 		bounds = append(bounds, times[i]-1, times[i], times[i]+1)
@@ -401,14 +393,6 @@ func TestAggregateEdgeMatchesRange(t *testing.T) {
 		if got.Count != want.Count || !sameFloat(got.Sum, want.Sum) || !sameFloat(got.Min, want.Min) || !sameFloat(got.Max, want.Max) {
 			t.Fatalf("[%d, %d): Aggregate %+v, fold of Range %+v", a, b, got, want)
 		}
-		db.DropBlockCache() // Range filled it; Aggregate must not
-		if n := db.blockCacheLen(); n != 0 {
-			t.Fatalf("cache not emptied: %d", n)
-		}
-	}
-	db.Aggregate(k(1), -2500, 2500)
-	if n := db.blockCacheLen(); n != 0 {
-		t.Fatalf("Aggregate decoded %d edge blocks into the cache", n)
 	}
 	if db.Err() != nil {
 		t.Fatal(db.Err())
@@ -429,11 +413,34 @@ func TestAggregateEdgeNoAlloc(t *testing.T) {
 	}
 }
 
+// A scan over sealed chunks whose sub-slot indexes exist allocates
+// nothing: each chunk decodes in place from its checkpoint into the
+// visitor, however many chunks the scan crosses.
+func TestRangeFuncSealedNoAlloc(t *testing.T) {
+	db := NewSharded(10, 1)
+	for i := 0; i < 2001; i++ {
+		db.Insert(k(1), ts.Time(i*10), float64(i%7))
+	}
+	if st := db.Stats(); st.CompressedChunks != 2000 {
+		t.Fatalf("%d sealed chunks, want 2000", st.CompressedChunks)
+	}
+	var n int
+	var sum float64
+	visit := func(_ ts.Time, v float64) { n++; sum += v }
+	db.RangeFunc(k(1), 0, 20000, visit) // builds every index
+	if n != 2000 {
+		t.Fatalf("scan visited %d points, want 2000", n)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { db.RangeFunc(k(1), 0, 20000, visit) }); allocs != 0 {
+		t.Fatalf("sealed scan allocates %v times per run", allocs)
+	}
+	if db.Err() != nil {
+		t.Fatal(db.Err())
+	}
+}
+
 // BenchmarkAggregateEdge measures Aggregate on one hourly series, a year of
-// week chunks, over windows that cut both edge chunks at random hours. The
-// cold case empties the block cache before each query. DropBlockCache
-// leaves the sub-slot indexes in place, so with the index the cold case
-// costs what the warm one does; before it, cold meant two full decodes.
+// week chunks, over windows that cut both edge chunks at random hours.
 func BenchmarkAggregateEdge(b *testing.B) {
 	db := New(ts.Week)
 	for h := ts.Time(0); h < 52*ts.Week; h += ts.Hour {
@@ -445,28 +452,15 @@ func BenchmarkAggregateEdge(b *testing.B) {
 		start := ts.Time(rng.Intn(26*7*24)) * ts.Hour
 		wins[i] = [2]ts.Time{start, start + ts.Time(7*24+rng.Intn(26*7*24))*ts.Hour}
 	}
-	for _, cold := range []bool{false, true} {
-		name := "warm"
-		if cold {
-			name = "cold"
+	for _, w := range wins {
+		db.Aggregate(k(1), w[0], w[1])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := wins[i%len(wins)]
+		if s := db.Aggregate(k(1), w[0], w[1]); s.Count == 0 {
+			b.Fatal("empty window")
 		}
-		b.Run(name, func(b *testing.B) {
-			for _, w := range wins {
-				db.Aggregate(k(1), w[0], w[1])
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if cold {
-					b.StopTimer()
-					db.DropBlockCache()
-					b.StartTimer()
-				}
-				w := wins[i%len(wins)]
-				if s := db.Aggregate(k(1), w[0], w[1]); s.Count == 0 {
-					b.Fatal("empty window")
-				}
-			}
-		})
 	}
 }

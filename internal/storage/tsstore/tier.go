@@ -4,13 +4,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 )
 
 // The cold tier: Spill moves sealed compressed blocks out of memory into
 // per-shard append-only spill files, leaving only the hot summary and a file
-// offset behind. Scans read evicted blocks back on demand through the
-// decoded-block cache. Spill files are a rebuildable cache of state that is
+// offset behind. Scans read evicted blocks back and decode them on demand.
+// Spill files are a rebuildable cache of state that is
 // already durable in snapshots and WALs — recovery never reads them, and
 // deleting them between runs merely costs a re-Spill (docs/STORAGE.md,
 // docs/DURABILITY.md).
@@ -157,136 +156,4 @@ func (sh *tsShard) spillLocked(db *DB) (int, int64, error) {
 		c.idx.Store(nil)
 	}
 	return len(moved), int64(len(batch)), nil
-}
-
-// ---------------------------------------------------------------------------
-// Decoded-block cache
-
-// maxBlockCache bounds decoded blocks held across all shards; each shard
-// caps its slice at maxBlockCache / shard count, with random eviction —
-// the same striped design as the resample memo cache.
-const maxBlockCache = 1024
-
-// blockKey identifies one sealed chunk's decode.
-type blockKey struct {
-	key  SeriesKey
-	slot int64
-}
-
-// blockEntry tracks one chunk holding a decode hint, plus its position in
-// the eviction list. The decoded slices themselves live on the chunk
-// (chunk.dec), published atomically so the warm read path never takes
-// bc.mu; the cache's job is bounding how many hints exist and clearing
-// them on eviction and invalidation.
-type blockEntry struct {
-	c   *chunk
-	idx int
-}
-
-// blockCache bounds decode hints of sealed chunks. It has its own
-// mutex — distinct from the shard's RWMutex — because scans fill it while
-// holding only the shard's read side. Hints are shared read-only slices;
-// writers invalidate before mutating a chunk. Lock order: a blockCache
-// method is only ever called while its shard's lock is held, and never
-// acquires any other lock.
-type blockCache struct {
-	mu   sync.Mutex
-	cap  int
-	m    map[blockKey]*blockEntry
-	keys []blockKey
-	rng  uint64
-}
-
-func (bc *blockCache) init(capacity int, seed uint64) {
-	bc.cap = capacity
-	bc.m = map[blockKey]*blockEntry{}
-	bc.rng = seed
-}
-
-// put publishes a chunk's decode hint, evicting one random entry at
-// capacity; it reports whether an eviction happened. Concurrent readers may
-// race to fill the same key — the second fill overwrites the first with
-// identical data.
-func (bc *blockCache) put(k blockKey, c *chunk, dec *blockDec) bool {
-	bc.mu.Lock()
-	defer bc.mu.Unlock()
-	if e, ok := bc.m[k]; ok {
-		e.c.dec.Store(dec)
-		return false
-	}
-	evicted := false
-	if len(bc.keys) >= bc.cap {
-		x := bc.rng
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		bc.rng = x
-		bc.removeAt(int(x % uint64(len(bc.keys))))
-		evicted = true
-	}
-	bc.m[k] = &blockEntry{c: c, idx: len(bc.keys)}
-	bc.keys = append(bc.keys, k)
-	c.dec.Store(dec)
-	return evicted
-}
-
-// removeAt drops the entry at position i in the eviction list, clearing its
-// chunk's hint and swap-removing with the moved entry's back-index fixed.
-// A reader that loaded the hint just before it was cleared keeps scanning
-// the (immutable) decoded slices — harmless. Callers hold bc.mu.
-func (bc *blockCache) removeAt(i int) {
-	k := bc.keys[i]
-	bc.m[k].c.dec.Store(nil)
-	last := len(bc.keys) - 1
-	moved := bc.keys[last]
-	bc.keys[i] = moved
-	bc.m[moved].idx = i
-	bc.keys = bc.keys[:last]
-	delete(bc.m, k)
-}
-
-// invalidate drops one chunk's decode (its block is about to be rewritten).
-func (bc *blockCache) invalidate(k blockKey) {
-	bc.mu.Lock()
-	defer bc.mu.Unlock()
-	if e, ok := bc.m[k]; ok {
-		bc.removeAt(e.idx)
-	}
-}
-
-// invalidateKey drops every decode belonging to a series (DeleteSeries: a
-// later re-insert under the same key must not see stale blocks).
-func (bc *blockCache) invalidateKey(key SeriesKey) {
-	bc.mu.Lock()
-	defer bc.mu.Unlock()
-	for i := 0; i < len(bc.keys); {
-		if bc.keys[i].key == key {
-			bc.removeAt(i)
-			continue // swap-remove moved a new entry into position i
-		}
-		i++
-	}
-}
-
-// drop empties the cache, clearing every chunk's hint.
-func (bc *blockCache) drop() {
-	bc.mu.Lock()
-	defer bc.mu.Unlock()
-	for _, e := range bc.m {
-		e.c.dec.Store(nil)
-	}
-	bc.m = map[blockKey]*blockEntry{}
-	bc.keys = nil
-}
-
-// blockCacheLen counts live decoded blocks across shards (test hook).
-func (db *DB) blockCacheLen() int {
-	n := 0
-	for i := range db.shards {
-		bc := &db.shards[i].bc
-		bc.mu.Lock()
-		n += len(bc.m)
-		bc.mu.Unlock()
-	}
-	return n
 }

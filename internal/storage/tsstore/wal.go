@@ -190,6 +190,10 @@ func ReplayWithSummary(db *DB, r io.Reader) (RecoverySummary, error) {
 	}
 }
 
+// errCorruptBatch reports a batch record whose payload ends before the
+// points its count claims.
+var errCorruptBatch = fmt.Errorf("tsstore: corrupt WAL batch: %w", io.ErrUnexpectedEOF)
+
 func applyTSRecord(db *DB, payload []byte) (int, error) {
 	br := bytes.NewReader(payload)
 	op, err := br.ReadByte()
@@ -230,25 +234,31 @@ func applyTSRecord(db *DB, payload []byte) (int, error) {
 			return 0, err
 		}
 		// Each point needs >= 9 payload bytes (1+ delta byte, 8 value).
-		if n > uint64(br.Len()) {
-			return 0, fmt.Errorf("tsstore: corrupt WAL batch count %d", n)
+		if n > uint64(br.Len()/9) {
+			return 0, fmt.Errorf("tsstore: corrupt WAL batch count %d: %w", n, io.ErrUnexpectedEOF)
 		}
+		// Decode the whole batch before applying any of it, so a short
+		// record is rejected without leaving half its points behind.
 		times := make([]ts.Time, n)
 		prev := int64(0)
 		for i := range times {
 			d, err := binary.ReadVarint(br)
 			if err != nil {
-				return 0, err
+				return 0, errCorruptBatch
 			}
 			prev += d
 			times[i] = ts.Time(prev)
 		}
+		vals := make([]float64, n)
 		var buf [8]byte
-		for i := range times {
+		for i := range vals {
 			if _, err := io.ReadFull(br, buf[:]); err != nil {
-				return 0, err
+				return 0, errCorruptBatch
 			}
-			db.Insert(key, times[i], math.Float64frombits(binary.LittleEndian.Uint64(buf[:])))
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
+		}
+		for i := range times {
+			db.Insert(key, times[i], vals[i])
 		}
 		return int(n), nil
 	case opDeleteSeries:

@@ -2,12 +2,17 @@ package tsstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"hygraph/internal/faults"
+	"hygraph/internal/storage/walrec"
 	"hygraph/internal/ts"
 )
 
@@ -297,4 +302,118 @@ func TestTSWALFaultMatrix(t *testing.T) {
 			t.Fatalf("%s: store/log diverged: %d live vs %d replayed", pt, len(livePts), len(recPts))
 		}
 	}
+}
+
+// framedLog frames each payload as one CRC-valid log record.
+func framedLog(payloads ...[]byte) []byte {
+	var buf bytes.Buffer
+	w := walrec.NewWriter(&buf)
+	for _, p := range payloads {
+		w.Append(p)
+	}
+	w.Flush()
+	return buf.Bytes()
+}
+
+// batchRecord is an opInsertBatch payload claiming n points: the raw delta
+// and value bytes follow the count as given, so a test can cut either.
+func batchRecord(key SeriesKey, n uint64, deltas, values []byte) []byte {
+	buf := appendKey(nil, opInsertBatch, key)
+	buf = binary.AppendUvarint(buf, n)
+	return append(append(buf, deltas...), values...)
+}
+
+// shortBatchRecord is a batch record that claims two points but carries
+// the value of only one.
+func shortBatchRecord(key SeriesKey) []byte {
+	return batchRecord(key, 2, []byte{2, 2}, binary.LittleEndian.AppendUint64(make([]byte, 0, 16), math.Float64bits(1)))
+}
+
+// A CRC-valid batch record whose payload ends before the points it claims
+// is rejected as a whole: Replay reports a corrupt batch and applies none of
+// its points.
+func TestTSWALShortBatchRejected(t *testing.T) {
+	key := SeriesKey{Entity: 7, Metric: "availability"}
+	value := func(v float64) []byte { return binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)) }
+	longDelta := binary.AppendVarint(nil, math.MaxInt64/2) // 10 varint bytes
+	cases := []struct {
+		name    string
+		payload []byte
+	}{
+		{"short values", shortBatchRecord(key)},
+		// Two 10-byte deltas cut to 18 bytes: enough for the count cap, but
+		// the second delta runs past the end.
+		{"short deltas", batchRecord(key, 2, append(append([]byte{}, longDelta...), longDelta[:8]...), nil)},
+		{"count over the cap", batchRecord(key, 3, []byte{2, 2, 2}, append(value(1), value(2)[:7]...))},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			db := New(0)
+			sum, err := ReplayWithSummary(db, bytes.NewReader(framedLog(tc.payload)))
+			if err == nil || !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), "corrupt WAL batch") {
+				t.Fatalf("replay err = %v, want a corrupt WAL batch wrapping io.ErrUnexpectedEOF", err)
+			}
+			if sum.Applied != 0 || sum.Points != 0 {
+				t.Fatalf("summary %+v, want nothing applied", sum)
+			}
+			if db.HasSeries(key) {
+				t.Fatalf("rejected batch left points behind: %v", db.Range(key, math.MinInt64, math.MaxInt64))
+			}
+		})
+	}
+}
+
+// FuzzTSWALReplay replays arbitrary bytes as a time-series log. Replay must
+// never panic, and whether or not it fails, the store it leaves must equal
+// a fresh store that applied only the records Replay counted as applied:
+// a record that fails applies nothing.
+func FuzzTSWALReplay(f *testing.F) {
+	var log bytes.Buffer
+	wal := NewWAL(New(ts.Day), &log)
+	k1 := SeriesKey{Entity: 1, Metric: "availability"}
+	k2 := SeriesKey{Entity: 2, Metric: "temp"}
+	wal.InsertSeries(k1, sampleSeries(30, 10))
+	wal.Insert(k2, 3*ts.Hour, 4.5)
+	wal.Insert(k1, 5*ts.Hour, 99)
+	wal.InsertSeries(k2, sampleSeries(5, 1))
+	wal.DeleteSeries(k1)
+	wal.Insert(k1, -ts.Hour, math.NaN())
+	wal.Flush()
+	valid := log.Bytes()
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(append(append([]byte{}, valid...), framedLog(shortBatchRecord(k2))...))
+	f.Add(framedLog(shortBatchRecord(k1)))
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xff}, 32))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		db := New(0)
+		sum, err := ReplayWithSummary(db, bytes.NewReader(data))
+		ref := New(0)
+		sc := walrec.NewScanner(bytes.NewReader(data))
+		for i := 0; i < sum.Applied; i++ {
+			payload, serr := sc.Next()
+			if serr != nil {
+				t.Fatalf("record %d of %d applied: %v", i, sum.Applied, serr)
+			}
+			if _, aerr := applyTSRecord(ref, payload); aerr != nil {
+				t.Fatalf("record %d of %d applied: %v", i, sum.Applied, aerr)
+			}
+		}
+		keys := db.Keys()
+		if !reflect.DeepEqual(keys, ref.Keys()) {
+			t.Fatalf("replay (err %v) holds keys %v, the applied records %v", err, keys, ref.Keys())
+		}
+		for _, key := range keys {
+			got, want := db.Range(key, math.MinInt64, math.MaxInt64), ref.Range(key, math.MinInt64, math.MaxInt64)
+			if len(got) != len(want) {
+				t.Fatalf("replay (err %v): %v holds %d points, the applied records %d", err, key, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].T != want[i].T || math.Float64bits(got[i].V) != math.Float64bits(want[i].V) {
+					t.Fatalf("replay (err %v): %v point %d = %v, the applied records %v", err, key, i, got[i], want[i])
+				}
+			}
+		}
+	})
 }
