@@ -37,10 +37,13 @@ race:
 # reference decoder in its tests does (and its sub-slot index must resume
 # and scan to exactly the decoded points), the snapshot loader must never
 # panic, nor let a query over what it loaded panic or hide a corrupt block,
-# and the time-series WAL replayer must never panic nor half-apply a record.
+# the time-series WAL replayer must never panic nor half-apply a record, and
+# the neighbour-driven pattern matcher must return exactly the matches, order
+# and edge paths of the generate-and-test reference matcher in its tests.
 fuzz:
 	$(GO) test ./internal/storage/graphstore -run FuzzWALReplay -fuzz FuzzWALReplay -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hyql -run FuzzParse -fuzz FuzzParse -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/lpg -run FuzzMatchPattern -fuzz FuzzMatchPattern -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage/tsstore -run FuzzDecodeChunk -fuzz FuzzDecodeChunk -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage/tsstore -run FuzzLoadSnapshot -fuzz FuzzLoadSnapshot -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage/tsstore -run FuzzTSWALReplay -fuzz FuzzTSWALReplay -fuzztime $(FUZZTIME)

@@ -121,7 +121,7 @@ func evalBinary(b Binary, ctx *evalCtx) (Value, error) {
 		if l.IsNull() || r.IsNull() {
 			return NullValue, nil
 		}
-		eq := l.key() == r.key()
+		eq := sameKey(l, r)
 		// Numeric cross-kind equality (1 = 1.0).
 		if lf, lok := l.AsFloat(); lok {
 			if rf, rok := r.AsFloat(); rok {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"hygraph/internal/lpg"
 	"hygraph/internal/ts"
 )
 
@@ -221,5 +222,26 @@ func TestWithExpressionOverAggregates(t *testing.T) {
 	}
 	if row[1].String() != "-7" {
 		t.Fatalf("neg=%v", row[1])
+	}
+}
+
+// TestSameKeyIsKeyEquality: sameKey, which equality evaluates with, agrees
+// with comparing the built keys on every pair, across kinds.
+func TestSameKeyIsKeyEquality(t *testing.T) {
+	g := lpg.NewGraph()
+	v := g.AddVertex("V")
+	vals := []Value{
+		NullValue,
+		Scalar(lpg.Int(1)), Scalar(lpg.Int(2)), Scalar(lpg.Float(1)), Scalar(lpg.Float(math.NaN())),
+		Scalar(lpg.Str("1")), Scalar(lpg.Str("int:1")), Scalar(lpg.Str("")),
+		Scalar(lpg.Bool(true)), Scalar(lpg.Str("true")), Scalar(lpg.TimeVal(1)),
+		NodeValue(g.Vertex(v)), ListValue([]Value{Scalar(lpg.Int(1))}),
+	}
+	for _, l := range vals {
+		for _, r := range vals {
+			if got, want := sameKey(l, r), l.key() == r.key(); got != want {
+				t.Errorf("sameKey(%s, %s) = %v, key equality %v", l.key(), r.key(), got, want)
+			}
+		}
 	}
 }

@@ -100,12 +100,11 @@ func (e *Engine) Query(src string, at ts.Time) (*Result, error) {
 func (e *Engine) Exec(q *Query, at ts.Time) (*Result, error) {
 	g := e.graphAt(at)
 	sw := e.obs.match.Start()
-	rows, edgeNames, err := matchRows(g, q, e.obs)
+	rows, err := matchRows(g, q, e.obs)
 	sw.Stop()
 	if err != nil {
 		return nil, err
 	}
-	_ = edgeNames
 	// WHERE filter.
 	if q.Where != nil {
 		sw := e.obs.where.Start()
@@ -140,7 +139,7 @@ func (e *Engine) Exec(q *Query, at ts.Time) (*Result, error) {
 		return nil, err
 	}
 	sw = e.obs.order.Start()
-	err = orderAndLimit(q, res, rows)
+	err = orderAndLimit(q, res)
 	sw.Stop()
 	if err != nil {
 		return nil, err
@@ -150,7 +149,7 @@ func (e *Engine) Exec(q *Query, at ts.Time) (*Result, error) {
 
 // matchRows converts the MATCH patterns into one combined lpg.Pattern,
 // enumerates bindings and returns one row per match.
-func matchRows(g *lpg.Graph, q *Query, o engineObs) ([]map[string]Value, []string, error) {
+func matchRows(g *lpg.Graph, q *Query, o engineObs) ([]map[string]Value, error) {
 	p := lpg.NewPattern()
 	nodeLabel := map[string]string{}
 	var nodeOrder []string
@@ -190,12 +189,12 @@ func matchRows(g *lpg.Graph, q *Query, o engineObs) ([]map[string]Value, []strin
 	for _, path := range q.Patterns {
 		prev, err := addNode(path.Nodes[0])
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		for i, ep := range path.Edges {
 			cur, err := addNode(path.Nodes[i+1])
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			from, to := prev, cur
 			if ep.Dir == DirLeft {
@@ -203,7 +202,7 @@ func matchRows(g *lpg.Graph, q *Query, o engineObs) ([]map[string]Value, []strin
 			}
 			if ep.Name != "" {
 				if edgeNameSeen[ep.Name] {
-					return nil, nil, fmt.Errorf("hyql: edge name %q reused", ep.Name)
+					return nil, fmt.Errorf("hyql: edge name %q reused", ep.Name)
 				}
 				edgeNameSeen[ep.Name] = true
 			}
@@ -261,12 +260,6 @@ func matchRows(g *lpg.Graph, q *Query, o engineObs) ([]map[string]Value, []strin
 	}
 	matches := g.MatchPattern(p, 0)
 	rows := make([]map[string]Value, 0, len(matches))
-	var edgeNames []string
-	for _, er := range edges {
-		if er.name != "" {
-			edgeNames = append(edgeNames, er.name)
-		}
-	}
 	for _, m := range matches {
 		row := map[string]Value{}
 		for name, vid := range m.Vertices {
@@ -285,7 +278,7 @@ func matchRows(g *lpg.Graph, q *Query, o engineObs) ([]map[string]Value, []strin
 		}
 		rows = append(rows, row)
 	}
-	return rows, edgeNames, nil
+	return rows, nil
 }
 
 // patternEdges exposes the pattern's edge slice for post-construction
@@ -595,7 +588,7 @@ func evalAggregate(c Call, group []map[string]Value) (Value, error) {
 
 // orderAndLimit applies ORDER BY over the projected table (by column
 // reference) and LIMIT.
-func orderAndLimit(q *Query, res *Result, _ []map[string]Value) error {
+func orderAndLimit(q *Query, res *Result) error {
 	if len(q.OrderBy) > 0 {
 		cols := make([]int, len(q.OrderBy))
 		for i, ob := range q.OrderBy {

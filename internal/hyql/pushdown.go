@@ -40,9 +40,14 @@ func bindingRefs(e Expr) map[string]bool {
 
 // nodeFilter compiles a single-binding conjunct into a vertex candidate
 // filter. Evaluation errors admit the candidate (the residual WHERE decides).
+// The filter reuses one row, overwriting its single key per call: a filter
+// belongs to one query's pattern, and MatchPattern calls it from one
+// goroutine.
 func nodeFilter(name string, conj Expr) func(*lpg.Vertex) bool {
+	ctx := &evalCtx{row: map[string]Value{}}
 	return func(v *lpg.Vertex) bool {
-		res, err := eval(conj, &evalCtx{row: map[string]Value{name: NodeValue(v)}})
+		ctx.row[name] = NodeValue(v)
+		res, err := eval(conj, ctx)
 		if err != nil {
 			return true
 		}
@@ -52,8 +57,10 @@ func nodeFilter(name string, conj Expr) func(*lpg.Vertex) bool {
 
 // edgeFilter is nodeFilter for single-hop edge bindings.
 func edgeFilter(name string, conj Expr) func(*lpg.Edge) bool {
+	ctx := &evalCtx{row: map[string]Value{}}
 	return func(e *lpg.Edge) bool {
-		res, err := eval(conj, &evalCtx{row: map[string]Value{name: EdgeValue(e)}})
+		ctx.row[name] = EdgeValue(e)
+		res, err := eval(conj, ctx)
 		if err != nil {
 			return true
 		}

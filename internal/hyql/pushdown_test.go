@@ -1,6 +1,7 @@
 package hyql
 
 import (
+	"fmt"
 	"testing"
 
 	"hygraph/internal/core"
@@ -106,5 +107,35 @@ func TestPushdownSelectivity(t *testing.T) {
 		RETURN b.id`)
 	if len(res.Rows) != 1 || res.Rows[0][0].String() != "151" {
 		t.Fatalf("rows=%v", res.Rows)
+	}
+}
+
+// TestNodeFilterAllocs: a pushed single-binding conjunct runs once per
+// candidate, so it must not build a row per call. st.name = 'x' over 1 000
+// stations.
+func TestNodeFilterAllocs(t *testing.T) {
+	g := lpg.NewGraph()
+	var stations []*lpg.Vertex
+	for i := 0; i < 1000; i++ {
+		v := g.AddVertex("Station")
+		g.SetVertexProp(v, "name", lpg.Str(fmt.Sprintf("s%d", i)))
+		stations = append(stations, g.Vertex(v))
+	}
+	q := mustParse(t, "MATCH (st:Station) WHERE st.name = 's7' RETURN st")
+	keep := nodeFilter("st", q.Where)
+	kept := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		kept = 0
+		for _, v := range stations {
+			if keep(v) {
+				kept++
+			}
+		}
+	})
+	if kept != 1 {
+		t.Fatalf("filter kept %d stations, want 1", kept)
+	}
+	if allocs > 10 {
+		t.Fatalf("%.0f allocations filtering 1000 stations, want <= 10", allocs)
 	}
 }

@@ -139,6 +139,16 @@ func (v Value) key() string {
 	return "?"
 }
 
+// sameKey reports whether l.key() == r.key(). For two scalars it compares
+// kind and text instead of building both keys: a kind name holds no ':', so
+// the keys are equal exactly when those are.
+func sameKey(l, r Value) bool {
+	if l.kind == VScalar && r.kind == VScalar {
+		return l.scalar.Kind() == r.scalar.Kind() && l.scalar.String() == r.scalar.String()
+	}
+	return l.key() == r.key()
+}
+
 // compare orders two values for ORDER BY: scalars by lpg.Value.Compare,
 // entities by id, mixed kinds by kind.
 func (v Value) compare(o Value) int {
