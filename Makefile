@@ -37,9 +37,12 @@ race:
 # reference decoder in its tests does (and its sub-slot index must resume
 # and scan to exactly the decoded points), the snapshot loader must never
 # panic, nor let a query over what it loaded panic or hide a corrupt block,
-# the time-series WAL replayer must never panic nor half-apply a record, and
-# the neighbour-driven pattern matcher must return exactly the matches, order
-# and edge paths of the generate-and-test reference matcher in its tests.
+# the time-series WAL replayer must never panic nor half-apply a record, the
+# neighbour-driven pattern matcher must return exactly the matches, order
+# and edge paths of the generate-and-test reference matcher in its tests, and
+# the served query-string decoder must never panic, must parse a query it
+# accepted back from its re-encoding unchanged, and must hand the engine only
+# queries that answer or fail with ErrBadQuery.
 fuzz:
 	$(GO) test ./internal/storage/graphstore -run FuzzWALReplay -fuzz FuzzWALReplay -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hyql -run FuzzParse -fuzz FuzzParse -fuzztime $(FUZZTIME)
@@ -47,6 +50,7 @@ fuzz:
 	$(GO) test ./internal/storage/tsstore -run FuzzDecodeChunk -fuzz FuzzDecodeChunk -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage/tsstore -run FuzzLoadSnapshot -fuzz FuzzLoadSnapshot -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage/tsstore -run FuzzTSWALReplay -fuzz FuzzTSWALReplay -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server -run FuzzParseQuery -fuzz FuzzParseQuery -fuzztime $(FUZZTIME)
 
 bench:
 	$(GO) test -bench . -benchmem ./...

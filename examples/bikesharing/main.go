@@ -10,6 +10,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 
 	"hygraph/internal/core"
 	"hygraph/internal/dataset"
@@ -34,8 +35,13 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ndistrict-level summary: %s (%d districts)\n", agg, len(groups))
-	for name, sv := range groups {
-		for _, e := range agg.OutEdges(sv) {
+	names := make([]string, 0, len(groups))
+	for name := range groups {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		for _, e := range agg.OutEdges(groups[name]) {
 			if e.Label != "HAS_SERIES" {
 				continue
 			}

@@ -81,11 +81,11 @@ func TestStructuralUpdates(t *testing.T) {
 	h, st, _ := smallInstance(t)
 	st2, _ := h.AddVertex(tpg.Always, "Station")
 	in := NewIngestor(h)
-	before := h.NumEdges()
+	before := len(h.OutEdges(st))
 	if err := in.Apply(Update{Kind: AddEdge, At: 100, From: st, To: st2, Label: "TRIP"}); err != nil {
 		t.Fatal(err)
 	}
-	if h.NumEdges() != before+1 {
+	if len(h.OutEdges(st)) != before+1 {
 		t.Fatal("edge not added")
 	}
 	var eid core.EID = -1

@@ -9,7 +9,8 @@
 // panicfree, nondeterminism) mechanically enforce invariants that earlier
 // PRs established by convention: lock discipline in the storage engines,
 // deterministic float folds, WAL write-error latching, panic-free mutators,
-// and wall-clock/global-randomness bans in deterministic packages. See
+// wall-clock/global-randomness bans in deterministic packages, and no
+// unreached code in the model packages. See
 // docs/STATIC_ANALYSIS.md for the invariant behind each check and the real
 // bug it would have caught.
 package analysis
@@ -46,8 +47,9 @@ type Pass struct {
 	// empty entry when the policy has no settings beyond the package list).
 	Check *CheckPolicy
 
-	// Graph is the run-wide call graph, populated for the current package
-	// and everything analyzed before it (dependency order).
+	// Graph is the run-wide call graph: in a Facts hook it holds the current
+	// package and everything before it in dependency order, in a Run every
+	// loaded package.
 	Graph *CallGraph
 
 	check string
@@ -114,7 +116,7 @@ type Analyzer struct {
 	// Doc is the one-line invariant the check enforces.
 	Doc string
 	// Facts, when set, runs over EVERY loaded package — in scope or not —
-	// before any Run, exporting function/field summaries the analyzer's Run
+	// before any Run on any package, exporting function/field summaries the analyzer's Run
 	// consumes interprocedurally. It must only export facts, never report.
 	Facts func(*Pass)
 	// Run inspects one package and reports findings through the pass.
@@ -133,6 +135,7 @@ func Analyzers() []*Analyzer {
 		AtomicMix,
 		GoroutineLifetime,
 		BoundedAlloc,
+		Unreached,
 	}
 }
 

@@ -44,3 +44,11 @@ func TestGoroutineLifetime(t *testing.T) {
 func TestBoundedAlloc(t *testing.T) {
 	runWantTest(t, "testdata/boundedalloc", singleCheckPolicy("boundedalloc"))
 }
+
+func TestUnreached(t *testing.T) {
+	policy := singleCheckPolicy("unreached")
+	policy.Checks["unreached"].Allow = []Allowance{
+		{Site: "hyvet.test/unreached.Allowed", Reason: "paper artifact a root benchmark reaches"},
+	}
+	runWantTest(t, "testdata/unreached", policy)
+}

@@ -26,7 +26,11 @@ func Run(dir string, policy *Policy, patterns ...string) ([]Finding, error) {
 
 // runPackages runs the suite over pre-loaded packages — shared with tests
 // that build packages without the go tool. Packages are processed in
-// dependency order among themselves.
+// dependency order among themselves, in two sweeps: every package's
+// directives, call-graph slice and facts hooks first, then every in-scope
+// analyzer. So a Run sees the facts of every loaded package, not only of
+// the packages below it — which is what a whole-program question such as
+// "does any main reach this function?" needs.
 func runPackages(pkgs []*Package, policy *Policy) ([]Finding, error) {
 	st := &analyzeState{
 		facts:     NewFactStore(),
@@ -35,15 +39,20 @@ func runPackages(pkgs []*Package, policy *Policy) ([]Finding, error) {
 		policy:    policy,
 		allowUsed: map[string]bool{},
 	}
-	var findings []Finding
+	order := topoPackages(pkgs)
+	dirs := make([][]*Directive, len(order))
 	var visited []string
-	for _, pkg := range topoPackages(pkgs) {
+	for i, pkg := range order {
 		visited = append(visited, pkg.Path)
-		fs, err := analyzePackage(st, pkg)
+		ds, err := collectFacts(st, pkg)
 		if err != nil {
 			return nil, err
 		}
-		findings = append(findings, fs...)
+		dirs[i] = ds
+	}
+	var findings []Finding
+	for i, pkg := range order {
+		findings = append(findings, analyzePackage(st, pkg, dirs[i])...)
 	}
 	findings = append(findings, staleAllowances(policy, visited, st.allowUsed)...)
 	sortFindings(findings)
@@ -60,10 +69,9 @@ type analyzeState struct {
 	allowUsed map[string]bool // "check:site" allowlist entries that fired
 }
 
-// analyzePackage runs one package through directives, the call-graph
-// builder, every facts hook, and every in-scope analyzer, and returns the
-// package's post-suppression findings.
-func analyzePackage(st *analyzeState, pkg *Package) ([]Finding, error) {
+// collectFacts parses one package's directives, extends the call graph with
+// it and runs every facts hook over it.
+func collectFacts(st *analyzeState, pkg *Package) ([]*Directive, error) {
 	var dirs []*Directive
 	for _, f := range pkg.Files {
 		ds, errs := parseDirectives(pkg.Fset, f)
@@ -73,7 +81,6 @@ func analyzePackage(st *analyzeState, pkg *Package) ([]Finding, error) {
 		dirs = append(dirs, ds...)
 	}
 	st.graph.addPackage(pkg)
-	var findings []Finding
 	// Facts hooks run over every package, in scope or not: a server handler
 	// can only be checked against ttdb's summaries if ttdb exported them,
 	// whether or not ttdb itself is in the check's package list.
@@ -87,6 +94,13 @@ func analyzePackage(st *analyzeState, pkg *Package) ([]Finding, error) {
 		}
 		a.Facts(newPass(pkg, a, cp, st, func(Finding) {}, func(string) {}))
 	}
+	return dirs, nil
+}
+
+// analyzePackage runs every in-scope analyzer over one package and returns
+// its post-suppression findings.
+func analyzePackage(st *analyzeState, pkg *Package, dirs []*Directive) []Finding {
+	var findings []Finding
 	for _, a := range st.analyzers {
 		cp, ok := st.policy.Checks[a.Name]
 		if !ok || !cp.appliesTo(pkg.Path) {
@@ -102,7 +116,7 @@ func analyzePackage(st *analyzeState, pkg *Package) ([]Finding, error) {
 	}
 	// Directives only ever match findings in their own file, so applying
 	// them per package is equivalent to applying them to the whole run.
-	return applyDirectives(findings, dirs), nil
+	return applyDirectives(findings, dirs)
 }
 
 // newPass assembles a Pass for one (package, analyzer) pair.

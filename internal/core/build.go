@@ -3,9 +3,7 @@ package core
 import (
 	"fmt"
 
-	"hygraph/internal/lpg"
 	"hygraph/internal/tpg"
-	"hygraph/internal/ts"
 )
 
 // This file implements the <X>ToHyGraph interface (Section 5, Figure 4):
@@ -47,102 +45,4 @@ func FromTPG(g *tpg.Graph) (*HyGraph, TPGMapping) {
 		return true
 	})
 	return h, m
-}
-
-// FromLPG imports a static property graph, giving every element the provided
-// validity interval (Always for atemporal data).
-func FromLPG(g *lpg.Graph, valid tpg.Interval) (*HyGraph, map[lpg.VertexID]VID) {
-	h := New()
-	vmap := map[lpg.VertexID]VID{}
-	g.Vertices(func(v *lpg.Vertex) bool {
-		id, err := h.AddVertex(valid, v.Labels...)
-		if err != nil {
-			panic(err)
-		}
-		for _, k := range v.PropKeys() {
-			h.SetVertexProp(id, k, v.Prop(k))
-		}
-		vmap[v.ID] = id
-		return true
-	})
-	g.Edges(func(e *lpg.Edge) bool {
-		id, err := h.AddEdge(vmap[e.From], vmap[e.To], e.Label, valid)
-		if err != nil {
-			panic(err)
-		}
-		for _, k := range e.PropKeys() {
-			h.SetEdgeProp(id, k, e.Prop(k))
-		}
-		return true
-	})
-	return h, vmap
-}
-
-// AddSeriesSet imports a set of univariate series as TS vertices carrying
-// the given label, returning the new vertex ids in input order.
-func (h *HyGraph) AddSeriesSet(label string, series ...*ts.Series) ([]VID, error) {
-	out := make([]VID, 0, len(series))
-	for _, s := range series {
-		id, err := h.AddTSVertexUni(s, label)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, id)
-	}
-	return out, nil
-}
-
-// PromoteProperty converts a series-valued property of a PG vertex into a
-// dedicated TS vertex linked by a "HAS_SERIES" PG edge, removing the
-// property. This moves a series from "supplementary context" (N_TS property)
-// to first-class citizen (V_ts) — the central modeling move of the paper.
-func (h *HyGraph) PromoteProperty(v VID, key string) (VID, error) {
-	vert := h.Vertex(v)
-	if vert == nil {
-		return 0, ErrNoVertex
-	}
-	val := vert.Prop(key)
-	var m *ts.MultiSeries
-	if s, ok := val.AsSeries(); ok {
-		var err error
-		m, err = ts.Combine(s.Name(), s)
-		if err != nil {
-			return 0, err
-		}
-	} else if mm, ok := val.AsMulti(); ok {
-		m = mm
-	} else {
-		return 0, fmt.Errorf("core: property %q of vertex %d is not a series", key, v)
-	}
-	tsv, err := h.AddTSVertex(m, key)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := h.AddEdge(v, tsv, "HAS_SERIES", vert.Valid); err != nil {
-		return 0, err
-	}
-	delete(vert.props, key)
-	return tsv, nil
-}
-
-// DemoteVertex converts a TS vertex back into a series-valued property of
-// the PG vertex that owns it via a "HAS_SERIES" edge — the inverse of
-// PromoteProperty, witnessing that both representations are equivalent.
-func (h *HyGraph) DemoteVertex(tsv VID, key string) (VID, error) {
-	vert := h.Vertex(tsv)
-	if vert == nil || vert.Kind != TS {
-		return 0, fmt.Errorf("core: vertex %d is not a TS vertex", tsv)
-	}
-	var owner VID = -1
-	for _, e := range h.InEdges(tsv) {
-		if e.Label == "HAS_SERIES" {
-			owner = e.From
-			break
-		}
-	}
-	if owner < 0 {
-		return 0, fmt.Errorf("core: TS vertex %d has no HAS_SERIES owner", tsv)
-	}
-	h.SetVertexProp(owner, key, lpg.MultiVal(vert.Series))
-	return owner, nil
 }

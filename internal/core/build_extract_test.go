@@ -20,7 +20,7 @@ func randomTPG(seed int64, n int) *tpg.Graph {
 		if rng.Intn(3) == 0 {
 			end = ts.MaxTime
 		}
-		ids[i] = g.MustAddVertex(tpg.Between(start, end), []string{"A", "B", "C"}[rng.Intn(3)])
+		ids[i], _ = g.AddVertex(tpg.Between(start, end), []string{"A", "B", "C"}[rng.Intn(3)]) // start <= end: never fails
 		g.SetVertexProp(ids[i], "w", lpg.Float(rng.Float64()))
 	}
 	for e := 0; e < n*2; e++ {
@@ -54,7 +54,7 @@ func TestTPGRoundTrip(t *testing.T) {
 			if len(bv.Labels) != len(v.Labels) || bv.Labels[0] != v.Labels[0] {
 				t.Fatalf("vertex %d labels", v.ID)
 			}
-			if !bv.Prop("w").Equal(v.Prop("w")) {
+			if bv.Prop("w") != v.Prop("w") {
 				t.Fatalf("vertex %d prop", v.ID)
 			}
 			return true
@@ -64,84 +64,11 @@ func TestTPGRoundTrip(t *testing.T) {
 			if be.Valid != e.Valid || be.Label != e.Label || be.From != e.From || be.To != e.To {
 				t.Fatalf("edge %d mismatch", e.ID)
 			}
-			if !be.Prop("x").Equal(e.Prop("x")) {
+			if be.Prop("x") != e.Prop("x") {
 				t.Fatalf("edge %d prop", e.ID)
 			}
 			return true
 		})
-	}
-}
-
-func TestFromLPG(t *testing.T) {
-	g := lpg.NewGraph()
-	a := g.AddVertex("A")
-	b := g.AddVertex("B")
-	g.SetVertexProp(a, "x", lpg.Int(1))
-	e := g.AddEdge(a, b, "r")
-	g.SetEdgeProp(e, "w", lpg.Float(0.5))
-	h, vmap := FromLPG(g, tpg.Always)
-	if h.NumVertices() != 2 || h.NumEdges() != 1 {
-		t.Fatalf("counts: %v", h)
-	}
-	if got := h.Vertex(vmap[a]).Prop("x"); !got.Equal(lpg.Int(1)) {
-		t.Fatalf("prop: %v", got)
-	}
-}
-
-func TestAddSeriesSet(t *testing.T) {
-	h := New()
-	ids, err := h.AddSeriesSet("Sensor",
-		ts.FromSamples("s1", 0, 1, []float64{1, 2}),
-		ts.FromSamples("s2", 0, 1, []float64{3, 4}))
-	if err != nil || len(ids) != 2 {
-		t.Fatalf("ids=%v err=%v", ids, err)
-	}
-	for _, id := range ids {
-		if h.Vertex(id).Kind != TS || !h.Vertex(id).HasLabel("Sensor") {
-			t.Fatal("ts vertex wrong")
-		}
-	}
-}
-
-func TestPromoteDemoteProperty(t *testing.T) {
-	h := New()
-	v, _ := h.AddVertex(tpg.Always, "Station")
-	s := ts.FromSamples("avail", 0, 10, []float64{1, 2, 3})
-	h.SetVertexProp(v, "availability", lpg.SeriesVal(s))
-
-	tsv, err := h.PromoteProperty(v, "availability")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Vertex(tsv).Kind != TS {
-		t.Fatal("promoted vertex not TS")
-	}
-	if !h.Vertex(v).Prop("availability").IsNull() {
-		t.Fatal("property not removed after promotion")
-	}
-	// Linked by HAS_SERIES.
-	out := h.OutEdges(v)
-	if len(out) != 1 || out[0].Label != "HAS_SERIES" || out[0].To != tsv {
-		t.Fatalf("link edges=%v", out)
-	}
-	// Demote back.
-	owner, err := h.DemoteVertex(tsv, "availability")
-	if err != nil || owner != v {
-		t.Fatalf("demote: %v %v", owner, err)
-	}
-	m, ok := h.Vertex(v).Prop("availability").AsMulti()
-	if !ok || m.Len() != 3 {
-		t.Fatal("demoted property")
-	}
-	// Errors.
-	if _, err := h.PromoteProperty(v, "name"); err == nil {
-		t.Fatal("promoting non-series must fail")
-	}
-	if _, err := h.PromoteProperty(999, "x"); err != ErrNoVertex {
-		t.Fatalf("missing vertex: %v", err)
-	}
-	if _, err := h.DemoteVertex(v, "x"); err == nil {
-		t.Fatal("demoting PG vertex must fail")
 	}
 }
 

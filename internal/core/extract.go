@@ -64,7 +64,7 @@ func (h *HyGraph) ToTPG() (*tpg.Graph, map[VID]tpg.VID) {
 // View is a static LPG projection of the HyGraph at one instant, with
 // mappings back to HyGraph ids. TS elements valid at the instant appear
 // with their series attached under SeriesPropKey, so graph-side operators
-// (pattern matching, communities, grouping) can read them — this is how
+// (pattern matching, communities) can read them — this is how
 // hybrid operators see both worlds at once.
 type View struct {
 	At       ts.Time

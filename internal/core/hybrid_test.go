@@ -123,7 +123,14 @@ func TestCorrelationEdges(t *testing.T) {
 	s1 := mk("s1", func(i int) float64 { return math.Sin(float64(i) / 10) })
 	s2 := mk("s2", func(i int) float64 { return 3*math.Sin(float64(i)/10) + 1 })
 	s3 := mk("s3", func(i int) float64 { return float64(i%2) * 5 })
-	ids, _ := h.AddSeriesSet("Card", s1, s2, s3)
+	var ids []VID
+	for _, s := range []*ts.Series{s1, s2, s3} {
+		id, err := h.AddTSVertexUni(s, "Card")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
 	added, err := h.CorrelationEdges(0.9, ts.Minute, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -206,10 +213,15 @@ func TestCorrelatedReachable(t *testing.T) {
 func TestSegmentSnapshots(t *testing.T) {
 	// TPG whose activity has two regimes: quiet then busy.
 	g := tpg.NewGraph()
-	a := g.MustAddVertex(tpg.Always, "V")
-	b := g.MustAddVertex(tpg.Always, "V")
+	a, errA := g.AddVertex(tpg.Always, "V")
+	b, errB := g.AddVertex(tpg.Always, "V")
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
 	for i := 0; i < 40; i++ {
-		g.MustAddEdge(a, b, "e", tpg.Between(ts.Time(500+i), ts.Time(1000)))
+		if _, err := g.AddEdge(a, b, "e", tpg.Between(ts.Time(500+i), ts.Time(1000))); err != nil {
+			t.Fatal(err)
+		}
 	}
 	h, _ := FromTPG(g)
 	driver := h.ActivitySeries(0, 1000, 10)
@@ -397,20 +409,17 @@ func TestSeriesEdgeWhereAndLabels(t *testing.T) {
 			t.Fatalf("wrong card: %v", b)
 		}
 	}
-	// Edge label predicate + Subgraphs/NumSubgraphs iteration.
-	var anyEdge *Edge
-	h.Edges(func(e *Edge) bool { anyEdge = e; return false })
-	if !anyEdge.HasLabel(anyEdge.Label) || anyEdge.HasLabel("nope") {
-		t.Fatal("edge HasLabel")
-	}
-	if h.NumSubgraphs() != 0 {
-		t.Fatal("fresh instance has subgraphs")
-	}
-	sg, _ := h.AddSubgraph(tpg.Always, "S")
+	// Subgraphs iteration.
 	count := 0
 	h.Subgraphs(func(s *Subgraph) bool { count++; return true })
-	if count != 1 || h.NumSubgraphs() != 1 {
+	if count != 0 {
+		t.Fatal("fresh instance has subgraphs")
+	}
+	if _, err := h.AddSubgraph(tpg.Always, "S"); err != nil {
+		t.Fatal(err)
+	}
+	h.Subgraphs(func(s *Subgraph) bool { count++; return true })
+	if count != 1 {
 		t.Fatalf("subgraph iteration count=%d", count)
 	}
-	_ = sg
 }

@@ -128,15 +128,6 @@ var (
 // New returns an empty HyGraph instance.
 func New() *HyGraph { return &HyGraph{} }
 
-// NumVertices returns |V|.
-func (h *HyGraph) NumVertices() int { return len(h.vertices) }
-
-// NumEdges returns |E|.
-func (h *HyGraph) NumEdges() int { return len(h.edges) }
-
-// NumSubgraphs returns |S|.
-func (h *HyGraph) NumSubgraphs() int { return len(h.subgraphs) }
-
 // CountByKind returns how many vertices and edges are of the given kind.
 func (h *HyGraph) CountByKind(k ElemKind) (vertices, edges int) {
 	for _, v := range h.vertices {
@@ -329,9 +320,6 @@ func (e *Edge) Prop(key string) lpg.Value { return e.props[key] }
 
 // PropKeys returns the edge's property keys sorted.
 func (e *Edge) PropKeys() []string { return sortedKeys(e.props) }
-
-// HasLabel reports whether the edge's label equals label.
-func (e *Edge) HasLabel(label string) bool { return e.Label == label }
 
 // EffectiveValid returns ρ for PG vertices, and the series time span for TS
 // vertices (a TS element "exists" while it has observations).

@@ -90,8 +90,8 @@ func TestModelCounts(t *testing.T) {
 	if pe != 2 || te != 3 {
 		t.Fatalf("edges pg=%d ts=%d", pe, te)
 	}
-	if h.NumVertices() != 6 || h.NumEdges() != 5 {
-		t.Fatalf("totals %d/%d", h.NumVertices(), h.NumEdges())
+	if len(h.vertices) != 6 || len(h.edges) != 5 {
+		t.Fatalf("totals %d/%d", len(h.vertices), len(h.edges))
 	}
 }
 
@@ -135,7 +135,7 @@ func TestEffectiveValidity(t *testing.T) {
 	}
 	// Empty TS vertex: empty validity.
 	e, _ := h.AddTSVertexUni(ts.New("empty"), "TS")
-	if got := h.Vertex(e).EffectiveValid(); got.Duration() != 0 {
+	if got := h.Vertex(e).EffectiveValid(); got.End != got.Start {
 		t.Fatalf("empty ts validity=%v", got)
 	}
 }

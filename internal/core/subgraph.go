@@ -57,9 +57,6 @@ func (h *HyGraph) SetSubgraphProp(id SID, key string, val lpg.Value) error {
 // Prop returns φ(s, key).
 func (s *Subgraph) Prop(key string) lpg.Value { return s.props[key] }
 
-// HasLabel reports whether λ(s) contains the label.
-func (s *Subgraph) HasLabel(label string) bool { return containsStr(s.Labels, label) }
-
 // AddVertexMember records that vertex v belongs to the subgraph during the
 // interval (γ membership). Membership is clipped to the subgraph's own
 // validity; disjoint intervals are rejected.

@@ -141,12 +141,16 @@ func (g *Graph) Louvain(maxPasses int) Communities {
 	// weight to each neighboring community from a vertex.
 	neighWeights := func(id VertexID) map[VertexID]float64 {
 		w := map[VertexID]float64{}
-		g.step(id, Both, func(n VertexID, _ *Edge) bool {
-			if n != id {
-				w[comm[n]]++
+		for _, e := range g.OutEdges(id) {
+			if e.To != id {
+				w[comm[e.To]]++
 			}
-			return true
-		})
+		}
+		for _, e := range g.InEdges(id) {
+			if e.From != id {
+				w[comm[e.From]]++
+			}
+		}
 		return w
 	}
 	for pass := 0; pass < maxPasses; pass++ {

@@ -40,16 +40,12 @@ type Graph struct {
 	nLive    int // live vertex count
 	eLive    int // live edge count
 
-	labelIndex map[string][]VertexID            // vertex label -> ids (insertion order, may contain dead)
-	propIndex  map[string]map[string][]VertexID // indexed property key -> value key -> ids
+	labelIndex map[string][]VertexID // vertex label -> ids (insertion order, may contain dead)
 }
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
-	return &Graph{
-		labelIndex: make(map[string][]VertexID),
-		propIndex:  make(map[string]map[string][]VertexID),
-	}
+	return &Graph{labelIndex: make(map[string][]VertexID)}
 }
 
 // NumVertices returns the number of live vertices.
@@ -183,13 +179,6 @@ func (g *Graph) VertexIDs() []VertexID {
 	return out
 }
 
-// EdgeIDs returns all live edge IDs in ID order.
-func (g *Graph) EdgeIDs() []EdgeID {
-	out := make([]EdgeID, 0, g.eLive)
-	g.Edges(func(e *Edge) bool { out = append(out, e.ID); return true })
-	return out
-}
-
 // VerticesByLabel returns live vertex IDs carrying the label, in ID order.
 func (g *Graph) VerticesByLabel(label string) []VertexID {
 	var out []VertexID
@@ -199,16 +188,6 @@ func (g *Graph) VerticesByLabel(label string) []VertexID {
 		}
 	}
 	return out
-}
-
-// HasLabel reports whether the vertex carries the label.
-func (v *Vertex) HasLabel(label string) bool {
-	for _, l := range v.Labels {
-		if l == label {
-			return true
-		}
-	}
-	return false
 }
 
 // Prop returns a vertex property value (Null if absent).
@@ -232,20 +211,9 @@ func sortedKeys(m map[string]Value) []string {
 	return out
 }
 
-// SetVertexProp sets a property on a vertex, maintaining any index on key.
+// SetVertexProp sets a property on a vertex.
 func (g *Graph) SetVertexProp(id VertexID, key string, val Value) {
-	v := g.mustVertex(id)
-	if idx, ok := g.propIndex[key]; ok {
-		if old, had := v.props[key]; had {
-			if ik, can := old.indexKey(); can {
-				idx[ik] = removeVID(idx[ik], id)
-			}
-		}
-		if ik, can := val.indexKey(); can {
-			idx[ik] = append(idx[ik], id)
-		}
-	}
-	v.props[key] = val
+	g.mustVertex(id).props[key] = val
 }
 
 // SetEdgeProp sets a property on an edge.
@@ -255,58 +223,6 @@ func (g *Graph) SetEdgeProp(id EdgeID, key string, val Value) {
 		panic(fmt.Sprintf("lpg: no edge %d", id))
 	}
 	e.props[key] = val
-}
-
-// CreateVertexPropIndex builds (or rebuilds) a hash index over the given
-// vertex property key. Series-valued properties are not indexable and are
-// skipped. Subsequent SetVertexProp calls maintain the index.
-func (g *Graph) CreateVertexPropIndex(key string) {
-	idx := make(map[string][]VertexID)
-	g.Vertices(func(v *Vertex) bool {
-		if val, ok := v.props[key]; ok {
-			if ik, can := val.indexKey(); can {
-				idx[ik] = append(idx[ik], v.ID)
-			}
-		}
-		return true
-	})
-	g.propIndex[key] = idx
-}
-
-// VerticesByProp returns live vertices whose indexed property key equals
-// val, in insertion order. The index must have been created with
-// CreateVertexPropIndex; otherwise it falls back to a scan.
-func (g *Graph) VerticesByProp(key string, val Value) []VertexID {
-	if idx, ok := g.propIndex[key]; ok {
-		ik, can := val.indexKey()
-		if !can {
-			return nil
-		}
-		var out []VertexID
-		for _, id := range idx[ik] {
-			if v := g.Vertex(id); v != nil && v.props[key].Equal(val) {
-				out = append(out, id)
-			}
-		}
-		return out
-	}
-	var out []VertexID
-	g.Vertices(func(v *Vertex) bool {
-		if v.props[key].Equal(val) {
-			out = append(out, v.ID)
-		}
-		return true
-	})
-	return out
-}
-
-func removeVID(ids []VertexID, id VertexID) []VertexID {
-	for i, x := range ids {
-		if x == id {
-			return append(ids[:i], ids[i+1:]...)
-		}
-	}
-	return ids
 }
 
 // OutEdges returns the live outgoing edges of a vertex in insertion order.
@@ -365,46 +281,6 @@ func (g *Graph) Neighbors(id VertexID) []VertexID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// Clone returns a deep copy of the graph structure and properties. Series
-// payloads inside values are shared (they are treated as immutable once
-// attached).
-func (g *Graph) Clone() *Graph {
-	ng := NewGraph()
-	ng.vertices = make([]*Vertex, len(g.vertices))
-	for i, v := range g.vertices {
-		nv := &Vertex{
-			ID:     v.ID,
-			Labels: append([]string(nil), v.Labels...),
-			props:  make(map[string]Value, len(v.props)),
-			out:    append([]EdgeID(nil), v.out...),
-			in:     append([]EdgeID(nil), v.in...),
-			dead:   v.dead,
-		}
-		for k, val := range v.props {
-			nv.props[k] = val
-		}
-		ng.vertices[i] = nv
-	}
-	ng.edges = make([]*Edge, len(g.edges))
-	for i, e := range g.edges {
-		ne := &Edge{ID: e.ID, Label: e.Label, From: e.From, To: e.To,
-			props: make(map[string]Value, len(e.props)), dead: e.dead}
-		for k, val := range e.props {
-			ne.props[k] = val
-		}
-		ng.edges[i] = ne
-	}
-	ng.nLive = g.nLive
-	ng.eLive = g.eLive
-	for l, ids := range g.labelIndex {
-		ng.labelIndex[l] = append([]VertexID(nil), ids...)
-	}
-	for k := range g.propIndex {
-		ng.CreateVertexPropIndex(k)
-	}
-	return ng
 }
 
 // String renders a compact summary.

@@ -1,9 +1,6 @@
 package lpg
 
-import (
-	"slices"
-	"sort"
-)
+import "slices"
 
 // Pattern is a small subgraph pattern: named vertex constraints connected by
 // edge constraints. Matching is by subgraph homomorphism with an injectivity
@@ -417,22 +414,4 @@ func containsEdge(path []EdgeID, id EdgeID) bool {
 		}
 	}
 	return false
-}
-
-// SortMatches orders matches deterministically by their vertex bindings.
-func SortMatches(ms []Match) {
-	sort.Slice(ms, func(i, j int) bool {
-		a, b := ms[i], ms[j]
-		keys := make([]string, 0, len(a.Vertices))
-		for k := range a.Vertices {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			if a.Vertices[k] != b.Vertices[k] {
-				return a.Vertices[k] < b.Vertices[k]
-			}
-		}
-		return false
-	})
 }

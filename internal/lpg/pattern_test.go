@@ -565,7 +565,7 @@ var benchMatches []Match
 // neighbour's series vertex.
 func BenchmarkMatchPattern(b *testing.B) {
 	g := starGraph(1000)
-	named := func(v *Vertex) bool { return v.Prop("name").Equal(Str("s500")) }
+	named := func(v *Vertex) bool { return v.Prop("name") == Str("s500") }
 	shapes := []struct {
 		name string
 		p    *Pattern

@@ -1,7 +1,6 @@
 // Package lpg implements the labeled-property-graph substrate: vertices and
-// edges carrying labels and typed properties, adjacency and label/property
-// indexes, traversals, graph metrics, community detection and graph
-// summarization (grouping).
+// edges carrying labels and typed properties, adjacency and a label index,
+// subgraph pattern matching, graph metrics and community detection.
 //
 // Property values follow the paper's split N = N_Σ ∪ N_TS: a property is
 // either a static scalar or a whole time series. The latter is what the
@@ -145,32 +144,6 @@ func (v Value) AsMulti() (*ts.MultiSeries, bool) { return v.multi, v.kind == Kin
 // AsSeriesRef returns the handle of a series held by reference.
 func (v Value) AsSeriesRef() (any, bool) { return v.ref, v.kind == KindSeriesRef }
 
-// Equal reports deep equality. Series values compare by content.
-func (v Value) Equal(o Value) bool {
-	if v.kind != o.kind {
-		return false
-	}
-	switch v.kind {
-	case KindNull:
-		return true
-	case KindBool:
-		return v.b == o.b
-	case KindInt, KindTime:
-		return v.i == o.i
-	case KindFloat:
-		return v.f == o.f
-	case KindString:
-		return v.s == o.s
-	case KindSeries:
-		return v.ser.Equal(o.ser)
-	case KindMulti:
-		return v.multi.Equal(o.multi)
-	case KindSeriesRef:
-		return v.ref == o.ref
-	}
-	return false
-}
-
 // Compare orders two values: null < bool < int/float (numeric order) <
 // string < time < series (by length; series held by reference all tie).
 // Values of incomparable kinds order by kind. Returns -1, 0 or 1.
@@ -296,24 +269,4 @@ func (v Value) String() string {
 		return fmt.Sprint(v.ref)
 	}
 	return "?"
-}
-
-// indexKey returns a string key usable in hash-based property indexes.
-// Series values are not indexable and return "", false.
-func (v Value) indexKey() (string, bool) {
-	switch v.kind {
-	case KindNull:
-		return "∅", true
-	case KindBool:
-		return "b:" + strconv.FormatBool(v.b), true
-	case KindInt:
-		return "i:" + strconv.FormatInt(v.i, 10), true
-	case KindFloat:
-		return "f:" + strconv.FormatFloat(v.f, 'g', -1, 64), true
-	case KindString:
-		return "s:" + v.s, true
-	case KindTime:
-		return "t:" + strconv.FormatInt(v.i, 10), true
-	}
-	return "", false
 }

@@ -7,6 +7,10 @@ import (
 )
 
 func TestValueKindsAndAccessors(t *testing.T) {
+	multi, err := ts.NewMulti("m", "a")
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		v    Value
 		kind Kind
@@ -18,7 +22,7 @@ func TestValueKindsAndAccessors(t *testing.T) {
 		{Str("x"), KindString},
 		{TimeVal(100), KindTime},
 		{SeriesVal(ts.New("s")), KindSeries},
-		{MultiVal(ts.MustNewMulti("m", "a")), KindMulti},
+		{MultiVal(multi), KindMulti},
 	}
 	for _, c := range cases {
 		if c.v.Kind() != c.kind {
@@ -42,19 +46,16 @@ func TestValueKindsAndAccessors(t *testing.T) {
 	}
 }
 
+// TestValueEqual: Values are comparable with ==; scalars are equal by kind
+// and payload, series references by handle identity (TestSeriesRef).
 func TestValueEqual(t *testing.T) {
-	if !Int(1).Equal(Int(1)) || Int(1).Equal(Int(2)) {
+	if Int(1) != Int(1) || Int(1) == Int(2) {
 		t.Fatal("int equality")
 	}
-	if Int(1).Equal(Float(1)) {
+	if Int(1) == Float(1) {
 		t.Fatal("cross-kind equality must be false")
 	}
-	s1 := ts.FromSamples("s", 0, 1, []float64{1, 2})
-	s2 := ts.FromSamples("s", 0, 1, []float64{1, 2})
-	if !SeriesVal(s1).Equal(SeriesVal(s2)) {
-		t.Fatal("series content equality")
-	}
-	if !Null.Equal(Value{}) {
+	if Null != (Value{}) {
 		t.Fatal("null equality")
 	}
 }
@@ -95,25 +96,6 @@ func TestValueString(t *testing.T) {
 	}
 }
 
-func TestIndexKey(t *testing.T) {
-	// Distinct values of the same kind must have distinct keys; equal values
-	// must collide; series must be non-indexable.
-	k1, ok1 := Int(1).indexKey()
-	k2, ok2 := Int(2).indexKey()
-	k1b, _ := Int(1).indexKey()
-	if !ok1 || !ok2 || k1 == k2 || k1 != k1b {
-		t.Fatal("int index keys")
-	}
-	// Int and string with the same rendering must not collide.
-	ks, _ := Str("1").indexKey()
-	if ks == k1 {
-		t.Fatal("cross-kind index collision")
-	}
-	if _, ok := SeriesVal(ts.New("s")).indexKey(); ok {
-		t.Fatal("series must not be indexable")
-	}
-}
-
 // TestSeriesRef: a series held by reference is an N_TS value whose handle
 // lpg stores and returns without looking inside.
 func TestSeriesRef(t *testing.T) {
@@ -129,7 +111,7 @@ func TestSeriesRef(t *testing.T) {
 	if _, ok := SeriesVal(ts.New("s")).AsSeriesRef(); ok {
 		t.Fatal("an inline series is not a reference")
 	}
-	if !va.Equal(SeriesRef(a)) || va.Equal(vb) {
+	if va != SeriesRef(a) || va == vb {
 		t.Fatal("references are equal by handle identity")
 	}
 	if va.Compare(vb) != 0 || Str("x").Compare(va) >= 0 || SeriesVal(ts.New("s")).Compare(va) >= 0 {
@@ -137,8 +119,5 @@ func TestSeriesRef(t *testing.T) {
 	}
 	if va.String() != "&{a}" {
 		t.Fatalf("String = %q", va.String())
-	}
-	if _, ok := va.indexKey(); ok {
-		t.Fatal("a series reference is not indexable")
 	}
 }

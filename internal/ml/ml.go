@@ -182,12 +182,3 @@ func (m BinaryMetrics) F1() float64 {
 	}
 	return 2 * p * r / (p + r)
 }
-
-// Accuracy returns (TP+TN)/total.
-func (m BinaryMetrics) Accuracy() float64 {
-	total := m.TP + m.FP + m.TN + m.FN
-	if total == 0 {
-		return 0
-	}
-	return float64(m.TP+m.TN) / float64(total)
-}

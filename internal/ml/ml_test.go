@@ -105,11 +105,8 @@ func TestBinaryMetrics(t *testing.T) {
 	if math.Abs(m.F1()-2.0/3) > 1e-12 {
 		t.Fatalf("f1=%v", m.F1())
 	}
-	if math.Abs(m.Accuracy()-0.6) > 1e-12 {
-		t.Fatalf("accuracy=%v", m.Accuracy())
-	}
 	var zero BinaryMetrics
-	if zero.Precision() != 0 || zero.Recall() != 0 || zero.F1() != 0 || zero.Accuracy() != 0 {
+	if zero.Precision() != 0 || zero.Recall() != 0 || zero.F1() != 0 {
 		t.Fatal("zero metrics must not NaN")
 	}
 }

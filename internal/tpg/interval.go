@@ -1,6 +1,6 @@
 // Package tpg implements the temporal-property-graph substrate: an LPG whose
 // vertices and edges carry validity intervals (the paper's ρ function),
-// supporting snapshot retrieval, temporal slices, diffs, time-respecting
+// supporting snapshot retrieval, diffs, time-respecting
 // paths, and the evolution of graph metrics over time as time series
 // (the metricEvolution operator of Section 5).
 package tpg
@@ -33,9 +33,6 @@ func (iv Interval) Valid() bool { return iv.Start <= iv.End }
 // Contains reports whether t lies within [Start, End).
 func (iv Interval) Contains(t ts.Time) bool { return t >= iv.Start && t < iv.End }
 
-// Overlaps reports whether two intervals share any instant.
-func (iv Interval) Overlaps(o Interval) bool { return iv.Start < o.End && o.Start < iv.End }
-
 // Intersect returns the overlap of two intervals; ok is false when disjoint.
 func (iv Interval) Intersect(o Interval) (Interval, bool) {
 	lo, hi := iv.Start, iv.End
@@ -50,12 +47,6 @@ func (iv Interval) Intersect(o Interval) (Interval, bool) {
 	}
 	return Interval{lo, hi}, true
 }
-
-// Covers reports whether iv fully contains o.
-func (iv Interval) Covers(o Interval) bool { return iv.Start <= o.Start && o.End <= iv.End }
-
-// Duration returns End - Start.
-func (iv Interval) Duration() ts.Time { return iv.End - iv.Start }
 
 // String renders the interval for debugging.
 func (iv Interval) String() string { return fmt.Sprintf("[%s, %s)", iv.Start, iv.End) }

@@ -47,7 +47,7 @@ func (g *Graph) SnapshotAt(t ts.Time) *Snapshot {
 		from, okF := s.VertexOf[e.From]
 		to, okT := s.VertexOf[e.To]
 		if !okF || !okT {
-			return true // endpoint invisible at t (possible after EndVertex clipping races)
+			return true // endpoint invisible at t
 		}
 		id := s.Graph.AddEdge(from, to, e.Label)
 		for _, k := range e.PropKeys() {
@@ -58,47 +58,6 @@ func (g *Graph) SnapshotAt(t ts.Time) *Snapshot {
 		return true
 	})
 	return s
-}
-
-// SliceBetween returns a new temporal graph containing only elements whose
-// validity overlaps [start, end), with intervals clipped to it. This is the
-// temporal analogue of Series.Slice.
-func (g *Graph) SliceBetween(start, end ts.Time) *Graph {
-	win := Between(start, end)
-	out := NewGraph()
-	remap := map[VID]VID{}
-	g.Vertices(func(v *Vertex) bool {
-		clipped, ok := v.Valid.Intersect(win)
-		if !ok {
-			return true
-		}
-		nid := out.MustAddVertex(clipped, v.Labels...)
-		for _, k := range v.PropKeys() {
-			_ = out.SetVertexProp(nid, k, v.Prop(k)) // nid was just created
-		}
-		remap[v.ID] = nid
-		return true
-	})
-	g.Edges(func(e *Edge) bool {
-		clipped, ok := e.Valid.Intersect(win)
-		if !ok {
-			return true
-		}
-		from, okF := remap[e.From]
-		to, okT := remap[e.To]
-		if !okF || !okT {
-			return true
-		}
-		nid, err := out.AddEdge(from, to, e.Label, clipped)
-		if err != nil {
-			return true
-		}
-		for _, k := range e.PropKeys() {
-			_ = out.SetEdgeProp(nid, k, e.Prop(k)) // nid was just created
-		}
-		return true
-	})
-	return out
 }
 
 // Diff summarizes the structural change between two instants.

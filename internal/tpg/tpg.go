@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"hygraph/internal/lpg"
-	"hygraph/internal/ts"
 )
 
 // VID identifies a temporal vertex.
@@ -70,15 +69,6 @@ func (g *Graph) AddVertex(valid Interval, labels ...string) (VID, error) {
 	return id, nil
 }
 
-// MustAddVertex is AddVertex that panics on error.
-func (g *Graph) MustAddVertex(valid Interval, labels ...string) VID {
-	id, err := g.AddVertex(valid, labels...)
-	if err != nil {
-		panic(err)
-	}
-	return id
-}
-
 // AddEdge adds an edge valid over the given interval. The edge interval is
 // clipped to the intersection of its endpoints' validity (temporal
 // referential integrity, requirement R2): an edge cannot outlive its
@@ -108,15 +98,6 @@ func (g *Graph) AddEdge(from, to VID, label string, valid Interval) (EID, error)
 	return id, nil
 }
 
-// MustAddEdge is AddEdge that panics on error.
-func (g *Graph) MustAddEdge(from, to VID, label string, valid Interval) EID {
-	id, err := g.AddEdge(from, to, label, valid)
-	if err != nil {
-		panic(err)
-	}
-	return id
-}
-
 // Vertex returns the vertex or nil.
 func (g *Graph) Vertex(id VID) *Vertex {
 	if id < 0 || int(id) >= len(g.vertices) {
@@ -131,47 +112,6 @@ func (g *Graph) Edge(id EID) *Edge {
 		return nil
 	}
 	return g.edges[id]
-}
-
-// EndVertex closes a vertex's validity at t and likewise closes all incident
-// edges still open past t. Closing before the start returns an error.
-func (g *Graph) EndVertex(id VID, t ts.Time) error {
-	v := g.Vertex(id)
-	if v == nil {
-		return fmt.Errorf("tpg: no vertex %d", id)
-	}
-	if t < v.Valid.Start {
-		return ErrBadInterval
-	}
-	if t < v.Valid.End {
-		v.Valid.End = t
-	}
-	for _, eid := range g.outAdj[id] {
-		if e := g.edges[eid]; e.Valid.End > t {
-			e.Valid.End = t
-		}
-	}
-	for _, eid := range g.inAdj[id] {
-		if e := g.edges[eid]; e.Valid.End > t {
-			e.Valid.End = t
-		}
-	}
-	return nil
-}
-
-// EndEdge closes an edge's validity at t.
-func (g *Graph) EndEdge(id EID, t ts.Time) error {
-	e := g.Edge(id)
-	if e == nil {
-		return fmt.Errorf("tpg: no edge %d", id)
-	}
-	if t < e.Valid.Start {
-		return ErrBadInterval
-	}
-	if t < e.Valid.End {
-		e.Valid.End = t
-	}
-	return nil
 }
 
 // SetVertexProp sets a property on a vertex. It errors when the vertex does
@@ -200,16 +140,6 @@ func (v *Vertex) Prop(key string) lpg.Value { return v.props[key] }
 
 // PropKeys returns sorted property keys.
 func (v *Vertex) PropKeys() []string { return sortedKeys(v.props) }
-
-// HasLabel reports whether the vertex carries the label.
-func (v *Vertex) HasLabel(label string) bool {
-	for _, l := range v.Labels {
-		if l == label {
-			return true
-		}
-	}
-	return false
-}
 
 // Prop returns an edge property (Null if absent).
 func (e *Edge) Prop(key string) lpg.Value { return e.props[key] }
@@ -258,45 +188,4 @@ func (g *Graph) OutEdges(id VID) []*Edge {
 		out = append(out, g.edges[eid])
 	}
 	return out
-}
-
-// InEdges returns the incoming edges of a vertex (any validity).
-func (g *Graph) InEdges(id VID) []*Edge {
-	if id < 0 || int(id) >= len(g.inAdj) {
-		return nil
-	}
-	out := make([]*Edge, 0, len(g.inAdj[id]))
-	for _, eid := range g.inAdj[id] {
-		out = append(out, g.edges[eid])
-	}
-	return out
-}
-
-// Lifespan returns the interval from the earliest element start to the
-// latest finite element end; series of structural change happen within it.
-// ok is false for an empty graph.
-func (g *Graph) Lifespan() (Interval, bool) {
-	if len(g.vertices) == 0 {
-		return Interval{}, false
-	}
-	lo := ts.MaxTime
-	hi := ts.Time(0)
-	grow := func(iv Interval) {
-		if iv.Start < lo {
-			lo = iv.Start
-		}
-		end := iv.End
-		if end == ts.MaxTime {
-			end = iv.Start
-		}
-		if end > hi {
-			hi = end
-		}
-	}
-	g.Vertices(func(v *Vertex) bool { grow(v.Valid); return true })
-	g.Edges(func(e *Edge) bool { grow(e.Valid); return true })
-	if hi < lo {
-		hi = lo
-	}
-	return Interval{lo, hi}, true
 }

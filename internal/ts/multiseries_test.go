@@ -4,6 +4,38 @@ import (
 	"testing"
 )
 
+// MustAppend is Append that panics on error.
+func (m *MultiSeries) MustAppend(t Time, tuple ...float64) {
+	if err := m.Append(t, tuple...); err != nil {
+		panic(err)
+	}
+}
+
+// Equal reports structural equality of two multivariate series.
+func (m *MultiSeries) Equal(o *MultiSeries) bool {
+	if m.name != o.name || len(m.vars) != len(o.vars) || len(m.times) != len(o.times) {
+		return false
+	}
+	for i, v := range m.vars {
+		if o.vars[i] != v {
+			return false
+		}
+	}
+	for i := range m.times {
+		if m.times[i] != o.times[i] {
+			return false
+		}
+	}
+	for c := range m.cols {
+		for i := range m.cols[c] {
+			if m.cols[c][i] != o.cols[c][i] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func TestMultiSeriesBasics(t *testing.T) {
 	m := MustNewMulti("cc", "amount", "balance")
 	if m.Arity() != 2 || m.Len() != 0 {

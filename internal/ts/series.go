@@ -267,9 +267,6 @@ func (s *Series) Times() []Time { return append([]Time(nil), s.times...) }
 // Values returns a copy of the values.
 func (s *Series) Values() []float64 { return append([]float64(nil), s.vals...) }
 
-// valuesRef returns the internal value slice for package-local hot paths.
-func (s *Series) valuesRef() []float64 { return s.vals }
-
 // Map returns a new series with f applied to every value.
 func (s *Series) Map(f func(float64) float64) *Series {
 	out := s.Clone()
