@@ -42,7 +42,9 @@ race:
 # and edge paths of the generate-and-test reference matcher in its tests, and
 # the served query-string decoder must never panic, must parse a query it
 # accepted back from its re-encoding unchanged, and must hand the engine only
-# queries that answer or fail with ErrBadQuery.
+# queries that answer or fail with ErrBadQuery, and intent-journal recovery
+# must never panic, must give the same result twice, and must resume past
+# every txn id the journal holds.
 fuzz:
 	$(GO) test ./internal/storage/graphstore -run FuzzWALReplay -fuzz FuzzWALReplay -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hyql -run FuzzParse -fuzz FuzzParse -fuzztime $(FUZZTIME)
@@ -51,6 +53,7 @@ fuzz:
 	$(GO) test ./internal/storage/tsstore -run FuzzLoadSnapshot -fuzz FuzzLoadSnapshot -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage/tsstore -run FuzzTSWALReplay -fuzz FuzzTSWALReplay -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run FuzzParseQuery -fuzz FuzzParseQuery -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/storage/ttdb -run FuzzJournalReplay -fuzz FuzzJournalReplay -fuzztime $(FUZZTIME)
 
 bench:
 	$(GO) test -bench . -benchmem ./...

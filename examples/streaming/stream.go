@@ -109,9 +109,6 @@ func (in *Ingestor) apply(u Update) error {
 			}
 			in.stats.Upserted++
 		}
-		// Series mutation bypasses the instance API; stamp it stale so
-		// cached query views refresh.
-		in.H.InvalidateViews()
 		return nil
 	case AddEdge:
 		if _, err := in.H.AddEdge(u.From, u.To, u.Label, tpg.From(u.At)); err != nil {
@@ -130,7 +127,6 @@ func (in *Ingestor) apply(u Update) error {
 		if u.At < e.Valid.End {
 			e.Valid.End = u.At
 		}
-		in.H.InvalidateViews()
 		in.stats.EdgesEnded++
 		return nil
 	}

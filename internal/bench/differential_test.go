@@ -104,7 +104,7 @@ func hyqlResults(t *testing.T, data *dataset.BikeData) qResults {
 // storeEngine is the HyQL engine a served tenant runs: structure from the
 // stores, every series a handle onto them.
 func storeEngine(structure *lpg.Graph) *hyql.Engine {
-	return hyql.NewEngineOver(hyql.NewView(structure))
+	return hyql.NewEngine(hyql.NewView(structure))
 }
 
 // hyqlResultsOn runs the HyQL battery through an explicit engine — the hook

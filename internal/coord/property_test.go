@@ -183,7 +183,7 @@ func checkAnswers(t *testing.T, label string, w *world, ora *ttdb.DurablePolyglo
 // returns the flattened rows, for invariance comparison across partitionings.
 func hyqlSnapshot(t *testing.T, c *coord.Coordinator) []string {
 	t.Helper()
-	eng := hyql.NewEngineOver(hyql.NewView(c.Structure()))
+	eng := hyql.NewEngine(hyql.NewView(c.Structure()))
 	at := 3 * propSpan / 4
 	start, end := propSpan/4, 3*propSpan/4
 	queries := []string{

@@ -122,6 +122,9 @@ func (h *HyGraph) SnapshotAt(t ts.Time) *View {
 	return view
 }
 
+// GraphAt returns the graph of SnapshotAt(t): a fresh projection per call.
+func (h *HyGraph) GraphAt(t ts.Time) *lpg.Graph { return h.SnapshotAt(t).Graph }
+
 // SeriesOfVertex returns δ(v) for a TS vertex.
 func (h *HyGraph) SeriesOfVertex(id VID) (*ts.MultiSeries, bool) {
 	v := h.Vertex(id)

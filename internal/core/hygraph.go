@@ -101,20 +101,7 @@ type HyGraph struct {
 	subgraphs []*Subgraph
 	outAdj    [][]EID
 	inAdj     [][]EID
-	// version increments on every mutation; caches (e.g. hyql's snapshot
-	// cache) key on it to detect staleness.
-	version uint64
 }
-
-// Version returns a counter that changes whenever the instance is mutated
-// through its API. Code that mutates attached series in place (bypassing
-// the API, like the streaming ingestor) must call InvalidateViews.
-func (h *HyGraph) Version() uint64 { return h.version }
-
-// InvalidateViews bumps the version, declaring any cached projection of the
-// instance stale. Mutators call it internally; out-of-band series writers
-// call it explicitly.
-func (h *HyGraph) InvalidateViews() { h.version++ }
 
 // Errors returned by HyGraph mutations.
 var (
@@ -174,7 +161,6 @@ func (h *HyGraph) AddTSVertexUni(series *ts.Series, labels ...string) (VID, erro
 }
 
 func (h *HyGraph) addVertex(v *Vertex) VID {
-	h.version++
 	v.ID = VID(len(h.vertices))
 	v.props = map[string]lpg.Value{}
 	h.vertices = append(h.vertices, v)
@@ -217,7 +203,6 @@ func (h *HyGraph) addEdge(e *Edge) (EID, error) {
 	if h.Vertex(e.From) == nil || h.Vertex(e.To) == nil {
 		return 0, ErrNoVertex
 	}
-	h.version++
 	e.ID = EID(len(h.edges))
 	e.props = map[string]lpg.Value{}
 	h.edges = append(h.edges, e)
@@ -290,7 +275,6 @@ func (h *HyGraph) SetVertexProp(id VID, key string, val lpg.Value) error {
 	if v == nil {
 		return ErrNoVertex
 	}
-	h.version++
 	v.props[key] = val
 	return nil
 }
@@ -301,7 +285,6 @@ func (h *HyGraph) SetEdgeProp(id EID, key string, val lpg.Value) error {
 	if e == nil {
 		return ErrNoEdge
 	}
-	h.version++
 	e.props[key] = val
 	return nil
 }

@@ -13,7 +13,6 @@ func (h *HyGraph) AddSubgraph(valid tpg.Interval, labels ...string) (SID, error)
 	if !valid.Valid() {
 		return 0, ErrBadInterval
 	}
-	h.version++
 	s := &Subgraph{
 		ID:      SID(len(h.subgraphs)),
 		Labels:  append([]string(nil), labels...),
@@ -49,7 +48,6 @@ func (h *HyGraph) SetSubgraphProp(id SID, key string, val lpg.Value) error {
 	if s == nil {
 		return ErrNoSubgraph
 	}
-	h.version++
 	s.props[key] = val
 	return nil
 }
@@ -72,7 +70,6 @@ func (h *HyGraph) AddVertexMember(sid SID, v VID, during tpg.Interval) error {
 	if !ok {
 		return ErrBadInterval
 	}
-	h.version++
 	s.memberV[v] = append(s.memberV[v], clipped)
 	return nil
 }
@@ -93,7 +90,6 @@ func (h *HyGraph) AddEdgeMember(sid SID, eid EID, during tpg.Interval) error {
 	if !ok {
 		return ErrBadInterval
 	}
-	h.version++
 	s.memberE[eid] = append(s.memberE[eid], clipped)
 	if err := h.AddVertexMember(sid, e.From, clipped); err != nil {
 		return err

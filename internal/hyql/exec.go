@@ -4,80 +4,29 @@ import (
 	"fmt"
 	"sort"
 
-	"hygraph/internal/core"
 	"hygraph/internal/lpg"
 	"hygraph/internal/ts"
 )
 
-// Engine executes HyQL queries over a HyGraph instance. Queries run against
-// the instance's state "as of" an instant (SnapshotAt), so temporal validity
-// and series lifetimes are respected.
-//
-// An engine built by NewEngine caches recent snapshot views keyed by
-// (instant, instance version): repeated queries at the same instant — the
-// continuous-query pattern — skip view construction entirely, and any
-// mutation of the instance invalidates the cache through the version stamp
-// (the paper's "in-memory caching techniques" roadmap item). That cache makes
-// it single-goroutine. An engine built by NewEngineOver keeps no state of its
-// own between queries and is as safe for concurrent use as its Source.
+// Engine executes HyQL queries against the graph its Source gives for an
+// instant, so temporal validity and series lifetimes are respected. It keeps
+// no state between queries except its metric handles: queries are as safe
+// for concurrent use as the Source, and Instrument is called before them.
 type Engine struct {
-	H     *core.HyGraph // nil for an engine built by NewEngineOver
-	src   Source
-	views map[ts.Time]cachedView
-	obs   engineObs // metric handles; zero value = instrumentation off
+	src Source
+	obs engineObs // metric handles; zero value = instrumentation off
 }
 
 // Source supplies the static graph a query "as of" an instant is matched
 // against. Series-valued properties in it may be lpg.SeriesRef handles
 // implementing Series, so the graph need not hold a single sample.
+// core.HyGraph, View and the server's tenant implement it.
 type Source interface {
-	SnapshotAt(at ts.Time) *lpg.Graph
+	GraphAt(at ts.Time) *lpg.Graph
 }
 
-type cachedView struct {
-	version uint64
-	view    *core.View
-}
-
-// viewCacheSize bounds the per-engine snapshot cache.
-const viewCacheSize = 16
-
-// NewEngine returns an engine over the instance.
-func NewEngine(h *core.HyGraph) *Engine {
-	return &Engine{H: h, views: map[ts.Time]cachedView{}}
-}
-
-// NewEngineOver returns an engine that asks src for the graph of every query.
-func NewEngineOver(src Source) *Engine { return &Engine{src: src} }
-
-// graphAt returns the graph a query at the instant runs against.
-func (e *Engine) graphAt(at ts.Time) *lpg.Graph {
-	if e.src != nil {
-		return e.src.SnapshotAt(at)
-	}
-	return e.viewAt(at).Graph
-}
-
-// viewAt returns the (possibly cached) snapshot view at the instant.
-func (e *Engine) viewAt(at ts.Time) *core.View {
-	v := e.H.Version()
-	if c, ok := e.views[at]; ok && c.version == v {
-		e.obs.viewHits.Inc()
-		return c.view
-	}
-	e.obs.viewMisses.Inc()
-	view := e.H.SnapshotAt(at)
-	if len(e.views) >= viewCacheSize {
-		// Evict everything stale, or an arbitrary entry when all are live.
-		for k, c := range e.views {
-			if c.version != v || len(e.views) >= viewCacheSize {
-				delete(e.views, k)
-			}
-		}
-	}
-	e.views[at] = cachedView{version: v, view: view}
-	return view
-}
+// NewEngine returns an engine that asks src for the graph of every query.
+func NewEngine(src Source) *Engine { return &Engine{src: src} }
 
 // Result is a query result table.
 type Result struct {
@@ -98,7 +47,7 @@ func (e *Engine) Query(src string, at ts.Time) (*Result, error) {
 
 // Exec executes a parsed query at the given instant.
 func (e *Engine) Exec(q *Query, at ts.Time) (*Result, error) {
-	g := e.graphAt(at)
+	g := e.src.GraphAt(at)
 	sw := e.obs.match.Start()
 	rows, err := matchRows(g, q, e.obs)
 	sw.Stop()

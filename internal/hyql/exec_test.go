@@ -3,6 +3,7 @@ package hyql
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"hygraph/internal/core"
@@ -88,7 +89,7 @@ func query(t *testing.T, h *core.HyGraph, src string) *Result {
 	if err != nil {
 		t.Fatalf("query %q: %v", src, err)
 	}
-	byRef, err := NewEngineOver(NewView(byReference(h.SnapshotAt(at).Graph))).Query(src, at)
+	byRef, err := NewEngine(NewView(byReference(h.SnapshotAt(at).Graph))).Query(src, at)
 	if err != nil {
 		t.Fatalf("query %q by reference: %v", src, err)
 	}
@@ -394,6 +395,8 @@ func TestScalarFunctions(t *testing.T) {
 	}
 }
 
+// TestViewCacheCorrectUnderMutation checks that a query on an engine that
+// has already answered sees later mutations made through the instance API.
 func TestViewCacheCorrectUnderMutation(t *testing.T) {
 	h := fraudHG(t)
 	eng := NewEngine(h)
@@ -405,12 +408,12 @@ func TestViewCacheCorrectUnderMutation(t *testing.T) {
 	if res.Rows[0][0].String() != "3" {
 		t.Fatalf("n=%v", res.Rows[0][0])
 	}
-	// Cache hit: same instant, same version → same answer.
+	// Same instant, same answer.
 	res, _ = eng.Query(q, 10*ts.Hour)
 	if res.Rows[0][0].String() != "3" {
-		t.Fatalf("cached n=%v", res.Rows[0][0])
+		t.Fatalf("repeated n=%v", res.Rows[0][0])
 	}
-	// Mutation invalidates: a fourth user appears at the same instant.
+	// A fourth user appears at the same instant.
 	u4, err := h.AddVertex(tpg.Always, "User")
 	if err != nil {
 		t.Fatal(err)
@@ -418,9 +421,9 @@ func TestViewCacheCorrectUnderMutation(t *testing.T) {
 	h.SetVertexProp(u4, "name", lpg.Str("u4"))
 	res, _ = eng.Query(q, 10*ts.Hour)
 	if res.Rows[0][0].String() != "4" {
-		t.Fatalf("post-mutation n=%v (stale cache)", res.Rows[0][0])
+		t.Fatalf("post-mutation n=%v (stale answer)", res.Rows[0][0])
 	}
-	// Property mutations invalidate too.
+	// Property mutations show too.
 	h.SetVertexProp(u4, "name", lpg.Str("renamed"))
 	res, _ = eng.Query(`MATCH (u:User) WHERE u.name = 'renamed' RETURN count(*) AS n`, 10*ts.Hour)
 	if res.Rows[0][0].String() != "1" {
@@ -428,15 +431,68 @@ func TestViewCacheCorrectUnderMutation(t *testing.T) {
 	}
 }
 
-func TestViewCacheBounded(t *testing.T) {
+// TestEngineConcurrentQueries runs one engine from several goroutines at
+// distinct instants; under -race it proves the engine keeps no shared state
+// between queries.
+func TestEngineConcurrentQueries(t *testing.T) {
 	h := fraudHG(t)
 	eng := NewEngine(h)
-	for i := 0; i < 100; i++ {
-		if _, err := eng.Query(`MATCH (u:User) RETURN count(*)`, ts.Time(i)*ts.Hour); err != nil {
+	const q = `MATCH (u:User)-[:USES]->(c:CreditCard) WHERE ts.mean(c) > 0 RETURN count(*) AS n`
+	var wg sync.WaitGroup
+	errs := make([]error, 4)
+	for g := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				res, err := eng.Query(q, ts.Time(g*8+i)*ts.Hour)
+				if err == nil && res.Rows[0][0].String() != "3" {
+					err = fmt.Errorf("at %dh: n=%v, want 3", g*8+i, res.Rows[0][0])
+				}
+				if err != nil {
+					errs[g] = err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(eng.views) > viewCacheSize {
-		t.Fatalf("cache grew to %d entries", len(eng.views))
+}
+
+// TestEngineSeesDirectSeriesAppend appends to a TS vertex's series behind
+// the instance API and requires the next query on the same engine to see
+// the longer lifetime.
+func TestEngineSeesDirectSeriesAppend(t *testing.T) {
+	h := core.New()
+	s := ts.New("temp")
+	for i := 0; i <= 5; i++ {
+		s.MustAppend(ts.Time(i)*ts.Hour, float64(i))
+	}
+	id, err := h.AddTSVertexUni(s, "Sensor")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(h)
+	count := func() string {
+		t.Helper()
+		res, err := eng.Query(`MATCH (s:Sensor) RETURN count(*) AS n`, 10*ts.Hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Rows[0][0].String()
+	}
+	if n := count(); n != "0" {
+		t.Fatalf("before append: n=%s, want 0 (series ends at 5h)", n)
+	}
+	if err := h.Vertex(id).Series.Append(12*ts.Hour, 12); err != nil {
+		t.Fatal(err)
+	}
+	if n := count(); n != "1" {
+		t.Fatalf("after append: n=%s, want 1 (series now spans 10h)", n)
 	}
 }

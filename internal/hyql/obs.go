@@ -3,9 +3,9 @@ package hyql
 import "hygraph/internal/obs"
 
 // engineObs holds the engine's preallocated metric handles: per-clause
-// latency histograms, pushdown-attachment counters, and snapshot-view cache
-// hit/miss counters. The zero value (all nil) is the disabled state — every
-// Start/Stop and increment is a nil-check no-op that never reads the clock.
+// latency histograms and pushdown-attachment counters. The zero value (all
+// nil) is the disabled state — every Start/Stop and increment is a
+// nil-check no-op that never reads the clock.
 type engineObs struct {
 	parse   *obs.Histogram // source text -> AST
 	match   *obs.Histogram // MATCH pattern enumeration
@@ -16,30 +16,24 @@ type engineObs struct {
 
 	pushNode *obs.Counter // WHERE conjuncts pushed onto pattern vertices
 	pushEdge *obs.Counter // WHERE conjuncts pushed onto pattern edges
-
-	viewHits   *obs.Counter // snapshot-view cache hits
-	viewMisses *obs.Counter // snapshot-view cache misses (view built)
 }
 
-// Instrument attaches metric handles to the engine. Call before issuing
-// queries; a nil registry detaches instrumentation. The engine itself is not
-// synchronized, so Instrument follows the same single-goroutine discipline as
-// Query/Exec.
+// Instrument attaches metric handles to the engine; a nil registry detaches
+// instrumentation. It is not synchronized with queries: call it before
+// issuing any, never while one runs.
 func (e *Engine) Instrument(r *obs.Registry) {
 	if r == nil {
 		e.obs = engineObs{}
 		return
 	}
 	e.obs = engineObs{
-		parse:      r.Histogram("hyql.clause.parse"),
-		match:      r.Histogram("hyql.clause.match"),
-		where:      r.Histogram("hyql.clause.where"),
-		with:       r.Histogram("hyql.clause.with"),
-		project:    r.Histogram("hyql.clause.return"),
-		order:      r.Histogram("hyql.clause.order"),
-		pushNode:   r.Counter("hyql.pushdown.node_conjuncts"),
-		pushEdge:   r.Counter("hyql.pushdown.edge_conjuncts"),
-		viewHits:   r.Counter("hyql.viewcache.hits"),
-		viewMisses: r.Counter("hyql.viewcache.misses"),
+		parse:    r.Histogram("hyql.clause.parse"),
+		match:    r.Histogram("hyql.clause.match"),
+		where:    r.Histogram("hyql.clause.where"),
+		with:     r.Histogram("hyql.clause.with"),
+		project:  r.Histogram("hyql.clause.return"),
+		order:    r.Histogram("hyql.clause.order"),
+		pushNode: r.Counter("hyql.pushdown.node_conjuncts"),
+		pushEdge: r.Counter("hyql.pushdown.edge_conjuncts"),
 	}
 }

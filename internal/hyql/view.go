@@ -15,7 +15,7 @@ import (
 // is written, never when a series gains a sample.
 //
 // A TS vertex is valid from its series' first sample to its last, and an
-// append moves the last. SnapshotAt therefore asks every handle for its span
+// append moves the last. GraphAt therefore asks every handle for its span
 // on every call and decides visibility afresh; nothing derived from a span
 // outlives the call except as a memo keyed by the decision itself. When every
 // TS vertex is visible — the steady state of a live dataset queried "as of"
@@ -53,10 +53,10 @@ func NewView(g *lpg.Graph) *View {
 	return v
 }
 
-// SnapshotAt implements Source: the structure minus the TS vertices whose
+// GraphAt implements Source: the structure minus the TS vertices whose
 // series does not cover the instant, and minus the edges that touch them,
 // numbered as if they had never been there.
-func (v *View) SnapshotAt(at ts.Time) *lpg.Graph {
+func (v *View) GraphAt(at ts.Time) *lpg.Graph {
 	var hidden []lpg.VertexID
 	for _, rv := range v.series {
 		if first, last, ok := rv.s.Span(); !ok || at < first || at > last {

@@ -102,7 +102,7 @@ func TestViewSnapshotMatchesHyGraph(t *testing.T) {
 		h := sensorHyGraph(t, series)
 		for _, at := range []ts.Time{0, 49, 50, 55, 60, 61, 90, 100, 101, 150, 200, 201} {
 			want := dumpGraph(h.SnapshotAt(at).Graph)
-			if got := dumpGraph(view.SnapshotAt(at)); got != want {
+			if got := dumpGraph(view.GraphAt(at)); got != want {
 				t.Fatalf("%s at %d:\n got\n%s\nwant\n%s", label, at, got, want)
 			}
 		}
@@ -123,18 +123,18 @@ func TestViewSharesStructureWhenNothingIsHidden(t *testing.T) {
 	series := sensorSeries()
 	g := sensorStructure(series)
 	view := NewView(g)
-	if view.SnapshotAt(90) == g {
+	if view.GraphAt(90) == g {
 		t.Fatal("at 90 the middle series is over; its vertex must be hidden")
 	}
-	first := view.SnapshotAt(90)
-	if again := view.SnapshotAt(95); again != first {
+	first := view.GraphAt(90)
+	if again := view.GraphAt(95); again != first {
 		t.Fatal("same hidden set at 90 and 95, yet the projection was rebuilt")
 	}
-	if other := view.SnapshotAt(150); other == first {
+	if other := view.GraphAt(150); other == first {
 		t.Fatal("a different hidden set reused the projection")
 	}
 	series[1].MustAppend(120, 1)
-	if view.SnapshotAt(90) != g {
+	if view.GraphAt(90) != g {
 		t.Fatal("every series covers 90 now; the structure graph itself should be returned")
 	}
 }

@@ -71,7 +71,7 @@ func newTenant(name string, db Conn, closer interface{ Close() error }, l Limits
 		idem:     map[string]*idemEntry{},
 		rebuilds: reg.Counter("hyql.view.structural_rebuilds"),
 	}
-	t.hyql = hyql.NewEngineOver(t)
+	t.hyql = hyql.NewEngine(t)
 	t.hyql.Instrument(reg)
 	return t
 }
@@ -164,9 +164,9 @@ func (t *tenant) hyqlQuery(ctx context.Context, src string, at ts.Time) (*hyql.R
 
 var errHyQLNotRun = errors.New("hyql query not run")
 
-// SnapshotAt implements hyql.Source from the memoised structure. Validity of
+// GraphAt implements hyql.Source from the memoised structure. Validity of
 // a series vertex at the instant is decided inside, per call (hyql.View).
-func (t *tenant) SnapshotAt(at ts.Time) *lpg.Graph {
+func (t *tenant) GraphAt(at ts.Time) *lpg.Graph {
 	t.viewMu.Lock()
 	// Read the counter before building: a write that lands mid-build bumps
 	// it past what is recorded here, and the next query builds again.
@@ -178,7 +178,7 @@ func (t *tenant) SnapshotAt(at ts.Time) *lpg.Graph {
 	}
 	view := t.view
 	t.viewMu.Unlock()
-	return view.SnapshotAt(at)
+	return view.GraphAt(at)
 }
 
 // String identifies the tenant in errors.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -759,7 +760,8 @@ func parseJournalRecord(payload []byte) (op byte, txn uint64, node StationID, er
 	}
 	rest := payload[1:]
 	txn, n := binary.Uvarint(rest)
-	if n <= 0 {
+	if n <= 0 || txn == math.MaxUint64 {
+		// No writer reaches the largest id, and NextTxn could not exceed it.
 		return 0, 0, 0, fmt.Errorf("ttdb: corrupt journal txn id")
 	}
 	nodeU, n2 := binary.Uvarint(rest[n:])

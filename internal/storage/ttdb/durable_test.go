@@ -19,7 +19,7 @@ type disk struct {
 	graphLog, tsLog, journal bytes.Buffer
 }
 
-func (dk *disk) open(t *testing.T) *DurablePolyglot {
+func (dk *disk) open(t testing.TB) *DurablePolyglot {
 	t.Helper()
 	d := NewDurable(ts.Day, &dk.graphLog, &dk.tsLog, &dk.journal)
 	d.Retry = RetryPolicy{MaxAttempts: 3} // no backoff sleeps in tests

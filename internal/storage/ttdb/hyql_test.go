@@ -166,7 +166,7 @@ func TestStructureShape(t *testing.T) {
 
 	// Queried through HyQL: the sample-less station has no valid series
 	// vertex until a sample arrives, and no rebuild is needed to see it.
-	eng := hyql.NewEngineOver(hyql.NewView(g))
+	eng := hyql.NewEngine(hyql.NewView(g))
 	const q = `MATCH (st:Station)-[:HAS_SERIES]->(x) RETURN st.name, ts.len(x)`
 	rows := func() string {
 		res, err := eng.Query(q, ts.Day)

@@ -9,106 +9,6 @@ import (
 // to fit the model.
 var ErrTooShort = errors.New("ts: series too short for this model")
 
-// SES fits simple exponential smoothing with factor alpha in (0,1] and
-// forecasts steps future points at the given step width, continuing from the
-// series end. The forecast of SES is flat at the last smoothed level.
-func (s *Series) SES(alpha float64, steps int, step Time) (*Series, error) {
-	if s.Len() < 1 {
-		return nil, ErrTooShort
-	}
-	if alpha <= 0 || alpha > 1 {
-		return nil, errors.New("ts: SES alpha must be in (0,1]")
-	}
-	level := s.vals[0]
-	for _, v := range s.vals[1:] {
-		level = alpha*v + (1-alpha)*level
-	}
-	out := New(s.name + "_ses")
-	t := s.End()
-	for i := 0; i < steps; i++ {
-		t += step
-		out.MustAppend(t, level)
-	}
-	return out, nil
-}
-
-// Holt fits Holt's linear-trend double exponential smoothing (level factor
-// alpha, trend factor beta, both in (0,1]) and forecasts steps future points.
-func (s *Series) Holt(alpha, beta float64, steps int, step Time) (*Series, error) {
-	if s.Len() < 2 {
-		return nil, ErrTooShort
-	}
-	if alpha <= 0 || alpha > 1 || beta <= 0 || beta > 1 {
-		return nil, errors.New("ts: Holt factors must be in (0,1]")
-	}
-	level := s.vals[0]
-	trend := s.vals[1] - s.vals[0]
-	for _, v := range s.vals[1:] {
-		prev := level
-		level = alpha*v + (1-alpha)*(level+trend)
-		trend = beta*(level-prev) + (1-beta)*trend
-	}
-	out := New(s.name + "_holt")
-	t := s.End()
-	for i := 1; i <= steps; i++ {
-		t += step
-		out.MustAppend(t, level+float64(i)*trend)
-	}
-	return out, nil
-}
-
-// HoltWinters fits additive triple exponential smoothing with the given
-// season length (in points) and smoothing factors alpha (level), beta
-// (trend), gamma (seasonal), each in (0,1], and forecasts steps future
-// points. Initial seasonals come from the first season against the first
-// season's mean; at least two full seasons of data are required. This is
-// the model of choice for the bike-sharing workload's daily cycle.
-func (s *Series) HoltWinters(alpha, beta, gamma float64, season, steps int, step Time) (*Series, error) {
-	if season < 2 || s.Len() < 2*season {
-		return nil, ErrTooShort
-	}
-	for _, f := range []float64{alpha, beta, gamma} {
-		if f <= 0 || f > 1 {
-			return nil, errors.New("ts: Holt-Winters factors must be in (0,1]")
-		}
-	}
-	vals := s.vals
-	// Initial level: mean of season 1. Initial trend: mean per-step change
-	// between season 1 and season 2. Initial seasonals: deviation of season
-	// 1 from its mean.
-	var mean1 float64
-	for i := 0; i < season; i++ {
-		mean1 += vals[i]
-	}
-	mean1 /= float64(season)
-	level := mean1
-	trend := 0.0
-	for i := 0; i < season; i++ {
-		trend += (vals[season+i] - vals[i]) / float64(season)
-	}
-	trend /= float64(season)
-	seas := make([]float64, season)
-	for i := 0; i < season; i++ {
-		seas[i] = vals[i] - mean1
-	}
-	for t := season; t < len(vals); t++ {
-		si := t % season
-		prevLevel := level
-		level = alpha*(vals[t]-seas[si]) + (1-alpha)*(level+trend)
-		trend = beta*(level-prevLevel) + (1-beta)*trend
-		seas[si] = gamma*(vals[t]-level) + (1-gamma)*seas[si]
-	}
-	out := New(s.name + "_hw")
-	t := s.End()
-	n := len(vals)
-	for i := 1; i <= steps; i++ {
-		t += step
-		si := (n + i - 1) % season
-		out.MustAppend(t, level+float64(i)*trend+seas[si])
-	}
-	return out, nil
-}
-
 // ARForecast fits an AR(p) model on the mean-removed series via Yule-Walker
 // (Levinson-Durbin) and forecasts steps future points.
 func (s *Series) ARForecast(p, steps int, step Time) (*Series, error) {

@@ -2,55 +2,8 @@ package ts
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
-
-func TestSESFlatForecast(t *testing.T) {
-	s := FromSamples("a", 0, 10, []float64{5, 5, 5, 5})
-	f, err := s.SES(0.5, 3, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Len() != 3 {
-		t.Fatalf("steps=%d", f.Len())
-	}
-	for _, p := range f.Points() {
-		if !almost(p.V, 5, 1e-9) {
-			t.Fatalf("SES of constant should be constant: %v", p)
-		}
-	}
-	if f.TimeAt(0) != 40 || f.TimeAt(2) != 60 {
-		t.Fatalf("forecast timestamps: %v", f.Times())
-	}
-	if _, err := New("e").SES(0.5, 1, 10); err != ErrTooShort {
-		t.Fatalf("empty series: %v", err)
-	}
-	if _, err := s.SES(0, 1, 10); err == nil {
-		t.Fatal("alpha=0 accepted")
-	}
-}
-
-func TestHoltExtendsTrend(t *testing.T) {
-	s := New("lin")
-	for i := 0; i < 50; i++ {
-		s.MustAppend(Time(i)*10, 3+2*float64(i))
-	}
-	f, err := s.Holt(0.8, 0.8, 5, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Perfect line: forecast continues it.
-	for i, p := range f.Points() {
-		want := 3 + 2*float64(50+i)
-		if !almost(p.V, want, 0.5) {
-			t.Fatalf("holt[%d]=%v want %v", i, p.V, want)
-		}
-	}
-	if _, err := FromSamples("one", 0, 1, []float64{1}).Holt(0.5, 0.5, 1, 1); err != ErrTooShort {
-		t.Fatalf("short series: %v", err)
-	}
-}
 
 func TestARForecastSine(t *testing.T) {
 	n := 400
@@ -107,83 +60,5 @@ func TestMAE(t *testing.T) {
 	disjoint := FromSamples("d", 100, 1, []float64{1})
 	if got := MAE(f, disjoint); !math.IsNaN(got) {
 		t.Fatalf("disjoint mae=%v", got)
-	}
-}
-
-func TestForecastBeatsNaiveOnTrend(t *testing.T) {
-	// Holt should beat SES (flat) on a strongly trending series.
-	rng := rand.New(rand.NewSource(2))
-	train := New("tr")
-	actual := New("ac")
-	for i := 0; i < 100; i++ {
-		v := float64(i)*1.5 + rng.NormFloat64()
-		train.MustAppend(Time(i), v)
-	}
-	for i := 100; i < 120; i++ {
-		actual.MustAppend(Time(i), float64(i)*1.5)
-	}
-	holt, err := train.Holt(0.5, 0.3, 20, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ses, err := train.SES(0.5, 20, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if MAE(holt, actual) >= MAE(ses, actual) {
-		t.Fatalf("holt MAE %v should beat SES MAE %v on a trend",
-			MAE(holt, actual), MAE(ses, actual))
-	}
-}
-
-func TestHoltWintersSeasonal(t *testing.T) {
-	// Seasonal signal with trend: v = 0.1*t + 10*sin(2πt/24).
-	n := 24 * 8
-	train := New("hw")
-	for i := 0; i < n; i++ {
-		train.MustAppend(Time(i)*Hour, 0.1*float64(i)+10*math.Sin(2*math.Pi*float64(i)/24))
-	}
-	f, err := train.HoltWinters(0.3, 0.05, 0.4, 24, 24, Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Len() != 24 {
-		t.Fatalf("steps=%d", f.Len())
-	}
-	var worst float64
-	for i, p := range f.Points() {
-		want := 0.1*float64(n+i) + 10*math.Sin(2*math.Pi*float64(n+i)/24)
-		if d := math.Abs(p.V - want); d > worst {
-			worst = d
-		}
-	}
-	if worst > 2.0 {
-		t.Fatalf("worst seasonal error %v", worst)
-	}
-	// Holt-Winters must beat non-seasonal Holt on this signal.
-	holt, err := train.Holt(0.3, 0.05, 24, Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	actual := New("a")
-	for i := 0; i < 24; i++ {
-		actual.MustAppend(Time(n+i)*Hour, 0.1*float64(n+i)+10*math.Sin(2*math.Pi*float64(n+i)/24))
-	}
-	if MAE(f, actual) >= MAE(holt, actual) {
-		t.Fatalf("HW MAE %v >= Holt MAE %v on seasonal data", MAE(f, actual), MAE(holt, actual))
-	}
-}
-
-func TestHoltWintersErrors(t *testing.T) {
-	s := FromSamples("s", 0, 1, make([]float64, 30))
-	if _, err := s.HoltWinters(0.3, 0.1, 0.1, 24, 5, 1); err != ErrTooShort {
-		t.Fatalf("short: %v", err)
-	}
-	long := FromSamples("l", 0, 1, make([]float64, 100))
-	if _, err := long.HoltWinters(0, 0.1, 0.1, 24, 5, 1); err == nil {
-		t.Fatal("alpha=0 accepted")
-	}
-	if _, err := long.HoltWinters(0.3, 0.1, 0.1, 1, 5, 1); err != ErrTooShort {
-		t.Fatalf("season=1: %v", err)
 	}
 }
