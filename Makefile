@@ -39,12 +39,15 @@ race:
 # panic, nor let a query over what it loaded panic or hide a corrupt block,
 # the time-series WAL replayer must never panic nor half-apply a record, the
 # neighbour-driven pattern matcher must return exactly the matches, order
-# and edge paths of the generate-and-test reference matcher in its tests, and
+# and edge paths of the generate-and-test reference matcher in its tests,
 # the served query-string decoder must never panic, must parse a query it
 # accepted back from its re-encoding unchanged, and must hand the engine only
-# queries that answer or fail with ErrBadQuery, and intent-journal recovery
+# queries that answer or fail with ErrBadQuery, intent-journal recovery
 # must never panic, must give the same result twice, and must resume past
-# every txn id the journal holds.
+# every txn id the journal holds, and a store's downsample of any window,
+# after any mix of appends, upserts, NaNs, deletes, seals and spills, must
+# equal the resample of its range bit for bit (and its resampled
+# correlation the Pearson of those resamples).
 fuzz:
 	$(GO) test ./internal/storage/graphstore -run FuzzWALReplay -fuzz FuzzWALReplay -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hyql -run FuzzParse -fuzz FuzzParse -fuzztime $(FUZZTIME)
@@ -54,6 +57,7 @@ fuzz:
 	$(GO) test ./internal/storage/tsstore -run FuzzTSWALReplay -fuzz FuzzTSWALReplay -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run FuzzParseQuery -fuzz FuzzParseQuery -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage/ttdb -run FuzzJournalReplay -fuzz FuzzJournalReplay -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/storage/tsstore -run FuzzDownsample -fuzz FuzzDownsample -fuzztime $(FUZZTIME)
 
 bench:
 	$(GO) test -bench . -benchmem ./...
@@ -90,9 +94,8 @@ servesmoke:
 
 # Coverage gate: statement coverage of the hybrid-graph core, the property
 # graph library, the storage engines, the coordinator, the time-series
-# library (home of the ContAgg continuous aggregates), the observability
-# layer, the bench harness, the HyQL engine, the HTTP server and the hyvet
-# analysis library must stay at or above the floor recorded in coverage.txt
+# library, the observability layer, the bench harness, the HyQL engine, the
+# HTTP server and the hyvet analysis library must stay at or above the floor recorded in coverage.txt
 # (a bare percentage; raise it as tests accumulate).
 cover:
 	$(GO) test -coverprofile=/tmp/hygraph_cover.out ./internal/core ./internal/lpg ./internal/storage/... ./internal/coord ./internal/ts ./internal/obs ./internal/bench ./internal/hyql ./internal/server ./internal/analysis

@@ -199,10 +199,9 @@ func main() {
 			}
 			os.Exit(1)
 		}
-		fmt.Printf("\nmetrics: %d counters, %d timers, %d gauges — graphstore.wal.appends=%d tsstore.wal.appends=%d cache hits/misses=%d/%d\n",
+		fmt.Printf("\nmetrics: %d counters, %d timers, %d gauges — graphstore.wal.appends=%d tsstore.wal.appends=%d\n",
 			len(snap.Counters), len(snap.Durations), len(snap.Gauges),
-			snap.Counters["graphstore.wal.appends"], snap.Counters["tsstore.wal.appends"],
-			snap.Counters["tsstore.cache.hits"], snap.Counters["tsstore.cache.misses"])
+			snap.Counters["graphstore.wal.appends"], snap.Counters["tsstore.wal.appends"])
 	}
 
 	if *jsonPath != "" {

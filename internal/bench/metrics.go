@@ -92,8 +92,8 @@ func preload(ctx context.Context, d *ttdb.DurablePolyglot, stations []dataset.Bi
 // CheckMetrics verifies that a snapshot from an instrumented benchmark run
 // (Run + RunParallel + DurableExercise sharing one registry) shows every
 // subsystem actually reporting: nonzero per-query timers on both engines,
-// WAL append counts from the durable exercise, and resample-cache traffic
-// from the repeated Q7s. It returns every violation, not just the first.
+// WAL append counts from the durable exercise, and time-series store reads.
+// It returns every violation, not just the first.
 func CheckMetrics(s *obs.Snapshot) []string {
 	var problems []string
 	for _, prefix := range []string{"ttdb", "neo4j"} {
@@ -107,9 +107,7 @@ func CheckMetrics(s *obs.Snapshot) []string {
 	for _, c := range []string{
 		"graphstore.wal.appends",
 		"tsstore.wal.appends",
-		"tsstore.cache.hits",
-		"tsstore.cache.misses",
-		"tsstore.cache.patches",
+		"tsstore.reads",
 	} {
 		if s.Counters[c] <= 0 {
 			problems = append(problems, fmt.Sprintf("counter %s is zero", c))

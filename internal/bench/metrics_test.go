@@ -49,13 +49,13 @@ func TestInstrumentedRunPassesCheckMetrics(t *testing.T) {
 func TestCheckMetricsReportsSilentSubsystems(t *testing.T) {
 	empty := obs.New().Snapshot()
 	problems := CheckMetrics(empty)
-	// 16 query timers (ttdb + neo4j) + 5 counters.
-	if len(problems) != 21 {
-		t.Fatalf("got %d problems, want 21: %v", len(problems), problems)
+	// 16 query timers (ttdb + neo4j) + 3 counters.
+	if len(problems) != 19 {
+		t.Fatalf("got %d problems, want 19: %v", len(problems), problems)
 	}
 	// A baseline embedding a silent snapshot fails validation.
 	b := &Baseline{Schema: BaselineSchema, Metrics: empty}
-	if got := b.Validate(); len(got) < 21 {
+	if got := b.Validate(); len(got) < 19 {
 		t.Fatalf("baseline validation ignored silent metrics: %v", got)
 	}
 }

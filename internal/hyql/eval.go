@@ -469,8 +469,8 @@ func evalTSCall(c Call, ctx *evalCtx) (Value, error) {
 			return NullValue, err
 		}
 		if !windowed {
-			// No window to key a store's aggregate cache on: correlate the
-			// samples themselves.
+			// No window for a store to bucket over: correlate the samples
+			// themselves.
 			return float(ts.Correlation(a.Range(start, end), b.Range(start, end), bucket)), nil
 		}
 		return float(a.Corr(b, start, end, bucket)), nil

@@ -12,7 +12,7 @@ import (
 // implementation's business: memSeries reads a *ts.Series held in the graph
 // (the paper-model path), a store-backed handle (ttdb.StoreSeries) reads a
 // time-series store in place — aggregates from chunk summaries, windowed
-// resamples from the store's aggregate cache, and a decode of exactly the
+// resamples from the store's bucketing fold, and a decode of exactly the
 // requested window for everything else. Windows are half-open, [start, end).
 //
 // A value reaches the evaluator as the `_series` property of a TS element (or

@@ -122,7 +122,7 @@ func observe(db *DB, metrics []string, horizon ts.Time) []string {
 	f := func(v float64) string { return fmt.Sprintf("%x", math.Float64bits(v)) }
 	out = append(out, fmt.Sprintf("series=%d", db.NumSeries()))
 	for _, m := range metrics {
-		for _, e := range db.EntitiesOf(m) {
+		for _, e := range entitiesOf(db, m) {
 			key := SeriesKey{Entity: e, Metric: m}
 			out = append(out, fmt.Sprintf("key=%v", key))
 			for _, p := range db.Range(key, 0, horizon+1) {

@@ -7,14 +7,6 @@ import "hygraph/internal/obs"
 type storeObs struct {
 	reads  *obs.Counter // read-path entry points (range scans, aggregates, downsamples)
 	writes *obs.Counter // mutations (inserts, bulk loads, deletes)
-	// Mirrors of the store's internal cache counters, incremented at the
-	// same sites so an obs snapshot can report resample-cache behaviour
-	// without reaching into the store.
-	cacheHits          *obs.Counter
-	cacheMisses        *obs.Counter
-	cacheInvalidations *obs.Counter
-	cacheEvictions     *obs.Counter
-	cachePatches       *obs.Counter // write-through in-place bucket updates
 	// Compression/tiering lifecycle counters (see docs/STORAGE.md).
 	seals    *obs.Counter // open chunks encoded into immutable blocks
 	inflates *obs.Counter // sealed chunks decoded back to raw for mutation
@@ -27,16 +19,11 @@ type storeObs struct {
 // instrumentation (handles revert to no-op sinks).
 func (db *DB) Instrument(r *obs.Registry) {
 	db.obs = storeObs{
-		reads:              r.Counter("tsstore.reads"),
-		writes:             r.Counter("tsstore.writes"),
-		cacheHits:          r.Counter("tsstore.cache.hits"),
-		cacheMisses:        r.Counter("tsstore.cache.misses"),
-		cacheInvalidations: r.Counter("tsstore.cache.invalidations"),
-		cacheEvictions:     r.Counter("tsstore.cache.evictions"),
-		cachePatches:       r.Counter("tsstore.cache.patches"),
-		seals:              r.Counter("tsstore.compress.seals"),
-		inflates:           r.Counter("tsstore.compress.inflates"),
-		spills:             r.Counter("tsstore.compress.spills"),
+		reads:    r.Counter("tsstore.reads"),
+		writes:   r.Counter("tsstore.writes"),
+		seals:    r.Counter("tsstore.compress.seals"),
+		inflates: r.Counter("tsstore.compress.inflates"),
+		spills:   r.Counter("tsstore.compress.spills"),
 	}
 }
 

@@ -167,57 +167,15 @@ func (s *series) chunkFor(slot int64, create bool) *chunk {
 	return c
 }
 
-// resampleKey identifies one memoized Downsample result.
-type resampleKey struct {
-	key                SeriesKey
-	start, end, bucket ts.Time
-	agg                ts.AggFunc
-}
-
-// rcEntry is one continuous aggregate: an incrementally maintained
-// resampled view (ts.ContAgg) plus its cache key and its position in the
-// shard's key list, kept in sync so random eviction, invalidation, and
-// write-through patching are all cheap. A write inside the entry's window
-// routes to the owning bucket and patches it in place; only std/median
-// tail appends and backfills mark the bucket dirty, and those are
-// finalized lazily — a bounded bucket-local rescan — the next time the
-// entry is read (see docs/STREAMING.md).
-type rcEntry struct {
-	rk  resampleKey
-	ca  *ts.ContAgg
-	idx int // index into the shard's rkeys
-}
-
-// maxResampleCache bounds the memo cache across all shards; each shard caps
-// its slice at maxResampleCache / shard count. A full shard evicts one
-// random entry (cheap, no recency tracking) instead of dropping everything.
-const maxResampleCache = 1024
-
-// CacheStats reports resample-cache behaviour for tests and capacity
-// reports.
-type CacheStats struct {
-	Hits          int64
-	Misses        int64
-	Invalidations int64 // entries dropped by DeleteSeries of their series
-	Evictions     int64 // entries dropped by random eviction at capacity
-	Patches       int64 // write-through in-place bucket updates
-}
-
 // tsShard is one lock stripe of the store: a private map and insertion-order
-// key list, plus this stripe's slice of the resample cache. Everything in
-// the struct is guarded by mu. Methods with the *Locked suffix assume the
-// caller holds mu (read or write as appropriate).
+// key list. Everything in the struct is guarded by mu. Methods with the
+// *Locked suffix assume the caller holds mu (read or write as appropriate).
 type tsShard struct {
 	mu   sync.RWMutex
 	idx  int // this stripe's index, for tier spill-file addressing
 	data map[SeriesKey]*series
 	keys []SeriesKey // insertion order within the shard
 	seqs []uint64    // global insertion sequence per key, for merged iteration
-
-	rcache map[resampleKey]*rcEntry
-	rkeys  []resampleKey            // parallel key list for O(1) random eviction
-	ridx   map[SeriesKey][]*rcEntry // per-series entries: write-through patching, DeleteSeries invalidation
-	rng    uint64                   // deterministic xorshift state for eviction picks
 }
 
 // DB is the time-series store. All exported methods are safe for concurrent
@@ -234,7 +192,6 @@ type DB struct {
 	mask       uint32
 	shards     []tsShard
 	seq        atomic.Uint64 // global insertion sequence
-	shardCap   int           // per-shard resample cache capacity
 
 	// compress seals chunks that are no longer being written into immutable
 	// delta-of-delta + XOR blocks (compress.go). On by default — the codec
@@ -250,12 +207,6 @@ type DB struct {
 	// read failure). Scans return no points for the affected chunk; callers
 	// observe the condition via Err().
 	deg errLatch
-
-	// Cache counters are atomics so the hit path stays on the read lock.
-	cacheHits, cacheMisses, cacheInvalidations, cacheEvictions, cachePatches atomic.Int64
-
-	// Compression counters, same discipline.
-	seals, inflates atomic.Int64
 
 	obs storeObs // metric handles; zero value = instrumentation off
 }
@@ -311,20 +262,12 @@ func NewSharded(chunkWidth ts.Time, shards int) *DB {
 		chunkWidth: chunkWidth,
 		mask:       uint32(n - 1),
 		shards:     make([]tsShard, n),
-		shardCap:   maxResampleCache / n,
 		compress:   true,
-	}
-	if db.shardCap < 1 {
-		db.shardCap = 1
 	}
 	for i := range db.shards {
 		sh := &db.shards[i]
 		sh.idx = i
 		sh.data = map[SeriesKey]*series{}
-		sh.rcache = map[resampleKey]*rcEntry{}
-		sh.ridx = map[SeriesKey][]*rcEntry{}
-		// Fixed per-shard seed: eviction picks are deterministic across runs.
-		sh.rng = 0x9E3779B97F4A7C15 * uint64(i+1)
 	}
 	return db
 }
@@ -466,19 +409,6 @@ func (db *DB) Keys() []SeriesKey {
 	return out
 }
 
-// EntitiesOf returns the entity ids of every series of the metric in
-// first-insertion order — the deterministic work list the parallel Q4–Q8
-// executor partitions across workers.
-func (db *DB) EntitiesOf(metric string) []uint32 {
-	var out []uint32
-	for _, sk := range db.orderedKeys() {
-		if sk.key.Metric == metric {
-			out = append(out, sk.key.Entity)
-		}
-	}
-	return out
-}
-
 func (db *DB) slotOf(t ts.Time) int64 {
 	s := int64(t / db.chunkWidth)
 	if t < 0 && t%db.chunkWidth != 0 {
@@ -487,24 +417,20 @@ func (db *DB) slotOf(t ts.Time) int64 {
 	return s
 }
 
-// Insert adds one point. Upserts on duplicate timestamps. An applied write
-// patches the covering continuous-aggregate entries in place before the
-// shard lock is released, so a read that follows the insert — from any
-// goroutine — sees the aggregate including the new point.
+// Insert adds one point. Upserts on duplicate timestamps. Every read folds
+// from the chunks under the shard lock, so a read that follows the insert —
+// from any goroutine — sees the new point.
 func (db *DB) Insert(key SeriesKey, t ts.Time, v float64) {
 	db.obs.writes.Inc()
 	sh := db.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.insertLocked(db, key, t, v) {
-		sh.patchLocked(db, key, t, v)
-	}
+	sh.insertLocked(db, key, t, v)
 }
 
-// insertLocked applies one point, reporting false when the write was
-// dropped because a sealed chunk could not be reinflated (the store is
-// degraded; see Err).
-func (sh *tsShard) insertLocked(db *DB, key SeriesKey, t ts.Time, v float64) bool {
+// insertLocked applies one point. The write is dropped when a sealed chunk
+// cannot be reinflated (the store is degraded; see Err).
+func (sh *tsShard) insertLocked(db *DB, key SeriesKey, t ts.Time, v float64) {
 	s, ok := sh.data[key]
 	if !ok {
 		s = &series{}
@@ -523,11 +449,10 @@ func (sh *tsShard) insertLocked(db *DB, key SeriesKey, t ts.Time, v float64) boo
 		s.open = nil
 	}
 	if c.sealed() && !sh.inflateLocked(db, c) {
-		return false
+		return
 	}
 	s.open = c
 	c.add(t, v)
-	return true
 }
 
 // sealLocked compresses an open chunk into an immutable block. No-op when
@@ -539,7 +464,6 @@ func (sh *tsShard) sealLocked(db *DB, c *chunk) {
 	}
 	c.enc = encodeChunk(c.times, c.vals)
 	c.times, c.vals = nil, nil
-	db.seals.Add(1)
 	db.obs.seals.Inc()
 }
 
@@ -565,7 +489,6 @@ func (sh *tsShard) inflateLocked(db *DB, c *chunk) bool {
 	c.times, c.vals = times, vals
 	c.enc, c.spill = nil, nil
 	c.idx.Store(nil)
-	db.inflates.Add(1)
 	db.obs.inflates.Inc()
 	return true
 }
@@ -605,8 +528,7 @@ func (sh *tsShard) chunkPoints(db *DB, c *chunk) ([]ts.Time, []float64) {
 	return times, vals
 }
 
-// InsertSeries bulk-loads a whole series under the key. Each applied point
-// routes through the continuous aggregates in order, exactly as the
+// InsertSeries bulk-loads a whole series under the key, exactly as the
 // equivalent sequence of Inserts would.
 func (db *DB) InsertSeries(key SeriesKey, src *ts.Series) {
 	db.obs.writes.Inc()
@@ -614,10 +536,7 @@ func (db *DB) InsertSeries(key SeriesKey, src *ts.Series) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	for i := 0; i < src.Len(); i++ {
-		t, v := src.TimeAt(i), src.ValueAt(i)
-		if sh.insertLocked(db, key, t, v) {
-			sh.patchLocked(db, key, t, v)
-		}
+		sh.insertLocked(db, key, src.TimeAt(i), src.ValueAt(i))
 	}
 }
 
@@ -628,7 +547,6 @@ func (db *DB) DeleteSeries(key SeriesKey) bool {
 	sh := db.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.invalidateLocked(db, key)
 	if _, ok := sh.data[key]; !ok {
 		// Absent key: a pure no-op must not count as a write, or the obs
 		// write counters the mixed bench reports drift from effective work
@@ -645,106 +563,6 @@ func (db *DB) DeleteSeries(key SeriesKey) bool {
 		}
 	}
 	return true
-}
-
-// invalidateLocked drops every cached resample derived from the series,
-// walking the series' own entry list — O(its entries), so deleting a key
-// with nothing cached costs one map lookup. Resample entries live in the
-// shard of their series key, so invalidation never has to look outside the
-// shard. Callers hold the write lock.
-func (sh *tsShard) invalidateLocked(db *DB, key SeriesKey) {
-	for es := sh.ridx[key]; len(es) > 0; es = sh.ridx[key] {
-		// Removing the head swaps the list's tail into slot 0 and shrinks it.
-		sh.removeCacheEntryLocked(es[0].rk)
-		db.cacheInvalidations.Add(1)
-		db.obs.cacheInvalidations.Inc()
-	}
-}
-
-// patchLocked is the write-through path: route one applied point into
-// every cached window of its series that covers it. Entries whose window
-// excludes t are untouched — this is what makes invalidation
-// bucket-granular. ContAgg applies an O(1) delta for tail appends of
-// decomposable aggregates; backfills and std/median mark the owning
-// bucket dirty for a bucket-local rescan at the next read
-// (finalizeEntryLocked). Callers hold the write lock.
-func (sh *tsShard) patchLocked(db *DB, key SeriesKey, t ts.Time, v float64) {
-	for _, e := range sh.ridx[key] {
-		if t < e.rk.start || t >= e.rk.end {
-			continue
-		}
-		e.ca.Observe(t, v)
-		db.cachePatches.Add(1)
-		db.obs.cachePatches.Inc()
-	}
-}
-
-// finalizeEntryLocked rescans an entry's dirty buckets (clipped to the
-// entry's window) and restores exactness. Callers hold the write lock.
-func (sh *tsShard) finalizeEntryLocked(db *DB, e *rcEntry) {
-	var vals []float64
-	for _, b := range e.ca.DirtyBuckets() {
-		lo, hi := b, b+e.rk.bucket
-		if lo < e.rk.start {
-			lo = e.rk.start
-		}
-		if hi > e.rk.end {
-			hi = e.rk.end
-		}
-		vals = vals[:0]
-		sh.scanRangeLocked(db, e.rk.key, lo, hi, func(_ ts.Time, v float64) {
-			vals = append(vals, v)
-		})
-		e.ca.Finalize(b, vals)
-	}
-}
-
-// removeCacheEntryLocked drops one memo entry, swap-removing its key from
-// the eviction list, fixing the moved entry's back-index, and unlinking it
-// from the per-series patch index.
-func (sh *tsShard) removeCacheEntryLocked(rk resampleKey) {
-	e, ok := sh.rcache[rk]
-	if !ok {
-		return
-	}
-	last := len(sh.rkeys) - 1
-	moved := sh.rkeys[last]
-	sh.rkeys[e.idx] = moved
-	sh.rcache[moved].idx = e.idx
-	sh.rkeys = sh.rkeys[:last]
-	delete(sh.rcache, rk)
-	list := sh.ridx[rk.key]
-	for i, le := range list {
-		if le == e {
-			list[i] = list[len(list)-1]
-			list = list[:len(list)-1]
-			break
-		}
-	}
-	if len(list) == 0 {
-		delete(sh.ridx, rk.key)
-	} else {
-		sh.ridx[rk.key] = list
-	}
-}
-
-// evictOneLocked drops a uniformly random memo entry — cheap per-shard
-// random eviction instead of the old drop-everything-when-full policy. The
-// pick comes from a per-shard xorshift stream seeded at construction, so
-// runs are reproducible.
-func (sh *tsShard) evictOneLocked(db *DB) {
-	n := len(sh.rkeys)
-	if n == 0 {
-		return
-	}
-	x := sh.rng
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	sh.rng = x
-	sh.removeCacheEntryLocked(sh.rkeys[int(x%uint64(n))])
-	db.cacheEvictions.Add(1)
-	db.obs.cacheEvictions.Inc()
 }
 
 // Range returns the points of a series with start <= t < end in time order.
@@ -1032,56 +850,42 @@ func MergeBySeq(parts [][]EntitySummary) []EntitySummary {
 }
 
 // Downsample buckets a series over [start, end) at the given width with the
-// aggregation — a continuous-aggregate style query. Results are memoized per
-// (series, range, bucket, aggregation) in the series' shard: repeated
-// downsampling, as issued by correlation queries and dashboard-style refresh
-// loops, hits the warm entry — writes inside its window patch it in place —
-// until DeleteSeries invalidates it or random eviction reclaims the slot.
-// The returned series is a copy the caller owns.
+// aggregation — a continuous-aggregate style query. It is one pass under the
+// shard's read lock: the chunk scan feeds each bucket's values into one
+// reused scratch slice, and agg folds the slice when the bucket changes.
+// That is Series.Resample's fold over the same points in the same order, so
+// the result equals RangeSeries(key, start, end).Resample(bucket, agg) bit
+// for bit. The returned series is the caller's.
 func (db *DB) Downsample(key SeriesKey, start, end, bucket ts.Time, agg ts.AggFunc) *ts.Series {
 	db.obs.reads.Inc()
-	rk := resampleKey{key: key, start: start, end: end, bucket: bucket, agg: agg}
-	sh := db.shard(key)
-	sh.mu.RLock()
-	if e, ok := sh.rcache[rk]; ok && !e.ca.HasDirty() {
-		out := e.ca.View().Clone()
-		sh.mu.RUnlock()
-		db.cacheHits.Add(1)
-		db.obs.cacheHits.Inc()
+	out := ts.New(fmt.Sprintf("%s@%d_per_%dms", key.Metric, key.Entity, bucket))
+	if bucket <= 0 {
 		return out
 	}
-	sh.mu.RUnlock()
-
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if e, ok := sh.rcache[rk]; ok { // filled while we waited, or dirty
-		// Still a hit: at worst a bucket-local rescan of the dirty
-		// buckets, never a whole-window recompute.
-		sh.finalizeEntryLocked(db, e)
-		db.cacheHits.Add(1)
-		db.obs.cacheHits.Inc()
-		return e.ca.View().Clone()
+	sh := db.shard(key)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	var vals []float64
+	var cur ts.Time
+	sh.scanRangeLocked(db, key, start, end, func(t ts.Time, v float64) {
+		if b := ts.BucketStart(t, bucket); len(vals) == 0 || b != cur {
+			if len(vals) > 0 {
+				out.MustAppend(cur, agg.Apply(vals))
+			}
+			vals, cur = vals[:0], b
+		}
+		vals = append(vals, v)
+	})
+	if len(vals) > 0 {
+		out.MustAppend(cur, agg.Apply(vals))
 	}
-	db.cacheMisses.Add(1)
-	db.obs.cacheMisses.Inc()
-	ca := ts.NewContAgg("", bucket, agg)
-	ca.Seed(sh.rangeSeriesLocked(db, key, start, end))
-	if len(sh.rkeys) >= db.shardCap {
-		sh.evictOneLocked(db)
-	}
-	e := &rcEntry{rk: rk, ca: ca, idx: len(sh.rkeys)}
-	sh.rcache[rk] = e
-	sh.rkeys = append(sh.rkeys, rk)
-	sh.ridx[key] = append(sh.ridx[key], e)
-	return ca.View().Clone()
+	return out
 }
 
 // CorrelateResampled computes the Pearson correlation of two series after
 // downsampling both onto the shared bucket grid (bucket means), joining on
-// bucket timestamps. Both downsamples go through the memo cache, so repeated
-// correlation over the same window — the hot pattern of similarity-edge
-// rebuilds — only pays the scan once. NaN when fewer than two shared buckets
-// exist or a side is constant.
+// bucket timestamps. NaN when fewer than two shared buckets exist or a side
+// is constant.
 func (db *DB) CorrelateResampled(a, b SeriesKey, start, end, bucket ts.Time) float64 {
 	sa := db.Downsample(a, start, end, bucket, ts.AggMean)
 	sb := db.Downsample(b, start, end, bucket, ts.AggMean)
@@ -1104,29 +908,6 @@ func (db *DB) CorrelateResampled(a, b SeriesKey, start, end, bucket ts.Time) flo
 		return math.NaN()
 	}
 	return ts.Pearson(av, bv)
-}
-
-// ResampleCacheStats returns the memo cache's counters since creation.
-func (db *DB) ResampleCacheStats() CacheStats {
-	return CacheStats{
-		Hits:          db.cacheHits.Load(),
-		Misses:        db.cacheMisses.Load(),
-		Invalidations: db.cacheInvalidations.Load(),
-		Evictions:     db.cacheEvictions.Load(),
-		Patches:       db.cachePatches.Load(),
-	}
-}
-
-// resampleCacheLen counts live memo entries across shards (test hook).
-func (db *DB) resampleCacheLen() int {
-	n := 0
-	for i := range db.shards {
-		sh := &db.shards[i]
-		sh.mu.RLock()
-		n += len(sh.rcache)
-		sh.mu.RUnlock()
-	}
-	return n
 }
 
 // Stats describes storage shape for capacity reports. MemBytes counts
@@ -1172,16 +953,4 @@ func (db *DB) Stats() Stats {
 		sh.mu.RUnlock()
 	}
 	return st
-}
-
-// CompressionStats reports sealing behaviour for tests, capacity reports
-// and the storage benchmark.
-type CompressionStats struct {
-	Seals    int64 // chunks compressed (including reseals)
-	Inflates int64 // sealed chunks decompressed for mutation
-}
-
-// CompressionStats returns the compression counters since creation.
-func (db *DB) CompressionStats() CompressionStats {
-	return CompressionStats{Seals: db.seals.Load(), Inflates: db.inflates.Load()}
 }

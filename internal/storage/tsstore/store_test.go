@@ -119,11 +119,23 @@ func aggregateShards(db *DB, metric string, start, end ts.Time) []EntitySummary 
 	return MergeBySeq(parts)
 }
 
+// entitiesOf returns the entity ids of every series of the metric in
+// first-insertion order: a filter over Keys.
+func entitiesOf(db *DB, metric string) []uint32 {
+	var out []uint32
+	for _, k := range db.Keys() {
+		if k.Metric == metric {
+			out = append(out, k.Entity)
+		}
+	}
+	return out
+}
+
 // aggregateByEntity is the per-key reference: one Aggregate per series of
 // the metric.
 func aggregateByEntity(db *DB, metric string, start, end ts.Time) map[uint32]Summary {
 	out := map[uint32]Summary{}
-	for _, e := range db.EntitiesOf(metric) {
+	for _, e := range entitiesOf(db, metric) {
 		out[e] = db.Aggregate(SeriesKey{Entity: e, Metric: metric}, start, end)
 	}
 	return out

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"hygraph/internal/obs"
 	"hygraph/internal/ts"
 )
 
@@ -88,9 +89,11 @@ func TestWriteIntoSpilledChunkInflates(t *testing.T) {
 	if _, err := db.Spill(); err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.New()
+	db.Instrument(reg)
 	key := keys[0]
 	db.Insert(key, 5, 999) // t=5 lives in the first (spilled) slot
-	if db.CompressionStats().Inflates == 0 {
+	if reg.Snapshot().Counters["tsstore.compress.inflates"] == 0 {
 		t.Fatal("write into spilled slot did not inflate")
 	}
 	pts := db.Range(key, 0, 10)

@@ -67,9 +67,6 @@ func NewWAL(db *DB, w io.Writer) *WAL {
 // the WAL is shared.
 func (l *WAL) SetMaxBatch(n int) { l.gw.SetMaxBatch(n) }
 
-// DB exposes the underlying store for reads.
-func (l *WAL) DB() *DB { return l.db }
-
 // Err returns the WAL's latched write error, if any.
 func (l *WAL) Err() error { return l.gw.Err() }
 
@@ -158,15 +155,9 @@ type RecoverySummary struct {
 	Points  int // points inserted
 }
 
-// Replay applies a log produced by WAL onto db. It truncates a torn or
-// checksum-corrupt tail (losing at most the final record) and errors on
-// mid-log corruption. It returns the number of operations applied.
-func Replay(db *DB, r io.Reader) (int, error) {
-	sum, err := ReplayWithSummary(db, r)
-	return sum.Applied, err
-}
-
-// ReplayWithSummary is Replay with the full recovery report.
+// ReplayWithSummary applies a log produced by WAL onto db and reports what
+// it recovered. It truncates a torn or checksum-corrupt tail (losing at most
+// the final record) and errors on mid-log corruption.
 func ReplayWithSummary(db *DB, r io.Reader) (RecoverySummary, error) {
 	sc := walrec.NewScanner(r)
 	var sum RecoverySummary

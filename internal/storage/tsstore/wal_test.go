@@ -26,7 +26,8 @@ func sampleSeries(n int, base float64) *ts.Series {
 
 func TestTSWALReplayReconstructs(t *testing.T) {
 	var log bytes.Buffer
-	wal := NewWAL(New(ts.Day), &log)
+	orig := New(ts.Day)
+	wal := NewWAL(orig, &log)
 	k1 := SeriesKey{Entity: 1, Metric: "availability"}
 	k2 := SeriesKey{Entity: 2, Metric: "availability"}
 	if err := wal.InsertSeries(k1, sampleSeries(24*10, 10)); err != nil {
@@ -50,7 +51,6 @@ func TestTSWALReplayReconstructs(t *testing.T) {
 	if sum.Applied != 3 || sum.Points != 2*24*10+1 {
 		t.Fatalf("sum=%+v", sum)
 	}
-	orig := wal.DB()
 	for _, k := range []SeriesKey{k1, k2} {
 		a := orig.Range(k, 0, 1000*ts.Hour)
 		b := rebuilt.Range(k, 0, 1000*ts.Hour)
@@ -70,18 +70,19 @@ func TestTSWALReplayReconstructs(t *testing.T) {
 
 func TestTSWALDeleteSeries(t *testing.T) {
 	var log bytes.Buffer
-	wal := NewWAL(New(0), &log)
+	db := New(0)
+	wal := NewWAL(db, &log)
 	k := SeriesKey{Entity: 7, Metric: "availability"}
 	wal.InsertSeries(k, sampleSeries(48, 5))
 	if err := wal.DeleteSeries(k); err != nil {
 		t.Fatal(err)
 	}
 	wal.Flush()
-	if wal.DB().NumSeries() != 0 {
+	if db.NumSeries() != 0 {
 		t.Fatal("live delete did not apply")
 	}
 	rebuilt := New(0)
-	if _, err := Replay(rebuilt, bytes.NewReader(log.Bytes())); err != nil {
+	if _, err := ReplayWithSummary(rebuilt, bytes.NewReader(log.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	if rebuilt.NumSeries() != 0 || len(rebuilt.Keys()) != 0 {
@@ -130,7 +131,7 @@ func TestTSWALMidLogCorruption(t *testing.T) {
 	wal.Flush()
 	raw := append([]byte(nil), log.Bytes()...)
 	raw[8] ^= 0x20
-	if _, err := Replay(New(0), bytes.NewReader(raw)); err == nil {
+	if _, err := ReplayWithSummary(New(0), bytes.NewReader(raw)); err == nil {
 		t.Fatal("mid-log corruption replayed cleanly")
 	}
 }
@@ -169,7 +170,7 @@ func TestTSWALFuzzNeverPanics(t *testing.T) {
 		bytes.Repeat([]byte{0xff}, 32), {0x02, 0, 0, 0, 0, 0x01, 0x01},
 	}
 	for _, in := range inputs {
-		_, _ = Replay(New(0), bytes.NewReader(in))
+		_, _ = ReplayWithSummary(New(0), bytes.NewReader(in))
 	}
 }
 
@@ -252,7 +253,8 @@ func TestTSWALFaultMatrix(t *testing.T) {
 	for _, pt := range []string{FaultWALAppend, FaultWALFlush} {
 		faults.Reset()
 		var log bytes.Buffer
-		wal := NewWAL(New(0), &log)
+		db := New(0)
+		wal := NewWAL(db, &log)
 		if err := wal.InsertSeries(k, sampleSeries(24, 1)); err != nil {
 			t.Fatalf("%s: pre-fault insert: %v", pt, err)
 		}
@@ -260,7 +262,7 @@ func TestTSWALFaultMatrix(t *testing.T) {
 			t.Fatalf("%s: pre-fault flush: %v", pt, err)
 		}
 		preLog := log.Len()
-		prePts := len(wal.DB().Range(k, 0, 1000*ts.Hour))
+		prePts := len(db.Range(k, 0, 1000*ts.Hour))
 
 		faults.Enable(pt, faults.Spec{Err: errors.New("injected")})
 		insErr := wal.Insert(k, 2000*ts.Hour, 5)
@@ -275,7 +277,7 @@ func TestTSWALFaultMatrix(t *testing.T) {
 
 		if pt == FaultWALAppend {
 			// The record must have reached neither the store nor the log.
-			if got := len(wal.DB().Range(k, 0, 10000*ts.Hour)); got != prePts {
+			if got := len(db.Range(k, 0, 10000*ts.Hour)); got != prePts {
 				t.Fatalf("%s: store advanced across failed append: %d vs %d", pt, got, prePts)
 			}
 			if err := wal.Flush(); err != nil {
@@ -293,10 +295,10 @@ func TestTSWALFaultMatrix(t *testing.T) {
 			t.Fatalf("%s: final flush: %v", pt, err)
 		}
 		rebuilt := New(0)
-		if _, err := Replay(rebuilt, bytes.NewReader(log.Bytes())); err != nil {
+		if _, err := ReplayWithSummary(rebuilt, bytes.NewReader(log.Bytes())); err != nil {
 			t.Fatalf("%s: replay after faults: %v", pt, err)
 		}
-		livePts := wal.DB().Range(k, 0, 10000*ts.Hour)
+		livePts := db.Range(k, 0, 10000*ts.Hour)
 		recPts := rebuilt.Range(k, 0, 10000*ts.Hour)
 		if len(livePts) != len(recPts) {
 			t.Fatalf("%s: store/log diverged: %d live vs %d replayed", pt, len(livePts), len(recPts))

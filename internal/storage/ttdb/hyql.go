@@ -22,7 +22,7 @@ import (
 // seriesObs counts how store-backed handles answered. The zero value is the
 // disabled state.
 type seriesObs struct {
-	pushdown *obs.Counter // calls answered from chunk summaries or the aggregate cache
+	pushdown *obs.Counter // calls answered inside the store: chunk summaries or a bucketing fold
 	decoded  *obs.Counter // points handed to the evaluator after a block decode
 }
 
@@ -38,7 +38,7 @@ func newSeriesObs(r *obs.Registry) seriesObs {
 
 // StoreSeries is hyql.Series over one station's series where it lives.
 // count/sum/mean/min/max come from chunk summaries (tsstore.Aggregate), a
-// windowed resample or correlation from the write-through aggregate cache
+// windowed resample or correlation from the store's bucketing fold
 // (Downsample, CorrelateResampled), and everything else decodes only the
 // window asked for. It holds no samples and no derived state, so a read
 // through it sees every acknowledged append.
@@ -105,7 +105,7 @@ func (s *StoreSeries) Resample(start, end, bucket ts.Time, agg ts.AggFunc) *ts.S
 }
 
 // Corr implements hyql.Series. Two series of one hypertable correlate
-// inside it; a pair split across partitions joins its two cached resamples.
+// inside it; a pair split across partitions joins its two resamples.
 func (s *StoreSeries) Corr(other hyql.Series, start, end, bucket ts.Time) float64 {
 	o, ok := other.(*StoreSeries)
 	if !ok || o.eng.T != s.eng.T {

@@ -124,9 +124,8 @@ func Q8(st StationID, start, end ts.Time) Query {
 }
 
 // Downsample is one station's series resampled to bucket-wide windows under
-// agg, served from the hypertable's continuous-aggregate cache: a warm
-// window is patched in place per append, so a client that just had
-// AppendPoint acknowledged reads its own write in the aggregate.
+// agg, folded from the hypertable's chunks at read time, so a client that
+// just had AppendPoint acknowledged reads its own write in the aggregate.
 func Downsample(st StationID, start, end, bucket ts.Time, agg ts.AggFunc) Query {
 	return Query{Op: OpDownsample, Station: st, Start: start, End: end, Bucket: bucket, Agg: agg}
 }

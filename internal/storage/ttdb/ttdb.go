@@ -367,8 +367,8 @@ func (p *Polyglot) run(ctx context.Context, q Query) (Result, error) {
 	case OpQ7:
 		// Correlation is pushed down into the time-series store, the way a
 		// TimescaleDB deployment computes corr() in SQL instead of shipping
-		// points to a client. With a positive bucket both sides go through
-		// the resample cache (bucket means joined on the shared grid,
+		// points to a client. With a positive bucket both sides are
+		// downsampled in the store (bucket means joined on the shared grid,
 		// matching ts.Correlation); bucket <= 0 merge-joins raw points on
 		// exact timestamps.
 		if q.Bucket > 0 {
@@ -379,9 +379,8 @@ func (p *Polyglot) run(ctx context.Context, q Query) (Result, error) {
 	case OpQ8:
 		res.ByStation, err = p.neighborMeans(ctx, q.Station, q.Start, q.End)
 	case OpDownsample:
-		// Served from the hypertable's continuous-aggregate cache; the
-		// result is element-wise identical to a from-scratch Resample of
-		// the raw range.
+		// Folded bucket by bucket from the hypertable's chunk scan; the
+		// result is element-wise identical to a Resample of the raw range.
 		res.Points = p.T.Downsample(key(q.Station), q.Start, q.End, q.Bucket, q.Agg).Points()
 	}
 	return finish(ctx, res, err)

@@ -4,9 +4,8 @@ import "fmt"
 
 // BucketStart returns the start of the width-aligned bucket containing t:
 // the largest multiple of width that is <= t, correct for negative times.
-// Resample and the incremental ContAgg share this alignment so a
-// materialized view and a from-scratch recompute land points in identical
-// buckets.
+// Resample and the time-series store's Downsample share this alignment, so
+// both land points in identical buckets.
 func BucketStart(t, width Time) Time {
 	b := t / width * width
 	if t < 0 && t%width != 0 {
