@@ -47,17 +47,22 @@ race:
 # every txn id the journal holds, and a store's downsample of any window,
 # after any mix of appends, upserts, NaNs, deletes, seals and spills, must
 # equal the resample of its range bit for bit (and its resampled
-# correlation the Pearson of those resamples).
+# correlation the Pearson of those resamples), and the station-body decoder
+# must accept exactly the bodies the reflective encoding/json decode it
+# replaced accepts and decode them to the same request bit for bit. Each
+# new interesting input is minimised for at most 1s: at Go's 60s default a
+# 10s run spends most of its time minimising instead of fuzzing.
 fuzz:
-	$(GO) test ./internal/storage/graphstore -run FuzzWALReplay -fuzz FuzzWALReplay -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/hyql -run FuzzParse -fuzz FuzzParse -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/lpg -run FuzzMatchPattern -fuzz FuzzMatchPattern -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/storage/tsstore -run FuzzDecodeChunk -fuzz FuzzDecodeChunk -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/storage/tsstore -run FuzzLoadSnapshot -fuzz FuzzLoadSnapshot -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/storage/tsstore -run FuzzTSWALReplay -fuzz FuzzTSWALReplay -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/server -run FuzzParseQuery -fuzz FuzzParseQuery -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/storage/ttdb -run FuzzJournalReplay -fuzz FuzzJournalReplay -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/storage/tsstore -run FuzzDownsample -fuzz FuzzDownsample -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/storage/graphstore -run FuzzWALReplay -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/hyql -run FuzzParse -fuzz FuzzParse -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/lpg -run FuzzMatchPattern -fuzz FuzzMatchPattern -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/storage/tsstore -run FuzzDecodeChunk -fuzz FuzzDecodeChunk -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/storage/tsstore -run FuzzLoadSnapshot -fuzz FuzzLoadSnapshot -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/storage/tsstore -run FuzzTSWALReplay -fuzz FuzzTSWALReplay -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/server -run FuzzParseQuery -fuzz FuzzParseQuery -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/storage/ttdb -run FuzzJournalReplay -fuzz FuzzJournalReplay -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/storage/tsstore -run FuzzDownsample -fuzz FuzzDownsample -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/server -run FuzzStationBody -fuzz FuzzStationBody -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 bench:
 	$(GO) test -bench . -benchmem ./...

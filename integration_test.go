@@ -21,12 +21,15 @@ import (
 
 // TestTable1ShapeSmall runs the full Table 1 harness at a reduced scale and
 // asserts the paper's qualitative shape: polyglot wins everywhere, heavily
-// on the multi-entity aggregation queries.
+// on the multi-entity aggregation queries. TTDB answers Q8 here in ~5 µs, so
+// the ratio holds on a loaded machine only because each sample is a batch
+// of at least 2 ms and ten of them are averaged: one preempted batch moves
+// the mean by a tenth of the stall, not by the stall.
 func TestTable1ShapeSmall(t *testing.T) {
 	cfg := bench.Config{
 		Bike: dataset.BikeConfig{Stations: 60, Districts: 6, Days: 90,
 			StepMinutes: 60, TripsPerSt: 4, Seed: 7},
-		Reps: 3,
+		Reps: 10,
 	}
 	rows, err := bench.Run(context.Background(), cfg)
 	if err != nil {

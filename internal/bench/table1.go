@@ -100,22 +100,51 @@ func Run(ctx context.Context, cfg Config) ([]Row, error) {
 	return rows, nil
 }
 
+// minSampleTime is the shortest wall time one timed sample spans. A query that
+// runs faster is timed in batches of a fixed size, and the sample is the
+// batch's time per run: a scheduler preemption or GC pause then spreads over
+// a millisecond-scale batch instead of multiplying one microsecond-scale
+// run, which on a loaded machine swung a 5 µs query's mean tenfold.
+const minSampleTime = 2 * time.Millisecond
+
 // timeQuery runs q once unmeasured (the warm-up rep, whose answer it
-// returns) and then reps timed times, reporting mean response time (ms) and
-// coefficient of variation (%). Any error — a degraded or partial answer
-// included — fails the measurement: a section must not time answers it
-// would not accept.
+// returns), sizes the batch by doubling it until one batch spans minSampleTime
+// (one run for any query that slow), and then times reps batches, reporting
+// mean response time per run (ms) and the coefficient of variation (%) of
+// the batch samples. Any error — a degraded or partial answer included —
+// fails the measurement: a section must not time answers it would not
+// accept.
 func timeQuery(ctx context.Context, e ttdb.Querier, q ttdb.Query, reps int) (res ttdb.Result, mrs, cv float64, err error) {
 	if res, err = e.Exec(ctx, q); err != nil {
 		return res, 0, 0, fmt.Errorf("bench: %s: %w", q.Op, err)
 	}
+	run := func(n int) (time.Duration, error) {
+		t0 := time.Now()
+		for k := 0; k < n; k++ {
+			if _, err := e.Exec(ctx, q); err != nil {
+				return 0, fmt.Errorf("bench: %s: %w", q.Op, err)
+			}
+		}
+		return time.Since(t0), nil
+	}
+	batch := 1
+	for {
+		d, err := run(batch)
+		if err != nil {
+			return res, 0, 0, err
+		}
+		if d >= minSampleTime {
+			break
+		}
+		batch *= 2
+	}
 	samples := make([]float64, 0, reps)
 	for r := 0; r < reps; r++ {
-		t0 := time.Now()
-		if _, err = e.Exec(ctx, q); err != nil {
-			return res, 0, 0, fmt.Errorf("bench: %s: %w", q.Op, err)
+		d, err := run(batch)
+		if err != nil {
+			return res, 0, 0, err
 		}
-		samples = append(samples, float64(time.Since(t0).Nanoseconds())/1e6)
+		samples = append(samples, float64(d.Nanoseconds())/1e6/float64(batch))
 	}
 	mrs, cv = stats(samples)
 	return res, mrs, cv, nil

@@ -14,8 +14,8 @@ import (
 
 // The streaming differential battery: random append/upsert/out-of-order/
 // delete interleavings through the coordinator, with windowed-aggregate
-// reads (DownsampleCtx — the continuous-aggregate cache under write-through
-// delta maintenance) checked element-wise (1e-9) against a from-scratch
+// reads (DownsampleCtx — one fold of the window straight from the owner
+// partition's chunks) checked element-wise (1e-9) against a from-scratch
 // resample of the raw points AND against a single-engine oracle, at 1, 2,
 // and 4 partitions. Every check runs immediately after acknowledged writes,
 // so it is also the read-your-writes proof at the coordinator surface.
@@ -85,8 +85,7 @@ func TestStreamingAggregatesAcrossPartitions(t *testing.T) {
 				gids = append(gids, gid)
 			}
 
-			// Warm the owner partitions' aggregate caches over the full span,
-			// so subsequent appends exercise the patch-in-place path, then
+			// Check every station over the full span before any write, then
 			// interleave writes with immediate read-your-writes checks.
 			for i := range gids {
 				checkDownsample(t, "warm", ora, oids[i], c, gids[i], 0, span, ts.Hour)

@@ -264,7 +264,8 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 	send(w, status, buf)
 }
 
-// decode reads a JSON body with the size cap.
+// decode reads a JSON body with the size cap. Station bodies, the one
+// large body, go through readBody and parseStation instead.
 func decode(r *http.Request, into any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBody))
 	dec.DisallowUnknownFields()
@@ -274,35 +275,23 @@ func decode(r *http.Request, into any) error {
 // ---------------------------------------------------------------------------
 // Ingest endpoints
 
-// pointJSON is one (t, v) sample on the wire.
-type pointJSON struct {
-	T int64   `json:"t"`
-	V float64 `json:"v"`
-}
-
-type stationReq struct {
-	Name     string      `json:"name"`
-	District string      `json:"district"`
-	Points   []pointJSON `json:"points"`
-}
-
 // handleStations ingests one station through the two-store durable
 // protocol. Station ingest allocates an id, so it is NOT idempotent; the
 // X-Idempotency-Key header makes retries safe (same key → same station id,
 // executed once).
 func (s *Server) handleStations(ctx context.Context, r *http.Request, t *tenant) response {
-	var req stationReq
-	if err := decode(r, &req); err != nil {
+	body, err := readBody(r)
+	if err != nil {
+		return errJSON(http.StatusBadRequest, "bad_body", err.Error())
+	}
+	req, err := parseStation(body)
+	if err != nil {
 		return errJSON(http.StatusBadRequest, "bad_body", err.Error())
 	}
 	if req.Name == "" {
 		return errJSON(http.StatusBadRequest, "bad_body", "station name is required")
 	}
-	series := ts.New(ttdb.Metric)
-	for _, p := range req.Points {
-		series.Upsert(ts.Time(p.T), p.V)
-	}
-	id, err := t.ingestStation(r.Header.Get("X-Idempotency-Key"), req.Name, req.District, series)
+	id, err := t.ingestStation(r.Header.Get("X-Idempotency-Key"), req.Name, req.District, req.series())
 	if err != nil {
 		return s.asTimeout(err, "ingest_failed")
 	}

@@ -124,8 +124,9 @@ func TestPartitionedBackendServesAndReopens(t *testing.T) {
 
 // TestPartitionedDownsampleReadYourWrites checks read-your-writes aggregates
 // through the scatter-gather coordinator: AppendPoint routes to the owner
-// partition and patches its continuous-aggregate cache before acknowledging,
-// so the next downsample read through the same coordinator sees the write.
+// partition and writes the point into its store before acknowledging, and a
+// downsample folds its window from that store, so the next downsample read
+// through the same coordinator sees the write.
 func TestPartitionedDownsampleReadYourWrites(t *testing.T) {
 	be := NewMemBackend()
 	_, hs := newPartitionedServer(t, be, 3)

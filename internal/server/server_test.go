@@ -173,9 +173,9 @@ func TestServeEndToEnd(t *testing.T) {
 }
 
 // TestDownsampleReadYourWrites checks the windowed-aggregate endpoint sees
-// an acknowledged append immediately: the engine's continuous-aggregate
-// cache is patched in place before AppendPoint returns, so the very next
-// read reflects the write without a recompute.
+// an acknowledged append immediately: AppendPoint writes the point into the
+// store's chunks before it returns, and every downsample folds its window
+// from those chunks, so the very next read reflects the write.
 func TestDownsampleReadYourWrites(t *testing.T) {
 	_, hs, _, _ := newTestServer(t, Limits{})
 	base := hs.URL

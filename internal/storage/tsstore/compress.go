@@ -36,29 +36,38 @@ import (
 // bit-for-bit (NaN payloads included), which is what lets the differential
 // battery demand byte-identical query results from compressed stores.
 
-// bitWriter packs bits MSB-first into a byte slice.
+// bitWriter packs bits MSB-first into a byte slice through a 64-bit
+// accumulator that is stored a word at a time, so a write is a mask, a
+// compare and a shift or two.
 type bitWriter struct {
-	b    []byte
-	free uint // unused low bits in the last byte (0 when b is "full")
+	b   []byte // whole words written so far
+	acc uint64 // pending bits, MSB-aligned; the bits below the top n are zero
+	n   uint   // pending bit count, < 64
 }
 
-func (w *bitWriter) writeBit(bit uint64) {
-	if w.free == 0 {
-		w.b = append(w.b, 0)
-		w.free = 8
-	}
-	w.free--
-	if bit != 0 {
-		w.b[len(w.b)-1] |= 1 << w.free
-	}
-}
-
-// writeBits emits the low n bits of v, most significant first.
+// writeBits emits the low n <= 64 bits of v, most significant first.
 func (w *bitWriter) writeBits(v uint64, n uint) {
-	for n > 0 {
-		n--
-		w.writeBit((v >> n) & 1)
+	v &= 1<<n - 1 // shift counts >= 64 yield 0 in Go, so n == 64 keeps all of v
+	free := 64 - w.n
+	if n < free {
+		w.acc |= v << (free - n)
+		w.n += n
+		return
 	}
+	// The accumulator fills: store it, keeping the bits left over.
+	spill := n - free
+	w.b = binary.BigEndian.AppendUint64(w.b, w.acc|v>>spill)
+	w.n = spill
+	w.acc = v << (64 - spill) // 0 when nothing spills: a shift by 64
+}
+
+// bytes returns the stream, its pending bits zero-padded to whole bytes.
+// Call it once, after the last write.
+func (w *bitWriter) bytes() []byte {
+	for k := uint(0); k < w.n; k += 8 {
+		w.b = append(w.b, byte(w.acc>>(56-k)))
+	}
+	return w.b
 }
 
 var errValuesTruncated = errors.New("tsstore: value stream truncated")
@@ -127,11 +136,14 @@ func (r *bitReader) refill() {
 // len(times) == len(vals) > 0) into an immutable block.
 func encodeChunk(times []ts.Time, vals []float64) []byte {
 	n := len(times)
-	buf := make([]byte, 0, 2*n) // regular grids land well under this
-	buf = binary.AppendUvarint(buf, uint64(n))
 	if n == 0 {
-		return buf
+		return binary.AppendUvarint(nil, 0)
 	}
+	values := encodeValues(vals)
+	// The chunk keeps the block for its life, so size it exactly for a
+	// regular grid (one byte per delta-of-delta): other grids grow it once.
+	buf := make([]byte, 0, 4*binary.MaxVarintLen64+n+len(values))
+	buf = binary.AppendUvarint(buf, uint64(n))
 	buf = binary.AppendVarint(buf, int64(times[0]))
 	if n >= 2 {
 		prevDelta := int64(times[1] - times[0])
@@ -142,41 +154,42 @@ func encodeChunk(times []ts.Time, vals []float64) []byte {
 			prevDelta = d
 		}
 	}
+	buf = binary.AppendUvarint(buf, uint64(len(values)))
+	return append(buf, values...)
+}
 
-	var bw bitWriter
+// encodeValues writes the Gorilla XOR stream of vals (len(vals) > 0).
+func encodeValues(vals []float64) []byte {
+	// Integer-valued series take two to three bytes a point.
+	bw := bitWriter{b: make([]byte, 0, 8+3*len(vals))}
 	bw.writeBits(math.Float64bits(vals[0]), 64)
 	prev := math.Float64bits(vals[0])
 	lead, sig := uint(0), uint(0) // current window; sig == 0 means none yet
-	for i := 1; i < n; i++ {
-		cur := math.Float64bits(vals[i])
+	for _, v := range vals[1:] {
+		cur := math.Float64bits(v)
 		xor := cur ^ prev
 		prev = cur
 		if xor == 0 {
-			bw.writeBit(0)
+			bw.writeBits(0, 1)
 			continue
 		}
-		bw.writeBit(1)
 		l := uint(bits.LeadingZeros64(xor))
 		if l > 31 {
 			l = 31 // 5-bit field; deeper windows gain little
 		}
 		t := uint(bits.TrailingZeros64(xor))
-		s := 64 - l - t
 		// Reuse the previous window when the xor's meaningful bits fit
 		// inside it: at least `lead` leading and `64-lead-sig` trailing zeros.
 		if sig != 0 && l >= lead && t >= 64-lead-sig {
-			bw.writeBit(0)
+			bw.writeBits(0b10, 2)
 			bw.writeBits(xor>>(64-lead-sig), sig)
 			continue
 		}
-		lead, sig = l, s
-		bw.writeBit(1)
-		bw.writeBits(uint64(lead), 5)
-		bw.writeBits(uint64(sig-1), 6)
+		lead, sig = l, 64-l-t
+		bw.writeBits(0b11<<11|uint64(lead)<<6|uint64(sig-1), 13) // '1' '1' <5b lead> <6b sig-1>
 		bw.writeBits(xor>>t, sig)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(bw.b)))
-	return append(buf, bw.b...)
+	return bw.bytes()
 }
 
 // blockCursor is the decoder's state between two points of a block: each

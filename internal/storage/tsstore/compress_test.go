@@ -1,10 +1,12 @@
 package tsstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -210,7 +212,8 @@ func TestBitReaderWordBoundaries(t *testing.T) {
 
 // FuzzDecodeChunk checks the word-at-a-time decoder against the reference
 // bit-at-a-time decoder on arbitrary bytes: both accept or both reject, and
-// an accepted block decodes to identical times and bit-identical values.
+// an accepted block decodes to identical times and bit-identical values,
+// which encodeChunk and the reference encoder re-encode to the same bytes.
 // The sub-slot index builder accepts exactly the same blocks, and on an
 // accepted one checkIndex proves every checkpoint and sub-slot summary and
 // checkScan proves the index scan over a window picked by lo and hi.
@@ -245,6 +248,9 @@ func FuzzDecodeChunk(f *testing.F) {
 		}
 		checkIndex(t, block, x, wantT, wantV)
 		checkScan(t, block, x, wantT, wantV, lo, hi)
+		if re, want := encodeChunk(gotT, gotV), refEncodeChunk(wantT, wantV); !bytes.Equal(re, want) {
+			t.Fatalf("re-encoding the decoded points: encodeChunk % x, reference % x", re, want)
+		}
 	})
 }
 
@@ -346,6 +352,167 @@ func BenchmarkDecodeChunk(b *testing.B) {
 		if _, _, err := decodeChunk(block); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// refBitWriter and refEncodeChunk are the original bit-at-a-time encoder,
+// kept verbatim as the oracle for the word-at-a-time bitWriter.
+type refBitWriter struct {
+	b    []byte
+	free uint // unused low bits in the last byte (0 when b is "full")
+}
+
+func (w *refBitWriter) writeBit(bit uint64) {
+	if w.free == 0 {
+		w.b = append(w.b, 0)
+		w.free = 8
+	}
+	w.free--
+	if bit != 0 {
+		w.b[len(w.b)-1] |= 1 << w.free
+	}
+}
+
+// writeBits emits the low n bits of v, most significant first.
+func (w *refBitWriter) writeBits(v uint64, n uint) {
+	for n > 0 {
+		n--
+		w.writeBit((v >> n) & 1)
+	}
+}
+
+func refEncodeChunk(times []ts.Time, vals []float64) []byte {
+	n := len(times)
+	buf := make([]byte, 0, 2*n) // regular grids land well under this
+	buf = binary.AppendUvarint(buf, uint64(n))
+	if n == 0 {
+		return buf
+	}
+	buf = binary.AppendVarint(buf, int64(times[0]))
+	if n >= 2 {
+		prevDelta := int64(times[1] - times[0])
+		buf = binary.AppendVarint(buf, prevDelta)
+		for i := 2; i < n; i++ {
+			d := int64(times[i] - times[i-1])
+			buf = binary.AppendVarint(buf, d-prevDelta)
+			prevDelta = d
+		}
+	}
+
+	var bw refBitWriter
+	bw.writeBits(math.Float64bits(vals[0]), 64)
+	prev := math.Float64bits(vals[0])
+	lead, sig := uint(0), uint(0) // current window; sig == 0 means none yet
+	for i := 1; i < n; i++ {
+		cur := math.Float64bits(vals[i])
+		xor := cur ^ prev
+		prev = cur
+		if xor == 0 {
+			bw.writeBit(0)
+			continue
+		}
+		bw.writeBit(1)
+		l := uint(bits.LeadingZeros64(xor))
+		if l > 31 {
+			l = 31 // 5-bit field; deeper windows gain little
+		}
+		t := uint(bits.TrailingZeros64(xor))
+		s := 64 - l - t
+		// Reuse the previous window when the xor's meaningful bits fit
+		// inside it: at least `lead` leading and `64-lead-sig` trailing zeros.
+		if sig != 0 && l >= lead && t >= 64-lead-sig {
+			bw.writeBit(0)
+			bw.writeBits(xor>>(64-lead-sig), sig)
+			continue
+		}
+		lead, sig = l, s
+		bw.writeBit(1)
+		bw.writeBits(uint64(lead), 5)
+		bw.writeBits(uint64(sig-1), 6)
+		bw.writeBits(xor>>t, sig)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(bw.b)))
+	return append(buf, bw.b...)
+}
+
+// bitWriter must emit exactly the reference writer's bytes wherever a write
+// starts relative to the 64-bit accumulator, for every width, including
+// values with bits set above the width.
+func TestBitWriterMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 2000; trial++ {
+		var got bitWriter
+		var want refBitWriter
+		for k := rng.Intn(40); k >= 0; k-- {
+			n := uint(rng.Intn(65))
+			v := rng.Uint64()
+			got.writeBits(v, n)
+			want.writeBits(v, n)
+		}
+		if g := got.bytes(); !bytes.Equal(g, want.b) {
+			t.Fatalf("trial %d: bitWriter % x, reference % x", trial, g, want.b)
+		}
+	}
+}
+
+// encodeChunk must write the reference encoder's bytes for every value
+// shape the XOR stream distinguishes: repeats, reused and new windows,
+// windows the full 64 bits wide, NaN payloads, signed zeros, single points.
+func TestEncodeChunkMatchesReference(t *testing.T) {
+	nan := func(payload uint64) float64 { return math.Float64frombits(0x7FF0000000000000 | payload) }
+	shapes := [][]float64{
+		{3.14},
+		{math.NaN()},
+		{math.Copysign(0, -1)},
+		{0, math.Copysign(0, -1), 0, math.Copysign(0, -1)},
+		{nan(1), nan(0x8000000000000), nan(0xFFFFFFFFFFFFF), math.Float64frombits(0xFFF0000000000001), math.NaN()},
+		{math.Float64frombits(0), math.Float64frombits(0x8000000000000001), 0, math.Float64frombits(0xFFFFFFFFFFFFFFFF), 1},
+		{math.Inf(1), math.Inf(-1), math.MaxFloat64, math.SmallestNonzeroFloat64, -math.MaxFloat64},
+	}
+	for _, tc := range codecShapes {
+		shapes = append(shapes, tc.vals)
+	}
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 200; trial++ {
+		vals := make([]float64, 1+rng.Intn(300))
+		for i := range vals {
+			switch rng.Intn(5) {
+			case 0:
+				vals[i] = float64(rng.Intn(40))
+			case 1:
+				vals[i] = rng.NormFloat64()
+			case 2:
+				if i > 0 {
+					vals[i] = vals[i-1]
+				}
+			case 3:
+				vals[i] = nan(1 + rng.Uint64()&(1<<52-2))
+			default:
+				vals[i] = math.Float64frombits(rng.Uint64())
+			}
+		}
+		shapes = append(shapes, vals)
+	}
+	for i, vals := range shapes {
+		times := make([]ts.Time, len(vals))
+		for j := range times {
+			times[j] = ts.Time(j)*ts.Hour - ts.Time(i)
+		}
+		got, want := encodeChunk(times, vals), refEncodeChunk(times, vals)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("shape %d (%d points): encodeChunk % x, reference % x", i, len(vals), got, want)
+		}
+	}
+}
+
+func BenchmarkEncodeChunk(b *testing.B) {
+	times, vals, err := decodeChunk(hourlyBlock())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		encodeChunk(times, vals)
 	}
 }
 

@@ -425,12 +425,11 @@ func (db *DB) Insert(key SeriesKey, t ts.Time, v float64) {
 	sh := db.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.insertLocked(db, key, t, v)
+	sh.insertLocked(db, sh.seriesLocked(db, key), t, v)
 }
 
-// insertLocked applies one point. The write is dropped when a sealed chunk
-// cannot be reinflated (the store is degraded; see Err).
-func (sh *tsShard) insertLocked(db *DB, key SeriesKey, t ts.Time, v float64) {
+// seriesLocked returns the key's series, creating it on first write.
+func (sh *tsShard) seriesLocked(db *DB, key SeriesKey) *series {
 	s, ok := sh.data[key]
 	if !ok {
 		s = &series{}
@@ -438,7 +437,17 @@ func (sh *tsShard) insertLocked(db *DB, key SeriesKey, t ts.Time, v float64) {
 		sh.keys = append(sh.keys, key)
 		sh.seqs = append(sh.seqs, db.seq.Add(1))
 	}
-	c := s.chunkFor(db.slotOf(t), true)
+	return s
+}
+
+// insertLocked applies one point to s. The write is dropped when a sealed
+// chunk cannot be reinflated (the store is degraded; see Err).
+func (sh *tsShard) insertLocked(db *DB, s *series, t ts.Time, v float64) {
+	slot := db.slotOf(t)
+	c := s.open
+	if c == nil || c.slot != slot {
+		c = s.chunkFor(slot, true)
+	}
 	// At most one chunk per series is open at a time: moving the write
 	// cursor to a different chunk seals the previous one, and a write into a
 	// sealed chunk (the rare out-of-order path) reinflates it first. A
@@ -532,11 +541,16 @@ func (sh *tsShard) chunkPoints(db *DB, c *chunk) ([]ts.Time, []float64) {
 // equivalent sequence of Inserts would.
 func (db *DB) InsertSeries(key SeriesKey, src *ts.Series) {
 	db.obs.writes.Inc()
+	n := src.Len()
+	if n == 0 {
+		return
+	}
 	sh := db.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	for i := 0; i < src.Len(); i++ {
-		sh.insertLocked(db, key, src.TimeAt(i), src.ValueAt(i))
+	s := sh.seriesLocked(db, key)
+	for i := 0; i < n; i++ {
+		sh.insertLocked(db, s, src.TimeAt(i), src.ValueAt(i))
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 
 	"hygraph/internal/faults"
 	"hygraph/internal/storage/walrec"
@@ -119,10 +120,17 @@ func (l *WAL) Insert(key SeriesKey, t ts.Time, v float64) error {
 // series keeps the ingest atomic at the record level — a torn tail drops
 // the whole batch, never half of it.
 func (l *WAL) InsertSeries(key SeriesKey, src *ts.Series) error {
-	buf := appendKey(nil, opInsertBatch, key)
 	n := src.Len()
-	buf = binary.AppendUvarint(buf, uint64(n))
+	size := 1 + 3*binary.MaxVarintLen64 + len(key.Metric) + 8*n
 	prev := ts.Time(0)
+	for i := 0; i < n; i++ {
+		t := src.TimeAt(i)
+		size += varintLen(int64(t - prev))
+		prev = t
+	}
+	buf := appendKey(make([]byte, 0, size), opInsertBatch, key)
+	buf = binary.AppendUvarint(buf, uint64(n))
+	prev = 0
 	for i := 0; i < n; i++ {
 		t := src.TimeAt(i)
 		buf = binary.AppendVarint(buf, int64(t-prev))
@@ -136,6 +144,15 @@ func (l *WAL) InsertSeries(key SeriesKey, src *ts.Series) error {
 	}
 	l.db.InsertSeries(key, src)
 	return nil
+}
+
+// varintLen is the length of binary.AppendVarint's encoding of x.
+func varintLen(x int64) int {
+	ux := uint64(x) << 1
+	if x < 0 {
+		ux = ^ux
+	}
+	return (bits.Len64(ux|1) + 6) / 7
 }
 
 // DeleteSeries logs and applies removal of a whole series (the rollback

@@ -419,3 +419,16 @@ func FuzzTSWALReplay(f *testing.F) {
 		}
 	})
 }
+
+// varintLen sizes InsertSeries's batch record; it must match the encoder.
+func TestVarintLen(t *testing.T) {
+	xs := []int64{0, 1, -1, 63, -64, 64, -65, 8191, -8192, 8192, math.MaxInt64, math.MinInt64}
+	for k := 0; k < 63; k++ {
+		xs = append(xs, 1<<k, -1<<k, 1<<k-1, -1<<k+1)
+	}
+	for _, x := range xs {
+		if got, want := varintLen(x), len(binary.AppendVarint(nil, x)); got != want {
+			t.Fatalf("varintLen(%d) = %d, want %d", x, got, want)
+		}
+	}
+}

@@ -164,6 +164,11 @@ func (s *Series) MustAppend(t Time, v float64) {
 // without compromising the structure's integrity" (R3). Appends at the end
 // are O(1); interior inserts are O(n).
 func (s *Series) Upsert(t Time, v float64) {
+	if n := len(s.times); n == 0 || t > s.times[n-1] {
+		s.times = append(s.times, t)
+		s.vals = append(s.vals, v)
+		return
+	}
 	i := s.searchTime(t)
 	if i < len(s.times) && s.times[i] == t {
 		s.vals[i] = v
