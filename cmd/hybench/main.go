@@ -16,9 +16,8 @@
 // -parallel additionally times the polyglot engine's Q4–Q8 sequential vs
 // fanned out over the worker pool (-workers, default GOMAXPROCS) and
 // verifies both modes return identical results.
-// -storage measures points-per-MB of the raw vs compressed chunk layouts,
-// the cold-tier spill and scan cost, and the Q1–Q8 deltas of a compressed
-// engine.
+// -storage measures points-per-MB of the raw vs compressed chunk layouts
+// and the Q1–Q8 deltas of a compressed engine.
 // -partitions runs the partition-scaling mode: the scatter-gather
 // coordinator (internal/coord) over N in-process partitions at each listed
 // count, every level verified element-wise identical to the single-engine
@@ -75,7 +74,7 @@ func main() {
 	days := flag.Int("days", 0, "override number of days")
 	parallel := flag.Bool("parallel", false, "also compare sequential vs parallel Q4-Q8 on the polyglot engine")
 	workers := flag.Int("workers", 0, "fan-out width for -parallel and Table 1 queries (0 = GOMAXPROCS for -parallel, sequential otherwise)")
-	storage := flag.Bool("storage", false, "storage mode: points-per-MB of raw vs compressed chunk layouts, cold-tier spill + scan cost, and Q1-Q8 deltas of a compressed engine")
+	storage := flag.Bool("storage", false, "storage mode: points-per-MB of raw vs compressed chunk layouts and Q1-Q8 deltas of a compressed engine")
 	partitions := flag.String("partitions", "", "partition-scaling mode: comma-separated partition counts (e.g. 1,2,4,8) for the scatter-gather coordinator, each level verified identical to the single-engine oracle")
 	shapeMin := flag.Float64("shapemin", 50, "minimum Q4-Q6/Q8 speedup the Table 1 shape check enforces (lower it for -scale small smokes)")
 	jsonPath := flag.String("json", "", "write the machine-readable baseline to this file")

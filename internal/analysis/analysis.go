@@ -10,7 +10,7 @@
 // PRs established by convention: lock discipline in the storage engines,
 // deterministic float folds, WAL write-error latching, panic-free mutators,
 // wall-clock/global-randomness bans in deterministic packages, and no
-// unreached code in the model packages. See
+// unreached code in the model packages and the served stack. See
 // docs/STATIC_ANALYSIS.md for the invariant behind each check and the real
 // bug it would have caught.
 package analysis

@@ -14,13 +14,14 @@ import (
 // detect incompatible baselines instead of mis-reading them. v2 added a
 // mixed read/write section and v3 a served-workload section, both since
 // removed (hymark and the testing.B benches measure them); v4 added the
-// storage section (chunk compression + cold tier: points-per-MB,
-// compression ratio, cold/warm scan, Q1–Q8 deltas); v5 added the
-// partition-scaling section (scatter-gather coordinator at 1/2/4/8
-// partitions: Q4–Q8 MRS + speedup per level, oracle-identity flag); v6 added
-// a streaming section, since removed with the invalidate-and-recompute mode
-// it compared against. Removed sections were optional, so v6 files without
-// them still read; files that still carry one are rejected as unknown.
+// storage section (chunk compression: points-per-MB, compression ratio,
+// Q1–Q8 deltas; its cold-tier spill and scan fields went with the tier);
+// v5 added the partition-scaling section (scatter-gather coordinator at
+// 1/2/4/8 partitions: Q4–Q8 MRS + speedup per level, oracle-identity flag);
+// v6 added a streaming section, since removed with the
+// invalidate-and-recompute mode it compared against. Removed sections and
+// fields were optional, so v6 files without them still read; files that
+// still carry one are rejected as unknown.
 const BaselineSchema = "hybench-table1/v6"
 
 // Baseline is the machine-readable record of one Table 1 run, written to
@@ -38,9 +39,9 @@ type Baseline struct {
 	// (hybench -metrics): per-query timers, WAL/store counters, cache
 	// hit rates, and the durable-exercise trace.
 	Metrics *obs.Snapshot `json:"metrics,omitempty"`
-	// Storage is the compression + tiering section (hybench -storage):
-	// points-per-MB of the raw vs compressed layouts, the cold-tier spill
-	// and scan numbers, and the Q1–Q8 latency deltas of a compressed engine.
+	// Storage is the chunk-compression section (hybench -storage):
+	// points-per-MB of the raw vs compressed layouts and the Q1–Q8 latency
+	// deltas of a compressed engine.
 	Storage *StorageReport `json:"storage,omitempty"`
 	// Partitions is the partition-scaling section (hybench -partitions):
 	// the scatter-gather coordinator at increasing partition counts, each

@@ -290,27 +290,12 @@ func TestDifferentialBattery(t *testing.T) {
 			comparePaths(t, "ttdb-seq-hyql", ref, hyqlResultsOn(t, data, storeEngine(seq.Structure())))
 
 			// Chunk compression is on by default, so the paths above already
-			// run over sealed blocks. Pin the raw layout explicitly, then the
-			// full tier: every sealed block spilled to disk and read back.
+			// run over sealed blocks. Pin the raw layout explicitly.
 			raw := ttdb.NewPolyglot(ts.Week)
 			raw.T.SetCompress(false)
 			idsRaw := load(raw)
 			comparePaths(t, "ttdb-raw", ref, engineResults(t, data, raw, idsRaw))
 			comparePaths(t, "ttdb-raw-hyql", ref, hyqlResultsOn(t, data, storeEngine(raw.Structure())))
-
-			tiered := ttdb.NewPolyglot(ts.Week)
-			idsTiered := load(tiered)
-			if err := tiered.T.EnableColdTier(t.TempDir()); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := tiered.T.Spill(); err != nil {
-				t.Fatal(err)
-			}
-			comparePaths(t, "ttdb-tiered", ref, engineResults(t, data, tiered, idsTiered))
-			comparePaths(t, "ttdb-tiered-hyql", ref, hyqlResultsOn(t, data, storeEngine(tiered.Structure())))
-			if err := tiered.T.Err(); err != nil {
-				t.Fatalf("tiered path degraded: %v", err)
-			}
 
 			// The durable engine over the same stores: same answers, plus the
 			// degraded-mode check every call makes.

@@ -21,7 +21,7 @@ import (
 // decode) must answer exactly what HyQL over a full decoded copy of the same
 // state answers (core.HyGraph, every series a *ts.Series) — for every ts.*
 // function in every arity, for the Q1–Q8 and H1–H4 forms and the structural
-// clauses around them, on raw, compressed and cold-tier stores, on one engine
+// clauses around them, on raw and compressed stores, on one engine
 // and on 1, 2 and 4 partitions, with NaN samples, empty windows, a station
 // without samples and a series that ended before the query instant.
 
@@ -262,38 +262,26 @@ func (w *equivWorld) compareEngines(t *testing.T, label string, store, copied *h
 func TestHyQLStoreBackedEqualsCopyBacked(t *testing.T) {
 	w := newEquivWorld()
 	variants := []struct {
-		name string
-		prep func(*ttdb.Polyglot) // before the first write
-		post func(*ttdb.Polyglot) // after the load
+		name     string
+		compress bool
 	}{
-		{"raw", func(p *ttdb.Polyglot) { p.T.SetCompress(false) }, func(*ttdb.Polyglot) {}},
-		{"compressed", func(*ttdb.Polyglot) {}, func(*ttdb.Polyglot) {}},
-		{"cold",
-			func(p *ttdb.Polyglot) {
-				if err := p.T.EnableColdTier(t.TempDir()); err != nil {
-					t.Fatal(err)
-				}
-			},
-			func(p *ttdb.Polyglot) {
-				if _, err := p.T.Spill(); err != nil {
-					t.Fatal(err)
-				}
-			}},
+		{"raw", false},
+		{"compressed", true},
 	}
 	for _, v := range variants {
 		v := v
-		newPart := func() *ttdb.DurablePolyglot {
+		// newPart builds one partition in the variant's layout and records
+		// its engine, so check can ask every store whether it degraded.
+		newPart := func(engines *[]*ttdb.Polyglot) *ttdb.DurablePolyglot {
 			d := ttdb.NewDurable(ts.Week, io.Discard, io.Discard, io.Discard)
-			v.prep(d.Engine())
+			d.Engine().T.SetCompress(v.compress)
+			*engines = append(*engines, d.Engine())
 			return d
 		}
 		// check compares the engine over a structure built once, before the
 		// appends, with a copy decoded after each step: the view must follow
 		// the stores without being rebuilt.
 		check := func(t *testing.T, e equivLoader, ids []ttdb.StationID, engines []*ttdb.Polyglot, structure func() *lpg.Graph) {
-			for _, p := range engines {
-				v.post(p)
-			}
 			store := storeEngine(structure())
 			w.compareEngines(t, "loaded", store, hyql.NewEngine(materialize(t, structure())))
 
@@ -320,21 +308,19 @@ func TestHyQLStoreBackedEqualsCopyBacked(t *testing.T) {
 			}
 		}
 		t.Run(v.name+"/engine", func(t *testing.T) {
-			d := newPart()
-			check(t, d, w.load(t, d), []*ttdb.Polyglot{d.Engine()}, d.Engine().Structure)
+			var engines []*ttdb.Polyglot
+			d := newPart(&engines)
+			check(t, d, w.load(t, d), engines, d.Engine().Structure)
 		})
 		for _, n := range []int{1, 2, 4} {
 			n := n
 			t.Run(fmt.Sprintf("%s/coord-%dp", v.name, n), func(t *testing.T) {
-				c, err := coord.New(n, func(int) (*ttdb.DurablePolyglot, error) { return newPart(), nil })
+				var engines []*ttdb.Polyglot
+				c, err := coord.New(n, func(int) (*ttdb.DurablePolyglot, error) { return newPart(&engines), nil })
 				if err != nil {
 					t.Fatal(err)
 				}
 				ids := w.load(t, c)
-				var engines []*ttdb.Polyglot
-				for _, p := range c.Parts() {
-					engines = append(engines, p.Engine())
-				}
 				check(t, c, ids, engines, c.Structure)
 			})
 		}

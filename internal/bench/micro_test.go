@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"hygraph/internal/dataset"
+	"hygraph/internal/storage/graphstore"
 	"hygraph/internal/storage/tsstore"
 	"hygraph/internal/storage/ttdb"
 	"hygraph/internal/ts"
@@ -27,7 +28,7 @@ func microBike() dataset.BikeConfig {
 func microEngine(b *testing.B, shards int) (*ttdb.Polyglot, []ttdb.StationID, ts.Time, ts.Time) {
 	b.Helper()
 	data := dataset.GenerateBike(microBike())
-	eng := ttdb.NewPolyglotSharded(ts.Week, shards)
+	eng := &ttdb.Polyglot{G: graphstore.NewSharded(shards), T: tsstore.NewSharded(ts.Week, shards)}
 	ids, err := data.LoadEngine(eng)
 	if err != nil {
 		b.Fatal(err)
@@ -55,7 +56,7 @@ func microDurable(b *testing.B, shards, group int) (*ttdb.DurablePolyglot, []ttd
 		}
 	})
 	data := dataset.GenerateBike(microBike())
-	eng := ttdb.NewPolyglotSharded(ts.Week, shards)
+	eng := &ttdb.Polyglot{G: graphstore.NewSharded(shards), T: tsstore.NewSharded(ts.Week, shards)}
 	eng.SetWorkers(runtime.GOMAXPROCS(0))
 	d := ttdb.ResumeDurable(eng, logs[0], logs[1], logs[2], 0)
 	d.SetGroupCommit(group)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"os"
 	"strings"
 	"time"
 
@@ -14,12 +13,11 @@ import (
 	"hygraph/internal/ts"
 )
 
-// The storage benchmark measures what the compression + tiering layer buys:
-// points-per-MB of the raw vs compressed layouts on the sealed-chunk
-// workload (hourly integer availability counts — the shape bike telemetry
-// actually has), the cost of a scan that reads every block back from the
-// spill tier, and the Q1–Q8 latency deltas of a compressed polyglot engine
-// against a raw one on the regular Table 1 workload.
+// The storage benchmark measures what chunk compression buys: points-per-MB
+// of the raw vs compressed layouts on the sealed-chunk workload (hourly
+// integer availability counts — the shape bike telemetry actually has), and
+// the Q1–Q8 latency deltas of a compressed polyglot engine against a raw one
+// on the regular Table 1 workload.
 
 // StorageReport is the baseline's storage section (schema v4).
 type StorageReport struct {
@@ -34,14 +32,9 @@ type StorageReport struct {
 	CompressionRatio float64 `json:"compression_ratio"`
 	PointsPerMBRaw   float64 `json:"points_per_mb_raw"`
 	PointsPerMB      float64 `json:"points_per_mb_compressed"`
-	// Identical reports that raw, compressed, and spilled stores returned
+	// Identical reports that the raw and compressed stores returned
 	// element-wise identical Range/Aggregate/Downsample results.
 	Identical bool `json:"identical"`
-	// Cold tier: every sealed block spilled to disk, then scanned, each
-	// block read back from its spill file and decoded.
-	SpilledBlocks int     `json:"spilled_blocks"`
-	SpilledBytes  int64   `json:"spilled_bytes"`
-	ColdScanMS    float64 `json:"cold_scan_ms"`
 	// QueryDeltas maps Q1–Q8 to (compressedMRS - rawMRS) / rawMRS on the
 	// Table 1 workload: the latency price of the compressed layout.
 	// Timing-dependent, so reported rather than validated.
@@ -75,7 +68,7 @@ func storageWorkload(db *tsstore.DB, series, points int) (int, int) {
 }
 
 // storageObserve flattens the query surface over every series for equality
-// checks and scan timing. The fold is deterministic: fixed key order, fixed
+// checks. The fold is deterministic: fixed key order, fixed
 // windows.
 func storageObserve(db *tsstore.DB, series, points int) []float64 {
 	horizon := ts.Time(points) * ts.Hour
@@ -109,8 +102,8 @@ func storageEqual(a, b []float64) bool {
 	return true
 }
 
-// RunStorage measures the compression + tiering layer. The footprint and
-// equality numbers are deterministic; the scan and query timings are not.
+// RunStorage measures chunk compression. The footprint and equality numbers
+// are deterministic; the query timings are not.
 func RunStorage(ctx context.Context, cfg Config) (StorageReport, error) {
 	const series, points = 64, 4096 // ~262k points, ~36 sealed chunks/series
 	var rep StorageReport
@@ -133,33 +126,9 @@ func RunStorage(ctx context.Context, cfg Config) (StorageReport, error) {
 		rep.PointsPerMB = float64(rep.Points) / (float64(rep.CompressedBytes) / 1e6)
 	}
 
-	want := storageObserve(raw, series, points)
-	rep.Identical = storageEqual(want, storageObserve(comp, series, points))
-
-	// Cold tier: spill every sealed block, then time a scan that reads every
-	// block back.
-	dir, err := os.MkdirTemp("", "hybench-tier-")
-	if err != nil {
-		return rep, fmt.Errorf("bench: storage temp dir: %w", err)
-	}
-	defer os.RemoveAll(dir)
-	if err := comp.EnableColdTier(dir); err != nil {
-		return rep, err
-	}
-	st, err := comp.Spill()
-	if err != nil {
-		return rep, err
-	}
-	rep.SpilledBlocks, rep.SpilledBytes = st.Blocks, st.Bytes
-	t0 := time.Now()
-	cold := storageObserve(comp, series, points)
-	rep.ColdScanMS = float64(time.Since(t0).Nanoseconds()) / 1e6
-	rep.Identical = rep.Identical && storageEqual(want, cold)
+	rep.Identical = storageEqual(storageObserve(raw, series, points), storageObserve(comp, series, points))
 	if err := comp.Err(); err != nil {
-		return rep, fmt.Errorf("bench: tiered store degraded: %w", err)
-	}
-	if err := comp.CloseColdTier(); err != nil {
-		return rep, err
+		return rep, fmt.Errorf("bench: compressed store degraded: %w", err)
 	}
 
 	// Q1–Q8 deltas on the Table 1 workload: raw vs compressed polyglot.
@@ -247,13 +216,11 @@ func storageQueryDeltas(ctx context.Context, cfg Config) (map[string]float64, er
 // FormatStorage renders the storage section for terminal output.
 func FormatStorage(r StorageReport) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Storage: compression + tiering (%d series × %d points)\n", r.Series, r.Points/max(1, r.Series))
+	fmt.Fprintf(&b, "Storage: chunk compression (%d series × %d points)\n", r.Series, r.Points/max(1, r.Series))
 	fmt.Fprintf(&b, "  footprint    raw %.1f MB → compressed %.1f MB (%.1fx, %s)\n",
 		float64(r.RawBytes)/1e6, float64(r.CompressedBytes)/1e6, r.CompressionRatio,
 		map[bool]string{true: "identical results", false: "RESULTS DIFFER"}[r.Identical])
 	fmt.Fprintf(&b, "  points/MB    raw %.0f → compressed %.0f\n", r.PointsPerMBRaw, r.PointsPerMB)
-	fmt.Fprintf(&b, "  cold tier    %d blocks (%.1f MB) spilled; scan %.1f ms\n",
-		r.SpilledBlocks, float64(r.SpilledBytes)/1e6, r.ColdScanMS)
 	b.WriteString("  Q deltas     ")
 	for op := ttdb.OpQ1; op <= ttdb.OpQ8; op++ {
 		fmt.Fprintf(&b, "%s %+.0f%%  ", op, 100*r.QueryDeltas[op.String()])
@@ -263,7 +230,7 @@ func FormatStorage(r StorageReport) string {
 }
 
 // CheckStorage validates the deterministic invariants of the storage
-// section. Scan timings and query deltas are reported, not gated — CI boxes
+// section. Query deltas are reported, not gated — CI boxes
 // are too noisy to fail a build on a latency ratio.
 func CheckStorage(r *StorageReport) []string {
 	var problems []string
@@ -271,7 +238,7 @@ func CheckStorage(r *StorageReport) []string {
 		problems = append(problems, "storage: empty workload")
 	}
 	if !r.Identical {
-		problems = append(problems, "storage: compressed/tiered results differ from raw")
+		problems = append(problems, "storage: compressed results differ from raw")
 	}
 	if r.RawBytes <= 0 || r.CompressedBytes <= 0 {
 		problems = append(problems, fmt.Sprintf("storage: footprints %d/%d not positive", r.RawBytes, r.CompressedBytes))
@@ -279,12 +246,6 @@ func CheckStorage(r *StorageReport) []string {
 	if math.IsNaN(r.CompressionRatio) || math.IsInf(r.CompressionRatio, 0) || r.CompressionRatio < 4 {
 		problems = append(problems, fmt.Sprintf(
 			"storage: compression ratio %.2f below the 4x floor on the sealed-chunk workload", r.CompressionRatio))
-	}
-	if r.SpilledBlocks < 1 || r.SpilledBytes < 1 {
-		problems = append(problems, "storage: cold tier spilled nothing")
-	}
-	if r.ColdScanMS < 0 {
-		problems = append(problems, "storage: negative scan timing")
 	}
 	for op := ttdb.OpQ1; op <= ttdb.OpQ8; op++ {
 		q := op.String()

@@ -14,11 +14,14 @@ import (
 	"hygraph/internal/ts"
 )
 
-// chaosWorld builds a 3-partition coordinator with a deterministic workload
-// and returns it with the per-logical-station gids.
+// chaosParts is the partition count of chaosWorld's coordinator.
+const chaosParts = 3
+
+// chaosWorld builds a chaosParts-partition coordinator with a deterministic
+// workload and returns it with the per-logical-station gids.
 func chaosWorld(t *testing.T) (*coord.Coordinator, []ttdb.StationID) {
 	t.Helper()
-	c, err := coord.NewMem(3, ts.Week)
+	c, err := coord.NewMem(chaosParts, ts.Week)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +47,7 @@ func chaosWorld(t *testing.T) (*coord.Coordinator, []ttdb.StationID) {
 func partOwning(t *testing.T, c *coord.Coordinator, gids []ttdb.StationID) (int, ttdb.StationID) {
 	t.Helper()
 	defer faults.Reset()
-	for p := 0; p < c.NumPartitions(); p++ {
+	for p := 0; p < chaosParts; p++ {
 		faults.Enable(coord.FaultPartition(p), faults.Spec{Err: errors.New("probe")})
 		for _, gid := range gids {
 			if _, err := c.Exec(context.Background(), ttdb.Q3(gid, 0, propSpan)); err != nil {
@@ -106,8 +109,8 @@ func TestPartitionFaultYieldsTypedPartial(t *testing.T) {
 		}
 		wantAnswered++
 	}
-	if wantAnswered != c.NumPartitions()-1 {
-		t.Fatalf("answered %v, want the %d healthy partitions", perr.Answered, c.NumPartitions()-1)
+	if wantAnswered != chaosParts-1 {
+		t.Fatalf("answered %v, want the %d healthy partitions", perr.Answered, chaosParts-1)
 	}
 	// Every station still enumerated; lost shares zero, healthy shares exact.
 	if len(got) != len(healthyQ4) {

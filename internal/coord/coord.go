@@ -39,12 +39,6 @@ import (
 	"hygraph/internal/ts"
 )
 
-// seriesKey is the hypertable key of a partition-LOCAL station id, the same
-// (entity, metric) convention the single-process engine uses.
-func seriesKey(local ttdb.StationID) tsstore.SeriesKey {
-	return tsstore.SeriesKey{Entity: uint32(local), Metric: ttdb.Metric}
-}
-
 // Factory builds the durable engine backing one partition. The coordinator
 // calls it at construction and again on Repartition; part is the partition
 // index the engine will serve.
@@ -122,23 +116,6 @@ func ownerOf(name string, nparts int) int {
 	h := fnv.New32a()
 	_, _ = h.Write([]byte(name))
 	return int(h.Sum32() % uint32(nparts))
-}
-
-// NumPartitions reports the partition count.
-func (c *Coordinator) NumPartitions() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.parts)
-}
-
-// Parts exposes the backing partitions (for sync, recovery and tests). The
-// slice is a copy; the engines are shared.
-func (c *Coordinator) Parts() []*ttdb.DurablePolyglot {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]*ttdb.DurablePolyglot, len(c.parts))
-	copy(out, c.parts)
-	return out
 }
 
 // NumStations reports the number of live stations across all partitions.
@@ -364,7 +341,10 @@ func (c *Coordinator) Repartition(n int) error {
 	c.parts, c.local2g, c.bnd2g, c.meta = parts, local2g, bnd2g, meta
 	for _, gid := range c.order {
 		om := oldMeta[gid]
-		series := oldParts[om.part].Engine().T.RangeSeries(seriesKey(om.local), math.MinInt64, ts.MaxTime)
+		// The series lives under the owner's partition-local id, the same
+		// (entity, metric) key the single-process engine uses.
+		key := tsstore.SeriesKey{Entity: uint32(om.local), Metric: ttdb.Metric}
+		series := oldParts[om.part].Engine().T.RangeSeries(key, math.MinInt64, ts.MaxTime)
 		if series == nil {
 			series = ts.New(ttdb.Metric)
 		} else {

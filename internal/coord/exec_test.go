@@ -160,7 +160,7 @@ func TestExecCancelsMidFanout(t *testing.T) {
 		// Alive for the coordinator's entry check, each fragment's fault
 		// point and entry check, and two work items — then cancelled.
 		ctx := &flipCtx{Context: context.Background()}
-		ctx.left.Store(int64(1 + 2*c.NumPartitions() + 2))
+		ctx.left.Store(int64(1 + 2*chaosParts + 2))
 		before = reads()
 		res, err := c.Exec(ctx, q)
 		cancelled := reads() - before

@@ -66,11 +66,7 @@ var (
 	// Check only draws from a point's rng while holding mu, so the registry
 	// never touches the global math/rand source and is race-free.
 	baseSeed int64 = 1
-	newRand        = defaultRand
 )
-
-// defaultRand is the stock RNG constructor; see SetRandFactory.
-func defaultRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // Seed sets the base seed used by probabilistic points that do not carry an
 // explicit Spec.Seed. Points armed afterwards derive their sequence from it;
@@ -79,20 +75,6 @@ func Seed(seed int64) {
 	mu.Lock()
 	defer mu.Unlock()
 	baseSeed = seed
-}
-
-// SetRandFactory injects the constructor used to build each point's
-// *rand.Rand (for tests that need a recorded or rigged sequence). A nil
-// factory restores the default math/rand source. The returned generator is
-// only ever used under the registry lock, so it need not be safe for
-// concurrent use by itself.
-func SetRandFactory(f func(seed int64) *rand.Rand) {
-	mu.Lock()
-	defer mu.Unlock()
-	if f == nil {
-		f = defaultRand
-	}
-	newRand = f
 }
 
 // pointSeed resolves the seed for a point: an explicit Spec.Seed wins,
@@ -136,7 +118,7 @@ func Enable(name string, spec Spec) {
 	}
 	p := &point{spec: spec}
 	if spec.P > 0 {
-		p.rng = newRand(pointSeed(name, spec))
+		p.rng = rand.New(rand.NewSource(pointSeed(name, spec)))
 	}
 	armed[name] = p
 }
@@ -167,17 +149,6 @@ func Hits(name string) int {
 	mu.Lock()
 	defer mu.Unlock()
 	return hits[name]
-}
-
-// Active returns the names of the currently armed points.
-func Active() []string {
-	mu.Lock()
-	defer mu.Unlock()
-	out := make([]string, 0, len(armed))
-	for name := range armed {
-		out = append(out, name)
-	}
-	return out
 }
 
 // Check is called by instrumented code at a fault point. It returns the

@@ -2,7 +2,6 @@ package faults
 
 import (
 	"errors"
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -136,30 +135,26 @@ func TestDistinctPointsDistinctSequences(t *testing.T) {
 	}
 }
 
-func TestInjectedRandFactory(t *testing.T) {
+func TestExplicitSeedOverridesNameAndBase(t *testing.T) {
 	Reset()
 	defer Reset()
-	defer SetRandFactory(nil)
-	var gotSeed int64
-	SetRandFactory(func(seed int64) *rand.Rand {
-		gotSeed = seed
-		// Rigged generator: Float64 always 0 → fires on every visit.
-		return rand.New(rand.NewSource(1))
-	})
-	Enable("rig", Spec{P: 0.999999, Seed: 99})
-	if gotSeed != 99 {
-		t.Fatalf("factory saw seed %d, want 99", gotSeed)
-	}
-	SetRandFactory(nil)
-	Enable("rig2", Spec{P: 0.5, Seed: 42})
-	fired := false
-	for i := 0; i < 20; i++ {
-		if Check("rig2") != nil {
-			fired = true
+	defer Seed(1)
+	// An explicit Spec.Seed is the point's whole seed: neither the point
+	// name nor the base seed is mixed in.
+	run := func(name string, base int64) []bool {
+		Seed(base)
+		Enable(name, Spec{P: 0.5, Seed: 99})
+		out := make([]bool, 40)
+		for i := range out {
+			out[i] = Check(name) != nil
 		}
+		return out
 	}
-	if !fired {
-		t.Fatal("default factory not restored")
+	a, b := run("left", 7), run("right", 8)
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatal("one explicit seed gave two fault schedules")
+		}
 	}
 }
 
@@ -204,8 +199,8 @@ func TestDisableAndActive(t *testing.T) {
 	defer Reset()
 	Enable("a", Spec{})
 	Enable("b", Spec{})
-	if got := len(Active()); got != 2 {
-		t.Fatalf("active=%d", got)
+	if err := Check("a"); err == nil {
+		t.Fatal("armed point silent")
 	}
 	Disable("a")
 	if err := Check("a"); err != nil {
@@ -215,7 +210,7 @@ func TestDisableAndActive(t *testing.T) {
 		t.Fatal("armed point silent")
 	}
 	Reset()
-	if len(Active()) != 0 || Hits("b") != 0 {
+	if Check("b") != nil || Hits("b") != 0 {
 		t.Fatal("reset incomplete")
 	}
 }

@@ -23,7 +23,6 @@ package obs
 
 import (
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -153,14 +152,6 @@ func (h *Histogram) Observe(d time.Duration) {
 		}
 	}
 	h.buckets[bucketIndex(ns)].Add(1)
-}
-
-// Count returns the number of observations (0 on a nil receiver).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
 }
 
 // Stopwatch times one region for a Histogram. The zero value (and the value
@@ -382,15 +373,4 @@ func quantileMS(counts []int64, total int64, q float64) float64 {
 		}
 	}
 	return float64(bucketFloorNS(len(counts))) / 1e6
-}
-
-// SortedKeys returns the keys of a snapshot map in sorted order; a helper for
-// deterministic console rendering.
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

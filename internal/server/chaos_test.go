@@ -3,10 +3,12 @@ package server
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -307,21 +309,28 @@ func TestChaosShedAccounting(t *testing.T) {
 	defer faults.Disable(FaultHandler)
 
 	base := reg.Snapshot().Counters
-	const fleet = 6
+	const fleet, perClient = 6, 4
+	// The fleet shares one transport that counts its round trips and the
+	// sheds they bring back.
+	var attempts, sheds atomic.Int64
+	transport := &http.Client{Transport: countingTransport(func(resp *http.Response, err error) {
+		attempts.Add(1)
+		if err == nil && (resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable) {
+			sheds.Add(1)
+		}
+	})}
 	var wg sync.WaitGroup
-	clients := make([]*client.Client, fleet)
-	for i := range clients {
+	for i := 0; i < fleet; i++ {
 		cl, err := client.New(client.Config{
-			Base: hs.URL, MaxAttempts: 3, BaseDelay: time.Millisecond,
+			Base: hs.URL, HTTP: transport, MaxAttempts: 3, BaseDelay: time.Millisecond,
 			MaxDelay: 10 * time.Millisecond, Seed: int64(i + 1)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		clients[i] = cl
 		wg.Add(1)
 		go func(cl *client.Client) {
 			defer wg.Done()
-			for j := 0; j < 4; j++ {
+			for j := 0; j < perClient; j++ {
 				_, _ = cl.Query(context.Background(), "a", "Q4", nil)
 			}
 		}(cl)
@@ -330,12 +339,8 @@ func TestChaosShedAccounting(t *testing.T) {
 
 	snap := reg.Snapshot().Counters
 	serverSheds := snap["server.shed.queue_full"] - base["server.shed.queue_full"]
-	var clientSheds, clientRetries int64
-	for _, cl := range clients {
-		st := cl.Stats()
-		clientSheds += st.Sheds
-		clientRetries += st.Retries
-	}
+	// Each request's attempts beyond its first are its retries.
+	clientSheds, clientRetries := sheds.Load(), attempts.Load()-fleet*perClient
 	// Every shed the server recorded was delivered to exactly one client
 	// (no drop faults armed), and vice versa.
 	if clientSheds != serverSheds {
@@ -346,4 +351,14 @@ func TestChaosShedAccounting(t *testing.T) {
 	if clientRetries > clientSheds {
 		t.Fatalf("retry accounting: %d retries but only %d sheds", clientRetries, clientSheds)
 	}
+}
+
+// countingTransport is http.DefaultTransport that reports every round
+// trip's outcome to observe.
+type countingTransport func(resp *http.Response, err error)
+
+func (observe countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	observe(resp, err)
+	return resp, err
 }

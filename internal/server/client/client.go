@@ -12,9 +12,6 @@
 //     ingest WITHOUT an idempotency key is never retried — after a torn
 //     response the client cannot know whether the server committed, and a
 //     blind retry would duplicate the station.
-//
-// Every attempt, retry, shed and giveup is counted in Stats, which the
-// chaos harness reconciles against the server's own admission counters.
 package client
 
 import (
@@ -29,7 +26,6 @@ import (
 	"net/url"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -37,32 +33,6 @@ import (
 type Point struct {
 	T int64   `json:"t"`
 	V float64 `json:"v"`
-}
-
-// Stats counts client-side outcomes across all requests.
-type Stats struct {
-	Attempts  int64 // HTTP round trips issued
-	Retries   int64 // attempts beyond the first
-	Sheds     int64 // 429/503 responses observed
-	Timeouts  int64 // 504 responses observed
-	NetErrors int64 // transport-level failures observed
-	GiveUps   int64 // requests that exhausted their attempts
-}
-
-// statCell is the atomic backing for Stats.
-type statCell struct {
-	attempts, retries, sheds, timeouts, netErrors, giveUps atomic.Int64
-}
-
-func (c *statCell) snapshot() Stats {
-	return Stats{
-		Attempts:  c.attempts.Load(),
-		Retries:   c.retries.Load(),
-		Sheds:     c.sheds.Load(),
-		Timeouts:  c.timeouts.Load(),
-		NetErrors: c.netErrors.Load(),
-		GiveUps:   c.giveUps.Load(),
-	}
 }
 
 // Config parameterizes a Client. Zero fields select defaults.
@@ -88,8 +58,7 @@ type Config struct {
 // Client issues requests against one server with the retry discipline
 // applied. Safe for concurrent use.
 type Client struct {
-	cfg   Config
-	stats statCell
+	cfg Config
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -118,9 +87,6 @@ func New(cfg Config) (*Client, error) {
 	}
 	return &Client{cfg: cfg, rng: rand.New(rand.NewSource(seed))}, nil
 }
-
-// Stats returns a snapshot of the outcome counters.
-func (c *Client) Stats() Stats { return c.stats.snapshot() }
 
 // APIError is a non-2xx JSON response from the server.
 type APIError struct {
@@ -182,7 +148,6 @@ func (c *Client) backoff(n int, hint time.Duration) time.Duration {
 func (c *Client) do(ctx context.Context, method, path string, hdr map[string]string, body []byte, idempotent bool, out any) error {
 	var lastErr error
 	for attempt := 1; ; attempt++ {
-		c.stats.attempts.Add(1)
 		err := c.once(ctx, method, path, hdr, body, out)
 		if err == nil {
 			return nil
@@ -192,24 +157,12 @@ func (c *Client) do(ctx context.Context, method, path string, hdr map[string]str
 		var ae *APIError
 		var hint time.Duration
 		if errors.As(err, &ae) {
-			switch ae.Status {
-			case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-				c.stats.sheds.Add(1)
-			case http.StatusGatewayTimeout:
-				c.stats.timeouts.Add(1)
-			}
 			hint = ae.RetryAfter
-		} else {
-			c.stats.netErrors.Add(1)
 		}
 
 		if !idempotent || !retryable(err) || attempt >= c.cfg.MaxAttempts {
-			if idempotent && retryable(err) {
-				c.stats.giveUps.Add(1)
-			}
 			return lastErr
 		}
-		c.stats.retries.Add(1)
 		t := time.NewTimer(c.backoff(attempt, hint))
 		select {
 		case <-t.C:
@@ -287,22 +240,6 @@ func retryAfter(h http.Header) time.Duration {
 
 // ---------------------------------------------------------------------------
 // API surface
-
-// Health reports the server's health status string ("ok" or "draining").
-func (c *Client) Health(ctx context.Context) (string, error) {
-	var out struct {
-		Status string `json:"status"`
-	}
-	// Health is read-only but deliberately not retried: callers poll it.
-	if err := c.once(ctx, http.MethodGet, "/v1/health", nil, nil, &out); err != nil {
-		var ae *APIError
-		if errors.As(err, &ae) && ae.Status == http.StatusServiceUnavailable {
-			return "draining", nil
-		}
-		return "", err
-	}
-	return out.Status, nil
-}
 
 // IngestStation creates a station. With a non-empty idempotency key the
 // request is retried like any idempotent call; with an empty key it is
@@ -385,22 +322,6 @@ func (c *Client) HyQL(ctx context.Context, tenant, query string, at int64) (*HyQ
 	}
 	var out HyQLResult
 	if err := c.do(ctx, http.MethodPost, "/v1/tenants/"+tenant+"/hyql", nil, body, true, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// TenantStats is the server's per-tenant shape report.
-type TenantStats struct {
-	Tenant   string `json:"tenant"`
-	Stations int    `json:"stations"`
-	Version  uint64 `json:"version"`
-}
-
-// TenantStats fetches the tenant's station count and write version.
-func (c *Client) TenantStats(ctx context.Context, tenant string) (*TenantStats, error) {
-	var out TenantStats
-	if err := c.do(ctx, http.MethodGet, "/v1/tenants/"+tenant+"/stats", nil, nil, true, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

@@ -35,21 +35,20 @@ func TestRetriesShedsUntilSuccess(t *testing.T) {
 			w.Write([]byte(`{"error":{"code":"queue_full","message":"shed"}}`))
 			return
 		}
-		w.Write([]byte(`{"tenant":"a","stations":3,"version":7}`))
+		w.Write([]byte(`{"query":"Q4","result":3}`))
 	}))
 	defer hs.Close()
 
 	c := newClient(t, hs.URL, 4)
-	st, err := c.TenantStats(context.Background(), "a")
+	res, err := c.Query(context.Background(), "a", "Q4", nil)
 	if err != nil {
-		t.Fatalf("TenantStats: %v", err)
+		t.Fatalf("Query: %v", err)
 	}
-	if st.Stations != 3 || st.Version != 7 {
-		t.Fatalf("stats = %+v", st)
+	if res.Query != "Q4" || string(res.Result) != "3" {
+		t.Fatalf("result = %+v", res)
 	}
-	s := c.Stats()
-	if s.Attempts != 3 || s.Retries != 2 || s.Sheds != 2 || s.GiveUps != 0 {
-		t.Fatalf("stats = %+v, want attempts=3 retries=2 sheds=2", s)
+	if got := calls.Load(); got != 3 {
+		t.Fatalf("server saw %d calls, want 3 (two sheds, then success)", got)
 	}
 }
 
@@ -63,17 +62,13 @@ func TestGivesUpAfterMaxAttempts(t *testing.T) {
 	defer hs.Close()
 
 	c := newClient(t, hs.URL, 3)
-	_, err := c.TenantStats(context.Background(), "a")
+	_, err := c.Query(context.Background(), "a", "Q4", nil)
 	var ae *APIError
 	if !errors.As(err, &ae) || ae.Status != http.StatusTooManyRequests {
 		t.Fatalf("err = %v, want 429 APIError", err)
 	}
 	if got := calls.Load(); got != 3 {
 		t.Fatalf("server saw %d calls, want 3 (MaxAttempts)", got)
-	}
-	s := c.Stats()
-	if s.GiveUps != 1 || s.Sheds != 3 {
-		t.Fatalf("stats = %+v, want giveups=1 sheds=3", s)
 	}
 }
 
@@ -131,16 +126,37 @@ func TestNetworkErrorsRetryIdempotentRequests(t *testing.T) {
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	hs.Close()
 
-	c := newClient(t, hs.URL, 3)
-	_, err := c.TenantStats(context.Background(), "a")
-	if err == nil {
+	var attempts, netErrors atomic.Int64
+	c, err := New(Config{
+		Base: hs.URL,
+		HTTP: &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+			attempts.Add(1)
+			resp, err := http.DefaultTransport.RoundTrip(r)
+			if err != nil {
+				netErrors.Add(1)
+			}
+			return resp, err
+		})},
+		MaxAttempts: 3,
+		BaseDelay:   time.Millisecond,
+		MaxDelay:    5 * time.Millisecond,
+		Seed:        1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Query(context.Background(), "a", "Q4", nil); err == nil {
 		t.Fatalf("expected transport error")
 	}
-	s := c.Stats()
-	if s.Attempts != 3 || s.NetErrors != 3 || s.Retries != 2 {
-		t.Fatalf("stats = %+v, want 3 attempts / 3 net errors / 2 retries", s)
+	if attempts.Load() != 3 || netErrors.Load() != 3 {
+		t.Fatalf("%d attempts / %d net errors, want 3 / 3", attempts.Load(), netErrors.Load())
 	}
 }
+
+// roundTripFunc adapts a function to http.RoundTripper.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
 
 func TestBackoffHonorsHintAndCap(t *testing.T) {
 	c := newClient(t, "http://x", 4)
@@ -175,7 +191,7 @@ func TestDeadlineStopsRetryLoop(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	t0 := time.Now()
-	_, err := c.TenantStats(ctx, "a")
+	_, err := c.Query(ctx, "a", "Q4", nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context deadline", err)
 	}

@@ -237,9 +237,6 @@ func (s *Server) Limits() Limits { return s.cfg.Limits }
 // http.ErrServerClosed after a clean shutdown, mirroring net/http.
 func (s *Server) Serve(ln net.Listener) error { return s.hsrv.Serve(ln) }
 
-// Draining reports whether the server has begun shutting down.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Shutdown performs the graceful-stop contract (docs/SERVICE.md):
 //
 //  1. mark draining — new requests are shed with 503 + Retry-After;

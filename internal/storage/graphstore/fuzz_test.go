@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// FuzzWALReplay asserts Replay never panics on arbitrary bytes: whatever a
+// FuzzWALReplay asserts ReplayWithSummary never panics on arbitrary bytes: whatever a
 // half-written disk or a hostile file hands us, recovery either applies
 // intact records or reports an error. Run the fuzzer with:
 //
@@ -13,20 +13,8 @@ import (
 //
 // In normal test runs only the seed corpus executes.
 func FuzzWALReplay(f *testing.F) {
-	// Seed with a valid log...
-	var log bytes.Buffer
-	wal := NewWAL(New(), &log)
-	n, _ := wal.CreateNode("A", "B")
-	m, _ := wal.CreateNode("C")
-	wal.CreateRel(n, m, "T")
-	wal.SetNodeProp(n, "x", IntVal(7))
-	wal.SetNodeProp(n, "s", StrVal("str"))
-	wal.SetNodeProp(m, "f", FloatVal(2.5))
-	wal.SetNodeProp(m, "b", BoolVal(true))
-	wal.RemoveNodeProp(n, "x")
-	wal.DeleteNode(m)
-	wal.Flush()
-	valid := log.Bytes()
+	// Seed with a valid log of every opcode...
+	valid := everyOpcodeLog(f)
 	f.Add(valid)
 	// ...its truncations and single-byte corruptions...
 	f.Add(valid[:len(valid)-1])

@@ -243,13 +243,6 @@ func (t *strTable) name(id uint32) string {
 	return names[id]
 }
 
-// count returns the table size.
-func (t *strTable) count() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.names)
-}
-
 // nodeShard is one lock stripe of the node records: nodes whose id ≡ shard
 // index (mod shard count), their property records, and this stripe's slice
 // of the label index. mu guards every field; *Locked methods assume it held.
@@ -299,9 +292,9 @@ func (rs *relShard) growLocked(local uint32) {
 // writers on different elements almost never share a lock. Ids come from
 // atomic allocators and are never reused while the process lives.
 //
-// Deletions (DeleteRel / DeleteNode) span shards non-atomically; they exist
-// for the single-writer crash-recovery path and must not race with other
-// mutators (see docs/PARALLELISM.md).
+// DeleteNode spans shards non-atomically; it exists for the single-writer
+// crash-recovery path and must not race with other mutators (see
+// docs/PARALLELISM.md).
 type DB struct {
 	mask  uint32
 	shift uint
@@ -345,9 +338,6 @@ func NewSharded(shards int) *DB {
 	return db
 }
 
-// NumShards returns the lock-stripe count.
-func (db *DB) NumShards() int { return len(db.nodeShards) }
-
 func (db *DB) nodeShardOf(id NodeID) (*nodeShard, uint32) {
 	return &db.nodeShards[uint32(id)&db.mask], uint32(id) >> db.shift
 }
@@ -368,22 +358,6 @@ func (db *DB) NumNodes() int {
 			}
 		}
 		sh.mu.RUnlock()
-	}
-	return n
-}
-
-// NumRels returns the number of live relationships.
-func (db *DB) NumRels() int {
-	n := 0
-	for i := range db.relShards {
-		rs := &db.relShards[i]
-		rs.mu.RLock()
-		for j := range rs.rels {
-			if rs.rels[j].inUse {
-				n++
-			}
-		}
-		rs.mu.RUnlock()
 	}
 	return n
 }
@@ -427,15 +401,6 @@ func (db *DB) bumpRel(id RelID) {
 			return
 		}
 	}
-}
-
-// NextNodeID returns the id the next allocation will take. Ids are assigned
-// by an atomic counter and never reused while the process lives, so under a
-// single writer this predicts the next CreateNode result (the prediction the
-// pre-AllocNodeID journal format relied on; kept for compatibility and
-// drift checks).
-func (db *DB) NextNodeID() NodeID {
-	return NodeID(db.nextNode.Load())
 }
 
 // NodeExists reports whether id names a live node (false for deleted or
@@ -546,14 +511,9 @@ func (db *DB) removeAdj(n NodeID, rid uint32) {
 	}
 }
 
-// DeleteRel removes a relationship: recycles its properties, marks the
+// deleteRel removes a relationship: recycles its properties, marks the
 // record dead and unlinks it from both endpoints' adjacency. Record ids are
-// never reused. Part of the single-writer recovery path.
-func (db *DB) DeleteRel(id RelID) error {
-	db.obs.writes.Inc()
-	return db.deleteRel(id)
-}
-
+// never reused.
 func (db *DB) deleteRel(id RelID) error {
 	rs, local := db.relShardOf(id)
 	rs.mu.Lock()
@@ -630,21 +590,6 @@ func (db *DB) NodesByLabel(label string) []NodeID {
 		sh.mu.RUnlock()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Labels returns a node's labels.
-func (db *DB) Labels(id NodeID) []string {
-	sh, local := db.nodeShardOf(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if !sh.okLocked(local) {
-		return nil
-	}
-	out := make([]string, len(sh.nodes[local].labels))
-	for i, l := range sh.nodes[local].labels {
-		out[i] = db.str.name(l)
-	}
 	return out
 }
 
@@ -795,17 +740,6 @@ func (sh *nodeShard) propsLocked(db *DB, local uint32, fn func(string, PropValue
 	db.obs.propScanned.Add(visited)
 }
 
-// NodePropCount returns the length of the node's property chain.
-func (db *DB) NodePropCount(id NodeID) int {
-	db.obs.reads.Inc()
-	sh, local := db.nodeShardOf(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	n := 0
-	sh.propsLocked(db, local, func(string, PropValue) bool { n++; return true })
-	return n
-}
-
 // Rel describes a relationship during iteration.
 type Rel struct {
 	ID   RelID
@@ -850,19 +784,6 @@ func (db *DB) relsOf(id NodeID) []Rel {
 	return out
 }
 
-// OutNeighbors returns the targets of outgoing relationships of the given
-// type ("" matches all).
-func (db *DB) OutNeighbors(id NodeID, typ string) []NodeID {
-	db.obs.reads.Inc()
-	var out []NodeID
-	for _, r := range db.relsOf(id) {
-		if r.From == id && (typ == "" || r.Type == typ) {
-			out = append(out, r.To)
-		}
-	}
-	return out
-}
-
 // Neighbors returns distinct adjacent nodes over any relationship direction.
 func (db *DB) Neighbors(id NodeID, typ string) []NodeID {
 	db.obs.reads.Inc()
@@ -882,30 +803,4 @@ func (db *DB) Neighbors(id NodeID, typ string) []NodeID {
 		}
 	}
 	return out
-}
-
-// Stats summarizes record usage for capacity reports.
-type Stats struct {
-	Nodes, Rels, Props, Strings int
-}
-
-// Stats returns record counts (including dead records in props).
-func (db *DB) Stats() Stats {
-	var st Stats
-	for i := range db.nodeShards {
-		sh := &db.nodeShards[i]
-		sh.mu.RLock()
-		st.Nodes += len(sh.nodes)
-		st.Props += len(sh.props.recs)
-		sh.mu.RUnlock()
-	}
-	for i := range db.relShards {
-		rs := &db.relShards[i]
-		rs.mu.RLock()
-		st.Rels += len(rs.rels)
-		st.Props += len(rs.props.recs)
-		rs.mu.RUnlock()
-	}
-	st.Strings = db.str.count()
-	return st
 }

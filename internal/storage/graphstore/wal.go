@@ -24,11 +24,11 @@ const (
 
 // WAL is a write-ahead-logged view of a DB: every mutation is appended to
 // the log before being applied, so a crashed process can rebuild the store
-// by replaying the log (Replay). Records are framed with a length prefix and
-// a CRC32C checksum (internal/storage/walrec), so replay detects torn tails
-// and flipped bits instead of resurrecting garbage. Combined with periodic
-// Save snapshots this gives the usual snapshot+log durability scheme of
-// production stores.
+// by replaying the log (ReplayWithSummary). Records are framed with a
+// length prefix and a CRC32C checksum (internal/storage/walrec), so replay
+// detects torn tails and flipped bits instead of resurrecting garbage.
+// Combined with periodic Save snapshots this gives the usual snapshot+log
+// durability scheme of production stores.
 //
 // Appends run through a group-commit writer: each mutation enqueues its
 // framed record (no I/O, safe from many goroutines) and Flush coalesces
@@ -45,7 +45,8 @@ type WAL struct {
 
 // Log record opcodes. The explicit-id variants are what the WAL writes
 // today; the id-less originals remain decodable for logs written before
-// group commit.
+// group commit, and opRemoveNodeProp for logs of builds that removed
+// properties.
 const (
 	opCreateNode byte = iota + 1
 	opCreateRel
@@ -76,9 +77,6 @@ func NewWAL(db *DB, w io.Writer) *WAL {
 // the WAL is shared.
 func (l *WAL) SetMaxBatch(n int) { l.gw.SetMaxBatch(n) }
 
-// DB exposes the underlying store for reads.
-func (l *WAL) DB() *DB { return l.db }
-
 // Err returns the WAL's latched write error, if any.
 func (l *WAL) Err() error { return l.gw.Err() }
 
@@ -86,12 +84,6 @@ func (l *WAL) Err() error { return l.gw.Err() }
 // one coalesced write+flush of the batch window or rides a flush already in
 // flight. Callers flush at commit points.
 func (l *WAL) Flush() error { return l.gw.Sync() }
-
-// Commit makes every record enqueued so far durable without forcing a
-// physical flush of its own: a committer whose records another leader
-// already covered returns immediately. Streaming callers use this instead
-// of Flush so concurrent writers coalesce into shared flushes.
-func (l *WAL) Commit() error { return l.gw.Commit(l.gw.Enqueued()) }
 
 // Payload builders: a record is fully materialized in a local buffer before
 // any byte reaches the framed writer, so a failed record is never
@@ -135,18 +127,9 @@ func (l *WAL) commit(payload []byte) error {
 	return nil
 }
 
-// CreateNode reserves an id, logs and applies the node creation. A reserved
-// id whose record never reaches the log is forgotten by recovery and reused
-// after restart.
-func (l *WAL) CreateNode(labels ...string) (NodeID, error) {
-	id := l.db.AllocNodeID()
-	if err := l.CreateNodeAt(id, labels...); err != nil {
-		return 0, err
-	}
-	return id, nil
-}
-
-// CreateNodeAt logs and applies a node creation under a pre-reserved id.
+// CreateNodeAt logs and applies a node creation under a pre-reserved id
+// (DB.AllocNodeID). A reserved id whose record never reaches the log is
+// forgotten by recovery and reused after restart.
 func (l *WAL) CreateNodeAt(id NodeID, labels ...string) error {
 	buf := []byte{opCreateNodeAt}
 	buf = binary.AppendUvarint(buf, uint64(id))
@@ -205,19 +188,8 @@ func (l *WAL) SetRelProp(id RelID, key string, val PropValue) error {
 	return l.db.SetRelProp(id, key, val)
 }
 
-// RemoveNodeProp logs and applies a node property removal.
-func (l *WAL) RemoveNodeProp(id NodeID, key string) (bool, error) {
-	buf := []byte{opRemoveNodeProp}
-	buf = binary.AppendUvarint(buf, uint64(id))
-	buf = putString(buf, key)
-	if err := l.commit(buf); err != nil {
-		return false, err
-	}
-	return l.db.RemoveNodeProp(id, key), nil
-}
-
-// DeleteNode logs and applies a node deletion (used by the polyglot ingest
-// layer to roll back a half-applied station).
+// DeleteNode logs and applies a node deletion (the durable station and
+// boundary deletes).
 func (l *WAL) DeleteNode(id NodeID) error {
 	buf := []byte{opDeleteNode}
 	buf = binary.AppendUvarint(buf, uint64(id))
@@ -233,17 +205,11 @@ type RecoverySummary struct {
 	Applied int // operations applied to the store
 }
 
-// Replay applies a log produced by WAL onto db (typically a fresh store or
-// one restored from the matching snapshot). It stops cleanly at EOF,
-// truncates a torn or checksum-corrupt tail (losing at most the final
-// record), and errors on mid-log corruption. It returns the number of
-// operations applied.
-func Replay(db *DB, r io.Reader) (int, error) {
-	sum, err := ReplayWithSummary(db, r)
-	return sum.Applied, err
-}
-
-// ReplayWithSummary is Replay with the full recovery report.
+// ReplayWithSummary applies a log produced by WAL onto db (typically a fresh
+// store or one restored from the matching snapshot). It stops cleanly at
+// EOF, truncates a torn or checksum-corrupt tail (losing at most the final
+// record), and errors on mid-log corruption. Every opcode any build ever
+// wrote is applied, including those no WAL verb writes today.
 func ReplayWithSummary(db *DB, r io.Reader) (RecoverySummary, error) {
 	sc := walrec.NewScanner(r)
 	var sum RecoverySummary

@@ -2,6 +2,7 @@ package graphstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -9,13 +10,14 @@ import (
 
 func TestWALReplayReconstructs(t *testing.T) {
 	var log bytes.Buffer
-	wal := NewWAL(New(), &log)
+	orig := New()
+	wal := NewWAL(orig, &log)
 	rng := rand.New(rand.NewSource(1))
 
 	var nodes []NodeID
 	for i := 0; i < 30; i++ {
-		n, err := wal.CreateNode([]string{"A", "B"}[i%2], "All")
-		if err != nil {
+		n := orig.AllocNodeID()
+		if err := wal.CreateNodeAt(n, []string{"A", "B"}[i%2], "All"); err != nil {
 			t.Fatal(err)
 		}
 		nodes = append(nodes, n)
@@ -36,14 +38,11 @@ func TestWALReplayReconstructs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Mix in updates, bools and removals.
+	// Mix in updates and bools.
 	if err := wal.SetNodeProp(nodes[3], "x", IntVal(999)); err != nil {
 		t.Fatal(err)
 	}
 	if err := wal.SetNodeProp(nodes[4], "flag", BoolVal(true)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wal.RemoveNodeProp(nodes[5], "x"); err != nil {
 		t.Fatal(err)
 	}
 	if err := wal.Flush(); err != nil {
@@ -52,17 +51,15 @@ func TestWALReplayReconstructs(t *testing.T) {
 
 	// Crash: rebuild a fresh store purely from the log.
 	rebuilt := New()
-	applied, err := Replay(rebuilt, bytes.NewReader(log.Bytes()))
+	sum, err := ReplayWithSummary(rebuilt, bytes.NewReader(log.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if applied == 0 {
+	if sum.Applied == 0 {
 		t.Fatal("nothing replayed")
 	}
-	orig := wal.DB()
-	if rebuilt.NumNodes() != orig.NumNodes() || rebuilt.NumRels() != orig.NumRels() {
-		t.Fatalf("counts: %d/%d vs %d/%d",
-			rebuilt.NumNodes(), rebuilt.NumRels(), orig.NumNodes(), orig.NumRels())
+	if rebuilt.NumNodes() != orig.NumNodes() {
+		t.Fatalf("nodes: %d vs %d", rebuilt.NumNodes(), orig.NumNodes())
 	}
 	for _, n := range nodes {
 		for _, key := range []string{"x", "name", "flag"} {
@@ -91,7 +88,7 @@ func TestWALTornTailAtEveryOffset(t *testing.T) {
 	writeLog := func(withLast bool) []byte {
 		var log bytes.Buffer
 		wal := NewWAL(New(), &log)
-		if _, err := wal.CreateNode("A"); err != nil {
+		if err := wal.CreateNodeAt(0, "A"); err != nil {
 			t.Fatal(err)
 		}
 		if err := wal.SetNodeProp(0, "k", StrVal("value")); err != nil {
@@ -130,7 +127,7 @@ func TestWALTornTailAtEveryOffset(t *testing.T) {
 func TestWALMidLogCorruptionDetected(t *testing.T) {
 	var log bytes.Buffer
 	wal := NewWAL(New(), &log)
-	wal.CreateNode("A")
+	wal.CreateNodeAt(0, "A")
 	wal.SetNodeProp(0, "k", StrVal("value"))
 	wal.Flush()
 	raw := append([]byte(nil), log.Bytes()...)
@@ -138,7 +135,7 @@ func TestWALMidLogCorruptionDetected(t *testing.T) {
 	// replay must stop with an error rather than apply garbage.
 	raw[6] ^= 0x10
 	rebuilt := New()
-	if _, err := Replay(rebuilt, bytes.NewReader(raw)); err == nil {
+	if _, err := ReplayWithSummary(rebuilt, bytes.NewReader(raw)); err == nil {
 		t.Fatal("mid-log corruption replayed cleanly")
 	}
 }
@@ -146,7 +143,7 @@ func TestWALMidLogCorruptionDetected(t *testing.T) {
 func TestWALCorruptTailDropped(t *testing.T) {
 	var log bytes.Buffer
 	wal := NewWAL(New(), &log)
-	wal.CreateNode("A")
+	wal.CreateNodeAt(0, "A")
 	wal.SetNodeProp(0, "k", StrVal("value"))
 	wal.Flush()
 	raw := append([]byte(nil), log.Bytes()...)
@@ -164,8 +161,9 @@ func TestWALCorruptTailDropped(t *testing.T) {
 func TestWALDeleteNodeRoundTrip(t *testing.T) {
 	var log bytes.Buffer
 	wal := NewWAL(New(), &log)
-	a, _ := wal.CreateNode("Station")
-	b, _ := wal.CreateNode("Station")
+	a, b := NodeID(0), NodeID(1)
+	wal.CreateNodeAt(a, "Station")
+	wal.CreateNodeAt(b, "Station")
 	if _, err := wal.CreateRel(a, b, "TRIP"); err != nil {
 		t.Fatal(err)
 	}
@@ -176,11 +174,13 @@ func TestWALDeleteNodeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	rebuilt := New()
-	if _, err := Replay(rebuilt, bytes.NewReader(log.Bytes())); err != nil {
+	if _, err := ReplayWithSummary(rebuilt, bytes.NewReader(log.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if rebuilt.NumNodes() != 1 || rebuilt.NumRels() != 0 {
-		t.Fatalf("nodes=%d rels=%d after replayed delete", rebuilt.NumNodes(), rebuilt.NumRels())
+	rels := 0
+	rebuilt.Rels(a, func(Rel) bool { rels++; return true })
+	if rebuilt.NumNodes() != 1 || rels != 0 {
+		t.Fatalf("nodes=%d rels=%d after replayed delete", rebuilt.NumNodes(), rels)
 	}
 	if got := len(rebuilt.NodesByLabel("Station")); got != 1 {
 		t.Fatalf("label index has %d entries", got)
@@ -198,7 +198,8 @@ func TestRecoverSnapshotPlusLog(t *testing.T) {
 	}
 	var log bytes.Buffer
 	wal := NewWAL(base, &log)
-	m, _ := wal.CreateNode("B")
+	m := base.AllocNodeID()
+	wal.CreateNodeAt(m, "B")
 	wal.SetNodeProp(m, "y", IntVal(2))
 	wal.Flush()
 
@@ -240,12 +241,90 @@ func TestWALWriteErrorFailsFast(t *testing.T) {
 	wal := NewWAL(New(), &errWriter{n: 4})
 	// Writes buffer 4096 bytes, so force the failure through Flush.
 	for i := 0; i < 2000; i++ {
-		wal.CreateNode("A")
+		wal.CreateNodeAt(NodeID(i), "A")
 	}
 	if err := wal.Flush(); err == nil {
 		t.Fatal("flush on failing writer succeeded")
 	}
 	if err := wal.SetNodeProp(0, "k", IntVal(1)); err == nil {
 		t.Fatal("mutation after write error accepted")
+	}
+}
+
+// everyOpcodeLog is a log holding one record of every opcode replay
+// decodes, built payload by payload. The id-less creates and the property
+// removal are what logs of earlier builds hold: no WAL verb writes them
+// any more, and replay must keep applying them.
+func everyOpcodeLog(tb testing.TB) []byte {
+	tb.Helper()
+	rec := func(op byte, ids ...uint64) []byte {
+		buf := []byte{op}
+		for _, id := range ids {
+			buf = binary.AppendUvarint(buf, id)
+		}
+		return buf
+	}
+	records := [][]byte{
+		putString(putString(rec(opCreateNode, 2), "A"), "B"), // node 0
+		putString(rec(opCreateNodeAt, 5, 1), "C"),            // node 5
+		putString(rec(opCreateRel, 0, 5), "T"),               // rel 0
+		putString(rec(opCreateRelAt, 3, 5, 0), "U"),          // rel 3
+		putValue(putString(rec(opSetNodeProp, 0), "x"), IntVal(7)),
+		putValue(putString(rec(opSetNodeProp, 0), "s"), StrVal("str")),
+		putValue(putString(rec(opSetRelProp, 3), "w"), FloatVal(2.5)),
+		putString(rec(opRemoveNodeProp, 0), "x"),
+		putString(rec(opCreateNodeAt, 6, 1), "C"), // node 6
+		putValue(putString(rec(opSetNodeProp, 6), "b"), BoolVal(true)),
+		rec(opDeleteNode, 6),
+	}
+	var log bytes.Buffer
+	wal := NewWAL(New(), &log)
+	for _, r := range records {
+		if err := wal.commit(r); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := wal.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	return log.Bytes()
+}
+
+// Every opcode's replay arm applies its record, the legacy ones included.
+func TestWALReplaysEveryOpcode(t *testing.T) {
+	db := New()
+	sum, err := ReplayWithSummary(db, bytes.NewReader(everyOpcodeLog(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Applied != 11 {
+		t.Fatalf("applied %d records, want 11", sum.Applied)
+	}
+	if got := db.NodesByLabel("B"); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("id-less create: B = %v", got)
+	}
+	if got := db.NodesByLabel("C"); len(got) != 1 || got[0] != 5 {
+		t.Fatalf("explicit-id create and delete: C = %v", got)
+	}
+	if db.NodeExists(6) || db.NumNodes() != 2 {
+		t.Fatalf("deleted node 6 survives: %d nodes", db.NumNodes())
+	}
+	if _, ok := db.NodeProp(0, "x"); ok {
+		t.Fatal("removed property survives")
+	}
+	if v, ok := db.NodeProp(0, "s"); !ok || v.S != "str" {
+		t.Fatalf("s = %v %v", v, ok)
+	}
+	if v, ok := db.RelProp(3, "w"); !ok || v.F != 2.5 {
+		t.Fatalf("w = %v %v", v, ok)
+	}
+	var rels []Rel
+	db.Rels(0, func(r Rel) bool { rels = append(rels, r); return true })
+	want := []Rel{{ID: 3, From: 5, To: 0, Type: "U"}, {ID: 0, From: 0, To: 5, Type: "T"}}
+	if fmt.Sprint(rels) != fmt.Sprint(want) {
+		t.Fatalf("rels of node 0 = %v, want %v", rels, want)
+	}
+	if id := db.AllocNodeID(); id != 7 {
+		t.Fatalf("allocator after replay at %d, want 7", id)
 	}
 }

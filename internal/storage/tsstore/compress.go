@@ -324,7 +324,7 @@ func (c *blockCursor) next() error {
 
 // decodeChunk inflates a block produced by encodeChunk into freshly
 // allocated slices. Corrupt input returns an error, never a panic — blocks
-// also arrive from snapshots and spill files.
+// also arrive from snapshots.
 func decodeChunk(block []byte) ([]ts.Time, []float64, error) {
 	n, cur, err := openBlock(block)
 	if err != nil {

@@ -113,7 +113,7 @@ func TestCodecCompressesRegularGrid(t *testing.T) {
 }
 
 // Corrupt blocks must come back as errors, never panics or giant
-// allocations — blocks arrive from snapshots and spill files.
+// allocations — blocks arrive from snapshots.
 func TestDecodeCorruptBlocks(t *testing.T) {
 	good := encodeChunk([]ts.Time{1, 2, 3}, []float64{1, 2, 3})
 	for cut := 0; cut < len(good); cut++ {

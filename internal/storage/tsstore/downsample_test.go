@@ -21,9 +21,9 @@ func fuzzValue(b byte) float64 {
 }
 
 // FuzzDownsample drives a store through tail appends, upserts, out-of-order
-// writes, NaN points, batch loads, deletes, chunk seals (one-hour chunks, so
-// cursor moves seal constantly) and cold-tier spills decoded from the fuzz
-// bytes, then checks one window on both series:
+// writes, NaN points, batch loads, deletes and chunk seals (one-hour chunks,
+// so cursor moves seal constantly) decoded from the fuzz bytes, then checks
+// one window on both series:
 //
 //   - RangeSeries holds exactly the points of a map model of the writes;
 //   - Downsample equals RangeSeries(...).Resample(bucket, agg) bit for bit,
@@ -32,8 +32,8 @@ func fuzzValue(b byte) float64 {
 //     resamples joined on shared buckets.
 //
 // Each operation is two bytes, an opcode and an argument. The opcode's low
-// bit picks the series, the next three bits the operation and the high four
-// bits the value written.
+// bit picks the series, the next three bits the operation (five of the
+// eight are a tail append) and the high four bits the value written.
 func FuzzDownsample(f *testing.F) {
 	// A seed history of every operation: about 12 hours of points per
 	// series from the origin, with one early delete that its series refills.
@@ -49,10 +49,8 @@ func FuzzDownsample(f *testing.F) {
 			op |= (r % 4) << 1
 		case r < 13:
 			op, arg = op|4<<1, rnd()
-		case r < 15:
-			op |= 5 << 1
 		default:
-			op |= 7 << 1
+			op |= 5 << 1
 		}
 		ops = append(ops, op, arg)
 	}
@@ -61,21 +59,17 @@ func FuzzDownsample(f *testing.F) {
 		f.Add(ops, int64(w.start), int64(w.end), int64(w.bucket), uint8(w.agg))
 		f.Add(ops, int64(w.start-2*ts.Hour), int64(w.end), int64(w.bucket), uint8(w.agg))
 	}
-	// Inputs run one at a time per process, so they share one spill
-	// directory; EnableColdTier truncates the spill file it reopens.
-	spillDir := f.TempDir()
 	f.Fuzz(func(t *testing.T, ops []byte, start, end, bucket int64, agg uint8) {
 		const origin = -3 * ts.Hour
 		keys := []SeriesKey{{Entity: 1, Metric: "avail"}, {Entity: 2, Metric: "avail"}}
-		db := NewSharded(ts.Hour, 1) // one stripe: one spill file to open
+		db := NewSharded(ts.Hour, 1)
 		model := map[SeriesKey]map[ts.Time]float64{keys[0]: {}, keys[1]: {}}
 		head := map[SeriesKey]ts.Time{keys[0]: origin, keys[1]: origin}
-		tiered := false
 		for i := 0; i+1 < len(ops) && i < 512; i += 2 {
 			op, arg := ops[i], ts.Time(ops[i+1])
 			k, v := keys[op&1], fuzzValue(op>>4)
 			switch (op >> 1) & 7 {
-			case 0, 1, 2, 3: // tail append
+			case 0, 1, 2, 3, 7: // tail append
 				head[k] += (1 + arg) * 6 * ts.Second
 				db.Insert(k, head[k], v)
 				model[k][head[k]] = v
@@ -96,17 +90,6 @@ func FuzzDownsample(f *testing.F) {
 				db.DeleteSeries(k)
 				model[k] = map[ts.Time]float64{}
 				head[k] = origin
-			case 7: // spill every sealed block to the cold tier
-				if !tiered {
-					if err := db.EnableColdTier(spillDir); err != nil {
-						t.Fatal(err)
-					}
-					defer db.CloseColdTier()
-					tiered = true
-				}
-				if _, err := db.Spill(); err != nil {
-					t.Fatal(err)
-				}
 			}
 		}
 		lo, hi, width := ts.Time(start%int64(24*ts.Hour)), ts.Time(end%int64(24*ts.Hour)), ts.Time(bucket%int64(3*ts.Hour))

@@ -7,10 +7,9 @@ import "hygraph/internal/obs"
 type storeObs struct {
 	reads  *obs.Counter // read-path entry points (range scans, aggregates, downsamples)
 	writes *obs.Counter // mutations (inserts, bulk loads, deletes)
-	// Compression/tiering lifecycle counters (see docs/STORAGE.md).
+	// Compression lifecycle counters (see docs/STORAGE.md).
 	seals    *obs.Counter // open chunks encoded into immutable blocks
 	inflates *obs.Counter // sealed chunks decoded back to raw for mutation
-	spills   *obs.Counter // compressed blocks evicted to spill files
 }
 
 // Instrument attaches metric handles from r to the store. Call it once,
@@ -23,7 +22,6 @@ func (db *DB) Instrument(r *obs.Registry) {
 		writes:   r.Counter("tsstore.writes"),
 		seals:    r.Counter("tsstore.compress.seals"),
 		inflates: r.Counter("tsstore.compress.inflates"),
-		spills:   r.Counter("tsstore.compress.spills"),
 	}
 }
 

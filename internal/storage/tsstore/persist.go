@@ -43,9 +43,7 @@ const snapPrealloc = 1 << 12
 // Save writes a binary snapshot of the store. Keys are emitted in merged
 // first-insertion order (one short read lock per shard while walking each
 // key's series), so the on-disk layout is byte-identical regardless of the
-// shard count and Load reproduces the same iteration order. Spilled chunks
-// are read back from the spill file so the snapshot is self-contained —
-// recovery never needs the cold tier.
+// shard count and Load reproduces the same iteration order.
 func (db *DB) Save(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(snapshotMagic); err != nil {
@@ -60,17 +58,14 @@ func (db *DB) Save(w io.Writer) error {
 		writeUvarint(bw, uint64(key.Entity))
 		writeUvarint(bw, uint64(len(key.Metric)))
 		bw.WriteString(key.Metric) //hyvet:allow walerrlatch bufio.Writer latches its first error; the checked Flush at the end reports it
-		if err := db.saveSeries(bw, key); err != nil {
-			return err
-		}
+		db.saveSeries(bw, key)
 	}
 	return bw.Flush()
 }
 
 // saveSeries writes one series' chunk payloads under its shard's read lock.
-// The only error it can surface itself is a failed spill read-back; bufio
-// write errors latch and come out of Save's Flush.
-func (db *DB) saveSeries(bw *bufio.Writer, key SeriesKey) error {
+// bufio write errors latch and come out of Save's Flush.
+func (db *DB) saveSeries(bw *bufio.Writer, key SeriesKey) {
 	sh := db.shard(key)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -79,24 +74,19 @@ func (db *DB) saveSeries(bw *bufio.Writer, key SeriesKey) error {
 		// Deleted since the key snapshot: persist as an empty series. Load
 		// skips zero-chunk keys, so the delete survives the round trip.
 		writeUvarint(bw, 0)
-		return nil
+		return
 	}
 	writeUvarint(bw, uint64(len(s.chunks)))
 	for _, c := range s.chunks {
 		writeVarint(bw, c.slot)
 		if c.sealed() {
-			block, err := sh.blockBytes(db, c)
-			if err != nil {
-				db.deg.set(err)
-				return fmt.Errorf("tsstore: save %v slot %d: %w", key, c.slot, err)
-			}
 			bw.WriteByte(chunkFormCompressed) //hyvet:allow walerrlatch bufio.Writer latches its first error; Save's checked Flush reports it
 			writeUvarint(bw, uint64(c.n))
 			writeFloatBits(bw, c.sum)
 			writeFloatBits(bw, c.minV)
 			writeFloatBits(bw, c.maxV)
-			writeUvarint(bw, uint64(len(block)))
-			bw.Write(block) //hyvet:allow walerrlatch bufio.Writer latches its first error; Save's checked Flush reports it
+			writeUvarint(bw, uint64(len(c.enc)))
+			bw.Write(c.enc) //hyvet:allow walerrlatch bufio.Writer latches its first error; Save's checked Flush reports it
 			continue
 		}
 		bw.WriteByte(chunkFormRaw) //hyvet:allow walerrlatch bufio.Writer latches its first error; Save's checked Flush reports it
@@ -114,7 +104,6 @@ func (db *DB) saveSeries(bw *bufio.Writer, key SeriesKey) error {
 			writeFloatBits(bw, v)
 		}
 	}
-	return nil
 }
 
 // Load reads a snapshot written by Save (version 1 or 2). Raw-chunk

@@ -25,13 +25,12 @@ type SeriesKey struct {
 }
 
 // chunk holds the points of one series within one time slot. A chunk is in
-// exactly one of three states (docs/STORAGE.md):
+// exactly one of two states (docs/STORAGE.md):
 //
 //	open       times/vals non-nil — the mutable raw layout
 //	compressed enc non-nil — sealed into an immutable block (compress.go)
-//	spilled    spill non-nil — the block lives in the shard's spill file
 //
-// The summary (n/sum/minV/maxV) is kept hot in every state, so aggregation
+// The summary (n/sum/minV/maxV) is kept hot in both states, so aggregation
 // pushdown over fully covered chunks never touches a compressed payload.
 //
 // Summary semantics: minV/maxV range over the chunk's non-NaN values only
@@ -43,13 +42,12 @@ type chunk struct {
 	slot  int64 // slot index = floor(time / chunkWidth)
 	times []ts.Time
 	vals  []float64
-	enc   []byte    // compressed block when sealed in memory
-	spill *spillRef // block location in the spill file when evicted
-	// idx is the sub-slot index of an in-memory sealed block (compress.go),
-	// built on the chunk's first scan, edge fold or Span and published
+	enc   []byte // compressed block when sealed
+	// idx is the sub-slot index of a sealed block (compress.go), built on
+	// the chunk's first scan, edge fold or Span and published
 	// atomically, so readers under the shard's read lock can fill it. It is
 	// derived from enc and never evicted: it is cleared exactly where enc is
-	// replaced or dropped (inflate, spill).
+	// dropped (inflate).
 	idx atomic.Pointer[subSlotIndex]
 	// summary
 	n    int
@@ -62,9 +60,9 @@ func newChunk(slot int64) *chunk {
 	return &chunk{slot: slot, minV: math.Inf(1), maxV: math.Inf(-1)}
 }
 
-// sealed reports whether the payload is compressed (in memory or spilled).
-// A freshly created chunk has no payload in either form and counts as open.
-func (c *chunk) sealed() bool { return c.enc != nil || c.spill != nil }
+// sealed reports whether the payload is compressed. A freshly created chunk
+// has no block yet and counts as open.
+func (c *chunk) sealed() bool { return c.enc != nil }
 
 // add inserts into an open chunk; sealed chunks must be inflated first.
 func (c *chunk) add(t ts.Time, v float64) {
@@ -172,7 +170,6 @@ func (s *series) chunkFor(slot int64, create bool) *chunk {
 // *Locked suffix assume the caller holds mu (read or write as appropriate).
 type tsShard struct {
 	mu   sync.RWMutex
-	idx  int // this stripe's index, for tier spill-file addressing
 	data map[SeriesKey]*series
 	keys []SeriesKey // insertion order within the shard
 	seqs []uint64    // global insertion sequence per key, for merged iteration
@@ -199,13 +196,9 @@ type DB struct {
 	// the store is shared.
 	compress bool
 
-	// tier is the optional cold tier (tier.go): sealed blocks evicted to
-	// per-shard spill files by Spill(). Nil until EnableColdTier.
-	tier *tier
-
-	// deg latches the first permanent storage error (corrupt block, spill
-	// read failure). Scans return no points for the affected chunk; callers
-	// observe the condition via Err().
+	// deg latches the first permanent storage error (a corrupt block).
+	// Scans return no points for the affected chunk; callers observe the
+	// condition via Err().
 	deg errLatch
 
 	obs storeObs // metric handles; zero value = instrumentation off
@@ -265,9 +258,7 @@ func NewSharded(chunkWidth ts.Time, shards int) *DB {
 		compress:   true,
 	}
 	for i := range db.shards {
-		sh := &db.shards[i]
-		sh.idx = i
-		sh.data = map[SeriesKey]*series{}
+		db.shards[i].data = map[SeriesKey]*series{}
 	}
 	return db
 }
@@ -278,10 +269,10 @@ func NewSharded(chunkWidth ts.Time, shards int) *DB {
 // storage benchmark and the differential battery compare against.
 func (db *DB) SetCompress(on bool) { db.compress = on }
 
-// Err returns the first permanent storage error the store latched (corrupt
-// compressed block, spill-file read failure). While non-nil, scans over the
-// affected chunks return no points and writes into them are dropped; callers
-// should treat the store as degraded (ttdb surfaces this as ErrDegraded).
+// Err returns the first permanent storage error the store latched (a
+// corrupt compressed block). While non-nil, scans over the affected chunks
+// return no points and writes into them are dropped; callers should treat
+// the store as degraded (ttdb surfaces this as ErrDegraded).
 func (db *DB) Err() error { return db.deg.get() }
 
 // NumShards returns the lock-stripe count.
@@ -324,9 +315,8 @@ func (db *DB) HasSeries(key SeriesKey) bool {
 }
 
 // Span reports the times of a series' first and last point; ok is false when
-// the key holds none. Only the two outermost chunks are looked at: an
-// in-memory sealed one answers from its sub-slot index, and only a spilled
-// one is read back and decoded. So a caller that needs to know
+// the key holds none. Only the two outermost chunks are looked at, and a
+// sealed one answers from its sub-slot index. So a caller that needs to know
 // whether a series covers an instant does not pay for a range read.
 func (db *DB) Span(key SeriesKey) (first, last ts.Time, ok bool) {
 	sh := db.shard(key)
@@ -336,29 +326,28 @@ func (db *DB) Span(key SeriesKey) (first, last ts.Time, ok bool) {
 	if !found || len(s.chunks) == 0 {
 		return 0, 0, false
 	}
-	first, _, okHead := sh.chunkBounds(db, s.chunks[0])
-	_, last, okTail := sh.chunkBounds(db, s.chunks[len(s.chunks)-1])
+	first, _, okHead := db.chunkBounds(s.chunks[0])
+	_, last, okTail := db.chunkBounds(s.chunks[len(s.chunks)-1])
 	return first, last, okHead && okTail
 }
 
 // chunkBounds returns the times of a chunk's first and last point; ok is
-// false when it yields none. Callers hold the lock (either side).
-func (sh *tsShard) chunkBounds(db *DB, c *chunk) (first, last ts.Time, ok bool) {
-	if c.enc != nil {
+// false when it yields none. Callers hold the shard's lock (either side).
+func (db *DB) chunkBounds(c *chunk) (first, last ts.Time, ok bool) {
+	if c.sealed() {
 		x := db.index(c)
 		if x == nil || x.n == 0 {
 			return 0, 0, false
 		}
 		return x.t[0], x.last, true
 	}
-	times, _ := sh.chunkPoints(db, c)
-	if len(times) == 0 {
+	if len(c.times) == 0 {
 		return 0, 0, false
 	}
-	return times[0], times[len(times)-1], true
+	return c.times[0], c.times[len(c.times)-1], true
 }
 
-// index returns an in-memory sealed chunk's sub-slot index, building and
+// index returns a sealed chunk's sub-slot index, building and
 // publishing it on first use. Concurrent readers may race to build it; the
 // second store overwrites the first with an identical index. A block that
 // fails validation latches the error and yields nil. Callers hold the
@@ -477,68 +466,29 @@ func (sh *tsShard) sealLocked(db *DB, c *chunk) {
 }
 
 // inflateLocked restores a sealed chunk's raw layout so it can be mutated,
-// reading the block back from memory or the spill file and dropping its
-// sub-slot index (it is about to go stale). It reports false — with the
-// error latched — when the payload cannot be recovered. Callers hold the
-// write lock.
+// decoding its block and dropping its sub-slot index (it is about to go
+// stale). It reports false — with the error latched — when the block does
+// not decode. Callers hold the write lock.
 func (sh *tsShard) inflateLocked(db *DB, c *chunk) bool {
 	if !c.sealed() {
 		return true
 	}
-	block, err := sh.blockBytes(db, c)
-	if err != nil {
-		db.deg.set(err)
-		return false
-	}
-	times, vals, err := decodeChunk(block)
+	times, vals, err := decodeChunk(c.enc)
 	if err != nil {
 		db.deg.set(err)
 		return false
 	}
 	c.times, c.vals = times, vals
-	c.enc, c.spill = nil, nil
+	c.enc = nil
 	c.idx.Store(nil)
 	db.obs.inflates.Inc()
 	return true
 }
 
-// blockBytes returns a sealed chunk's compressed payload, reading through to
-// the spill file for evicted blocks. Callers hold the lock (either side).
-func (sh *tsShard) blockBytes(db *DB, c *chunk) ([]byte, error) {
-	if c.enc != nil {
-		return c.enc, nil
-	}
-	if c.spill == nil {
-		return nil, fmt.Errorf("tsstore: sealed chunk slot %d has no payload", c.slot)
-	}
-	return db.tier.read(sh.idx, c.spill)
-}
-
-// chunkPoints returns the points of an open chunk, or of a spilled one read
-// back from the spill file and decoded into fresh slices. An open chunk's
-// slices are its own — callers must treat them as read-only. In-memory
-// sealed chunks never come here: scans and aggregates walk them through
-// the sub-slot index. Callers hold the lock (either side); a payload that
-// cannot be recovered latches the error and yields no points.
-func (sh *tsShard) chunkPoints(db *DB, c *chunk) ([]ts.Time, []float64) {
-	if !c.sealed() {
-		return c.times, c.vals
-	}
-	block, err := sh.blockBytes(db, c)
-	if err != nil {
-		db.deg.set(err)
-		return nil, nil
-	}
-	times, vals, err := decodeChunk(block)
-	if err != nil {
-		db.deg.set(err)
-		return nil, nil
-	}
-	return times, vals
-}
-
 // InsertSeries bulk-loads a whole series under the key, exactly as the
-// equivalent sequence of Inserts would.
+// equivalent sequence of Inserts would. The source is in time order, so it
+// is walked one slot's run of points at a time, and a chunk the run creates
+// is sized for the run up front instead of growing point by point.
 func (db *DB) InsertSeries(key SeriesKey, src *ts.Series) {
 	db.obs.writes.Inc()
 	n := src.Len()
@@ -549,8 +499,19 @@ func (db *DB) InsertSeries(key SeriesKey, src *ts.Series) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	s := sh.seriesLocked(db, key)
-	for i := 0; i < n; i++ {
-		sh.insertLocked(db, s, src.TimeAt(i), src.ValueAt(i))
+	for i := 0; i < n; {
+		slot := db.slotOf(src.TimeAt(i))
+		end := i + 1
+		for end < n && db.slotOf(src.TimeAt(end)) == slot {
+			end++
+		}
+		if s.chunkFor(slot, false) == nil {
+			c := s.chunkFor(slot, true)
+			c.times, c.vals = make([]ts.Time, 0, end-i), make([]float64, 0, end-i)
+		}
+		for ; i < end; i++ {
+			sh.insertLocked(db, s, src.TimeAt(i), src.ValueAt(i))
+		}
 	}
 }
 
@@ -601,9 +562,9 @@ func (sh *tsShard) rangeSeriesLocked(db *DB, key SeriesKey, start, end ts.Time) 
 }
 
 // scanRangeLocked visits points in [start, end), locating the first chunk by
-// binary search. An in-memory sealed chunk streams its points from the last
-// sub-slot checkpoint at or before start (scanSealed); open and spilled
-// chunks locate the range by binary search over their points.
+// binary search. A sealed chunk streams its points from the last sub-slot
+// checkpoint at or before start (scanSealed); an open chunk locates the
+// range by binary search over its points.
 func (sh *tsShard) scanRangeLocked(db *DB, key SeriesKey, start, end ts.Time, fn func(ts.Time, float64)) {
 	s, ok := sh.data[key]
 	if !ok || start >= end {
@@ -613,19 +574,18 @@ func (sh *tsShard) scanRangeLocked(db *DB, key SeriesKey, start, end ts.Time, fn
 	i := sort.Search(len(s.chunks), func(i int) bool { return s.chunks[i].slot >= loSlot })
 	for ; i < len(s.chunks) && s.chunks[i].slot <= hiSlot; i++ {
 		c := s.chunks[i]
-		if c.enc != nil {
+		if c.sealed() {
 			db.scanSealed(c, start, end, fn)
 			continue
 		}
-		times, vals := sh.chunkPoints(db, c)
-		lo := sort.Search(len(times), func(j int) bool { return times[j] >= start })
-		for j := lo; j < len(times) && times[j] < end; j++ {
-			fn(times[j], vals[j])
+		lo := sort.Search(len(c.times), func(j int) bool { return c.times[j] >= start })
+		for j := lo; j < len(c.times) && c.times[j] < end; j++ {
+			fn(c.times[j], c.vals[j])
 		}
 	}
 }
 
-// scanSealed visits the points of an in-memory sealed chunk that lie in
+// scanSealed visits the points of a sealed chunk that lie in
 // [start, end) through its sub-slot index: it decodes in place from the
 // checkpoint at or before start and stops at the first point at or past
 // end, allocating nothing once the index exists.
@@ -770,15 +730,12 @@ func (sh *tsShard) aggregateLocked(db *DB, key SeriesKey, start, end ts.Time) Su
 			// Pushdown: the whole chunk is inside the range. Only the hot
 			// summary is read — never the (possibly compressed) payload.
 			out.add(c.n, c.sum, c.minV, c.maxV)
-		case c.enc != nil:
+		case c.sealed():
 			db.foldEdge(c, start, end, &out)
 		default:
-			// Open chunks fold their raw points; spilled ones are read back
-			// and decoded.
-			times, vals := sh.chunkPoints(db, c)
-			lo := sort.Search(len(times), func(j int) bool { return times[j] >= start })
-			for j := lo; j < len(times) && times[j] < end; j++ {
-				v := vals[j]
+			lo := sort.Search(len(c.times), func(j int) bool { return c.times[j] >= start })
+			for j := lo; j < len(c.times) && c.times[j] < end; j++ {
+				v := c.vals[j]
 				out.add(1, v, v, v)
 			}
 		}
@@ -786,7 +743,7 @@ func (sh *tsShard) aggregateLocked(db *DB, key SeriesKey, start, end ts.Time) Su
 	return normalize(out)
 }
 
-// foldEdge folds the points of an in-memory sealed edge chunk that lie in
+// foldEdge folds the points of a sealed edge chunk that lie in
 // [start, end) through its sub-slot index: a sub-slot wholly inside the
 // window folds its summary, and one that straddles a window bound decodes
 // from its checkpoint. At most one sub-slot per bound decodes, and nothing
@@ -925,11 +882,10 @@ func (db *DB) CorrelateResampled(a, b SeriesKey, start, end, bucket ts.Time) flo
 }
 
 // Stats describes storage shape for capacity reports. MemBytes counts
-// payload bytes resident in memory: 16 per point for open chunks (8 time +
-// 8 value), the block length for compressed chunks, nothing for spilled ones
-// (their blocks live in the tier's files). The hot per-chunk summaries are a
-// few dozen bytes per chunk in every state, plus a 256-byte sub-slot index
-// on each in-memory sealed chunk once it has been read.
+// payload bytes: 16 per point for open chunks (8 time + 8 value) and the
+// block length for compressed chunks. The hot per-chunk summaries are a few
+// dozen bytes per chunk in both states, plus a 256-byte sub-slot index on
+// each sealed chunk once it has been read.
 type Stats struct {
 	Series int
 	Chunks int
@@ -937,7 +893,6 @@ type Stats struct {
 
 	OpenChunks       int
 	CompressedChunks int
-	SpilledChunks    int
 	MemBytes         int64
 }
 
@@ -952,15 +907,12 @@ func (db *DB) Stats() Stats {
 			st.Chunks += len(s.chunks)
 			for _, c := range s.chunks {
 				st.Points += c.n
-				switch {
-				case !c.sealed():
-					st.OpenChunks++
-					st.MemBytes += 16 * int64(len(c.times))
-				case c.enc != nil:
+				if c.sealed() {
 					st.CompressedChunks++
 					st.MemBytes += int64(len(c.enc))
-				default:
-					st.SpilledChunks++
+				} else {
+					st.OpenChunks++
+					st.MemBytes += 16 * int64(len(c.times))
 				}
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"hygraph/internal/obs"
 	"hygraph/internal/ts"
 )
 
@@ -309,19 +310,42 @@ func TestSpan(t *testing.T) {
 	check("open and sealed chunks", 30, 999)
 	db.Insert(k(1), 250, 1) // reopens slot 2, sealing the tail chunk
 	check("sealed head and tail", 30, 999)
-	if err := db.EnableColdTier(t.TempDir()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Spill(); err != nil {
-		t.Fatal(err)
-	}
-	check("spilled head chunk", 30, 999)
 	db.Insert(k(1), -5, 1)
 	db.Insert(k(1), 1200, 1)
 	check("extended on both ends", -5, 1200)
 	db.DeleteSeries(k(1))
 	if _, _, ok := db.Span(k(1)); ok {
 		t.Fatal("span of a deleted series")
+	}
+}
+
+// Writing into a sealed slot must inflate its block, apply the write, and
+// keep the point and the chunk summary visible to queries.
+func TestWriteIntoSealedChunkInflates(t *testing.T) {
+	db := NewSharded(100, 2)
+	for i := 0; i < 1000; i++ {
+		db.Insert(k(1), ts.Time(i*10), float64(i%50))
+	}
+	reg := obs.New()
+	db.Instrument(reg)
+	db.Insert(k(1), 5, 999) // t=5 lives in the first slot, sealed long ago
+	if reg.Snapshot().Counters["tsstore.compress.inflates"] == 0 {
+		t.Fatal("write into a sealed slot did not inflate")
+	}
+	found := false
+	for _, p := range db.Range(k(1), 0, 10) {
+		if p.T == 5 && p.V == 999 {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("inserted point missing after inflate: %+v", db.Range(k(1), 0, 10))
+	}
+	if s := db.Aggregate(k(1), 0, 100); s.Max != 999 {
+		t.Fatalf("summary not updated after inflate: %+v", s)
+	}
+	if db.Err() != nil {
+		t.Fatalf("store degraded: %v", db.Err())
 	}
 }
 

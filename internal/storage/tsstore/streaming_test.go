@@ -28,7 +28,7 @@ func sameResample(a, b *ts.Series) bool {
 }
 
 // streamChecker drives one store through random interleavings of
-// append/upsert/out-of-order/delete/seal/spill and asserts, at every
+// append/upsert/out-of-order/delete/seal and asserts, at every
 // checkpoint, that each Downsample answer equals a from-scratch
 // resample of the same window — element-wise, with the 1e-9 tolerance the
 // battery promises (the implementation is in fact bit-exact).
@@ -80,7 +80,8 @@ var streamWindows = []streamWindow{
 // battery at the store level: the read-time fold must equal from-scratch
 // recomputation under random interleavings of tail appends,
 // upserts, out-of-order writes, series deletes, chunk seals (implicit in
-// cursor movement), cold-tier spills, and Save/Load round-trips.
+// cursor movement), writes that reinflate long-sealed chunks, and Save/Load
+// round-trips.
 func TestStreamingDifferentialInterleavings(t *testing.T) {
 	keys := []SeriesKey{
 		{Entity: 1, Metric: "avail"},
@@ -91,9 +92,6 @@ func TestStreamingDifferentialInterleavings(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		rng := rand.New(rand.NewSource(int64(4000 + trial)))
 		db := New(ts.Hour) // 1h chunks: cursor moves seal constantly
-		if err := db.EnableColdTier(t.TempDir()); err != nil {
-			t.Fatal(err)
-		}
 		heads := map[SeriesKey]ts.Time{}
 		for op := 0; op < 250; op++ {
 			k := keys[rng.Intn(len(keys))]
@@ -104,10 +102,8 @@ func TestStreamingDifferentialInterleavings(t *testing.T) {
 			case 1: // delete, then let later ops rebuild
 				db.DeleteSeries(k)
 				heads[k] = 0
-			case 2: // spill sealed blocks to the cold tier
-				if _, err := db.Spill(); err != nil {
-					t.Fatal(err)
-				}
+			case 2: // write into the first hour, reinflating its sealed chunk
+				db.Insert(k, ts.Time(rng.Intn(int(ts.Hour))), rng.Float64()*100)
 			case 3: // batch load
 				batch := ts.New("b")
 				for i := 0; i < 8; i++ {

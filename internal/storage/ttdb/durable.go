@@ -180,9 +180,6 @@ func (d *DurablePolyglot) SetGroupCommit(n int) {
 // Engine exposes the wrapped engine for direct (non-durable) reads.
 func (d *DurablePolyglot) Engine() *Polyglot { return d.eng }
 
-// Name identifies the engine in reports.
-func (d *DurablePolyglot) Name() string { return "ttdb-durable" }
-
 // SetWorkers sets the Q4–Q8 fan-out width of the wrapped engine. Since the
 // move to explicit id reservation (AllocNodeID) and group-committed logs,
 // ingest is concurrency-safe too: any number of IngestStation/AppendPoint

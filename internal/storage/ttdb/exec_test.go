@@ -24,6 +24,8 @@ import (
 // the coordinator does: an ingest with an empty series that LoadSeries fills.
 type durableEngine struct{ *DurablePolyglot }
 
+func (durableEngine) Name() string { return "ttdb-durable" }
+
 func (d durableEngine) AddStation(name, district string) (StationID, error) {
 	return d.IngestStation(name, district, ts.New(Metric))
 }

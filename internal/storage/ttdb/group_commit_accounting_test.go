@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"hygraph/internal/obs"
+	"hygraph/internal/storage/graphstore"
+	"hygraph/internal/storage/tsstore"
 	"hygraph/internal/ts"
 )
 
@@ -20,7 +22,7 @@ func TestGroupCommitWALAccounting(t *testing.T) {
 		perWriter = 200
 	)
 	var dk disk
-	d := ResumeDurable(NewPolyglotSharded(ts.Day, 4), &dk.graphLog, &dk.tsLog, &dk.journal, 0)
+	d := ResumeDurable(&Polyglot{G: graphstore.NewSharded(4), T: tsstore.NewSharded(ts.Day, 4)}, &dk.graphLog, &dk.tsLog, &dk.journal, 0)
 	d.SetGroupCommit(8)
 	reg := obs.New()
 	d.Instrument(reg)

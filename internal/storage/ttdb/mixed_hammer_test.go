@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 
+	"hygraph/internal/storage/graphstore"
+	"hygraph/internal/storage/tsstore"
 	"hygraph/internal/ts"
 )
 
@@ -22,7 +24,7 @@ func TestGroupCommitIngestQueryHammer(t *testing.T) {
 		perWriter = 150
 	)
 	var dk disk
-	eng := NewPolyglotSharded(ts.Day, 8)
+	eng := &Polyglot{G: graphstore.NewSharded(8), T: tsstore.NewSharded(ts.Day, 8)}
 	d := ResumeDurable(eng, &dk.graphLog, &dk.tsLog, &dk.journal, 0)
 	d.Retry = RetryPolicy{MaxAttempts: 3}
 	d.SetGroupCommit(16)

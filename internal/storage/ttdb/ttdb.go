@@ -281,13 +281,6 @@ func NewPolyglot(chunkWidth ts.Time) *Polyglot {
 	return &Polyglot{G: graphstore.New(), T: tsstore.New(chunkWidth)}
 }
 
-// NewPolyglotSharded is NewPolyglot with an explicit lock-stripe count for
-// both stores. shards <= 1 collapses to the single-stripe configuration —
-// the pre-striping baseline the mixed throughput benchmark compares against.
-func NewPolyglotSharded(chunkWidth ts.Time, shards int) *Polyglot {
-	return &Polyglot{G: graphstore.NewSharded(shards), T: tsstore.NewSharded(chunkWidth, shards)}
-}
-
 // Name implements Engine.
 func (p *Polyglot) Name() string { return "ttdb" }
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"hygraph/internal/storage/graphstore"
 	"hygraph/internal/ts"
 )
 
@@ -166,7 +167,9 @@ func TestAllInGraphPropertyExplosion(t *testing.T) {
 	if err := neo.LoadSeries(st, s); err != nil {
 		t.Fatal(err)
 	}
-	if got := neo.G.NodePropCount(st); got != n+2 { // + name + district
+	got := 0
+	neo.G.NodeProps(st, func(string, graphstore.PropValue) bool { got++; return true })
+	if got != n+2 { // + name + district
 		t.Fatalf("prop chain length=%d want %d", got, n+2)
 	}
 }

@@ -77,17 +77,17 @@ func (g *GroupWriter) Err() error {
 }
 
 // Append enqueues one record for the next flush window and returns its
-// sequence number for Commit. The payload is copied, so callers may reuse
-// their buffer. Append performs no I/O and never blocks on a flush.
+// sequence number for Commit. Append takes ownership of payload: it is
+// queued as is, not copied, so the caller must not modify the buffer
+// afterwards — every caller builds a fresh buffer per record. Append
+// performs no I/O and never blocks on a flush.
 func (g *GroupWriter) Append(payload []byte) (uint64, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.err != nil {
 		return 0, g.err
 	}
-	buf := make([]byte, len(payload))
-	copy(buf, payload)
-	g.pending = append(g.pending, buf)
+	g.pending = append(g.pending, payload)
 	g.enq++
 	return g.enq, nil
 }
