@@ -1,74 +1,30 @@
 // The durable-storage subcommands: `ingest` loads a bike-sharing workload
 // into the crash-safe polyglot store under a data directory (optionally
 // killing itself at an injected fault point), and `recover` rebuilds the
-// store from the surviving artifacts and prints the recovery summary.
-//
-// A data directory holds five files, any of which may be absent:
-//
-//	graph.snap  graph.wal  ts.snap  ts.wal  ingest.journal
+// store from the surviving artifacts and prints the recovery summary. The
+// directory's layout belongs to ttdb (OpenDir, CompactDir).
 package main
 
 import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 
 	"hygraph/internal/dataset"
 	"hygraph/internal/faults"
 	"hygraph/internal/storage/ttdb"
-	"hygraph/internal/ts"
 )
 
-var storeFiles = struct {
-	graphSnap, graphLog, tsSnap, tsLog, journal string
-}{"graph.snap", "graph.wal", "ts.snap", "ts.wal", "ingest.journal"}
-
-// openMaybe opens a store file for reading, returning a nil reader (not a
-// typed-nil *os.File) when it does not exist.
-func openMaybe(dir, name string, closers *[]io.Closer) io.Reader {
-	f, err := os.Open(filepath.Join(dir, name))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		fail(err.Error())
-	}
-	*closers = append(*closers, f)
-	return f
-}
-
-// recoverDir rebuilds the polyglot engine from whatever the directory holds.
-func recoverDir(dir string) (*ttdb.Polyglot, ttdb.PolyglotRecovery) {
-	var closers []io.Closer
-	defer func() {
-		for _, c := range closers {
-			c.Close()
-		}
-	}()
-	eng, rec, err := ttdb.RecoverPolyglot(
-		openMaybe(dir, storeFiles.graphSnap, &closers),
-		openMaybe(dir, storeFiles.graphLog, &closers),
-		openMaybe(dir, storeFiles.tsSnap, &closers),
-		openMaybe(dir, storeFiles.tsLog, &closers),
-		openMaybe(dir, storeFiles.journal, &closers),
-		ts.Week)
+// openDir opens the durable engine stored in dir, exiting on failure.
+func openDir(dir string) (*ttdb.DurablePolyglot, ttdb.PolyglotRecovery, io.Closer) {
+	d, rec, closer, err := ttdb.OpenDir(dir)
 	if err != nil {
 		fail("recovery: " + err.Error())
 	}
-	return eng, rec
-}
-
-func appendFile(dir, name string) *os.File {
-	f, err := os.OpenFile(filepath.Join(dir, name), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		fail(err.Error())
-	}
-	return f
+	return d, rec, closer
 }
 
 // parseCrash splits the -crash value "point[:nth]".
@@ -89,20 +45,11 @@ func parseCrash(spec string) (string, int) {
 // the process dies mid-protocol exactly like a real crash — then `recover`
 // demonstrates the journal putting the store back together.
 func runIngest(dir string, stations int, crash string, seed int64) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fail(err.Error())
-	}
-	eng, rec := recoverDir(dir)
+	d, rec, closer := openDir(dir)
+	defer closer.Close()
 	if rec.RolledBack > 0 {
 		fmt.Printf("note: prior crash detected, %d transaction(s) rolled back in memory\n", rec.RolledBack)
 	}
-	gf := appendFile(dir, storeFiles.graphLog)
-	defer gf.Close()
-	tf := appendFile(dir, storeFiles.tsLog)
-	defer tf.Close()
-	jf := appendFile(dir, storeFiles.journal)
-	defer jf.Close()
-	d := ttdb.ResumeDurable(eng, gf, tf, jf, rec.NextTxn)
 
 	if crash != "" {
 		point, nth := parseCrash(crash)
@@ -139,7 +86,9 @@ func runIngest(dir string, stations int, crash string, seed int64) {
 // the recovery summary. With -compact it then writes fresh snapshots and
 // truncates the logs, making the rollbacks durable and the next start fast.
 func runRecover(dir string, compact bool) {
-	eng, rec := recoverDir(dir)
+	d, rec, closer := openDir(dir)
+	defer closer.Close()
+	eng := d.Engine()
 	fmt.Println(rec.String())
 	for _, f := range rec.Fates {
 		fmt.Printf("  txn %d (node %d): journaled %s -> %s\n", f.Txn, f.Node, f.State, f.Fate)
@@ -152,31 +101,8 @@ func runRecover(dir string, compact bool) {
 	if !compact {
 		return
 	}
-	// Snapshot via temp+rename so a crash mid-compaction keeps the old
-	// artifacts intact, then truncate the now-superseded logs.
-	snap := func(name string, save func(io.Writer) error) {
-		tmp := filepath.Join(dir, name+".tmp")
-		f, err := os.Create(tmp)
-		if err != nil {
-			fail(err.Error())
-		}
-		if err := save(f); err != nil {
-			f.Close()
-			fail(err.Error())
-		}
-		if err := f.Close(); err != nil {
-			fail(err.Error())
-		}
-		if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
-			fail(err.Error())
-		}
-	}
-	snap(storeFiles.graphSnap, eng.G.Save)
-	snap(storeFiles.tsSnap, eng.T.Save)
-	for _, name := range []string{storeFiles.graphLog, storeFiles.tsLog, storeFiles.journal} {
-		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
-			fail(err.Error())
-		}
+	if err := ttdb.CompactDir(dir, eng); err != nil {
+		fail("compaction: " + err.Error())
 	}
 	fmt.Println("compacted: snapshots written, logs truncated")
 }

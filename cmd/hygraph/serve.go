@@ -202,7 +202,9 @@ func runServeSmoke(dir string) {
 		fail("smoke serve: " + err.Error())
 	}
 	// Each tenant lives in its own subdirectory of the root (DirBackend).
-	eng, _ := recoverDir(filepath.Join(dir, "smoke"))
+	d, _, closer := openDir(filepath.Join(dir, "smoke"))
+	defer closer.Close()
+	eng := d.Engine()
 	if err := ttdb.CheckConsistency(eng); err != nil {
 		fail("smoke recovery: " + err.Error())
 	}

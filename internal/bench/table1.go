@@ -86,12 +86,27 @@ func Run(ctx context.Context, cfg Config) ([]Row, error) {
 	rows := make([]Row, len(pgQs))
 	for i, q := range pgQs {
 		row := Row{Query: q.Op.String(), Desc: q.Op.Describe()}
-		if _, row.NeoMRS, row.NeoCV, err = timeQuery(ctx, neo, neoQs[i], cfg.Reps); err != nil {
+		_, neoSample, err := prepareQuery(ctx, neo, neoQs[i])
+		if err != nil {
 			return nil, err
 		}
-		if _, row.TTDBMRS, row.TTDBCV, err = timeQuery(ctx, pg, q, cfg.Reps); err != nil {
+		_, pgSample, err := prepareQuery(ctx, pg, q)
+		if err != nil {
 			return nil, err
 		}
+		// The engines' samples alternate, so a change in machine load
+		// between reps reaches both sides of the speedup alike.
+		neoMS, pgMS := make([]float64, cfg.Reps), make([]float64, cfg.Reps)
+		for r := range neoMS {
+			if neoMS[r], err = neoSample(); err != nil {
+				return nil, err
+			}
+			if pgMS[r], err = pgSample(); err != nil {
+				return nil, err
+			}
+		}
+		row.NeoMRS, row.NeoCV = stats(neoMS)
+		row.TTDBMRS, row.TTDBCV = stats(pgMS)
 		if row.TTDBMRS > 0 {
 			row.Speedup = row.NeoMRS / row.TTDBMRS
 		}
@@ -107,16 +122,16 @@ func Run(ctx context.Context, cfg Config) ([]Row, error) {
 // run, which on a loaded machine swung a 5 µs query's mean tenfold.
 const minSampleTime = 2 * time.Millisecond
 
-// timeQuery runs q once unmeasured (the warm-up rep, whose answer it
-// returns), sizes the batch by doubling it until one batch spans minSampleTime
-// (one run for any query that slow), and then times reps batches, reporting
-// mean response time per run (ms) and the coefficient of variation (%) of
-// the batch samples. Any error — a degraded or partial answer included —
-// fails the measurement: a section must not time answers it would not
-// accept.
-func timeQuery(ctx context.Context, e ttdb.Querier, q ttdb.Query, reps int) (res ttdb.Result, mrs, cv float64, err error) {
-	if res, err = e.Exec(ctx, q); err != nil {
-		return res, 0, 0, fmt.Errorf("bench: %s: %w", q.Op, err)
+// prepareQuery runs q once unmeasured (the warm-up rep, whose answer it
+// returns) and sizes the batch by doubling it until one batch spans
+// minSampleTime (one run for any query that slow). The returned sample times
+// one batch and reports its time per run (ms). Any error — a degraded or
+// partial answer included — fails the measurement: a section must not time
+// answers it would not accept.
+func prepareQuery(ctx context.Context, e ttdb.Querier, q ttdb.Query) (ttdb.Result, func() (float64, error), error) {
+	res, err := e.Exec(ctx, q)
+	if err != nil {
+		return res, nil, fmt.Errorf("bench: %s: %w", q.Op, err)
 	}
 	run := func(n int) (time.Duration, error) {
 		t0 := time.Now()
@@ -131,20 +146,32 @@ func timeQuery(ctx context.Context, e ttdb.Querier, q ttdb.Query, reps int) (res
 	for {
 		d, err := run(batch)
 		if err != nil {
-			return res, 0, 0, err
+			return res, nil, err
 		}
 		if d >= minSampleTime {
 			break
 		}
 		batch *= 2
 	}
-	samples := make([]float64, 0, reps)
-	for r := 0; r < reps; r++ {
+	return res, func() (float64, error) {
 		d, err := run(batch)
-		if err != nil {
+		return float64(d.Nanoseconds()) / 1e6 / float64(batch), err
+	}, nil
+}
+
+// timeQuery times reps batches of q on e, reporting the warm-up answer, the
+// mean response time per run (ms) and the coefficient of variation (%) of
+// the batch samples.
+func timeQuery(ctx context.Context, e ttdb.Querier, q ttdb.Query, reps int) (res ttdb.Result, mrs, cv float64, err error) {
+	res, sample, err := prepareQuery(ctx, e, q)
+	if err != nil {
+		return res, 0, 0, err
+	}
+	samples := make([]float64, reps)
+	for r := range samples {
+		if samples[r], err = sample(); err != nil {
 			return res, 0, 0, err
 		}
-		samples = append(samples, float64(d.Nanoseconds())/1e6/float64(batch))
 	}
 	mrs, cv = stats(samples)
 	return res, mrs, cv, nil

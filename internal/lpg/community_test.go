@@ -1,9 +1,6 @@
 package lpg
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 // twoClusters builds two dense cliques of size k joined by a single bridge
 // edge.
@@ -60,78 +57,6 @@ func TestLabelPropagationIsolated(t *testing.T) {
 	}
 }
 
-func TestLouvainTwoCliques(t *testing.T) {
-	g, a, b := twoClusters(6)
-	c := g.Louvain(20)
-	if !sameCommunity(c, a) || !sameCommunity(c, b) {
-		t.Fatalf("cliques split: %v", c.Of)
-	}
-	if c.Of[a[0]] == c.Of[b[0]] {
-		t.Fatal("cliques merged")
-	}
-}
-
-func TestLouvainBeatsSingletons(t *testing.T) {
-	g, _, _ := twoClusters(5)
-	c := g.Louvain(20)
-	// Singleton assignment modularity.
-	single := Communities{Of: map[VertexID]int{}, Count: g.NumVertices()}
-	for i, id := range g.VertexIDs() {
-		single.Of[id] = i
-	}
-	if g.Modularity(c) <= g.Modularity(single) {
-		t.Fatalf("louvain %v <= singletons %v", g.Modularity(c), g.Modularity(single))
-	}
-}
-
-func TestModularityBounds(t *testing.T) {
-	g, a, b := twoClusters(4)
-	// Planted partition.
-	planted := Communities{Of: map[VertexID]int{}, Count: 2}
-	for _, id := range a {
-		planted.Of[id] = 0
-	}
-	for _, id := range b {
-		planted.Of[id] = 1
-	}
-	q := g.Modularity(planted)
-	if q <= 0 || q > 1 {
-		t.Fatalf("modularity=%v", q)
-	}
-	// All-in-one has modularity 0 minus degree term → ~0.
-	allOne := Communities{Of: map[VertexID]int{}, Count: 1}
-	for _, id := range g.VertexIDs() {
-		allOne.Of[id] = 0
-	}
-	if got := g.Modularity(allOne); got > 1e-9 {
-		t.Fatalf("all-in-one modularity=%v", got)
-	}
-	if got := NewGraph().Modularity(Communities{Of: map[VertexID]int{}}); got != 0 {
-		t.Fatalf("empty graph modularity=%v", got)
-	}
-}
-
-func TestMembers(t *testing.T) {
-	g, a, b := twoClusters(3)
-	c := g.LabelPropagation(50, 1)
-	members := c.Members()
-	if len(members) != c.Count {
-		t.Fatalf("members groups=%d", len(members))
-	}
-	total := 0
-	for _, m := range members {
-		total += len(m)
-		for i := 1; i < len(m); i++ {
-			if m[i] <= m[i-1] {
-				t.Fatal("members not sorted")
-			}
-		}
-	}
-	if total != len(a)+len(b) {
-		t.Fatalf("members total=%d", total)
-	}
-}
-
 func TestLabelPropagationDeterministicPerSeed(t *testing.T) {
 	g, _, _ := twoClusters(8)
 	c1 := g.LabelPropagation(50, 7)
@@ -142,34 +67,6 @@ func TestLabelPropagationDeterministicPerSeed(t *testing.T) {
 	for id, cm := range c1.Of {
 		if c2.Of[id] != cm {
 			t.Fatal("same seed, different assignment")
-		}
-	}
-}
-
-func TestLouvainRandomGraphStability(t *testing.T) {
-	// Louvain on random graphs must terminate and produce a valid dense
-	// assignment.
-	rng := rand.New(rand.NewSource(3))
-	for iter := 0; iter < 10; iter++ {
-		g := NewGraph()
-		n := 5 + rng.Intn(40)
-		ids := make([]VertexID, n)
-		for i := range ids {
-			ids[i] = g.AddVertex("V")
-		}
-		for e := 0; e < n*3; e++ {
-			g.AddEdge(ids[rng.Intn(n)], ids[rng.Intn(n)], "e")
-		}
-		c := g.Louvain(20)
-		seen := map[int]bool{}
-		for _, cm := range c.Of {
-			if cm < 0 || cm >= c.Count {
-				t.Fatalf("community id %d out of [0,%d)", cm, c.Count)
-			}
-			seen[cm] = true
-		}
-		if len(seen) != c.Count {
-			t.Fatalf("non-dense communities: %d used of %d", len(seen), c.Count)
 		}
 	}
 }

@@ -264,6 +264,16 @@ func (g *Graph) InDegree(id VertexID) int { return len(g.InEdges(id)) }
 // Degree returns in-degree + out-degree.
 func (g *Graph) Degree(id VertexID) int { return g.OutDegree(id) + g.InDegree(id) }
 
+// Degrees returns the total degree of every live vertex.
+func (g *Graph) Degrees() map[VertexID]int {
+	out := make(map[VertexID]int, g.nLive)
+	g.Vertices(func(v *Vertex) bool {
+		out[v.ID] = g.Degree(v.ID)
+		return true
+	})
+	return out
+}
+
 // Neighbors returns the distinct vertices adjacent to id (both directions),
 // in ascending ID order.
 func (g *Graph) Neighbors(id VertexID) []VertexID {

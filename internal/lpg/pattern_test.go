@@ -7,6 +7,19 @@ import (
 	"testing"
 )
 
+// chain builds a -> b -> c -> ... of n vertices and returns the graph + ids.
+func chain(n int) (*Graph, []VertexID) {
+	g := NewGraph()
+	ids := make([]VertexID, n)
+	for i := range ids {
+		ids[i] = g.AddVertex("V")
+	}
+	for i := 0; i+1 < n; i++ {
+		g.AddEdge(ids[i], ids[i+1], "next")
+	}
+	return g, ids
+}
+
 // fraudToy builds the Figure-2-like toy graph: users -USES-> cards -TX->
 // merchants.
 func fraudToy() (*Graph, map[string]VertexID) {

@@ -2,11 +2,8 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"io/fs"
-	"os"
 	"path/filepath"
 	"regexp"
 
@@ -80,19 +77,12 @@ func validTenant(name string) bool {
 // ---------------------------------------------------------------------------
 // DirBackend
 
-// DirBackend stores each tenant as a directory Root/<tenant>/ holding the
-// standard five store files (graph.snap, graph.wal, ts.snap, ts.wal,
-// ingest.journal — the cmd/hygraph layout). Opening a tenant recovers from
+// DirBackend stores each tenant as a directory Root/<tenant>/ in ttdb's
+// durable-directory layout (ttdb.OpenDir). Opening a tenant recovers from
 // whatever the directory holds, then appends.
 type DirBackend struct {
-	Root       string
-	ChunkWidth ts.Time // 0 selects ts.Week
+	Root string
 }
-
-// storeFiles is the on-disk layout shared with cmd/hygraph.
-var storeFiles = struct {
-	graphSnap, graphLog, tsSnap, tsLog, journal string
-}{"graph.snap", "graph.wal", "ts.snap", "ts.wal", "ingest.journal"}
 
 // multiCloser closes all parts, keeping the first error.
 type multiCloser []io.Closer
@@ -107,18 +97,6 @@ func (m multiCloser) Close() error {
 	return first
 }
 
-func openMaybe(dir, name string, closers *[]io.Closer) (io.Reader, error) {
-	f, err := os.Open(filepath.Join(dir, name))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	*closers = append(*closers, f)
-	return f, nil
-}
-
 // Open adapts OpenEngine to the Backend contract.
 func (b *DirBackend) Open(name string) (Conn, io.Closer, error) {
 	d, c, err := b.OpenEngine(name)
@@ -129,65 +107,17 @@ func (b *DirBackend) Open(name string) (Conn, io.Closer, error) {
 }
 
 // OpenEngine recovers the tenant from its directory (created if absent) and
-// opens the three logs for append. The returned closer syncs and closes the
-// log files.
+// opens the three logs for append. The returned closer only closes the log
+// files; it does not sync them (Shutdown runs SyncAll first).
 func (b *DirBackend) OpenEngine(name string) (*ttdb.DurablePolyglot, io.Closer, error) {
 	if !validTenant(name) {
 		return nil, nil, fmt.Errorf("dirbackend: invalid tenant name %q", name)
 	}
-	dir := filepath.Join(b.Root, name)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, err
-	}
-	width := b.ChunkWidth
-	if width <= 0 {
-		width = ts.Week
-	}
-
-	var readers []io.Closer
-	fail := func(err error) (*ttdb.DurablePolyglot, io.Closer, error) {
-		multiCloser(readers).Close()
-		return nil, nil, err
-	}
-	var srcs [5]io.Reader
-	for i, fname := range []string{storeFiles.graphSnap, storeFiles.graphLog,
-		storeFiles.tsSnap, storeFiles.tsLog, storeFiles.journal} {
-		r, err := openMaybe(dir, fname, &readers)
-		if err != nil {
-			return fail(err)
-		}
-		srcs[i] = r
-	}
-	eng, rec, err := ttdb.RecoverPolyglot(srcs[0], srcs[1], srcs[2], srcs[3], srcs[4], width)
-	multiCloser(readers).Close()
+	d, _, closer, err := ttdb.OpenDir(filepath.Join(b.Root, name))
 	if err != nil {
 		return nil, nil, fmt.Errorf("dirbackend: recovering %s: %w", name, err)
 	}
-
-	var logs []io.Closer
-	openAppend := func(fname string) (*os.File, error) {
-		f, err := os.OpenFile(filepath.Join(dir, fname), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			multiCloser(logs).Close()
-			return nil, err
-		}
-		logs = append(logs, f)
-		return f, nil
-	}
-	gf, err := openAppend(storeFiles.graphLog)
-	if err != nil {
-		return nil, nil, err
-	}
-	tf, err := openAppend(storeFiles.tsLog)
-	if err != nil {
-		return nil, nil, err
-	}
-	jf, err := openAppend(storeFiles.journal)
-	if err != nil {
-		return nil, nil, err
-	}
-	d := ttdb.ResumeDurable(eng, gf, tf, jf, rec.NextTxn)
-	return d, multiCloser(logs), nil
+	return d, closer, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -121,9 +121,6 @@ type Config struct {
 	// (default 30s).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// GroupCommit is the WAL group-commit batch bound applied to every
-	// tenant engine (default 64).
-	GroupCommit int
 	// Workers is the engine fan-out width (default GOMAXPROCS).
 	Workers int
 	// Backend opens tenant engines; required.
@@ -208,9 +205,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxTimeout <= 0 {
 		cfg.MaxTimeout = 30 * time.Second
 	}
-	if cfg.GroupCommit <= 0 {
-		cfg.GroupCommit = 64
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -276,6 +270,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
+// groupCommit bounds the records one physical WAL flush coalesces on every
+// tenant engine.
+const groupCommit = 64
+
 // tenant returns the named tenant, opening it through the backend on first
 // use. Concurrent first requests for the same tenant open it once.
 func (s *Server) tenant(name string) (*tenant, error) {
@@ -288,7 +286,7 @@ func (s *Server) tenant(name string) (*tenant, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: opening tenant %s: %w", name, err)
 	}
-	db.SetGroupCommit(s.cfg.GroupCommit)
+	db.SetGroupCommit(groupCommit)
 	db.SetWorkers(s.cfg.Workers)
 	db.Instrument(s.reg)
 	t := newTenant(name, db, closer, s.cfg.Limits, s.reg)

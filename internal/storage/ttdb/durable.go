@@ -604,9 +604,8 @@ func stateName(op byte) string {
 // durable artifacts: optional snapshots and WALs for both stores, plus the
 // intent journal. Any reader may be nil. After both stores replay, each
 // journaled transaction's last record decides its fate (see the opcode docs);
-// rollbacks are applied to the recovered in-memory state only — callers that
-// want them durable re-snapshot via Compact-style flows (cmd/hygraph
-// recover -compact).
+// rollbacks are applied to the recovered in-memory state only — CompactDir
+// makes them durable.
 func RecoverPolyglot(graphSnap, graphLog, tsSnap, tsLog, journal io.Reader, chunkWidth ts.Time) (*Polyglot, PolyglotRecovery, error) {
 	return RecoverPolyglotObserved(graphSnap, graphLog, tsSnap, tsLog, journal, chunkWidth, nil)
 }

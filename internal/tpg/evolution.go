@@ -35,44 +35,3 @@ func (g *Graph) MetricEvolution(start, end, step ts.Time, name string,
 	}
 	return out
 }
-
-// DegreeEvolution is MetricEvolution for total vertex degree — the concrete
-// example the paper draws from "Evolution of Degree Metrics in Large
-// Temporal Graphs".
-func (g *Graph) DegreeEvolution(start, end, step ts.Time) map[VID]*ts.Series {
-	return g.MetricEvolution(start, end, step, "degree", func(snap *lpg.Graph) map[lpg.VertexID]float64 {
-		out := make(map[lpg.VertexID]float64, snap.NumVertices())
-		for id, d := range snap.Degrees() {
-			out[id] = float64(d)
-		}
-		return out
-	})
-}
-
-// CommunityEvolution is MetricEvolution for label-propagation community ids,
-// producing a step series per vertex. The seed makes runs reproducible.
-func (g *Graph) CommunityEvolution(start, end, step ts.Time, seed int64) map[VID]*ts.Series {
-	return g.MetricEvolution(start, end, step, "community", func(snap *lpg.Graph) map[lpg.VertexID]float64 {
-		c := snap.LabelPropagation(50, seed)
-		out := make(map[lpg.VertexID]float64, len(c.Of))
-		for id, cm := range c.Of {
-			out[id] = float64(cm)
-		}
-		return out
-	})
-}
-
-// ActivitySeries samples the number of active edges over time — a global
-// structural-activity series whose segmentation drives the paper's Q4
-// hybrid operator (segmentation-driven snapshots).
-func (g *Graph) ActivitySeries(start, end, step ts.Time) *ts.Series {
-	s := ts.New("active_edges")
-	if step <= 0 {
-		return s
-	}
-	for t := start; t < end; t += step {
-		_, e := g.ActiveCounts(t)
-		s.MustAppend(t, float64(e))
-	}
-	return s
-}

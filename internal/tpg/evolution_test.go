@@ -3,8 +3,20 @@ package tpg
 import (
 	"testing"
 
+	"hygraph/internal/lpg"
 	"hygraph/internal/ts"
 )
+
+// degreeEvolution is MetricEvolution for total vertex degree.
+func degreeEvolution(g *Graph, start, end, step ts.Time) map[VID]*ts.Series {
+	return g.MetricEvolution(start, end, step, "degree", func(snap *lpg.Graph) map[lpg.VertexID]float64 {
+		out := make(map[lpg.VertexID]float64, snap.NumVertices())
+		for id, d := range snap.Degrees() {
+			out[id] = float64(d)
+		}
+		return out
+	})
+}
 
 func TestDegreeEvolution(t *testing.T) {
 	// b's degree: 0 before edge, 1 during [10,20), 0 after.
@@ -12,7 +24,7 @@ func TestDegreeEvolution(t *testing.T) {
 	a := g.MustAddVertex(Always, "V")
 	b := g.MustAddVertex(Always, "V")
 	g.MustAddEdge(a, b, "e", Between(10, 20))
-	evo := g.DegreeEvolution(0, 30, 5)
+	evo := degreeEvolution(g, 0, 30, 5)
 	sb := evo[b]
 	if sb == nil || sb.Len() != 6 {
 		t.Fatalf("b evolution=%v", sb)
@@ -28,7 +40,7 @@ func TestDegreeEvolution(t *testing.T) {
 func TestDegreeEvolutionRespectsVertexValidity(t *testing.T) {
 	g := NewGraph()
 	a := g.MustAddVertex(Between(10, 20), "V")
-	evo := g.DegreeEvolution(0, 30, 5)
+	evo := degreeEvolution(g, 0, 30, 5)
 	sa := evo[a]
 	if sa == nil {
 		t.Fatal("no series for a")
@@ -39,62 +51,13 @@ func TestDegreeEvolutionRespectsVertexValidity(t *testing.T) {
 	}
 }
 
-func TestCommunityEvolution(t *testing.T) {
-	// Two pairs joined later: communities merge at t=50.
-	g := NewGraph()
-	a := g.MustAddVertex(Always, "V")
-	b := g.MustAddVertex(Always, "V")
-	c := g.MustAddVertex(Always, "V")
-	d := g.MustAddVertex(Always, "V")
-	g.MustAddEdge(a, b, "e", Always)
-	g.MustAddEdge(c, d, "e", Always)
-	g.MustAddEdge(b, c, "e", From(50))
-	evo := g.CommunityEvolution(0, 100, 25, 1)
-	// Before 50: a,b in one community, c,d in another. After: same.
-	for _, tt := range []int{0, 1} { // samples t=0, 25
-		if evo[a].ValueAt(tt) != evo[b].ValueAt(tt) {
-			t.Fatal("a,b split early")
-		}
-		if evo[a].ValueAt(tt) == evo[c].ValueAt(tt) {
-			t.Fatal("a,c merged early")
-		}
-	}
-	for _, tt := range []int{2, 3} { // samples t=50, 75
-		if evo[a].ValueAt(tt) != evo[d].ValueAt(tt) {
-			t.Fatal("not merged after bridge")
-		}
-	}
-}
-
-func TestActivitySeries(t *testing.T) {
-	g := NewGraph()
-	a := g.MustAddVertex(Always, "V")
-	b := g.MustAddVertex(Always, "V")
-	g.MustAddEdge(a, b, "e", Between(10, 30))
-	g.MustAddEdge(b, a, "e", Between(20, 40))
-	s := g.ActivitySeries(0, 50, 10)
-	wants := []float64{0, 1, 2, 1, 0}
-	if s.Len() != len(wants) {
-		t.Fatalf("len=%d", s.Len())
-	}
-	for i, w := range wants {
-		if s.ValueAt(i) != w {
-			t.Fatalf("activity[%d]=%v want %v", i, s.ValueAt(i), w)
-		}
-	}
-	if got := g.ActivitySeries(0, 50, 0); got.Len() != 0 {
-		t.Fatal("step=0")
-	}
-}
-
 func TestMetricEvolutionDegenerate(t *testing.T) {
 	g := NewGraph()
 	g.MustAddVertex(Always, "V")
-	if got := g.DegreeEvolution(100, 100, 10); len(got) != 0 {
+	if got := degreeEvolution(g, 100, 100, 10); len(got) != 0 {
 		t.Fatal("empty window")
 	}
-	if got := g.DegreeEvolution(0, 100, 0); len(got) != 0 {
+	if got := degreeEvolution(g, 0, 100, 0); len(got) != 0 {
 		t.Fatal("zero step")
 	}
-	_ = ts.MaxTime
 }

@@ -94,20 +94,3 @@ func (g *Graph) DiffBetween(t1, t2 ts.Time) Diff {
 	})
 	return d
 }
-
-// ActiveCounts returns how many vertices and edges are valid at t.
-func (g *Graph) ActiveCounts(t ts.Time) (vertices, edges int) {
-	g.Vertices(func(v *Vertex) bool {
-		if v.Valid.Contains(t) {
-			vertices++
-		}
-		return true
-	})
-	g.Edges(func(e *Edge) bool {
-		if e.Valid.Contains(t) {
-			edges++
-		}
-		return true
-	})
-	return vertices, edges
-}

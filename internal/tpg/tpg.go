@@ -38,8 +38,6 @@ type Edge struct {
 type Graph struct {
 	vertices []*Vertex
 	edges    []*Edge
-	outAdj   [][]EID
-	inAdj    [][]EID
 }
 
 // ErrBadInterval is returned when an element would get an inverted interval.
@@ -64,8 +62,6 @@ func (g *Graph) AddVertex(valid Interval, labels ...string) (VID, error) {
 		ID: id, Labels: append([]string(nil), labels...),
 		Valid: valid, props: map[string]lpg.Value{},
 	})
-	g.outAdj = append(g.outAdj, nil)
-	g.inAdj = append(g.inAdj, nil)
 	return id, nil
 }
 
@@ -93,8 +89,6 @@ func (g *Graph) AddEdge(from, to VID, label string, valid Interval) (EID, error)
 		ID: id, Label: label, From: from, To: to, Valid: clipped,
 		props: map[string]lpg.Value{},
 	})
-	g.outAdj[from] = append(g.outAdj[from], id)
-	g.inAdj[to] = append(g.inAdj[to], id)
 	return id, nil
 }
 
@@ -176,16 +170,4 @@ func (g *Graph) Edges(fn func(*Edge) bool) {
 			return
 		}
 	}
-}
-
-// OutEdges returns the outgoing edges of a vertex (any validity).
-func (g *Graph) OutEdges(id VID) []*Edge {
-	if id < 0 || int(id) >= len(g.outAdj) {
-		return nil
-	}
-	out := make([]*Edge, 0, len(g.outAdj[id]))
-	for _, eid := range g.outAdj[id] {
-		out = append(out, g.edges[eid])
-	}
-	return out
 }

@@ -1,102 +1,9 @@
 package ts
 
 import (
-	"errors"
 	"math"
 	"sort"
 )
-
-// ErrLengthMismatch is returned by distance functions requiring equal-length
-// inputs.
-var ErrLengthMismatch = errors.New("ts: series lengths differ")
-
-// EuclideanDist returns the Euclidean distance between the value sequences
-// of two equal-length series, ignoring timestamps.
-func EuclideanDist(a, b *Series) (float64, error) {
-	if a.Len() != b.Len() {
-		return 0, ErrLengthMismatch
-	}
-	return euclidean(a.vals, b.vals), nil
-}
-
-func euclidean(a, b []float64) float64 {
-	var acc float64
-	for i := range a {
-		d := a[i] - b[i]
-		acc += d * d
-	}
-	return math.Sqrt(acc)
-}
-
-// ZNormalizedDist returns the Euclidean distance between the z-normalized
-// value sequences, the standard shape-based distance for subsequence
-// matching.
-func ZNormalizedDist(a, b *Series) (float64, error) {
-	if a.Len() != b.Len() {
-		return 0, ErrLengthMismatch
-	}
-	av := append([]float64(nil), a.vals...)
-	bv := append([]float64(nil), b.vals...)
-	znormInPlace(av)
-	znormInPlace(bv)
-	return euclidean(av, bv), nil
-}
-
-// DTW computes the dynamic time warping distance between the value
-// sequences with a Sakoe-Chiba band of the given radius (in points);
-// radius < 0 means unconstrained. Two rolling rows keep memory at O(m).
-func DTW(a, b *Series, radius int) float64 { return dtw(a.vals, b.vals, radius) }
-
-func dtw(a, b []float64, radius int) float64 {
-	n, m := len(a), len(b)
-	if n == 0 || m == 0 {
-		if n == m {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	if radius < 0 {
-		radius = max(n, m)
-	}
-	// The band must be at least wide enough to connect the corners.
-	if d := abs(n - m); radius < d {
-		radius = d
-	}
-	inf := math.Inf(1)
-	prev := make([]float64, m+1)
-	cur := make([]float64, m+1)
-	for j := range prev {
-		prev[j] = inf
-	}
-	prev[0] = 0
-	for i := 1; i <= n; i++ {
-		for j := range cur {
-			cur[j] = inf
-		}
-		lo := max(1, i-radius)
-		hi := min(m, i+radius)
-		for j := lo; j <= hi; j++ {
-			d := a[i-1] - b[j-1]
-			best := prev[j] // insertion
-			if prev[j-1] < best {
-				best = prev[j-1] // match
-			}
-			if cur[j-1] < best {
-				best = cur[j-1] // deletion
-			}
-			cur[j] = d*d + best
-		}
-		prev, cur = cur, prev
-	}
-	return math.Sqrt(prev[m])
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
 
 // SubMatch is one subsequence-match result: the window [Start, Start+Len)
 // of the haystack (by point index) and its distance to the query.

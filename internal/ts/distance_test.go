@@ -2,103 +2,8 @@ package ts
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
-
-func TestEuclideanDist(t *testing.T) {
-	a := FromSamples("a", 0, 1, []float64{0, 0})
-	b := FromSamples("b", 0, 1, []float64{3, 4})
-	d, err := EuclideanDist(a, b)
-	if err != nil || !almost(d, 5, 1e-12) {
-		t.Fatalf("euclid=%v err=%v", d, err)
-	}
-	if _, err := EuclideanDist(a, FromSamples("c", 0, 1, []float64{1})); err != ErrLengthMismatch {
-		t.Fatalf("want ErrLengthMismatch, got %v", err)
-	}
-}
-
-func TestZNormalizedDistShapeInvariance(t *testing.T) {
-	a := FromSamples("a", 0, 1, []float64{1, 2, 3, 4, 5})
-	// Same shape, scaled and shifted.
-	b := a.Map(func(v float64) float64 { return 10*v + 100 })
-	d, err := ZNormalizedDist(a, b)
-	if err != nil || !almost(d, 0, 1e-9) {
-		t.Fatalf("znorm dist of affine copy = %v err=%v", d, err)
-	}
-}
-
-func TestDTWBasics(t *testing.T) {
-	a := FromSamples("a", 0, 1, []float64{1, 2, 3})
-	if d := DTW(a, a, -1); !almost(d, 0, 1e-12) {
-		t.Fatalf("self DTW=%v", d)
-	}
-	// DTW <= Euclidean for equal lengths.
-	b := FromSamples("b", 0, 1, []float64{2, 3, 5})
-	eu, _ := EuclideanDist(a, b)
-	if d := DTW(a, b, -1); d > eu+1e-12 {
-		t.Fatalf("DTW %v > Euclid %v", d, eu)
-	}
-	// Time-shifted copies should be near zero under DTW.
-	x := FromSamples("x", 0, 1, []float64{0, 0, 1, 2, 3, 0, 0})
-	y := FromSamples("y", 0, 1, []float64{0, 1, 2, 3, 0, 0, 0})
-	if d := DTW(x, y, -1); !almost(d, 0, 1e-9) {
-		t.Fatalf("shifted DTW=%v", d)
-	}
-}
-
-func TestDTWEmptyAndMismatched(t *testing.T) {
-	e := New("e")
-	if d := DTW(e, e, -1); d != 0 {
-		t.Fatalf("DTW(empty,empty)=%v", d)
-	}
-	a := FromSamples("a", 0, 1, []float64{1})
-	if d := DTW(e, a, -1); !math.IsInf(d, 1) {
-		t.Fatalf("DTW(empty,nonempty)=%v", d)
-	}
-	// Different lengths are fine.
-	b := FromSamples("b", 0, 1, []float64{1, 1, 1, 1})
-	if d := DTW(a, b, -1); !almost(d, 0, 1e-12) {
-		t.Fatalf("DTW const different lengths = %v", d)
-	}
-}
-
-func TestDTWBandWidening(t *testing.T) {
-	// Band narrower than the length difference must still connect corners.
-	a := FromSamples("a", 0, 1, []float64{1, 2, 3, 4, 5, 6, 7, 8})
-	b := FromSamples("b", 0, 1, []float64{1, 8})
-	if d := DTW(a, b, 1); math.IsInf(d, 1) {
-		t.Fatal("banded DTW returned +Inf for valid alignment")
-	}
-}
-
-// Property: DTW with unconstrained band <= banded DTW (more freedom can only
-// reduce cost), and both are symmetric.
-func TestQuickDTWProperties(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for iter := 0; iter < 40; iter++ {
-		n := 2 + rng.Intn(20)
-		m := 2 + rng.Intn(20)
-		av := make([]float64, n)
-		bv := make([]float64, m)
-		for i := range av {
-			av[i] = rng.NormFloat64()
-		}
-		for i := range bv {
-			bv[i] = rng.NormFloat64()
-		}
-		a := FromSamples("a", 0, 1, av)
-		b := FromSamples("b", 0, 1, bv)
-		free := DTW(a, b, -1)
-		band := DTW(a, b, 2)
-		if free > band+1e-9 {
-			t.Fatalf("free DTW %v > banded %v", free, band)
-		}
-		if !almost(DTW(b, a, -1), free, 1e-9) {
-			t.Fatalf("DTW asymmetric")
-		}
-	}
-}
 
 func TestSubsequenceMatches(t *testing.T) {
 	// Haystack with the query shape planted at positions 10 and 40.

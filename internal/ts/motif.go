@@ -130,3 +130,10 @@ func (s *Series) Motifs(m, k int) []Motif {
 	}
 	return out
 }
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
+}
