@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: verify fmt vet lint build test race fuzz bench benchsmoke servesmoke cover layers
+.PHONY: verify fmt vet lint build test race fuzz bench benchsmoke servesmoke cover layers loc
 
 verify: fmt vet lint build race fuzz benchsmoke servesmoke cover layers
 
@@ -112,6 +112,11 @@ cover:
 	echo "coverage: $$total% (floor $$floor%)"; \
 	awk -v t="$$total" -v f="$$floor" 'BEGIN { exit (t + 0 >= f + 0) ? 0 : 1 }' \
 		|| { echo "coverage $$total% fell below the $$floor% floor in coverage.txt"; exit 1; }
+
+# Informational, not part of verify: the non-test Go line count outside the
+# benchmark module, the size figure ROADMAP.md tracks from change to change.
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^benchmark/' | xargs cat | wc -l
 
 # Status line for the benchmark module's in-process layer ladder
 # (benchmark/layers, build tag "layers"): it shows whether the functions kept

@@ -165,8 +165,9 @@ func (c *Coordinator) mergeSummariesLocked(ctx context.Context, q ttdb.Query) (t
 // down to the owning partition (bit-identical to the single engine);
 // cross-partition pairs fetch both point sets in parallel and correlate at
 // the coordinator — bucketed via the shared resample grid (ts.Correlation),
-// raw via an exact-timestamp merge join, both within the battery's tolerance
-// of the pushdown. Losing either side leaves nothing to correlate.
+// within the battery's tolerance of the pushdown, and raw via the store's own
+// merge-join fold (tsstore.PearsonJoined), bit-identical to it. Losing either
+// side leaves nothing to correlate.
 func (c *Coordinator) correlationLocked(ctx context.Context, q ttdb.Query) (ttdb.Result, *PartialError) {
 	res := ttdb.Result{Op: q.Op}
 	mx, okX := c.meta[q.Station]
@@ -195,47 +196,9 @@ func (c *Coordinator) correlationLocked(ctx context.Context, q ttdb.Query) (ttdb
 	if q.Bucket > 0 {
 		res.Scalar = ts.Correlation(ts.FromPoints("x", px), ts.FromPoints("y", py), q.Bucket)
 	} else {
-		res.Scalar = pearsonJoined(px, py)
+		res.Scalar = tsstore.PearsonJoined(px, py)
 	}
 	return res, nil
-}
-
-// pearsonJoined is the raw-timestamp correlation fold of the time-series
-// store (tsstore.Correlate), applied to already-fetched point sets: an exact
-// merge join on timestamps, NaN under two shared points or a constant side.
-// Accumulation order equals the store's, so the result is bit-identical.
-func pearsonJoined(pa, pb []ts.Point) float64 {
-	var n float64
-	var sx, sy, sxx, syy, sxy float64
-	i, j := 0, 0
-	for i < len(pa) && j < len(pb) {
-		switch {
-		case pa[i].T < pb[j].T:
-			i++
-		case pa[i].T > pb[j].T:
-			j++
-		default:
-			x, y := pa[i].V, pb[j].V
-			n++
-			sx += x
-			sy += y
-			sxx += x * x
-			syy += y * y
-			sxy += x * y
-			i++
-			j++
-		}
-	}
-	if n < 2 {
-		return math.NaN()
-	}
-	cov := sxy - sx*sy/n
-	vx := sxx - sx*sx/n
-	vy := syy - sy*sy/n
-	if vx <= 0 || vy <= 0 {
-		return math.NaN()
-	}
-	return cov / math.Sqrt(vx*vy)
 }
 
 // neighborMeansLocked answers Q8: adjacency from the station's home

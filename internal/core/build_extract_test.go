@@ -9,6 +9,13 @@ import (
 	"hygraph/internal/ts"
 )
 
+// lpgEdges counts an lpg graph's edges through Edges.
+func lpgEdges(g *lpg.Graph) int {
+	n := 0
+	g.Edges(func(*lpg.Edge) bool { n++; return true })
+	return n
+}
+
 // randomTPG builds a random temporal graph for round-trip testing.
 func randomTPG(seed int64, n int) *tpg.Graph {
 	rng := rand.New(rand.NewSource(seed))
@@ -79,8 +86,8 @@ func TestSnapshotAtMixedKinds(t *testing.T) {
 	if view.Graph.NumVertices() != 6 {
 		t.Fatalf("view vertices=%d", view.Graph.NumVertices())
 	}
-	if view.Graph.NumEdges() != 5 {
-		t.Fatalf("view edges=%d", view.Graph.NumEdges())
+	if lpgEdges(view.Graph) != 5 {
+		t.Fatalf("view edges=%d", lpgEdges(view.Graph))
 	}
 	// TS vertex carries its series and kind marker.
 	sid := view.VertexOf[ids["c1"]]
@@ -109,30 +116,6 @@ func TestSnapshotAtMixedKinds(t *testing.T) {
 		if view.HyV[sv] != hv {
 			t.Fatal("mapping not bijective")
 		}
-	}
-}
-
-func TestExtractSeries(t *testing.T) {
-	h := New()
-	for i := 0; i < 3; i++ {
-		v, _ := h.AddVertex(tpg.Between(0, 100), "Station")
-		h.SetVertexProp(v, "capacity", lpg.Int(int64(10*(i+1))))
-	}
-	// One station appears later.
-	v, _ := h.AddVertex(tpg.Between(50, 100), "Station")
-	h.SetVertexProp(v, "capacity", lpg.Int(100))
-	s := h.ExtractSeries("Station", "capacity", ts.AggSum, 0, 100, 25)
-	want := []float64{60, 60, 160, 160} // t=0,25,50,75
-	if s.Len() != 4 {
-		t.Fatalf("len=%d", s.Len())
-	}
-	for i, w := range want {
-		if s.ValueAt(i) != w {
-			t.Fatalf("extract[%d]=%v want %v", i, s.ValueAt(i), w)
-		}
-	}
-	if got := h.ExtractSeries("Station", "capacity", ts.AggSum, 0, 100, 0); got.Len() != 0 {
-		t.Fatal("zero step")
 	}
 }
 

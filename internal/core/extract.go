@@ -125,49 +125,6 @@ func (h *HyGraph) SnapshotAt(t ts.Time) *View {
 // GraphAt returns the graph of SnapshotAt(t): a fresh projection per call.
 func (h *HyGraph) GraphAt(t ts.Time) *lpg.Graph { return h.SnapshotAt(t).Graph }
 
-// SeriesOfVertex returns δ(v) for a TS vertex.
-func (h *HyGraph) SeriesOfVertex(id VID) (*ts.MultiSeries, bool) {
-	v := h.Vertex(id)
-	if v == nil || v.Kind != TS {
-		return nil, false
-	}
-	return v.Series, true
-}
-
-// SeriesOfEdge returns δ(e) for a TS edge.
-func (h *HyGraph) SeriesOfEdge(id EID) (*ts.MultiSeries, bool) {
-	e := h.Edge(id)
-	if e == nil || e.Kind != TS {
-		return nil, false
-	}
-	return e.Series, true
-}
-
-// ExtractSeries samples an aggregate of a numeric property over all
-// vertices carrying the label at regular instants, producing a series — the
-// paper's arrow (7): LPG → data series via pattern matching returning
-// property aggregates.
-func (h *HyGraph) ExtractSeries(label, propKey string, agg ts.AggFunc, start, end, step ts.Time) *ts.Series {
-	out := ts.New(fmt.Sprintf("%s.%s.%s", label, propKey, agg))
-	if step <= 0 {
-		return out
-	}
-	for t := start; t < end; t += step {
-		var vals []float64
-		h.Vertices(func(v *Vertex) bool {
-			if !v.HasLabel(label) || !v.EffectiveValid().Contains(t) {
-				return true
-			}
-			if f, ok := v.Prop(propKey).AsFloat(); ok {
-				vals = append(vals, f)
-			}
-			return true
-		})
-		out.MustAppend(t, agg.Apply(vals))
-	}
-	return out
-}
-
 // MetricEvolution runs tpg.MetricEvolution over the PG part and stores each
 // vertex's metric series back as a series-valued property named key — the
 // metricEvolution operator of Section 5, demonstrating that HyGraphTo<X> and

@@ -27,14 +27,6 @@ func SeriesWhere(pred func(*ts.MultiSeries) bool) func(*lpg.Vertex) bool {
 	}
 }
 
-// SeriesEdgeWhere is SeriesWhere for TS edges.
-func SeriesEdgeWhere(pred func(*ts.MultiSeries) bool) func(*lpg.Edge) bool {
-	return func(e *lpg.Edge) bool {
-		m, ok := e.Prop(SeriesPropKey).AsMulti()
-		return ok && pred(m)
-	}
-}
-
 // SubsequencePred builds a series predicate that holds when the series'
 // named variable contains a window within dist (z-normalized Euclidean) of
 // the query shape — the time-series half of hybrid pattern matching.

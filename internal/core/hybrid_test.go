@@ -230,8 +230,8 @@ func TestSegmentSnapshots(t *testing.T) {
 		t.Fatalf("segments=%d", len(snaps))
 	}
 	// First regime has ~0 active edges; second regime's snapshot shows many.
-	e0 := snaps[0].View.Graph.NumEdges()
-	e1 := snaps[1].View.Graph.NumEdges()
+	e0 := lpgEdges(snaps[0].View.Graph)
+	e1 := lpgEdges(snaps[1].View.Graph)
 	if e0 != 0 || e1 < 20 {
 		t.Fatalf("snapshot edges %d then %d", e0, e1)
 	}
@@ -396,10 +396,14 @@ func TestSeriesEdgeWhereAndLabels(t *testing.T) {
 	p := lpg.NewPattern().
 		V("c", "CreditCard", nil).
 		V("m", "Merchant", nil).
-		E("c", "m", "TX_FLOW", SeriesEdgeWhere(func(m *ts.MultiSeries) bool {
+		E("c", "m", "TX_FLOW", func(e *lpg.Edge) bool {
+			m, ok := e.Prop(SeriesPropKey).AsMulti()
+			if !ok {
+				return false
+			}
 			s, ok := m.Var(m.Vars()[0])
 			return ok && s.Max() > 1000
-		}))
+		})
 	ms := h.HybridMatch(10*ts.Hour, p, 0)
 	if len(ms) != 2 { // c1's two bursty flows
 		t.Fatalf("ts-edge matches=%d", len(ms))
@@ -409,17 +413,15 @@ func TestSeriesEdgeWhereAndLabels(t *testing.T) {
 			t.Fatalf("wrong card: %v", b)
 		}
 	}
-	// Subgraphs iteration.
-	count := 0
-	h.Subgraphs(func(s *Subgraph) bool { count++; return true })
-	if count != 0 {
+	// Subgraph ids are dense from 0.
+	if h.Subgraph(0) != nil {
 		t.Fatal("fresh instance has subgraphs")
 	}
-	if _, err := h.AddSubgraph(tpg.Always, "S"); err != nil {
+	sid, err := h.AddSubgraph(tpg.Always, "S")
+	if err != nil {
 		t.Fatal(err)
 	}
-	h.Subgraphs(func(s *Subgraph) bool { count++; return true })
-	if count != 1 {
-		t.Fatalf("subgraph iteration count=%d", count)
+	if sg := h.Subgraph(sid); sid != 0 || sg == nil || sg.ID != sid || h.Subgraph(1) != nil {
+		t.Fatalf("subgraph %d after one AddSubgraph", sid)
 	}
 }

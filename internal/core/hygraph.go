@@ -82,16 +82,14 @@ type Edge struct {
 	props  map[string]lpg.Value
 }
 
-// Subgraph is a logical subgraph s ∈ S: labels, properties, validity ρ(s),
-// and time-varying membership γ(s, t).
+// Subgraph is a logical subgraph s ∈ S: labels, validity ρ(s), and
+// time-varying vertex membership γ(s, t).
 type Subgraph struct {
 	ID     SID
 	Labels []string
 	Valid  tpg.Interval
-	props  map[string]lpg.Value
-	// membership intervals per element
+	// membership intervals per vertex
 	memberV map[VID][]tpg.Interval
-	memberE map[EID][]tpg.Interval
 }
 
 // HyGraph is one HGM instance. It is not safe for concurrent mutation.
@@ -295,9 +293,6 @@ func (v *Vertex) Prop(key string) lpg.Value { return v.props[key] }
 // PropKeys returns the vertex's property keys sorted.
 func (v *Vertex) PropKeys() []string { return sortedKeys(v.props) }
 
-// HasLabel reports whether λ(v) contains the label.
-func (v *Vertex) HasLabel(label string) bool { return containsStr(v.Labels, label) }
-
 // Prop returns φ(e, key) (Null if absent).
 func (e *Edge) Prop(key string) lpg.Value { return e.props[key] }
 
@@ -363,15 +358,6 @@ func sortedKeys(m map[string]lpg.Value) []string {
 		}
 	}
 	return out
-}
-
-func containsStr(ss []string, s string) bool {
-	for _, x := range ss {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }
 
 // String renders a compact summary of the instance.

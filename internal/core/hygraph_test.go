@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"hygraph/internal/lpg"
@@ -162,11 +163,10 @@ func TestAdjacency(t *testing.T) {
 
 func TestSeriesAccessors(t *testing.T) {
 	h, ids := fraudInstance(t)
-	m, ok := h.SeriesOfVertex(ids["c1"])
-	if !ok || m.Len() != 100 {
+	if c1 := h.Vertex(ids["c1"]); c1.Kind != TS || c1.Series == nil || c1.Series.Len() != 100 {
 		t.Fatal("series of c1")
 	}
-	if _, ok := h.SeriesOfVertex(ids["u1"]); ok {
+	if u1 := h.Vertex(ids["u1"]); u1.Kind != PG || u1.Series != nil {
 		t.Fatal("PG vertex has no δ")
 	}
 	s, ok := h.Vertex(ids["c1"]).SeriesVar("")
@@ -184,7 +184,7 @@ func TestSeriesAccessors(t *testing.T) {
 		}
 		return true
 	})
-	if m, ok := h.SeriesOfEdge(te.ID); !ok || m.Len() != 100 {
+	if te.Series == nil || te.Series.Len() != 100 {
 		t.Fatal("series of edge")
 	}
 }
@@ -192,7 +192,7 @@ func TestSeriesAccessors(t *testing.T) {
 func TestPropsAndLabels(t *testing.T) {
 	h, ids := fraudInstance(t)
 	v := h.Vertex(ids["u1"])
-	if !v.HasLabel("User") || v.HasLabel("Merchant") {
+	if !slices.Contains(v.Labels, "User") || slices.Contains(v.Labels, "Merchant") {
 		t.Fatal("labels")
 	}
 	if v.Prop("name").String() != "u1" {
@@ -209,8 +209,14 @@ func TestPropsAndLabels(t *testing.T) {
 	}
 }
 
+// TestSubgraphMembership: γ membership is recorded only for an existing
+// subgraph and vertex, clipped to the subgraph's validity ρ(s); an interval
+// disjoint from ρ(s), like an invalid ρ(s) itself, is rejected.
 func TestSubgraphMembership(t *testing.T) {
 	h, ids := fraudInstance(t)
+	if _, err := h.AddSubgraph(tpg.Interval{Start: 10, End: 5}, "Cluster"); err != ErrBadInterval {
+		t.Fatalf("inverted validity: %v", err)
+	}
 	sg, err := h.AddSubgraph(tpg.Between(0, 1000*ts.Hour), "Cluster")
 	if err != nil {
 		t.Fatal(err)
@@ -222,65 +228,13 @@ func TestSubgraphMembership(t *testing.T) {
 	if err := h.AddVertexMember(sg, ids["u2"], tpg.Always); err != nil {
 		t.Fatal(err)
 	}
-	vs, _ := h.MembersAt(sg, 100*ts.Hour)
-	if len(vs) != 2 {
-		t.Fatalf("members at 100h: %v", vs)
+	if err := h.AddVertexMember(sg, ids["u1"], tpg.Between(2000*ts.Hour, 3000*ts.Hour)); err != ErrBadInterval {
+		t.Fatalf("membership outside validity: %v", err)
 	}
-	vs, _ = h.MembersAt(sg, 700*ts.Hour)
-	if len(vs) != 1 || vs[0] != ids["u2"] {
-		t.Fatalf("members at 700h: %v", vs)
-	}
-	// Outside the subgraph validity → nothing (γ only defined within ρ(s)).
-	vs, _ = h.MembersAt(sg, 2000*ts.Hour)
-	if vs != nil {
-		t.Fatalf("members outside validity: %v", vs)
-	}
-	// Size series.
-	sz := h.MemberSizeSeries(sg, 0, 1000*ts.Hour, 250*ts.Hour)
-	want := []float64{2, 2, 1, 1}
-	for i, w := range want {
-		if sz.ValueAt(i) != w {
-			t.Fatalf("size[%d]=%v want %v", i, sz.ValueAt(i), w)
-		}
-	}
-}
-
-func TestSubgraphEdgeMembershipPullsEndpoints(t *testing.T) {
-	h, ids := fraudInstance(t)
-	sg, _ := h.AddSubgraph(tpg.Always, "C")
-	var uses EID = -1
-	h.Edges(func(e *Edge) bool {
-		if e.Label == "USES" && e.From == ids["u1"] {
-			uses = e.ID
-			return false
-		}
-		return true
-	})
-	if err := h.AddEdgeMember(sg, uses, tpg.Between(0, 100)); err != nil {
-		t.Fatal(err)
-	}
-	vs, es := h.MembersAt(sg, 50)
-	if len(es) != 1 || es[0] != uses {
-		t.Fatalf("edges=%v", es)
-	}
-	// Both endpoints pulled in (R2 consistency).
-	if len(vs) != 2 {
-		t.Fatalf("vertices=%v", vs)
-	}
-	// Errors.
-	if err := h.AddEdgeMember(99, uses, tpg.Always); err != ErrNoSubgraph {
+	if err := h.AddVertexMember(99, ids["u1"], tpg.Always); err != ErrNoSubgraph {
 		t.Fatalf("missing subgraph: %v", err)
-	}
-	if err := h.AddEdgeMember(sg, 999, tpg.Always); err != ErrNoEdge {
-		t.Fatalf("missing edge: %v", err)
 	}
 	if err := h.AddVertexMember(sg, 999, tpg.Always); err != ErrNoVertex {
 		t.Fatalf("missing vertex: %v", err)
-	}
-	if err := h.SetSubgraphProp(sg, "state", lpg.Str("suspicious")); err != nil {
-		t.Fatal(err)
-	}
-	if h.Subgraph(sg).Prop("state").String() != "suspicious" {
-		t.Fatal("subgraph prop")
 	}
 }

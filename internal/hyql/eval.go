@@ -377,9 +377,6 @@ func asTime(v Value) (ts.Time, error) {
 	if i, ok := sc.AsInt(); ok {
 		return ts.Time(i), nil
 	}
-	if t, ok := sc.AsTime(); ok {
-		return t, nil
-	}
 	if s, ok := sc.AsString(); ok {
 		for _, layout := range []string{gotime.RFC3339, "2006-01-02"} {
 			if t, err := gotime.Parse(layout, s); err == nil {

@@ -234,7 +234,7 @@ func TestSameKeyIsKeyEquality(t *testing.T) {
 		NullValue,
 		Scalar(lpg.Int(1)), Scalar(lpg.Int(2)), Scalar(lpg.Float(1)), Scalar(lpg.Float(math.NaN())),
 		Scalar(lpg.Str("1")), Scalar(lpg.Str("int:1")), Scalar(lpg.Str("")),
-		Scalar(lpg.Bool(true)), Scalar(lpg.Str("true")), Scalar(lpg.TimeVal(1)),
+		Scalar(lpg.Bool(true)), Scalar(lpg.Str("true")), Scalar(lpg.SeriesVal(ts.New("1"))),
 		NodeValue(g.Vertex(v)), ListValue([]Value{Scalar(lpg.Int(1))}),
 	}
 	for _, l := range vals {

@@ -234,62 +234,78 @@ func matchRows(g *lpg.Graph, q *Query, o engineObs) ([]map[string]Value, error) 
 // adjustment (AnyDir). Defined here to keep lpg's builder API minimal.
 func patternEdges(p *lpg.Pattern) []lpg.PatternEdge { return p.EdgesMut() }
 
-// projectWith evaluates the WITH items over the matched rows, producing a
-// new binding set named by the aliases (or the identifier itself for bare
-// `WITH u` pass-throughs), then filters by the WITH-level WHERE.
-func projectWith(q *Query, rows []map[string]Value) ([]map[string]Value, error) {
-	names := make([]string, len(q.With))
-	for i, item := range q.With {
-		if item.Alias != "" {
-			names[i] = item.Alias
-		} else {
-			names[i] = ExprText(item.Expr) // parser guarantees bare Ident here
+// columnNames names each item's column: its alias, or its expression text
+// (for WITH, the parser allows only a bare identifier without an alias).
+func columnNames(items []ReturnItem) []string {
+	names := make([]string, len(items))
+	for i, item := range items {
+		names[i] = item.Alias
+		if names[i] == "" {
+			names[i] = ExprText(item.Expr)
 		}
 	}
-	hasAgg := false
-	for _, item := range q.With {
-		if isAggregate(item.Expr) {
-			hasAgg = true
-			break
+	return names
+}
+
+// projectRows evaluates the items of a WITH or RETURN clause over the rows:
+// one value row per input row, or, when any item aggregates, one per group
+// of rows that agree on every non-aggregate item (implicit grouping, groups
+// in first-appearance order).
+func projectRows(items []ReturnItem, rows []map[string]Value) ([][]Value, error) {
+	var keys []Expr
+	for _, item := range items {
+		if !isAggregate(item.Expr) {
+			keys = append(keys, item.Expr)
 		}
 	}
-	var out []map[string]Value
-	emit := func(vals []Value) {
-		row := make(map[string]Value, len(vals))
-		for i, v := range vals {
-			row[names[i]] = v
-		}
-		out = append(out, row)
-	}
-	if !hasAgg {
+	var out [][]Value
+	if len(keys) == len(items) {
 		for _, r := range rows {
-			vals := make([]Value, len(q.With))
-			for i, item := range q.With {
+			vals := make([]Value, len(items))
+			for i, item := range items {
 				v, err := eval(item.Expr, &evalCtx{row: r})
 				if err != nil {
 					return nil, err
 				}
 				vals[i] = v
 			}
-			emit(vals)
+			out = append(out, vals)
 		}
-	} else {
-		grouped, order, err := groupRowsBy(withKeyExprs(q), rows)
-		if err != nil {
-			return nil, err
-		}
-		for _, gk := range order {
-			group := grouped[gk]
-			vals := make([]Value, len(q.With))
-			for i, item := range q.With {
-				v, err := evalWithAggregates(item.Expr, group)
-				if err != nil {
-					return nil, err
-				}
-				vals[i] = v
+		return out, nil
+	}
+	grouped, order, err := groupRowsBy(keys, rows)
+	if err != nil {
+		return nil, err
+	}
+	for _, gk := range order {
+		vals := make([]Value, len(items))
+		for i, item := range items {
+			v, err := evalWithAggregates(item.Expr, grouped[gk])
+			if err != nil {
+				return nil, err
 			}
-			emit(vals)
+			vals[i] = v
 		}
+		out = append(out, vals)
+	}
+	return out, nil
+}
+
+// projectWith evaluates the WITH items over the matched rows into a new
+// binding set named by the columns, then filters it by the WITH-level WHERE.
+func projectWith(q *Query, rows []map[string]Value) ([]map[string]Value, error) {
+	vals, err := projectRows(q.With, rows)
+	if err != nil {
+		return nil, err
+	}
+	names := columnNames(q.With)
+	var out []map[string]Value
+	for _, vs := range vals {
+		row := make(map[string]Value, len(vs))
+		for i, v := range vs {
+			row[names[i]] = v
+		}
+		out = append(out, row)
 	}
 	if q.WithWhere != nil {
 		kept := out[:0]
@@ -307,64 +323,13 @@ func projectWith(q *Query, rows []map[string]Value) ([]map[string]Value, error) 
 	return out, nil
 }
 
-func withKeyExprs(q *Query) []Expr {
-	var keys []Expr
-	for _, item := range q.With {
-		if !isAggregate(item.Expr) {
-			keys = append(keys, item.Expr)
-		}
-	}
-	return keys
-}
-
-// project evaluates the RETURN clause, applying implicit grouping when any
-// item aggregates.
+// project evaluates the RETURN clause and applies DISTINCT.
 func project(q *Query, rows []map[string]Value) (*Result, error) {
-	res := &Result{}
-	for _, item := range q.Return {
-		name := item.Alias
-		if name == "" {
-			name = ExprText(item.Expr)
-		}
-		res.Columns = append(res.Columns, name)
+	out, err := projectRows(q.Return, rows)
+	if err != nil {
+		return nil, err
 	}
-	hasAgg := false
-	for _, item := range q.Return {
-		if isAggregate(item.Expr) {
-			hasAgg = true
-			break
-		}
-	}
-	if !hasAgg {
-		for _, r := range rows {
-			out := make([]Value, len(q.Return))
-			for i, item := range q.Return {
-				v, err := eval(item.Expr, &evalCtx{row: r})
-				if err != nil {
-					return nil, err
-				}
-				out[i] = v
-			}
-			res.Rows = append(res.Rows, out)
-		}
-	} else {
-		grouped, order, err := groupRows(q, rows)
-		if err != nil {
-			return nil, err
-		}
-		for _, gk := range order {
-			group := grouped[gk]
-			out := make([]Value, len(q.Return))
-			for i, item := range q.Return {
-				v, err := evalWithAggregates(item.Expr, group)
-				if err != nil {
-					return nil, err
-				}
-				out[i] = v
-			}
-			res.Rows = append(res.Rows, out)
-		}
-	}
+	res := &Result{Columns: columnNames(q.Return), Rows: out}
 	if q.Distinct {
 		seen := map[string]bool{}
 		dedup := res.Rows[:0]
@@ -386,18 +351,6 @@ func rowKey(r []Value) string {
 		k += v.key() + "\x00"
 	}
 	return k
-}
-
-// groupRows partitions rows by the evaluated non-aggregate return items,
-// preserving first-appearance order of groups.
-func groupRows(q *Query, rows []map[string]Value) (map[string][]map[string]Value, []string, error) {
-	var keys []Expr
-	for _, item := range q.Return {
-		if !isAggregate(item.Expr) {
-			keys = append(keys, item.Expr)
-		}
-	}
-	return groupRowsBy(keys, rows)
 }
 
 // groupRowsBy partitions rows by the given key expressions.

@@ -38,8 +38,7 @@ type projection struct {
 	g      *lpg.Graph
 }
 
-// NewView wraps a structure graph. The graph must not be modified afterwards
-// and must never have had a vertex or edge removed (ids are dense).
+// NewView wraps a structure graph, which must not be modified afterwards.
 func NewView(g *lpg.Graph) *View {
 	v := &View{g: g}
 	g.Vertices(func(x *lpg.Vertex) bool {

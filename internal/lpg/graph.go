@@ -6,7 +6,7 @@ import (
 )
 
 // VertexID identifies a vertex within one Graph. IDs are dense, assigned in
-// insertion order, and never reused.
+// insertion order: a graph's vertices are exactly 0..NumVertices()-1.
 type VertexID int64
 
 // EdgeID identifies an edge within one Graph.
@@ -19,7 +19,6 @@ type Vertex struct {
 	props  map[string]Value
 	out    []EdgeID
 	in     []EdgeID
-	dead   bool
 }
 
 // Edge is a directed labeled property graph edge.
@@ -29,18 +28,20 @@ type Edge struct {
 	From  VertexID
 	To    VertexID
 	props map[string]Value
-	dead  bool
 }
 
 // Graph is a directed labeled property graph. The zero value is not usable;
 // call NewGraph. Graph is not safe for concurrent mutation.
+//
+// A Graph is append-only: vertices and edges are added, never removed, so
+// ids stay dense. An element leaves the graph the way it leaves a HyGraph,
+// through a new projection at a later instant (core.HyGraph.SnapshotAt,
+// hyql.View.GraphAt), never by mutation.
 type Graph struct {
 	vertices []*Vertex
 	edges    []*Edge
-	nLive    int // live vertex count
-	eLive    int // live edge count
 
-	labelIndex map[string][]VertexID // vertex label -> ids (insertion order, may contain dead)
+	labelIndex map[string][]VertexID // vertex label -> ids (insertion order)
 }
 
 // NewGraph returns an empty graph.
@@ -48,18 +49,14 @@ func NewGraph() *Graph {
 	return &Graph{labelIndex: make(map[string][]VertexID)}
 }
 
-// NumVertices returns the number of live vertices.
-func (g *Graph) NumVertices() int { return g.nLive }
-
-// NumEdges returns the number of live edges.
-func (g *Graph) NumEdges() int { return g.eLive }
+// NumVertices returns the number of vertices.
+func (g *Graph) NumVertices() int { return len(g.vertices) }
 
 // AddVertex creates a vertex with the given labels and returns its ID.
 func (g *Graph) AddVertex(labels ...string) VertexID {
 	id := VertexID(len(g.vertices))
 	v := &Vertex{ID: id, Labels: append([]string(nil), labels...), props: map[string]Value{}}
 	g.vertices = append(g.vertices, v)
-	g.nLive++
 	for _, l := range labels {
 		g.labelIndex[l] = append(g.labelIndex[l], id)
 	}
@@ -75,22 +72,17 @@ func (g *Graph) AddEdge(from, to VertexID, label string) EdgeID {
 	id := EdgeID(len(g.edges))
 	e := &Edge{ID: id, Label: label, From: from, To: to, props: map[string]Value{}}
 	g.edges = append(g.edges, e)
-	g.eLive++
 	vf.out = append(vf.out, id)
 	vt.in = append(vt.in, id)
 	return id
 }
 
-// Vertex returns the vertex with the given ID, or nil if it does not exist
-// or was removed.
+// Vertex returns the vertex with the given ID, or nil if it does not exist.
 func (g *Graph) Vertex(id VertexID) *Vertex {
 	if id < 0 || int(id) >= len(g.vertices) {
 		return nil
 	}
-	if v := g.vertices[id]; !v.dead {
-		return v
-	}
-	return nil
+	return g.vertices[id]
 }
 
 // Edge returns the edge with the given ID, or nil.
@@ -98,10 +90,7 @@ func (g *Graph) Edge(id EdgeID) *Edge {
 	if id < 0 || int(id) >= len(g.edges) {
 		return nil
 	}
-	if e := g.edges[id]; !e.dead {
-		return e
-	}
-	return nil
+	return g.edges[id]
 }
 
 func (g *Graph) mustVertex(id VertexID) *Vertex {
@@ -112,82 +101,37 @@ func (g *Graph) mustVertex(id VertexID) *Vertex {
 	return v
 }
 
-// RemoveEdge deletes an edge, reporting whether it existed.
-func (g *Graph) RemoveEdge(id EdgeID) bool {
-	e := g.Edge(id)
-	if e == nil {
-		return false
-	}
-	e.dead = true
-	g.eLive--
-	if v := g.Vertex(e.From); v != nil {
-		v.out = removeID(v.out, id)
-	}
-	if v := g.Vertex(e.To); v != nil {
-		v.in = removeID(v.in, id)
-	}
-	return true
-}
-
-// RemoveVertex deletes a vertex and all incident edges, reporting whether it
-// existed.
-func (g *Graph) RemoveVertex(id VertexID) bool {
-	v := g.Vertex(id)
-	if v == nil {
-		return false
-	}
-	for _, eid := range append(append([]EdgeID(nil), v.out...), v.in...) {
-		g.RemoveEdge(eid)
-	}
-	v.dead = true
-	g.nLive--
-	return true
-}
-
-func removeID(ids []EdgeID, id EdgeID) []EdgeID {
-	for i, x := range ids {
-		if x == id {
-			return append(ids[:i], ids[i+1:]...)
-		}
-	}
-	return ids
-}
-
-// Vertices calls fn for every live vertex in ID order; fn returning false
-// stops the iteration.
+// Vertices calls fn for every vertex in ID order; fn returning false stops
+// the iteration.
 func (g *Graph) Vertices(fn func(*Vertex) bool) {
 	for _, v := range g.vertices {
-		if !v.dead && !fn(v) {
+		if !fn(v) {
 			return
 		}
 	}
 }
 
-// Edges calls fn for every live edge in ID order; fn returning false stops.
+// Edges calls fn for every edge in ID order; fn returning false stops.
 func (g *Graph) Edges(fn func(*Edge) bool) {
 	for _, e := range g.edges {
-		if !e.dead && !fn(e) {
+		if !fn(e) {
 			return
 		}
 	}
 }
 
-// VertexIDs returns all live vertex IDs in ID order.
+// VertexIDs returns all vertex IDs in ID order: 0..NumVertices()-1.
 func (g *Graph) VertexIDs() []VertexID {
-	out := make([]VertexID, 0, g.nLive)
-	g.Vertices(func(v *Vertex) bool { out = append(out, v.ID); return true })
+	out := make([]VertexID, len(g.vertices))
+	for i := range out {
+		out[i] = VertexID(i)
+	}
 	return out
 }
 
-// VerticesByLabel returns live vertex IDs carrying the label, in ID order.
+// VerticesByLabel returns the vertex IDs carrying the label, in ID order.
 func (g *Graph) VerticesByLabel(label string) []VertexID {
-	var out []VertexID
-	for _, id := range g.labelIndex[label] {
-		if g.Vertex(id) != nil {
-			out = append(out, id)
-		}
-	}
-	return out
+	return append([]VertexID(nil), g.labelIndex[label]...)
 }
 
 // Prop returns a vertex property value (Null if absent).
@@ -225,48 +169,44 @@ func (g *Graph) SetEdgeProp(id EdgeID, key string, val Value) {
 	e.props[key] = val
 }
 
-// OutEdges returns the live outgoing edges of a vertex in insertion order.
+// OutEdges returns the outgoing edges of a vertex in insertion order.
 func (g *Graph) OutEdges(id VertexID) []*Edge {
 	v := g.Vertex(id)
 	if v == nil {
 		return nil
 	}
-	out := make([]*Edge, 0, len(v.out))
-	for _, eid := range v.out {
-		if e := g.Edge(eid); e != nil {
-			out = append(out, e)
-		}
-	}
-	return out
+	return g.edgesOf(v.out)
 }
 
-// InEdges returns the live incoming edges of a vertex in insertion order.
+// InEdges returns the incoming edges of a vertex in insertion order.
 func (g *Graph) InEdges(id VertexID) []*Edge {
 	v := g.Vertex(id)
 	if v == nil {
 		return nil
 	}
-	out := make([]*Edge, 0, len(v.in))
-	for _, eid := range v.in {
-		if e := g.Edge(eid); e != nil {
-			out = append(out, e)
-		}
+	return g.edgesOf(v.in)
+}
+
+func (g *Graph) edgesOf(ids []EdgeID) []*Edge {
+	out := make([]*Edge, len(ids))
+	for i, eid := range ids {
+		out[i] = g.edges[eid]
 	}
 	return out
 }
 
-// OutDegree returns the number of live outgoing edges.
+// OutDegree returns the number of outgoing edges.
 func (g *Graph) OutDegree(id VertexID) int { return len(g.OutEdges(id)) }
 
-// InDegree returns the number of live incoming edges.
+// InDegree returns the number of incoming edges.
 func (g *Graph) InDegree(id VertexID) int { return len(g.InEdges(id)) }
 
 // Degree returns in-degree + out-degree.
 func (g *Graph) Degree(id VertexID) int { return g.OutDegree(id) + g.InDegree(id) }
 
-// Degrees returns the total degree of every live vertex.
+// Degrees returns the total degree of every vertex.
 func (g *Graph) Degrees() map[VertexID]int {
-	out := make(map[VertexID]int, g.nLive)
+	out := make(map[VertexID]int, len(g.vertices))
 	g.Vertices(func(v *Vertex) bool {
 		out[v.ID] = g.Degree(v.ID)
 		return true
@@ -295,5 +235,5 @@ func (g *Graph) Neighbors(id VertexID) []VertexID {
 
 // String renders a compact summary.
 func (g *Graph) String() string {
-	return fmt.Sprintf("Graph(|V|=%d, |E|=%d)", g.nLive, g.eLive)
+	return fmt.Sprintf("Graph(|V|=%d, |E|=%d)", len(g.vertices), len(g.edges))
 }

@@ -275,12 +275,12 @@ func (g *Graph) adjacent(buf []VertexID, pe *PatternEdge, fe [2]int, pi int, bin
 	return slices.Compact(buf)
 }
 
-// farEnds appends the far endpoint (To when out, else From) of each live
-// edge in eids that carries label (any when "") and is in cands.
+// farEnds appends the far endpoint (To when out, else From) of each edge in
+// eids that carries label (any when "") and is in cands.
 func (g *Graph) farEnds(buf []VertexID, eids []EdgeID, label string, out bool, cands []VertexID) []VertexID {
 	for _, eid := range eids {
-		e := g.Edge(eid)
-		if e == nil || (label != "" && e.Label != label) {
+		e := g.edges[eid]
+		if label != "" && e.Label != label {
 			continue
 		}
 		far := e.From
@@ -310,7 +310,7 @@ func (g *Graph) prunable(p *Pattern, ends [][2]int, binding []VertexID, bound []
 	return false
 }
 
-// findEdge returns the first live edge from -> to (then, for AnyDir,
+// findEdge returns the first edge from -> to (then, for AnyDir,
 // to -> from) that pe admits, in insertion order, or nil.
 func (g *Graph) findEdge(from, to VertexID, pe *PatternEdge) *Edge {
 	if e := g.edgeTo(from, to, pe); e != nil || !pe.AnyDir {
@@ -319,11 +319,11 @@ func (g *Graph) findEdge(from, to VertexID, pe *PatternEdge) *Edge {
 	return g.edgeTo(to, from, pe)
 }
 
-// edgeTo returns the first live out-edge of from (a bound, so live, vertex)
-// that ends at to and that pe admits.
+// edgeTo returns the first out-edge of from (a bound vertex) that ends at
+// to and that pe admits.
 func (g *Graph) edgeTo(from, to VertexID, pe *PatternEdge) *Edge {
-	for _, eid := range g.Vertex(from).out {
-		if e := g.Edge(eid); e != nil && e.To == to && pe.admits(e) {
+	for _, eid := range g.vertices[from].out {
+		if e := g.edges[eid]; e.To == to && pe.admits(e) {
 			return e
 		}
 	}

@@ -460,12 +460,6 @@ func decodeMatchCase(data []byte) (*Graph, *Pattern, int) {
 		e := g.AddEdge(VertexID(r.n(nV)), VertexID(r.n(nV)), eLabels[r.n(3)])
 		g.SetEdgeProp(e, "w", Int(int64(r.n(4))))
 	}
-	for i, n := 0, r.n(3); i < n && nV > 0; i++ {
-		g.RemoveVertex(VertexID(r.n(nV)))
-	}
-	for i, n := 0, r.n(4); i < n && nE > 0; i++ {
-		g.RemoveEdge(EdgeID(r.n(nE)))
-	}
 	return g, p, []int{0, 1, 3}[r.n(3)]
 }
 

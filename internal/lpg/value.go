@@ -1,6 +1,6 @@
 // Package lpg implements the labeled-property-graph substrate: vertices and
 // edges carrying labels and typed properties, adjacency and a label index,
-// subgraph pattern matching, graph metrics and community detection.
+// subgraph pattern matching, vertex degrees and community detection.
 //
 // Property values follow the paper's split N = N_Σ ∪ N_TS: a property is
 // either a static scalar or a whole time series. The latter is what the
@@ -26,7 +26,6 @@ const (
 	KindInt
 	KindFloat
 	KindString
-	KindTime
 	KindSeries
 	KindMulti
 	KindSeriesRef
@@ -45,8 +44,6 @@ func (k Kind) String() string {
 		return "float"
 	case KindString:
 		return "string"
-	case KindTime:
-		return "time"
 	case KindSeries:
 		return "series"
 	case KindMulti:
@@ -61,7 +58,7 @@ func (k Kind) String() string {
 // Value is a typed property value. The zero Value is null.
 type Value struct {
 	kind  Kind
-	i     int64 // int and time payload
+	i     int64
 	f     float64
 	s     string
 	b     bool
@@ -84,9 +81,6 @@ func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
 
 // Str wraps a string.
 func Str(s string) Value { return Value{kind: KindString, s: s} }
-
-// TimeVal wraps a timestamp.
-func TimeVal(t ts.Time) Value { return Value{kind: KindTime, i: int64(t)} }
 
 // SeriesVal wraps a univariate time series (a N_TS property value).
 func SeriesVal(s *ts.Series) Value { return Value{kind: KindSeries, ser: s} }
@@ -132,9 +126,6 @@ func (v Value) AsFloat() (float64, bool) {
 // AsString returns the string payload.
 func (v Value) AsString() (string, bool) { return v.s, v.kind == KindString }
 
-// AsTime returns the time payload.
-func (v Value) AsTime() (ts.Time, bool) { return ts.Time(v.i), v.kind == KindTime }
-
 // AsSeries returns the series payload.
 func (v Value) AsSeries() (*ts.Series, bool) { return v.ser, v.kind == KindSeries }
 
@@ -145,7 +136,7 @@ func (v Value) AsMulti() (*ts.MultiSeries, bool) { return v.multi, v.kind == Kin
 func (v Value) AsSeriesRef() (any, bool) { return v.ref, v.kind == KindSeriesRef }
 
 // Compare orders two values: null < bool < int/float (numeric order) <
-// string < time < series (by length; series held by reference all tie).
+// string < series (by length; series held by reference all tie).
 // Values of incomparable kinds order by kind. Returns -1, 0 or 1.
 func (v Value) Compare(o Value) int {
 	ka, kb := v.orderClass(), o.orderClass()
@@ -159,8 +150,6 @@ func (v Value) Compare(o Value) int {
 		return cmpBool(v.b, o.b)
 	case KindString:
 		return cmpString(v.s, o.s)
-	case KindTime:
-		return cmpInt64(v.i, o.i)
 	case KindSeries:
 		return cmpInt(v.ser.Len(), o.ser.Len())
 	case KindMulti:
@@ -185,28 +174,16 @@ func (v Value) orderClass() int {
 		return 2
 	case KindString:
 		return 3
-	case KindTime:
-		return 4
 	case KindSeries:
-		return 5
+		return 4
 	case KindMulti:
-		return 6
+		return 5
 	default:
-		return 7
+		return 6
 	}
 }
 
 func cmpInt(a, b int) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-func cmpInt64(a, b int64) int {
 	switch {
 	case a < b:
 		return -1
@@ -259,8 +236,6 @@ func (v Value) String() string {
 		return strconv.FormatFloat(v.f, 'g', -1, 64)
 	case KindString:
 		return v.s
-	case KindTime:
-		return ts.Time(v.i).String()
 	case KindSeries:
 		return v.ser.String()
 	case KindMulti:

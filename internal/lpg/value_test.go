@@ -20,7 +20,6 @@ func TestValueKindsAndAccessors(t *testing.T) {
 		{Int(42), KindInt},
 		{Float(2.5), KindFloat},
 		{Str("x"), KindString},
-		{TimeVal(100), KindTime},
 		{SeriesVal(ts.New("s")), KindSeries},
 		{MultiVal(multi), KindMulti},
 	}
@@ -37,9 +36,6 @@ func TestValueKindsAndAccessors(t *testing.T) {
 	}
 	if _, ok := Str("x").AsFloat(); ok {
 		t.Error("AsFloat of string")
-	}
-	if tt, ok := TimeVal(5).AsTime(); !ok || tt != 5 {
-		t.Error("AsTime")
 	}
 	if b, ok := Bool(true).AsBool(); !ok || !b {
 		t.Error("AsBool")
@@ -74,15 +70,15 @@ func TestValueCompare(t *testing.T) {
 	if Str("a").Compare(Str("b")) != -1 {
 		t.Fatal("string order")
 	}
-	// Kind ordering: null < bool < numeric < string.
+	// Kind ordering: null < bool < numeric < string < series.
 	if Null.Compare(Int(0)) != -1 || Str("a").Compare(Int(5)) != 1 {
 		t.Fatal("kind order")
 	}
+	if Str("z").Compare(SeriesVal(ts.New("a"))) != -1 {
+		t.Fatal("string before series")
+	}
 	if Bool(false).Compare(Bool(true)) != -1 {
 		t.Fatal("bool order")
-	}
-	if TimeVal(1).Compare(TimeVal(2)) != -1 {
-		t.Fatal("time order")
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 	"hygraph/internal/core"
 	"hygraph/internal/dataset"
 	"hygraph/internal/embed"
-	"hygraph/internal/lpg"
 	"hygraph/internal/ml"
 	"hygraph/internal/tpg"
 	"hygraph/internal/ts"
@@ -181,7 +180,7 @@ func seriesEvidence(d *dataset.FraudData, u int, p Params) bool {
 //  2. Embed: FastRP over the instant view (structure) ++ balance features
 //     (temporal), standardized — the paper's hybrid embedding (E).
 //  3. Cluster: k-means over hybrid embeddings; each cluster becomes a
-//     logical subgraph with meta-properties (C2).
+//     logical subgraph whose members are its users and cards (C2).
 //  4. Classify: a cluster is suspicious when a member has BOTH evidence
 //     channels (structural fan-out AND balance drain); within suspicious
 //     clusters, members are flagged only with both evidences — the
@@ -242,7 +241,6 @@ func Hybrid(d *dataset.FraudData, p Params) (flagged []int, clusters []int, susp
 	}
 	for cl := range suspiciousSet {
 		suspicious = append(suspicious, cl)
-		h.SetSubgraphProp(subOf[cl], "state", lpg.Str("suspicious"))
 	}
 	sort.Ints(suspicious)
 	for u := range d.Users {

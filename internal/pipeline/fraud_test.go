@@ -111,21 +111,14 @@ func TestClustersAndSubgraphs(t *testing.T) {
 	if len(r.SuspiciousClusters) == 0 {
 		t.Fatal("no suspicious clusters")
 	}
-	// The pipeline materialized logical subgraphs on the instance.
-	// Suspicious clusters carry the annotation property.
-	subgraphs, annotated := 0, 0
-	d.H.Subgraphs(func(s *core.Subgraph) bool {
+	// The pipeline materialized one logical subgraph per cluster on the
+	// instance; subgraph ids are dense from 0.
+	subgraphs := 0
+	for d.H.Subgraph(core.SID(subgraphs)) != nil {
 		subgraphs++
-		if s.Prop("state").String() == "suspicious" {
-			annotated++
-		}
-		return true
-	})
+	}
 	if subgraphs < DefaultParams().Clusters {
 		t.Fatalf("subgraphs=%d", subgraphs)
-	}
-	if annotated != len(r.SuspiciousClusters) {
-		t.Fatalf("annotated=%d suspicious=%d", annotated, len(r.SuspiciousClusters))
 	}
 }
 

@@ -412,6 +412,13 @@ func (db *DB) NodeExists(id NodeID) bool {
 	return sh.okLocked(local)
 }
 
+func (db *DB) relExists(id RelID) bool {
+	rs, local := db.relShardOf(id)
+	rs.mu.RLock()
+	defer rs.mu.RUnlock()
+	return rs.okLocked(local)
+}
+
 // CreateNode allocates a node with the given labels.
 func (db *DB) CreateNode(labels ...string) NodeID {
 	id := db.AllocNodeID()

@@ -288,6 +288,9 @@ func applyRecord(db *DB, payload []byte) error {
 				return err
 			}
 		}
+		if db.NodeExists(NodeID(id)) {
+			return fmt.Errorf("graphstore: WAL re-creates live node %d", id)
+		}
 		db.CreateNodeAt(NodeID(id), labels...)
 	case opCreateRelAt:
 		id, err := binary.ReadUvarint(br)
@@ -305,6 +308,9 @@ func applyRecord(db *DB, payload []byte) error {
 		typ, err := readString(br)
 		if err != nil {
 			return err
+		}
+		if db.relExists(RelID(id)) {
+			return fmt.Errorf("graphstore: WAL re-creates live relationship %d", id)
 		}
 		if err := db.CreateRelAt(RelID(id), NodeID(from), NodeID(to), typ); err != nil {
 			return err

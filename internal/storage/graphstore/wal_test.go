@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -257,14 +258,7 @@ func TestWALWriteErrorFailsFast(t *testing.T) {
 // any more, and replay must keep applying them.
 func everyOpcodeLog(tb testing.TB) []byte {
 	tb.Helper()
-	rec := func(op byte, ids ...uint64) []byte {
-		buf := []byte{op}
-		for _, id := range ids {
-			buf = binary.AppendUvarint(buf, id)
-		}
-		return buf
-	}
-	records := [][]byte{
+	return logOf(tb,
 		putString(putString(rec(opCreateNode, 2), "A"), "B"), // node 0
 		putString(rec(opCreateNodeAt, 5, 1), "C"),            // node 5
 		putString(rec(opCreateRel, 0, 5), "T"),               // rel 0
@@ -276,7 +270,21 @@ func everyOpcodeLog(tb testing.TB) []byte {
 		putString(rec(opCreateNodeAt, 6, 1), "C"), // node 6
 		putValue(putString(rec(opSetNodeProp, 6), "b"), BoolVal(true)),
 		rec(opDeleteNode, 6),
+	)
+}
+
+// rec builds a record payload: the opcode, then each id as a uvarint.
+func rec(op byte, ids ...uint64) []byte {
+	buf := []byte{op}
+	for _, id := range ids {
+		buf = binary.AppendUvarint(buf, id)
 	}
+	return buf
+}
+
+// logOf frames the record payloads as one flushed log.
+func logOf(tb testing.TB, records ...[]byte) []byte {
+	tb.Helper()
 	var log bytes.Buffer
 	wal := NewWAL(New(), &log)
 	for _, r := range records {
@@ -288,6 +296,44 @@ func everyOpcodeLog(tb testing.TB) []byte {
 		tb.Fatal(err)
 	}
 	return log.Bytes()
+}
+
+// A create record for an id that is already live fails replay, naming the
+// id, instead of resetting the element and indexing it twice: that is what
+// an old log replayed over a snapshot that already holds it looks like. A
+// create of a deleted id is a legitimate reuse and replays.
+func TestWALReplayRejectsLiveCreate(t *testing.T) {
+	node5 := putString(rec(opCreateNodeAt, 5, 1), "C")
+	rel3 := putString(rec(opCreateRelAt, 3, 5, 5), "T")
+	for _, tc := range []struct {
+		name    string
+		log     []byte
+		applied int
+		want    string
+	}{
+		{"node twice", logOf(t, node5, node5), 1, "live node 5"},
+		{"rel twice", logOf(t, node5, rel3, rel3), 2, "live relationship 3"},
+	} {
+		db := New()
+		sum, err := ReplayWithSummary(db, bytes.NewReader(tc.log))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %v, want one naming %q", tc.name, err, tc.want)
+		}
+		if sum.Applied != tc.applied {
+			t.Fatalf("%s: applied %d records before the error, want %d", tc.name, sum.Applied, tc.applied)
+		}
+		if got := db.NodesByLabel("C"); len(got) != 1 || got[0] != 5 {
+			t.Fatalf("%s: label index C = %v, want [5]", tc.name, got)
+		}
+	}
+
+	db := New()
+	if _, err := ReplayWithSummary(db, bytes.NewReader(logOf(t, node5, rec(opDeleteNode, 5), node5))); err != nil {
+		t.Fatalf("re-create after delete: %v", err)
+	}
+	if got := db.NodesByLabel("C"); len(got) != 1 || got[0] != 5 {
+		t.Fatalf("re-created node: label index C = %v, want [5]", got)
+	}
 }
 
 // Every opcode's replay arm applies its record, the legacy ones included.

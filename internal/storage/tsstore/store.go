@@ -618,8 +618,14 @@ func (db *DB) RangeFunc(key SeriesKey, start, end ts.Time, fn func(ts.Time, floa
 // NaN when fewer than two joint points exist or a side is constant.
 func (db *DB) Correlate(a, b SeriesKey, start, end ts.Time) float64 {
 	db.obs.reads.Inc()
-	pa := db.collectRange(a, start, end)
-	pb := db.collectRange(b, start, end)
+	return PearsonJoined(db.collectRange(a, start, end), db.collectRange(b, start, end))
+}
+
+// PearsonJoined is Correlate's fold over two time-ordered point sets: an
+// exact merge join on timestamps, NaN under two shared points or a constant
+// side. The coordinator folds a cross-partition pair of fetched point sets
+// with it, so its answer is bit-identical to a single store's.
+func PearsonJoined(pa, pb []ts.Point) float64 {
 	var n float64
 	var sx, sy, sxx, syy, sxy float64
 	i, j := 0, 0

@@ -98,8 +98,8 @@ func TestAggregatePushdownMatchesScan(t *testing.T) {
 			}
 			continue
 		}
-		if math.Abs(s.Sum-slice.Sum()) > 1e-6 {
-			t.Fatalf("sum %v vs %v", s.Sum, slice.Sum())
+		if math.Abs(s.Sum-slice.Aggregate(ts.AggSum)) > 1e-6 {
+			t.Fatalf("sum %v vs %v", s.Sum, slice.Aggregate(ts.AggSum))
 		}
 		if s.Min != slice.Min() || s.Max != slice.Max() {
 			t.Fatalf("minmax %v/%v vs %v/%v", s.Min, s.Max, slice.Min(), slice.Max())

@@ -224,6 +224,40 @@ func TestCompactDirCrashAtEveryStep(t *testing.T) {
 	sameState(t, "compacted", dumpState(d.Engine()), want)
 }
 
+// TestOpenDirRejectsStaleGraphLog: a graph.wal from before a compaction,
+// put back beside the graph.snap that already holds its records, must fail
+// recovery naming the re-created node, not recover every station twice.
+func TestOpenDirRejectsStaleGraphLog(t *testing.T) {
+	defer faults.Reset()
+	faults.Reset()
+	dir := filepath.Join(t.TempDir(), "tenant")
+	d, _, closeLogs := openDir(t, dir)
+	populate(t, d)
+	closeLogs()
+	oldLog, err := os.ReadFile(filepath.Join(dir, graphLogFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	d, _, closeLogs = openDir(t, dir)
+	if err := CompactDir(dir, d.Engine()); err != nil {
+		t.Fatal(err)
+	}
+	closeLogs()
+	if err := os.WriteFile(filepath.Join(dir, graphLogFile), oldLog, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	d, rec, closer, err := OpenDir(dir)
+	if err == nil {
+		closer.Close()
+		t.Fatalf("OpenDir replayed a stale graph log: %d stations (%s)", len(d.Engine().G.NodesByLabel("Station")), rec)
+	}
+	if !strings.Contains(err.Error(), "re-creates live node") {
+		t.Fatalf("OpenDir: %v, want the re-created node named", err)
+	}
+}
+
 func copyDir(t *testing.T, from, to string) {
 	t.Helper()
 	if err := os.MkdirAll(to, 0o755); err != nil {

@@ -7,6 +7,13 @@ import (
 	"hygraph/internal/ts"
 )
 
+// lpgEdges counts an lpg graph's edges through Edges.
+func lpgEdges(g *lpg.Graph) int {
+	n := 0
+	g.Edges(func(*lpg.Edge) bool { n++; return true })
+	return n
+}
+
 // MustAddVertex is AddVertex that panics on error.
 func (g *Graph) MustAddVertex(valid Interval, labels ...string) VID {
 	id, err := g.AddVertex(valid, labels...)
@@ -93,18 +100,18 @@ func TestSnapshots(t *testing.T) {
 	g, _, _, _ := companyStory(t)
 	// t=50: C, X, D alive; no edges.
 	s := g.SnapshotAt(50)
-	if s.Graph.NumVertices() != 3 || s.Graph.NumEdges() != 0 {
+	if s.Graph.NumVertices() != 3 || lpgEdges(s.Graph) != 0 {
 		t.Fatalf("t=50: %v", s.Graph)
 	}
 	// t=150: LISTED_ON active.
 	s = g.SnapshotAt(150)
-	if s.Graph.NumEdges() != 1 {
-		t.Fatalf("t=150 edges=%d", s.Graph.NumEdges())
+	if lpgEdges(s.Graph) != 1 {
+		t.Fatalf("t=150 edges=%d", lpgEdges(s.Graph))
 	}
 	// t=350: ACQUIRED active, LISTED_ON gone.
 	s = g.SnapshotAt(350)
-	if s.Graph.NumEdges() != 1 {
-		t.Fatalf("t=350 edges=%d", s.Graph.NumEdges())
+	if lpgEdges(s.Graph) != 1 {
+		t.Fatalf("t=350 edges=%d", lpgEdges(s.Graph))
 	}
 	var label string
 	s.Graph.Edges(func(e *lpg.Edge) bool { label = e.Label; return true })
@@ -115,7 +122,7 @@ func TestSnapshots(t *testing.T) {
 	// the edge was clipped at creation? No: edge interval From(300) clipped
 	// by D's [0,500) → [300,500). So no edges, 2 vertices.
 	s = g.SnapshotAt(550)
-	if s.Graph.NumVertices() != 2 || s.Graph.NumEdges() != 0 {
+	if s.Graph.NumVertices() != 2 || lpgEdges(s.Graph) != 0 {
 		t.Fatalf("t=550: %v", s.Graph)
 	}
 	// Properties survive into snapshots, and mappings are consistent.
@@ -161,7 +168,7 @@ func TestSnapshotSubsetInvariant(t *testing.T) {
 	for _, at := range []ts.Time{0, 99, 100, 299, 300, 499, 500, 1000} {
 		s := g.SnapshotAt(at)
 		v, e := activeCounts(g, at)
-		if s.Graph.NumVertices() != v || s.Graph.NumEdges() != e {
+		if s.Graph.NumVertices() != v || lpgEdges(s.Graph) != e {
 			t.Fatalf("t=%d snapshot %v vs active %d/%d", at, s.Graph, v, e)
 		}
 	}

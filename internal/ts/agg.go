@@ -164,9 +164,6 @@ func median(vals []float64) float64 {
 // Mean returns the arithmetic mean of all values (NaN if empty).
 func (s *Series) Mean() float64 { return mean(s.vals) }
 
-// Sum returns the sum of all values.
-func (s *Series) Sum() float64 { return sum(s.vals) }
-
 // Min returns the minimum value (NaN if empty).
 func (s *Series) Min() float64 { return AggMin.Apply(s.vals) }
 
@@ -205,35 +202,6 @@ func (s *Series) Aggregate(f AggFunc) float64 { return f.Apply(s.vals) }
 func (s *Series) AggregateRange(f AggFunc, start, end Time) float64 {
 	lo, hi := s.window(start, end)
 	return f.Apply(s.vals[lo:hi])
-}
-
-// Rolling applies f over a sliding window of the given length (in points)
-// and returns a series stamped at each window's last timestamp.
-func (s *Series) Rolling(window int, f AggFunc) *Series {
-	out := New(fmt.Sprintf("%s_%s%d", s.name, f, window))
-	if window <= 0 || s.Len() < window {
-		return out
-	}
-	for i := window; i <= s.Len(); i++ {
-		out.times = append(out.times, s.times[i-1])
-		out.vals = append(out.vals, f.Apply(s.vals[i-window:i]))
-	}
-	return out
-}
-
-// RollingDuration applies f over a trailing time window of the given
-// duration ending at each observation (inclusive).
-func (s *Series) RollingDuration(window Time, f AggFunc) *Series {
-	out := New(fmt.Sprintf("%s_%s", s.name, f))
-	lo := 0
-	for i := range s.times {
-		for s.times[lo] <= s.times[i]-window {
-			lo++
-		}
-		out.times = append(out.times, s.times[i])
-		out.vals = append(out.vals, f.Apply(s.vals[lo:i+1]))
-	}
-	return out
 }
 
 // ZNormalize returns the series standardized to zero mean and unit variance.

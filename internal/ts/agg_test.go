@@ -2,7 +2,6 @@ package ts
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -22,8 +21,8 @@ func TestAggregations(t *testing.T) {
 	if got := s.Std(); !almost(got, 2, 1e-12) {
 		t.Fatalf("std=%v", got)
 	}
-	if s.Min() != 2 || s.Max() != 9 || s.Sum() != 40 {
-		t.Fatalf("min/max/sum = %v/%v/%v", s.Min(), s.Max(), s.Sum())
+	if s.Min() != 2 || s.Max() != 9 || s.Aggregate(AggSum) != 40 {
+		t.Fatalf("min/max/sum = %v/%v/%v", s.Min(), s.Max(), s.Aggregate(AggSum))
 	}
 	if got := s.Median(); !almost(got, 4.5, 1e-12) {
 		t.Fatalf("median=%v", got)
@@ -100,31 +99,6 @@ func TestAggregateRange(t *testing.T) {
 	}
 }
 
-func TestRollingWindows(t *testing.T) {
-	s := FromSamples("a", 0, 1, []float64{1, 2, 3, 4})
-	r := s.Rolling(2, AggMean)
-	if r.Len() != 3 {
-		t.Fatalf("rolling len=%d", r.Len())
-	}
-	want := []float64{1.5, 2.5, 3.5}
-	for i, w := range want {
-		if !almost(r.ValueAt(i), w, 1e-12) {
-			t.Fatalf("rolling[%d]=%v want %v", i, r.ValueAt(i), w)
-		}
-	}
-	if got := s.Rolling(10, AggMean); got.Len() != 0 {
-		t.Fatal("window larger than series should be empty")
-	}
-	rd := s.RollingDuration(2, AggSum) // trailing 2ms window
-	if rd.Len() != 4 {
-		t.Fatalf("rollingDuration len=%d", rd.Len())
-	}
-	// At t=3: window (1,3] contains points at t=2,3 → 3+4=7.
-	if got := rd.ValueAt(3); got != 7 {
-		t.Fatalf("rollingDuration[3]=%v want 7", got)
-	}
-}
-
 func TestZNormalize(t *testing.T) {
 	s := FromSamples("a", 0, 1, []float64{1, 2, 3, 4, 5})
 	z := s.ZNormalize()
@@ -162,22 +136,5 @@ func TestQuickAggregateBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Property: rolling sum over the full window equals total sum.
-func TestQuickRollingFullWindow(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for iter := 0; iter < 50; iter++ {
-		n := 1 + rng.Intn(40)
-		vals := make([]float64, n)
-		for i := range vals {
-			vals[i] = rng.NormFloat64()
-		}
-		s := FromSamples("q", 0, 1, vals)
-		r := s.Rolling(n, AggSum)
-		if r.Len() != 1 || !almost(r.ValueAt(0), s.Sum(), 1e-9) {
-			t.Fatalf("full-window rolling sum %v != %v", r.Points(), s.Sum())
-		}
 	}
 }

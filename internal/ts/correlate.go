@@ -36,46 +36,6 @@ func Correlation(a, b *Series, bucket Time) float64 {
 	return Pearson(av, bv)
 }
 
-// CrossCorrelation returns the Pearson correlation of a against b shifted by
-// lag buckets, for each lag in [-maxLag, maxLag], after aligning both onto a
-// shared grid. Index i of the result corresponds to lag i-maxLag. Lags with
-// fewer than two overlapping buckets yield NaN. A negative maxLag or an
-// empty alignment (disjoint series, non-positive bucket) yields nil rather
-// than a window of meaningless values.
-func CrossCorrelation(a, b *Series, bucket Time, maxLag int) []float64 {
-	if maxLag < 0 {
-		return nil
-	}
-	av, bv, _ := Align(a, b, bucket, AggMean)
-	if len(av) == 0 {
-		return nil
-	}
-	out := make([]float64, 2*maxLag+1)
-	for l := -maxLag; l <= maxLag; l++ {
-		out[l+maxLag] = laggedPearson(av, bv, l)
-	}
-	return out
-}
-
-// BestLag returns the lag in [-maxLag, maxLag] with the highest absolute
-// cross-correlation and that correlation value. When no lag yields a
-// defined correlation (constant or non-overlapping series), it returns
-// lag=0 with r=NaN — callers must not read the all-NaN case as "perfectly
-// uncorrelated at lag 0".
-func BestLag(a, b *Series, bucket Time, maxLag int) (lag int, r float64) {
-	r = math.NaN()
-	cc := CrossCorrelation(a, b, bucket, maxLag)
-	bestAbs := math.Inf(-1)
-	for i, v := range cc {
-		if !math.IsNaN(v) && math.Abs(v) > bestAbs {
-			bestAbs = math.Abs(v)
-			lag = i - maxLag
-			r = v
-		}
-	}
-	return lag, r
-}
-
 // laggedPearson correlates a[i] with b[i+lag] over the overlapping range.
 func laggedPearson(a, b []float64, lag int) float64 {
 	var xa, xb []float64

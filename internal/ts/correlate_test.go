@@ -37,35 +37,6 @@ func TestCorrelationAligned(t *testing.T) {
 	}
 }
 
-func TestCrossCorrelationFindsLag(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	n := 200
-	base := make([]float64, n+5)
-	for i := range base {
-		base[i] = math.Sin(float64(i)/7) + 0.05*rng.NormFloat64()
-	}
-	a := FromSamples("a", 0, 1, base[:n])
-	bb := FromSamples("b", 0, 1, base[3:n+3]) // b leads a by 3 buckets
-	lag, r := BestLag(a, bb, 1, 6)
-	if lag != -3 && lag != 3 {
-		t.Fatalf("best lag=%d (r=%v), want ±3", lag, r)
-	}
-	if math.Abs(r) < 0.9 {
-		t.Fatalf("best correlation too weak: %v", r)
-	}
-}
-
-func TestCrossCorrelationShape(t *testing.T) {
-	a := FromSamples("a", 0, 1, []float64{1, 2, 3, 4, 5, 6, 7, 8})
-	cc := CrossCorrelation(a, a, 1, 2)
-	if len(cc) != 5 {
-		t.Fatalf("len=%d want 5", len(cc))
-	}
-	if !almost(cc[2], 1, 1e-12) { // lag 0
-		t.Fatalf("lag0=%v", cc[2])
-	}
-}
-
 func TestAutoCorrelation(t *testing.T) {
 	// Period-4 square wave → strong positive ACF at lag 4, negative at lag 2.
 	vals := make([]float64, 64)
@@ -119,9 +90,8 @@ func TestQuickPearsonProperties(t *testing.T) {
 }
 
 // Degenerate inputs must never yield a value a caller could mistake for a
-// real correlation: constant series, disjoint series, empty series, and
-// invalid parameters all surface as NaN or nil, and BestLag's all-NaN case
-// is r=NaN — not "r=0 at lag 0", which reads as perfectly uncorrelated.
+// real correlation: constant series, disjoint series and empty series all
+// surface as NaN — not 0, which reads as perfectly uncorrelated.
 func TestCorrelateDegenerateInputs(t *testing.T) {
 	mk := func(start Time, vals ...float64) *Series {
 		s := New("s")
@@ -149,44 +119,12 @@ func TestCorrelateDegenerateInputs(t *testing.T) {
 		if r := Correlation(tc.a, tc.b, 10); !math.IsNaN(r) {
 			t.Errorf("Correlation %s: got %v, want NaN", tc.name, r)
 		}
-		lag, r := BestLag(tc.a, tc.b, 10, 2)
-		if !math.IsNaN(r) {
-			t.Errorf("BestLag %s: r=%v, want NaN", tc.name, r)
-		}
-		if lag != 0 {
-			t.Errorf("BestLag %s: lag=%d, want 0 placeholder", tc.name, lag)
-		}
 	}
 
-	// CrossCorrelation guards: negative maxLag and empty alignments yield
-	// nil, never a window of garbage.
-	if cc := CrossCorrelation(ramp, ramp, 10, -1); cc != nil {
-		t.Errorf("negative maxLag: got %v, want nil", cc)
-	}
-	if cc := CrossCorrelation(ramp, far, 10, 2); cc != nil {
-		t.Errorf("disjoint series: got %v, want nil", cc)
-	}
-	if cc := CrossCorrelation(empty, empty, 10, 2); cc != nil {
-		t.Errorf("empty series: got %v, want nil", cc)
-	}
-	if cc := CrossCorrelation(ramp, ramp, 0, 2); cc != nil {
-		t.Errorf("non-positive bucket: got %v, want nil", cc)
-	}
-	// Constant series still produce the window (alignment is non-empty);
-	// every lag is NaN.
-	if cc := CrossCorrelation(ramp, flat, 10, 2); len(cc) != 5 {
-		t.Errorf("constant side window: %v", cc)
-	} else {
-		for i, v := range cc {
-			if !math.IsNaN(v) {
-				t.Errorf("constant side lag %d: %v, want NaN", i-2, v)
-			}
-		}
-	}
 	// A healthy pair is unaffected by the guards. (Not a ramp: every lag of
 	// a ramp against itself is still perfectly linear, which ties at |r|=1.)
 	wavy := mk(0, 1, 5, 2, 8, 3, 9, 4, 7)
-	if lag, r := BestLag(wavy, wavy, 10, 2); lag != 0 || math.Abs(r-1) > 1e-12 {
-		t.Errorf("identical series: lag=%d r=%v", lag, r)
+	if r := Correlation(wavy, wavy, 10); math.Abs(r-1) > 1e-12 {
+		t.Errorf("identical series: r=%v", r)
 	}
 }

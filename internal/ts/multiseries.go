@@ -40,21 +40,6 @@ func NewMulti(name string, vars ...string) (*MultiSeries, error) {
 	return m, nil
 }
 
-// MustNewMulti is NewMulti that panics on error.
-func MustNewMulti(name string, vars ...string) *MultiSeries {
-	m, err := NewMulti(name, vars...)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// Name returns the series name.
-func (m *MultiSeries) Name() string { return m.name }
-
-// SetName renames the series.
-func (m *MultiSeries) SetName(name string) { m.name = name }
-
 // Vars returns the variable names in column order.
 func (m *MultiSeries) Vars() []string { return append([]string(nil), m.vars...) }
 
@@ -78,18 +63,6 @@ func (m *MultiSeries) End() Time {
 		return -1
 	}
 	return m.times[len(m.times)-1]
-}
-
-// TimeAt returns the i-th timestamp.
-func (m *MultiSeries) TimeAt(i int) Time { return m.times[i] }
-
-// Tuple returns the i-th observation tuple in variable order.
-func (m *MultiSeries) Tuple(i int) []float64 {
-	out := make([]float64, len(m.cols))
-	for c := range m.cols {
-		out[c] = m.cols[c][i]
-	}
-	return out
 }
 
 // Append adds an observation strictly after the current end, mirroring
@@ -154,28 +127,6 @@ func (m *MultiSeries) MustVar(v string) *Series {
 		panic(fmt.Sprintf("ts: no variable %q in %s", v, m.name))
 	}
 	return s
-}
-
-// Slice returns observations with start <= t < end as a new MultiSeries.
-func (m *MultiSeries) Slice(start, end Time) *MultiSeries {
-	lo := sort.Search(len(m.times), func(i int) bool { return m.times[i] >= start })
-	hi := sort.Search(len(m.times), func(i int) bool { return m.times[i] >= end })
-	out := MustNewMulti(m.name, m.vars...)
-	out.times = append([]Time(nil), m.times[lo:hi]...)
-	for c := range m.cols {
-		out.cols[c] = append([]float64(nil), m.cols[c][lo:hi]...)
-	}
-	return out
-}
-
-// Clone returns a deep copy.
-func (m *MultiSeries) Clone() *MultiSeries {
-	out := MustNewMulti(m.name, m.vars...)
-	out.times = append([]Time(nil), m.times...)
-	for c := range m.cols {
-		out.cols[c] = append([]float64(nil), m.cols[c]...)
-	}
-	return out
 }
 
 // Combine zips univariate series with identical timestamps into one

@@ -4,6 +4,24 @@ import (
 	"testing"
 )
 
+// mustMulti is NewMulti that panics on error.
+func mustMulti(name string, vars ...string) *MultiSeries {
+	m, err := NewMulti(name, vars...)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// tuple returns the i-th observation tuple in variable order.
+func (m *MultiSeries) tuple(i int) []float64 {
+	out := make([]float64, len(m.cols))
+	for c := range m.cols {
+		out[c] = m.cols[c][i]
+	}
+	return out
+}
+
 // MustAppend is Append that panics on error.
 func (m *MultiSeries) MustAppend(t Time, tuple ...float64) {
 	if err := m.Append(t, tuple...); err != nil {
@@ -11,33 +29,8 @@ func (m *MultiSeries) MustAppend(t Time, tuple ...float64) {
 	}
 }
 
-// Equal reports structural equality of two multivariate series.
-func (m *MultiSeries) Equal(o *MultiSeries) bool {
-	if m.name != o.name || len(m.vars) != len(o.vars) || len(m.times) != len(o.times) {
-		return false
-	}
-	for i, v := range m.vars {
-		if o.vars[i] != v {
-			return false
-		}
-	}
-	for i := range m.times {
-		if m.times[i] != o.times[i] {
-			return false
-		}
-	}
-	for c := range m.cols {
-		for i := range m.cols[c] {
-			if m.cols[c][i] != o.cols[c][i] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 func TestMultiSeriesBasics(t *testing.T) {
-	m := MustNewMulti("cc", "amount", "balance")
+	m := mustMulti("cc", "amount", "balance")
 	if m.Arity() != 2 || m.Len() != 0 {
 		t.Fatalf("fresh multiseries: k=%d n=%d", m.Arity(), m.Len())
 	}
@@ -46,7 +39,7 @@ func TestMultiSeriesBasics(t *testing.T) {
 	if m.Len() != 2 {
 		t.Fatalf("len=%d", m.Len())
 	}
-	tup := m.Tuple(1)
+	tup := m.tuple(1)
 	if tup[0] != 50 || tup[1] != 850 {
 		t.Fatalf("tuple=%v", tup)
 	}
@@ -59,7 +52,7 @@ func TestMultiSeriesErrors(t *testing.T) {
 	if _, err := NewMulti("dup", "x", "x"); err == nil {
 		t.Fatal("duplicate variable accepted")
 	}
-	m := MustNewMulti("m", "x", "y")
+	m := mustMulti("m", "x", "y")
 	if err := m.Append(10, 1); err != ErrArity {
 		t.Fatalf("arity: %v", err)
 	}
@@ -70,7 +63,7 @@ func TestMultiSeriesErrors(t *testing.T) {
 }
 
 func TestMultiSeriesVarExtraction(t *testing.T) {
-	m := MustNewMulti("cc", "amount", "balance")
+	m := mustMulti("cc", "amount", "balance")
 	m.MustAppend(10, 100, 900)
 	m.MustAppend(20, 50, 850)
 	b := m.MustVar("balance")
@@ -85,27 +78,8 @@ func TestMultiSeriesVarExtraction(t *testing.T) {
 	}
 	// Extraction copies: mutating the extraction must not touch the parent.
 	b.vals[0] = -1
-	if m.Tuple(0)[1] == -1 {
+	if m.tuple(0)[1] == -1 {
 		t.Fatal("Var aliases parent")
-	}
-}
-
-func TestMultiSeriesSliceCloneEqual(t *testing.T) {
-	m := MustNewMulti("m", "x", "y")
-	for i := 0; i < 10; i++ {
-		m.MustAppend(Time(i)*10, float64(i), float64(-i))
-	}
-	sl := m.Slice(20, 50)
-	if sl.Len() != 3 || sl.TimeAt(0) != 20 {
-		t.Fatalf("slice: n=%d first=%d", sl.Len(), sl.TimeAt(0))
-	}
-	c := m.Clone()
-	if !m.Equal(c) {
-		t.Fatal("clone not equal")
-	}
-	c.cols[0][0] = 99
-	if m.Equal(c) {
-		t.Fatal("mutated clone equal")
 	}
 }
 
@@ -138,17 +112,17 @@ func TestCombine(t *testing.T) {
 }
 
 func TestMultiSeriesUpsert(t *testing.T) {
-	m := MustNewMulti("m", "x", "y")
+	m := mustMulti("m", "x", "y")
 	m.MustAppend(10, 1, 2)
 	m.MustAppend(30, 3, 4)
 	// Insert in the middle.
 	if err := m.Upsert(20, 9, 8); err != nil {
 		t.Fatal(err)
 	}
-	if m.Len() != 3 || m.TimeAt(1) != 20 {
-		t.Fatalf("after insert: n=%d times=%v", m.Len(), m.TimeAt(1))
+	if m.Len() != 3 || m.times[1] != 20 {
+		t.Fatalf("after insert: n=%d times=%v", m.Len(), m.times[1])
 	}
-	tup := m.Tuple(1)
+	tup := m.tuple(1)
 	if tup[0] != 9 || tup[1] != 8 {
 		t.Fatalf("inserted tuple=%v", tup)
 	}
@@ -159,7 +133,7 @@ func TestMultiSeriesUpsert(t *testing.T) {
 	if m.Len() != 3 {
 		t.Fatalf("replace changed length to %d", m.Len())
 	}
-	if got := m.Tuple(0); got[0] != -1 || got[1] != -2 {
+	if got := m.tuple(0); got[0] != -1 || got[1] != -2 {
 		t.Fatalf("replaced tuple=%v", got)
 	}
 	// Arity checked.
@@ -173,7 +147,7 @@ func TestMultiSeriesUpsert(t *testing.T) {
 		}
 	}
 	for i := 1; i < m.Len(); i++ {
-		if m.TimeAt(i) <= m.TimeAt(i-1) {
+		if m.times[i] <= m.times[i-1] {
 			t.Fatal("times not strictly increasing")
 		}
 	}

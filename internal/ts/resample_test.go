@@ -18,13 +18,13 @@ func TestResampleBasic(t *testing.T) {
 		t.Fatalf("buckets=%d want 3: %v", r.Len(), r.Points())
 	}
 	if r.TimeAt(0) != 0 || r.ValueAt(0) != 3 {
-		t.Fatalf("bucket0=%v", r.At(0))
+		t.Fatalf("bucket0=%v", r.Points()[0])
 	}
 	if r.TimeAt(1) != 10 || r.ValueAt(1) != 10 {
-		t.Fatalf("bucket1=%v", r.At(1))
+		t.Fatalf("bucket1=%v", r.Points()[1])
 	}
 	if r.TimeAt(2) != 30 || r.ValueAt(2) != 7 {
-		t.Fatalf("bucket2=%v", r.At(2))
+		t.Fatalf("bucket2=%v", r.Points()[2])
 	}
 }
 
@@ -63,10 +63,10 @@ func TestQuickResampleInvariants(t *testing.T) {
 			s.MustAppend(tt, rng.NormFloat64()*10)
 		}
 		width := Time(1 + rng.Intn(100))
-		if got := s.Resample(width, AggSum).Sum(); !almost(got, s.Sum(), 1e-6) {
-			t.Fatalf("mass not preserved: %v vs %v", got, s.Sum())
+		if got, want := s.Resample(width, AggSum).Aggregate(AggSum), s.Aggregate(AggSum); !almost(got, want, 1e-6) {
+			t.Fatalf("mass not preserved: %v vs %v", got, want)
 		}
-		if got := s.Resample(width, AggCount).Sum(); got != float64(s.Len()) {
+		if got := s.Resample(width, AggCount).Aggregate(AggSum); got != float64(s.Len()) {
 			t.Fatalf("count not preserved: %v vs %v", got, s.Len())
 		}
 		mn, mx := s.Min(), s.Max()

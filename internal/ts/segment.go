@@ -93,17 +93,6 @@ func sortSegments(segs []Segment) {
 	}
 }
 
-// Breakpoints returns the timestamps at which a new segment begins
-// (excluding the very first segment), i.e. the "significant time intervals"
-// the paper's Q4 operator snapshots at.
-func Breakpoints(segs []Segment) []Time {
-	var out []Time
-	for i := 1; i < len(segs); i++ {
-		out = append(out, segs[i].Start)
-	}
-	return out
-}
-
 // Trend fits an ordinary least squares line v = a + b·x over the point
 // indexes and returns intercept a and slope b (per point step). Slope is the
 // basic "trend" feature used for classification (Table 2, C1).

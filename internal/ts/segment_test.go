@@ -75,15 +75,18 @@ func TestSegmentizeDegenerate(t *testing.T) {
 	}
 }
 
+// TestBreakpoints: the breakpoints core.SegmentSnapshots snapshots at are the
+// Start of every segment after the first, the timestamp of its first point.
 func TestBreakpoints(t *testing.T) {
 	s := stepSeries(rand.New(rand.NewSource(3)), 0.1)
 	segs := s.Segmentize(3, 0.001)
-	bps := Breakpoints(segs)
-	if len(bps) != 2 {
-		t.Fatalf("breakpoints=%v", bps)
+	if len(segs) != 3 {
+		t.Fatalf("segments=%v", segs)
 	}
-	if bps[0] != segs[1].Start || bps[1] != segs[2].Start {
-		t.Fatalf("breakpoints mismatch: %v vs %v/%v", bps, segs[1].Start, segs[2].Start)
+	for i, sg := range segs[1:] {
+		if sg.Start != s.TimeAt(sg.Lo) || sg.Start <= segs[i].Start {
+			t.Fatalf("breakpoint %d at %v, first point %v, previous %v", i, sg.Start, s.TimeAt(sg.Lo), segs[i].Start)
+		}
 	}
 }
 

@@ -114,9 +114,6 @@ func (s *Series) Len() int { return len(s.times) }
 // Empty reports whether the series has no observations.
 func (s *Series) Empty() bool { return len(s.times) == 0 }
 
-// At returns the i-th observation.
-func (s *Series) At(i int) Point { return Point{s.times[i], s.vals[i]} }
-
 // TimeAt returns the i-th timestamp.
 func (s *Series) TimeAt(i int) Time { return s.times[i] }
 
@@ -182,18 +179,6 @@ func (s *Series) Upsert(t Time, v float64) {
 	s.vals[i] = v
 }
 
-// Delete removes the observation at timestamp t, reporting whether one
-// existed.
-func (s *Series) Delete(t Time) bool {
-	i := s.searchTime(t)
-	if i >= len(s.times) || s.times[i] != t {
-		return false
-	}
-	s.times = append(s.times[:i], s.times[i+1:]...)
-	s.vals = append(s.vals[:i], s.vals[i+1:]...)
-	return true
-}
-
 // searchTime returns the smallest index i with times[i] >= t.
 func (s *Series) searchTime(t Time) int {
 	return sort.Search(len(s.times), func(i int) bool { return s.times[i] >= t })
@@ -206,16 +191,6 @@ func (s *Series) Lookup(t Time) (float64, bool) {
 		return s.vals[i], true
 	}
 	return 0, false
-}
-
-// ValueAtOrBefore returns the most recent value at or before t, the usual
-// "as of" lookup in temporal databases.
-func (s *Series) ValueAtOrBefore(t Time) (float64, bool) {
-	i := sort.Search(len(s.times), func(i int) bool { return s.times[i] > t })
-	if i == 0 {
-		return 0, false
-	}
-	return s.vals[i-1], true
 }
 
 // window returns the index range of the observations with start <= t < end;
@@ -281,18 +256,6 @@ func (s *Series) Map(f func(float64) float64) *Series {
 	return out
 }
 
-// Filter returns a new series keeping the points for which keep returns true.
-func (s *Series) Filter(keep func(Point) bool) *Series {
-	out := New(s.name)
-	for i := range s.times {
-		if p := (Point{s.times[i], s.vals[i]}); keep(p) {
-			out.times = append(out.times, p.T)
-			out.vals = append(out.vals, p.V)
-		}
-	}
-	return out
-}
-
 // Diff returns the series of first differences v[i]-v[i-1] stamped at t[i].
 func (s *Series) Diff() *Series {
 	out := New(s.name + "_diff")
@@ -301,24 +264,6 @@ func (s *Series) Diff() *Series {
 		out.vals = append(out.vals, s.vals[i]-s.vals[i-1])
 	}
 	return out
-}
-
-// Equal reports whether two series have identical names, timestamps, and
-// values (NaNs compare equal to NaNs so round-trip tests can use it).
-func (s *Series) Equal(o *Series) bool {
-	if s.name != o.name || len(s.times) != len(o.times) {
-		return false
-	}
-	for i := range s.times {
-		if s.times[i] != o.times[i] {
-			return false
-		}
-		a, b := s.vals[i], o.vals[i]
-		if a != b && !(math.IsNaN(a) && math.IsNaN(b)) {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders a compact debug representation.

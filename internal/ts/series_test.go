@@ -48,22 +48,6 @@ func TestUpsertKeepsOrderAndReplaces(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	s := FromSamples("a", 0, 10, []float64{1, 2, 3})
-	if !s.Delete(10) {
-		t.Fatal("delete existing returned false")
-	}
-	if s.Delete(10) {
-		t.Fatal("delete missing returned true")
-	}
-	if s.Len() != 2 {
-		t.Fatalf("len=%d want 2", s.Len())
-	}
-	if _, ok := s.Lookup(10); ok {
-		t.Fatal("deleted point still present")
-	}
-}
-
 func TestFromPointsSortsAndDedups(t *testing.T) {
 	s := FromPoints("a", []Point{{30, 3}, {10, 1}, {30, 33}, {20, 2}})
 	if s.Len() != 3 {
@@ -91,21 +75,6 @@ func TestSliceHalfOpen(t *testing.T) {
 	}
 }
 
-func TestValueAtOrBefore(t *testing.T) {
-	s := FromSamples("a", 100, 100, []float64{1, 2, 3})
-	if _, ok := s.ValueAtOrBefore(99); ok {
-		t.Fatal("before first point should miss")
-	}
-	for _, tc := range []struct {
-		t    Time
-		want float64
-	}{{100, 1}, {150, 1}, {200, 2}, {5000, 3}} {
-		if v, ok := s.ValueAtOrBefore(tc.t); !ok || v != tc.want {
-			t.Fatalf("ValueAtOrBefore(%d)=%v,%v want %v", tc.t, v, ok, tc.want)
-		}
-	}
-}
-
 func TestTimeConversions(t *testing.T) {
 	now := gotime.Date(2024, 3, 1, 12, 0, 0, 0, gotime.UTC)
 	tt := FromGoTime(now)
@@ -117,7 +86,7 @@ func TestTimeConversions(t *testing.T) {
 	}
 }
 
-func TestDiffAndMapAndFilter(t *testing.T) {
+func TestDiffAndMap(t *testing.T) {
 	s := FromSamples("a", 0, 1, []float64{1, 4, 9})
 	d := s.Diff()
 	if d.Len() != 2 || d.ValueAt(0) != 3 || d.ValueAt(1) != 5 {
@@ -126,10 +95,6 @@ func TestDiffAndMapAndFilter(t *testing.T) {
 	m := s.Map(math.Sqrt)
 	if m.ValueAt(2) != 3 {
 		t.Fatalf("map sqrt: %v", m.Points())
-	}
-	f := s.Filter(func(p Point) bool { return p.V > 2 })
-	if f.Len() != 2 {
-		t.Fatalf("filter: %v", f.Points())
 	}
 }
 
@@ -144,7 +109,7 @@ func TestEmptySeriesEdges(t *testing.T) {
 	if !math.IsNaN(s.Mean()) {
 		t.Fatal("mean of empty should be NaN")
 	}
-	if s.Sum() != 0 {
+	if s.Aggregate(AggSum) != 0 {
 		t.Fatal("sum of empty should be 0")
 	}
 	if got := s.Slice(0, 100); got.Len() != 0 {
@@ -232,14 +197,29 @@ func TestQuickFromPointsSorted(t *testing.T) {
 	}
 }
 
+// equalSeries reports whether two series have identical names, timestamps
+// and values; NaNs compare equal to NaNs.
+func equalSeries(a, b *Series) bool {
+	if a.name != b.name || len(a.times) != len(b.times) {
+		return false
+	}
+	for i := range a.times {
+		x, y := a.vals[i], b.vals[i]
+		if a.times[i] != b.times[i] || (x != y && !(math.IsNaN(x) && math.IsNaN(y))) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestCloneAndEqual(t *testing.T) {
 	s := FromSamples("a", 0, 10, []float64{1, math.NaN(), 3})
 	c := s.Clone()
-	if !s.Equal(c) {
+	if !equalSeries(s, c) {
 		t.Fatal("clone not equal (NaN-aware)")
 	}
 	c.vals[0] = 99
-	if s.Equal(c) {
+	if equalSeries(s, c) {
 		t.Fatal("mutated clone still equal")
 	}
 	if s.ValueAt(0) == 99 {
