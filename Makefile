@@ -42,9 +42,11 @@ race:
 # and edge paths of the generate-and-test reference matcher in its tests,
 # the served query-string decoder must never panic, must parse a query it
 # accepted back from its re-encoding unchanged, and must hand the engine only
-# queries that answer or fail with ErrBadQuery, intent-journal recovery
-# must never panic, must give the same result twice, and must resume past
-# every txn id the journal holds, and a store's downsample of any window,
+# queries that answer or fail with ErrBadQuery, polyglot recovery over any
+# graph-log and TS-log bytes must never panic, must give the same result
+# twice, and must leave an engine that passes CheckConsistency, needs no
+# second repair and survives its own compaction unchanged, and a store's
+# downsample of any window,
 # after any mix of appends, upserts, NaNs, deletes and seals, must
 # equal the resample of its range bit for bit (and its resampled
 # correlation the Pearson of those resamples), and the station-body decoder
@@ -60,7 +62,7 @@ fuzz:
 	$(GO) test ./internal/storage/tsstore -run FuzzLoadSnapshot -fuzz FuzzLoadSnapshot -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/storage/tsstore -run FuzzTSWALReplay -fuzz FuzzTSWALReplay -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/server -run FuzzParseQuery -fuzz FuzzParseQuery -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
-	$(GO) test ./internal/storage/ttdb -run FuzzJournalReplay -fuzz FuzzJournalReplay -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/storage/ttdb -run FuzzRecoverPolyglot -fuzz FuzzRecoverPolyglot -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/storage/tsstore -run FuzzDownsample -fuzz FuzzDownsample -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/server -run FuzzStationBody -fuzz FuzzStationBody -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 

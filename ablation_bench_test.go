@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"hygraph/internal/core"
@@ -198,8 +199,9 @@ func BenchmarkAblation_StreamIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_ParallelCorrelation sweeps worker counts for the O(n²)
-// correlation-edge operator (R4 scaling).
+// BenchmarkAblation_ParallelCorrelation sweeps the worker count of the O(n²)
+// correlation-edge operator (R4 scaling): CorrelationEdges fans out over
+// GOMAXPROCS workers, so each arm sets GOMAXPROCS.
 func BenchmarkAblation_ParallelCorrelation(b *testing.B) {
 	build := func() *core.HyGraph {
 		h, _ := dataset.GenerateBike(dataset.BikeConfig{Stations: 40, Districts: 4,
@@ -208,15 +210,12 @@ func BenchmarkAblation_ParallelCorrelation(b *testing.B) {
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				h := build()
 				b.StartTimer()
-				if workers == 1 {
-					if _, err := h.CorrelationEdges(0.8, ts.Hour, 24); err != nil {
-						b.Fatal(err)
-					}
-				} else if _, err := h.CorrelationEdgesParallel(0.8, ts.Hour, 24, workers); err != nil {
+				if _, err := h.CorrelationEdges(0.8, ts.Hour, 24); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -229,15 +228,11 @@ func BenchmarkAblation_ParallelCorrelation(b *testing.B) {
 func BenchmarkAblation_ParallelAggregateAll(b *testing.B) {
 	eng := ttdb.NewPolyglot(ts.Week)
 	for e := 0; e < 200; e++ {
-		st, err := eng.AddStation(fmt.Sprintf("s%d", e), "d")
-		if err != nil {
-			b.Fatal(err)
-		}
 		s := ts.New(ttdb.Metric)
 		for i := 0; i < 24*90; i++ {
 			s.MustAppend(ts.Time(i)*ts.Hour, float64(i%24))
 		}
-		if err := eng.LoadSeries(st, s); err != nil {
+		if _, err := eng.IngestStation(fmt.Sprintf("s%d", e), "d", s); err != nil {
 			b.Fatal(err)
 		}
 	}

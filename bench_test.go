@@ -131,30 +131,21 @@ func BenchmarkFig1_StorageApproaches(b *testing.B) {
 	for i := 0; i < 24*30; i++ {
 		s.MustAppend(ts.Time(i)*ts.Hour, float64(i%24))
 	}
-	b.Run("LoadSeries/AllInGraph", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			e := ttdb.NewAllInGraph()
-			st, err := e.AddStation("s", "d")
-			if err != nil {
-				b.Fatal(err)
+	for _, arm := range []struct {
+		name string
+		new  func() ttdb.Engine
+	}{
+		{"AllInGraph", func() ttdb.Engine { return ttdb.NewAllInGraph() }},
+		{"Polyglot", func() ttdb.Engine { return ttdb.NewPolyglot(ts.Week) }},
+	} {
+		b.Run("IngestStation/"+arm.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := arm.new().IngestStation("s", "d", s); err != nil {
+					b.Fatal(err)
+				}
 			}
-			if err := e.LoadSeries(st, s); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("LoadSeries/Polyglot", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			e := ttdb.NewPolyglot(ts.Week)
-			st, err := e.AddStation("s", "d")
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := e.LoadSeries(st, s); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
 
 // ---------------------------------------------------------------------------

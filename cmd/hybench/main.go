@@ -25,7 +25,7 @@
 // -json writes the machine-readable BENCH_table1.json
 // baseline; -check validates an existing baseline file's schema and exits.
 // -metrics attaches the observability registry to every engine, pushes a
-// small workload slice through the durable layer (WALs + journal + observed
+// small workload slice through the durable layer (WALs + observed
 // recovery), embeds the snapshot in the baseline, and fails the run if any
 // instrumented subsystem reported nothing.
 package main

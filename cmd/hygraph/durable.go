@@ -43,12 +43,13 @@ func parseCrash(spec string) (string, int) {
 // runIngest loads a generated bike-sharing workload through the durable
 // ingest protocol. With -crash POINT[:NTH] it arms the fault point first, so
 // the process dies mid-protocol exactly like a real crash — then `recover`
-// demonstrates the journal putting the store back together.
+// demonstrates the repair putting the store back together.
 func runIngest(dir string, stations int, crash string, seed int64) {
 	d, rec, closer := openDir(dir)
 	defer closer.Close()
-	if rec.RolledBack > 0 {
-		fmt.Printf("note: prior crash detected, %d transaction(s) rolled back in memory\n", rec.RolledBack)
+	if rec.OrphanNodes+rec.OrphanSeries > 0 {
+		fmt.Printf("note: prior crash detected, %d orphan station node(s) and %d orphan series removed in memory\n",
+			rec.OrphanNodes, rec.OrphanSeries)
 	}
 
 	if crash != "" {
@@ -84,15 +85,12 @@ func runIngest(dir string, stations int, crash string, seed int64) {
 
 // runRecover rebuilds the store from the directory's artifacts and prints
 // the recovery summary. With -compact it then writes fresh snapshots and
-// truncates the logs, making the rollbacks durable and the next start fast.
+// truncates the logs, making the repair durable and the next start fast.
 func runRecover(dir string, compact bool) {
 	d, rec, closer := openDir(dir)
 	defer closer.Close()
 	eng := d.Engine()
 	fmt.Println(rec.String())
-	for _, f := range rec.Fates {
-		fmt.Printf("  txn %d (node %d): journaled %s -> %s\n", f.Txn, f.Node, f.State, f.Fate)
-	}
 	if err := ttdb.CheckConsistency(eng); err != nil {
 		fail("store inconsistent after recovery: " + err.Error())
 	}

@@ -299,7 +299,7 @@ func TestDifferentialBattery(t *testing.T) {
 
 			// The durable engine over the same stores: same answers, plus the
 			// degraded-mode check every call makes.
-			dur := ttdb.NewDurable(ts.Week, io.Discard, io.Discard, io.Discard)
+			dur := ttdb.NewDurable(ts.Week, io.Discard, io.Discard)
 			idsDur, err := preload(context.Background(), dur, data.Stations, data.Trips)
 			if err != nil {
 				t.Fatal(err)

@@ -139,8 +139,9 @@ func newEquivWorld() *equivWorld {
 	data.Stations[3].Availability.Upsert(9*ts.Day, nan)
 	// Station 2 stops reporting on day 5: its TS vertex is not valid at `at`.
 	data.Stations[2].Availability = data.Stations[2].Availability.Slice(0, 5*ts.Day)
-	// Station 4 never reported: no TS vertex at all.
-	data.Stations[4].Availability = ts.New(ttdb.Metric)
+	// Station 4 reported once, on day 1: a one-sample series whose TS
+	// vertex is long gone at `at`.
+	data.Stations[4].Availability = data.Stations[4].Availability.Slice(ts.Day, ts.Day+ts.Hour)
 	return w
 }
 
@@ -273,7 +274,7 @@ func TestHyQLStoreBackedEqualsCopyBacked(t *testing.T) {
 		// newPart builds one partition in the variant's layout and records
 		// its engine, so check can ask every store whether it degraded.
 		newPart := func(engines *[]*ttdb.Polyglot) *ttdb.DurablePolyglot {
-			d := ttdb.NewDurable(ts.Week, io.Discard, io.Discard, io.Discard)
+			d := ttdb.NewDurable(ts.Week, io.Discard, io.Discard)
 			d.Engine().T.SetCompress(v.compress)
 			*engines = append(*engines, d.Engine())
 			return d
@@ -286,7 +287,7 @@ func TestHyQLStoreBackedEqualsCopyBacked(t *testing.T) {
 			w.compareEngines(t, "loaded", store, hyql.NewEngine(materialize(t, structure())))
 
 			// Appends: station 2 reports again (its vertex becomes valid at
-			// the instant), station 4 reports for the first time, station 0
+			// the instant), so does station 4 after its one sample, station 0
 			// gains a tail sample and a NaN, station 5 has a sample upserted.
 			for _, a := range []struct {
 				st int

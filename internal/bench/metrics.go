@@ -13,12 +13,12 @@ import (
 )
 
 // DurableExercise pushes a small slice of the workload through the durable
-// polyglot layer so an instrumented run also exercises the WALs, the intent
-// journal, and observed recovery — the parts a pure query benchmark never
-// touches. It ingests a capped version of cfg's bike network into in-memory
-// logs, answers one durable query, replays the logs through
-// RecoverPolyglotObserved (recording recovery spans into reg), and checks
-// cross-store consistency of the recovered engine.
+// polyglot layer so an instrumented run also exercises the WALs and observed
+// recovery — the parts a pure query benchmark never touches. It ingests a
+// capped version of cfg's bike network into in-memory logs, answers one
+// durable query, replays the logs through RecoverPolyglot (recording
+// recovery spans into reg), and checks cross-store consistency of the
+// recovered engine.
 func DurableExercise(ctx context.Context, cfg Config, reg *obs.Registry) error {
 	small := cfg.Bike
 	if small.Stations > 8 {
@@ -31,8 +31,8 @@ func DurableExercise(ctx context.Context, cfg Config, reg *obs.Registry) error {
 		small.Districts = small.Stations
 	}
 	data := dataset.GenerateBike(small)
-	var graphLog, tsLog, journal bytes.Buffer
-	d := ttdb.NewDurable(ts.Week, &graphLog, &tsLog, &journal)
+	var graphLog, tsLog bytes.Buffer
+	d := ttdb.NewDurable(ts.Week, &graphLog, &tsLog)
 	d.Instrument(reg)
 	ids, err := preload(ctx, d, data.Stations, data.Trips)
 	if err != nil {
@@ -51,10 +51,9 @@ func DurableExercise(ctx context.Context, cfg Config, reg *obs.Registry) error {
 	if err := d.AppendPoint(ids[0], end+ts.Minute, 1); err != nil {
 		return fmt.Errorf("bench: durable append: %w", err)
 	}
-	eng, _, err := ttdb.RecoverPolyglotObserved(
+	eng, _, err := ttdb.RecoverPolyglot(
 		nil, bytes.NewReader(graphLog.Bytes()),
-		nil, bytes.NewReader(tsLog.Bytes()),
-		bytes.NewReader(journal.Bytes()), ts.Week, reg)
+		nil, bytes.NewReader(tsLog.Bytes()), ts.Week, reg)
 	if err != nil {
 		return fmt.Errorf("bench: durable recovery: %w", err)
 	}

@@ -39,11 +39,11 @@ func microEngine(b *testing.B, shards int) (*ttdb.Polyglot, []ttdb.StationID, ts
 	return eng, ids, qStart, qStart + (end-start)/2
 }
 
-func microDurable(b *testing.B, shards, group int) (*ttdb.DurablePolyglot, []ttdb.StationID, ts.Time) {
+func microDurable(b *testing.B, shards int) (*ttdb.DurablePolyglot, []ttdb.StationID, ts.Time) {
 	b.Helper()
 	dir := b.TempDir()
-	logs := make([]*os.File, 0, 3)
-	for _, name := range []string{"graph.wal", "ts.wal", "intent.journal"} {
+	logs := make([]*os.File, 0, 2)
+	for _, name := range []string{"graph.wal", "ts.wal"} {
 		f, err := os.Create(filepath.Join(dir, name))
 		if err != nil {
 			b.Fatal(err)
@@ -58,8 +58,7 @@ func microDurable(b *testing.B, shards, group int) (*ttdb.DurablePolyglot, []ttd
 	data := dataset.GenerateBike(microBike())
 	eng := &ttdb.Polyglot{G: graphstore.NewSharded(shards), T: tsstore.NewSharded(ts.Week, shards)}
 	eng.SetWorkers(runtime.GOMAXPROCS(0))
-	d := ttdb.ResumeDurable(eng, logs[0], logs[1], logs[2], 0)
-	d.SetGroupCommit(group)
+	d := ttdb.ResumeDurable(eng, logs[0], logs[1])
 	ids := make([]ttdb.StationID, len(data.Stations))
 	for i, st := range data.Stations {
 		id, err := d.IngestStation(st.Name, st.District, st.Availability)
@@ -73,15 +72,12 @@ func microDurable(b *testing.B, shards, group int) (*ttdb.DurablePolyglot, []ttd
 }
 
 // BenchmarkIngest measures the durable streaming write path (AppendPoint:
-// WAL enqueue + group commit + store insert) across stripe/batch configs.
-// Run with -cpu 1,4,8 to see striping remove the writer convoy.
+// WAL enqueue + group commit + store insert) across stripe counts. Run with
+// -cpu 1,4,8 to see striping remove the writer convoy.
 func BenchmarkIngest(b *testing.B) {
-	for _, p := range []struct{ shards, group int }{
-		{1, 1},
-		{tsstore.DefaultShards, 64},
-	} {
-		b.Run(fmt.Sprintf("shards=%d,group=%d", p.shards, p.group), func(b *testing.B) {
-			d, ids, end := microDurable(b, p.shards, p.group)
+	for _, shards := range []int{1, tsstore.DefaultShards} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			d, ids, end := microDurable(b, shards)
 			var seq atomic.Int64
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
@@ -119,16 +115,13 @@ func BenchmarkAggregateSharded(b *testing.B) {
 
 // BenchmarkMixedReadWrite interleaves durable appends with reads (per 8-op
 // cycle: 4 appends, 3 Q3 point reads, 1 Q4 fan-out aggregate) on every
-// goroutine — the repo's single-stripe vs striped group-commit read/write
-// comparison. Run with -cpu 1,4,8: the single stripe serializes readers
-// behind each writer, the striped store does not.
+// goroutine — the repo's single-stripe vs striped read/write comparison. Run
+// with -cpu 1,4,8: the single stripe serializes readers behind each writer,
+// the striped store does not.
 func BenchmarkMixedReadWrite(b *testing.B) {
-	for _, p := range []struct{ shards, group int }{
-		{1, 1},
-		{tsstore.DefaultShards, 64},
-	} {
-		b.Run(fmt.Sprintf("shards=%d,group=%d", p.shards, p.group), func(b *testing.B) {
-			d, ids, end := microDurable(b, p.shards, p.group)
+	for _, shards := range []int{1, tsstore.DefaultShards} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			d, ids, end := microDurable(b, shards)
 			qEnd := end
 			qStart := end - 7*ts.Day
 			var seq atomic.Int64

@@ -105,7 +105,7 @@ func New(n int, factory Factory) (*Coordinator, error) {
 // the configuration benches and tests use.
 func NewMem(n int, chunkWidth ts.Time) (*Coordinator, error) {
 	return New(n, func(int) (*ttdb.DurablePolyglot, error) {
-		return ttdb.NewDurable(chunkWidth, io.Discard, io.Discard, io.Discard), nil
+		return ttdb.NewDurable(chunkWidth, io.Discard, io.Discard), nil
 	})
 }
 
@@ -139,18 +139,8 @@ func (c *Coordinator) SetWorkers(n int) {
 	}
 }
 
-// SetGroupCommit forwards the WAL batching width to every partition's group
-// writers.
-func (c *Coordinator) SetGroupCommit(n int) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for _, p := range c.parts {
-		p.SetGroupCommit(n)
-	}
-}
-
-// IngestStation places and durably ingests a station with its series,
-// returning its coordinator-global id.
+// IngestStation implements ttdb.Engine: it places and durably ingests a
+// station with its series, returning its coordinator-global id.
 func (c *Coordinator) IngestStation(name, district string, s *ts.Series) (ttdb.StationID, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -173,23 +163,6 @@ func (c *Coordinator) IngestStation(name, district string, s *ts.Series) (ttdb.S
 	c.local2g[part][local] = gid
 	c.obs.ingests.Inc()
 	return gid, nil
-}
-
-// AddStation implements ttdb.Engine: an ingest with an empty series (the
-// series arrives later via LoadSeries, like the Table 1 loading path).
-func (c *Coordinator) AddStation(name, district string) (ttdb.StationID, error) {
-	return c.IngestStation(name, district, ts.New(ttdb.Metric))
-}
-
-// LoadSeries implements ttdb.Engine: the points go to the owning partition.
-func (c *Coordinator) LoadSeries(st ttdb.StationID, s *ts.Series) error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	m, ok := c.meta[st]
-	if !ok {
-		return fmt.Errorf("coord: load series: unknown station %d", st)
-	}
-	return c.parts[m.part].LoadSeries(m.local, s)
 }
 
 // AppendPoint streams one observation to the owning partition.
@@ -345,11 +318,7 @@ func (c *Coordinator) Repartition(n int) error {
 		// (entity, metric) key the single-process engine uses.
 		key := tsstore.SeriesKey{Entity: uint32(om.local), Metric: ttdb.Metric}
 		series := oldParts[om.part].Engine().T.RangeSeries(key, math.MinInt64, ts.MaxTime)
-		if series == nil {
-			series = ts.New(ttdb.Metric)
-		} else {
-			series.SetName(ttdb.Metric)
-		}
+		series.SetName(ttdb.Metric)
 		part := ownerOf(om.name, n)
 		local, err := parts[part].IngestStation(om.name, om.district, series)
 		if err != nil {

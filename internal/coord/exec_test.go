@@ -53,7 +53,7 @@ func execWorld(t *testing.T) (*coord.Coordinator, []ttdb.StationID, *obs.Registr
 // holding the same stations and trips.
 func TestExecMatchesSingleEngine(t *testing.T) {
 	c, gids, _ := execWorld(t)
-	ora := ttdb.NewDurable(ts.Week, io.Discard, io.Discard, io.Discard)
+	ora := ttdb.NewDurable(ts.Week, io.Discard, io.Discard)
 	oids := make([]ttdb.StationID, len(gids))
 	toOracle := map[ttdb.StationID]ttdb.StationID{}
 	for i := range gids {

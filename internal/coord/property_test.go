@@ -230,7 +230,7 @@ func cmpSnapshots(t *testing.T, label string, want, got []string) {
 
 // memDisk is one partition's retained durable artifacts.
 type memDisk struct {
-	graph, tsl, journal bytes.Buffer
+	graph, tsl bytes.Buffer
 }
 
 func TestPartitionInvarianceProperty(t *testing.T) {
@@ -239,7 +239,7 @@ func TestPartitionInvarianceProperty(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 
-			ora := ttdb.NewDurable(ts.Week, io.Discard, io.Discard, io.Discard)
+			ora := ttdb.NewDurable(ts.Week, io.Discard, io.Discard)
 
 			// The factory retains each partition generation's logs; part 0
 			// starts a fresh generation (New and Repartition both construct
@@ -252,7 +252,7 @@ func TestPartitionInvarianceProperty(t *testing.T) {
 				for len(gen) <= part {
 					gen = append(gen, &memDisk{})
 				}
-				d := ttdb.NewDurable(ts.Week, &gen[part].graph, &gen[part].tsl, &gen[part].journal)
+				d := ttdb.NewDurable(ts.Week, &gen[part].graph, &gen[part].tsl)
 				d.Retry = ttdb.RetryPolicy{MaxAttempts: 3}
 				return d, nil
 			}
@@ -362,24 +362,15 @@ func TestPartitionInvarianceProperty(t *testing.T) {
 				if !w.alive[i] {
 					continue
 				}
-				gid, err := twin.IngestStation(w.names[i], w.district[i], propSeries(i))
+				// The twin takes each station's full series, streamed
+				// appends included, from the primary coordinator.
+				pts := exec(t, c, ttdb.Q1(w.gids[i], 0, ts.MaxTime)).Points
+				gid, err := twin.IngestStation(w.names[i], w.district[i], ts.FromPoints(ttdb.Metric, pts))
 				if err != nil {
 					t.Fatal(err)
 				}
 				tw.names[i], tw.district[i], tw.alive[i] = w.names[i], w.district[i], true
 				tw.oraIDs[i], tw.gids[i] = w.oraIDs[i], gid
-			}
-			// Replay streamed appends? The twin only has base series; rebuild
-			// the oracle-equivalent state by copying each station's full
-			// series from the primary coordinator instead.
-			for i := range w.names {
-				if !w.alive[i] {
-					continue
-				}
-				pts := exec(t, c, ttdb.Q1(w.gids[i], 0, ts.MaxTime)).Points
-				if err := twin.LoadSeries(tw.gids[i], ts.FromPoints(ttdb.Metric, pts)); err != nil {
-					t.Fatal(err)
-				}
 			}
 			for _, tr := range w.trips {
 				if err := twin.AddTrip(tw.gids[tr[0]], tw.gids[tr[1]], tr[2]); err != nil {
@@ -396,14 +387,13 @@ func TestPartitionInvarianceProperty(t *testing.T) {
 			saved := gen
 			parts := make([]*ttdb.DurablePolyglot, len(saved))
 			for i, dk := range saved {
-				eng, rec, err := ttdb.RecoverPolyglot(
+				eng, _, err := ttdb.RecoverPolyglot(
 					nil, bytes.NewReader(dk.graph.Bytes()),
-					nil, bytes.NewReader(dk.tsl.Bytes()),
-					bytes.NewReader(dk.journal.Bytes()), ts.Week)
+					nil, bytes.NewReader(dk.tsl.Bytes()), ts.Week, nil)
 				if err != nil {
 					t.Fatalf("partition %d recovery: %v", i, err)
 				}
-				parts[i] = ttdb.ResumeDurable(eng, io.Discard, io.Discard, io.Discard, rec.NextTxn)
+				parts[i] = ttdb.ResumeDurable(eng, io.Discard, io.Discard)
 			}
 			reopened, err := coord.Attach(parts, factory)
 			if err != nil {

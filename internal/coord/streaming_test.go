@@ -57,7 +57,7 @@ func TestStreamingAggregatesAcrossPartitions(t *testing.T) {
 		parts := parts
 		t.Run(fmt.Sprintf("parts%d", parts), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(100 + parts)))
-			ora := ttdb.NewDurable(ts.Day, io.Discard, io.Discard, io.Discard)
+			ora := ttdb.NewDurable(ts.Day, io.Discard, io.Discard)
 			c, err := coord.NewMem(parts, ts.Day)
 			if err != nil {
 				t.Fatal(err)

@@ -181,48 +181,6 @@ func mergeSeries(name string, members []*ts.Series, bucket ts.Time, within, comb
 // ---------------------------------------------------------------------------
 // Q3: correlation ⊗ reachability
 
-// CorrelationEdges computes pairwise correlations between the (first
-// variables of the) series of all TS vertices and materializes a TS edge
-// labeled "SIMILAR" for every pair with |r| >= threshold. The edge's series
-// is the rolling windowed correlation over time (the paper's time-varying
-// similarity between credit cards). Returns the number of edges added.
-func (h *HyGraph) CorrelationEdges(threshold float64, bucket ts.Time, window int) (int, error) {
-	type entry struct {
-		id VID
-		s  *ts.Series
-	}
-	var tsv []entry
-	h.Vertices(func(v *Vertex) bool {
-		if v.Kind == TS {
-			if s, ok := v.SeriesVar(""); ok {
-				tsv = append(tsv, entry{v.ID, s})
-			}
-		}
-		return true
-	})
-	added := 0
-	for i := 0; i < len(tsv); i++ {
-		for j := i + 1; j < len(tsv); j++ {
-			r := ts.Correlation(tsv[i].s, tsv[j].s, bucket)
-			if math.IsNaN(r) || math.Abs(r) < threshold {
-				continue
-			}
-			sim := rollingCorrelation(tsv[i].s, tsv[j].s, bucket, window)
-			if sim.Empty() {
-				// Degenerate windows: fall back to a single global point.
-				sim.MustAppend(tsv[i].s.End(), r)
-			}
-			eid, err := h.AddTSEdgeUni(tsv[i].id, tsv[j].id, "SIMILAR", sim)
-			if err != nil {
-				return added, err
-			}
-			h.SetEdgeProp(eid, "r", lpg.Float(r))
-			added++
-		}
-	}
-	return added, nil
-}
-
 // rollingCorrelation computes Pearson correlation over a sliding window of
 // aligned buckets, stamped at each window's end bucket.
 func rollingCorrelation(a, b *ts.Series, bucket ts.Time, window int) *ts.Series {

@@ -12,8 +12,9 @@
 //     [t_start, t_end), with t_end initialized to max(T) (tpg.Interval).
 //   - λ assigns labels; φ assigns property values, which are either static
 //     scalars or whole series (lpg.Value with N = N_Σ ∪ N_TS).
-//   - S is a set of logical subgraphs whose membership γ varies over time
-//     (Subgraph).
+//   - S is a set of logical subgraphs (Subgraph) with labels and validity.
+//     Their time-varying membership γ is not materialised: no operator
+//     reads it.
 //   - η maps edges to their endpoint vertices (From/To fields).
 //
 // Operators over an instance fall into the paper's three interfaces:
@@ -82,14 +83,12 @@ type Edge struct {
 	props  map[string]lpg.Value
 }
 
-// Subgraph is a logical subgraph s ∈ S: labels, validity ρ(s), and
-// time-varying vertex membership γ(s, t).
+// Subgraph is a logical subgraph s ∈ S: labels and validity ρ(s). The
+// time-varying vertex membership γ(s, t) is not materialised.
 type Subgraph struct {
 	ID     SID
 	Labels []string
 	Valid  tpg.Interval
-	// membership intervals per vertex
-	memberV map[VID][]tpg.Interval
 }
 
 // HyGraph is one HGM instance. It is not safe for concurrent mutation.
@@ -105,7 +104,6 @@ type HyGraph struct {
 var (
 	ErrNoVertex    = errors.New("core: vertex does not exist")
 	ErrNoEdge      = errors.New("core: edge does not exist")
-	ErrNoSubgraph  = errors.New("core: subgraph does not exist")
 	ErrNeedsSeries = errors.New("core: TS element requires a series (δ is total on V_ts ∪ E_ts)")
 	ErrBadInterval = errors.New("core: interval start after end")
 )

@@ -209,32 +209,20 @@ func TestPropsAndLabels(t *testing.T) {
 	}
 }
 
-// TestSubgraphMembership: γ membership is recorded only for an existing
-// subgraph and vertex, clipped to the subgraph's validity ρ(s); an interval
-// disjoint from ρ(s), like an invalid ρ(s) itself, is rejected.
-func TestSubgraphMembership(t *testing.T) {
-	h, ids := fraudInstance(t)
+// TestAddSubgraph: a subgraph takes its labels and validity ρ(s), ids count
+// up from 0, and an invalid ρ(s) is rejected.
+func TestAddSubgraph(t *testing.T) {
+	h := New()
 	if _, err := h.AddSubgraph(tpg.Interval{Start: 10, End: 5}, "Cluster"); err != ErrBadInterval {
 		t.Fatalf("inverted validity: %v", err)
 	}
-	sg, err := h.AddSubgraph(tpg.Between(0, 1000*ts.Hour), "Cluster")
-	if err != nil {
-		t.Fatal(err)
+	for want := SID(0); want < 2; want++ {
+		sg, err := h.AddSubgraph(tpg.Between(0, 1000*ts.Hour), "Cluster")
+		if err != nil || sg != want {
+			t.Fatalf("subgraph id %d, %v; want %d", sg, err, want)
+		}
 	}
-	// u1 is a member for the first half, u2 for the whole interval.
-	if err := h.AddVertexMember(sg, ids["u1"], tpg.Between(0, 500*ts.Hour)); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.AddVertexMember(sg, ids["u2"], tpg.Always); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.AddVertexMember(sg, ids["u1"], tpg.Between(2000*ts.Hour, 3000*ts.Hour)); err != ErrBadInterval {
-		t.Fatalf("membership outside validity: %v", err)
-	}
-	if err := h.AddVertexMember(99, ids["u1"], tpg.Always); err != ErrNoSubgraph {
-		t.Fatalf("missing subgraph: %v", err)
-	}
-	if err := h.AddVertexMember(sg, 999, tpg.Always); err != ErrNoVertex {
-		t.Fatalf("missing vertex: %v", err)
+	if got := h.subgraphs[1]; got.Labels[0] != "Cluster" || got.Valid != tpg.Between(0, 1000*ts.Hour) {
+		t.Fatalf("subgraph %+v", got)
 	}
 }

@@ -10,16 +10,18 @@ import (
 	"hygraph/internal/ts"
 )
 
-// CorrelationEdgesParallel is CorrelationEdges with the O(n²) pairwise
-// correlation fanned out over worker goroutines — the scalability lever of
-// requirement R4 for the most expensive hybrid operator. Workers only read;
-// edges are materialized serially afterwards in deterministic (i, j) order,
-// so the result is identical to the serial operator. workers <= 0 selects
-// GOMAXPROCS.
-func (h *HyGraph) CorrelationEdgesParallel(threshold float64, bucket ts.Time, window, workers int) (int, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// CorrelationEdges computes pairwise correlations between the (first
+// variables of the) series of all TS vertices and materializes a TS edge
+// labeled "SIMILAR" for every pair with |r| >= threshold. The edge's series
+// is the rolling windowed correlation over time (the paper's time-varying
+// similarity between credit cards). Returns the number of edges added.
+//
+// The O(n²) pairwise correlation fans out over GOMAXPROCS worker goroutines
+// — the scalability lever of requirement R4 for the most expensive hybrid
+// operator. Workers only read; edges are materialized serially afterwards in
+// sorted (i, j) order, so the result does not depend on the worker count.
+func (h *HyGraph) CorrelationEdges(threshold float64, bucket ts.Time, window int) (int, error) {
+	workers := runtime.GOMAXPROCS(0)
 	type entry struct {
 		id VID
 		s  *ts.Series
@@ -56,6 +58,7 @@ func (h *HyGraph) CorrelationEdgesParallel(threshold float64, bucket ts.Time, wi
 					}
 					sim := rollingCorrelation(tsv[i].s, tsv[j].s, bucket, window)
 					if sim.Empty() {
+						// Degenerate windows: fall back to a single global point.
 						sim.MustAppend(tsv[i].s.End(), r)
 					}
 					local = append(local, hit{i, j, r, sim})

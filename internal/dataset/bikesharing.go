@@ -126,7 +126,7 @@ func (d *BikeData) Span() (start, end ts.Time) {
 func (d *BikeData) LoadEngine(e ttdb.Engine) ([]ttdb.StationID, error) {
 	ids := make([]ttdb.StationID, len(d.Stations))
 	for i, st := range d.Stations {
-		id, err := e.AddStation(st.Name, st.District)
+		id, err := e.IngestStation(st.Name, st.District, st.Availability)
 		if err != nil {
 			return nil, fmt.Errorf("dataset: station %s: %w", st.Name, err)
 		}
@@ -135,11 +135,6 @@ func (d *BikeData) LoadEngine(e ttdb.Engine) ([]ttdb.StationID, error) {
 	for _, tr := range d.Trips {
 		if err := e.AddTrip(ids[tr.From], ids[tr.To], tr.Count); err != nil {
 			return nil, fmt.Errorf("dataset: trip %d->%d: %w", tr.From, tr.To, err)
-		}
-	}
-	for i, st := range d.Stations {
-		if err := e.LoadSeries(ids[i], st.Availability); err != nil {
-			return nil, fmt.Errorf("dataset: series for %s: %w", st.Name, err)
 		}
 	}
 	return ids, nil

@@ -216,19 +216,8 @@ func Hybrid(d *dataset.FraudData, p Params) (flagged []int, clusters []int, susp
 	// Stage 3: cluster and materialize logical subgraphs.
 	km := ml.KMeans(rows, p.Clusters, 100, p.Seed)
 	clusters = km.Assign
-	subOf := map[int]core.SID{}
-	for cl := 0; cl < len(km.Centroids); cl++ {
-		sid, err := h.AddSubgraph(tpg.Always, "Cluster")
-		if err != nil {
-			panic(err)
-		}
-		subOf[cl] = sid
-	}
-	for u, cl := range clusters {
-		if err := h.AddVertexMember(subOf[cl], d.Users[u], tpg.Always); err != nil {
-			panic(err)
-		}
-		if err := h.AddVertexMember(subOf[cl], d.Cards[u], tpg.Always); err != nil {
+	for range km.Centroids {
+		if _, err := h.AddSubgraph(tpg.Always, "Cluster"); err != nil {
 			panic(err)
 		}
 	}

@@ -1,10 +1,10 @@
 package pipeline
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
-	"hygraph/internal/core"
 	"hygraph/internal/dataset"
 )
 
@@ -112,10 +112,11 @@ func TestClustersAndSubgraphs(t *testing.T) {
 		t.Fatal("no suspicious clusters")
 	}
 	// The pipeline materialized one logical subgraph per cluster on the
-	// instance; subgraph ids are dense from 0.
-	subgraphs := 0
-	for d.H.Subgraph(core.SID(subgraphs)) != nil {
-		subgraphs++
+	// instance: |S| in its summary counts them.
+	summary := d.H.String()
+	var subgraphs int
+	if _, err := fmt.Sscanf(summary[strings.Index(summary, "|S|="):], "|S|=%d", &subgraphs); err != nil {
+		t.Fatalf("summary %q: %v", summary, err)
 	}
 	if subgraphs < DefaultParams().Clusters {
 		t.Fatalf("subgraphs=%d", subgraphs)

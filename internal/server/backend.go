@@ -34,7 +34,6 @@ type Conn interface {
 	// NumStations reports the logical station count (never boundary replicas).
 	NumStations() int
 	Instrument(reg *obs.Registry)
-	SetGroupCommit(n int)
 	SetWorkers(n int)
 	SyncAll() error
 }

@@ -195,8 +195,8 @@ func TestChaosHammer(t *testing.T) {
 		if err != nil {
 			t.Fatalf("recover %s: %v", tenantName, err)
 		}
-		if rec.RolledBack != 0 {
-			t.Fatalf("%s: clean shutdown left %d rolled-back txns", tenantName, rec.RolledBack)
+		if rec.OrphanNodes+rec.OrphanSeries != 0 {
+			t.Fatalf("%s: clean shutdown left torn writes: %s", tenantName, rec)
 		}
 		recovered := map[string]bool{}
 		for _, st := range eng.G.NodesByLabel("Station") {

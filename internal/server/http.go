@@ -291,6 +291,9 @@ func (s *Server) handleStations(ctx context.Context, r *http.Request, t *tenant)
 	if req.Name == "" {
 		return errJSON(http.StatusBadRequest, "bad_body", "station name is required")
 	}
+	if len(req.Points) == 0 {
+		return errJSON(http.StatusBadRequest, "bad_body", "station needs at least one point")
+	}
 	id, err := t.ingestStation(r.Header.Get("X-Idempotency-Key"), req.Name, req.District, req.series())
 	if err != nil {
 		return s.asTimeout(err, "ingest_failed")

@@ -108,26 +108,26 @@ func TestHyQLSeriesValidityFollowsAppends(t *testing.T) {
 		long := []map[string]any{{"t": 0, "v": 1}, {"t": 500, "v": 2}}
 		ingestStation(t, base, "acme", "always", "d", long, "")
 		short := ingestStation(t, base, "acme", "short", "d", []map[string]any{{"t": 0, "v": 1}, {"t": 100, "v": 2}}, "")
-		empty := ingestStation(t, base, "acme", "empty", "d", nil, "")
+		early := ingestStation(t, base, "acme", "early", "d", []map[string]any{{"t": 50, "v": 1}}, "")
 
 		const q = `MATCH (st:Station)-[:HAS_SERIES]->(a) RETURN st.name, ts.len(a)`
 		const at = 200
 		if got := fmt.Sprint(hyqlRows(t, base, q, at)); got != "[[always 2]]" {
 			t.Fatalf("at %d before appends: %s", at, got)
 		}
-		// The short series ends before the instant and the empty one has no
-		// span; carrying each past the instant makes its vertex valid.
+		// The short and the early series end before the instant; carrying
+		// each past the instant makes its vertex valid.
 		appendPoint(t, base, short, 300, 3)
 		if got := fmt.Sprint(hyqlRows(t, base, q, at)); got != "[[always 2] [short 3]]" {
 			t.Fatalf("after extending short: %s", got)
 		}
-		appendPoint(t, base, empty, 150, 9)
+		appendPoint(t, base, early, 150, 9)
 		if got := fmt.Sprint(hyqlRows(t, base, q, at)); got != "[[always 2] [short 3]]" {
 			t.Fatalf("a series that starts and ends before the instant became visible: %s", got)
 		}
-		appendPoint(t, base, empty, 250, 9)
-		if got := fmt.Sprint(hyqlRows(t, base, q, at)); got != "[[always 2] [short 3] [empty 2]]" {
-			t.Fatalf("after extending empty: %s", got)
+		appendPoint(t, base, early, 250, 9)
+		if got := fmt.Sprint(hyqlRows(t, base, q, at)); got != "[[always 2] [short 3] [early 3]]" {
+			t.Fatalf("after extending early: %s", got)
 		}
 		// A later instant sees only what still covers it.
 		if got := fmt.Sprint(hyqlRows(t, base, q, 400)); got != "[[always 2]]" {

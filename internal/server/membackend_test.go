@@ -13,8 +13,8 @@ import (
 // memLogs is one tenant's retained log bytes. The chaos harness reads them
 // back to prove no acknowledged write was lost.
 type memLogs struct {
-	mu                  sync.Mutex
-	graph, tsl, journal bytes.Buffer
+	mu         sync.Mutex
+	graph, tsl bytes.Buffer
 }
 
 // lockedBuf serializes writes to one buffer; the WAL group writers flush
@@ -74,18 +74,14 @@ func (b *MemBackend) OpenEngine(name string) (*ttdb.DurablePolyglot, io.Closer, 
 	l.mu.Lock()
 	graph := append([]byte(nil), l.graph.Bytes()...)
 	tsl := append([]byte(nil), l.tsl.Bytes()...)
-	journal := append([]byte(nil), l.journal.Bytes()...)
 	l.mu.Unlock()
 
-	eng, rec, err := ttdb.RecoverPolyglot(nil, bytes.NewReader(graph), nil,
-		bytes.NewReader(tsl), bytes.NewReader(journal), b.width())
+	eng, _, err := ttdb.RecoverPolyglot(nil, bytes.NewReader(graph), nil,
+		bytes.NewReader(tsl), b.width(), nil)
 	if err != nil {
 		return nil, nil, fmt.Errorf("membackend: recovering %s: %w", name, err)
 	}
-	d := ttdb.ResumeDurable(eng,
-		lockedBuf{&l.mu, &l.graph}, lockedBuf{&l.mu, &l.tsl}, lockedBuf{&l.mu, &l.journal},
-		rec.NextTxn)
-	return d, nil, nil
+	return ttdb.ResumeDurable(eng, lockedBuf{&l.mu, &l.graph}, lockedBuf{&l.mu, &l.tsl}), nil, nil
 }
 
 // Recover rebuilds a tenant's engine from the retained logs without going
@@ -102,8 +98,7 @@ func (b *MemBackend) Recover(name string) (*ttdb.Polyglot, ttdb.PolyglotRecovery
 	l.mu.Lock()
 	graph := append([]byte(nil), l.graph.Bytes()...)
 	tsl := append([]byte(nil), l.tsl.Bytes()...)
-	journal := append([]byte(nil), l.journal.Bytes()...)
 	l.mu.Unlock()
 	return ttdb.RecoverPolyglot(nil, bytes.NewReader(graph), nil,
-		bytes.NewReader(tsl), bytes.NewReader(journal), b.width())
+		bytes.NewReader(tsl), b.width(), nil)
 }

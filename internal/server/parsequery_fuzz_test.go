@@ -76,11 +76,8 @@ func fuzzEngine(f *testing.F) *ttdb.Polyglot {
 	p := ttdb.NewPolyglot(ts.Hour)
 	var ids []ttdb.StationID
 	for i, district := range []string{"north", "south"} {
-		id, err := p.AddStation("st"+strconv.Itoa(i), district)
+		id, err := p.IngestStation("st"+strconv.Itoa(i), district, ts.FromSamples(ttdb.Metric, 0, 60, []float64{5, float64(i), 7}))
 		if err != nil {
-			f.Fatal(err)
-		}
-		if err := p.LoadSeries(id, ts.FromSamples(ttdb.Metric, 0, 60, []float64{5, float64(i), 7})); err != nil {
 			f.Fatal(err)
 		}
 		ids = append(ids, id)

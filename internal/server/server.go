@@ -270,10 +270,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// groupCommit bounds the records one physical WAL flush coalesces on every
-// tenant engine.
-const groupCommit = 64
-
 // tenant returns the named tenant, opening it through the backend on first
 // use. Concurrent first requests for the same tenant open it once.
 func (s *Server) tenant(name string) (*tenant, error) {
@@ -286,7 +282,6 @@ func (s *Server) tenant(name string) (*tenant, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: opening tenant %s: %w", name, err)
 	}
-	db.SetGroupCommit(groupCommit)
 	db.SetWorkers(s.cfg.Workers)
 	db.Instrument(s.reg)
 	t := newTenant(name, db, closer, s.cfg.Limits, s.reg)

@@ -531,8 +531,8 @@ func TestGracefulShutdownFlushesAndSheds(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
-	if rec.RolledBack != 0 {
-		t.Fatalf("clean shutdown rolled back %d txns", rec.RolledBack)
+	if rec.OrphanNodes+rec.OrphanSeries != 0 {
+		t.Fatalf("clean shutdown left torn writes: %s", rec)
 	}
 	if got := len(eng.G.NodesByLabel("Station")); got != 1 {
 		t.Fatalf("recovered %d stations, want 1", got)

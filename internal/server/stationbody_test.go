@@ -171,6 +171,27 @@ func TestStationBodyOverCap(t *testing.T) {
 	}
 }
 
+// A station without points is refused before anything is written: it would
+// be a Station node without a series, which recovery removes.
+func TestStationWithoutPointsRejected(t *testing.T) {
+	_, hs, _, _ := newTestServer(t, Limits{})
+	base := hs.URL
+	ingestStation(t, base, "acme", "alpha", "north", []map[string]any{{"t": 0, "v": 4}}, "")
+	for _, body := range []map[string]any{
+		{"name": "empty", "district": "d", "points": []map[string]any{}},
+		{"name": "absent", "district": "d"},
+	} {
+		code, out, _ := doJSON(t, "POST", base+"/v1/tenants/acme/stations", body, nil)
+		if code != http.StatusBadRequest || out["error"].(map[string]any)["code"] != "bad_body" {
+			t.Fatalf("%v: status %d body %v, want 400 bad_body", body["name"], code, out)
+		}
+	}
+	code, out, _ := doJSON(t, "GET", base+"/v1/tenants/acme/stats", nil, nil)
+	if code != http.StatusOK || out["stations"].(float64) != 1 {
+		t.Fatalf("stats after the refused ingests: %d %v, want 1 station", code, out)
+	}
+}
+
 // stationBody is a station body as the client library sends it: n hourly
 // points of a bike-availability count.
 func stationBody(n int, seed int64) []byte {

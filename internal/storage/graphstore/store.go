@@ -363,11 +363,11 @@ func (db *DB) NumNodes() int {
 }
 
 // AllocNodeID reserves the next node id without creating the node. Reserving
-// first lets a writer name the node in WAL and journal records before it
-// exists; a reservation that never reaches a create record is simply
+// first lets concurrent writers name their nodes in WAL records in any
+// order; a reservation that never reaches a create record is simply
 // forgotten by recovery (replay rebuilds the counter from create records
-// only), so a crashed half-ingest's id is reused — the invariant the
-// polyglot intent journal relies on.
+// only), so the id of an ingest that crashed before its node reached disk
+// is reused by the next session.
 func (db *DB) AllocNodeID() NodeID {
 	return NodeID(db.nextNode.Add(1) - 1)
 }

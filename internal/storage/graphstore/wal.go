@@ -72,11 +72,6 @@ func NewWAL(db *DB, w io.Writer) *WAL {
 	return l
 }
 
-// SetMaxBatch bounds group-commit batches; 1 restores per-record flushing
-// (the single-lock baseline of the mixed-throughput benchmark). Call before
-// the WAL is shared.
-func (l *WAL) SetMaxBatch(n int) { l.gw.SetMaxBatch(n) }
-
 // Err returns the WAL's latched write error, if any.
 func (l *WAL) Err() error { return l.gw.Err() }
 

@@ -304,8 +304,8 @@ func (db *DB) NumSeries() int {
 	return n
 }
 
-// HasSeries reports whether the key holds any points. The crash-recovery
-// layer uses it to decide whether a prepared ingest reached the TS side.
+// HasSeries reports whether the key holds any points. Crash recovery's repair
+// uses it to find the Station nodes whose series never reached the TS side.
 func (db *DB) HasSeries(key SeriesKey) bool {
 	sh := db.shard(key)
 	sh.mu.RLock()

@@ -8,10 +8,9 @@ import (
 	"hygraph/internal/faults"
 )
 
-// TestDeleteStationDurable proves the happy-path delete protocol: the
-// station disappears from both stores, survivors stay whole, and replaying
-// the logs reproduces the deletion (the WALs carry the store deletes, the
-// journal's DELETE record re-asserts them idempotently).
+// TestDeleteStationDurable proves the happy-path delete: the station
+// disappears from both stores, survivors stay whole, and replaying the logs
+// reproduces the deletion with nothing left for the repair to remove.
 func TestDeleteStationDurable(t *testing.T) {
 	var dk disk
 	d := dk.open(t)
@@ -40,8 +39,8 @@ func TestDeleteStationDurable(t *testing.T) {
 	}
 
 	eng, rec := dk.recover(t)
-	if rec.Deleted != 1 {
-		t.Fatalf("Deleted = %d, want 1", rec.Deleted)
+	if rec.OrphanNodes+rec.OrphanSeries != 0 {
+		t.Fatalf("a completed delete left torn writes: %s", rec)
 	}
 	if eng.G.NodeExists(ids[1]) {
 		t.Fatal("deleted station resurrected by recovery")
@@ -63,43 +62,46 @@ func TestDeleteStationDurable(t *testing.T) {
 	}
 }
 
-// TestDeleteStationCrashRollsForward arms a permanent graph-store fault so
-// the delete crashes AFTER its journal intent is durable but BEFORE either
-// store applied it. Recovery must roll the deletion forward: a journaled
-// delete is a promise, not a proposal.
+// TestDeleteStationCrashRollsForward: a delete whose graph write reached
+// disk completes on recovery — the repair removes the series it left behind
+// — and one that crashed before its graph write leaves the station whole.
 func TestDeleteStationCrashRollsForward(t *testing.T) {
 	defer faults.Reset()
 	var dk disk
 	d := dk.open(t)
-	id, err := d.IngestStation("st", "d", stationSeries(0))
-	if err != nil {
-		t.Fatal(err)
+	var ids []StationID
+	for i := 0; i < 2; i++ {
+		id, err := d.IngestStation("st", "d", stationSeries(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
 	}
+	faults.Enable(FaultIngestTS, faults.Spec{Err: errors.New("disk gone")})
+	if err := d.DeleteStation(ids[0]); err == nil {
+		t.Fatal("DeleteStation succeeded despite armed ts fault")
+	}
+	faults.Reset()
 	faults.Enable(FaultIngestGraph, faults.Spec{Err: errors.New("disk gone")})
-	if err := d.DeleteStation(id); err == nil {
+	if err := d.DeleteStation(ids[1]); err == nil {
 		t.Fatal("DeleteStation succeeded despite armed graph fault")
 	}
 	faults.Reset()
 
-	eng, rec := dk.recover(t)
-	if rec.Deleted != 1 {
-		t.Fatalf("Deleted = %d, want 1", rec.Deleted)
-	}
-	if eng.G.NodeExists(id) {
-		t.Fatal("journaled delete not rolled forward: node survived")
-	}
-	if eng.T.HasSeries(key(id)) {
-		t.Fatal("journaled delete not rolled forward: series survived")
-	}
-	if err := CheckConsistency(eng); err != nil {
-		t.Fatalf("inconsistent after rolled-forward delete: %v", err)
-	}
-
-	// Recovering twice from the same artifacts must be a no-op (idempotent
-	// fates).
-	eng2, _ := dk.recover(t)
-	if eng2.G.NodeExists(id) || eng2.T.HasSeries(key(id)) {
-		t.Fatal("second recovery resurrected the deleted station")
+	for pass := 1; pass <= 2; pass++ {
+		eng, rec := dk.recover(t)
+		if rec.OrphanNodes != 0 || rec.OrphanSeries != 1 {
+			t.Fatalf("recovery %d: %s, want the one torn delete's series removed", pass, rec)
+		}
+		if eng.G.NodeExists(ids[0]) || eng.T.HasSeries(key(ids[0])) {
+			t.Fatalf("recovery %d: delete torn between the stores not rolled forward", pass)
+		}
+		if !eng.G.NodeExists(ids[1]) || !eng.T.HasSeries(key(ids[1])) {
+			t.Fatalf("recovery %d: delete that never reached disk removed the station", pass)
+		}
+		if err := CheckConsistency(eng); err != nil {
+			t.Fatalf("recovery %d: %v", pass, err)
+		}
 	}
 }
 
@@ -147,7 +149,7 @@ func TestBoundaryVertexDurable(t *testing.T) {
 	}
 
 	// Deleting the boundary removes it and its edges, durably.
-	d2 := ResumeDurable(eng, &bytes.Buffer{}, &bytes.Buffer{}, &bytes.Buffer{}, 100)
+	d2 := ResumeDurable(eng, &bytes.Buffer{}, &bytes.Buffer{})
 	if err := d2.DeleteBoundary(b); err != nil {
 		t.Fatal(err)
 	}

@@ -12,16 +12,16 @@ import (
 	"hygraph/internal/ts"
 )
 
-// The durable directory. One directory holds one DurablePolyglot as five
+// The durable directory. One directory holds one DurablePolyglot as four
 // files, any of which may be absent: a snapshot and a write-ahead log per
-// store, plus the intent journal. OpenDir and CompactDir are the only code
-// that knows these names.
+// store. OpenDir and CompactDir are the only code that knows these names. The
+// intent journal an older layout kept beside them is neither read nor
+// removed.
 const (
 	graphSnapFile = "graph.snap"
 	graphLogFile  = "graph.wal"
 	tsSnapFile    = "ts.snap"
 	tsLogFile     = "ts.wal"
-	journalFile   = "ingest.journal"
 	// compactFile exists only while a committed compaction may still have
 	// snapshots to rename and logs to truncate; OpenDir finishes it first.
 	compactFile = "compact.commit"
@@ -45,7 +45,7 @@ func (l logFiles) Close() error {
 }
 
 // OpenDir recovers the engine stored in dir (created if absent) and resumes
-// it on the directory's three logs, opened for append. The returned closer
+// it on the directory's two logs, opened for append. The returned closer
 // only closes the logs; it does not sync them, so call SyncAll first.
 func OpenDir(dir string) (*DurablePolyglot, PolyglotRecovery, io.Closer, error) {
 	var rec PolyglotRecovery
@@ -55,8 +55,8 @@ func OpenDir(dir string) (*DurablePolyglot, PolyglotRecovery, io.Closer, error) 
 	if err := finishCompaction(dir); err != nil {
 		return nil, rec, nil, fmt.Errorf("ttdb: finishing compaction of %s: %w", dir, err)
 	}
-	var srcs [5]io.Reader
-	for i, name := range [...]string{graphSnapFile, graphLogFile, tsSnapFile, tsLogFile, journalFile} {
+	var srcs [4]io.Reader
+	for i, name := range [...]string{graphSnapFile, graphLogFile, tsSnapFile, tsLogFile} {
 		f, err := os.Open(filepath.Join(dir, name))
 		if errors.Is(err, fs.ErrNotExist) {
 			continue
@@ -67,12 +67,12 @@ func OpenDir(dir string) (*DurablePolyglot, PolyglotRecovery, io.Closer, error) 
 		defer f.Close()
 		srcs[i] = f
 	}
-	eng, rec, err := RecoverPolyglot(srcs[0], srcs[1], srcs[2], srcs[3], srcs[4], ts.Week)
+	eng, rec, err := RecoverPolyglot(srcs[0], srcs[1], srcs[2], srcs[3], ts.Week, nil)
 	if err != nil {
 		return nil, rec, nil, err
 	}
 	var logs logFiles
-	for _, name := range [...]string{graphLogFile, tsLogFile, journalFile} {
+	for _, name := range [...]string{graphLogFile, tsLogFile} {
 		f, err := os.OpenFile(filepath.Join(dir, name), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			logs.Close()
@@ -80,12 +80,12 @@ func OpenDir(dir string) (*DurablePolyglot, PolyglotRecovery, io.Closer, error) 
 		}
 		logs = append(logs, f)
 	}
-	return ResumeDurable(eng, logs[0], logs[1], logs[2], rec.NextTxn), rec, logs, nil
+	return ResumeDurable(eng, logs[0], logs[1]), rec, logs, nil
 }
 
 // CompactDir makes eng the whole of dir's state: it snapshots both stores
-// and empties the three logs, so the rollbacks recovery applied in memory
-// become durable and the next OpenDir replays nothing. eng must hold all
+// and empties both logs, so the repair recovery applied in memory becomes
+// durable and the next OpenDir replays nothing. eng must hold all
 // that dir's files hold (what OpenDir recovered, plus any write made since
 // through its logs), and nothing may write to dir while CompactDir runs.
 //
@@ -140,7 +140,7 @@ func finishCompaction(dir string) error {
 	if err := syncDir(dir); err != nil {
 		return err
 	}
-	for _, name := range [...]string{graphLogFile, tsLogFile, journalFile} {
+	for _, name := range [...]string{graphLogFile, tsLogFile} {
 		if err := writeSynced(filepath.Join(dir, name), nil); err != nil {
 			return err
 		}

@@ -90,8 +90,8 @@ func populate(t *testing.T, d *DurablePolyglot) {
 	}
 }
 
-// tearIngest crashes one ingest between the stores, leaving a graph node
-// that only recovery rolls back.
+// tearIngest crashes one ingest between the stores, leaving a Station node
+// without a series that recovery's repair removes.
 func tearIngest(t *testing.T, d *DurablePolyglot) {
 	t.Helper()
 	faults.Enable(FaultIngestTS, faults.Spec{Err: errors.New("injected crash")})
@@ -126,8 +126,8 @@ func TestOpenDirReopen(t *testing.T) {
 	faults.Reset()
 	dir := filepath.Join(t.TempDir(), "tenant")
 	d, rec, closeLogs := openDir(t, dir)
-	if rec.Txns != 0 || d.Engine().G.NumNodes() != 0 {
-		t.Fatalf("fresh directory recovered %d txns, %d nodes", rec.Txns, d.Engine().G.NumNodes())
+	if rec.Graph.Applied+rec.TS.Applied != 0 || d.Engine().G.NumNodes() != 0 {
+		t.Fatalf("fresh directory recovered %s, %d nodes", rec, d.Engine().G.NumNodes())
 	}
 	populate(t, d)
 	want := dumpState(d.Engine())
@@ -136,8 +136,8 @@ func TestOpenDirReopen(t *testing.T) {
 
 	d2, rec2, closeLogs2 := openDir(t, dir)
 	defer closeLogs2()
-	if rec2.RolledBack != 1 {
-		t.Fatalf("want the torn ingest rolled back: %s", rec2)
+	if rec2.OrphanNodes != 1 {
+		t.Fatalf("want the torn ingest's node removed: %s", rec2)
 	}
 	sameState(t, "reopen", dumpState(d2.Engine()), want)
 	if n := len(d2.Engine().G.NodesByLabel("Station")); n != 4 {
@@ -152,8 +152,8 @@ func TestOpenDirReopen(t *testing.T) {
 }
 
 // TestCompactDirCrashAtEveryStep stops a compaction before each of its steps
-// (both snapshot writes, the commit, both renames, the three truncations and
-// the marker's removal). Whatever the step, the directory must recover to
+// (both snapshot writes, the commit, both renames, both truncations and the
+// marker's removal). Whatever the step, the directory must recover to
 // the state a compaction without a crash recovers to, and recovering it a
 // second time must give the same state again.
 func TestCompactDirCrashAtEveryStep(t *testing.T) {
@@ -194,11 +194,11 @@ func TestCompactDirCrashAtEveryStep(t *testing.T) {
 			closeLogs()
 		}
 	}
-	if steps != 9 {
-		t.Fatalf("compaction crashed at %d steps, want 9", steps)
+	if steps != 8 {
+		t.Fatalf("compaction crashed at %d steps, want 8", steps)
 	}
 
-	// A completed compaction leaves only the five files, logs empty, and
+	// A completed compaction leaves only the four files, logs empty, and
 	// the next open replays nothing.
 	dir := filepath.Join(t.TempDir(), "tenant")
 	copyDir(t, seed, dir)
@@ -208,17 +208,17 @@ func TestCompactDirCrashAtEveryStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	closeLogs()
-	if got := strings.Join(dirNames(t, dir), " "); got != "graph.snap graph.wal ingest.journal ts.snap ts.wal" {
+	if got := strings.Join(dirNames(t, dir), " "); got != "graph.snap graph.wal ts.snap ts.wal" {
 		t.Fatalf("directory after compaction: %s", got)
 	}
-	for _, name := range []string{graphLogFile, tsLogFile, journalFile} {
+	for _, name := range []string{graphLogFile, tsLogFile} {
 		if info, err := os.Stat(filepath.Join(dir, name)); err != nil || info.Size() != 0 {
 			t.Fatalf("log %s not empty after compaction (%v)", name, err)
 		}
 	}
 	d, rec, closeLogs := openDir(t, dir)
 	defer closeLogs()
-	if rec.Txns != 0 || rec.Graph.Applied != 0 || rec.TS.Applied != 0 {
+	if rec.Graph.Applied != 0 || rec.TS.Applied != 0 || rec.OrphanNodes+rec.OrphanSeries != 0 {
 		t.Fatalf("compacted directory replayed records: %s", rec)
 	}
 	sameState(t, "compacted", dumpState(d.Engine()), want)

@@ -2,27 +2,21 @@ package ttdb
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hygraph/internal/faults"
 	"hygraph/internal/obs"
 	"hygraph/internal/storage/graphstore"
 	"hygraph/internal/storage/tsstore"
-	"hygraph/internal/storage/walrec"
 	"hygraph/internal/ts"
 )
 
 // Fault points consulted by the durable polyglot layer (see internal/faults).
 const (
-	// FaultJournalAppend fires before an intent-journal record is written.
-	FaultJournalAppend = "ttdb.journal.append"
 	// FaultIngestGraph fires before the graph-store side of an ingest.
 	FaultIngestGraph = "ttdb.ingest.graph"
 	// FaultIngestTS fires before the time-series side of an ingest — i.e.
@@ -82,46 +76,21 @@ func (r RetryPolicy) run(op func() error) error {
 	}
 }
 
-// Intent-journal opcodes. One station ingest is one transaction:
-//
-//	BEGIN(txn, node)    — node id reserved via graphstore.AllocNodeID
-//	  ... graph writes flushed ...
-//	PREPARED(txn, node) — graph side durable
-//	  ... time-series writes flushed ...
-//	COMMIT(txn, node)   — both sides durable
-//
-// Recovery (RecoverPolyglot) replays both stores' WALs and then decides each
-// transaction's fate from its last journal record: COMMIT keeps it; PREPARED
-// rolls forward when the series made it to disk and rolls back otherwise;
-// BEGIN always rolls back. Rollback deletes the graph node and the series,
-// both idempotent, so recovering twice is safe.
-//
-// DELETE(txn, node) is the inverse intent: DeleteStation journals it before
-// touching either store, so a crash at any point after the record is durable
-// rolls the removal FORWARD — recovery re-deletes the node and the series,
-// both idempotent no-ops when the crash happened after the store writes.
-const (
-	jBegin byte = iota + 1
-	jPrepared
-	jCommit
-	jDelete
-)
-
-// DurablePolyglot wraps a Polyglot engine with write-ahead logs on both
-// stores plus a cross-store intent journal, making station ingest atomic
-// across the graph and time-series sides: after a crash at any point,
-// RecoverPolyglot restores a state where every station either has both its
-// node and its series or neither.
+// DurablePolyglot wraps a Polyglot engine with a write-ahead log on each
+// store. A station ingest writes the graph side and flushes it, then writes
+// the series as one atomic batch record: that series write is the commit.
+// A delete removes the node first and the series second. So a crash between
+// the two stores' writes leaves a Station node without a series or a series
+// without a Station node, and RecoverPolyglot removes either: after a crash
+// at any point every station has both its node and its series or neither.
 type DurablePolyglot struct {
 	eng *Polyglot
 	gw  *graphstore.WAL
 	tw  *tsstore.WAL
-	jw  *walrec.GroupWriter
 
 	// Retry bounds transient-error retries on every storage operation.
 	Retry RetryPolicy
 
-	txn   atomic.Uint64
 	tsErr errBox // last permanent TS-side failure; non-nil degrades queries
 
 	obs durObs // metric handles; zero value = instrumentation off
@@ -146,35 +115,21 @@ func (b *errBox) get() error {
 	return b.err
 }
 
-// NewDurable returns an empty durable engine logging to the three writers
-// (graph WAL, time-series WAL, intent journal).
-func NewDurable(chunkWidth ts.Time, graphLog, tsLog, journal io.Writer) *DurablePolyglot {
-	return ResumeDurable(NewPolyglot(chunkWidth), graphLog, tsLog, journal, 0)
+// NewDurable returns an empty durable engine logging to the two writers
+// (graph WAL, time-series WAL).
+func NewDurable(chunkWidth ts.Time, graphLog, tsLog io.Writer) *DurablePolyglot {
+	return ResumeDurable(NewPolyglot(chunkWidth), graphLog, tsLog)
 }
 
 // ResumeDurable wraps an existing engine (typically the result of
-// RecoverPolyglot) with fresh logs. nextTxn must exceed every transaction id
-// in any journal the new journal continues (PolyglotRecovery.NextTxn).
-func ResumeDurable(eng *Polyglot, graphLog, tsLog, journal io.Writer, nextTxn uint64) *DurablePolyglot {
-	d := &DurablePolyglot{
+// RecoverPolyglot) with logs that continue the ones it was recovered from.
+func ResumeDurable(eng *Polyglot, graphLog, tsLog io.Writer) *DurablePolyglot {
+	return &DurablePolyglot{
 		eng:   eng,
 		gw:    graphstore.NewWAL(eng.G, graphLog),
 		tw:    tsstore.NewWAL(eng.T, tsLog),
-		jw:    walrec.NewGroup(walrec.NewWriter(journal)),
 		Retry: DefaultRetry,
 	}
-	d.txn.Store(nextTxn)
-	return d
-}
-
-// SetGroupCommit sets the maximum records coalesced into one physical flush
-// on all three logs (graph WAL, time-series WAL, intent journal). n <= 1
-// restores per-record flushing — the pre-group-commit baseline the mixed
-// throughput benchmark compares against.
-func (d *DurablePolyglot) SetGroupCommit(n int) {
-	d.gw.SetMaxBatch(n)
-	d.tw.SetMaxBatch(n)
-	d.jw.SetMaxBatch(n)
 }
 
 // Engine exposes the wrapped engine for direct (non-durable) reads.
@@ -185,43 +140,6 @@ func (d *DurablePolyglot) Engine() *Polyglot { return d.eng }
 // ingest is concurrency-safe too: any number of IngestStation/AppendPoint
 // clients may run alongside queries — see docs/PARALLELISM.md.
 func (d *DurablePolyglot) SetWorkers(n int) { d.eng.SetWorkers(n) }
-
-// journal appends one intent record and commits it through the journal's
-// group writer — each protocol step must be durable before the next store
-// write starts, but concurrent transactions' steps coalesce into shared
-// flushes. A retried closure may re-enqueue a record whose first copy was
-// already buffered; duplicates are harmless because recovery keys on the
-// LAST record per transaction and the states are idempotent.
-func (d *DurablePolyglot) journal(op byte, txn uint64, node StationID) error {
-	err := d.Retry.run(func() error {
-		if err := faults.Check(FaultJournalAppend); err != nil {
-			return err
-		}
-		buf := make([]byte, 0, 2*binary.MaxVarintLen64+1)
-		buf = append(buf, op)
-		buf = binary.AppendUvarint(buf, txn)
-		buf = binary.AppendUvarint(buf, uint64(node))
-		seq, err := d.jw.Append(buf)
-		if err != nil {
-			return err
-		}
-		return d.jw.Commit(seq)
-	})
-	if err != nil {
-		return err
-	}
-	switch op {
-	case jBegin:
-		d.obs.journalBegin.Inc()
-	case jPrepared:
-		d.obs.journalPrepared.Inc()
-	case jCommit:
-		d.obs.journalCommit.Inc()
-	case jDelete:
-		d.obs.journalDelete.Inc()
-	}
-	return nil
-}
 
 // graphSide writes the station node and its properties, then flushes. The
 // closure is safe to retry: CreateNodeAt is guarded by NodeExists on the
@@ -262,39 +180,34 @@ func (d *DurablePolyglot) tsSide(node StationID, s *ts.Series) error {
 	})
 }
 
-// IngestStation atomically adds a station and its series across both stores
-// using the intent-journal protocol. On a permanent error the in-memory state
-// may be half-applied — exactly the state a crash leaves on disk — and
-// RecoverPolyglot over the written logs restores consistency; this mirrors
-// how a real engine treats an unrecoverable storage fault as fail-stop.
+// IngestStation atomically adds a station and its series across both
+// stores: the graph side is durable before the series is written, and the
+// series write is the commit. A crash before it leaves a Station node with
+// no series, which RecoverPolyglot removes. An empty series is rejected
+// before anything is written, since it would leave exactly that node. On a
+// permanent error the in-memory state may be half-applied — exactly the
+// state a crash leaves on disk — and RecoverPolyglot over the written logs
+// restores consistency; this mirrors how a real engine treats an
+// unrecoverable storage fault as fail-stop.
 func (d *DurablePolyglot) IngestStation(name, district string, s *ts.Series) (StationID, error) {
-	txn := d.txn.Add(1) - 1
+	if s == nil || s.Empty() {
+		return 0, fmt.Errorf("ttdb: station %q has an empty series", name)
+	}
 	node := d.eng.G.AllocNodeID()
-	if err := d.journal(jBegin, txn, node); err != nil {
-		return 0, fmt.Errorf("ttdb: txn %d begin: %w", txn, err)
-	}
 	if err := d.graphSide(node, name, district); err != nil {
-		return 0, fmt.Errorf("ttdb: txn %d graph write: %w", txn, err)
-	}
-	if err := d.journal(jPrepared, txn, node); err != nil {
-		return 0, fmt.Errorf("ttdb: txn %d prepared: %w", txn, err)
+		return 0, fmt.Errorf("ttdb: ingest of node %d: graph write: %w", node, err)
 	}
 	if err := d.tsSide(node, s); err != nil {
 		d.tsErr.set(err)
-		return 0, fmt.Errorf("ttdb: txn %d ts write: %w", txn, err)
+		return 0, fmt.Errorf("ttdb: ingest of node %d: ts write: %w", node, err)
 	}
 	d.tsErr.set(nil)
-	if err := d.journal(jCommit, txn, node); err != nil {
-		// Both sides are durable; recovery rolls the PREPARED record forward
-		// because the series is present. The station is usable.
-		return node, fmt.Errorf("ttdb: txn %d commit record: %w", txn, err)
-	}
 	d.obs.ingests.Inc()
 	return node, nil
 }
 
 // AddTrip durably records a trip edge. Trips touch only the graph store, so
-// no intent journal is needed — the graph WAL alone makes them atomic.
+// the graph WAL alone makes them atomic.
 func (d *DurablePolyglot) AddTrip(a, b StationID, count int) error {
 	var rel graphstore.RelID
 	created := false
@@ -316,29 +229,13 @@ func (d *DurablePolyglot) AddTrip(a, b StationID, count int) error {
 	})
 }
 
-// LoadSeries durably attaches (or replaces points of) the metric series of an
-// existing station — the Engine-interface loading path. It touches only the
-// time-series store, so the TS WAL alone is sufficient; a permanent failure
-// latches the degraded-mode error exactly like the ingest path.
-func (d *DurablePolyglot) LoadSeries(st StationID, s *ts.Series) error {
-	if err := d.tsSide(st, s); err != nil {
-		d.tsErr.set(err)
-		return fmt.Errorf("ttdb: load series: %w", err)
-	}
-	d.tsErr.set(nil)
-	return nil
-}
-
-// DeleteStation atomically removes a station from both stores using the
-// intent journal's DELETE record: the intent is durable before either store
-// is touched, so a crash at any later point rolls the removal forward during
-// recovery (both deletes are idempotent). Incident relationships go with the
-// node; deleting an absent station is a durable no-op.
+// DeleteStation removes a station from both stores: the graph node first,
+// then the series. A crash between the two leaves a series with no Station
+// node, which RecoverPolyglot removes, so a delete whose graph write reached
+// disk completes on recovery and one whose graph write did not leaves the
+// station whole. Incident relationships go with the node; deleting an
+// absent station is a durable no-op.
 func (d *DurablePolyglot) DeleteStation(st StationID) error {
-	txn := d.txn.Add(1) - 1
-	if err := d.journal(jDelete, txn, st); err != nil {
-		return fmt.Errorf("ttdb: txn %d delete intent: %w", txn, err)
-	}
 	err := d.Retry.run(func() error {
 		if err := faults.Check(FaultIngestGraph); err != nil {
 			return err
@@ -351,7 +248,7 @@ func (d *DurablePolyglot) DeleteStation(st StationID) error {
 		return d.gw.Flush()
 	})
 	if err != nil {
-		return fmt.Errorf("ttdb: txn %d graph delete: %w", txn, err)
+		return fmt.Errorf("ttdb: delete of node %d: graph write: %w", st, err)
 	}
 	err = d.Retry.run(func() error {
 		if err := faults.Check(FaultIngestTS); err != nil {
@@ -364,7 +261,7 @@ func (d *DurablePolyglot) DeleteStation(st StationID) error {
 	})
 	if err != nil {
 		d.tsErr.set(err)
-		return fmt.Errorf("ttdb: txn %d ts delete: %w", txn, err)
+		return fmt.Errorf("ttdb: delete of node %d: ts write: %w", st, err)
 	}
 	d.tsErr.set(nil)
 	return nil
@@ -372,12 +269,11 @@ func (d *DurablePolyglot) DeleteStation(st StationID) error {
 
 // AddBoundary durably creates a boundary vertex: a graph-only replica of a
 // station owned by another partition, labeled "Boundary" so the Station-keyed
-// invariants (CheckConsistency, Q4–Q6 enumeration) never see it. The global
-// id it mirrors is recorded as the "gid" property so a partition is
-// self-describing on reopen. Boundary vertices have no series, so no intent
-// journal is needed — the graph WAL alone makes the write durable, and a
-// crash between node and property leaves an orphan the reconstruction path
-// skips.
+// invariants (CheckConsistency, Q4–Q6 enumeration, recovery's repair) never
+// see it. The global id it mirrors is recorded as the "gid" property so a
+// partition is self-describing on reopen. Boundary vertices have no series,
+// so the graph WAL alone makes the write durable, and a crash between node
+// and property leaves an orphan the reconstruction path skips.
 func (d *DurablePolyglot) AddBoundary(gid uint64) (StationID, error) {
 	node := d.eng.G.AllocNodeID()
 	err := d.Retry.run(func() error {
@@ -435,8 +331,8 @@ func (d *DurablePolyglot) TagStation(st StationID, gid uint64) error {
 // series — the streaming-ingest op of the mixed read/write workload. It
 // touches only the time-series store (the station's node and series already
 // exist, so the cross-store invariant holds throughout), which makes the
-// TS WAL alone sufficient: no intent journal round trips, and concurrent
-// appends coalesce into shared group-commit flushes.
+// TS WAL alone sufficient, and concurrent appends coalesce into shared
+// group-commit flushes.
 func (d *DurablePolyglot) AppendPoint(st StationID, t ts.Time, v float64) error {
 	err := d.Retry.run(func() error {
 		if err := faults.Check(FaultIngestTS); err != nil {
@@ -531,12 +427,12 @@ func (d *DurablePolyglot) EntitySummariesCtx(ctx context.Context, start, end ts.
 	return d.eng.shardSummaries(ctx, start, end)
 }
 
-// SyncAll forces every buffered record on all three logs (graph WAL,
-// time-series WAL, intent journal) to durable storage — the drain step of a
-// graceful server shutdown: after SyncAll returns nil, every acknowledged
-// write is recoverable even though streaming appends only Commit (ride
-// shared flushes) on the hot path. The first failing log aborts the sync;
-// its error names the log so operators know which artifact is suspect.
+// SyncAll forces every buffered record on both logs to durable storage —
+// the drain step of a graceful server shutdown: after SyncAll returns nil,
+// every acknowledged write is recoverable even though streaming appends only
+// Commit (ride shared flushes) on the hot path. The first failing log aborts
+// the sync; its error names the log so operators know which artifact is
+// suspect.
 func (d *DurablePolyglot) SyncAll() error {
 	if err := d.gw.Flush(); err != nil {
 		return fmt.Errorf("ttdb: sync graph wal: %w", err)
@@ -544,78 +440,41 @@ func (d *DurablePolyglot) SyncAll() error {
 	if err := d.tw.Flush(); err != nil {
 		return fmt.Errorf("ttdb: sync ts wal: %w", err)
 	}
-	if err := d.jw.Sync(); err != nil {
-		return fmt.Errorf("ttdb: sync intent journal: %w", err)
-	}
 	return nil
 }
 
 // ---------------------------------------------------------------------------
 // Recovery
 
-// TxnFate records what recovery decided for one journaled transaction.
-type TxnFate struct {
-	Txn   uint64
-	Node  StationID
-	State string // "begin", "prepared", "commit", "delete"
-	Fate  string // "committed", "rolled-forward", "rolled-back", "deleted"
-}
-
 // PolyglotRecovery summarizes a RecoverPolyglot run.
 type PolyglotRecovery struct {
-	Graph   graphstore.RecoverySummary
-	TS      tsstore.RecoverySummary
-	Journal walrec.Summary
+	Graph graphstore.RecoverySummary
+	TS    tsstore.RecoverySummary
 
-	Txns          int
-	Committed     int
-	RolledForward int // prepared, series present: kept
-	RolledBack    int // half-applied: node and series removed
-	Deleted       int // delete intents rolled forward: node and series removed
-	NextTxn       uint64
-	Fates         []TxnFate
+	OrphanNodes  int // Station nodes without a series removed: torn ingests
+	OrphanSeries int // series without a Station node removed: torn deletes
 }
 
 // String renders the summary for the recover CLI.
 func (r PolyglotRecovery) String() string {
 	return fmt.Sprintf(
-		"graph: %d ops (%s)\nts:    %d ops, %d points (%s)\njournal: %d txns (%s) — %d committed, %d rolled forward, %d rolled back, %d deleted",
+		"graph: %d ops (%s)\nts:    %d ops, %d points (%s)\nrepair: %d orphan station nodes, %d orphan series removed",
 		r.Graph.Applied, r.Graph.Summary.String(),
 		r.TS.Applied, r.TS.Points, r.TS.Summary.String(),
-		r.Txns, r.Journal.String(), r.Committed, r.RolledForward, r.RolledBack, r.Deleted,
+		r.OrphanNodes, r.OrphanSeries,
 	)
 }
 
-func stateName(op byte) string {
-	switch op {
-	case jBegin:
-		return "begin"
-	case jPrepared:
-		return "prepared"
-	case jCommit:
-		return "commit"
-	case jDelete:
-		return "delete"
-	}
-	return fmt.Sprintf("op%d", op)
-}
-
-// RecoverPolyglot rebuilds a polyglot engine after a crash from the five
-// durable artifacts: optional snapshots and WALs for both stores, plus the
-// intent journal. Any reader may be nil. After both stores replay, each
-// journaled transaction's last record decides its fate (see the opcode docs);
-// rollbacks are applied to the recovered in-memory state only — CompactDir
-// makes them durable.
-func RecoverPolyglot(graphSnap, graphLog, tsSnap, tsLog, journal io.Reader, chunkWidth ts.Time) (*Polyglot, PolyglotRecovery, error) {
-	return RecoverPolyglotObserved(graphSnap, graphLog, tsSnap, tsLog, journal, chunkWidth, nil)
-}
-
-// RecoverPolyglotObserved is RecoverPolyglot with instrumentation: each
-// recovery phase (graph replay, ts replay, journal scan, fate resolution) is
-// recorded as a child span of a "ttdb.recover" root in the registry's tracer,
-// and op/point/txn totals land in "ttdb.recover.*" counters. A nil registry
-// records nothing and behaves exactly like RecoverPolyglot.
-func RecoverPolyglotObserved(graphSnap, graphLog, tsSnap, tsLog, journal io.Reader, chunkWidth ts.Time, reg *obs.Registry) (*Polyglot, PolyglotRecovery, error) {
+// RecoverPolyglot rebuilds a polyglot engine after a crash from the four
+// durable artifacts: an optional snapshot and a WAL per store. Any reader may
+// be nil. After both stores replay, it removes every Station node that has no
+// series and every availability series that has no Station node — what an
+// ingest or a delete torn between the two stores' writes leaves behind. The
+// removal is applied to the recovered in-memory state only; CompactDir makes
+// it durable. With a registry, each phase (graph replay, ts replay, repair)
+// is recorded as a child span of a "ttdb.recover" root and the totals land in
+// "ttdb.recover.*" counters; a nil registry records nothing.
+func RecoverPolyglot(graphSnap, graphLog, tsSnap, tsLog io.Reader, chunkWidth ts.Time, reg *obs.Registry) (*Polyglot, PolyglotRecovery, error) {
 	root := reg.Tracer().Start("ttdb.recover")
 	defer root.End()
 
@@ -639,148 +498,57 @@ func RecoverPolyglotObserved(graphSnap, graphLog, tsSnap, tsLog, journal io.Read
 	}
 	eng := &Polyglot{G: g, T: t}
 
-	type txnState struct {
-		node  StationID
-		state byte
-	}
-	states := map[uint64]*txnState{}
-	var order []uint64
-	if journal != nil {
-		jspan := root.Child("ttdb.recover.journal")
-		sc := walrec.NewScanner(journal)
-		for {
-			payload, err := sc.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				rec.Journal = sc.Summary()
-				jspan.End()
-				return nil, rec, fmt.Errorf("ttdb: intent journal: %w", err)
-			}
-			op, txn, node, err := parseJournalRecord(payload)
-			if err != nil {
-				rec.Journal = sc.Summary()
-				jspan.End()
-				return nil, rec, err
-			}
-			if st, ok := states[txn]; ok {
-				st.state, st.node = op, node
-			} else {
-				states[txn] = &txnState{node: node, state: op}
-				order = append(order, txn)
-			}
-			if txn >= rec.NextTxn {
-				rec.NextTxn = txn + 1
-			}
-		}
-		rec.Journal = sc.Summary()
-		jspan.End()
-	}
-
-	// A node id can appear in more than one transaction across journal
-	// generations: a txn whose CreateNode never reached disk leaves the id
-	// free for the next session to allocate again. The node's fate belongs to
-	// the LAST txn referencing it — an earlier rolled-back txn must not
-	// delete a later txn's node or series.
-	lastTxnForNode := map[StationID]uint64{}
-	for _, txn := range order {
-		if st := states[txn]; txn >= lastTxnForNode[st.node] {
-			lastTxnForNode[st.node] = txn
-		}
-	}
-
-	fspan := root.Child("ttdb.recover.fates")
-	defer func() {
-		fspan.End()
-		reg.Counter("ttdb.recover.txns").Add(int64(rec.Txns))
-		reg.Counter("ttdb.recover.committed").Add(int64(rec.Committed))
-		reg.Counter("ttdb.recover.rolled_forward").Add(int64(rec.RolledForward))
-		reg.Counter("ttdb.recover.rolled_back").Add(int64(rec.RolledBack))
-		reg.Counter("ttdb.recover.deleted").Add(int64(rec.Deleted))
-	}()
-	for _, txn := range order {
-		st := states[txn]
-		fate := TxnFate{Txn: txn, Node: st.node, State: stateName(st.state)}
-		rec.Txns++
-		switch {
-		case st.state == jCommit:
-			rec.Committed++
-			fate.Fate = "committed"
-		case st.state == jDelete:
-			// A journaled delete intent always rolls forward: re-delete both
-			// sides (idempotent no-ops when the crash happened after the store
-			// writes), unless a later txn re-created the node id.
-			if lastTxnForNode[st.node] == txn {
-				if g.NodeExists(st.node) {
-					if err := g.DeleteNode(st.node); err != nil {
-						return nil, rec, fmt.Errorf("ttdb: delete txn %d: %w", txn, err)
-					}
-				}
-				t.DeleteSeries(key(st.node))
-			}
-			rec.Deleted++
-			fate.Fate = "deleted"
-		case st.state == jPrepared && t.HasSeries(key(st.node)):
-			// Graph and series both made it to disk; only the commit record
-			// is missing. Keep the station.
-			rec.RolledForward++
-			fate.Fate = "rolled-forward"
-		default:
-			// Half-applied (BEGIN only, or PREPARED with no series): remove
-			// whichever side exists. Both deletes are idempotent, and skipped
-			// when a later txn owns the node id.
-			if lastTxnForNode[st.node] == txn {
-				if g.NodeExists(st.node) {
-					if err := g.DeleteNode(st.node); err != nil {
-						return nil, rec, fmt.Errorf("ttdb: rollback txn %d: %w", txn, err)
-					}
-				}
-				t.DeleteSeries(key(st.node))
-			}
-			rec.RolledBack++
-			fate.Fate = "rolled-back"
-		}
-		rec.Fates = append(rec.Fates, fate)
+	rspan := root.Child("ttdb.recover.repair")
+	rec.OrphanNodes, rec.OrphanSeries, err = repair(eng)
+	rspan.End()
+	reg.Counter("ttdb.recover.orphan_nodes").Add(int64(rec.OrphanNodes))
+	reg.Counter("ttdb.recover.orphan_series").Add(int64(rec.OrphanSeries))
+	if err != nil {
+		return nil, rec, err
 	}
 	return eng, rec, nil
 }
 
-func parseJournalRecord(payload []byte) (op byte, txn uint64, node StationID, err error) {
-	if len(payload) < 1 {
-		return 0, 0, 0, fmt.Errorf("ttdb: empty journal record")
+// repair removes the Station nodes that have no series and the availability
+// series that have no Station node, reporting how many of each it removed.
+// Afterwards CheckConsistency holds, and a second repair removes nothing.
+func repair(eng *Polyglot) (nodes, series int, err error) {
+	stations := map[StationID]bool{}
+	for _, st := range eng.G.NodesByLabel("Station") {
+		if eng.T.HasSeries(key(st)) {
+			stations[st] = true
+			continue
+		}
+		if !eng.G.NodeExists(st) {
+			continue // listed twice: a node carrying the label twice
+		}
+		if err := eng.G.DeleteNode(st); err != nil {
+			return nodes, series, fmt.Errorf("ttdb: removing orphan station %d: %w", st, err)
+		}
+		nodes++
 	}
-	op = payload[0]
-	if op < jBegin || op > jDelete {
-		return 0, 0, 0, fmt.Errorf("ttdb: corrupt journal opcode %d", op)
+	for _, k := range eng.T.Keys() {
+		if k.Metric == Metric && !stations[StationID(k.Entity)] {
+			eng.T.DeleteSeries(k)
+			series++
+		}
 	}
-	rest := payload[1:]
-	txn, n := binary.Uvarint(rest)
-	if n <= 0 || txn == math.MaxUint64 {
-		// No writer reaches the largest id, and NextTxn could not exceed it.
-		return 0, 0, 0, fmt.Errorf("ttdb: corrupt journal txn id")
-	}
-	nodeU, n2 := binary.Uvarint(rest[n:])
-	if n2 <= 0 {
-		return 0, 0, 0, fmt.Errorf("ttdb: corrupt journal node id")
-	}
-	return op, txn, StationID(nodeU), nil
+	return nodes, series, nil
 }
 
 // CheckConsistency verifies the cross-store invariant the ingest protocol
 // maintains: every Station node has its series and every series belongs to a
 // live Station node. It returns nil when consistent.
 func CheckConsistency(eng *Polyglot) error {
+	stations := map[StationID]bool{}
 	for _, st := range eng.G.NodesByLabel("Station") {
 		if !eng.T.HasSeries(key(st)) {
 			return fmt.Errorf("ttdb: station %d has no series (orphan node)", st)
 		}
+		stations[st] = true
 	}
 	for _, k := range eng.T.Keys() {
-		if k.Metric != Metric {
-			continue
-		}
-		if !eng.G.NodeExists(StationID(k.Entity)) {
+		if k.Metric == Metric && !stations[StationID(k.Entity)] {
 			return fmt.Errorf("ttdb: series %v has no station (orphan series)", k)
 		}
 	}

@@ -5,10 +5,13 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"hygraph/internal/faults"
+	"hygraph/internal/storage/graphstore"
+	"hygraph/internal/storage/tsstore"
 	"hygraph/internal/ts"
 )
 
@@ -16,12 +19,12 @@ import (
 // bytes exist. The live DurablePolyglot and its in-memory stores are simply
 // dropped at "crash" time; recovery sees these buffers alone.
 type disk struct {
-	graphLog, tsLog, journal bytes.Buffer
+	graphLog, tsLog bytes.Buffer
 }
 
 func (dk *disk) open(t testing.TB) *DurablePolyglot {
 	t.Helper()
-	d := NewDurable(ts.Day, &dk.graphLog, &dk.tsLog, &dk.journal)
+	d := NewDurable(ts.Day, &dk.graphLog, &dk.tsLog)
 	d.Retry = RetryPolicy{MaxAttempts: 3} // no backoff sleeps in tests
 	return d
 }
@@ -29,12 +32,26 @@ func (dk *disk) open(t testing.TB) *DurablePolyglot {
 func (dk *disk) recover(t *testing.T) (*Polyglot, PolyglotRecovery) {
 	t.Helper()
 	eng, rec, err := RecoverPolyglot(nil, bytes.NewReader(dk.graphLog.Bytes()),
-		nil, bytes.NewReader(dk.tsLog.Bytes()),
-		bytes.NewReader(dk.journal.Bytes()), ts.Day)
+		nil, bytes.NewReader(dk.tsLog.Bytes()), ts.Day, nil)
 	if err != nil {
 		t.Fatalf("recovery failed: %v", err)
 	}
 	return eng, rec
+}
+
+// replayRaw replays both logs without the repair: what each store holds on
+// its own.
+func (dk *disk) replayRaw(t *testing.T) *Polyglot {
+	t.Helper()
+	g, _, err := graphstore.Recover(nil, bytes.NewReader(dk.graphLog.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsdb, _, err := tsstore.Recover(nil, bytes.NewReader(dk.tsLog.Bytes()), ts.Day)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Polyglot{G: g, T: tsdb}
 }
 
 func stationSeries(i int) *ts.Series {
@@ -64,14 +81,13 @@ func ingestUntilCrash(d *DurablePolyglot, n int) []StationID {
 	return ids
 }
 
-// TestCrashMatrix is the issue's crash-matrix acceptance test: arm every
-// fault point at several visit counts, run a bike-sharing-style ingest until
-// the injected "crash", recover from the flushed bytes only, and require the
-// cross-store invariant — every committed station survives whole, nothing is
-// half-applied, no orphan nodes or series.
+// TestCrashMatrix arms every fault point at several visit counts, runs a
+// bike-sharing-style ingest until the injected "crash", recovers from the
+// flushed bytes only, and requires the cross-store invariant — every
+// committed station survives whole, nothing is half-applied, no orphan nodes
+// or series.
 func TestCrashMatrix(t *testing.T) {
 	points := []string{
-		FaultJournalAppend,
 		FaultIngestGraph,
 		FaultIngestTS,
 		"graphstore.wal.append",
@@ -81,8 +97,9 @@ func TestCrashMatrix(t *testing.T) {
 	}
 	const stations = 6
 	for _, pt := range points {
-		// Varying Nth walks the crash across protocol steps and txns.
-		for nth := 1; nth <= 9; nth += 2 {
+		// Varying Nth walks the crash across the write steps of successive
+		// ingests and trips.
+		for nth := 1; nth <= 9; nth++ {
 			t.Run(pt+"/nth="+string(rune('0'+nth)), func(t *testing.T) {
 				defer faults.Reset()
 				faults.Reset()
@@ -90,7 +107,6 @@ func TestCrashMatrix(t *testing.T) {
 				d := dk.open(t)
 				faults.Enable(pt, faults.Spec{Err: errors.New("injected crash"), Nth: nth})
 				committed := ingestUntilCrash(d, stations)
-				crashed := len(committed) < stations
 				faults.Reset() // the "reboot": faults are gone
 
 				eng, rec := dk.recover(t)
@@ -106,86 +122,66 @@ func TestCrashMatrix(t *testing.T) {
 						t.Fatalf("committed station %d lost its series", id)
 					}
 				}
-				if crashed && rec.Txns == 0 && dk.journal.Len() > 0 {
-					t.Fatal("crash occurred but recovery saw no transactions")
-				}
-				// Recovery is idempotent: recovering the same disk twice
-				// converges to the same station set.
+				// Recovering the same disk twice gives the same stations,
+				// properties, trips and series.
 				eng2, _ := dk.recover(t)
-				if got, want := len(eng2.G.NodesByLabel("Station")), len(eng.G.NodesByLabel("Station")); got != want {
-					t.Fatalf("second recovery diverged: %d vs %d stations", got, want)
-				}
+				sameState(t, "second recovery", dumpState(eng2), dumpState(eng))
 			})
 		}
 	}
 }
 
-// TestJournalRequiredBetweenStores is the headline acceptance criterion: a
-// crash between the graph-store write and the TS-store write leaves an
-// orphan node that ONLY the intent journal can identify. Recovery with the
-// journal restores consistency; recovery ignoring the journal does not.
-func TestJournalRequiredBetweenStores(t *testing.T) {
+// TestRepairRequiredBetweenStores: an ingest and a delete each crashed
+// between the two stores' writes leave an orphan Station node and an orphan
+// series on disk. Replaying the two logs on their own keeps them; the
+// repair in RecoverPolyglot removes both and keeps the committed station.
+func TestRepairRequiredBetweenStores(t *testing.T) {
 	defer faults.Reset()
-	faults.Reset()
-	var dk disk
-	d := dk.open(t)
-	if _, err := d.IngestStation("ok", "d", stationSeries(0)); err != nil {
-		t.Fatal(err)
-	}
-	// Kill the second ingest exactly between the two stores' writes.
-	faults.Enable(FaultIngestTS, faults.Spec{Err: errors.New("crash between stores")})
-	if _, err := d.IngestStation("torn", "d", stationSeries(1)); err == nil {
-		t.Fatal("ingest survived the injected crash")
-	}
-	faults.Reset()
+	for _, tc := range []struct {
+		what  string
+		crash func(d *DurablePolyglot, victim StationID) error
+	}{
+		{"ingest", func(d *DurablePolyglot, _ StationID) error {
+			_, err := d.IngestStation("torn", "d", stationSeries(2))
+			return err
+		}},
+		{"delete", func(d *DurablePolyglot, victim StationID) error { return d.DeleteStation(victim) }},
+	} {
+		faults.Reset()
+		var dk disk
+		d := dk.open(t)
+		keep, err := d.IngestStation("ok", "d", stationSeries(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		victim, err := d.IngestStation("victim", "d", stationSeries(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Kill the write exactly between the two stores.
+		faults.Enable(FaultIngestTS, faults.Spec{Err: errors.New("crash between stores")})
+		if err := tc.crash(d, victim); err == nil {
+			t.Fatalf("%s survived the injected crash", tc.what)
+		}
+		faults.Reset()
 
-	// Without the journal the orphan node is invisible: both WALs replay
-	// cleanly, but station 1 has a node and no series.
-	engNoJ, _, err := RecoverPolyglot(nil, bytes.NewReader(dk.graphLog.Bytes()),
-		nil, bytes.NewReader(dk.tsLog.Bytes()), nil, ts.Day)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckConsistency(engNoJ); err == nil {
-		t.Fatal("recovery without the journal claims consistency — the test lost its teeth")
-	}
-
-	// With the journal the half-applied txn is rolled back.
-	eng, rec := dk.recover(t)
-	if err := CheckConsistency(eng); err != nil {
-		t.Fatalf("journal recovery inconsistent: %v", err)
-	}
-	if rec.RolledBack != 1 || rec.Committed != 1 {
-		t.Fatalf("fates: %+v", rec)
-	}
-	if n := len(eng.G.NodesByLabel("Station")); n != 1 {
-		t.Fatalf("stations after recovery: %d", n)
-	}
-}
-
-// TestCommitRecordLossRollsForward: when both sides are durable and only the
-// COMMIT record is lost, recovery keeps the station (roll-forward).
-func TestCommitRecordLossRollsForward(t *testing.T) {
-	defer faults.Reset()
-	faults.Reset()
-	var dk disk
-	d := dk.open(t)
-	// The 3rd journal append of the txn is the COMMIT record.
-	faults.Enable(FaultJournalAppend, faults.Spec{Err: errors.New("crash at commit"), Nth: 3})
-	id, err := d.IngestStation("st", "d", stationSeries(0))
-	if err == nil {
-		t.Fatal("commit-record failure not reported")
-	}
-	faults.Reset()
-	eng, rec := dk.recover(t)
-	if rec.RolledForward != 1 {
-		t.Fatalf("expected roll-forward, got %+v", rec)
-	}
-	if !eng.G.NodeExists(id) || !eng.T.HasSeries(key(id)) {
-		t.Fatal("rolled-forward station incomplete")
-	}
-	if err := CheckConsistency(eng); err != nil {
-		t.Fatal(err)
+		if err := CheckConsistency(dk.replayRaw(t)); err == nil {
+			t.Fatalf("%s: raw replay of the two logs is consistent — the test lost its teeth", tc.what)
+		}
+		eng, rec := dk.recover(t)
+		if err := CheckConsistency(eng); err != nil {
+			t.Fatalf("%s: recovery inconsistent: %v", tc.what, err)
+		}
+		if rec.OrphanNodes+rec.OrphanSeries != 1 {
+			t.Fatalf("%s: repair removed %d nodes and %d series, want one torn write", tc.what, rec.OrphanNodes, rec.OrphanSeries)
+		}
+		want := []StationID{keep, victim}
+		if tc.what == "delete" {
+			want = want[:1]
+		}
+		if got := eng.G.NodesByLabel("Station"); !slices.Equal(got, want) {
+			t.Fatalf("%s: stations after recovery %v, want %v", tc.what, got, want)
+		}
 	}
 }
 
@@ -193,7 +189,7 @@ func TestCommitRecordLossRollsForward(t *testing.T) {
 // absorbed by the bounded retry and the ingest succeeds end to end.
 func TestTransientErrorsRetried(t *testing.T) {
 	defer faults.Reset()
-	for _, pt := range []string{FaultJournalAppend, FaultIngestGraph, FaultIngestTS} {
+	for _, pt := range []string{FaultIngestGraph, FaultIngestTS} {
 		faults.Reset()
 		var dk disk
 		d := dk.open(t)
@@ -318,9 +314,9 @@ func TestPermanentTSFailureDegradesUntilSuccess(t *testing.T) {
 	}
 }
 
-// TestResumeAfterCrashReusesNodeID: when a crashed txn's CreateNode never
-// reached disk, the next session reuses the node id. A later recovery over
-// the combined journal must keep the new txn's station (last-txn-wins).
+// TestResumeAfterCrashReusesNodeID: when a crashed ingest's node create
+// never reached disk, the next session reuses the node id, and recovering
+// the combined logs keeps the new station.
 func TestResumeAfterCrashReusesNodeID(t *testing.T) {
 	defer faults.Reset()
 	faults.Reset()
@@ -329,8 +325,8 @@ func TestResumeAfterCrashReusesNodeID(t *testing.T) {
 	if _, err := d.IngestStation("s0", "d", stationSeries(0)); err != nil {
 		t.Fatal(err)
 	}
-	// Crash before any graph byte is flushed: BEGIN is journaled, the node id
-	// is claimed on paper but never on disk.
+	// Crash before any graph byte is flushed: the node id is reserved in
+	// memory but never on disk.
 	faults.Enable(FaultIngestGraph, faults.Spec{Err: errors.New("crash")})
 	if _, err := d.IngestStation("lost", "d", stationSeries(1)); err == nil {
 		t.Fatal("expected crash")
@@ -338,11 +334,11 @@ func TestResumeAfterCrashReusesNodeID(t *testing.T) {
 	faults.Reset()
 
 	eng, rec := dk.recover(t)
-	if rec.RolledBack != 1 {
-		t.Fatalf("fates: %+v", rec)
+	if rec.OrphanNodes+rec.OrphanSeries != 0 {
+		t.Fatalf("nothing of the lost ingest reached disk, yet the repair removed some: %s", rec)
 	}
 	// Resume into the same logs and ingest a new station — it reuses id 1.
-	d2 := ResumeDurable(eng, &dk.graphLog, &dk.tsLog, &dk.journal, rec.NextTxn)
+	d2 := ResumeDurable(eng, &dk.graphLog, &dk.tsLog)
 	d2.Retry = RetryPolicy{MaxAttempts: 1}
 	id, err := d2.IngestStation("s1", "d", stationSeries(2))
 	if err != nil {
@@ -351,11 +347,9 @@ func TestResumeAfterCrashReusesNodeID(t *testing.T) {
 	if id != 1 {
 		t.Fatalf("expected node id 1 reused, got %d", id)
 	}
-	// Recover the combined history: the old rolled-back txn must not take
-	// the new txn's node with it.
 	eng2, rec2 := dk.recover(t)
 	if !eng2.G.NodeExists(id) || !eng2.T.HasSeries(key(id)) {
-		t.Fatalf("later txn's station destroyed by stale rollback: %+v", rec2)
+		t.Fatalf("the station that reused the id is incomplete: %s", rec2)
 	}
 	if err := CheckConsistency(eng2); err != nil {
 		t.Fatal(err)
@@ -367,21 +361,38 @@ func TestResumeAfterCrashReusesNodeID(t *testing.T) {
 
 // TestRecoverySummaryString: the recover CLI renders counts from the summary.
 func TestRecoverySummaryString(t *testing.T) {
+	defer faults.Reset()
 	faults.Reset()
 	var dk disk
 	d := dk.open(t)
 	if _, err := d.IngestStation("st", "d", stationSeries(0)); err != nil {
 		t.Fatal(err)
 	}
+	tearIngest(t, d)
 	_, rec := dk.recover(t)
 	out := rec.String()
-	for _, want := range []string{"graph:", "ts:", "journal:", "1 committed"} {
+	for _, want := range []string{"graph: 6 ops", "ts:    1 ops, 48 points", "repair: 1 orphan station nodes, 0 orphan series removed"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("summary missing %q:\n%s", want, out)
 		}
 	}
-	if len(rec.Fates) != 1 || rec.Fates[0].Fate != "committed" {
-		t.Fatalf("fates: %+v", rec.Fates)
+}
+
+// TestIngestRejectsEmptySeries: a station with no points would be an orphan
+// node to the next recovery, so the ingest fails before writing anything.
+func TestIngestRejectsEmptySeries(t *testing.T) {
+	var dk disk
+	d := dk.open(t)
+	for _, s := range []*ts.Series{nil, ts.New(Metric)} {
+		if _, err := d.IngestStation("empty", "d", s); err == nil {
+			t.Fatal("empty series accepted")
+		}
+	}
+	if dk.graphLog.Len()+dk.tsLog.Len() != 0 || d.Engine().G.NumNodes() != 0 {
+		t.Fatalf("rejected ingest wrote %d log bytes, %d nodes", dk.graphLog.Len()+dk.tsLog.Len(), d.Engine().G.NumNodes())
+	}
+	if id, err := d.IngestStation("st", "d", stationSeries(0)); err != nil || id != 0 {
+		t.Fatalf("first station after the rejections: id %d, %v", id, err)
 	}
 }
 
@@ -391,19 +402,21 @@ func TestCheckConsistencyDetectsBothOrphans(t *testing.T) {
 	if err := CheckConsistency(eng); err != nil {
 		t.Fatal(err)
 	}
-	st, err := eng.AddStation("orphan-node", "d")
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := eng.G.CreateNode("Station")
 	if err := CheckConsistency(eng); err == nil {
 		t.Fatal("orphan node undetected")
 	}
-	if err := eng.LoadSeries(st, stationSeries(0)); err != nil {
-		t.Fatal(err)
-	}
+	eng.T.InsertSeries(key(st), stationSeries(0))
 	if err := CheckConsistency(eng); err != nil {
 		t.Fatal(err)
 	}
+	// A series belongs to a Station node, not to any node.
+	b := eng.G.CreateNode("Boundary")
+	eng.T.InsertSeries(key(b), stationSeries(1))
+	if err := CheckConsistency(eng); err == nil {
+		t.Fatal("series of a boundary node undetected")
+	}
+	eng.T.DeleteSeries(key(b))
 	eng.T.InsertSeries(key(99), stationSeries(1))
 	if err := CheckConsistency(eng); err == nil {
 		t.Fatal("orphan series undetected")
@@ -417,7 +430,6 @@ func TestSyncAllMakesStreamedAppendsRecoverable(t *testing.T) {
 	faults.Reset()
 	var dk disk
 	d := dk.open(t)
-	d.SetGroupCommit(64)
 	id, err := d.IngestStation("st", "north", stationSeries(0))
 	if err != nil {
 		t.Fatal(err)

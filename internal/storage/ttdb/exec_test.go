@@ -20,15 +20,10 @@ import (
 // this package. (internal/coord runs the same cases against a 3-partition
 // coordinator — this package cannot import it.)
 
-// durableEngine gives DurablePolyglot the AddStation half of Engine, the way
-// the coordinator does: an ingest with an empty series that LoadSeries fills.
+// durableEngine names DurablePolyglot, the one method of Engine it lacks.
 type durableEngine struct{ *DurablePolyglot }
 
 func (durableEngine) Name() string { return "ttdb-durable" }
-
-func (d durableEngine) AddStation(name, district string) (StationID, error) {
-	return d.IngestStation(name, district, ts.New(Metric))
-}
 
 // execTarget is one engine loaded with the shared workload, plus a star of
 // trips around station 0 so Q8 has a fan-out worth cancelling.
@@ -41,7 +36,7 @@ type execTarget struct {
 
 func execTargets(t *testing.T) []execTarget {
 	t.Helper()
-	d := NewDurable(ts.Day, io.Discard, io.Discard, io.Discard)
+	d := NewDurable(ts.Day, io.Discard, io.Discard)
 	var out []execTarget
 	for _, e := range []Engine{NewAllInGraph(), NewPolyglot(ts.Day), durableEngine{d}} {
 		tg := execTarget{name: e.Name(), e: e, ids: loadWorkload(t, e), reg: obs.New()}

@@ -22,8 +22,7 @@ func TestGroupCommitWALAccounting(t *testing.T) {
 		perWriter = 200
 	)
 	var dk disk
-	d := ResumeDurable(&Polyglot{G: graphstore.NewSharded(4), T: tsstore.NewSharded(ts.Day, 4)}, &dk.graphLog, &dk.tsLog, &dk.journal, 0)
-	d.SetGroupCommit(8)
+	d := ResumeDurable(&Polyglot{G: graphstore.NewSharded(4), T: tsstore.NewSharded(ts.Day, 4)}, &dk.graphLog, &dk.tsLog)
 	reg := obs.New()
 	d.Instrument(reg)
 

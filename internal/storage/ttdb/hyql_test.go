@@ -50,13 +50,10 @@ func TestStoreSeriesMatchesDecodedSeries(t *testing.T) {
 	p := NewPolyglot(ts.Week)
 	reg := obs.New()
 	p.Instrument(reg)
-	a, _ := p.AddStation("a", "d")
-	b, _ := p.AddStation("b", "d")
-	p.LoadSeries(a, handleSeries(0))
-	p.LoadSeries(b, handleSeries(1))
+	a, _ := p.IngestStation("a", "d", handleSeries(0))
+	b, _ := p.IngestStation("b", "d", handleSeries(1))
 	other := NewPolyglot(ts.Week) // a second hypertable, as another partition has
-	c, _ := other.AddStation("c", "d")
-	other.LoadSeries(c, handleSeries(2))
+	c, _ := other.IngestStation("c", "d", handleSeries(2))
 
 	ha, hb, hc := p.Series(a), p.Series(b), other.Series(c)
 	ma, mb, mc := handleSeries(0), handleSeries(1), handleSeries(2)
@@ -130,11 +127,9 @@ func TestStoreSeriesMatchesDecodedSeries(t *testing.T) {
 // TestStructureShape: the graph HyQL matches against, read off the stores.
 func TestStructureShape(t *testing.T) {
 	p := NewPolyglot(ts.Week)
-	a, _ := p.AddStation("a", "north")
-	b, _ := p.AddStation("b", "south")
-	c, _ := p.AddStation("c", "south")
-	p.LoadSeries(a, handleSeries(0))
-	p.LoadSeries(b, handleSeries(1)) // c has no samples yet
+	a, _ := p.IngestStation("a", "north", handleSeries(0))
+	b, _ := p.IngestStation("b", "south", handleSeries(1))
+	c, _ := p.IngestStation("c", "south", ts.New(Metric)) // no samples yet
 	p.AddTrip(a, b, 3)
 	p.AddTrip(c, a, 5)
 	boundary := p.G.CreateNode("Boundary") // a coordinator's replica: not a station

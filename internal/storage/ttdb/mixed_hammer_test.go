@@ -25,9 +25,8 @@ func TestGroupCommitIngestQueryHammer(t *testing.T) {
 	)
 	var dk disk
 	eng := &Polyglot{G: graphstore.NewSharded(8), T: tsstore.NewSharded(ts.Day, 8)}
-	d := ResumeDurable(eng, &dk.graphLog, &dk.tsLog, &dk.journal, 0)
+	d := ResumeDurable(eng, &dk.graphLog, &dk.tsLog)
 	d.Retry = RetryPolicy{MaxAttempts: 3}
-	d.SetGroupCommit(16)
 
 	var ids []StationID
 	for i := 0; i < 8; i++ {
@@ -83,8 +82,7 @@ func TestGroupCommitIngestQueryHammer(t *testing.T) {
 	// Crash now: recovery sees only the flushed buffers. Every acknowledged
 	// append must be there.
 	rec, _, err := RecoverPolyglot(nil, bytes.NewReader(dk.graphLog.Bytes()),
-		nil, bytes.NewReader(dk.tsLog.Bytes()),
-		bytes.NewReader(dk.journal.Bytes()), ts.Day)
+		nil, bytes.NewReader(dk.tsLog.Bytes()), ts.Day, nil)
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}

@@ -61,16 +61,11 @@ func (p *Polyglot) Instrument(r *obs.Registry) {
 	p.T.Instrument(r)
 }
 
-// durObs holds the durable layer's preallocated metric handles: intent-
-// journal phase counters, completed ingests, and degraded-query count. The
-// zero value is the disabled state.
+// durObs holds the durable layer's preallocated metric handles: completed
+// ingests and degraded-query count. The zero value is the disabled state.
 type durObs struct {
-	journalBegin    *obs.Counter // BEGIN records durably journaled
-	journalPrepared *obs.Counter // PREPARED records durably journaled
-	journalCommit   *obs.Counter // COMMIT records durably journaled
-	journalDelete   *obs.Counter // DELETE records durably journaled
-	ingests         *obs.Counter // station ingests fully committed
-	degraded        *obs.Counter // queries answered degraded (ErrDegraded)
+	ingests  *obs.Counter // station ingests fully committed
+	degraded *obs.Counter // queries answered degraded (ErrDegraded)
 }
 
 // Instrument attaches metric handles to the durable layer and cascades to
@@ -85,11 +80,7 @@ func (d *DurablePolyglot) Instrument(r *obs.Registry) {
 		return
 	}
 	d.obs = durObs{
-		journalBegin:    r.Counter("ttdb.journal.begin"),
-		journalPrepared: r.Counter("ttdb.journal.prepared"),
-		journalCommit:   r.Counter("ttdb.journal.commit"),
-		journalDelete:   r.Counter("ttdb.journal.delete"),
-		ingests:         r.Counter("ttdb.ingest.stations"),
-		degraded:        r.Counter("ttdb.queries.degraded"),
+		ingests:  r.Counter("ttdb.ingest.stations"),
+		degraded: r.Counter("ttdb.queries.degraded"),
 	}
 }

@@ -13,8 +13,8 @@ import (
 )
 
 // TestObservedDurableIngest checks the durable layer's counters through a
-// healthy ingest run: one begin/prepared/commit journal record and one
-// completed ingest per station, WAL appends on both stores.
+// healthy ingest run: one completed ingest per station, WAL appends on both
+// stores.
 func TestObservedDurableIngest(t *testing.T) {
 	defer faults.Reset()
 	faults.Reset()
@@ -28,10 +28,8 @@ func TestObservedDurableIngest(t *testing.T) {
 		}
 	}
 	snap := reg.Snapshot()
-	for _, c := range []string{"ttdb.journal.begin", "ttdb.journal.prepared", "ttdb.journal.commit", "ttdb.ingest.stations"} {
-		if got := snap.Counters[c]; got != 3 {
-			t.Fatalf("%s = %d, want 3", c, got)
-		}
+	if got := snap.Counters["ttdb.ingest.stations"]; got != 3 {
+		t.Fatalf("ttdb.ingest.stations = %d, want 3", got)
 	}
 	if snap.Counters["graphstore.wal.appends"] == 0 || snap.Counters["tsstore.wal.appends"] == 0 {
 		t.Fatalf("WAL appends missing from snapshot: %v", snap.Counters)
@@ -124,7 +122,7 @@ func TestObservedWALFaultStillSnapshots(t *testing.T) {
 
 // TestObservedRecoverySpans crashes an ingest between the stores, then
 // recovers with a registry attached: the recovery must leave a root span
-// with per-phase children and fate counters behind.
+// with per-phase children and repair counters behind.
 func TestObservedRecoverySpans(t *testing.T) {
 	defer faults.Reset()
 	faults.Reset()
@@ -140,23 +138,22 @@ func TestObservedRecoverySpans(t *testing.T) {
 	faults.Reset()
 
 	reg := obs.New()
-	eng, rec, err := RecoverPolyglotObserved(nil, bytes.NewReader(dk.graphLog.Bytes()),
-		nil, bytes.NewReader(dk.tsLog.Bytes()),
-		bytes.NewReader(dk.journal.Bytes()), ts.Day, reg)
+	eng, rec, err := RecoverPolyglot(nil, bytes.NewReader(dk.graphLog.Bytes()),
+		nil, bytes.NewReader(dk.tsLog.Bytes()), ts.Day, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := CheckConsistency(eng); err != nil {
 		t.Fatalf("observed recovery inconsistent: %v", err)
 	}
-	if rec.Committed != 1 || rec.RolledBack != 1 {
-		t.Fatalf("fates: %+v", rec)
+	if rec.OrphanNodes != 1 || rec.OrphanSeries != 0 {
+		t.Fatalf("repair: %+v", rec)
 	}
 	snap := reg.Snapshot()
 	if snap.Trace == nil {
 		t.Fatal("no trace in snapshot")
 	}
-	for _, span := range []string{"ttdb.recover", "ttdb.recover.graph", "ttdb.recover.ts", "ttdb.recover.journal", "ttdb.recover.fates"} {
+	for _, span := range []string{"ttdb.recover", "ttdb.recover.graph", "ttdb.recover.ts", "ttdb.recover.repair"} {
 		if st, ok := snap.Trace.Totals[span]; !ok || st.Count == 0 {
 			t.Fatalf("span %s missing from trace totals: %v", span, snap.Trace.Totals)
 		}
@@ -177,26 +174,18 @@ func TestObservedRecoverySpans(t *testing.T) {
 			children++
 		}
 	}
-	if children < 4 {
-		t.Fatalf("recovery root has %d linked children, want >= 4", children)
+	if children < 3 {
+		t.Fatalf("recovery root has %d linked children, want >= 3", children)
 	}
-	if got := snap.Counters["ttdb.recover.txns"]; got != 2 {
-		t.Fatalf("ttdb.recover.txns = %d, want 2", got)
+	if snap.Counters["ttdb.recover.orphan_nodes"] != 1 || snap.Counters["ttdb.recover.orphan_series"] != 0 {
+		t.Fatalf("repair counters: %v", snap.Counters)
 	}
-	if snap.Counters["ttdb.recover.committed"] != 1 || snap.Counters["ttdb.recover.rolled_back"] != 1 {
-		t.Fatalf("fate counters: %v", snap.Counters)
-	}
-	// The un-observed entry point must stay equivalent.
-	eng2, rec2, err := RecoverPolyglot(nil, bytes.NewReader(dk.graphLog.Bytes()),
-		nil, bytes.NewReader(dk.tsLog.Bytes()),
-		bytes.NewReader(dk.journal.Bytes()), ts.Day)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Without a registry the recovery records nothing and decides the same.
+	eng2, rec2 := dk.recover(t)
 	if err := CheckConsistency(eng2); err != nil {
 		t.Fatal(err)
 	}
-	if rec2.Committed != rec.Committed || rec2.RolledBack != rec.RolledBack {
+	if rec2 != rec {
 		t.Fatalf("observed and plain recovery disagree: %+v vs %+v", rec, rec2)
 	}
 }

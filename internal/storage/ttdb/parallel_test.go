@@ -142,16 +142,11 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				st, err := pg.AddStation("w", "west")
-				if err != nil {
-					t.Error(err)
-					return
-				}
 				s := ts.New(Metric)
 				for h := 0; h < 48; h++ {
 					s.MustAppend(ts.Time(h)*ts.Hour, float64(c*100+i))
 				}
-				if err := pg.LoadSeries(st, s); err != nil {
+				if _, err := pg.IngestStation("w", "west", s); err != nil {
 					t.Error(err)
 					return
 				}
@@ -170,8 +165,8 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 func TestDurableDegradationFiresWithWorkers(t *testing.T) {
 	defer faults.Reset()
 	faults.Reset()
-	var g, l, j bytes.Buffer
-	d := NewDurable(ts.Day, &g, &l, &j)
+	var g, l bytes.Buffer
+	d := NewDurable(ts.Day, &g, &l)
 	st, err := d.IngestStation("a", "north", sampleDurableSeries(48))
 	if err != nil {
 		t.Fatal(err)

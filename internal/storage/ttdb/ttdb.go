@@ -47,12 +47,11 @@ type StationID = graphstore.NodeID
 type Engine interface {
 	// Name identifies the engine in reports ("neo4j-sim" / "ttdb").
 	Name() string
-	// AddStation registers a station with its district; returns its id.
-	AddStation(name, district string) (StationID, error)
+	// IngestStation registers a station with its district and its metric
+	// series; returns its id.
+	IngestStation(name, district string, s *ts.Series) (StationID, error)
 	// AddTrip records an aggregated trip edge between two stations.
 	AddTrip(a, b StationID, count int) error
-	// LoadSeries attaches the metric series to a station.
-	LoadSeries(st StationID, s *ts.Series) error
 	// SetWorkers fixes the fan-out width for the multi-station queries
 	// Q4–Q8 (<= 1 selects the sequential path). Results are identical at
 	// any width; only wall-clock changes.
@@ -91,13 +90,27 @@ func (a *AllInGraph) Name() string { return "neo4j-sim" }
 // SetWorkers implements Engine.
 func (a *AllInGraph) SetWorkers(n int) { a.workers = n }
 
-// AddStation implements Engine.
-func (a *AllInGraph) AddStation(name, district string) (StationID, error) {
-	id := a.G.CreateNode("Station")
-	if err := a.G.SetNodeProp(id, "name", graphstore.StrVal(name)); err != nil {
+// IngestStation implements Engine: one property record per observation.
+func (a *AllInGraph) IngestStation(name, district string, s *ts.Series) (StationID, error) {
+	id, err := addStation(a.G, name, district)
+	if err != nil {
 		return 0, err
 	}
-	if err := a.G.SetNodeProp(id, "district", graphstore.StrVal(district)); err != nil {
+	for i := 0; i < s.Len(); i++ {
+		if err := a.G.SetNodeProp(id, pointKey(s.TimeAt(i)), graphstore.FloatVal(s.ValueAt(i))); err != nil {
+			return 0, err
+		}
+	}
+	return id, nil
+}
+
+// addStation creates a Station node carrying its name and district.
+func addStation(g *graphstore.DB, name, district string) (StationID, error) {
+	id := g.CreateNode("Station")
+	if err := g.SetNodeProp(id, "name", graphstore.StrVal(name)); err != nil {
+		return 0, err
+	}
+	if err := g.SetNodeProp(id, "district", graphstore.StrVal(district)); err != nil {
 		return 0, err
 	}
 	return id, nil
@@ -126,16 +139,6 @@ func parsePointKey(key string) (ts.Time, bool) {
 		return 0, false
 	}
 	return ts.Time(v), true
-}
-
-// LoadSeries implements Engine: one property record per observation.
-func (a *AllInGraph) LoadSeries(st StationID, s *ts.Series) error {
-	for i := 0; i < s.Len(); i++ {
-		if err := a.G.SetNodeProp(st, pointKey(s.TimeAt(i)), graphstore.FloatVal(s.ValueAt(i))); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // scan walks the whole property chain of a station, decoding every record
@@ -287,15 +290,14 @@ func (p *Polyglot) Name() string { return "ttdb" }
 // SetWorkers implements Engine.
 func (p *Polyglot) SetWorkers(n int) { p.workers = n }
 
-// AddStation implements Engine.
-func (p *Polyglot) AddStation(name, district string) (StationID, error) {
-	id := p.G.CreateNode("Station")
-	if err := p.G.SetNodeProp(id, "name", graphstore.StrVal(name)); err != nil {
+// IngestStation implements Engine: the node goes to the graph store, the
+// points to the hypertable, keyed by node.
+func (p *Polyglot) IngestStation(name, district string, s *ts.Series) (StationID, error) {
+	id, err := addStation(p.G, name, district)
+	if err != nil {
 		return 0, err
 	}
-	if err := p.G.SetNodeProp(id, "district", graphstore.StrVal(district)); err != nil {
-		return 0, err
-	}
+	p.T.InsertSeries(key(id), s)
 	return id, nil
 }
 
@@ -310,12 +312,6 @@ func (p *Polyglot) AddTrip(x, y StationID, count int) error {
 
 func key(st StationID) tsstore.SeriesKey {
 	return tsstore.SeriesKey{Entity: uint32(st), Metric: Metric}
-}
-
-// LoadSeries implements Engine: points go to the hypertable, keyed by node.
-func (p *Polyglot) LoadSeries(st StationID, s *ts.Series) error {
-	p.T.InsertSeries(key(st), s)
-	return nil
 }
 
 // Exec implements Engine.

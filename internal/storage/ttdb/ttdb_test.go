@@ -31,7 +31,7 @@ func loadWorkload(t *testing.T, e Engine) []StationID {
 	rng := rand.New(rand.NewSource(42))
 	var sts []StationID
 	for i := 0; i < 9; i++ {
-		st, err := e.AddStation("st", workloadDistricts[i%3])
+		st, err := e.IngestStation("st", workloadDistricts[i%3], workloadSeries(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,11 +39,6 @@ func loadWorkload(t *testing.T, e Engine) []StationID {
 	}
 	for i := 0; i < 9; i++ {
 		if err := e.AddTrip(sts[i], sts[(i+1)%9], 1+rng.Intn(5)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, st := range sts {
-		if err := e.LoadSeries(st, workloadSeries(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -155,16 +150,13 @@ func TestAllInGraphPropertyExplosion(t *testing.T) {
 	// The paper's observation: storing points as properties explodes the
 	// property count (series length + metadata per station).
 	neo := NewAllInGraph()
-	st, err := neo.AddStation("x", "d")
-	if err != nil {
-		t.Fatal(err)
-	}
 	s := ts.New(Metric)
 	n := 500
 	for i := 0; i < n; i++ {
 		s.MustAppend(ts.Time(i), float64(i))
 	}
-	if err := neo.LoadSeries(st, s); err != nil {
+	st, err := neo.IngestStation("x", "d", s)
+	if err != nil {
 		t.Fatal(err)
 	}
 	got := 0

@@ -34,26 +34,18 @@ type GroupWriter struct {
 	genErr  error  // error of the most recently completed attempt
 	err     error  // latched fatal error (the Writer's latch, surfaced)
 
-	maxBatch int // max records per physical flush; <= 0 means unbounded
-
 	beforeFlush func() error // runs before each physical flush (fault hook)
 	afterFlush  func(n int)  // runs after each successful flush; n = records
 }
 
-// NewGroup wraps fw. The zero configuration (unbounded batches, no hooks)
-// behaves like the plain Writer under a single committer: every Commit is one
-// append run plus one flush.
+// NewGroup wraps fw. A batch is everything pending when its leader starts
+// to flush. Without hooks the writer behaves like the plain Writer under a
+// single committer: every Commit is one append run plus one flush.
 func NewGroup(fw *Writer) *GroupWriter {
 	g := &GroupWriter{fw: fw}
 	g.cond = sync.NewCond(&g.mu)
 	return g
 }
-
-// SetMaxBatch bounds how many records one physical flush may cover. n = 1
-// degrades group commit to per-record flushing (the single-lock baseline of
-// the mixed-throughput benchmark); n <= 0 restores unbounded batches. Call
-// before the writer is shared.
-func (g *GroupWriter) SetMaxBatch(n int) { g.maxBatch = n }
 
 // SetHooks installs the flush hooks: before runs ahead of every physical
 // flush (the WAL layers inject their flush fault point here, so injection
@@ -154,9 +146,6 @@ func (g *GroupWriter) leadLocked(seq uint64) error {
 	for {
 		g.leading = true
 		batch := g.pending
-		if g.maxBatch > 0 && len(batch) > g.maxBatch {
-			batch = batch[:g.maxBatch:g.maxBatch]
-		}
 		g.pending = g.pending[len(batch):]
 		handedEnd := g.handed + uint64(len(batch))
 		g.mu.Unlock()

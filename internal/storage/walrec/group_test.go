@@ -89,36 +89,6 @@ func TestGroupSyncAlwaysFlushesWhenLeading(t *testing.T) {
 	}
 }
 
-// MaxBatch(1) degrades to per-record flushing: the baseline mode of the
-// mixed-throughput benchmark.
-func TestGroupMaxBatchOne(t *testing.T) {
-	var buf bytes.Buffer
-	g := NewGroup(NewWriter(&buf))
-	g.SetMaxBatch(1)
-	flushes := 0
-	g.SetHooks(nil, func(n int) {
-		if n > 1 {
-			t.Errorf("batch of %d under MaxBatch(1)", n)
-		}
-		flushes++
-	})
-	for i := 0; i < 4; i++ {
-		if _, err := g.Append([]byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := g.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	// 4 single-record batches plus the forced final flush of the Sync.
-	if flushes < 4 {
-		t.Fatalf("flushes=%d, want >=4", flushes)
-	}
-	if got := len(scanAll(t, &buf)); got != 4 {
-		t.Fatalf("scanned %d records, want 4", got)
-	}
-}
-
 // A transient flush failure (the fault-injection shape: beforeFlush errors,
 // the Writer itself stays healthy) must surface to the committer, keep the
 // records buffered, and let a retried Sync deliver each record exactly once.
