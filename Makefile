@@ -94,10 +94,10 @@ benchsmoke:
 	grep -q '"schema": "hybench-table1/v6"' /tmp/hybench_smoke.json
 
 # Server smoke (docs/SERVICE.md): one live `hygraph serve -smoke` run under
-# -race — random loopback port, durable ingest + query through the retry
-# client, one forced shed carrying Retry-After, one deadline-exceeded
-# request, graceful stop, then a recovery check proving the acknowledged
-# writes survive from the directory alone.
+# -race, at one partition and at two — random loopback port, durable ingest
+# + query through the retry client, one forced shed carrying Retry-After, one
+# deadline-exceeded request, graceful stop, then a recovery check by a second
+# server over the same directory proving the acknowledged writes survive.
 servesmoke:
 	rm -rf /tmp/hygraph_servesmoke
 	$(GO) run -race ./cmd/hygraph serve -smoke -dir /tmp/hygraph_servesmoke

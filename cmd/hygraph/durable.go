@@ -2,7 +2,9 @@
 // into the crash-safe polyglot store under a data directory (optionally
 // killing itself at an injected fault point), and `recover` rebuilds the
 // store from the surviving artifacts and prints the recovery summary. The
-// directory's layout belongs to ttdb (OpenDir, CompactDir).
+// directory's layout belongs to ttdb (OpenDir, CompactDir). `ingest` writes
+// through a one-partition coordinator, as the server does, so the directory
+// is a tenant `serve` can serve.
 package main
 
 import (
@@ -13,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 
+	"hygraph/internal/coord"
 	"hygraph/internal/dataset"
 	"hygraph/internal/faults"
 	"hygraph/internal/storage/ttdb"
@@ -41,15 +44,21 @@ func parseCrash(spec string) (string, int) {
 }
 
 // runIngest loads a generated bike-sharing workload through the durable
-// ingest protocol. With -crash POINT[:NTH] it arms the fault point first, so
-// the process dies mid-protocol exactly like a real crash — then `recover`
-// demonstrates the repair putting the store back together.
+// ingest protocol, placing stations with a coordinator attached to the
+// directory's engine so each gets the next station id of the tenant. With
+// -crash POINT[:NTH] it arms the fault point first, so the process dies
+// mid-protocol exactly like a real crash — then `recover` demonstrates the
+// repair putting the store back together.
 func runIngest(dir string, stations int, crash string, seed int64) {
 	d, rec, closer := openDir(dir)
 	defer closer.Close()
 	if rec.OrphanNodes+rec.OrphanSeries > 0 {
 		fmt.Printf("note: prior crash detected, %d orphan station node(s) and %d orphan series removed in memory\n",
 			rec.OrphanNodes, rec.OrphanSeries)
+	}
+	co, err := coord.Attach([]*ttdb.DurablePolyglot{d}, nil)
+	if err != nil {
+		fail("attach: " + err.Error())
 	}
 
 	if crash != "" {
@@ -62,7 +71,7 @@ func runIngest(dir string, stations int, crash string, seed int64) {
 		Stations: stations, Districts: 3, Days: 7, StepMinutes: 60, TripsPerSt: 2, Seed: seed})
 	ids := make([]ttdb.StationID, 0, stations)
 	for i, st := range data.Stations {
-		id, err := d.IngestStation(st.Name, st.District, st.Availability)
+		id, err := co.IngestStation(st.Name, st.District, st.Availability)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hygraph: crashed ingesting station %d/%d: %v\n", i+1, stations, err)
 			fmt.Fprintf(os.Stderr, "the store is torn on disk; run: hygraph recover -dir %s\n", dir)
@@ -72,7 +81,7 @@ func runIngest(dir string, stations int, crash string, seed int64) {
 	}
 	trips := 0
 	for _, tr := range data.Trips {
-		if err := d.AddTrip(ids[tr.From], ids[tr.To], tr.Count); err != nil {
+		if err := co.AddTrip(ids[tr.From], ids[tr.To], tr.Count); err != nil {
 			fmt.Fprintf(os.Stderr, "hygraph: crashed on trip %d->%d: %v\n", tr.From, tr.To, err)
 			fmt.Fprintf(os.Stderr, "run: hygraph recover -dir %s\n", dir)
 			os.Exit(1)

@@ -17,12 +17,16 @@
 // serve runs the hardened network query service (internal/server,
 // docs/SERVICE.md) over the durable store directory: per-tenant HyQL, Q1–Q8
 // and ingest with admission control, request deadlines, and a SIGTERM drain
-// that flushes the group-commit WALs before exit. -partitions N serves each
-// tenant as N independent engine partitions (subdirectories <tenant>.pI)
-// behind the scatter-gather coordinator (docs/PARTITIONING.md). -smoke runs the
-// self-contained CI smoke instead: random port, a client mix including one
-// forced shed and one deadline-exceeded request, graceful stop, recovery
-// check.
+// that flushes the group-commit WALs before exit. Every tenant is served by
+// the scatter-gather coordinator (docs/PARTITIONING.md) over -partitions N
+// engines: the subdirectory <tenant> at N = 1, <tenant>.pI above that.
+// -smoke runs the self-contained CI smoke instead, at one and at two
+// partitions: random port, a client mix including one forced shed and one
+// deadline-exceeded request, graceful stop, and a recovery check by a second
+// server over the same directory.
+//
+// ingest writes through the same coordinator, over the one engine in DIR, so
+// `ingest -dir R/t` leaves a tenant that `serve -dir R` serves as t.
 //
 // Every command accepts -debug-addr ADDR to serve net/http/pprof, expvar and
 // the observability snapshot (/debug/obs) for the life of the process; stats
@@ -90,7 +94,7 @@ func main() {
 	maxQueue := fs.Int("maxqueue", 0, "max queued requests; 0 = 4x maxconc (serve)")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown drain bound (serve)")
 	smoke := fs.Bool("smoke", false, "run the self-contained server smoke and exit (serve)")
-	partitions := fs.Int("partitions", 1, "partitions per tenant: >1 serves each tenant as N engines behind the scatter-gather coordinator (serve)")
+	partitions := fs.Int("partitions", 1, "engines per tenant behind the scatter-gather coordinator; stored as <tenant> at 1, <tenant>.pI above (serve)")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return

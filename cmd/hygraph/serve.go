@@ -4,21 +4,25 @@
 // in-flight ones, flush every tenant's WAL group writers, close the stores.
 //
 // `serve -smoke` is the CI smoke stage (make servesmoke): a self-contained
-// run on a random loopback port that exercises the client mix the service
-// contract promises to survive — durable ingest, a query, one forced shed
-// with Retry-After, one deadline-exceeded request — then stops gracefully
-// and proves the acknowledged writes recover from disk.
+// run on a random loopback port, at one partition and at two, that exercises
+// the client mix the service contract promises to survive — durable ingest,
+// a query, one forced shed with Retry-After, one deadline-exceeded request —
+// then stops gracefully and proves, through a second server over the same
+// directory, that the acknowledged writes recover from disk.
 package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"net/http"
+	"net/url"
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"syscall"
 	"time"
@@ -27,24 +31,19 @@ import (
 	"hygraph/internal/obs"
 	"hygraph/internal/server"
 	"hygraph/internal/server/client"
-	"hygraph/internal/storage/ttdb"
 	"hygraph/internal/ts"
 )
 
 // runServe listens on addr and serves tenants out of dir until a signal
-// arrives, then drains within the drain bound. partitions > 1 serves each
-// tenant as that many independent engines behind the scatter-gather
-// coordinator, stored as <tenant>.pI subdirectories.
+// arrives, then drains within the drain bound. Each tenant is served over
+// that many partitions behind the scatter-gather coordinator.
 func runServe(addr, dir string, rate float64, maxConc, maxQueue, workers, partitions int, drain time.Duration, reg *obs.Registry, dbg *obs.DebugServer) {
-	var backend server.Backend = &server.DirBackend{Root: dir}
-	if partitions > 1 {
-		backend = &server.PartitionedBackend{Inner: &server.DirBackend{Root: dir}, Parts: partitions}
-	}
 	srv, err := server.New(server.Config{
-		Limits:  server.Limits{MaxConcurrent: maxConc, MaxQueue: maxQueue, TenantRate: rate},
-		Workers: workers,
-		Backend: backend,
-		Obs:     reg,
+		Limits:     server.Limits{MaxConcurrent: maxConc, MaxQueue: maxQueue, TenantRate: rate},
+		Workers:    workers,
+		Backend:    &server.DirBackend{Root: dir},
+		Partitions: partitions,
+		Obs:        reg,
 	})
 	if err != nil {
 		fail(err.Error())
@@ -91,18 +90,29 @@ func rateString(r float64) string {
 	return fmt.Sprintf("%g/s", r)
 }
 
-// runServeSmoke drives one live server through the client mix the CI gate
-// requires and exits non-zero on any deviation from the contract.
+// runServeSmoke runs the smoke at one partition and at two, each under its
+// own root in dir, and exits non-zero on any deviation from the contract.
 func runServeSmoke(dir string) {
-	reg := obs.New()
+	for _, parts := range []int{1, 2} {
+		serveSmoke(filepath.Join(dir, fmt.Sprintf("p%d", parts)), parts)
+	}
+}
+
+// smokeServer is one live server of the smoke over a directory.
+type smokeServer struct {
+	srv  *server.Server
+	done chan error
+	cl   *client.Client
+	base string
+}
+
+// startSmoke serves root over parts partitions on a random loopback port.
+func startSmoke(root string, parts int, lim server.Limits, reg *obs.Registry) *smokeServer {
 	srv, err := server.New(server.Config{
-		// One execution slot and a one-deep queue make the forced shed
-		// deterministic: with the handler held, the third arrival must shed.
-		// The tenant cap is left loose so the shed is the global queue
-		// bound, the contract the stage is checking.
-		Limits:  server.Limits{MaxConcurrent: 1, MaxQueue: 1, TenantConcurrent: 8},
-		Backend: &server.DirBackend{Root: dir},
-		Obs:     reg,
+		Limits:     lim,
+		Backend:    &server.DirBackend{Root: root},
+		Partitions: parts,
+		Obs:        reg,
 	})
 	if err != nil {
 		fail(err.Error())
@@ -111,40 +121,64 @@ func runServeSmoke(dir string) {
 	if err != nil {
 		fail(err.Error())
 	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	base := "http://" + ln.Addr().String()
-	fmt.Printf("smoke: serving on %s over %s\n", base, dir)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	cl, err := client.New(client.Config{Base: base})
-	if err != nil {
+	s := &smokeServer{srv: srv, done: make(chan error, 1), base: "http://" + ln.Addr().String()}
+	go func() { s.done <- srv.Serve(ln) }()
+	if s.cl, err = client.New(client.Config{Base: s.base}); err != nil {
 		fail(err.Error())
 	}
+	return s
+}
+
+// stop shuts the server down gracefully.
+func (s *smokeServer) stop(ctx context.Context) {
+	if err := s.srv.Shutdown(ctx); err != nil {
+		fail("smoke shutdown: " + err.Error())
+	}
+	if err := <-s.done; err != nil && !errors.Is(err, http.ErrServerClosed) {
+		fail("smoke serve: " + err.Error())
+	}
+}
+
+// serveSmoke drives one live server over parts partitions through the
+// client mix the CI gate requires, stops it, and checks recovery through a
+// second server over the same root.
+func serveSmoke(root string, parts int) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	// One execution slot and a one-deep queue make the forced shed
+	// deterministic: with the handler held, the third arrival must shed. The
+	// tenant cap is left loose so the shed is the global queue bound, the
+	// contract the stage is checking.
+	s := startSmoke(root, parts, server.Limits{MaxConcurrent: 1, MaxQueue: 1, TenantConcurrent: 8}, obs.New())
+	fmt.Printf("smoke: %d partition(s), serving on %s over %s\n", parts, s.base, root)
 
 	// 1. Durable ingest (idempotency-keyed) + append + query.
 	pts := []client.Point{{T: 0, V: 4}, {T: 1, V: 8}}
-	id, err := cl.IngestStation(ctx, "smoke", "st-0", "north", pts, "smoke-st-0")
+	id, err := s.cl.IngestStation(ctx, "smoke", "st-0", "north", pts, "smoke-st-0")
 	if err != nil {
 		fail("smoke ingest: " + err.Error())
 	}
-	if err := cl.AppendPoint(ctx, "smoke", id, 2, 12); err != nil {
+	if err := s.cl.AppendPoint(ctx, "smoke", id, 2, 12); err != nil {
 		fail("smoke append: " + err.Error())
 	}
-	qr, err := cl.Query(ctx, "smoke", "Q3", nil)
-	if err != nil {
-		fail("smoke Q3: " + err.Error())
+	station := url.Values{"station": {strconv.FormatUint(uint64(id), 10)}}
+	checkQ3 := func(cl *client.Client, when string) {
+		qr, err := cl.Query(ctx, "smoke", "Q3", station)
+		if err != nil {
+			fail("smoke " + when + " Q3: " + err.Error())
+		}
+		if string(qr.Result) != "8" {
+			fail(fmt.Sprintf("smoke %s: Q3 mean = %s, want 8", when, qr.Result))
+		}
 	}
-	if string(qr.Result) != "8" {
-		fail(fmt.Sprintf("smoke Q3 mean = %s, want 8", qr.Result))
-	}
-	fmt.Printf("smoke: ingested station %d, Q3 mean over {4,8,12} = %s\n", id, qr.Result)
+	checkQ3(s.cl, "live")
+	fmt.Printf("smoke: ingested station %d, Q3 mean over {4,8,12} = 8\n", id)
 
 	// 2. Forced shed + deadline-exceeded. Hold every handler 200ms (delay
 	// only — Nth pushed out of reach keeps the error leg of the fault
 	// disarmed) and fire three concurrent queries: one runs, one queues,
 	// one sheds. A fourth request with a 1ms budget must come back 504.
+	q3 := s.base + "/v1/tenants/smoke/query?name=Q3&" + station.Encode()
 	faults.Enable(server.FaultHandler, faults.Spec{Delay: 200 * time.Millisecond, Nth: 1 << 30})
 	raw := &http.Client{}
 	statuses := make([]int, 3)
@@ -154,7 +188,7 @@ func runServeSmoke(dir string) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := raw.Get(base + "/v1/tenants/smoke/query?name=Q3")
+			resp, err := raw.Get(q3)
 			if err != nil {
 				return
 			}
@@ -180,7 +214,7 @@ func runServeSmoke(dir string) {
 	if sheds < 1 || oks < 1 {
 		fail(fmt.Sprintf("smoke shed: statuses %v, want ≥1 ok and ≥1 shed", statuses))
 	}
-	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/tenants/smoke/query?name=Q3", nil)
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, q3, nil)
 	req.Header.Set("X-Timeout-MS", "1")
 	resp, err := raw.Do(req)
 	if err != nil {
@@ -194,26 +228,20 @@ func runServeSmoke(dir string) {
 	fmt.Printf("smoke: statuses %v (%d shed with Retry-After), 1ms-budget request → 504\n", statuses, sheds)
 
 	// 3. Graceful stop, then prove the acknowledged writes recover from the
-	// directory alone.
-	if err := srv.Shutdown(ctx); err != nil {
-		fail("smoke shutdown: " + err.Error())
+	// directory alone: a second server opens the tenant the way the first
+	// did and answers from what it recovered.
+	s.stop(ctx)
+	again := startSmoke(root, parts, server.Limits{}, nil)
+	defer again.stop(ctx)
+	qr, err := again.cl.Query(ctx, "smoke", "Q1", url.Values{
+		"station": station["station"], "start": {"0"}, "end": {"3"}})
+	if err != nil {
+		fail("smoke recovery Q1: " + err.Error())
 	}
-	if err := <-done; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fail("smoke serve: " + err.Error())
+	var got []ts.Point
+	if err := json.Unmarshal(qr.Result, &got); err != nil || len(got) != 3 {
+		fail(fmt.Sprintf("smoke recovery: %d points recovered (%v), want 3", len(got), err))
 	}
-	// Each tenant lives in its own subdirectory of the root (DirBackend).
-	d, _, closer := openDir(filepath.Join(dir, "smoke"))
-	defer closer.Close()
-	eng := d.Engine()
-	if err := ttdb.CheckConsistency(eng); err != nil {
-		fail("smoke recovery: " + err.Error())
-	}
-	got, err := eng.Exec(ctx, ttdb.Q1(ttdb.StationID(id), 0, 3))
-	if err != nil || len(got.Points) != 3 {
-		fail(fmt.Sprintf("smoke recovery: %d points recovered (%v), want 3", len(got.Points), err))
-	}
-	if mean, err := eng.Exec(ctx, ttdb.Q3(ttdb.StationID(id), 0, ts.MaxTime)); err != nil || mean.Scalar != 8 {
-		fail(fmt.Sprintf("smoke recovery: Q3 mean = %v (%v), want 8", mean.Scalar, err))
-	}
+	checkQ3(again.cl, "recovery")
 	fmt.Println("smoke: graceful stop + recovery check PASS")
 }

@@ -107,6 +107,21 @@ func storeEngine(structure *lpg.Graph) *hyql.Engine {
 	return hyql.NewEngine(hyql.NewView(structure))
 }
 
+// storeView lays one polyglot engine's stations (loaded in dataset order as
+// ids) and the dataset's trips out as the graph HyQL matches against, each
+// station's series a handle onto the engine's hypertable.
+func storeView(p *ttdb.Polyglot, data *dataset.BikeData, ids []ttdb.StationID) *lpg.Graph {
+	stations := make([]ttdb.ViewStation, len(ids))
+	for i, st := range data.Stations {
+		stations[i] = ttdb.ViewStation{Name: st.Name, District: st.District, Series: p.Series(ids[i])}
+	}
+	trips := make([]ttdb.ViewTrip, len(data.Trips))
+	for i, tr := range data.Trips {
+		trips[i] = ttdb.ViewTrip{From: tr.From, To: tr.To, Count: int64(tr.Count)}
+	}
+	return ttdb.BuildView(stations, trips)
+}
+
 // hyqlResultsOn runs the HyQL battery through an explicit engine — the hook
 // the store-backed paths use to prove they answer identically to the
 // dataset-built graph.
@@ -287,7 +302,7 @@ func TestDifferentialBattery(t *testing.T) {
 			idsSeq := load(seq)
 			seq.SetWorkers(1)
 			comparePaths(t, "ttdb-seq", ref, engineResults(t, data, seq, idsSeq))
-			comparePaths(t, "ttdb-seq-hyql", ref, hyqlResultsOn(t, data, storeEngine(seq.Structure())))
+			comparePaths(t, "ttdb-seq-hyql", ref, hyqlResultsOn(t, data, storeEngine(storeView(seq, data, idsSeq))))
 
 			// Chunk compression is on by default, so the paths above already
 			// run over sealed blocks. Pin the raw layout explicitly.
@@ -295,7 +310,7 @@ func TestDifferentialBattery(t *testing.T) {
 			raw.T.SetCompress(false)
 			idsRaw := load(raw)
 			comparePaths(t, "ttdb-raw", ref, engineResults(t, data, raw, idsRaw))
-			comparePaths(t, "ttdb-raw-hyql", ref, hyqlResultsOn(t, data, storeEngine(raw.Structure())))
+			comparePaths(t, "ttdb-raw-hyql", ref, hyqlResultsOn(t, data, storeEngine(storeView(raw, data, idsRaw))))
 
 			// The durable engine over the same stores: same answers, plus the
 			// degraded-mode check every call makes.

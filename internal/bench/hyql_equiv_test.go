@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -282,7 +283,9 @@ func TestHyQLStoreBackedEqualsCopyBacked(t *testing.T) {
 		// check compares the engine over a structure built once, before the
 		// appends, with a copy decoded after each step: the view must follow
 		// the stores without being rebuilt.
-		check := func(t *testing.T, e equivLoader, ids []ttdb.StationID, engines []*ttdb.Polyglot, structure func() *lpg.Graph) {
+		check := func(t *testing.T, e interface {
+			AppendPoint(st ttdb.StationID, t ts.Time, v float64) error
+		}, ids []ttdb.StationID, engines []*ttdb.Polyglot, structure func() *lpg.Graph) {
 			store := storeEngine(structure())
 			w.compareEngines(t, "loaded", store, hyql.NewEngine(materialize(t, structure())))
 
@@ -308,10 +311,16 @@ func TestHyQLStoreBackedEqualsCopyBacked(t *testing.T) {
 				}
 			}
 		}
+		// One engine's stores laid out by BuildView, as the coordinator lays
+		// out each partition's.
 		t.Run(v.name+"/engine", func(t *testing.T) {
 			var engines []*ttdb.Polyglot
 			d := newPart(&engines)
-			check(t, d, w.load(t, d), engines, d.Engine().Structure)
+			ids, err := preload(context.Background(), d, w.data.Stations, w.data.Trips)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, d, ids, engines, func() *lpg.Graph { return storeView(d.Engine(), w.data, ids) })
 		})
 		for _, n := range []int{1, 2, 4} {
 			n := n

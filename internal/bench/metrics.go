@@ -64,14 +64,15 @@ func DurableExercise(ctx context.Context, cfg Config, reg *obs.Registry) error {
 }
 
 // preload durably ingests the stations and the trips among them, returning
-// the station ids in the given order.
+// the station ids in the given order. Station i gets gid i+1, the id a fresh
+// coordinator would give it.
 func preload(ctx context.Context, d *ttdb.DurablePolyglot, stations []dataset.BikeStation, trips []dataset.BikeTrip) ([]ttdb.StationID, error) {
 	ids := make([]ttdb.StationID, len(stations))
 	for i, st := range stations {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		id, err := d.IngestStation(st.Name, st.District, st.Availability)
+		id, err := d.IngestStation(uint64(i)+1, st.Name, st.District, st.Availability)
 		if err != nil {
 			return nil, fmt.Errorf("bench: preload %s: %w", st.Name, err)
 		}

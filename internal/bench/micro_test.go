@@ -61,7 +61,7 @@ func microDurable(b *testing.B, shards int) (*ttdb.DurablePolyglot, []ttdb.Stati
 	d := ttdb.ResumeDurable(eng, logs[0], logs[1])
 	ids := make([]ttdb.StationID, len(data.Stations))
 	for i, st := range data.Stations {
-		id, err := d.IngestStation(st.Name, st.District, st.Availability)
+		id, err := d.IngestStation(uint64(i)+1, st.Name, st.District, st.Availability)
 		if err != nil {
 			b.Fatal(err)
 		}

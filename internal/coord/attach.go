@@ -14,56 +14,49 @@ import (
 // placement map, replica sets and trip topology all rebuild from partition
 // state alone, no separate coordinator manifest to keep consistent.
 //
-// Tolerated crash leftovers: a station without a gid tag (crash between
-// ingest and tag — the coordinator never acknowledged it) and a boundary
-// replica whose gid no longer resolves (its station was deleted) are both
-// skipped. Trips are recovered in canonical partition-major order, which may
-// differ from original ingest order; every query answer is invariant under
-// trip order, so reattached answers match the original coordinator's.
+// A Station node without a gid was written by a single-engine server, which
+// gave its clients the node id as the station id; Attach adopts it under
+// that id. If a tagged station already holds the id (only a crash leftover
+// from before ingests wrote their gid, which no server acknowledged, can be
+// in that state), or an untagged station of an earlier partition took it,
+// the node is skipped. A boundary replica whose gid no longer resolves (its
+// station was deleted) is skipped too. Trips are recovered in canonical
+// partition-major order, which may differ from original ingest order; every
+// query answer is invariant under trip order, so reattached answers match
+// the original coordinator's.
 //
 // The factory is retained for Repartition; it is not called during Attach.
 func Attach(parts []*ttdb.DurablePolyglot, factory Factory) (*Coordinator, error) {
 	if len(parts) < 1 {
 		return nil, fmt.Errorf("coord: attach needs at least one partition")
 	}
-	c := &Coordinator{
-		factory: factory,
-		parts:   append([]*ttdb.DurablePolyglot(nil), parts...),
-		nextGid: 1,
-		meta:    map[ttdb.StationID]*stationMeta{},
+	c := &Coordinator{factory: factory, nextGid: 1}
+	c.take(append([]*ttdb.DurablePolyglot(nil), parts...))
+	// Pass 1: stations. Tagged ones first, so an untagged node never takes
+	// an id a tagged station holds.
+	type untagged struct {
+		part  int
+		local ttdb.StationID
 	}
-	for range parts {
-		c.local2g = append(c.local2g, map[ttdb.StationID]ttdb.StationID{})
-		c.bnd2g = append(c.bnd2g, map[ttdb.StationID]ttdb.StationID{})
-	}
-	// Pass 1: stations. Each partition's Station nodes carry gid/name/district.
+	var adopt []untagged
 	for p, eng := range parts {
 		g := eng.Engine().G
 		for _, local := range g.NodesByLabel("Station") {
 			gv, ok := g.NodeProp(local, "gid")
 			if !ok {
-				continue // untagged: crashed before the coordinator acked it
+				adopt = append(adopt, untagged{p, local})
+				continue
 			}
 			gid := ttdb.StationID(gv.I)
-			name, district := "", "?"
-			if v, ok := g.NodeProp(local, "name"); ok {
-				name = v.S
-			}
-			if v, ok := g.NodeProp(local, "district"); ok {
-				district = v.S
-			}
 			if prev, dup := c.meta[gid]; dup {
 				return nil, fmt.Errorf("coord: attach: gid %d in partitions %d and %d", gid, prev.part, p)
 			}
-			c.meta[gid] = &stationMeta{
-				gid: gid, name: name, district: district,
-				part: p, local: local,
-				replicas: map[int]ttdb.StationID{},
-			}
-			c.local2g[p][local] = gid
-			if uint64(gid) >= c.nextGid {
-				c.nextGid = uint64(gid) + 1
-			}
+			c.place(p, local, gid)
+		}
+	}
+	for _, u := range adopt {
+		if _, taken := c.meta[u.local]; !taken {
+			c.place(u.part, u.local, u.local)
 		}
 	}
 	c.order = make([]ttdb.StationID, 0, len(c.meta))
@@ -121,4 +114,27 @@ func Attach(parts []*ttdb.DurablePolyglot, factory Factory) (*Coordinator, error
 		}
 	}
 	return c, nil
+}
+
+// place records the station stored as node local of partition p under gid,
+// reading its name and district from the partition's graph. Attach calls it
+// before the coordinator is shared.
+func (c *Coordinator) place(p int, local, gid ttdb.StationID) {
+	g := c.parts[p].Engine().G
+	name, district := "", "?"
+	if v, ok := g.NodeProp(local, "name"); ok {
+		name = v.S
+	}
+	if v, ok := g.NodeProp(local, "district"); ok {
+		district = v.S
+	}
+	c.meta[gid] = &stationMeta{
+		gid: gid, name: name, district: district,
+		part: p, local: local,
+		replicas: map[int]ttdb.StationID{},
+	}
+	c.local2g[p][local] = gid
+	if uint64(gid) >= c.nextGid {
+		c.nextGid = uint64(gid) + 1
+	}
 }

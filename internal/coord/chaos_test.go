@@ -21,7 +21,13 @@ const chaosParts = 3
 // workload and returns it with the per-logical-station gids.
 func chaosWorld(t *testing.T) (*coord.Coordinator, []ttdb.StationID) {
 	t.Helper()
-	c, err := coord.NewMem(chaosParts, ts.Week)
+	return worldOver(t, chaosParts)
+}
+
+// worldOver is chaosWorld's workload over n partitions.
+func worldOver(t *testing.T, n int) (*coord.Coordinator, []ttdb.StationID) {
+	t.Helper()
+	c, err := coord.NewMem(n, ts.Week)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,10 +21,13 @@
 // entirely inside the home partition, and only the per-neighbor aggregates
 // fan back out to the neighbors' owners.
 //
-// Failure semantics follow the durable layer's degraded-mode contract: a
-// faulted or degraded partition contributes a typed partial (PartialError,
-// satisfying errors.Is(err, ttdb.ErrDegraded)) with exact accounting of which
-// partitions answered, and a done context always wins over a partial answer.
+// Failure semantics: a faulted partition, or one whose time-series store is
+// degraded (it answers ttdb.ErrDegraded and nothing else), turns the answer
+// into a typed partial (PartialError, satisfying errors.Is(err,
+// ttdb.ErrDegraded)) with exact accounting of which partitions answered. The
+// coordinator shapes that partial from the placement map it holds — the
+// station and district sets survive with zero aggregates — at any partition
+// count, one included, and a done context always wins over a partial answer.
 package coord
 
 import (
@@ -70,6 +73,7 @@ type Coordinator struct {
 	mu      sync.RWMutex
 	factory Factory
 	parts   []*ttdb.DurablePolyglot
+	faults  []string // per partition: its FaultPartition name
 	nextGid uint64
 	order   []ttdb.StationID                    // gids in ingest order (ascending)
 	meta    map[ttdb.StationID]*stationMeta     // by gid
@@ -84,21 +88,33 @@ func New(n int, factory Factory) (*Coordinator, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("coord: need at least one partition, got %d", n)
 	}
-	c := &Coordinator{
-		factory: factory,
-		nextGid: 1,
-		meta:    map[ttdb.StationID]*stationMeta{},
-	}
-	for i := 0; i < n; i++ {
+	parts := make([]*ttdb.DurablePolyglot, n)
+	for i := range parts {
 		p, err := factory(i)
 		if err != nil {
 			return nil, fmt.Errorf("coord: partition %d: %w", i, err)
 		}
-		c.parts = append(c.parts, p)
-		c.local2g = append(c.local2g, map[ttdb.StationID]ttdb.StationID{})
-		c.bnd2g = append(c.bnd2g, map[ttdb.StationID]ttdb.StationID{})
+		parts[i] = p
 	}
+	c := &Coordinator{factory: factory, nextGid: 1}
+	c.take(parts)
 	return c, nil
+}
+
+// take makes parts the coordinator's partitions, with empty placement
+// maps: every station and boundary replica is placed again by the caller.
+// Caller holds the write lock or owns c exclusively.
+func (c *Coordinator) take(parts []*ttdb.DurablePolyglot) {
+	c.parts = parts
+	c.faults = make([]string, len(parts))
+	c.meta = map[ttdb.StationID]*stationMeta{}
+	c.local2g = make([]map[ttdb.StationID]ttdb.StationID, len(parts))
+	c.bnd2g = make([]map[ttdb.StationID]ttdb.StationID, len(parts))
+	for i := range parts {
+		c.faults[i] = FaultPartition(i)
+		c.local2g[i] = map[ttdb.StationID]ttdb.StationID{}
+		c.bnd2g[i] = map[ttdb.StationID]ttdb.StationID{}
+	}
 }
 
 // NewMem builds a coordinator over n in-memory partitions (logs discarded) —
@@ -145,13 +161,12 @@ func (c *Coordinator) IngestStation(name, district string, s *ts.Series) (ttdb.S
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	part := ownerOf(name, len(c.parts))
-	local, err := c.parts[part].IngestStation(name, district, s)
-	if err != nil {
-		return 0, fmt.Errorf("coord: partition %d: %w", part, err)
-	}
+	// A failed ingest still spends its gid: its graph write, gid included,
+	// may have reached the log, and no later station may share that id.
 	gid := ttdb.StationID(c.nextGid)
 	c.nextGid++
-	if err := c.parts[part].TagStation(local, uint64(gid)); err != nil {
+	local, err := c.parts[part].IngestStation(uint64(gid), name, district, s)
+	if err != nil {
 		return 0, fmt.Errorf("coord: partition %d: %w", part, err)
 	}
 	c.meta[gid] = &stationMeta{
@@ -298,20 +313,16 @@ func (c *Coordinator) Repartition(n int) error {
 		return fmt.Errorf("coord: need at least one partition, got %d", n)
 	}
 	oldMeta, oldParts := c.meta, c.parts
-	parts := make([]*ttdb.DurablePolyglot, 0, n)
-	local2g := make([]map[ttdb.StationID]ttdb.StationID, 0, n)
-	bnd2g := make([]map[ttdb.StationID]ttdb.StationID, 0, n)
-	for i := 0; i < n; i++ {
+	parts := make([]*ttdb.DurablePolyglot, n)
+	for i := range parts {
 		p, err := c.factory(i)
 		if err != nil {
 			return fmt.Errorf("coord: repartition: partition %d: %w", i, err)
 		}
-		parts = append(parts, p)
-		local2g = append(local2g, map[ttdb.StationID]ttdb.StationID{})
-		bnd2g = append(bnd2g, map[ttdb.StationID]ttdb.StationID{})
+		parts[i] = p
 	}
-	meta := make(map[ttdb.StationID]*stationMeta, len(oldMeta))
-	c.parts, c.local2g, c.bnd2g, c.meta = parts, local2g, bnd2g, meta
+	c.take(parts)
+	meta, local2g := c.meta, c.local2g
 	for _, gid := range c.order {
 		om := oldMeta[gid]
 		// The series lives under the owner's partition-local id, the same
@@ -320,11 +331,8 @@ func (c *Coordinator) Repartition(n int) error {
 		series := oldParts[om.part].Engine().T.RangeSeries(key, math.MinInt64, ts.MaxTime)
 		series.SetName(ttdb.Metric)
 		part := ownerOf(om.name, n)
-		local, err := parts[part].IngestStation(om.name, om.district, series)
+		local, err := parts[part].IngestStation(uint64(gid), om.name, om.district, series)
 		if err != nil {
-			return fmt.Errorf("coord: repartition: partition %d: %w", part, err)
-		}
-		if err := parts[part].TagStation(local, uint64(gid)); err != nil {
 			return fmt.Errorf("coord: repartition: partition %d: %w", part, err)
 		}
 		meta[gid] = &stationMeta{

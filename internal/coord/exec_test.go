@@ -38,7 +38,13 @@ func execQueries(ids []ttdb.StationID) []ttdb.Query {
 
 func execWorld(t *testing.T) (*coord.Coordinator, []ttdb.StationID, *obs.Registry) {
 	t.Helper()
-	c, gids := chaosWorld(t)
+	return execWorldOver(t, chaosParts)
+}
+
+// execWorldOver is execWorld over n partitions.
+func execWorldOver(t *testing.T, n int) (*coord.Coordinator, []ttdb.StationID, *obs.Registry) {
+	t.Helper()
+	c, gids := worldOver(t, n)
 	for i := 2; i <= 9; i++ {
 		if err := c.AddTrip(gids[0], gids[i], 1); err != nil {
 			t.Fatal(err)
@@ -57,7 +63,7 @@ func TestExecMatchesSingleEngine(t *testing.T) {
 	oids := make([]ttdb.StationID, len(gids))
 	toOracle := map[ttdb.StationID]ttdb.StationID{}
 	for i := range gids {
-		id, err := ora.IngestStation(fmt.Sprintf("st-%03d", i), fmt.Sprintf("d-%d", i%3), propSeries(i))
+		id, err := ora.IngestStation(uint64(i)+1, fmt.Sprintf("st-%03d", i), fmt.Sprintf("d-%d", i%3), propSeries(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,43 +179,70 @@ func TestExecCancelsMidFanout(t *testing.T) {
 	}
 }
 
-// With every partition's time-series store down, the coordinator passes the
-// partitions' graph-derived partials through: Q4 still enumerates the
-// stations, Q5 the districts, Q8 the neighbors, all zero; the routed
-// operations answer nothing. Every answer is a *PartialError matching
-// ErrDegraded.
+// With every partition's time-series store down, the coordinator shapes the
+// graph-derivable partials from what the partitions still answer: Q4 still
+// enumerates the stations, Q5 the districts, Q8 the neighbors, all zero, and
+// Q6 ranks nobody; the routed operations answer nothing. Every answer is a
+// *PartialError matching ErrDegraded. One partition is how a tenant is
+// served; three prove the shapes do not depend on the partition count.
 func TestExecDegradedPartials(t *testing.T) {
 	defer faults.Reset()
-	c, gids, _ := execWorld(t)
-	healthy := map[ttdb.Op]ttdb.Result{}
-	for _, q := range execQueries(gids) {
-		healthy[q.Op] = exec(t, c, q)
+	for _, n := range []int{1, chaosParts} {
+		faults.Reset()
+		c, gids, _ := execWorldOver(t, n)
+		healthy := map[ttdb.Op]ttdb.Result{}
+		for _, q := range execQueries(gids) {
+			healthy[q.Op] = exec(t, c, q)
+		}
+		faults.Enable(ttdb.FaultQueryTS, faults.Spec{Err: errors.New("ts backend down")})
+		for _, q := range execQueries(gids) {
+			want := ttdb.Result{Op: q.Op}
+			switch q.Op {
+			case ttdb.OpQ4, ttdb.OpQ8:
+				want.ByStation = map[ttdb.StationID]float64{}
+				for gid := range healthy[q.Op].ByStation {
+					want.ByStation[gid] = 0
+				}
+			case ttdb.OpQ5:
+				want.ByDistrict = map[string]float64{}
+				for d := range healthy[q.Op].ByDistrict {
+					want.ByDistrict[d] = 0
+				}
+			case ttdb.OpQ6:
+				want.Stations = []ttdb.StationID{}
+			}
+			got, err := c.Exec(context.Background(), q)
+			var perr *coord.PartialError
+			if !errors.Is(err, ttdb.ErrDegraded) || !errors.As(err, &perr) || perr.Query != q.Op.String() {
+				t.Errorf("%dp %s degraded error: %v", n, q.Op, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%dp %s degraded: %+v, want %+v", n, q.Op, got, want)
+			}
+		}
 	}
-	faults.Enable(ttdb.FaultQueryTS, faults.Spec{Err: errors.New("ts backend down")})
-	for _, q := range execQueries(gids) {
-		want := ttdb.Result{Op: q.Op}
-		switch q.Op {
-		case ttdb.OpQ4, ttdb.OpQ8:
-			want.ByStation = map[ttdb.StationID]float64{}
-			for gid := range healthy[q.Op].ByStation {
-				want.ByStation[gid] = 0
-			}
-		case ttdb.OpQ5:
-			want.ByDistrict = map[string]float64{}
-			for d := range healthy[q.Op].ByDistrict {
-				want.ByDistrict[d] = 0
-			}
-		case ttdb.OpQ6:
-			want.Stations = []ttdb.StationID{}
-		}
-		got, err := c.Exec(context.Background(), q)
-		var perr *coord.PartialError
-		if !errors.Is(err, ttdb.ErrDegraded) || !errors.As(err, &perr) || perr.Query != q.Op.String() {
-			t.Errorf("%s degraded error: %v", q.Op, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s degraded: %+v, want %+v", q.Op, got, want)
-		}
+}
+
+// A point query routed through a one-partition coordinator allocates no
+// more than the same query on the partition's own engine: the routed path
+// adds a placement lookup, not a goroutine, a closure or an error value.
+func TestRoutedQueryAllocatesLikeItsEngine(t *testing.T) {
+	d := ttdb.NewDurable(ts.Week, io.Discard, io.Discard)
+	c, err := coord.Attach([]*ttdb.DurablePolyglot{d}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gid, err := c.IngestStation("st", "d", propSeries(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := d.Engine().G.NodesByLabel("Station")[0]
+	ctx := context.Background()
+	start, end := propSpan/4, 3*propSpan/4
+	engine := testing.AllocsPerRun(100, func() { _, _ = d.Exec(ctx, ttdb.Q3(local, start, end)) })
+	routed := testing.AllocsPerRun(100, func() { _, _ = c.Exec(ctx, ttdb.Q3(gid, start, end)) })
+	if routed != engine {
+		t.Fatalf("routed Q3: %v allocs/op, its engine's Q3: %v", routed, engine)
 	}
 }
 

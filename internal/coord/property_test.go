@@ -269,7 +269,7 @@ func TestPartitionInvarianceProperty(t *testing.T) {
 					i := len(w.names)
 					name := fmt.Sprintf("st-%03d", i)
 					district := fmt.Sprintf("d-%d", i%3)
-					oid, err := ora.IngestStation(name, district, propSeries(i))
+					oid, err := ora.IngestStation(uint64(i)+1, name, district, propSeries(i))
 					if err != nil {
 						t.Fatal(err)
 					}

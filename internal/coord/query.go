@@ -55,18 +55,20 @@ func (c *Coordinator) Exec(ctx context.Context, q ttdb.Query) (ttdb.Result, erro
 
 // routeLocked sends a query already rewritten to partition-local ids to its
 // single owner, with the fault-point and accounting discipline of a
-// one-element scatter. A failed owner leaves nothing to answer with. Caller
-// holds at least the read lock.
+// one-element scatter, on the calling goroutine and without allocating. A
+// failed owner leaves nothing to answer with. Caller holds at least the read
+// lock.
 func (c *Coordinator) routeLocked(ctx context.Context, part int, local ttdb.Query) (ttdb.Result, *PartialError) {
-	res := ttdb.Result{Op: local.Op}
-	perr := c.scatterLocked(ctx, local.Op, []int{part}, func(int) error {
-		r, err := c.parts[part].Exec(ctx, local)
-		if err == nil {
-			res = r
+	span := c.startScatterLocked(local.Op, 1)
+	defer span.End()
+	err := faults.CheckCtx(ctx, c.faults[part])
+	if err == nil {
+		var res ttdb.Result
+		if res, err = c.parts[part].Exec(ctx, local); err == nil {
+			return res, nil
 		}
-		return err
-	})
-	return res, perr
+	}
+	return ttdb.Result{Op: local.Op}, c.partialLocked(local.Op, []int{part}, []error{err})
 }
 
 // gidRow is one merged aggregate row: a fragment's per-entity summary lifted
@@ -213,10 +215,10 @@ func (c *Coordinator) neighborMeansLocked(ctx context.Context, q ttdb.Query) (tt
 	if !ok {
 		return res, nil
 	}
-	if err := faults.CheckCtx(ctx, FaultPartition(m.part)); err != nil {
+	if err := faults.CheckCtx(ctx, c.faults[m.part]); err != nil {
 		// Home partition down: the neighbor set is still derivable from the
-		// coordinator's topology record, with zero means — the same "graph
-		// part survives" shape the durable layer degrades to.
+		// coordinator's topology record, with zero means — the "graph part
+		// survives" shape of every degraded answer.
 		for _, tr := range c.trips {
 			switch {
 			case tr.a == q.Station && tr.b != q.Station:

@@ -16,17 +16,18 @@ import (
 // FaultPartition names the fault point guarding every fragment sent to
 // partition i ("coord.partition.N"). Arming it makes that partition fail its
 // fragments, which the coordinator turns into a typed PartialError — the
-// chaos battery's lever for proving degraded answers instead of hangs.
+// chaos battery's lever for proving degraded answers instead of hangs. A
+// coordinator builds each partition's name once, when it takes the partition.
 func FaultPartition(i int) string {
 	return "coord.partition." + strconv.Itoa(i)
 }
 
 // PartialError reports a scatter that lost one or more partitions. The
 // answer it accompanies is a typed partial: everything the answering
-// partitions contributed, with the failed partitions' shares degraded the
-// same way the durable layer degrades without its TS store (entity sets
-// survive with zero aggregates). It unwraps to ttdb.ErrDegraded and every
-// per-partition cause, so errors.Is works for both.
+// partitions contributed, with the failed partitions' shares degraded to
+// what the coordinator's placement map still knows (entity sets survive with
+// zero aggregates). It unwraps to ttdb.ErrDegraded and every per-partition
+// cause, so errors.Is works for both.
 type PartialError struct {
 	Query    string
 	Answered []int         // partitions that contributed, ascending
@@ -104,40 +105,81 @@ func (c *Coordinator) Instrument(r *obs.Registry) {
 	}
 }
 
-// scatterLocked fans fn out to the given partitions, one goroutine per
-// fragment, joined before return (no goroutine outlives the call). Each
-// fragment first consults its partition's fault point; failures land in the
-// returned PartialError (nil when every partition answered). Caller holds at
-// least the read lock, so the partition set is stable for the duration.
-func (c *Coordinator) scatterLocked(ctx context.Context, op ttdb.Op, parts []int, fn func(part int) error) *PartialError {
-	span := c.obs.reg.Tracer().Start("coord.scatter." + op.String())
-	defer span.End()
+// scatterSpans holds each operation's scatter span name, built once rather
+// than per call.
+var scatterSpans = func() []string {
+	names := make([]string, ttdb.OpDownsample+1)
+	for op := ttdb.OpQ1; op <= ttdb.OpDownsample; op++ {
+		names[op] = "coord.scatter." + op.String()
+	}
+	return names
+}()
+
+// startScatterLocked opens the scatter span and counts one scatter round of
+// n fragments.
+func (c *Coordinator) startScatterLocked(op ttdb.Op, n int) *obs.Span {
 	c.obs.scatters.Inc()
-	c.obs.fragments.Add(int64(len(parts)))
+	c.obs.fragments.Add(int64(n))
+	return c.obs.reg.Tracer().Start(scatterSpans[op])
+}
+
+// scatterLocked fans fn out to the given partitions and joins before return
+// (no goroutine outlives the call): a single fragment runs on the calling
+// goroutine, several run one goroutine each. Each fragment first consults its
+// partition's fault point; failures land in the returned PartialError (nil
+// when every partition answered). Caller holds at least the read lock, so
+// the partition set is stable for the duration.
+func (c *Coordinator) scatterLocked(ctx context.Context, op ttdb.Op, parts []int, fn func(part int) error) *PartialError {
+	span := c.startScatterLocked(op, len(parts))
+	defer span.End()
+	if len(parts) == 1 {
+		if err := c.fragment(ctx, parts[0], fn); err != nil {
+			return c.partialLocked(op, parts, []error{err})
+		}
+		return nil
+	}
 	errs := make([]error, len(parts))
 	var wg sync.WaitGroup
 	for i, p := range parts {
 		wg.Add(1)
 		go func(i, p int) {
 			defer wg.Done()
-			if err := faults.CheckCtx(ctx, FaultPartition(p)); err != nil {
-				errs[i] = err
-				return
-			}
-			errs[i] = fn(p)
+			errs[i] = c.fragment(ctx, p, fn)
 		}(i, p)
 	}
 	wg.Wait()
-	perr := &PartialError{Query: op.String(), Failed: map[int]error{}}
+	return c.partialLocked(op, parts, errs)
+}
+
+// fragment runs one partition's fragment behind its fault point.
+func (c *Coordinator) fragment(ctx context.Context, p int, fn func(part int) error) error {
+	if err := faults.CheckCtx(ctx, c.faults[p]); err != nil {
+		return err
+	}
+	return fn(p)
+}
+
+// partialLocked accounts a finished scatter: nil when every fragment
+// answered, otherwise a PartialError naming who answered and who failed.
+// Nothing is allocated on the answered path.
+func (c *Coordinator) partialLocked(op ttdb.Op, parts []int, errs []error) *PartialError {
+	var perr *PartialError
+	for i, err := range errs {
+		if err == nil {
+			continue
+		}
+		if perr == nil {
+			perr = &PartialError{Query: op.String(), Failed: map[int]error{}}
+		}
+		perr.Failed[parts[i]] = err
+	}
+	if perr == nil {
+		return nil
+	}
 	for i, p := range parts {
-		if errs[i] != nil {
-			perr.Failed[p] = errs[i]
-		} else {
+		if errs[i] == nil {
 			perr.Answered = append(perr.Answered, p)
 		}
-	}
-	if len(perr.Failed) == 0 {
-		return nil
 	}
 	c.obs.partials.Inc()
 	return perr

@@ -73,7 +73,7 @@ func TestStreamingAggregatesAcrossPartitions(t *testing.T) {
 					s.MustAppend(h*ts.Hour, float64(i)+math.Sin(float64(h)))
 				}
 				heads[i] = 23 * ts.Hour
-				oid, err := ora.IngestStation(fmt.Sprintf("st-%d", i), "d", s.Clone())
+				oid, err := ora.IngestStation(uint64(i)+1, fmt.Sprintf("st-%d", i), "d", s.Clone())
 				if err != nil {
 					t.Fatal(err)
 				}

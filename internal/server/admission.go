@@ -98,11 +98,14 @@ func (a *admission) admit(ctx context.Context, t *tenant) (func(), error) {
 	}, nil
 }
 
+// unqueue leaves the wait queue. The gauge moves under the lock, as it
+// does on entry, so it never reads above MaxQueue while a leaver and an
+// arrival cross.
 func (a *admission) unqueue() {
 	a.mu.Lock()
 	a.queued--
-	a.mu.Unlock()
 	a.o.queueDepth.Add(-1)
+	a.mu.Unlock()
 }
 
 // bucket is a token-bucket rate limiter. A nil bucket never refuses —

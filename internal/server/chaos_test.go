@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"hygraph/internal/coord"
 	"hygraph/internal/faults"
 	"hygraph/internal/obs"
 	"hygraph/internal/server/client"
@@ -221,14 +222,14 @@ func TestChaosHammer(t *testing.T) {
 	mu.Lock()
 	pts := append([]ackPoint(nil), ackPoints...)
 	mu.Unlock()
-	engines := map[string]*ttdb.Polyglot{}
+	engines := map[string]*coord.Coordinator{}
 	for tn := 0; tn < 2; tn++ {
 		name := fmt.Sprintf("t%d", tn)
-		eng, _, err := be.Recover(name)
+		co, err := be.RecoverTenant(name)
 		if err != nil {
 			t.Fatalf("recover %s: %v", name, err)
 		}
-		engines[name] = eng
+		engines[name] = co
 	}
 	for _, p := range pts {
 		found := false

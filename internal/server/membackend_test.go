@@ -6,6 +6,7 @@ import (
 	"io"
 	"sync"
 
+	"hygraph/internal/coord"
 	"hygraph/internal/storage/ttdb"
 	"hygraph/internal/ts"
 )
@@ -50,15 +51,6 @@ func (b *MemBackend) width() ts.Time {
 	return ts.Week
 }
 
-// Open adapts OpenEngine to the Backend contract.
-func (b *MemBackend) Open(name string) (Conn, io.Closer, error) {
-	d, c, err := b.OpenEngine(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	return engineConn{d}, c, nil
-}
-
 // OpenEngine creates the tenant on first open; reopening an existing tenant
 // recovers from its retained logs and appends to them — the same resume
 // contract a file-backed deployment has.
@@ -101,4 +93,15 @@ func (b *MemBackend) Recover(name string) (*ttdb.Polyglot, ttdb.PolyglotRecovery
 	l.mu.Unlock()
 	return ttdb.RecoverPolyglot(nil, bytes.NewReader(graph), nil,
 		bytes.NewReader(tsl), b.width(), nil)
+}
+
+// RecoverTenant is Recover behind a one-partition coordinator, the way the
+// server reopens a tenant, so the station ids the server returned address
+// the recovered stations.
+func (b *MemBackend) RecoverTenant(name string) (*coord.Coordinator, error) {
+	eng, _, err := b.Recover(name)
+	if err != nil {
+		return nil, err
+	}
+	return coord.Attach([]*ttdb.DurablePolyglot{ttdb.ResumeDurable(eng, io.Discard, io.Discard)}, nil)
 }

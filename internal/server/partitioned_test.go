@@ -12,12 +12,13 @@ import (
 )
 
 // newPartitionedServer builds a Server whose tenants are partitioned over
-// the shared MemBackend — sub-tenants <name>.pI hold the per-partition WALs,
+// the shared MemBackend — partitions <name>.pI hold the per-partition WALs,
 // so a second server over the same backend is the reopen path.
 func newPartitionedServer(t *testing.T, be *MemBackend, parts int) (*Server, *httptest.Server) {
 	t.Helper()
 	s, err := New(Config{
-		Backend:        &PartitionedBackend{Inner: be, Parts: parts},
+		Backend:        be,
+		Partitions:     parts,
 		Obs:            obs.New(),
 		DefaultTimeout: 5 * time.Second,
 	})
@@ -34,11 +35,11 @@ func newPartitionedServer(t *testing.T, be *MemBackend, parts int) (*Server, *ht
 	return s, hs
 }
 
-// TestPartitionedBackendServesAndReopens drives the full service surface
+// TestPartitionedTenantServesAndReopens drives the full service surface
 // (ingest, trips, Q1–Q8, HyQL, stats) against a 3-partition tenant, then
 // shuts the server down and reopens the same tenant from the retained
 // per-partition WALs — the answers must survive the round-trip.
-func TestPartitionedBackendServesAndReopens(t *testing.T) {
+func TestPartitionedTenantServesAndReopens(t *testing.T) {
 	be := NewMemBackend()
 	s1, hs1 := newPartitionedServer(t, be, 3)
 	base := hs1.URL
@@ -113,11 +114,11 @@ func TestPartitionedBackendServesAndReopens(t *testing.T) {
 		}
 	}
 
-	// The per-partition sub-tenants really exist in the inner backend (the
-	// unit a multi-process deployment would split out).
+	// The partitions really exist in the backend (the unit a multi-process
+	// deployment would split out).
 	for i := 0; i < 3; i++ {
 		if _, _, err := be.Recover(fmt.Sprintf("acme.p%d", i)); err != nil {
-			t.Fatalf("partition sub-tenant missing: %v", err)
+			t.Fatalf("partition missing: %v", err)
 		}
 	}
 }

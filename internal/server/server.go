@@ -1,7 +1,9 @@
 // Package server is the network query service over the durable polyglot
 // engine: a stdlib net/http JSON API exposing the Table 1 queries Q1–Q8,
 // HyQL, and durable ingest per tenant namespace (ROADMAP open item 1; the
-// upstream authors serve the same surface over AGE+TimescaleDB).
+// upstream authors serve the same surface over AGE+TimescaleDB). Every
+// tenant is a scatter-gather coordinator (internal/coord) over
+// Config.Partitions durable engines, one partition included.
 //
 // The robustness model, not the transport, is the point:
 //
@@ -16,8 +18,8 @@
 //     (client-requestable, capped) that is threaded through the engine's
 //     worker pool and store reads (every layer's Exec), so a slow Q8 is
 //     cancelled mid-fan-out. Queries against a degraded time-series store
-//     return the graph-derivable partial result marked degraded, exactly
-//     like the embedded engine.
+//     return the graph-derivable partial result the coordinator shapes,
+//     marked degraded.
 //
 //   - Graceful shutdown. Shutdown stops accepting, sheds new requests with
 //     Retry-After, drains in-flight handlers, then flushes every tenant's
@@ -123,8 +125,11 @@ type Config struct {
 	MaxTimeout     time.Duration
 	// Workers is the engine fan-out width (default GOMAXPROCS).
 	Workers int
-	// Backend opens tenant engines; required.
+	// Backend opens tenant partitions; required.
 	Backend Backend
+	// Partitions is the number of engines each tenant is served over,
+	// behind the scatter-gather coordinator (internal/coord); < 1 selects 1.
+	Partitions int
 	// Obs receives admission/shed/deadline/drain metrics; nil disables
 	// instrumentation (every handle below is nil-safe).
 	Obs *obs.Registry
@@ -208,6 +213,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
+	if cfg.Partitions < 1 {
+		cfg.Partitions = 1
+	}
 	s := &Server{
 		cfg:     cfg,
 		o:       newServerObs(cfg.Obs),
@@ -254,6 +262,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		tenants = append(tenants, t)
 	}
 	s.mu.Unlock()
+	//hyvet:allow ctxflow the drain flush deliberately outlives ctx: abandoned handlers may have committed writes that still deserve durability
 	for _, t := range tenants {
 		if serr := t.db.SyncAll(); serr != nil && err == nil {
 			err = fmt.Errorf("server: drain flush tenant %s: %w", t.name, serr)
@@ -270,15 +279,16 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// tenant returns the named tenant, opening it through the backend on first
-// use. Concurrent first requests for the same tenant open it once.
+// tenant returns the named tenant, opening its partitions through the
+// backend on first use. Concurrent first requests for the same tenant open
+// it once.
 func (s *Server) tenant(name string) (*tenant, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if t, ok := s.tenants[name]; ok {
 		return t, nil
 	}
-	db, closer, err := s.cfg.Backend.Open(name)
+	db, closer, err := openTenant(s.cfg.Backend, name, s.cfg.Partitions)
 	if err != nil {
 		return nil, fmt.Errorf("server: opening tenant %s: %w", name, err)
 	}

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -438,7 +439,11 @@ func TestDegradedQueryReturnsPartialResult(t *testing.T) {
 	_, hs, _, _ := newTestServer(t, Limits{})
 	base := hs.URL
 	s1 := ingestStation(t, base, "acme", "s1", "north", []map[string]any{{"t": 0, "v": 1}}, "")
-	ingestStation(t, base, "acme", "s2", "south", []map[string]any{{"t": 0, "v": 2}}, "")
+	s2 := ingestStation(t, base, "acme", "s2", "south", []map[string]any{{"t": 0, "v": 2}}, "")
+	if code, body, _ := doJSON(t, "POST", base+"/v1/tenants/acme/trips",
+		map[string]any{"from": s1, "to": s2, "count": 1}, nil); code != http.StatusOK {
+		t.Fatalf("trip: %d %v", code, body)
+	}
 
 	// A permanent (non-transient) TS failure on append latches degradation.
 	faults.Enable(ttdb.FaultIngestTS, faults.Spec{Err: errors.New("disk gone")})
@@ -449,16 +454,25 @@ func TestDegradedQueryReturnsPartialResult(t *testing.T) {
 		t.Fatalf("append under TS fault: %d, want 500", code)
 	}
 
-	code, body, _ := doJSON(t, "GET", base+"/v1/tenants/acme/query?name=Q5", nil, nil)
-	if code != http.StatusOK {
-		t.Fatalf("degraded Q5: %d %v", code, body)
-	}
-	if body["degraded"] != true {
-		t.Fatalf("degraded flag missing: %v", body)
-	}
-	res := body["result"].(map[string]any)
-	if _, ok := res["north"]; !ok {
-		t.Fatalf("degraded Q5 lost the district partition: %v", res)
+	// The graph-derivable part survives with zero aggregates: Q4 keeps the
+	// stations, Q5 the districts, Q8 the neighbors; Q6 ranks nobody.
+	id := func(f float64) string { return fmt.Sprintf("%.0f", f) }
+	for _, tc := range []struct {
+		query string
+		want  any
+	}{
+		{"Q4", map[string]any{id(s1): 0.0, id(s2): 0.0}},
+		{"Q5", map[string]any{"north": 0.0, "south": 0.0}},
+		{"Q6", []any{}},
+		{"Q8&station=" + id(s1), map[string]any{id(s2): 0.0}},
+	} {
+		code, body, _ := doJSON(t, "GET", base+"/v1/tenants/acme/query?name="+tc.query, nil, nil)
+		if code != http.StatusOK || body["degraded"] != true {
+			t.Fatalf("degraded %s: %d %v", tc.query, code, body)
+		}
+		if !reflect.DeepEqual(body["result"], tc.want) {
+			t.Fatalf("degraded %s: %v, want %v", tc.query, body["result"], tc.want)
+		}
 	}
 }
 
@@ -537,7 +551,11 @@ func TestGracefulShutdownFlushesAndSheds(t *testing.T) {
 	if got := len(eng.G.NodesByLabel("Station")); got != 1 {
 		t.Fatalf("recovered %d stations, want 1", got)
 	}
-	pts, err := eng.Exec(context.Background(), ttdb.Q1(ttdb.StationID(id), 0, 1000))
+	co, err := be.RecoverTenant("acme")
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	pts, err := co.Exec(context.Background(), ttdb.Q1(ttdb.StationID(id), 0, 1000))
 	if err != nil || len(pts.Points) != 2 {
 		t.Fatalf("recovered series = %v (%v), want the 2 acknowledged points", pts.Points, err)
 	}

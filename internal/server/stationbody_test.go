@@ -231,7 +231,7 @@ func BenchmarkStationIngest(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := d.IngestStation(fmt.Sprint(req.Name, i), req.District, req.series()); err != nil {
+		if _, err := d.IngestStation(uint64(i), fmt.Sprint(req.Name, i), req.District, req.series()); err != nil {
 			b.Fatal(err)
 		}
 	}

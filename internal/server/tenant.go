@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 
+	"hygraph/internal/coord"
 	"hygraph/internal/faults"
 	"hygraph/internal/hyql"
 	"hygraph/internal/lpg"
@@ -29,13 +31,13 @@ type idemEntry struct {
 	ok      bool
 }
 
-// tenant is one namespace: a durable engine plus the per-tenant admission
+// tenant is one namespace: its coordinator plus the per-tenant admission
 // state (concurrency slots, token bucket), the idempotency table, and the
 // HyQL engine with the structure it matches against.
 type tenant struct {
 	name   string
-	db     Conn
-	closer interface{ Close() error }
+	db     *coord.Coordinator
+	closer io.Closer
 	sem    chan struct{}
 	bucket *bucket
 	lat    *obs.Histogram // per-tenant end-to-end latency
@@ -60,7 +62,7 @@ type tenant struct {
 	viewVersion uint64
 }
 
-func newTenant(name string, db Conn, closer interface{ Close() error }, l Limits, reg *obs.Registry) *tenant {
+func newTenant(name string, db *coord.Coordinator, closer io.Closer, l Limits, reg *obs.Registry) *tenant {
 	t := &tenant{
 		name:     name,
 		db:       db,

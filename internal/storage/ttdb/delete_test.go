@@ -16,7 +16,7 @@ func TestDeleteStationDurable(t *testing.T) {
 	d := dk.open(t)
 	var ids []StationID
 	for i := 0; i < 3; i++ {
-		id, err := d.IngestStation("st", "d", stationSeries(i))
+		id, err := d.IngestStation(uint64(i), "st", "d", stationSeries(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func TestDeleteStationCrashRollsForward(t *testing.T) {
 	d := dk.open(t)
 	var ids []StationID
 	for i := 0; i < 2; i++ {
-		id, err := d.IngestStation("st", "d", stationSeries(i))
+		id, err := d.IngestStation(uint64(i), "st", "d", stationSeries(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,11 +111,8 @@ func TestDeleteStationCrashRollsForward(t *testing.T) {
 func TestBoundaryVertexDurable(t *testing.T) {
 	var dk disk
 	d := dk.open(t)
-	st, err := d.IngestStation("st", "d", stationSeries(0))
+	st, err := d.IngestStation(42, "st", "d", stationSeries(0))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.TagStation(st, 42); err != nil {
 		t.Fatal(err)
 	}
 	b, err := d.AddBoundary(7)
@@ -138,7 +135,7 @@ func TestBoundaryVertexDurable(t *testing.T) {
 	}
 	gv, ok := eng.G.NodeProp(st, "gid")
 	if !ok || gv.I != 42 {
-		t.Fatalf("station gid tag lost: %v %v", gv, ok)
+		t.Fatalf("station gid lost: %v %v", gv, ok)
 	}
 	bv, ok := eng.G.NodeProp(b, "gid")
 	if !ok || bv.I != 7 {

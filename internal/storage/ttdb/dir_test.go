@@ -69,7 +69,7 @@ func populate(t *testing.T, d *DurablePolyglot) {
 	t.Helper()
 	var ids []StationID
 	for i := 0; i < 4; i++ {
-		id, err := d.IngestStation(fmt.Sprintf("st%d", i), "d", stationSeries(i))
+		id, err := d.IngestStation(uint64(i), fmt.Sprintf("st%d", i), "d", stationSeries(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func tearIngest(t *testing.T, d *DurablePolyglot) {
 	t.Helper()
 	faults.Enable(FaultIngestTS, faults.Spec{Err: errors.New("injected crash")})
 	defer faults.Reset()
-	if _, err := d.IngestStation("torn", "d", stationSeries(9)); err == nil {
+	if _, err := d.IngestStation(1, "torn", "d", stationSeries(9)); err == nil {
 		t.Fatal("expected the injected crash")
 	}
 }

@@ -145,7 +145,7 @@ func (d *DurablePolyglot) SetWorkers(n int) { d.eng.SetWorkers(n) }
 // closure is safe to retry: CreateNodeAt is guarded by NodeExists on the
 // reserved id and property sets are upserts, so a transient failure at any
 // point re-runs without duplicating state.
-func (d *DurablePolyglot) graphSide(node StationID, name, district string) error {
+func (d *DurablePolyglot) graphSide(node StationID, gid uint64, name, district string) error {
 	return d.Retry.run(func() error {
 		if err := faults.Check(FaultIngestGraph); err != nil {
 			return err
@@ -154,6 +154,9 @@ func (d *DurablePolyglot) graphSide(node StationID, name, district string) error
 			if err := d.gw.CreateNodeAt(node, "Station"); err != nil {
 				return err
 			}
+		}
+		if err := d.gw.SetNodeProp(node, "gid", graphstore.IntVal(int64(gid))); err != nil {
+			return err
 		}
 		if err := d.gw.SetNodeProp(node, "name", graphstore.StrVal(name)); err != nil {
 			return err
@@ -181,7 +184,9 @@ func (d *DurablePolyglot) tsSide(node StationID, s *ts.Series) error {
 }
 
 // IngestStation atomically adds a station and its series across both
-// stores: the graph side is durable before the series is written, and the
+// stores: the graph side — the node with its gid (the coordinator-wide
+// station id, which makes a partition self-describing for coord.Attach),
+// name and district — is durable before the series is written, and the
 // series write is the commit. A crash before it leaves a Station node with
 // no series, which RecoverPolyglot removes. An empty series is rejected
 // before anything is written, since it would leave exactly that node. On a
@@ -189,12 +194,12 @@ func (d *DurablePolyglot) tsSide(node StationID, s *ts.Series) error {
 // state a crash leaves on disk — and RecoverPolyglot over the written logs
 // restores consistency; this mirrors how a real engine treats an
 // unrecoverable storage fault as fail-stop.
-func (d *DurablePolyglot) IngestStation(name, district string, s *ts.Series) (StationID, error) {
+func (d *DurablePolyglot) IngestStation(gid uint64, name, district string, s *ts.Series) (StationID, error) {
 	if s == nil || s.Empty() {
 		return 0, fmt.Errorf("ttdb: station %q has an empty series", name)
 	}
 	node := d.eng.G.AllocNodeID()
-	if err := d.graphSide(node, name, district); err != nil {
+	if err := d.graphSide(node, gid, name, district); err != nil {
 		return 0, fmt.Errorf("ttdb: ingest of node %d: graph write: %w", node, err)
 	}
 	if err := d.tsSide(node, s); err != nil {
@@ -312,21 +317,6 @@ func (d *DurablePolyglot) DeleteBoundary(st StationID) error {
 	})
 }
 
-// TagStation durably records a station's coordinator-global id as the "gid"
-// node property, making a partition self-describing for reconstruction
-// (coord.Attach reads it back on reopen).
-func (d *DurablePolyglot) TagStation(st StationID, gid uint64) error {
-	return d.Retry.run(func() error {
-		if err := faults.Check(FaultIngestGraph); err != nil {
-			return err
-		}
-		if err := d.gw.SetNodeProp(st, "gid", graphstore.IntVal(int64(gid))); err != nil {
-			return err
-		}
-		return d.gw.Flush()
-	})
-}
-
 // AppendPoint durably appends one observation to an existing station's
 // series — the streaming-ingest op of the mixed read/write workload. It
 // touches only the time-series store (the station's node and series already
@@ -367,48 +357,19 @@ func (d *DurablePolyglot) tsCheck(q string) error {
 }
 
 // Exec is the wrapped engine's Exec under the degraded-mode contract. A done
-// context wins over everything (the caller's budget is spent, so not even a
-// partial is computed). With the time-series store unavailable the answer is
-// the part the graph store alone can derive, beside an error matching
-// ErrDegraded: Q4 still enumerates the stations, Q5 the districts and Q8 the
-// neighbors, all with zero aggregates; the other operations need the series
-// and answer nothing.
+// context wins over everything (the caller's budget is spent, so no answer is
+// computed). With the time-series store unavailable there is no answer either,
+// only an error matching ErrDegraded: the graph-derivable partials (Q4's
+// stations, Q5's districts, Q8's neighbors) are shaped by the coordinator,
+// which holds the station set of every partition.
 func (d *DurablePolyglot) Exec(ctx context.Context, q Query) (Result, error) {
 	if err := begin(ctx, q); err != nil {
 		return Result{}, err
 	}
-	derr := d.tsCheck(q.Op.String())
-	if derr == nil {
-		return d.eng.run(ctx, q)
+	if err := d.tsCheck(q.Op.String()); err != nil {
+		return Result{}, err
 	}
-	res := Result{Op: q.Op}
-	switch q.Op {
-	case OpQ4:
-		res.ByStation = zeroMeans(d.eng.G.NodesByLabel("Station"))
-	case OpQ5:
-		res.ByDistrict = map[string]float64{}
-		for _, st := range d.eng.G.NodesByLabel("Station") {
-			// The partition walks every station under the graph lock; a
-			// cancelled caller should not keep paying for it.
-			if err := ctx.Err(); err != nil {
-				return Result{}, err
-			}
-			res.ByDistrict[d.eng.district(st)] += 0
-		}
-	case OpQ8:
-		res.ByStation = zeroMeans(d.eng.G.Neighbors(q.Station, "TRIP"))
-	}
-	return res, derr
-}
-
-// zeroMeans is the degraded shape of a per-station answer: the entity set
-// survives, the aggregates do not.
-func zeroMeans(stations []StationID) map[StationID]float64 {
-	out := make(map[StationID]float64, len(stations))
-	for _, st := range stations {
-		out[st] = 0
-	}
-	return out
+	return d.eng.run(ctx, q)
 }
 
 // EntitySummariesCtx returns the per-entity summaries of the metric over

@@ -67,7 +67,7 @@ func stationSeries(i int) *ts.Series {
 func ingestUntilCrash(d *DurablePolyglot, n int) []StationID {
 	var ids []StationID
 	for i := 0; i < n; i++ {
-		id, err := d.IngestStation("st", "d", stationSeries(i))
+		id, err := d.IngestStation(uint64(i), "st", "d", stationSeries(i))
 		if err != nil {
 			return ids
 		}
@@ -142,7 +142,7 @@ func TestRepairRequiredBetweenStores(t *testing.T) {
 		crash func(d *DurablePolyglot, victim StationID) error
 	}{
 		{"ingest", func(d *DurablePolyglot, _ StationID) error {
-			_, err := d.IngestStation("torn", "d", stationSeries(2))
+			_, err := d.IngestStation(1, "torn", "d", stationSeries(2))
 			return err
 		}},
 		{"delete", func(d *DurablePolyglot, victim StationID) error { return d.DeleteStation(victim) }},
@@ -150,11 +150,11 @@ func TestRepairRequiredBetweenStores(t *testing.T) {
 		faults.Reset()
 		var dk disk
 		d := dk.open(t)
-		keep, err := d.IngestStation("ok", "d", stationSeries(0))
+		keep, err := d.IngestStation(1, "ok", "d", stationSeries(0))
 		if err != nil {
 			t.Fatal(err)
 		}
-		victim, err := d.IngestStation("victim", "d", stationSeries(1))
+		victim, err := d.IngestStation(1, "victim", "d", stationSeries(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +194,7 @@ func TestTransientErrorsRetried(t *testing.T) {
 		var dk disk
 		d := dk.open(t)
 		faults.Enable(pt, faults.Spec{Err: errors.New("blip"), Transient: true, Count: 2})
-		id, err := d.IngestStation("st", "d", stationSeries(0))
+		id, err := d.IngestStation(1, "st", "d", stationSeries(0))
 		if err != nil {
 			t.Fatalf("%s: transient fault not retried: %v", pt, err)
 		}
@@ -215,13 +215,14 @@ func TestTransientErrorsRetried(t *testing.T) {
 	var dk disk
 	d := dk.open(t)
 	faults.Enable(FaultIngestTS, faults.Spec{Err: errors.New("stuck"), Transient: true})
-	if _, err := d.IngestStation("st", "d", stationSeries(0)); err == nil {
+	if _, err := d.IngestStation(1, "st", "d", stationSeries(0)); err == nil {
 		t.Fatal("unbounded retry")
 	}
 }
 
 // TestDegradedQueries: with the TS store unreachable, all eight queries
-// return ErrDegraded and the graph-derivable partial results.
+// return ErrDegraded and no answer. The graph-derivable partials of Q4, Q5
+// and Q8 are the coordinator's (internal/coord TestExecDegradedPartials).
 func TestDegradedQueries(t *testing.T) {
 	defer faults.Reset()
 	faults.Reset()
@@ -229,7 +230,7 @@ func TestDegradedQueries(t *testing.T) {
 	d := dk.open(t)
 	var ids []StationID
 	for i := 0; i < 4; i++ {
-		id, err := d.IngestStation("st", []string{"north", "south"}[i%2], stationSeries(i))
+		id, err := d.IngestStation(uint64(i), "st", []string{"north", "south"}[i%2], stationSeries(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,12 +258,12 @@ func TestDegradedQueries(t *testing.T) {
 		t.Fatal("Q3 not degraded")
 	}
 	means, err := d.Exec(ctx, Q4(start, end))
-	if !errors.Is(err, ErrDegraded) || len(means.ByStation) != 4 {
-		t.Fatalf("Q4 partial: %d entries, %v", len(means.ByStation), err)
+	if !errors.Is(err, ErrDegraded) || means.ByStation != nil {
+		t.Fatalf("Q4 degraded: %v, %v", means.ByStation, err)
 	}
 	sums, err := d.Exec(ctx, Q5(start, end))
-	if !errors.Is(err, ErrDegraded) || len(sums.ByDistrict) != 2 {
-		t.Fatalf("Q5 partial: %v, %v", sums.ByDistrict, err)
+	if !errors.Is(err, ErrDegraded) || sums.ByDistrict != nil {
+		t.Fatalf("Q5 degraded: %v, %v", sums.ByDistrict, err)
 	}
 	if _, err := d.Exec(ctx, Q6(start, end, 2)); !errors.Is(err, ErrDegraded) {
 		t.Fatal("Q6 not degraded")
@@ -271,8 +272,8 @@ func TestDegradedQueries(t *testing.T) {
 		t.Fatal("Q7 not degraded")
 	}
 	nm, err := d.Exec(ctx, Q8(ids[0], start, end))
-	if !errors.Is(err, ErrDegraded) || len(nm.ByStation) != 1 {
-		t.Fatalf("Q8 partial: %v, %v", nm.ByStation, err)
+	if !errors.Is(err, ErrDegraded) || nm.ByStation != nil {
+		t.Fatalf("Q8 degraded: %v, %v", nm.ByStation, err)
 	}
 	// The typed error carries the query name and unwraps to the cause.
 	var de *DegradedError
@@ -295,18 +296,18 @@ func TestPermanentTSFailureDegradesUntilSuccess(t *testing.T) {
 	faults.Reset()
 	var dk disk
 	d := dk.open(t)
-	if _, err := d.IngestStation("ok", "d", stationSeries(0)); err != nil {
+	if _, err := d.IngestStation(1, "ok", "d", stationSeries(0)); err != nil {
 		t.Fatal(err)
 	}
 	faults.Enable(FaultIngestTS, faults.Spec{Err: errors.New("down"), Count: 5})
-	if _, err := d.IngestStation("bad", "d", stationSeries(1)); err == nil {
+	if _, err := d.IngestStation(1, "bad", "d", stationSeries(1)); err == nil {
 		t.Fatal("ingest survived permanent TS failure")
 	}
 	faults.Reset()
 	if _, err := d.Exec(context.Background(), Q3(0, 0, 48*ts.Hour)); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("queries not degraded after permanent TS failure: %v", err)
 	}
-	if _, err := d.IngestStation("again", "d", stationSeries(2)); err != nil {
+	if _, err := d.IngestStation(1, "again", "d", stationSeries(2)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Exec(context.Background(), Q3(0, 0, 48*ts.Hour)); err != nil {
@@ -322,13 +323,13 @@ func TestResumeAfterCrashReusesNodeID(t *testing.T) {
 	faults.Reset()
 	var dk disk
 	d := dk.open(t)
-	if _, err := d.IngestStation("s0", "d", stationSeries(0)); err != nil {
+	if _, err := d.IngestStation(1, "s0", "d", stationSeries(0)); err != nil {
 		t.Fatal(err)
 	}
 	// Crash before any graph byte is flushed: the node id is reserved in
 	// memory but never on disk.
 	faults.Enable(FaultIngestGraph, faults.Spec{Err: errors.New("crash")})
-	if _, err := d.IngestStation("lost", "d", stationSeries(1)); err == nil {
+	if _, err := d.IngestStation(1, "lost", "d", stationSeries(1)); err == nil {
 		t.Fatal("expected crash")
 	}
 	faults.Reset()
@@ -340,7 +341,7 @@ func TestResumeAfterCrashReusesNodeID(t *testing.T) {
 	// Resume into the same logs and ingest a new station — it reuses id 1.
 	d2 := ResumeDurable(eng, &dk.graphLog, &dk.tsLog)
 	d2.Retry = RetryPolicy{MaxAttempts: 1}
-	id, err := d2.IngestStation("s1", "d", stationSeries(2))
+	id, err := d2.IngestStation(1, "s1", "d", stationSeries(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,13 +366,13 @@ func TestRecoverySummaryString(t *testing.T) {
 	faults.Reset()
 	var dk disk
 	d := dk.open(t)
-	if _, err := d.IngestStation("st", "d", stationSeries(0)); err != nil {
+	if _, err := d.IngestStation(1, "st", "d", stationSeries(0)); err != nil {
 		t.Fatal(err)
 	}
 	tearIngest(t, d)
 	_, rec := dk.recover(t)
 	out := rec.String()
-	for _, want := range []string{"graph: 6 ops", "ts:    1 ops, 48 points", "repair: 1 orphan station nodes, 0 orphan series removed"} {
+	for _, want := range []string{"graph: 8 ops", "ts:    1 ops, 48 points", "repair: 1 orphan station nodes, 0 orphan series removed"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("summary missing %q:\n%s", want, out)
 		}
@@ -384,14 +385,14 @@ func TestIngestRejectsEmptySeries(t *testing.T) {
 	var dk disk
 	d := dk.open(t)
 	for _, s := range []*ts.Series{nil, ts.New(Metric)} {
-		if _, err := d.IngestStation("empty", "d", s); err == nil {
+		if _, err := d.IngestStation(1, "empty", "d", s); err == nil {
 			t.Fatal("empty series accepted")
 		}
 	}
 	if dk.graphLog.Len()+dk.tsLog.Len() != 0 || d.Engine().G.NumNodes() != 0 {
 		t.Fatalf("rejected ingest wrote %d log bytes, %d nodes", dk.graphLog.Len()+dk.tsLog.Len(), d.Engine().G.NumNodes())
 	}
-	if id, err := d.IngestStation("st", "d", stationSeries(0)); err != nil || id != 0 {
+	if id, err := d.IngestStation(1, "st", "d", stationSeries(0)); err != nil || id != 0 {
 		t.Fatalf("first station after the rejections: id %d, %v", id, err)
 	}
 }
@@ -430,7 +431,7 @@ func TestSyncAllMakesStreamedAppendsRecoverable(t *testing.T) {
 	faults.Reset()
 	var dk disk
 	d := dk.open(t)
-	id, err := d.IngestStation("st", "north", stationSeries(0))
+	id, err := d.IngestStation(1, "st", "north", stationSeries(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func TestGroupCommitWALAccounting(t *testing.T) {
 
 	var ids []StationID
 	for i := 0; i < 4; i++ {
-		id, err := d.IngestStation("st", "d", stationSeries(i))
+		id, err := d.IngestStation(uint64(i), "st", "d", stationSeries(i))
 		if err != nil {
 			t.Fatal(err)
 		}

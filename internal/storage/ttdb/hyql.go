@@ -8,13 +8,12 @@ import (
 	"hygraph/internal/hyql"
 	"hygraph/internal/lpg"
 	"hygraph/internal/obs"
-	"hygraph/internal/storage/graphstore"
 	"hygraph/internal/storage/tsstore"
 	"hygraph/internal/ts"
 )
 
 // HyQL over the stores. The graph store holds structure, the hypertable
-// holds samples, and a HyQL query visits both in place: Structure lays the
+// holds samples, and a HyQL query visits both in place: BuildView lays the
 // stations and trips out as the graph HyQL matches against, with every
 // availability series attached as a StoreSeries handle, and the ts.*
 // functions of a query read the hypertable through those handles.
@@ -159,34 +158,4 @@ func BuildView(stations []ViewStation, trips []ViewTrip) *lpg.Graph {
 		g.SetEdgeProp(e, core.KindPropKey, pg)
 	}
 	return g
-}
-
-// Structure is BuildView over this engine's own stores: stations in label-
-// index order, each logical trip once.
-func (p *Polyglot) Structure() *lpg.Graph {
-	ids := p.G.NodesByLabel("Station")
-	index := make(map[StationID]int, len(ids))
-	stations := make([]ViewStation, len(ids))
-	for i, st := range ids {
-		index[st] = i
-		name, _ := p.G.NodeProp(st, "name")
-		district, _ := p.G.NodeProp(st, "district")
-		stations[i] = ViewStation{Name: name.S, District: district.S, Series: p.Series(st)}
-	}
-	var trips []ViewTrip
-	seen := map[graphstore.RelID]bool{}
-	for _, st := range ids {
-		p.G.Rels(st, func(r graphstore.Rel) bool {
-			from, okF := index[r.From]
-			to, okT := index[r.To]
-			if r.Type != "TRIP" || seen[r.ID] || !okF || !okT {
-				return true
-			}
-			seen[r.ID] = true
-			count, _ := p.G.RelProp(r.ID, "count")
-			trips = append(trips, ViewTrip{From: from, To: to, Count: count.I})
-			return true
-		})
-	}
-	return BuildView(stations, trips)
 }

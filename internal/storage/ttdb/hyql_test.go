@@ -8,7 +8,6 @@ import (
 	"hygraph/internal/hyql"
 	"hygraph/internal/lpg"
 	"hygraph/internal/obs"
-	"hygraph/internal/storage/graphstore"
 	"hygraph/internal/ts"
 )
 
@@ -124,19 +123,19 @@ func TestStoreSeriesMatchesDecodedSeries(t *testing.T) {
 	}
 }
 
-// TestStructureShape: the graph HyQL matches against, read off the stores.
-func TestStructureShape(t *testing.T) {
+// TestBuildViewShape: the graph HyQL matches against, over handles onto the
+// stores.
+func TestBuildViewShape(t *testing.T) {
 	p := NewPolyglot(ts.Week)
 	a, _ := p.IngestStation("a", "north", handleSeries(0))
 	b, _ := p.IngestStation("b", "south", handleSeries(1))
 	c, _ := p.IngestStation("c", "south", ts.New(Metric)) // no samples yet
-	p.AddTrip(a, b, 3)
-	p.AddTrip(c, a, 5)
-	boundary := p.G.CreateNode("Boundary") // a coordinator's replica: not a station
-	rel, _ := p.G.CreateRel(a, boundary, "TRIP")
-	p.G.SetRelProp(rel, "count", graphstore.IntVal(9))
 
-	g := p.Structure()
+	g := BuildView([]ViewStation{
+		{Name: "a", District: "north", Series: p.Series(a)},
+		{Name: "b", District: "south", Series: p.Series(b)},
+		{Name: "c", District: "south", Series: p.Series(c)},
+	}, []ViewTrip{{From: 0, To: 1, Count: 3}, {From: 2, To: 0, Count: 5}})
 	var got []string
 	g.Vertices(func(v *lpg.Vertex) bool {
 		_, ref := v.Prop("_series").AsSeriesRef()
@@ -152,8 +151,7 @@ func TestStructureShape(t *testing.T) {
 		"v2 [Station] b pg ref=false", "v3 [Availability] null ts ref=true",
 		"v4 [Station] c pg ref=false", "v5 [Availability] null ts ref=true",
 		"e0 HAS_SERIES 0->1 null", "e1 HAS_SERIES 2->3 null", "e2 HAS_SERIES 4->5 null",
-		// Trips in adjacency-walk order: a's newest relationship first.
-		"e3 TRIP 4->0 5", "e4 TRIP 0->2 3",
+		"e3 TRIP 0->2 3", "e4 TRIP 4->0 5",
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("structure:\n got %q\nwant %q", got, want)

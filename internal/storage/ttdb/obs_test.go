@@ -23,7 +23,7 @@ func TestObservedDurableIngest(t *testing.T) {
 	reg := obs.New()
 	d.Instrument(reg)
 	for i := 0; i < 3; i++ {
-		if _, err := d.IngestStation("st", "d", stationSeries(i)); err != nil {
+		if _, err := d.IngestStation(uint64(i), "st", "d", stationSeries(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -50,14 +50,14 @@ func TestObservedDegradedQueries(t *testing.T) {
 	d := dk.open(t)
 	reg := obs.New()
 	d.Instrument(reg)
-	id, err := d.IngestStation("ok", "d", stationSeries(0))
+	id, err := d.IngestStation(1, "ok", "d", stationSeries(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// A permanent TS-side ingest failure latches tsErr; queries degrade.
 	faults.Enable(FaultIngestTS, faults.Spec{Err: errors.New("ts store down")})
-	if _, err := d.IngestStation("torn", "d", stationSeries(1)); err == nil {
+	if _, err := d.IngestStation(1, "torn", "d", stationSeries(1)); err == nil {
 		t.Fatal("ingest survived the injected TS failure")
 	}
 	faults.Reset()
@@ -96,7 +96,7 @@ func TestObservedWALFaultStillSnapshots(t *testing.T) {
 	d := dk.open(t)
 	reg := obs.New()
 	d.Instrument(reg)
-	if _, err := d.IngestStation("ok", "d", stationSeries(0)); err != nil {
+	if _, err := d.IngestStation(1, "ok", "d", stationSeries(0)); err != nil {
 		t.Fatal(err)
 	}
 	before := reg.Snapshot().Counters["graphstore.wal.appends"]
@@ -104,7 +104,7 @@ func TestObservedWALFaultStillSnapshots(t *testing.T) {
 		t.Fatal("no graph WAL appends before fault")
 	}
 	faults.Enable("graphstore.wal.append", faults.Spec{Err: errors.New("disk gone")})
-	if _, err := d.IngestStation("doomed", "d", stationSeries(1)); err == nil {
+	if _, err := d.IngestStation(1, "doomed", "d", stationSeries(1)); err == nil {
 		t.Fatal("ingest survived WAL failure")
 	}
 	snap := reg.Snapshot()
@@ -128,11 +128,11 @@ func TestObservedRecoverySpans(t *testing.T) {
 	faults.Reset()
 	var dk disk
 	d := dk.open(t)
-	if _, err := d.IngestStation("ok", "d", stationSeries(0)); err != nil {
+	if _, err := d.IngestStation(1, "ok", "d", stationSeries(0)); err != nil {
 		t.Fatal(err)
 	}
 	faults.Enable(FaultIngestTS, faults.Spec{Err: errors.New("crash between stores")})
-	if _, err := d.IngestStation("torn", "d", stationSeries(1)); err == nil {
+	if _, err := d.IngestStation(1, "torn", "d", stationSeries(1)); err == nil {
 		t.Fatal("ingest survived the injected crash")
 	}
 	faults.Reset()

@@ -167,11 +167,11 @@ func TestDurableDegradationFiresWithWorkers(t *testing.T) {
 	faults.Reset()
 	var g, l bytes.Buffer
 	d := NewDurable(ts.Day, &g, &l)
-	st, err := d.IngestStation("a", "north", sampleDurableSeries(48))
+	st, err := d.IngestStation(1, "a", "north", sampleDurableSeries(48))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.IngestStation("b", "south", sampleDurableSeries(48)); err != nil {
+	if _, err := d.IngestStation(1, "b", "south", sampleDurableSeries(48)); err != nil {
 		t.Fatal(err)
 	}
 	d.SetWorkers(8)

@@ -40,7 +40,7 @@ func FuzzRecoverPolyglot(f *testing.F) {
 	var ids []StationID
 	ingest := func(i int) func() error {
 		return func() error {
-			id, err := d.IngestStation(fmt.Sprintf("st%d", i), "d", stationSeries(i))
+			id, err := d.IngestStation(uint64(i), fmt.Sprintf("st%d", i), "d", stationSeries(i))
 			ids = append(ids, id)
 			return err
 		}
