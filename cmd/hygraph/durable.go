@@ -12,12 +12,14 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 
 	"hygraph/internal/coord"
 	"hygraph/internal/dataset"
 	"hygraph/internal/faults"
+	"hygraph/internal/server"
 	"hygraph/internal/storage/ttdb"
 )
 
@@ -48,8 +50,12 @@ func parseCrash(spec string) (string, int) {
 // directory's engine so each gets the next station id of the tenant. With
 // -crash POINT[:NTH] it arms the fault point first, so the process dies
 // mid-protocol exactly like a real crash — then `recover` demonstrates the
-// repair putting the store back together.
+// repair putting the store back together. A directory named like one
+// partition of a partitioned tenant is refused before anything is written.
 func runIngest(dir string, stations int, crash string, seed int64) {
+	if err := checkIngestDir(dir); err != nil {
+		fail(err.Error())
+	}
 	d, rec, closer := openDir(dir)
 	defer closer.Close()
 	if rec.OrphanNodes+rec.OrphanSeries > 0 {
@@ -90,6 +96,18 @@ func runIngest(dir string, stations int, crash string, seed int64) {
 	}
 	fmt.Printf("ingested %d stations, %d trips into %s (graph nodes: %d, series: %d)\n",
 		len(ids), trips, dir, d.Engine().G.NumNodes(), d.Engine().T.NumSeries())
+}
+
+// checkIngestDir refuses a directory the server names "<tenant>.p<i>":
+// partition i of a tenant served over several partitions. The one-partition
+// coordinator ingest attaches there sees only that partition's station ids,
+// so it would number new stations with ids other partitions hold, and the
+// next `serve -partitions N` could not open the tenant.
+func checkIngestDir(dir string) error {
+	if tenant, ok := server.PartitionOf(filepath.Base(filepath.Clean(dir))); ok {
+		return fmt.Errorf("ingest: %s is one partition of tenant %q; ingest into a partitioned tenant through the server (POST /v1/tenants/%s/stations)", dir, tenant, tenant)
+	}
+	return nil
 }
 
 // runRecover rebuilds the store from the directory's artifacts and prints

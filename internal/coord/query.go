@@ -1,9 +1,10 @@
 package coord
 
 import (
+	"cmp"
 	"context"
 	"math"
-	"sort"
+	"slices"
 
 	"hygraph/internal/faults"
 	"hygraph/internal/storage/tsstore"
@@ -79,10 +80,15 @@ type gidRow struct {
 }
 
 // summariesLocked scatters the Q4–Q6 fragment (per-entity summaries over the
-// window) to every partition and merges the rows by ascending gid — the
-// deterministic order every downstream fold relies on. Entities without a
-// coordinator mapping (none in a consistent deployment) are dropped. Caller
-// holds at least the read lock.
+// window) to every partition and merges the rows by ascending gid, one
+// order at every partition count. Entities without a
+// coordinator mapping (none in a consistent deployment) are dropped. A
+// fragment comes in its partition's insertion order, which is gid order for
+// every station the coordinator ingested or Repartition replayed, so each
+// partition's rows are lifted as one run and the runs are merged. A run
+// that does not ascend — Attach adopting an untagged station under a node id
+// below the gid of a station written before it — is sorted first.
+// Caller holds at least the read lock.
 func (c *Coordinator) summariesLocked(ctx context.Context, q ttdb.Query) ([]gidRow, *PartialError) {
 	frags := make([][]tsstore.EntitySummary, len(c.parts))
 	perr := c.scatterLocked(ctx, q.Op, c.allPartsLocked(), func(p int) error {
@@ -93,16 +99,26 @@ func (c *Coordinator) summariesLocked(ctx context.Context, q ttdb.Query) ([]gidR
 		frags[p] = s
 		return nil
 	})
-	var rows []gidRow
+	n := 0
+	for _, frag := range frags {
+		n += len(frag)
+	}
+	rows := make([]gidRow, 0, n)
+	runs := make([][]gidRow, len(frags))
 	for p, frag := range frags {
+		from, ascending := len(rows), true
 		for _, e := range frag {
 			if gid, ok := c.local2g[p][ttdb.StationID(e.Entity)]; ok {
+				ascending = ascending && (len(rows) == from || rows[len(rows)-1].gid < gid)
 				rows = append(rows, gidRow{gid: gid, sum: e.Summary})
 			}
 		}
+		runs[p] = rows[from:]
+		if !ascending {
+			slices.SortFunc(runs[p], func(a, b gidRow) int { return cmp.Compare(a.gid, b.gid) })
+		}
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].gid < rows[j].gid })
-	return rows, perr
+	return tsstore.MergeRuns(runs, func(r gidRow) uint64 { return uint64(r.gid) }), perr
 }
 
 // mergeSummariesLocked answers Q4–Q6 from the merged summary rows. The
@@ -205,7 +221,7 @@ func (c *Coordinator) correlationLocked(ctx context.Context, q ttdb.Query) (ttdb
 
 // neighborMeansLocked answers Q8: adjacency from the station's home
 // partition (boundary replication makes every neighbor visible there), then
-// the per-neighbor means scattered to the neighbors' owners as Q3 fragments.
+// the neighbours' means, one batch to each owner partition.
 // A failed home partition degrades to the coordinator-topology neighbor set
 // with zero means; failed neighbor owners degrade their neighbors' means to
 // zero. Both partials are accounted in the returned PartialError.
@@ -229,39 +245,42 @@ func (c *Coordinator) neighborMeansLocked(ctx context.Context, q ttdb.Query) (tt
 		}
 		return res, &PartialError{Query: q.Op.String(), Failed: map[int]error{m.part: err}}
 	}
-	byPart := map[int][]ttdb.StationID{}
-	for _, n := range c.parts[m.part].Engine().G.Neighbors(m.local, "TRIP") {
+	// Each owner's neighbours, by gid and by the owner's local id.
+	ns := c.parts[m.part].Engine().G.Neighbors(m.local, "TRIP")
+	res.ByStation = make(map[ttdb.StationID]float64, len(ns))
+	gids := make([][]ttdb.StationID, len(c.parts))
+	locals := make([][]ttdb.StationID, len(c.parts))
+	for _, n := range ns {
 		gid, ok := c.local2g[m.part][n]
 		if !ok {
 			gid, ok = c.bnd2g[m.part][n]
 		}
 		if ok {
 			res.ByStation[gid] = 0
-			p := c.meta[gid].part
-			byPart[p] = append(byPart[p], gid)
+			owner := c.meta[gid]
+			if gids[owner.part] == nil {
+				gids[owner.part] = make([]ttdb.StationID, 0, len(ns))
+				locals[owner.part] = make([]ttdb.StationID, 0, len(ns))
+			}
+			gids[owner.part] = append(gids[owner.part], gid)
+			locals[owner.part] = append(locals[owner.part], owner.local)
 		}
 	}
-	parts := make([]int, 0, len(byPart))
-	for p := range byPart {
-		parts = append(parts, p)
+	var parts []int
+	for p := range gids {
+		if len(gids[p]) > 0 {
+			parts = append(parts, p)
+		}
 	}
-	sort.Ints(parts)
 	frags := make([][]float64, len(c.parts))
 	perr := c.scatterLocked(ctx, q.Op, parts, func(p int) error {
-		means := make([]float64, len(byPart[p]))
-		for i, gid := range byPart[p] {
-			r, err := c.parts[p].Exec(ctx, ttdb.Q3(c.meta[gid].local, q.Start, q.End))
-			if err != nil {
-				return err
-			}
-			means[i] = r.Scalar
-		}
+		means, err := c.parts[p].StationMeansCtx(ctx, locals[p], q.Start, q.End)
 		frags[p] = means
-		return nil
+		return err
 	})
 	for p, means := range frags {
 		for i, v := range means {
-			res.ByStation[byPart[p][i]] = v
+			res.ByStation[gids[p][i]] = v
 		}
 	}
 	return res, perr

@@ -27,6 +27,22 @@ func validTenant(name string) bool {
 	return tenantName.MatchString(name) && name != "." && name != ".."
 }
 
+// partitionName matches the engine name openTenant gives partition i of a
+// tenant served over more than one partition, "<tenant>.p<i>".
+var partitionName = regexp.MustCompile(`^(.+)\.p[0-9]+$`)
+
+// PartitionOf reports whether name is a partition's engine name under
+// openTenant's layout, and returns the tenant. Such a directory holds one
+// partition's share of the tenant's station ids, so a tool that writes
+// stations must not treat it as a tenant of its own.
+func PartitionOf(name string) (tenant string, ok bool) {
+	m := partitionName.FindStringSubmatch(name)
+	if m == nil {
+		return "", false
+	}
+	return m[1], true
+}
+
 // openTenant opens every partition of a tenant through the backend and
 // attaches the scatter-gather coordinator over them, rebuilding its
 // placement map from the gids the partitions' graphs hold. Reopening a

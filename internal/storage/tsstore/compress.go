@@ -197,11 +197,13 @@ func encodeValues(vals []float64) []byte {
 // streams advance independently, since the value stream starts only where
 // the time stream ends: decodeChunk walks every time, then every value, and
 // a scan or edge fold reopens both at a sub-slot checkpoint and walks them
-// together.
+// together. Inside a regular sub-slot they set step, and the times then
+// advance by arithmetic instead of from the time stream.
 type blockCursor struct {
 	td    []byte    // time stream, from the next point's delta-of-delta on
 	t     ts.Time   // last decoded time
 	delta int64     // last decoded delta
+	step  int64     // > 0: the next time is t + step, and td is not read
 	vr    bitReader // value stream, from the next point's control bit on
 	v     uint64    // last decoded value bits
 	lead  uint      // XOR window of the last new-window value
@@ -314,9 +316,14 @@ func (c *blockCursor) nextValue() error {
 	return nil
 }
 
-// next advances both streams to the following point.
+// next advances both streams to the following point. With a step set, the
+// cursor is inside a sub-slot buildIndex found regular, so the time is
+// t + step and the time stream is not read: the index validated that time
+// when it was built, and no point past the sub-slot's last is stepped to.
 func (c *blockCursor) next() error {
-	if err := c.nextTime(); err != nil {
+	if c.step > 0 {
+		c.t += ts.Time(c.step)
+	} else if err := c.nextTime(); err != nil {
 		return err
 	}
 	return c.nextValue()
@@ -360,8 +367,14 @@ func decodeChunk(block []byte) ([]ts.Time, []float64, error) {
 const subSlots = 4
 
 // maxIndexedBlock bounds the blocks an index can address: offsets are 32
-// bits, and value-stream offsets count bits.
+// bits, and value-stream offsets count bits. It is below 2^31, which leaves
+// the top bit of a time-stream offset free for the regular flag.
 const maxIndexedBlock = math.MaxUint32 / 8
+
+// regular flags, in a sub-slot's tOff, that its points lie on a regular
+// cadence t_k + j·step: every delta inside the sub-slot, and the one into the
+// next checkpoint, is the same.
+const regular = 1 << 31
 
 // subSlotIndex is the derived, in-memory index of one sealed block: its
 // points split by count into up to subSlots sub-slots of per points each,
@@ -378,7 +391,7 @@ type subSlotIndex struct {
 	t         [subSlots]ts.Time // the point's time
 	delta     [subSlots]int64   // its delta from the previous point (0 for point 0)
 	v         [subSlots]uint64  // its value bits
-	tOff      [subSlots]uint32  // block offset of the next point's delta-of-delta
+	tOff      [subSlots]uint32  // block offset of the next point's delta-of-delta, | regular
 	vOff      [subSlots]uint32  // block bit offset of the next point's control bit
 	lead, sig [subSlots]uint8   // the XOR window in force
 
@@ -393,8 +406,8 @@ type subSlotIndex struct {
 }
 
 // buildIndex makes one validating pass over a block — it accepts exactly
-// the blocks decodeChunk accepts — recording each sub-slot's checkpoint and
-// folding its summary.
+// the blocks decodeChunk accepts — recording each sub-slot's checkpoint,
+// whether its cadence is regular, and folding its summary.
 func buildIndex(block []byte) (*subSlotIndex, error) {
 	if len(block) > maxIndexedBlock {
 		return nil, fmt.Errorf("tsstore: block of %d bytes exceeds the sub-slot index's %d", len(block), maxIndexedBlock)
@@ -409,14 +422,27 @@ func buildIndex(block []byte) (*subSlotIndex, error) {
 	}
 	per := (n + subSlots - 1) / subSlots
 	x.per, x.k = int32(per), int32((n+per-1)/per)
+	var ragged [subSlots]bool
 	for i := 0; i < n; i++ {
 		if i > 0 {
+			prev := cur.delta
 			if err := cur.nextTime(); err != nil {
 				return nil, err
+			}
+			// The delta into point i is a step of point i−1's sub-slot (on a
+			// checkpoint, the step into the next one); each after the
+			// sub-slot's first must repeat it.
+			if (i-1)%per != 0 && cur.delta != prev {
+				ragged[(i-1)/per] = true
 			}
 		}
 		if k := i / per; i%per == 0 {
 			x.t[k], x.delta[k], x.tOff[k] = cur.t, cur.delta, uint32(len(block)-len(cur.td))
+		}
+	}
+	for k := range x.k {
+		if !ragged[k] {
+			x.tOff[k] |= regular
 		}
 	}
 	x.last = cur.t
@@ -453,6 +479,23 @@ func (x *subSlotIndex) count(k int) int {
 	return int(min(x.per, x.n-int32(k)*x.per))
 }
 
+// step is the spacing of sub-slot k's points when buildIndex found them
+// regular, and 0 when it did not or the sub-slot holds one point. It is not
+// stored: a sub-slot before the last spans per steps to the next checkpoint,
+// and the last spans count−1 steps to the block's last time. The span is
+// positive and below 2^64, so it is exact as a uint64 even where the
+// difference of two times wraps an int64.
+func (x *subSlotIndex) step(k int) int64 {
+	n := x.count(k)
+	if x.tOff[k]&regular == 0 || n < 2 {
+		return 0
+	}
+	if k+1 < int(x.k) {
+		return int64(uint64(x.t[k+1]-x.t[k]) / uint64(x.per))
+	}
+	return int64(uint64(x.last-x.t[k]) / uint64(n-1))
+}
+
 // below reports whether every point of sub-slot k lies before t: the next
 // sub-slot starts at or before t, or, for the last one, the block's last
 // time is before t. It compares times only, so no bound can wrap.
@@ -467,7 +510,7 @@ func (x *subSlotIndex) below(k int, t ts.Time) bool {
 // points after it. Every later step keeps decodeChunk's per-point checks.
 func (x *subSlotIndex) resume(block []byte, k int) (blockCursor, error) {
 	c := blockCursor{
-		td: block[x.tOff[k]:], t: x.t[k], delta: x.delta[k],
+		td: block[x.tOff[k]&^regular:], t: x.t[k], delta: x.delta[k],
 		vr: bitReader{b: block[x.vOff[k]/8 : x.vEnd]}, v: x.v[k], lead: uint(x.lead[k]), sig: uint(x.sig[k]),
 	}
 	if _, err := c.vr.readBits(uint(x.vOff[k] % 8)); err != nil {
@@ -478,7 +521,9 @@ func (x *subSlotIndex) resume(block []byte, k int) (blockCursor, error) {
 
 // scan visits the block's points in [start, end) in time order: it resumes
 // at the last checkpoint at or before start and decodes in place, stopping
-// at the first point at or past end.
+// at the first point at or past end. Each checkpoint it crosses reseats the
+// cursor's time state from the index, so a regular sub-slot's times step by
+// arithmetic there too.
 func (x *subSlotIndex) scan(block []byte, start, end ts.Time, fn func(ts.Time, float64)) error {
 	if x.n == 0 || x.last < start {
 		return nil
@@ -491,14 +536,25 @@ func (x *subSlotIndex) scan(block []byte, start, end ts.Time, fn func(ts.Time, f
 	if err != nil {
 		return err
 	}
-	for left := int(x.n - int32(k)*x.per); cur.t < end; {
+	cur.step = x.step(k)
+	for left, inSlot := int(x.n-int32(k)*x.per), x.count(k); cur.t < end; {
 		if cur.t >= start {
 			fn(cur.t, math.Float64frombits(cur.v))
 		}
 		if left--; left == 0 {
 			return nil
 		}
-		if err := cur.next(); err != nil {
+		if inSlot--; inSlot > 0 {
+			err = cur.next()
+		} else {
+			// The next point is sub-slot k+1's checkpoint: its time comes
+			// from the index, and the time stream resumes after it.
+			k++
+			inSlot = x.count(k)
+			cur.td, cur.t, cur.delta, cur.step = block[x.tOff[k]&^regular:], x.t[k], x.delta[k], x.step(k)
+			err = cur.nextValue()
+		}
+		if err != nil {
 			return err
 		}
 	}
@@ -509,12 +565,15 @@ func (x *subSlotIndex) scan(block []byte, start, end ts.Time, fn func(ts.Time, f
 // decoding from the sub-slot's checkpoint in place and stopping at the
 // first point at or past end. It is scan bounded to one sub-slot, kept
 // apart so that an aggregate edge — the hot path of the all-station
-// aggregates — pays no visitor call per point.
+// aggregates — pays no visitor call per point. On a regular sub-slot the
+// times step by arithmetic, so only the value stream is decoded; it never
+// steps past the sub-slot's last point.
 func (x *subSlotIndex) fold(block []byte, k int, start, end ts.Time, out *Summary) error {
 	cur, err := x.resume(block, k)
 	if err != nil {
 		return err
 	}
+	cur.step = x.step(k)
 	for left := x.count(k); cur.t < end; {
 		if cur.t >= start {
 			v := math.Float64frombits(cur.v)

@@ -225,6 +225,11 @@ func FuzzDecodeChunk(f *testing.F) {
 	for cut := 0; cut <= len(block); cut++ {
 		f.Add(block[:cut], uint16(cut), uint16(cut*7+1))
 	}
+	// Regular, irregular and all-but-one-point regular blocks, so the
+	// folds take both the arithmetic and the time-stream step.
+	for i, b := range cadenceBlocks() {
+		f.Add(b, uint16(7*i+3), uint16(40*i+90))
+	}
 	f.Fuzz(func(t *testing.T, block []byte, lo, hi uint16) {
 		gotT, gotV, err := decodeChunk(block)
 		wantT, wantV, refErr := refDecodeChunk(block)
@@ -254,11 +259,12 @@ func FuzzDecodeChunk(f *testing.F) {
 	})
 }
 
-// checkScan proves the index scan against a block's full decode over the
-// whole time line and over one window whose bounds lo and hi pick from the
-// checkpoint times, two decoded times and both ends of the time line, each
-// also moved one either way: the scan yields exactly the decoded points in
-// the window, times equal and value bits equal.
+// checkScan proves the index scan and the sub-slot folds against a block's
+// full decode over the whole time line and over one window whose bounds lo
+// and hi pick from the checkpoint times, two decoded times and both ends of
+// the time line, each also moved one either way: the scan yields exactly the
+// decoded points in the window, times equal and value bits equal, and each
+// sub-slot's fold equals the fold of its decoded points in the window.
 func checkScan(t *testing.T, block []byte, x *subSlotIndex, times []ts.Time, vals []float64, lo, hi uint16) {
 	t.Helper()
 	const minT, maxT = ts.Time(math.MinInt64), ts.Time(math.MaxInt64)
@@ -298,13 +304,40 @@ func checkScan(t *testing.T, block []byte, x *subSlotIndex, times []ts.Time, val
 		if j != len(gotT) {
 			t.Fatalf("scan [%d, %d) yielded %d points, decode has %d in the window", start, end, len(gotT), j)
 		}
+		checkFolds(t, block, x, times, vals, start, end)
+	}
+}
+
+// checkFolds proves every sub-slot's fold over [start, end) against the
+// fold of its decoded points in that window: count equal, sum, min and max
+// bits equal.
+func checkFolds(t *testing.T, block []byte, x *subSlotIndex, times []ts.Time, vals []float64, start, end ts.Time) {
+	t.Helper()
+	for k := 0; k < int(x.k); k++ {
+		got := Summary{Min: math.Inf(1), Max: math.Inf(-1)}
+		if err := x.fold(block, k, start, end, &got); err != nil {
+			t.Fatalf("fold %d [%d, %d): %v", k, start, end, err)
+		}
+		want := Summary{Min: math.Inf(1), Max: math.Inf(-1)}
+		first := k * int(x.per)
+		for i := first; i < first+x.count(k); i++ {
+			if start <= times[i] && times[i] < end {
+				want.add(1, vals[i], vals[i], vals[i])
+			}
+		}
+		if got.Count != want.Count || math.Float64bits(got.Sum) != math.Float64bits(want.Sum) ||
+			math.Float64bits(got.Min) != math.Float64bits(want.Min) || math.Float64bits(got.Max) != math.Float64bits(want.Max) {
+			t.Fatalf("fold %d (step %d) [%d, %d): %+v, fold of the decoded points %+v", k, x.step(k), start, end, got, want)
+		}
 	}
 }
 
 // checkIndex proves a block's sub-slot index against its full decode: the
 // checkpoints split the points by count, checkpoint k resumes to exactly
 // suffix k of the decode (times equal, value bits equal), each sub-slot
-// summary equals a fold of its points, and the last time is the block's.
+// summary equals a fold of its points, a sub-slot is flagged regular exactly
+// when its deltas and the one into the next checkpoint are all one step,
+// which step returns, and the last time is the block's.
 func checkIndex(t *testing.T, block []byte, x *subSlotIndex, times []ts.Time, vals []float64) {
 	t.Helper()
 	n := len(times)
@@ -340,6 +373,78 @@ func checkIndex(t *testing.T, block []byte, x *subSlotIndex, times []ts.Time, va
 		}
 		if math.Float64bits(x.sum[k]) != math.Float64bits(want.Sum) || x.min[k] != want.Min || x.max[k] != want.Max {
 			t.Fatalf("sub-slot %d summary {%v %v %v}, fold {%v %v %v}", k, x.sum[k], x.min[k], x.max[k], want.Sum, want.Min, want.Max)
+		}
+		steps := map[ts.Time]bool{}
+		for i := first + 1; i <= min(first+x.count(k), n-1); i++ {
+			steps[times[i]-times[i-1]] = true
+		}
+		if flagged := x.tOff[k]&regular != 0; flagged != (len(steps) <= 1) {
+			t.Fatalf("sub-slot %d: regular flag %v, decoded steps %v", k, flagged, steps)
+		}
+		if st := x.step(k); len(steps) == 1 && x.count(k) > 1 && !steps[ts.Time(st)] {
+			t.Fatalf("sub-slot %d: step %d, decoded steps %v", k, st, steps)
+		}
+	}
+}
+
+// cadenceBlocks encodes a week of hourly points three ways: on the hour,
+// each point up to a minute late, and on the hour but for point 100, a
+// minute late inside sub-slot 2 of 4.
+func cadenceBlocks() [][]byte {
+	const n = 168
+	rng := rand.New(rand.NewSource(19))
+	var out [][]byte
+	for shape := 0; shape < 3; shape++ {
+		times := make([]ts.Time, n)
+		vals := make([]float64, n)
+		for i := range times {
+			times[i] = ts.Time(i) * ts.Hour
+			switch {
+			case shape == 1:
+				times[i] += ts.Time(rng.Int63n(int64(ts.Minute)))
+			case shape == 2 && i == 100:
+				times[i] += ts.Minute
+			}
+			vals[i] = float64(rng.Intn(40))
+		}
+		out = append(out, encodeChunk(times, vals))
+	}
+	return out
+}
+
+// A block that is regular but for one point inside a sub-slot loses the
+// regular flag on that sub-slot alone, and every sub-slot's fold over
+// windows cut on, next to and between points equals the fold of the
+// bit-at-a-time reference decoder's points.
+func TestRegularExceptOnePoint(t *testing.T) {
+	blocks := cadenceBlocks()
+	for i, wantFlags := range [][subSlots]bool{{true, true, true, true}, {false, false, false, false}, {true, true, false, true}} {
+		block := blocks[i]
+		x, err := buildIndex(block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range wantFlags {
+			if got := x.tOff[k]&regular != 0; got != wantFlags[k] {
+				t.Fatalf("block %d sub-slot %d: regular %v, want %v", i, k, got, wantFlags[k])
+			}
+		}
+		if i == 0 && x.step(1) != int64(ts.Hour) || i == 2 && (x.step(2) != 0 || x.step(3) != int64(ts.Hour)) {
+			t.Fatalf("block %d: steps %d %d %d %d", i, x.step(0), x.step(1), x.step(2), x.step(3))
+		}
+		times, vals, err := refDecodeChunk(block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkIndex(t, block, x, times, vals)
+		var bounds []ts.Time
+		for _, at := range times {
+			bounds = append(bounds, at-1, at, at+1, at+ts.Hour/2)
+		}
+		rng := rand.New(rand.NewSource(int64(i)))
+		for trial := 0; trial < 2000; trial++ {
+			a, b := bounds[rng.Intn(len(bounds))], bounds[rng.Intn(len(bounds))]
+			checkFolds(t, block, x, times, vals, min(a, b), max(a, b))
 		}
 	}
 }

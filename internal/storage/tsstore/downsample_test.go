@@ -26,6 +26,7 @@ func fuzzValue(b byte) float64 {
 // one window on both series:
 //
 //   - RangeSeries holds exactly the points of a map model of the writes;
+//   - Aggregate equals the fold of those points (signed zeros equal);
 //   - Downsample equals RangeSeries(...).Resample(bucket, agg) bit for bit,
 //     with NaN equal to NaN;
 //   - CorrelateResampled equals ts.Pearson over the two series' mean
@@ -58,6 +59,22 @@ func FuzzDownsample(f *testing.F) {
 	for _, w := range streamWindows {
 		f.Add(ops, int64(w.start), int64(w.end), int64(w.bucket), uint8(w.agg))
 		f.Add(ops, int64(w.start-2*ts.Hour), int64(w.end), int64(w.bucket), uint8(w.agg))
+	}
+	// Tail appends only, on a 10-minute cadence, on a jittered one, and on
+	// the 10-minute cadence but for one point: sealed chunks whose sub-slots
+	// are regular, irregular, and regular but one.
+	for shape := 0; shape < 3; shape++ {
+		var ops []byte
+		for j := 0; j < 200; j++ {
+			op, arg := byte(j&1)|rnd()&0xf0, byte(99)
+			if shape == 1 || shape == 2 && j == 101 {
+				arg = 90 + rnd()%20
+			}
+			ops = append(ops, op, arg)
+		}
+		for _, w := range streamWindows[:3] {
+			f.Add(ops, int64(w.start), int64(w.end), int64(w.bucket), uint8(w.agg))
+		}
 	}
 	f.Fuzz(func(t *testing.T, ops []byte, start, end, bucket int64, agg uint8) {
 		const origin = -3 * ts.Hour
@@ -117,6 +134,17 @@ func FuzzDownsample(f *testing.F) {
 				}
 			}
 			ranges[j] = got
+			sum, fold := db.Aggregate(k, lo, hi), Summary{Min: math.Inf(1), Max: math.Inf(-1)}
+			for n := 0; n < got.Len(); n++ {
+				v := got.ValueAt(n)
+				fold.add(1, v, v, v)
+			}
+			// Chunk summaries fold in write order, the range in time order: the
+			// values are exact, so only the sign of a zero extremum may differ.
+			same := func(a, b float64) bool { return a == b || math.IsNaN(a) && math.IsNaN(b) }
+			if fold = normalize(fold); sum.Count != fold.Count || !same(sum.Sum, fold.Sum) || !same(sum.Min, fold.Min) || !same(sum.Max, fold.Max) {
+				t.Fatalf("%v [%d, %d): Aggregate %+v, fold of RangeSeries %+v", k, lo, hi, sum, fold)
+			}
 
 			ds := db.Downsample(k, lo, hi, width, fn)
 			ref := got.Resample(width, fn)

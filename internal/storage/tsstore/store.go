@@ -168,11 +168,17 @@ func (s *series) chunkFor(slot int64, create bool) *chunk {
 // tsShard is one lock stripe of the store: a private map and insertion-order
 // key list. Everything in the struct is guarded by mu. Methods with the
 // *Locked suffix assume the caller holds mu (read or write as appropriate).
+//
+// seqs ascends: a key is appended to keys and seqs under mu with the next
+// value of the store's one atomic counter, by every path that adds a series
+// (Insert, InsertSeries, Load and so WAL replay), and a delete removes its
+// entry in place. So every stripe's keys are a run ascending by sequence,
+// and merged iteration is a merge of runs, never a sort.
 type tsShard struct {
 	mu   sync.RWMutex
 	data map[SeriesKey]*series
 	keys []SeriesKey // insertion order within the shard
-	seqs []uint64    // global insertion sequence per key, for merged iteration
+	seqs []uint64    // global insertion sequence per key, ascending
 }
 
 // DB is the time-series store. All exported methods are safe for concurrent
@@ -372,20 +378,20 @@ type seqKey struct {
 }
 
 // orderedKeys snapshots every shard's key list (one short read lock per
-// shard) and merges by insertion sequence, reproducing global
-// first-insertion order.
+// shard) and merges the ascending runs by insertion sequence, reproducing
+// global first-insertion order.
 func (db *DB) orderedKeys() []seqKey {
-	var out []seqKey
+	runs := make([][]seqKey, len(db.shards))
 	for i := range db.shards {
 		sh := &db.shards[i]
 		sh.mu.RLock()
+		runs[i] = make([]seqKey, len(sh.keys))
 		for j, k := range sh.keys {
-			out = append(out, seqKey{seq: sh.seqs[j], key: k})
+			runs[i][j] = seqKey{seq: sh.seqs[j], key: k}
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].seq < out[b].seq })
-	return out
+	return MergeRuns(runs, func(sk seqKey) uint64 { return sk.seq })
 }
 
 // Keys returns all series keys in first-insertion order.
@@ -816,13 +822,47 @@ func (db *DB) AggregateShard(shard int, metric string, start, end ts.Time) []Ent
 }
 
 // MergeBySeq flattens per-shard summary batches into global first-insertion
-// order.
+// order. Each AggregateShard batch follows its stripe's keys, so it ascends
+// by Seq (see tsShard), and the batches merge as runs.
 func MergeBySeq(parts [][]EntitySummary) []EntitySummary {
-	var out []EntitySummary
-	for _, p := range parts {
-		out = append(out, p...)
+	return MergeRuns(parts, func(e EntitySummary) uint64 { return e.Seq })
+}
+
+// MergeRuns merges runs, each ascending by key, into one ascending slice.
+// Keys are distinct across runs. The runs are few (one per lock stripe or
+// partition), so the smallest head is found by a scan of the heads' keys,
+// which are kept beside the runs; the last run left is copied whole.
+func MergeRuns[T any](runs [][]T, key func(T) uint64) []T {
+	n := 0
+	live := make([][]T, 0, len(runs))
+	heads := make([]uint64, 0, len(runs))
+	for _, r := range runs {
+		if len(r) > 0 {
+			live = append(live, r)
+			heads = append(heads, key(r[0]))
+			n += len(r)
+		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
+	out := make([]T, 0, n)
+	for len(live) > 1 {
+		m := 0
+		for i, h := range heads {
+			if h < heads[m] {
+				m = i
+			}
+		}
+		out = append(out, live[m][0])
+		if live[m] = live[m][1:]; len(live[m]) > 0 {
+			heads[m] = key(live[m][0])
+			continue
+		}
+		last := len(live) - 1
+		live[m], heads[m] = live[last], heads[last]
+		live, heads = live[:last], heads[:last]
+	}
+	for _, r := range live {
+		out = append(out, r...)
+	}
 	return out
 }
 

@@ -475,28 +475,43 @@ func TestRangeFuncSealedNoAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkAggregateEdge measures Aggregate on one hourly series, a year of
-// week chunks, over windows that cut both edge chunks at random hours.
+// BenchmarkAggregateEdge measures Aggregate on one series, a year of week
+// chunks sampled once an hour, over windows that cut both edge chunks at
+// random hours. "hourly" samples on the hour, the regular cadence whose
+// sub-slots fold without reading the time stream; "jittered" moves each
+// sample up to half an hour late, so every edge sub-slot takes the per-point
+// walk.
 func BenchmarkAggregateEdge(b *testing.B) {
-	db := New(ts.Week)
-	for h := ts.Time(0); h < 52*ts.Week; h += ts.Hour {
-		db.Insert(k(1), h, float64(h/ts.Hour%40))
-	}
-	rng := rand.New(rand.NewSource(9))
-	wins := make([][2]ts.Time, 1024)
-	for i := range wins {
-		start := ts.Time(rng.Intn(26*7*24)) * ts.Hour
-		wins[i] = [2]ts.Time{start, start + ts.Time(7*24+rng.Intn(26*7*24))*ts.Hour}
-	}
-	for _, w := range wins {
-		db.Aggregate(k(1), w[0], w[1])
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w := wins[i%len(wins)]
-		if s := db.Aggregate(k(1), w[0], w[1]); s.Count == 0 {
-			b.Fatal("empty window")
-		}
+	for _, tc := range []struct {
+		name   string
+		jitter ts.Time
+	}{{"hourly", 0}, {"jittered", 30 * ts.Minute}} {
+		b.Run(tc.name, func(b *testing.B) {
+			db := New(ts.Week)
+			rng := rand.New(rand.NewSource(9))
+			for h := ts.Time(0); h < 52*ts.Week; h += ts.Hour {
+				at := h
+				if tc.jitter > 0 {
+					at += ts.Time(rng.Int63n(int64(tc.jitter)))
+				}
+				db.Insert(k(1), at, float64(h/ts.Hour%40))
+			}
+			wins := make([][2]ts.Time, 1024)
+			for i := range wins {
+				start := ts.Time(rng.Intn(26*7*24)) * ts.Hour
+				wins[i] = [2]ts.Time{start, start + ts.Time(7*24+rng.Intn(26*7*24))*ts.Hour}
+			}
+			for _, w := range wins {
+				db.Aggregate(k(1), w[0], w[1])
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w := wins[i%len(wins)]
+				if s := db.Aggregate(k(1), w[0], w[1]); s.Count == 0 {
+					b.Fatal("empty window")
+				}
+			}
+		})
 	}
 }

@@ -388,6 +388,30 @@ func (d *DurablePolyglot) EntitySummariesCtx(ctx context.Context, start, end ts.
 	return d.eng.shardSummaries(ctx, start, end)
 }
 
+// StationMeansCtx returns the Q3 mean of each station over [start, end), in
+// the order given — the partition-local fragment a coordinator sends each
+// owner of a Q8's neighbours, one call for all of them. Stations are LOCAL
+// ids. Same contract as EntitySummariesCtx: a done context wins, a degraded
+// TS store returns an error satisfying errors.Is(err, ErrDegraded). The
+// means fold on the calling goroutine: the coordinator already runs one per
+// owner, and a Q8's few neighbours cost less than starting workers for them.
+func (d *DurablePolyglot) StationMeansCtx(ctx context.Context, ids []StationID, start, end ts.Time) ([]float64, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := d.tsCheck("StationMeans"); err != nil {
+		return nil, err
+	}
+	means := make([]float64, len(ids))
+	for i, id := range ids {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		means[i] = d.eng.meanOf(id, start, end)
+	}
+	return means, nil
+}
+
 // SyncAll forces every buffered record on both logs to durable storage —
 // the drain step of a graceful server shutdown: after SyncAll returns nil,
 // every acknowledged write is recoverable even though streaming appends only

@@ -7,8 +7,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
+	"strings"
 
 	"hygraph/internal/ts"
 )
@@ -259,7 +259,7 @@ type keyed struct {
 
 // appendObject writes the members as a JSON object, keys in string order.
 func appendObject(b []byte, kvs []keyed) []byte {
-	sort.Slice(kvs, func(i, j int) bool { return kvs[i].k < kvs[j].k })
+	slices.SortFunc(kvs, func(a, b keyed) int { return strings.Compare(a.k, b.k) })
 	b = append(b, '{')
 	for i, e := range kvs {
 		if i > 0 {

@@ -23,7 +23,9 @@
 package ttdb
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -375,7 +377,8 @@ func (p *Polyglot) run(ctx context.Context, q Query) (Result, error) {
 	return finish(ctx, res, err)
 }
 
-// meanOf is the Q3 body, shared with the Q8 fan-out.
+// meanOf is the Q3 body, shared with the Q8 fan-out and the coordinator's
+// batch of it (DurablePolyglot.StationMeansCtx).
 func (p *Polyglot) meanOf(st StationID, start, end ts.Time) float64 {
 	s := p.T.Aggregate(key(st), start, end)
 	if s.Count == 0 {
@@ -480,11 +483,17 @@ func TopK(m map[StationID]float64, k int) []StationID {
 	for id, v := range m {
 		ps = append(ps, pair{id, v})
 	}
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].v != ps[j].v {
-			return ps[i].v > ps[j].v
+	// Below zero exactly where a ranks first: a higher mean, or an equal one
+	// and a lower id. A NaN mean is unordered against every mean, so where
+	// it lands follows the sort's probe order.
+	slices.SortFunc(ps, func(a, b pair) int {
+		if a.v != b.v {
+			if a.v > b.v {
+				return -1
+			}
+			return 1
 		}
-		return ps[i].id < ps[j].id
+		return cmp.Compare(a.id, b.id)
 	})
 	if k > len(ps) {
 		k = len(ps)
