@@ -51,7 +51,9 @@ race:
 # equal the resample of its range bit for bit (and its resampled
 # correlation the Pearson of those resamples), and the station-body decoder
 # must accept exactly the bodies the reflective encoding/json decode it
-# replaced accepts and decode them to the same request bit for bit. Each
+# replaced accepts and decode them to the same request bit for bit, and a
+# Q4, Q5 or Q8 answer of any ids, district bytes and floats must encode
+# exactly as encoding/json encodes the map of its rows. Each
 # new interesting input is minimised for at most 1s: at Go's 60s default a
 # 10s run spends most of its time minimising instead of fuzzing.
 fuzz:
@@ -65,6 +67,7 @@ fuzz:
 	$(GO) test ./internal/storage/ttdb -run FuzzRecoverPolyglot -fuzz FuzzRecoverPolyglot -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/storage/tsstore -run FuzzDownsample -fuzz FuzzDownsample -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/server -run FuzzStationBody -fuzz FuzzStationBody -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/storage/ttdb -run FuzzResultJSON -fuzz FuzzResultJSON -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 bench:
 	$(GO) test -bench . -benchmem ./...

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -69,12 +70,7 @@ func TestIngestPlainTenantDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.ByStation) != 5 {
-		t.Fatalf("%d stations after ingesting 3 and 2, want 5", len(res.ByStation))
-	}
-	for gid := ttdb.StationID(1); gid <= 5; gid++ {
-		if _, ok := res.ByStation[gid]; !ok {
-			t.Fatalf("stations %v, want ids 1–5", res.ByStation)
-		}
+	if want := []ttdb.StationID{1, 2, 3, 4, 5}; !slices.Equal(res.IDs, want) {
+		t.Fatalf("stations %v after ingesting 3 and 2, want ids 1–5", res.IDs)
 	}
 }

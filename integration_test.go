@@ -8,6 +8,7 @@ package hygraph_test
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"hygraph/internal/bench"
@@ -76,25 +77,29 @@ func TestEnginesAgreeOnGeneratedWorkload(t *testing.T) {
 		}
 		return res
 	}
-	mN := exec(neo, ttdb.Q4(qs, qe)).ByStation
-	mP := exec(pg, ttdb.Q4(qs, qe)).ByStation
+	// Both engines list their stations, and their districts, in load order.
+	mN := exec(neo, ttdb.Q4(qs, qe))
+	mP := exec(pg, ttdb.Q4(qs, qe))
+	if !slices.Equal(mN.IDs, idsN) || !slices.Equal(mP.IDs, idsP) {
+		t.Fatalf("Q4 stations %v / %v, want %v / %v", mN.IDs, mP.IDs, idsN, idsP)
+	}
 	for i := range idsN {
-		if math.Abs(mN[idsN[i]]-mP[idsP[i]]) > 1e-9 {
-			t.Fatalf("station %d means differ: %v vs %v", i, mN[idsN[i]], mP[idsP[i]])
+		if math.Abs(mN.Vals[i]-mP.Vals[i]) > 1e-9 {
+			t.Fatalf("station %d means differ: %v vs %v", i, mN.Vals[i], mP.Vals[i])
 		}
 	}
-	dN := exec(neo, ttdb.Q5(qs, qe)).ByDistrict
-	dP := exec(pg, ttdb.Q5(qs, qe)).ByDistrict
-	if len(dN) != len(dP) {
-		t.Fatalf("district counts differ: %d vs %d", len(dN), len(dP))
+	dN := exec(neo, ttdb.Q5(qs, qe))
+	dP := exec(pg, ttdb.Q5(qs, qe))
+	if !slices.Equal(dN.Names, dP.Names) {
+		t.Fatalf("districts differ: %v vs %v", dN.Names, dP.Names)
 	}
-	for k, v := range dN {
-		if math.Abs(v-dP[k]) > 1e-5 {
-			t.Fatalf("district %s sums differ: %v vs %v", k, v, dP[k])
+	for i, v := range dN.Vals {
+		if math.Abs(v-dP.Vals[i]) > 1e-5 {
+			t.Fatalf("district %s sums differ: %v vs %v", dN.Names[i], v, dP.Vals[i])
 		}
 	}
-	kN := exec(neo, ttdb.Q6(qs, qe, 5)).Stations
-	kP := exec(pg, ttdb.Q6(qs, qe, 5)).Stations
+	kN := exec(neo, ttdb.Q6(qs, qe, 5)).IDs
+	kP := exec(pg, ttdb.Q6(qs, qe, 5)).IDs
 	for i := range kN {
 		// Translate engine-local ids through the shared load order.
 		if kN[i] != kP[i] { // both engines assign dense ids in load order

@@ -65,10 +65,15 @@ func engineResults(t *testing.T, data *dataset.BikeData, e ttdb.Querier, ids []t
 	for i, id := range ids {
 		names[id] = data.Stations[i].Name
 	}
-	byName := func(m map[ttdb.StationID]float64) map[string]float64 {
-		out := make(map[string]float64, len(m))
-		for id, v := range m {
-			out[names[id]] = v
+	// byName keys an answer's rows by station name (Q4, Q8) or district (Q5).
+	byName := func(r ttdb.Result) map[string]float64 {
+		out := make(map[string]float64, len(r.Vals))
+		for i, v := range r.Vals {
+			if r.Names != nil {
+				out[r.Names[i]] = v
+			} else {
+				out[names[r.IDs[i]]] = v
+			}
 		}
 		return out
 	}
@@ -83,13 +88,13 @@ func engineResults(t *testing.T, data *dataset.BikeData, e ttdb.Querier, ids []t
 	r.q1 = res[0].Points
 	r.q2 = res[1].Points
 	r.q3 = res[2].Scalar
-	r.q4 = byName(res[3].ByStation)
-	r.q5 = res[4].ByDistrict
-	for _, id := range res[5].Stations {
+	r.q4 = byName(res[3])
+	r.q5 = byName(res[4])
+	for _, id := range res[5].IDs {
 		r.q6 = append(r.q6, names[id])
 	}
 	r.q7 = res[6].Scalar
-	r.q8 = byName(res[7].ByStation)
+	r.q8 = byName(res[7])
 	return r
 }
 

@@ -105,8 +105,8 @@ func BenchmarkAggregateSharded(b *testing.B) {
 			eng, _, qStart, qEnd := microEngine(b, shards)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if m, err := eng.Exec(context.Background(), ttdb.Q4(qStart, qEnd)); err != nil || len(m.ByStation) == 0 {
-					b.Fatalf("aggregate: %d stations, %v", len(m.ByStation), err)
+				if m, err := eng.Exec(context.Background(), ttdb.Q4(qStart, qEnd)); err != nil || len(m.IDs) == 0 {
+					b.Fatalf("aggregate: %d stations, %v", len(m.IDs), err)
 				}
 			}
 		})

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 
 	"hygraph/internal/coord"
@@ -109,7 +110,9 @@ func RunPartitions(ctx context.Context, cfg Config, counts []int) (PartitionsRep
 // partitionsIdentical compares every Q1–Q8 answer of the coordinator against
 // the oracle, element-wise within 1e-9. Station ids differ between the two
 // engines, so answers are aligned through the shared ingest order: oIDs[i]
-// and cIDs[i] name the same logical station. An error from either side — a
+// and cIDs[i] name the same logical station. Both sides list their columns
+// in that order — Q4 by station, Q5's districts by first appearance, Q8 by
+// adjacency — so the answers compare position by position. An error from either side — a
 // PartialError from the coordinator included — fails the gate instead of
 // comparing a partial answer.
 func partitionsIdentical(ctx context.Context, data *dataset.BikeData, ora ttdb.Querier, oIDs []ttdb.StationID, c ttdb.Querier, cIDs []ttdb.StationID) (bool, error) {
@@ -138,8 +141,8 @@ func partitionsIdentical(ctx context.Context, data *dataset.BikeData, ora ttdb.Q
 		if err != nil {
 			return false, fmt.Errorf("coordinator %s: %w", oq.Op, err)
 		}
-		if len(got.Points) != len(want.Points) || len(got.ByStation) != len(want.ByStation) ||
-			len(got.ByDistrict) != len(want.ByDistrict) || len(got.Stations) != len(want.Stations) ||
+		if len(got.Points) != len(want.Points) || len(got.IDs) != len(want.IDs) ||
+			!slices.Equal(got.Names, want.Names) || len(got.Vals) != len(want.Vals) ||
 			!eq(got.Scalar, want.Scalar) {
 			return false, nil
 		}
@@ -148,18 +151,13 @@ func partitionsIdentical(ctx context.Context, data *dataset.BikeData, ora ttdb.Q
 				return false, nil
 			}
 		}
-		for st, v := range got.ByStation {
-			if w, ok := want.ByStation[toOracle[st]]; !ok || !eq(v, w) {
+		for j, st := range got.IDs {
+			if toOracle[st] != want.IDs[j] {
 				return false, nil
 			}
 		}
-		for k, v := range want.ByDistrict {
-			if w, ok := got.ByDistrict[k]; !ok || !eq(v, w) {
-				return false, nil
-			}
-		}
-		for j, st := range got.Stations {
-			if toOracle[st] != want.Stations[j] {
+		for j, v := range got.Vals {
+			if !eq(v, want.Vals[j]) {
 				return false, nil
 			}
 		}

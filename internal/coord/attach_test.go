@@ -35,7 +35,7 @@ func stationIDs(t *testing.T, c *coord.Coordinator) map[ttdb.StationID]bool {
 	t.Helper()
 	res := exec(t, c, ttdb.Q4(0, propSpan))
 	out := map[ttdb.StationID]bool{}
-	for id := range res.ByStation {
+	for _, id := range res.IDs {
 		out[id] = true
 	}
 	return out

@@ -12,9 +12,14 @@ import (
 	"hygraph/internal/ts"
 )
 
+// encoded keeps BenchmarkQ8's encodes live.
+var encoded []byte
+
 // BenchmarkQ8 measures Q8 on 300 stations with four trips each, on one
 // engine and through a coordinator at one and two partitions, the neighbour
-// means asked over the middle week of propSeries' two.
+// means asked over the middle week of propSeries' two. On the same setup,
+// Q4/<layer>, Q5/<layer> and Q6/<layer> measure the all-station answers over
+// that window, each encoded with AppendJSON as the server sends it.
 func BenchmarkQ8(b *testing.B) {
 	const n = 300
 	rng := rand.New(rand.NewSource(3))
@@ -77,5 +82,19 @@ func BenchmarkQ8(b *testing.B) {
 				}
 			}
 		})
+	}
+	for _, q := range []ttdb.Query{ttdb.Q4(propSpan/4, 3*propSpan/4), ttdb.Q5(propSpan/4, 3*propSpan/4), ttdb.Q6(propSpan/4, 3*propSpan/4, 10)} {
+		for _, e := range engines {
+			b.Run(q.Op.String()+"/"+e.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					res, err := e.e.Exec(ctx, q)
+					if err != nil {
+						b.Fatal(err)
+					}
+					encoded = res.AppendJSON(nil)
+				}
+			})
+		}
 	}
 }

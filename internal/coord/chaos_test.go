@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -81,7 +83,7 @@ func TestPartitionFaultYieldsTypedPartial(t *testing.T) {
 	if err != nil {
 		t.Fatalf("healthy Q4: %v", err)
 	}
-	healthyQ4 := healthy.ByStation
+	healthyQ4 := healthy.Vals
 
 	pf, victim := partOwning(t, c, gids)
 	cause := errors.New("partition network cable pulled")
@@ -91,7 +93,6 @@ func TestPartitionFaultYieldsTypedPartial(t *testing.T) {
 	if err == nil {
 		t.Fatal("faulted Q4 returned no error")
 	}
-	got := faulted.ByStation
 	if !errors.Is(err, ttdb.ErrDegraded) {
 		t.Fatalf("faulted Q4 error is not ErrDegraded: %v", err)
 	}
@@ -119,15 +120,12 @@ func TestPartitionFaultYieldsTypedPartial(t *testing.T) {
 		t.Fatalf("answered %v, want the %d healthy partitions", perr.Answered, chaosParts-1)
 	}
 	// Every station still enumerated; lost shares zero, healthy shares exact.
-	if len(got) != len(healthyQ4) {
-		t.Fatalf("degraded Q4 has %d stations, want %d", len(got), len(healthyQ4))
+	if !slices.Equal(faulted.IDs, healthy.IDs) {
+		t.Fatalf("degraded Q4 stations %v, want %v", faulted.IDs, healthy.IDs)
 	}
-	if got[victim] != 0 {
-		t.Fatalf("victim station mean = %v, want 0", got[victim])
-	}
-	for gid, v := range got {
-		if v != 0 && v != healthyQ4[gid] {
-			t.Fatalf("healthy station %d changed under partial: %v vs %v", gid, v, healthyQ4[gid])
+	for i, gid := range faulted.IDs {
+		if v := faulted.Vals[i]; (gid == victim && v != 0) || (v != 0 && v != healthyQ4[i]) {
+			t.Fatalf("station %d under partial: %v, healthy %v (victim %d)", gid, v, healthyQ4[i], victim)
 		}
 	}
 
@@ -159,13 +157,12 @@ func TestPartitionFaultYieldsTypedPartial(t *testing.T) {
 	if !errors.Is(err, ttdb.ErrDegraded) {
 		t.Fatalf("Q8 on victim: %v", err)
 	}
-	ns := q8.ByStation
-	if len(ns) == 0 {
-		t.Fatal("Q8 partial lost the neighbor set")
+	if len(q8.IDs) == 0 || len(q8.Vals) != len(q8.IDs) {
+		t.Fatalf("Q8 partial lost the neighbor set: %+v", q8)
 	}
-	for gid, v := range ns {
+	for i, v := range q8.Vals {
 		if v != 0 {
-			t.Fatalf("Q8 partial neighbor %d has non-zero mean %v", gid, v)
+			t.Fatalf("Q8 partial neighbor %d has non-zero mean %v", q8.IDs[i], v)
 		}
 	}
 
@@ -182,11 +179,8 @@ func TestPartitionFaultYieldsTypedPartial(t *testing.T) {
 	if err != nil {
 		t.Fatalf("healed Q4: %v", err)
 	}
-	healed := healedQ4.ByStation
-	for gid, v := range healthyQ4 {
-		if healed[gid] != v {
-			t.Fatalf("healed Q4[%d] = %v, want %v", gid, healed[gid], v)
-		}
+	if !reflect.DeepEqual(healedQ4, healthy) {
+		t.Fatalf("healed Q4 = %+v, want %+v", healedQ4, healthy)
 	}
 }
 

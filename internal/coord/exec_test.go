@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -82,19 +84,13 @@ func TestExecMatchesSingleEngine(t *testing.T) {
 	oraQs := execQueries(oids)
 	for i, q := range execQueries(gids) {
 		got, want := exec(t, c, q), exec(t, ora, oraQs[i])
-		// Lift the coordinator's answer into the oracle's id space.
-		if got.ByStation != nil {
-			lifted := make(map[ttdb.StationID]float64, len(got.ByStation))
-			for gid, v := range got.ByStation {
-				lifted[toOracle[gid]] = v
-			}
-			got.ByStation = lifted
+		// Lift the coordinator's answer into the oracle's id space; the
+		// columns then agree row for row.
+		for j, gid := range got.IDs {
+			got.IDs[j] = toOracle[gid]
 		}
-		for j, gid := range got.Stations {
-			got.Stations[j] = toOracle[gid]
-		}
-		if len(got.Points) != len(want.Points) || len(got.ByStation) != len(want.ByStation) ||
-			len(got.ByDistrict) != len(want.ByDistrict) || !reflect.DeepEqual(got.Stations, want.Stations) ||
+		if len(got.Points) != len(want.Points) || !reflect.DeepEqual(got.IDs, want.IDs) ||
+			!reflect.DeepEqual(got.Names, want.Names) || len(got.Vals) != len(want.Vals) ||
 			!propEq(got.Scalar, want.Scalar) {
 			t.Fatalf("%s: %+v vs single engine %+v", q.Op, got, want)
 		}
@@ -103,14 +99,52 @@ func TestExecMatchesSingleEngine(t *testing.T) {
 				t.Fatalf("%s point %d: %v vs %v", q.Op, j, got.Points[j], p)
 			}
 		}
-		for id, v := range want.ByStation {
-			if g, ok := got.ByStation[id]; !ok || !propEq(g, v) {
-				t.Fatalf("%s station %d: %v (present %v) vs %v", q.Op, id, g, ok, v)
+		for j, v := range want.Vals {
+			if !propEq(got.Vals[j], v) {
+				t.Fatalf("%s row %d: %v vs %v", q.Op, j, got.Vals[j], v)
 			}
 		}
-		for k, v := range want.ByDistrict {
-			if g, ok := got.ByDistrict[k]; !ok || !propEq(g, v) {
-				t.Fatalf("%s district %s: %v (present %v) vs %v", q.Op, k, g, ok, v)
+	}
+}
+
+// Q6 ranks a NaN mean after every number, ties by ascending id, so both
+// engines and the coordinator at one and two partitions give the one
+// ranking on every call: stations with means 5, NaN, 3, 7 and 1 rank 3, 0,
+// 2, 4, 1.
+func TestQ6RanksNaNLast(t *testing.T) {
+	means := []float64{5, math.NaN(), 3, 7, 1}
+	want := []int{3, 0, 2, 4, 1}
+	engines := map[string]ttdb.Engine{"polyglot": ttdb.NewPolyglot(ts.Week), "all-in-graph": ttdb.NewAllInGraph()}
+	for _, n := range []int{1, 2} {
+		c, err := coord.NewMem(n, ts.Week)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines[fmt.Sprintf("coord@%d", n)] = c
+	}
+	for name, e := range engines {
+		e.SetWorkers(4)
+		var ids []ttdb.StationID
+		for i, m := range means {
+			s := ts.New(ttdb.Metric)
+			for h := ts.Time(0); h < 4; h++ {
+				s.MustAppend(h*ts.Hour, m)
+			}
+			id, err := e.IngestStation(fmt.Sprintf("st-%d", i), "d", s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		for _, k := range []int{3, len(means)} {
+			for call := 0; call < 200; call++ {
+				var got []int
+				for _, id := range exec(t, e, ttdb.Q6(0, 4*ts.Hour, k)).IDs {
+					got = append(got, slices.Index(ids, id))
+				}
+				if !slices.Equal(got, want[:k]) {
+					t.Fatalf("%s Q6(k=%d) call %d ranks %v, want %v", name, k, call, got, want[:k])
+				}
 			}
 		}
 	}
@@ -199,17 +233,13 @@ func TestExecDegradedPartials(t *testing.T) {
 			want := ttdb.Result{Op: q.Op}
 			switch q.Op {
 			case ttdb.OpQ4, ttdb.OpQ8:
-				want.ByStation = map[ttdb.StationID]float64{}
-				for gid := range healthy[q.Op].ByStation {
-					want.ByStation[gid] = 0
-				}
+				want.IDs = healthy[q.Op].IDs
+				want.Vals = make([]float64, len(want.IDs))
 			case ttdb.OpQ5:
-				want.ByDistrict = map[string]float64{}
-				for d := range healthy[q.Op].ByDistrict {
-					want.ByDistrict[d] = 0
-				}
+				want.Names = healthy[q.Op].Names
+				want.Vals = make([]float64, len(want.Names))
 			case ttdb.OpQ6:
-				want.Stations = []ttdb.StationID{}
+				want.IDs = []ttdb.StationID{}
 			}
 			got, err := c.Exec(context.Background(), q)
 			var perr *coord.PartialError

@@ -97,10 +97,15 @@ func checkAnswers(t *testing.T, label string, w *world, ora *ttdb.DurablePolyglo
 		gidName[w.gids[i]] = w.names[i]
 	}
 
-	byName := func(m map[ttdb.StationID]float64, names map[ttdb.StationID]string) map[string]float64 {
-		out := make(map[string]float64, len(m))
-		for id, v := range m {
-			out[names[id]] = v
+	// byName keys an answer's rows by station name (Q4, Q8) or district (Q5).
+	byName := func(r ttdb.Result, names map[ttdb.StationID]string) map[string]float64 {
+		out := make(map[string]float64, len(r.Vals))
+		for i, v := range r.Vals {
+			if r.Names != nil {
+				out[r.Names[i]] = v
+			} else {
+				out[names[r.IDs[i]]] = v
+			}
 		}
 		return out
 	}
@@ -117,16 +122,16 @@ func checkAnswers(t *testing.T, label string, w *world, ora *ttdb.DurablePolyglo
 		}
 	}
 
-	wantQ4 := exec(t, ora, ttdb.Q4(start, end)).ByStation
-	gotQ4 := exec(t, c, ttdb.Q4(start, end)).ByStation
+	wantQ4 := exec(t, ora, ttdb.Q4(start, end))
+	gotQ4 := exec(t, c, ttdb.Q4(start, end))
 	cmpMap("Q4", byName(wantQ4, oraName), byName(gotQ4, gidName))
 
-	wantQ5 := exec(t, ora, ttdb.Q5(start, end)).ByDistrict
-	gotQ5 := exec(t, c, ttdb.Q5(start, end)).ByDistrict
-	cmpMap("Q5", wantQ5, gotQ5)
+	wantQ5 := exec(t, ora, ttdb.Q5(start, end))
+	gotQ5 := exec(t, c, ttdb.Q5(start, end))
+	cmpMap("Q5", byName(wantQ5, nil), byName(gotQ5, nil))
 
-	wantQ6 := exec(t, ora, ttdb.Q6(start, end, 5)).Stations
-	gotQ6 := exec(t, c, ttdb.Q6(start, end, 5)).Stations
+	wantQ6 := exec(t, ora, ttdb.Q6(start, end, 5)).IDs
+	gotQ6 := exec(t, c, ttdb.Q6(start, end, 5)).IDs
 	if len(wantQ6) != len(gotQ6) {
 		t.Fatalf("%s Q6: %d vs %d ids", label, len(wantQ6), len(gotQ6))
 	}
@@ -162,8 +167,8 @@ func checkAnswers(t *testing.T, label string, w *world, ora *ttdb.DurablePolyglo
 		if gotM := exec(t, c, ttdb.Q3(w.gids[i], start, end)).Scalar; !propEq(wantM, gotM) {
 			t.Fatalf("%s Q3(%s): %v vs %v", label, w.names[i], wantM, gotM)
 		}
-		wantN := exec(t, ora, ttdb.Q8(w.oraIDs[i], start, end)).ByStation
-		gotN := exec(t, c, ttdb.Q8(w.gids[i], start, end)).ByStation
+		wantN := exec(t, ora, ttdb.Q8(w.oraIDs[i], start, end))
+		gotN := exec(t, c, ttdb.Q8(w.gids[i], start, end))
 		cmpMap("Q8("+w.names[i]+")", byName(wantN, oraName), byName(gotN, gidName))
 	}
 	if len(liveIdx) >= 2 {

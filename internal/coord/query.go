@@ -34,7 +34,7 @@ func (c *Coordinator) Exec(ctx context.Context, q ttdb.Query) (ttdb.Result, erro
 	var perr *PartialError
 	switch q.Op {
 	case ttdb.OpQ4, ttdb.OpQ5, ttdb.OpQ6:
-		res, perr = c.mergeSummariesLocked(ctx, q)
+		res, perr = c.summariesLocked(ctx, q)
 	case ttdb.OpQ7:
 		res, perr = c.correlationLocked(ctx, q)
 	case ttdb.OpQ8:
@@ -72,24 +72,26 @@ func (c *Coordinator) routeLocked(ctx context.Context, part int, local ttdb.Quer
 	return ttdb.Result{Op: local.Op}, c.partialLocked(local.Op, []int{part}, []error{err})
 }
 
-// gidRow is one merged aggregate row: a fragment's per-entity summary lifted
-// into the coordinator's global id space.
-type gidRow struct {
-	gid ttdb.StationID
-	sum tsstore.Summary
-}
-
-// summariesLocked scatters the Q4–Q6 fragment (per-entity summaries over the
-// window) to every partition and merges the rows by ascending gid, one
-// order at every partition count. Entities without a
-// coordinator mapping (none in a consistent deployment) are dropped. A
-// fragment comes in its partition's insertion order, which is gid order for
-// every station the coordinator ingested or Repartition replayed, so each
-// partition's rows are lifted as one run and the runs are merged. A run
-// that does not ascend — Attach adopting an untagged station under a node id
-// below the gid of a station written before it — is sorted first.
-// Caller holds at least the read lock.
-func (c *Coordinator) summariesLocked(ctx context.Context, q ttdb.Query) ([]gidRow, *PartialError) {
+// summariesLocked answers Q4–Q6. It scatters the fragment (per-entity
+// summaries over the window) to every partition, lifts each partition's rows
+// into gid space and merges them by ascending gid, one order at every
+// partition count. Entities without a coordinator mapping (none in a
+// consistent deployment) are dropped. A fragment comes in its partition's
+// insertion order, which is gid order for every station the coordinator
+// ingested or Repartition replayed, so each partition's rows are lifted as
+// one run and the runs are merged. A run that does not ascend — Attach
+// adopting an untagged station under a node id below the gid of a station
+// written before it — is sorted first.
+//
+// The rows handed to ttdb.FromSummaries are then c.order's stations, walked
+// against the merged run: a station of a failed partition gets a zero
+// summary, so the partial degrades in place — zero means in Q4, zero
+// contribution to its district in Q5, absent from the Q6 ranking. Gid order
+// is single-engine ingest order, so Q5's fold matches the oracle's
+// hypertable-insertion-order fold exactly; its districts come from the
+// placement map, which agrees with the partitions' graph properties by
+// construction. Caller holds at least the read lock.
+func (c *Coordinator) summariesLocked(ctx context.Context, q ttdb.Query) (ttdb.Result, *PartialError) {
 	frags := make([][]tsstore.EntitySummary, len(c.parts))
 	perr := c.scatterLocked(ctx, q.Op, c.allPartsLocked(), func(p int) error {
 		s, err := c.parts[p].EntitySummariesCtx(ctx, q.Start, q.End)
@@ -99,84 +101,41 @@ func (c *Coordinator) summariesLocked(ctx context.Context, q ttdb.Query) ([]gidR
 		frags[p] = s
 		return nil
 	})
-	n := 0
-	for _, frag := range frags {
-		n += len(frag)
-	}
-	rows := make([]gidRow, 0, n)
-	runs := make([][]gidRow, len(frags))
 	for p, frag := range frags {
-		from, ascending := len(rows), true
+		lifted, ascending := frag[:0], true
 		for _, e := range frag {
 			if gid, ok := c.local2g[p][ttdb.StationID(e.Entity)]; ok {
-				ascending = ascending && (len(rows) == from || rows[len(rows)-1].gid < gid)
-				rows = append(rows, gidRow{gid: gid, sum: e.Summary})
+				ascending = ascending && (len(lifted) == 0 || lifted[len(lifted)-1].Entity < uint32(gid))
+				e.Entity = uint32(gid)
+				lifted = append(lifted, e)
 			}
 		}
-		runs[p] = rows[from:]
 		if !ascending {
-			slices.SortFunc(runs[p], func(a, b gidRow) int { return cmp.Compare(a.gid, b.gid) })
+			slices.SortFunc(lifted, func(a, b tsstore.EntitySummary) int { return cmp.Compare(a.Entity, b.Entity) })
+		}
+		frags[p] = lifted
+	}
+	merged := tsstore.MergeRuns(frags, func(e tsstore.EntitySummary) uint64 { return uint64(e.Entity) })
+	rows := make([]tsstore.EntitySummary, 0, len(c.order))
+	var districts []string
+	if q.Op == ttdb.OpQ5 {
+		districts = make([]string, 0, len(c.order))
+	}
+	for _, gid := range c.order {
+		switch {
+		case len(merged) > 0 && merged[0].Entity == uint32(gid):
+			rows = append(rows, merged[0])
+			merged = merged[1:]
+		case perr != nil && perr.Failed[c.meta[gid].part] != nil:
+			rows = append(rows, tsstore.EntitySummary{Entity: uint32(gid)})
+		default:
+			continue
+		}
+		if districts != nil {
+			districts = append(districts, c.meta[gid].district)
 		}
 	}
-	return tsstore.MergeRuns(runs, func(r gidRow) uint64 { return uint64(r.gid) }), perr
-}
-
-// mergeSummariesLocked answers Q4–Q6 from the merged summary rows. The
-// entity set comes from the placement map, which the coordinator always has,
-// so a failed partition's stations degrade in place: zero means in Q4, zero
-// contribution to their districts in Q5, absent from the Q6 ranking.
-func (c *Coordinator) mergeSummariesLocked(ctx context.Context, q ttdb.Query) (ttdb.Result, *PartialError) {
-	rows, perr := c.summariesLocked(ctx, q)
-	failed := func(gid ttdb.StationID) bool {
-		if perr == nil {
-			return false
-		}
-		_, lost := perr.Failed[c.meta[gid].part]
-		return lost
-	}
-	res := ttdb.Result{Op: q.Op}
-	switch q.Op {
-	case ttdb.OpQ4:
-		res.ByStation = make(map[ttdb.StationID]float64, len(c.order))
-		for _, r := range rows {
-			res.ByStation[r.gid] = 0
-			if r.sum.Count > 0 {
-				res.ByStation[r.gid] = r.sum.Mean()
-			}
-		}
-		for _, gid := range c.order {
-			if failed(gid) {
-				res.ByStation[gid] = 0
-			}
-		}
-	case ttdb.OpQ5:
-		// Districts fold in ascending gid order — single-engine ingest
-		// order, so the float accumulation order matches the oracle's
-		// hypertable-insertion-order fold exactly. They come from the
-		// placement map, which agrees with the partitions' graph properties
-		// by construction.
-		sums := make(map[ttdb.StationID]float64, len(rows))
-		for _, r := range rows {
-			sums[r.gid] = r.sum.Sum
-		}
-		res.ByDistrict = map[string]float64{}
-		for _, gid := range c.order {
-			if s, ok := sums[gid]; ok || failed(gid) {
-				res.ByDistrict[c.meta[gid].district] += s
-			}
-		}
-	case ttdb.OpQ6:
-		// The engine's ranking rule (ties by ascending id) in coordinator
-		// id space.
-		means := make(map[ttdb.StationID]float64, len(rows))
-		for _, r := range rows {
-			if r.sum.Count > 0 {
-				means[r.gid] = r.sum.Mean()
-			}
-		}
-		res.Stations = ttdb.TopK(means, q.K)
-	}
-	return res, perr
+	return ttdb.FromSummaries(q, rows, districts), perr
 }
 
 // correlationLocked answers Q7. Co-located pairs push the whole computation
@@ -221,12 +180,15 @@ func (c *Coordinator) correlationLocked(ctx context.Context, q ttdb.Query) (ttdb
 
 // neighborMeansLocked answers Q8: adjacency from the station's home
 // partition (boundary replication makes every neighbor visible there), then
-// the neighbours' means, one batch to each owner partition.
-// A failed home partition degrades to the coordinator-topology neighbor set
-// with zero means; failed neighbor owners degrade their neighbors' means to
-// zero. Both partials are accounted in the returned PartialError.
+// the neighbours' means, one batch to each owner partition, each batch's
+// means taken back in the order its owner was asked. The answer lists the
+// neighbours in the home partition's adjacency order, which is the single
+// engine's. A failed home partition degrades to the coordinator-topology
+// neighbor set with zero means; failed neighbor owners degrade their
+// neighbors' means to zero. Both partials are accounted in the returned
+// PartialError.
 func (c *Coordinator) neighborMeansLocked(ctx context.Context, q ttdb.Query) (ttdb.Result, *PartialError) {
-	res := ttdb.Result{Op: q.Op, ByStation: map[ttdb.StationID]float64{}}
+	res := ttdb.Result{Op: q.Op, IDs: []ttdb.StationID{}, Vals: []float64{}}
 	m, ok := c.meta[q.Station]
 	if !ok {
 		return res, nil
@@ -236,19 +198,24 @@ func (c *Coordinator) neighborMeansLocked(ctx context.Context, q ttdb.Query) (tt
 		// coordinator's topology record, with zero means — the "graph part
 		// survives" shape of every degraded answer.
 		for _, tr := range c.trips {
-			switch {
-			case tr.a == q.Station && tr.b != q.Station:
-				res.ByStation[tr.b] = 0
-			case tr.b == q.Station && tr.a != q.Station:
-				res.ByStation[tr.a] = 0
+			n := tr.b
+			if tr.b == q.Station {
+				n = tr.a
+			} else if tr.a != q.Station {
+				continue
+			}
+			if n != q.Station && !slices.Contains(res.IDs, n) {
+				res.IDs = append(res.IDs, n)
 			}
 		}
+		res.Vals = make([]float64, len(res.IDs))
 		return res, &PartialError{Query: q.Op.String(), Failed: map[int]error{m.part: err}}
 	}
-	// Each owner's neighbours, by gid and by the owner's local id.
+	// Each neighbour's gid and owner, and each owner's neighbours by its
+	// local id.
 	ns := c.parts[m.part].Engine().G.Neighbors(m.local, "TRIP")
-	res.ByStation = make(map[ttdb.StationID]float64, len(ns))
-	gids := make([][]ttdb.StationID, len(c.parts))
+	res.IDs = make([]ttdb.StationID, 0, len(ns))
+	owners := make([]int, 0, len(ns))
 	locals := make([][]ttdb.StationID, len(c.parts))
 	for _, n := range ns {
 		gid, ok := c.local2g[m.part][n]
@@ -256,19 +223,15 @@ func (c *Coordinator) neighborMeansLocked(ctx context.Context, q ttdb.Query) (tt
 			gid, ok = c.bnd2g[m.part][n]
 		}
 		if ok {
-			res.ByStation[gid] = 0
 			owner := c.meta[gid]
-			if gids[owner.part] == nil {
-				gids[owner.part] = make([]ttdb.StationID, 0, len(ns))
-				locals[owner.part] = make([]ttdb.StationID, 0, len(ns))
-			}
-			gids[owner.part] = append(gids[owner.part], gid)
+			res.IDs = append(res.IDs, gid)
+			owners = append(owners, owner.part)
 			locals[owner.part] = append(locals[owner.part], owner.local)
 		}
 	}
 	var parts []int
-	for p := range gids {
-		if len(gids[p]) > 0 {
+	for p := range locals {
+		if len(locals[p]) > 0 {
 			parts = append(parts, p)
 		}
 	}
@@ -278,9 +241,10 @@ func (c *Coordinator) neighborMeansLocked(ctx context.Context, q ttdb.Query) (tt
 		frags[p] = means
 		return err
 	})
-	for p, means := range frags {
-		for i, v := range means {
-			res.ByStation[gids[p][i]] = v
+	res.Vals = make([]float64, len(res.IDs))
+	for i, p := range owners {
+		if len(frags[p]) > 0 { // a failed owner's neighbours keep mean 0
+			res.Vals[i], frags[p] = frags[p][0], frags[p][1:]
 		}
 	}
 	return res, perr

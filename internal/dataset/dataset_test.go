@@ -84,8 +84,8 @@ func TestBikeLoadEngineAndHyGraph(t *testing.T) {
 	}
 	start, end := d.Span()
 	means, err := eng.Exec(context.Background(), ttdb.Q4(start, end))
-	if err != nil || len(means.ByStation) != 10 {
-		t.Fatalf("means=%d, %v", len(means.ByStation), err)
+	if err != nil || len(means.IDs) != 10 {
+		t.Fatalf("means=%d, %v", len(means.IDs), err)
 	}
 	if qs := d.Table1Queries(ids); len(qs) != 8 || qs[0].Op != ttdb.OpQ1 || qs[7].Op != ttdb.OpQ8 ||
 		qs[6].Station != ids[0] || qs[6].Other != ids[5] || qs[3].Start != end/4 || qs[3].End != 3*end/4 {

@@ -155,7 +155,7 @@ func TestMarshalFailureIsA500(t *testing.T) {
 // The hand-written query envelope is what encoding/json writes for the same
 // map, degraded or not.
 func TestQueryBodyMatchesEncodingJSON(t *testing.T) {
-	res := ttdb.Result{Op: ttdb.OpQ5, ByDistrict: map[string]float64{"north": 1.5, "a<b": 0}}
+	res := ttdb.Result{Op: ttdb.OpQ5, Names: []string{"north", "a<b"}, Vals: []float64{1.5, 0}}
 	for _, degraded := range []bool{false, true} {
 		want := map[string]any{"query": "Q5", "result": res}
 		if degraded {

@@ -160,6 +160,49 @@ func TestLoadSkipsZeroChunkKeys(t *testing.T) {
 	}
 }
 
+// Regression: Load accepted a snapshot that lists one series twice. It kept
+// the second record's chunks and listed the key twice, so AggregateShard
+// returned two rows for the entity. Save writes each key once, so Load must
+// refuse the file, whether the repeated record has chunks or not.
+func TestLoadRejectsRepeatedSeries(t *testing.T) {
+	db := New(10)
+	db.Insert(k(7), 1, 1.5)
+	db.Insert(k(9), 2, 2.5)
+	var snap bytes.Buffer
+	if err := db.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	data := snap.Bytes()
+	at := bytes.Index(data, []byte{9, 1, 'm'}) // entity 9, metric length 1, "m"
+	if at < 0 {
+		t.Fatal("entity 9's record not found in the snapshot")
+	}
+	data[at] = 7
+	if got, err := Load(bytes.NewReader(data)); err == nil {
+		t.Fatalf("Load accepted series 7 twice: %d series, keys %v", got.NumSeries(), got.Keys())
+	}
+
+	var raw bytes.Buffer // a zero-chunk record, then the same key with a chunk
+	raw.WriteString(snapshotMagic)
+	putUvarint(&raw, snapshotVersion)
+	putUvarint(&raw, 10) // chunk width
+	putUvarint(&raw, 2)  // two keys
+	for _, chunks := range []uint64{0, 1} {
+		putUvarint(&raw, 7) // entity
+		putUvarint(&raw, 1) // metric length
+		raw.WriteString("m")
+		putUvarint(&raw, chunks)
+	}
+	putVarint(&raw, 0) // slot 0: one raw point
+	raw.WriteByte(chunkFormRaw)
+	putUvarint(&raw, 1)
+	putVarint(&raw, 3)
+	putFloat(&raw, 1)
+	if got, err := Load(&raw); err == nil {
+		t.Fatalf("Load accepted a zero-chunk record and then the same series: keys %v", got.Keys())
+	}
+}
+
 // Version-1 snapshots (raw chunks, no form byte) must keep loading.
 func TestLoadVersion1Snapshot(t *testing.T) {
 	var raw bytes.Buffer

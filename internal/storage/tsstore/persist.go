@@ -110,7 +110,9 @@ func (db *DB) saveSeries(bw *bufio.Writer, key SeriesKey) {
 // summaries are recomputed on load; compressed chunks carry theirs in the
 // file. Keys persisted with zero chunks are series deleted mid-Save — they
 // are skipped, not materialized, so HasSeries agrees with the pre-crash
-// store (crash recovery keys its roll-forward decision on it).
+// store (crash recovery keys its roll-forward decision on it). Save writes
+// each key once, so a file that lists a key twice, with chunks or without,
+// is corrupt.
 func Load(r io.Reader) (*DB, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(snapshotMagic))
@@ -136,6 +138,7 @@ func Load(r io.Reader) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
+	seen := map[SeriesKey]bool{}
 	for k := uint64(0); k < nKeys; k++ {
 		entity, err := binary.ReadUvarint(br)
 		if err != nil {
@@ -153,6 +156,10 @@ func Load(r io.Reader) (*DB, error) {
 			return nil, err
 		}
 		key := SeriesKey{Entity: uint32(entity), Metric: string(mbuf)}
+		if seen[key] {
+			return nil, fmt.Errorf("tsstore: corrupt snapshot: series %d/%q listed twice", key.Entity, key.Metric)
+		}
+		seen[key] = true
 		nChunks, err := binary.ReadUvarint(br)
 		if err != nil {
 			return nil, err

@@ -49,7 +49,8 @@ func snapshotSeeds(t testing.TB) [][]byte {
 // corrupt block is not caught by Load (it pays no decode per chunk), so a
 // query that reaches one must latch it for Err(), and Err() may only report
 // a block that is really corrupt. The edge folds also drive the sub-slot
-// index builder over corrupt blocks.
+// index builder over corrupt blocks. An accepted store lists each series
+// once: its Keys are unique and as many as NumSeries.
 func FuzzLoadSnapshot(f *testing.F) {
 	for _, seed := range snapshotSeeds(f) {
 		f.Add(seed)
@@ -73,8 +74,19 @@ func FuzzLoadSnapshot(f *testing.F) {
 				}
 			}
 		}
+		keys := db.Keys()
+		seen := map[SeriesKey]bool{}
+		for _, key := range keys {
+			if seen[key] {
+				t.Fatalf("Keys() lists %v twice: %v", key, keys)
+			}
+			seen[key] = true
+		}
+		if len(keys) != db.NumSeries() {
+			t.Fatalf("%d keys, but NumSeries() = %d", len(keys), db.NumSeries())
+		}
 		const minT, maxT = ts.Time(math.MinInt64), ts.Time(math.MaxInt64)
-		for _, key := range db.Keys() {
+		for _, key := range keys {
 			wins := [][2]ts.Time{{minT, maxT}}
 			if first, last, ok := db.Span(key); ok {
 				mid := first/2 + last/2

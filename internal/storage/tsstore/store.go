@@ -808,7 +808,7 @@ func (db *DB) AggregateShard(shard int, metric string, start, end ts.Time) []Ent
 	sh := &db.shards[shard]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	var out []EntitySummary
+	out := make([]EntitySummary, 0, len(sh.keys))
 	for j, key := range sh.keys {
 		if key.Metric == metric {
 			out = append(out, EntitySummary{

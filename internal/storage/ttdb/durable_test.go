@@ -258,12 +258,12 @@ func TestDegradedQueries(t *testing.T) {
 		t.Fatal("Q3 not degraded")
 	}
 	means, err := d.Exec(ctx, Q4(start, end))
-	if !errors.Is(err, ErrDegraded) || means.ByStation != nil {
-		t.Fatalf("Q4 degraded: %v, %v", means.ByStation, err)
+	if !errors.Is(err, ErrDegraded) || means.IDs != nil {
+		t.Fatalf("Q4 degraded: %v, %v", means.IDs, err)
 	}
 	sums, err := d.Exec(ctx, Q5(start, end))
-	if !errors.Is(err, ErrDegraded) || sums.ByDistrict != nil {
-		t.Fatalf("Q5 degraded: %v, %v", sums.ByDistrict, err)
+	if !errors.Is(err, ErrDegraded) || sums.Names != nil {
+		t.Fatalf("Q5 degraded: %v, %v", sums.Names, err)
 	}
 	if _, err := d.Exec(ctx, Q6(start, end, 2)); !errors.Is(err, ErrDegraded) {
 		t.Fatal("Q6 not degraded")
@@ -272,8 +272,8 @@ func TestDegradedQueries(t *testing.T) {
 		t.Fatal("Q7 not degraded")
 	}
 	nm, err := d.Exec(ctx, Q8(ids[0], start, end))
-	if !errors.Is(err, ErrDegraded) || nm.ByStation != nil {
-		t.Fatalf("Q8 degraded: %v, %v", nm.ByStation, err)
+	if !errors.Is(err, ErrDegraded) || nm.IDs != nil {
+		t.Fatalf("Q8 degraded: %v, %v", nm.IDs, err)
 	}
 	// The typed error carries the query name and unwraps to the cause.
 	var de *DegradedError

@@ -7,7 +7,9 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
+	"strconv"
 	"sync/atomic"
 	"testing"
 
@@ -126,29 +128,35 @@ func (m *model) answer(q Query) Result {
 	case OpQ3:
 		res.Scalar = m.mean(q.Station, q.Start, q.End)
 	case OpQ4:
-		res.ByStation = map[StationID]float64{}
 		for _, id := range m.ids {
-			res.ByStation[id] = m.mean(id, q.Start, q.End)
+			res.IDs = append(res.IDs, id)
+			res.Vals = append(res.Vals, m.mean(id, q.Start, q.End))
 		}
 	case OpQ5:
-		res.ByDistrict = map[string]float64{}
+		sums := map[string]float64{}
 		for _, id := range m.ids {
 			for _, p := range window(id).Points() {
-				res.ByDistrict[m.district[id]] += p.V
+				sums[m.district[id]] += p.V
 			}
+		}
+		for d, v := range sums {
+			res.Names = append(res.Names, d)
+			res.Vals = append(res.Vals, v)
 		}
 	case OpQ6:
 		ranked := append([]StationID(nil), m.ids...)
 		sort.Slice(ranked, func(i, j int) bool {
 			return m.mean(ranked[i], q.Start, q.End) > m.mean(ranked[j], q.Start, q.End)
 		})
-		res.Stations = ranked[:q.K]
+		res.IDs = ranked[:q.K]
 	case OpQ7:
 		res.Scalar = ts.Correlation(window(q.Station), window(q.Other), q.Bucket)
 	case OpQ8:
-		res.ByStation = map[StationID]float64{}
 		for _, n := range m.adj[q.Station] {
-			res.ByStation[n] = m.mean(n, q.Start, q.End)
+			if !slices.Contains(res.IDs, n) {
+				res.IDs = append(res.IDs, n)
+				res.Vals = append(res.Vals, m.mean(n, q.Start, q.End))
+			}
 		}
 	case OpDownsample:
 		res.Points = window(q.Station).Resample(q.Bucket, q.Agg).Points()
@@ -164,8 +172,9 @@ func sameResult(got, want Result) error {
 	if got.Op != want.Op || !eq(got.Scalar, want.Scalar) {
 		return fmt.Errorf("op/scalar: %v %v vs %v %v", got.Op, got.Scalar, want.Op, want.Scalar)
 	}
-	if len(got.Points) != len(want.Points) || len(got.ByStation) != len(want.ByStation) ||
-		len(got.ByDistrict) != len(want.ByDistrict) || !reflect.DeepEqual(got.Stations, want.Stations) {
+	gotRows, wantRows := asMap(got), asMap(want)
+	if len(got.Points) != len(want.Points) || len(gotRows) != len(wantRows) ||
+		(got.Vals == nil && !reflect.DeepEqual(got.IDs, want.IDs)) {
 		return fmt.Errorf("shape: %+v vs %+v", got, want)
 	}
 	for i, p := range want.Points {
@@ -173,17 +182,26 @@ func sameResult(got, want Result) error {
 			return fmt.Errorf("point %d: %v vs %v", i, g, p)
 		}
 	}
-	for st, v := range want.ByStation {
-		if g, ok := got.ByStation[st]; !ok || !eq(g, v) {
-			return fmt.Errorf("station %d: %v (present %v) vs %v", st, g, ok, v)
-		}
-	}
-	for k, v := range want.ByDistrict {
-		if g, ok := got.ByDistrict[k]; !ok || !eq(g, v) {
-			return fmt.Errorf("district %s: %v (present %v) vs %v", k, g, ok, v)
+	for k, v := range wantRows {
+		if g, ok := gotRows[k]; !ok || !eq(g, v) {
+			return fmt.Errorf("row %s: %v (present %v) vs %v", k, g, ok, v)
 		}
 	}
 	return nil
+}
+
+// asMap reads an answer's keyed rows — Q4 and Q8 by station id, Q5 by
+// district — as a map, for comparisons that ignore row order.
+func asMap(r Result) map[string]float64 {
+	m := map[string]float64{}
+	for i, v := range r.Vals {
+		if r.Names != nil {
+			m[r.Names[i]] = v
+		} else {
+			m[strconv.FormatUint(uint64(r.IDs[i]), 10)] = v
+		}
+	}
+	return m
 }
 
 // An uncancelled Exec answers every operation like the model, at sequential

@@ -75,7 +75,7 @@ func TestConcurrentMixedQueries(t *testing.T) {
 	start, end := 2*ts.Day, 9*ts.Day
 	ctx := context.Background()
 	wantQ3 := exec(t, pg, Q3(sts[2], start, end)).Scalar
-	wantQ5 := exec(t, pg, Q5(start, end)).ByDistrict
+	wantQ5 := exec(t, pg, Q5(start, end))
 
 	var wg sync.WaitGroup
 	errc := make(chan error, 16)
@@ -98,7 +98,7 @@ func TestConcurrentMixedQueries(t *testing.T) {
 					case q.Op == OpQ3 && got.Scalar != wantQ3:
 						errc <- errors.New("Q3 unstable under concurrency")
 						return
-					case q.Op == OpQ5 && !reflect.DeepEqual(got.ByDistrict, wantQ5):
+					case q.Op == OpQ5 && !reflect.DeepEqual(got, wantQ5):
 						errc <- errors.New("Q5 unstable under concurrency")
 						return
 					}
@@ -154,7 +154,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	if got := len(exec(t, pg, Q4(start, end)).ByStation); got != 9+2*5 {
+	if got := len(exec(t, pg, Q4(start, end)).IDs); got != 9+2*5 {
 		t.Fatalf("stations after concurrent ingest: %d", got)
 	}
 }

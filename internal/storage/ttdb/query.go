@@ -1,6 +1,7 @@
 package ttdb
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 
+	"hygraph/internal/storage/tsstore"
 	"hygraph/internal/ts"
 )
 
@@ -155,16 +157,92 @@ type Querier interface {
 	Exec(ctx context.Context, q Query) (Result, error)
 }
 
-// Result is the answer to one Query. Op says which field is filled: Points
-// for Q1, Q2 and downsample, Scalar for Q3 and Q7, ByStation for Q4 and Q8,
-// ByDistrict for Q5, Stations for Q6. The zero Result is "no answer".
+// Result is the answer to one Query, as columns. Op says which are filled:
+//
+//   - Q1, Q2, downsample: Points;
+//   - Q3, Q7: Scalar;
+//   - Q4: IDs and Vals, one row per station with its mean (0 for a station
+//     without samples), in the layer's station order: insertion order in an
+//     engine, ascending id at the coordinator;
+//   - Q5: Names and Vals, one row per district with its sum;
+//   - Q6: IDs, the ranking;
+//   - Q8: IDs and Vals, one row per neighbour with its mean, in adjacency
+//     order.
+//
+// An answered Q4, Q5, Q6 or Q8 has non-nil columns, empty when there is
+// nothing to list. The zero Result is "no answer".
 type Result struct {
-	Op         Op
-	Points     []ts.Point
-	Scalar     float64
-	ByStation  map[StationID]float64
-	ByDistrict map[string]float64
-	Stations   []StationID
+	Op     Op
+	Points []ts.Point
+	Scalar float64
+	IDs    []StationID
+	Names  []string
+	Vals   []float64
+}
+
+// FromSummaries is the one Q4–Q6 builder, shared by both engines and the
+// coordinator. rows are the layer's stations in its own order, each with
+// its summary over the query window; districts, read by Q5 alone, holds
+// each row's district. Q5 folds the sums in row order, so a layer that
+// keeps insertion order gets bit-identical sums at any worker or partition
+// count; its districts are listed in the order they first appear.
+func FromSummaries(q Query, rows []tsstore.EntitySummary, districts []string) Result {
+	res := Result{Op: q.Op}
+	switch q.Op {
+	case OpQ4:
+		res.IDs = make([]StationID, len(rows))
+		res.Vals = make([]float64, len(rows))
+		for i, r := range rows {
+			res.IDs[i] = StationID(r.Entity)
+			if r.Count > 0 {
+				res.Vals[i] = r.Mean()
+			}
+		}
+	case OpQ5:
+		res.Names, res.Vals = []string{}, []float64{}
+		at := map[string]int{}
+		for i, r := range rows {
+			j, ok := at[districts[i]]
+			if !ok {
+				j = len(res.Names)
+				at[districts[i]] = j
+				res.Names = append(res.Names, districts[i])
+				res.Vals = append(res.Vals, 0)
+			}
+			res.Vals[j] += r.Sum
+		}
+	case OpQ6:
+		res.IDs = topK(rows, q.K)
+	}
+	return res
+}
+
+// topK is the Q6 ranking: the k stations with samples that have the highest
+// means. A NaN mean ranks after every number, and ties go to the lower id,
+// so the ranking is one order whatever the rows' order.
+func topK(rows []tsstore.EntitySummary, k int) []StationID {
+	type ranked struct {
+		id   StationID
+		mean float64
+	}
+	rs := make([]ranked, 0, len(rows))
+	for _, r := range rows {
+		if r.Count > 0 {
+			rs = append(rs, ranked{StationID(r.Entity), r.Mean()})
+		}
+	}
+	// cmp.Compare orders NaN below every number, so descending puts it last.
+	slices.SortFunc(rs, func(a, b ranked) int {
+		if c := cmp.Compare(b.mean, a.mean); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	ids := make([]StationID, min(k, len(rs)))
+	for i := range ids {
+		ids[i] = rs[i].id
+	}
+	return ids
 }
 
 // begin is the entry check every Exec starts with: a done context wins, then
@@ -189,10 +267,12 @@ func finish(ctx context.Context, res Result, err error) (Result, error) {
 }
 
 // AppendJSON is the one wire encoding of a Result, the value of "result" in
-// a /v1 query response: the filled field alone, encoded as encoding/json
-// encodes that Go value (map keys sorted as strings, nil as null), except
-// that a non-finite float — a mean over a NaN sample, a correlation of a
-// constant series — is written as null instead of failing the encoder.
+// a /v1 query response: the filled columns alone, encoded as encoding/json
+// encodes the Go value they stand for — []ts.Point, float64, an object of
+// floats keyed by station id or district (keys in string order), or an
+// array of ids — with a nil column as null, except that a non-finite float
+// (a mean over a NaN sample, a correlation of a constant series) is written
+// as null instead of failing the encoder.
 func (r Result) AppendJSON(b []byte) []byte {
 	switch r.Op {
 	case OpQ1, OpQ2, OpDownsample:
@@ -215,29 +295,21 @@ func (r Result) AppendJSON(b []byte) []byte {
 	case OpQ3, OpQ7:
 		return appendFloat(b, r.Scalar)
 	case OpQ4, OpQ8:
-		if r.ByStation == nil {
+		if r.IDs == nil {
 			break
 		}
-		kvs := make([]keyed, 0, len(r.ByStation))
-		for st, v := range r.ByStation {
-			kvs = append(kvs, keyed{strconv.FormatUint(uint64(st), 10), v})
-		}
-		return appendObject(b, kvs)
+		return appendObject(b, r.IDs, r.Vals, cmpDecimal, appendID)
 	case OpQ5:
-		if r.ByDistrict == nil {
+		if r.Names == nil {
 			break
 		}
-		kvs := make([]keyed, 0, len(r.ByDistrict))
-		for d, v := range r.ByDistrict {
-			kvs = append(kvs, keyed{d, v})
-		}
-		return appendObject(b, kvs)
+		return appendObject(b, r.Names, r.Vals, strings.Compare, appendString)
 	case OpQ6:
-		if r.Stations == nil {
+		if r.IDs == nil {
 			break
 		}
 		b = append(b, '[')
-		for i, st := range r.Stations {
+		for i, st := range r.IDs {
 			if i > 0 {
 				b = append(b, ',')
 			}
@@ -251,30 +323,64 @@ func (r Result) AppendJSON(b []byte) []byte {
 // MarshalJSON implements json.Marshaler with AppendJSON.
 func (r Result) MarshalJSON() ([]byte, error) { return r.AppendJSON(nil), nil }
 
-// keyed is one member of a JSON object of floats.
-type keyed struct {
-	k string
-	v float64
-}
-
-// appendObject writes the members as a JSON object, keys in string order.
-func appendObject(b []byte, kvs []keyed) []byte {
-	slices.SortFunc(kvs, func(a, b keyed) int { return strings.Compare(a.k, b.k) })
+// appendObject writes keys[i]: vals[i] as a JSON object with its members in
+// the order of order over the keys — the string order encoding/json sorts
+// map keys in. It sorts a permutation and leaves the columns as they are.
+func appendObject[K any](b []byte, keys []K, vals []float64, order func(K, K) int, appendKey func([]byte, K) []byte) []byte {
+	perm := make([]int, len(keys))
+	for i := range perm {
+		perm[i] = i
+	}
+	slices.SortFunc(perm, func(i, j int) int { return order(keys[i], keys[j]) })
+	b = slices.Grow(b, 2+24*len(keys)) // `"123":0.123456789012345,`
 	b = append(b, '{')
-	for i, e := range kvs {
-		if i > 0 {
+	for n, i := range perm {
+		if n > 0 {
 			b = append(b, ',')
 		}
-		b = appendString(b, e.k)
+		b = appendKey(b, keys[i])
 		b = append(b, ':')
-		b = appendFloat(b, e.v)
+		b = appendFloat(b, vals[i])
 	}
 	return append(b, '}')
 }
 
+// pow10 holds the powers of ten up to the largest a uint32 can need.
+var pow10 = [...]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10}
+
+// digits is the length of v's decimal form.
+func digits(v StationID) int {
+	n := 1
+	for n < len(pow10) && uint64(v) >= pow10[n] {
+		n++
+	}
+	return n
+}
+
+// cmpDecimal orders two ids as their decimal strings compare, without
+// formatting them: the shorter number, scaled by a power of ten to the
+// longer one's length (a uint32 scaled in a uint64 cannot overflow),
+// compares as its digits do against the longer one's leading digits, and
+// when those are equal the shorter number, a prefix, comes first.
+func cmpDecimal(a, b StationID) int {
+	da, db := digits(a), digits(b)
+	x, y := uint64(a)*pow10[max(db-da, 0)], uint64(b)*pow10[max(da-db, 0)]
+	if c := cmp.Compare(x, y); c != 0 {
+		return c
+	}
+	return cmp.Compare(da, db)
+}
+
+// appendID writes a station id as a JSON object key.
+func appendID(b []byte, id StationID) []byte {
+	b = append(b, '"')
+	b = strconv.AppendUint(b, uint64(id), 10)
+	return append(b, '"')
+}
+
 // appendString writes s as a JSON string: verbatim between quotes when it is
-// plain ASCII that encoding/json would not escape (station ids, ordinary
-// district names), through encoding/json otherwise.
+// plain ASCII that encoding/json would not escape (ordinary district
+// names), through encoding/json otherwise.
 func appendString(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {

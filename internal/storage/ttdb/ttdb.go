@@ -23,9 +23,7 @@
 package ttdb
 
 import (
-	"cmp"
 	"context"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -161,8 +159,8 @@ func (a *AllInGraph) scan(st StationID, start, end ts.Time, fn func(ts.Time, flo
 
 // Exec implements Engine: the entry check, the per-op timer, then one body
 // per operation. Composite operations share the untimed bodies (Q7 reads
-// through rangePoints, Q4/Q6/Q8 through meanOf), so no query double-counts
-// into another's histogram or pays its timer per item.
+// through rangePoints, Q8 through meanOf), so no query double-counts into
+// another's histogram or pays its timer per item.
 func (a *AllInGraph) Exec(ctx context.Context, q Query) (Result, error) {
 	if err := begin(ctx, q); err != nil {
 		return Result{}, err
@@ -183,22 +181,14 @@ func (a *AllInGraph) Exec(ctx context.Context, q Query) (Result, error) {
 		sort.Slice(res.Points, func(i, j int) bool { return res.Points[i].T < res.Points[j].T })
 	case OpQ3:
 		res.Scalar = a.meanOf(q.Station, q.Start, q.End)
-	case OpQ4:
-		res.ByStation, err = a.meansOf(ctx, a.G.NodesByLabel("Station"), q.Start, q.End)
-	case OpQ5:
-		res.ByDistrict, err = a.districtSums(ctx, q.Start, q.End)
-	case OpQ6:
-		var means map[StationID]float64
-		means, err = a.meansOf(ctx, a.G.NodesByLabel("Station"), q.Start, q.End)
-		res.Stations = TopK(means, q.K)
+	case OpQ4, OpQ5, OpQ6:
+		res, err = a.summaries(ctx, q)
 	case OpQ7:
 		sx := ts.FromPoints("x", a.rangePoints(q.Station, q.Start, q.End))
 		sy := ts.FromPoints("y", a.rangePoints(q.Other, q.Start, q.End))
 		res.Scalar = ts.Correlation(sx, sy, q.Bucket)
 	case OpQ8:
-		// The graph store answers adjacency, then the per-neighbor chain
-		// scans fan out across the worker pool.
-		res.ByStation, err = a.meansOf(ctx, a.G.Neighbors(q.Station, "TRIP"), q.Start, q.End)
+		res.IDs, res.Vals, err = neighborMeans(ctx, a.G, q, a.workers, &a.obs, a.meanOf)
 	case OpDownsample:
 		raw := ts.FromPoints(Metric, a.rangePoints(q.Station, q.Start, q.End))
 		res.Points = raw.Resample(q.Bucket, q.Agg).Points()
@@ -226,46 +216,51 @@ func (a *AllInGraph) meanOf(st StationID, start, end ts.Time) float64 {
 	return sum / float64(n)
 }
 
-// meansOf is the Q4/Q6/Q8 body: the per-station scans are independent, so
-// they fan out across the worker pool; the merge folds the result slice in
-// station order regardless of width.
-func (a *AllInGraph) meansOf(ctx context.Context, stations []StationID, start, end ts.Time) (map[StationID]float64, error) {
-	means := make([]float64, len(stations))
+// summaries is the Q4–Q6 body: each station's chain scan (and, for Q5, its
+// district lookup) fans out across the worker pool into rows in station
+// order, which FromSummaries folds.
+func (a *AllInGraph) summaries(ctx context.Context, q Query) (Result, error) {
+	stations := a.G.NodesByLabel("Station")
+	rows := make([]tsstore.EntitySummary, len(stations))
+	var districts []string
+	if q.Op == OpQ5 {
+		districts = make([]string, len(stations))
+	}
 	if err := a.obs.parallelFor(ctx, a.workers, len(stations), func(i int) {
-		means[i] = a.meanOf(stations[i], start, end)
+		if districts != nil {
+			districts[i] = district(a.G, stations[i])
+		}
+		r := &rows[i]
+		r.Entity = uint32(stations[i])
+		a.scan(stations[i], q.Start, q.End, func(_ ts.Time, v float64) { r.Count++; r.Sum += v })
 	}); err != nil {
-		return nil, err
+		return Result{}, err
 	}
-	out := make(map[StationID]float64, len(stations))
-	for i, st := range stations {
-		out[st] = means[i]
-	}
-	return out, nil
+	return FromSummaries(q, rows, districts), nil
 }
 
-// districtSums is the Q5 body. Per-station sums and district lookups run on
-// the worker pool; the district fold runs sequentially in station order so
-// float accumulation order is fixed.
-func (a *AllInGraph) districtSums(ctx context.Context, start, end ts.Time) (map[string]float64, error) {
-	stations := a.G.NodesByLabel("Station")
-	districts := make([]string, len(stations))
-	sums := make([]float64, len(stations))
-	if err := a.obs.parallelFor(ctx, a.workers, len(stations), func(i int) {
-		districts[i] = "?"
-		if v, ok := a.G.NodeProp(stations[i], "district"); ok {
-			districts[i] = v.S
-		}
-		var sum float64
-		a.scan(stations[i], start, end, func(_ ts.Time, v float64) { sum += v })
-		sums[i] = sum
+// neighborMeans is both engines' Q8 body: adjacency from the graph store,
+// then each neighbour's mean, in adjacency order, on the worker pool.
+func neighborMeans(ctx context.Context, g *graphstore.DB, q Query, workers int, o *queryObs, mean func(StationID, ts.Time, ts.Time) float64) ([]StationID, []float64, error) {
+	ns := g.Neighbors(q.Station, "TRIP")
+	if ns == nil {
+		ns = []StationID{} // an answered Q8 is an object, never null
+	}
+	means := make([]float64, len(ns))
+	if err := o.parallelFor(ctx, workers, len(ns), func(i int) {
+		means[i] = mean(ns[i], q.Start, q.End)
 	}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	out := map[string]float64{}
-	for i := range stations {
-		out[districts[i]] += sums[i]
+	return ns, means, nil
+}
+
+// district reads a station's district from the graph store ("?" when unset).
+func district(g *graphstore.DB, st StationID) string {
+	if v, ok := g.NodeProp(st, "district"); ok {
+		return v.S
 	}
-	return out, nil
+	return "?"
 }
 
 // ---------------------------------------------------------------------------
@@ -345,16 +340,8 @@ func (p *Polyglot) run(ctx context.Context, q Query) (Result, error) {
 		})
 	case OpQ3:
 		res.Scalar = p.meanOf(q.Station, q.Start, q.End)
-	case OpQ4:
-		res.ByStation, err = p.allMeans(ctx, q.Start, q.End, true)
-	case OpQ5:
-		res.ByDistrict, err = p.districtSums(ctx, q.Start, q.End)
-	case OpQ6:
-		// Summaries fan out like Q4 (stations without samples don't rank),
-		// then one deterministic sort (ties by ascending id).
-		var means map[StationID]float64
-		means, err = p.allMeans(ctx, q.Start, q.End, false)
-		res.Stations = TopK(means, q.K)
+	case OpQ4, OpQ5, OpQ6:
+		res, err = p.summaries(ctx, q)
 	case OpQ7:
 		// Correlation is pushed down into the time-series store, the way a
 		// TimescaleDB deployment computes corr() in SQL instead of shipping
@@ -368,7 +355,7 @@ func (p *Polyglot) run(ctx context.Context, q Query) (Result, error) {
 			res.Scalar = p.T.Correlate(key(q.Station), key(q.Other), q.Start, q.End)
 		}
 	case OpQ8:
-		res.ByStation, err = p.neighborMeans(ctx, q.Station, q.Start, q.End)
+		res.IDs, res.Vals, err = neighborMeans(ctx, p.G, q, p.workers, &p.obs, p.meanOf)
 	case OpDownsample:
 		// Folded bucket by bucket from the hypertable's chunk scan; the
 		// result is element-wise identical to a Resample of the raw range.
@@ -403,104 +390,24 @@ func (p *Polyglot) shardSummaries(ctx context.Context, start, end ts.Time) ([]ts
 	return tsstore.MergeBySeq(parts), nil
 }
 
-// allMeans is the Q4/Q6 body: per-shard summary batches fan out across the
-// worker pool, merged in insertion order. A station without samples in the
-// window has mean 0 when withEmpty, and is left out otherwise.
-func (p *Polyglot) allMeans(ctx context.Context, start, end ts.Time, withEmpty bool) (map[StationID]float64, error) {
-	sums, err := p.shardSummaries(ctx, start, end)
+// summaries is the Q4–Q6 body: the per-shard summary batches, merged in
+// hypertable insertion order, and for Q5 each station's district from the
+// graph store, looked up on the worker pool. FromSummaries folds them in
+// that order, so sequential and parallel runs, and repeated runs of either,
+// give bit-identical district sums.
+func (p *Polyglot) summaries(ctx context.Context, q Query) (Result, error) {
+	rows, err := p.shardSummaries(ctx, q.Start, q.End)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
-	out := make(map[StationID]float64, len(sums))
-	for _, e := range sums {
-		if e.Count > 0 {
-			out[StationID(e.Entity)] = e.Mean()
-		} else if withEmpty {
-			out[StationID(e.Entity)] = 0
+	var districts []string
+	if q.Op == OpQ5 {
+		districts = make([]string, len(rows))
+		if err := p.obs.parallelFor(ctx, p.workers, len(rows), func(i int) {
+			districts[i] = district(p.G, StationID(rows[i].Entity))
+		}); err != nil {
+			return Result{}, err
 		}
 	}
-	return out, nil
-}
-
-// districtSums is the Q5 body: aggregation pushdown fans out one lock stripe
-// per worker, then the district lookups (graph-store topology) fan out per
-// station. The district fold runs sequentially in hypertable insertion
-// order, fixing the float accumulation order — sequential and parallel runs,
-// and repeated runs of either, all produce bit-identical sums (a
-// map-iteration fold would make even two sequential runs differ in the last
-// ulp).
-func (p *Polyglot) districtSums(ctx context.Context, start, end ts.Time) (map[string]float64, error) {
-	sums, err := p.shardSummaries(ctx, start, end)
-	if err != nil {
-		return nil, err
-	}
-	districts := make([]string, len(sums))
-	if err := p.obs.parallelFor(ctx, p.workers, len(sums), func(i int) {
-		districts[i] = p.district(StationID(sums[i].Entity))
-	}); err != nil {
-		return nil, err
-	}
-	out := map[string]float64{}
-	for i := range sums {
-		out[districts[i]] += sums[i].Sum
-	}
-	return out, nil
-}
-
-// district reads a station's district from the graph store ("?" when unset).
-func (p *Polyglot) district(st StationID) string {
-	if v, ok := p.G.NodeProp(st, "district"); ok {
-		return v.S
-	}
-	return "?"
-}
-
-// neighborMeans is the Q8 body: adjacency from the graph store, then
-// per-neighbor summary pushdowns on the worker pool.
-func (p *Polyglot) neighborMeans(ctx context.Context, st StationID, start, end ts.Time) (map[StationID]float64, error) {
-	ns := p.G.Neighbors(st, "TRIP")
-	means := make([]float64, len(ns))
-	if err := p.obs.parallelFor(ctx, p.workers, len(ns), func(i int) {
-		means[i] = p.meanOf(ns[i], start, end)
-	}); err != nil {
-		return nil, err
-	}
-	out := make(map[StationID]float64, len(ns))
-	for i, n := range ns {
-		out[n] = means[i]
-	}
-	return out, nil
-}
-
-// TopK returns the k keys with the largest values, ties by ascending id —
-// the Q6 ranking rule, shared with the coordinator's merge.
-func TopK(m map[StationID]float64, k int) []StationID {
-	type pair struct {
-		id StationID
-		v  float64
-	}
-	ps := make([]pair, 0, len(m))
-	for id, v := range m {
-		ps = append(ps, pair{id, v})
-	}
-	// Below zero exactly where a ranks first: a higher mean, or an equal one
-	// and a lower id. A NaN mean is unordered against every mean, so where
-	// it lands follows the sort's probe order.
-	slices.SortFunc(ps, func(a, b pair) int {
-		if a.v != b.v {
-			if a.v > b.v {
-				return -1
-			}
-			return 1
-		}
-		return cmp.Compare(a.id, b.id)
-	})
-	if k > len(ps) {
-		k = len(ps)
-	}
-	out := make([]StationID, k)
-	for i := range out {
-		out[i] = ps[i].id
-	}
-	return out
+	return FromSummaries(q, rows, districts), nil
 }

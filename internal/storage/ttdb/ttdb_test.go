@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -93,19 +94,20 @@ func TestEnginesAgree(t *testing.T) {
 		t.Fatalf("Q3 %v vs %v", m1, m2)
 	}
 	// Q4
-	a1 := exec(t, neo, Q4(start, end)).ByStation
-	a2 := exec(t, pg, Q4(start, end)).ByStation
-	if len(a1) != 9 || len(a2) != 9 {
-		t.Fatalf("Q4 sizes %d/%d", len(a1), len(a2))
+	// Both engines list the stations in ingest order.
+	a1 := exec(t, neo, Q4(start, end))
+	a2 := exec(t, pg, Q4(start, end))
+	if !slices.Equal(a1.IDs, stN) || !slices.Equal(a2.IDs, stP) {
+		t.Fatalf("Q4 stations %v / %v, want %v / %v", a1.IDs, a2.IDs, stN, stP)
 	}
 	for i := range stN {
-		if math.Abs(a1[stN[i]]-a2[stP[i]]) > 1e-9 {
-			t.Fatalf("Q4 station %d: %v vs %v", i, a1[stN[i]], a2[stP[i]])
+		if math.Abs(a1.Vals[i]-a2.Vals[i]) > 1e-9 {
+			t.Fatalf("Q4 station %d: %v vs %v", i, a1.Vals[i], a2.Vals[i])
 		}
 	}
 	// Q5
-	d1 := exec(t, neo, Q5(start, end)).ByDistrict
-	d2 := exec(t, pg, Q5(start, end)).ByDistrict
+	d1 := asMap(exec(t, neo, Q5(start, end)))
+	d2 := asMap(exec(t, pg, Q5(start, end)))
 	if len(d1) != 3 || len(d2) != 3 {
 		t.Fatalf("Q5 sizes %d/%d", len(d1), len(d2))
 	}
@@ -115,8 +117,8 @@ func TestEnginesAgree(t *testing.T) {
 		}
 	}
 	// Q6: highest-index stations have the highest base level.
-	k1 := exec(t, neo, Q6(start, end, 3)).Stations
-	k2 := exec(t, pg, Q6(start, end, 3)).Stations
+	k1 := exec(t, neo, Q6(start, end, 3)).IDs
+	k2 := exec(t, pg, Q6(start, end, 3)).IDs
 	if len(k1) != 3 || len(k2) != 3 {
 		t.Fatalf("Q6 %v / %v", k1, k2)
 	}
@@ -132,16 +134,16 @@ func TestEnginesAgree(t *testing.T) {
 		t.Fatalf("Q7 %v vs %v", c1, c2)
 	}
 	// Q8: ring topology → exactly two neighbors each.
-	n1 := exec(t, neo, Q8(stN[0], start, end)).ByStation
-	n2 := exec(t, pg, Q8(stP[0], start, end)).ByStation
-	if len(n1) != 2 || len(n2) != 2 {
-		t.Fatalf("Q8 sizes %d/%d", len(n1), len(n2))
+	// Both engines list the neighbours in adjacency order.
+	n1 := exec(t, neo, Q8(stN[0], start, end))
+	n2 := exec(t, pg, Q8(stP[0], start, end))
+	if len(n1.IDs) != 2 || len(n2.IDs) != 2 {
+		t.Fatalf("Q8 sizes %d/%d", len(n1.IDs), len(n2.IDs))
 	}
-	for i := range stN {
-		if v, ok := n1[stN[i]]; ok {
-			if math.Abs(v-n2[stP[i]]) > 1e-9 {
-				t.Fatalf("Q8 neighbor %d: %v vs %v", i, v, n2[stP[i]])
-			}
+	for j, id := range n1.IDs {
+		i := slices.Index(stN, id)
+		if n2.IDs[j] != stP[i] || math.Abs(n1.Vals[j]-n2.Vals[j]) > 1e-9 {
+			t.Fatalf("Q8 neighbour %d: station %d = %v vs station %d = %v", j, id, n1.Vals[j], n2.IDs[j], n2.Vals[j])
 		}
 	}
 }
