@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"hygraph/internal/coord"
+	"hygraph/internal/hyql"
+	"hygraph/internal/lpg"
 	"hygraph/internal/storage/ttdb"
 	"hygraph/internal/ts"
 )
@@ -97,4 +99,80 @@ func BenchmarkQ8(b *testing.B) {
 			})
 		}
 	}
+}
+
+// servedGraph keeps BenchmarkHyQLServed's GraphAt calls live.
+var servedGraph *lpg.Graph
+
+// BenchmarkHyQLServed times the served HyQL panels in process: H1–H4 as
+// hymark's hyql_live spells them (HyQLText in benchmark/mark), over the
+// structure of 100 stations × 90 days of hourly samples in a one-partition
+// coordinator wrapped by hyql.NewView, asked at the last loaded hour about
+// the trailing 30 days. <H>/Query parses and executes; H1/Exec executes a
+// query parsed once; GraphAt is the per-query validity decision alone.
+func BenchmarkHyQLServed(b *testing.B) {
+	const stations, days = 100, 90
+	c, err := coord.NewMem(1, ts.Week)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	gids := make([]ttdb.StationID, stations)
+	for i := range gids {
+		s := ts.New("availability")
+		for h := 0; h < days*24; h++ {
+			s.MustAppend(ts.Time(h)*ts.Hour, float64(rng.Intn(40)))
+		}
+		if gids[i], err = c.IngestStation(fmt.Sprintf("st-%04d", i), fmt.Sprintf("district-%02d", i%12), s); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := range gids {
+		for k := 0; k < 4; k++ {
+			if o := rng.Intn(stations); o != i {
+				if err := c.AddTrip(gids[i], gids[o], 1+rng.Intn(200)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	view := hyql.NewView(c.Structure())
+	eng := hyql.NewEngine(view)
+	at := ts.Time(days*24-1) * ts.Hour
+	end := ts.Time(days) * ts.Day
+	start := end - 30*ts.Day
+	texts := []string{
+		fmt.Sprintf(`MATCH (st:Station)-[:HAS_SERIES]->(a) WHERE st.name = 'st-0042' RETURN ts.mean(a, %d, %d)`, start, end),
+		fmt.Sprintf(`MATCH (st:Station)-[:HAS_SERIES]->(a) RETURN st.district, sum(ts.sum(a, %d, %d))`, start, end),
+		fmt.Sprintf(`MATCH (st:Station)-[:HAS_SERIES]->(a) RETURN st.name AS name, ts.mean(a, %d, %d) AS m ORDER BY m DESC, name LIMIT 10`, start, end),
+		fmt.Sprintf(`MATCH (st:Station)-[:TRIP]-(n:Station)-[:HAS_SERIES]->(a) WHERE st.name = 'st-0042' RETURN DISTINCT n.name, ts.mean(a, %d, %d)`, start, end),
+	}
+	for i, text := range texts {
+		b.Run(fmt.Sprintf("H%d/Query", i+1), func(b *testing.B) {
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				if res, err := eng.Query(text, at); err != nil || len(res.Rows) == 0 {
+					b.Fatalf("%q: %v rows, err %v", text, res, err)
+				}
+			}
+		})
+	}
+	b.Run("H1/Exec", func(b *testing.B) {
+		q, err := hyql.Parse(texts[0])
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		for n := 0; n < b.N; n++ {
+			if _, err := eng.Exec(q, at); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("GraphAt", func(b *testing.B) {
+		b.ReportAllocs()
+		for n := 0; n < b.N; n++ {
+			servedGraph = view.GraphAt(at)
+		}
+	})
 }

@@ -73,24 +73,24 @@ func (c *Coordinator) routeLocked(ctx context.Context, part int, local ttdb.Quer
 }
 
 // summariesLocked answers Q4–Q6. It scatters the fragment (per-entity
-// summaries over the window) to every partition, lifts each partition's rows
-// into gid space and merges them by ascending gid, one order at every
-// partition count. Entities without a coordinator mapping (none in a
+// summaries over the window) to every partition and lifts each partition's
+// rows into gid space. Entities without a coordinator mapping (none in a
 // consistent deployment) are dropped. A fragment comes in its partition's
 // insertion order, which is gid order for every station the coordinator
 // ingested or Repartition replayed, so each partition's rows are lifted as
-// one run and the runs are merged. A run that does not ascend — Attach
-// adopting an untagged station under a node id below the gid of a station
-// written before it — is sorted first.
+// one ascending run. A run that does not ascend — Attach adopting an
+// untagged station under a node id below the gid of a station written
+// before it — is sorted first.
 //
-// The rows handed to ttdb.FromSummaries are then c.order's stations, walked
-// against the merged run: a station of a failed partition gets a zero
-// summary, so the partial degrades in place — zero means in Q4, zero
-// contribution to its district in Q5, absent from the Q6 ranking. Gid order
-// is single-engine ingest order, so Q5's fold matches the oracle's
-// hypertable-insertion-order fold exactly; its districts come from the
-// placement map, which agrees with the partitions' graph properties by
-// construction. Caller holds at least the read lock.
+// The rows handed to ttdb.FromSummaries are then c.order's stations, which
+// ascend too, each taken from the head of its run with no merged copy made:
+// a station of a failed partition gets a zero summary, so the partial
+// degrades in place — zero means in Q4, zero contribution to its district
+// in Q5, absent from the Q6 ranking. Gid order is single-engine ingest
+// order, so Q5's fold matches the oracle's hypertable-insertion-order fold
+// exactly; its districts come from the placement map, which agrees with the
+// partitions' graph properties by construction. Caller holds at least the
+// read lock.
 func (c *Coordinator) summariesLocked(ctx context.Context, q ttdb.Query) (ttdb.Result, *PartialError) {
 	frags := make([][]tsstore.EntitySummary, len(c.parts))
 	perr := c.scatterLocked(ctx, q.Op, c.allPartsLocked(), func(p int) error {
@@ -115,17 +115,20 @@ func (c *Coordinator) summariesLocked(ctx context.Context, q ttdb.Query) (ttdb.R
 		}
 		frags[p] = lifted
 	}
-	merged := tsstore.MergeRuns(frags, func(e tsstore.EntitySummary) uint64 { return uint64(e.Entity) })
 	rows := make([]tsstore.EntitySummary, 0, len(c.order))
 	var districts []string
 	if q.Op == ttdb.OpQ5 {
 		districts = make([]string, 0, len(c.order))
 	}
 	for _, gid := range c.order {
+		p := 0
+		for p < len(frags) && (len(frags[p]) == 0 || frags[p][0].Entity != uint32(gid)) {
+			p++
+		}
 		switch {
-		case len(merged) > 0 && merged[0].Entity == uint32(gid):
-			rows = append(rows, merged[0])
-			merged = merged[1:]
+		case p < len(frags):
+			rows = append(rows, frags[p][0])
+			frags[p] = frags[p][1:]
 		case perr != nil && perr.Failed[c.meta[gid].part] != nil:
 			rows = append(rows, tsstore.EntitySummary{Entity: uint32(gid)})
 		default:

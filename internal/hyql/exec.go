@@ -161,7 +161,7 @@ func matchRows(g *lpg.Graph, q *Query, o engineObs) ([]map[string]Value, error) 
 			} else {
 				p.E(from, to, ep.Label, nil)
 			}
-			pe := &patternEdges(p)[edgeIndex]
+			pe := &p.EdgesMut()[edgeIndex]
 			pe.AnyDir = ep.Dir == DirBoth
 			edges = append(edges, edgeRef{name: ep.Name, index: edgeIndex, varLen: varLen})
 			edgeIndex++
@@ -173,7 +173,9 @@ func matchRows(g *lpg.Graph, q *Query, o engineObs) ([]map[string]Value, error) 
 	// the search space early. Pushdown is conservative — a conjunct that
 	// errors during early evaluation admits the candidate and leaves the
 	// decision to the full WHERE pass, so semantics never change.
+	// An anchor seeds its vertex's candidates from the string index instead.
 	nodePred := map[string]func(*lpg.Vertex) bool{}
+	seeds := map[string][]lpg.VertexID{}
 	if q.Where != nil {
 		for _, conj := range flattenAnd(q.Where) {
 			if isAggregate(conj) {
@@ -187,15 +189,22 @@ func matchRows(g *lpg.Graph, q *Query, o engineObs) ([]map[string]Value, error) 
 			for n := range refs {
 				name = n
 			}
-			if _, isNode := nodeLabel[name]; isNode {
-				nodePred[name] = andPred(nodePred[name], nodeFilter(name, conj))
+			if label, isNode := nodeLabel[name]; isNode {
 				o.pushNode.Inc()
+				if _, seeded := seeds[name]; !seeded {
+					if ids, ok := anchor(g, label, conj); ok {
+						seeds[name] = ids
+						o.anchored.Inc()
+						continue
+					}
+				}
+				nodePred[name] = andPred(nodePred[name], nodeFilter(name, conj))
 				continue
 			}
 			// Single-hop named edges get the filter on the pattern edge.
 			for _, er := range edges {
 				if er.name == name && !er.varLen {
-					pe := &patternEdges(p)[er.index]
+					pe := &p.EdgesMut()[er.index]
 					pe.Where = andEdgePred(pe.Where, edgeFilter(name, conj))
 					o.pushEdge.Inc()
 				}
@@ -206,6 +215,9 @@ func matchRows(g *lpg.Graph, q *Query, o engineObs) ([]map[string]Value, error) 
 	// their final label; edge constraints reference vertices by name only.
 	for _, name := range nodeOrder {
 		p.V(name, nodeLabel[name], nodePred[name])
+		if ids, ok := seeds[name]; ok {
+			p.Seed(ids)
+		}
 	}
 	matches := g.MatchPattern(p, 0)
 	rows := make([]map[string]Value, 0, len(matches))
@@ -229,10 +241,6 @@ func matchRows(g *lpg.Graph, q *Query, o engineObs) ([]map[string]Value, error) 
 	}
 	return rows, nil
 }
-
-// patternEdges exposes the pattern's edge slice for post-construction
-// adjustment (AnyDir). Defined here to keep lpg's builder API minimal.
-func patternEdges(p *lpg.Pattern) []lpg.PatternEdge { return p.EdgesMut() }
 
 // columnNames names each item's column: its alias, or its expression text
 // (for WITH, the parser allows only a bare identifier without an alias).

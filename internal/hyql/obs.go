@@ -16,6 +16,7 @@ type engineObs struct {
 
 	pushNode *obs.Counter // WHERE conjuncts pushed onto pattern vertices
 	pushEdge *obs.Counter // WHERE conjuncts pushed onto pattern edges
+	anchored *obs.Counter // pattern vertices seeded from the string index
 }
 
 // Instrument attaches metric handles to the engine; a nil registry detaches
@@ -35,5 +36,6 @@ func (e *Engine) Instrument(r *obs.Registry) {
 		order:    r.Histogram("hyql.clause.order"),
 		pushNode: r.Counter("hyql.pushdown.node_conjuncts"),
 		pushEdge: r.Counter("hyql.pushdown.edge_conjuncts"),
+		anchored: r.Counter("hyql.match.anchored"),
 	}
 }

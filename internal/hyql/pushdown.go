@@ -38,6 +38,26 @@ func bindingRefs(e Expr) map[string]bool {
 	return out
 }
 
+// anchor returns, from g's string index, the exact candidates of a vertex
+// labelled label whose conjunct conj is `v.key = 'lit'` or `'lit' = v.key`:
+// a string literal equals only a string property with the same bytes.
+func anchor(g *lpg.Graph, label string, conj Expr) (ids []lpg.VertexID, ok bool) {
+	b, isBin := conj.(Binary)
+	if !isBin || b.Op != "=" || label == "" {
+		return nil, false
+	}
+	pa, isProp := b.L.(PropAccess)
+	lit, isLit := b.R.(Lit)
+	if !isProp {
+		pa, isProp = b.R.(PropAccess)
+		lit, isLit = b.L.(Lit)
+	}
+	if !isProp || !isLit || lit.Str == nil || lit.IsNull {
+		return nil, false
+	}
+	return g.VerticesByString(label, pa.Key, *lit.Str)
+}
+
 // nodeFilter compiles a single-binding conjunct into a vertex candidate
 // filter. Evaluation errors admit the candidate (the residual WHERE decides).
 // The filter reuses one row, overwriting its single key per call: a filter

@@ -51,11 +51,9 @@ func (t token) String() string {
 	return fmt.Sprintf("%q", t.text)
 }
 
-var keywords = map[string]bool{
-	"MATCH": true, "WHERE": true, "RETURN": true, "ORDER": true, "BY": true,
-	"LIMIT": true, "AS": true, "AND": true, "OR": true, "NOT": true, "WITH": true,
-	"TRUE": true, "FALSE": true, "NULL": true, "ASC": true, "DESC": true,
-	"DISTINCT": true,
+var keywords = []string{
+	"MATCH", "WHERE", "RETURN", "ORDER", "BY", "LIMIT", "AS", "AND", "OR",
+	"NOT", "WITH", "TRUE", "FALSE", "NULL", "ASC", "DESC", "DISTINCT",
 }
 
 // multi-character symbols, longest first.
@@ -64,7 +62,7 @@ var symbols = []string{"<=", ">=", "<>", "!=", "->", "<-", "..", "(", ")",
 
 // lex tokenizes a query. Errors carry the offending position.
 func lex(src string) ([]token, error) {
-	var out []token
+	out := make([]token, 0, len(src)/3+2)
 	i := 0
 	n := len(src)
 	for i < n {
@@ -73,10 +71,16 @@ func lex(src string) ([]token, error) {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
 			i++
 		case c == '\'' || c == '"':
-			quote := c
+			end := strings.IndexByte(src[i+1:], c)
+			if end >= 0 && strings.IndexByte(src[i+1:i+1+end], '\\') < 0 {
+				// No escape before the closing quote: the literal is the source.
+				out = append(out, token{tokString, src[i+1 : i+1+end], i})
+				i += end + 2
+				break
+			}
 			j := i + 1
 			var sb strings.Builder
-			for j < n && src[j] != quote {
+			for j < n && src[j] != c {
 				if src[j] == '\\' && j+1 < n {
 					j++
 				}
@@ -108,12 +112,15 @@ func lex(src string) ([]token, error) {
 			for j < n && isIdentPart(rune(src[j])) {
 				j++
 			}
-			word := src[i:j]
-			if up := strings.ToUpper(word); keywords[up] {
-				out = append(out, token{tokKeyword, up, i})
-			} else {
-				out = append(out, token{tokIdent, word, i})
+			// EqualFold's non-ASCII folds (Kelvin sign, long s) need bytes no word holds.
+			tok := token{tokIdent, src[i:j], i}
+			for _, kw := range keywords {
+				if len(kw) == len(tok.text) && strings.EqualFold(tok.text, kw) {
+					tok = token{tokKeyword, kw, i}
+					break
+				}
 			}
+			out = append(out, tok)
 			i = j
 		default:
 			matched := false

@@ -1,10 +1,12 @@
 package hyql
 
 import (
+	"math"
 	"slices"
 	"sync/atomic"
 
 	"hygraph/internal/lpg"
+	"hygraph/internal/obs"
 	"hygraph/internal/ts"
 )
 
@@ -14,18 +16,23 @@ import (
 // the structure it was built from — it is replaced when a station or a trip
 // is written, never when a series gains a sample.
 //
-// A TS vertex is valid from its series' first sample to its last, and an
-// append moves the last. GraphAt therefore asks every handle for its span
-// on every call and decides visibility afresh; nothing derived from a span
-// outlives the call except as a memo keyed by the decision itself. When every
-// TS vertex is visible — the steady state of a live dataset queried "as of"
-// now — the structure graph is returned as is.
+// A TS vertex is valid from its series' first sample to its last. When
+// every TS vertex is visible — the steady state of a live dataset queried
+// "as of" now — the structure graph is returned as is.
 type View struct {
 	g      *lpg.Graph
 	series []refVertex
+	// valid is [max first, min last] of the spans GraphAt last read, when
+	// every series had one. Between two structural writes a span only
+	// widens — an append moves its last sample later, a backfill its first
+	// earlier, and only a station write, which replaces the View, removes a
+	// series — so every TS vertex is still valid inside it: GraphAt answers
+	// such an instant with the structure graph and no Span call.
+	valid atomic.Pointer[[2]ts.Time]
 	// last memoises the most recent projection that hid something, keyed by
 	// exactly which vertices it hid.
-	last atomic.Pointer[projection]
+	last  atomic.Pointer[projection]
+	scans *obs.Counter // GraphAt calls that read spans
 }
 
 type refVertex struct {
@@ -38,8 +45,10 @@ type projection struct {
 	g      *lpg.Graph
 }
 
-// NewView wraps a structure graph, which must not be modified afterwards.
+// NewView wraps a structure graph, which must not be modified afterwards,
+// and indexes its string properties for anchored queries.
 func NewView(g *lpg.Graph) *View {
+	g.IndexStrings()
 	v := &View{g: g}
 	g.Vertices(func(x *lpg.Vertex) bool {
 		if r, ok := x.Prop("_series").AsSeriesRef(); ok {
@@ -52,15 +61,30 @@ func NewView(g *lpg.Graph) *View {
 	return v
 }
 
+// CountSpanScans counts on c every GraphAt call that reads spans (nil counts
+// nothing). Call it before the View serves a query.
+func (v *View) CountSpanScans(c *obs.Counter) { v.scans = c }
+
 // GraphAt implements Source: the structure minus the TS vertices whose
 // series does not cover the instant, and minus the edges that touch them,
 // numbered as if they had never been there.
 func (v *View) GraphAt(at ts.Time) *lpg.Graph {
+	if w := v.valid.Load(); w != nil && w[0] <= at && at <= w[1] {
+		return v.g
+	}
+	v.scans.Inc()
 	var hidden []lpg.VertexID
+	w, all := [2]ts.Time{math.MinInt64, math.MaxInt64}, true
 	for _, rv := range v.series {
-		if first, last, ok := rv.s.Span(); !ok || at < first || at > last {
+		first, last, ok := rv.s.Span()
+		all = all && ok
+		w = [2]ts.Time{max(w[0], first), min(w[1], last)}
+		if !ok || at < first || at > last {
 			hidden = append(hidden, rv.id)
 		}
+	}
+	if all && w[0] <= w[1] {
+		v.valid.Store(&w)
 	}
 	if len(hidden) == 0 {
 		return v.g
@@ -74,8 +98,9 @@ func (v *View) GraphAt(at ts.Time) *lpg.Graph {
 }
 
 // without copies g leaving out the hidden vertices (ascending ids) and their
-// incident edges. Survivors keep their relative order and get dense ids, the
-// numbering core.HyGraph.SnapshotAt gives the same selection.
+// incident edges, and indexes the copy as NewView does g. Survivors keep
+// their relative order and get dense ids, the numbering
+// core.HyGraph.SnapshotAt gives the same selection.
 func without(g *lpg.Graph, hidden []lpg.VertexID) *lpg.Graph {
 	out := lpg.NewGraph()
 	remap := make([]lpg.VertexID, 0, g.NumVertices())
@@ -103,5 +128,6 @@ func without(g *lpg.Graph, hidden []lpg.VertexID) *lpg.Graph {
 		}
 		return true
 	})
+	out.IndexStrings()
 	return out
 }

@@ -7,6 +7,7 @@ import (
 
 	"hygraph/internal/core"
 	"hygraph/internal/lpg"
+	"hygraph/internal/obs"
 	"hygraph/internal/tpg"
 	"hygraph/internal/ts"
 )
@@ -136,6 +137,56 @@ func TestViewSharesStructureWhenNothingIsHidden(t *testing.T) {
 	series[1].MustAppend(120, 1)
 	if view.GraphAt(90) != g {
 		t.Fatal("every series covers 90 now; the structure graph itself should be returned")
+	}
+}
+
+// TestViewValidityMemoMatchesFreshView pins the memo GraphAt keeps of the
+// instants at which it last saw every series valid: it may skip reading
+// spans only because a span never narrows between structural writes. After
+// an append past a series' last sample, a backfill before its first, and a
+// backfill that makes a series starting after the instant cover it, every
+// instant projects what a View built afresh over the same series projects.
+func TestViewValidityMemoMatchesFreshView(t *testing.T) {
+	series := sensorSeries() // spans [0, 100], [50, 60], [80, 200]
+	g := sensorStructure(series)
+	view := NewView(g)
+	reg := obs.New()
+	scans := reg.Counter("scans")
+	view.CountSpanScans(scans)
+	instants := []ts.Time{-10, 0, 40, 55, 70, 90, 100, 150, 200, 250}
+	check := func(label string) {
+		t.Helper()
+		fresh := NewView(g)
+		for _, at := range instants {
+			if got, want := dumpGraph(view.GraphAt(at)), dumpGraph(fresh.GraphAt(at)); got != want {
+				t.Fatalf("%s at %d:\n got\n%s\nwant\n%s", label, at, got, want)
+			}
+		}
+	}
+	check("built")
+	series[1].MustAppend(120, 1) // past the last sample: [50, 120]
+	check("appended")
+	// Every series covers [80, 100] now; the memo answers it with no scan.
+	view.GraphAt(90)
+	before := scans.Value()
+	for _, at := range []ts.Time{80, 90, 100} {
+		if view.GraphAt(at) != g {
+			t.Fatalf("every series covers %d, yet the structure graph was not returned", at)
+		}
+	}
+	if n := scans.Value() - before; n != 0 {
+		t.Fatalf("%d span scans inside the memoised interval, want 0", n)
+	}
+	series[1].Upsert(10, 1) // before the first sample: [10, 120]
+	check("backfilled")
+	// The third series starts after 70; a backfill makes it cover 70.
+	if view.GraphAt(70) == g {
+		t.Fatal("at 70 the third series has not started; its vertex must be hidden")
+	}
+	series[2].Upsert(60, 1)
+	check("started earlier")
+	if view.GraphAt(70) != g {
+		t.Fatal("every series covers 70 after the backfill")
 	}
 }
 

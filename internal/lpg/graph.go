@@ -41,8 +41,11 @@ type Graph struct {
 	vertices []*Vertex
 	edges    []*Edge
 
-	labelIndex map[string][]VertexID // vertex label -> ids (insertion order)
+	labelIndex map[string][]VertexID // vertex label -> ids (insertion order); "" -> all
+	strIndex   map[strKey][]VertexID // nil until IndexStrings; then ascending ids
 }
+
+type strKey struct{ label, key, val string }
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
@@ -54,11 +57,15 @@ func (g *Graph) NumVertices() int { return len(g.vertices) }
 
 // AddVertex creates a vertex with the given labels and returns its ID.
 func (g *Graph) AddVertex(labels ...string) VertexID {
+	g.mustNotBeIndexed()
 	id := VertexID(len(g.vertices))
 	v := &Vertex{ID: id, Labels: append([]string(nil), labels...), props: map[string]Value{}}
 	g.vertices = append(g.vertices, v)
+	g.labelIndex[""] = append(g.labelIndex[""], id)
 	for _, l := range labels {
-		g.labelIndex[l] = append(g.labelIndex[l], id)
+		if l != "" {
+			g.labelIndex[l] = append(g.labelIndex[l], id)
+		}
 	}
 	return id
 }
@@ -121,15 +128,10 @@ func (g *Graph) Edges(fn func(*Edge) bool) {
 }
 
 // VertexIDs returns all vertex IDs in ID order: 0..NumVertices()-1.
-func (g *Graph) VertexIDs() []VertexID {
-	out := make([]VertexID, len(g.vertices))
-	for i := range out {
-		out[i] = VertexID(i)
-	}
-	return out
-}
+func (g *Graph) VertexIDs() []VertexID { return g.VerticesByLabel("") }
 
-// VerticesByLabel returns the vertex IDs carrying the label, in ID order.
+// VerticesByLabel returns the vertex IDs carrying the label, in ID order;
+// "" lists every vertex.
 func (g *Graph) VerticesByLabel(label string) []VertexID {
 	return append([]VertexID(nil), g.labelIndex[label]...)
 }
@@ -157,7 +159,39 @@ func sortedKeys(m map[string]Value) []string {
 
 // SetVertexProp sets a property on a vertex.
 func (g *Graph) SetVertexProp(id VertexID, key string, val Value) {
+	g.mustNotBeIndexed()
 	g.mustVertex(id).props[key] = val
+}
+
+// IndexStrings indexes every string vertex property under each label of its
+// vertex for VerticesByString; AddVertex and SetVertexProp then panic.
+func (g *Graph) IndexStrings() {
+	g.strIndex = map[strKey][]VertexID{}
+	for _, v := range g.vertices {
+		for key, val := range v.props {
+			if s, ok := val.AsString(); ok {
+				for _, l := range v.Labels {
+					k := strKey{l, key, s}
+					g.strIndex[k] = append(g.strIndex[k], v.ID)
+				}
+			}
+		}
+	}
+}
+
+// VerticesByString returns the ascending, shared ids of the vertices carrying
+// label whose property key is the string val; ok is false before IndexStrings.
+func (g *Graph) VerticesByString(label, key, val string) (ids []VertexID, ok bool) {
+	if g.strIndex == nil {
+		return nil, false
+	}
+	return g.strIndex[strKey{label, key, val}], true
+}
+
+func (g *Graph) mustNotBeIndexed() {
+	if g.strIndex != nil {
+		panic("lpg: vertex written after IndexStrings")
+	}
 }
 
 // SetEdgeProp sets a property on an edge.

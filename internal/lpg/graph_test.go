@@ -102,6 +102,43 @@ func TestLabelIndex(t *testing.T) {
 	}
 }
 
+// TestIndexStrings: the string index lists, per (label, key, value), the
+// ascending ids of exactly the vertices whose property is that string —
+// not one holding another kind with the same text — and an indexed graph
+// refuses vertex writes rather than let the index go stale.
+func TestIndexStrings(t *testing.T) {
+	g := NewGraph()
+	for _, v := range []Value{Str("5"), Int(5), Str("5"), Float(5), Str("x")} {
+		g.SetVertexProp(g.AddVertex("Hub", "Site"), "code", v)
+	}
+	if _, ok := g.VerticesByString("Hub", "code", "5"); ok {
+		t.Fatal("a graph nobody indexed answered from an index")
+	}
+	g.IndexStrings()
+	for _, label := range []string{"Hub", "Site"} {
+		if ids, ok := g.VerticesByString(label, "code", "5"); !ok || !slices.Equal(ids, []VertexID{0, 2}) {
+			t.Fatalf("%s code '5': %v %v, want [0 2]", label, ids, ok)
+		}
+	}
+	if ids, _ := g.VerticesByString("Other", "code", "5"); len(ids) != 0 {
+		t.Fatalf("a label no vertex carries: %v", ids)
+	}
+	g.AddEdge(0, 1, "LINK") // edges may still be added
+	for name, write := range map[string]func(){
+		"AddVertex":     func() { g.AddVertex("Hub") },
+		"SetVertexProp": func() { g.SetVertexProp(4, "code", Str("5")) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s after IndexStrings did not panic", name)
+				}
+			}()
+			write()
+		}()
+	}
+}
+
 func TestIterationStops(t *testing.T) {
 	g := NewGraph()
 	for i := 0; i < 10; i++ {

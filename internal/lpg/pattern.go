@@ -22,6 +22,10 @@ type PatternVertex struct {
 	Name  string
 	Label string             // "" matches any label
 	Where func(*Vertex) bool // nil matches all
+	// Among, when Seeded, replaces the label scan as the vertex's
+	// candidates: ascending ids, each carrying Label.
+	Among  []VertexID
+	Seeded bool
 }
 
 // PatternEdge constrains one pattern edge between two named vertices.
@@ -49,7 +53,15 @@ func (p *Pattern) V(name, label string, where func(*Vertex) bool) *Pattern {
 		panic("lpg: duplicate pattern vertex " + name)
 	}
 	p.vIndex[name] = len(p.vertices)
-	p.vertices = append(p.vertices, PatternVertex{name, label, where})
+	p.vertices = append(p.vertices, PatternVertex{Name: name, Label: label, Where: where})
+	return p
+}
+
+// Seed gives the vertex added last its candidates from ids (ascending, each
+// carrying its label: Graph.VerticesByString) instead of a label scan.
+func (p *Pattern) Seed(ids []VertexID) *Pattern {
+	v := &p.vertices[len(p.vertices)-1]
+	v.Among, v.Seeded = ids, true
 	return p
 }
 
@@ -91,16 +103,14 @@ func (g *Graph) MatchPattern(p *Pattern, limit int) []Match {
 	if len(p.vertices) == 0 {
 		return nil
 	}
-	// Candidate lists per pattern vertex, in ascending id order: the label
-	// index and VertexIDs both list ids in insertion order, which is id
-	// order, and the Where filter keeps that order.
+	// Candidate lists per pattern vertex, in ascending id order: a seed and
+	// the label index ("" for every vertex) list ids in id order, and the
+	// Where filter keeps that order. Both are shared, so cands are read only.
 	cands := make([][]VertexID, len(p.vertices))
 	for i, pv := range p.vertices {
-		var ids []VertexID
-		if pv.Label != "" {
-			ids = g.VerticesByLabel(pv.Label)
-		} else {
-			ids = g.VertexIDs()
+		ids := pv.Among
+		if !pv.Seeded {
+			ids = g.labelIndex[pv.Label]
 		}
 		if pv.Where != nil {
 			filtered := ids[:0:0]

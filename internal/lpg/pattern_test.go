@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -362,7 +363,8 @@ func (r *caseReader) n(k int) int {
 	return x % k
 }
 
-// decodeMatchCase builds a pattern, a graph and a limit from bytes. The
+// decodeMatchCase builds a pattern, a graph, the pattern matchReference runs
+// to check it (the same one unless a vertex is anchored) and a limit. The
 // pattern has 1-4 vertices over 0-3 vertex labels (plus one no vertex
 // carries), with optional vertex Where, and 0-4 edges: labelled or not,
 // with optional edge Where, directed or AnyDir, single-hop or
@@ -372,7 +374,7 @@ func (r *caseReader) n(k int) int {
 // edges. Its size is capped by the number of single-hop-connected pattern
 // components, which bounds the answer (and the oracle's work) to a few
 // thousand bindings.
-func decodeMatchCase(data []byte) (*Graph, *Pattern, int) {
+func decodeMatchCase(data []byte) (*Graph, *Pattern, *Pattern, int) {
 	r := &caseReader{data}
 	labels := []string{"A", "B", "C"}[:r.n(4)]
 	vLabel := func(i int) string {
@@ -460,7 +462,29 @@ func decodeMatchCase(data []byte) (*Graph, *Pattern, int) {
 		e := g.AddEdge(VertexID(r.n(nV)), VertexID(r.n(nV)), eLabels[r.n(3)])
 		g.SetEdgeProp(e, "w", Int(int64(r.n(4))))
 	}
-	return g, p, []int{0, 1, 3}[r.n(3)]
+	limit := []int{0, 1, 3}[r.n(3)]
+	// Sometimes a labelled pattern vertex is anchored: the graph's vertices
+	// get an s property (string or int), and the vertex's candidates come
+	// from the string index; the reference scans and tests the equality.
+	ref := p
+	if pi := r.n(len(names)); r.n(3) == 1 && p.vertices[pi].Label != "" {
+		vals := []Value{Str("x"), Str("x"), Str("y"), Int(1), Null}
+		for id := 0; id < nV; id++ {
+			if v := vals[r.n(len(vals))]; !v.IsNull() {
+				g.SetVertexProp(VertexID(id), "s", v)
+			}
+		}
+		want := []string{"x", "x", "y", "1"}[r.n(4)]
+		g.IndexStrings()
+		ids, _ := g.VerticesByString(p.vertices[pi].Label, "s", want)
+		ref = &Pattern{vertices: slices.Clone(p.vertices), vIndex: p.vIndex, edges: p.edges, InjectiveVertices: p.InjectiveVertices}
+		where := p.vertices[pi].Where
+		ref.vertices[pi].Where = func(v *Vertex) bool {
+			return (where == nil || where(v)) && v.Prop("s") == Str(want)
+		}
+		p.vertices[pi].Among, p.vertices[pi].Seeded = ids, true
+	}
+	return g, p, ref, limit
 }
 
 // matchCases returns n seeded random encodings for decodeMatchCase.
@@ -479,8 +503,8 @@ func matchCases(seed int64, n int) [][]byte {
 // name identifies the case in a failure.
 func checkMatchCase(t *testing.T, name string, data []byte) int {
 	t.Helper()
-	g, p, limit := decodeMatchCase(data)
-	got, want := g.MatchPattern(p, limit), g.matchReference(p, limit)
+	g, p, ref, limit := decodeMatchCase(data)
+	got, want := g.MatchPattern(p, limit), g.matchReference(ref, limit)
 	if !reflect.DeepEqual(got, want) {
 		i := 0
 		for i < len(got) && i < len(want) && reflect.DeepEqual(got[i], want[i]) {

@@ -10,7 +10,10 @@ import (
 	"time"
 
 	"hygraph/internal/faults"
+	"hygraph/internal/hyql"
 	"hygraph/internal/obs"
+	"hygraph/internal/storage/ttdb"
+	"hygraph/internal/ts"
 )
 
 // Served HyQL runs over the stores: the tenant memoises structure (stations,
@@ -309,4 +312,100 @@ func TestHyQLRejectsUnboundedHops(t *testing.T) {
 			t.Fatalf("%s: %d %v, want 400 hyql_error", hops, code, body)
 		}
 	}
+}
+
+// TestHyQLViewMemoMatchesFreshView: the tenant's view answers every
+// instant as a view built afresh from the stores does — after an append
+// past a series' last sample and a backfill before a series' first, which
+// only widen spans and keep the view, and after a trip and a station
+// deletion, which replace it.
+func TestHyQLViewMemoMatchesFreshView(t *testing.T) {
+	for _, parts := range []int{1, 3} {
+		t.Run(fmt.Sprintf("p%d", parts), func(t *testing.T) {
+			s, hs := newPartitionedServer(t, NewMemBackend(), parts)
+			base := hs.URL
+			pts := func(from, to int64) []map[string]any {
+				var out []map[string]any
+				for at := from; at <= to; at += 50 {
+					out = append(out, map[string]any{"t": at, "v": float64(at) / 10})
+				}
+				return out
+			}
+			alpha := ingestStation(t, base, "acme", "alpha", "north", pts(0, 200), "")
+			beta := ingestStation(t, base, "acme", "beta", "south", pts(0, 100), "")
+			gamma := ingestStation(t, base, "acme", "gamma", "south", pts(150, 300), "")
+			ten, err := s.tenant("acme")
+			if err != nil {
+				t.Fatal(err)
+			}
+			queries := []string{
+				`MATCH (st:Station)-[:HAS_SERIES]->(a) RETURN st.name, ts.count(a)`,
+				`MATCH (x:Station)-[t:TRIP]-(y:Station)-[:HAS_SERIES]->(a) RETURN x.name, y.name, t.count, ts.last(a)`,
+				`MATCH (st:Station)-[:HAS_SERIES]->(a) WHERE st.name = 'beta' RETURN ts.first(a)`,
+			}
+			check := func(label string) {
+				t.Helper()
+				fresh := hyql.NewEngine(hyql.NewView(ten.db.Structure()))
+				for _, q := range queries {
+					for _, at := range []int64{-10, 0, 50, 100, 125, 150, 250, 400} {
+						want, err := fresh.Query(q, ts.Time(at))
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got := fmt.Sprint(hyqlRows(t, base, q, at)); got != fmt.Sprint(want.Rows) {
+							t.Fatalf("%s: %q at %d: tenant %s, fresh view %s", label, q, at, got, want.Rows)
+						}
+					}
+				}
+			}
+			check("loaded")
+			appendPoint(t, base, beta, 400, 1)
+			check("appended past the last sample")
+			appendPoint(t, base, gamma, 100, 1)
+			check("backfilled before the first sample")
+			code, body, _ := doJSON(t, "POST", base+"/v1/tenants/acme/trips",
+				map[string]any{"from": alpha, "to": gamma, "count": 3}, nil)
+			if code != http.StatusOK {
+				t.Fatalf("trip: %d %v", code, body)
+			}
+			check("trip added")
+			if err := ten.db.DeleteStation(ttdb.StationID(beta)); err != nil {
+				t.Fatal(err)
+			}
+			ten.wroteStructure()
+			check("station deleted")
+		})
+	}
+}
+
+// TestHyQLSteadyStateReadsNoSpans: once a query has seen every series
+// cover the instant, H1 at that instant reads no span, and binds its station
+// from the index, once per query.
+func TestHyQLSteadyStateReadsNoSpans(t *testing.T) {
+	hyqlServers(t, func(t *testing.T, base string, reg *obs.Registry) {
+		pts := []map[string]any{{"t": 0, "v": 4}, {"t": 60, "v": 6}, {"t": 120, "v": 8}}
+		a := ingestStation(t, base, "acme", "alpha", "north", pts, "")
+		ingestStation(t, base, "acme", "beta", "south", pts, "")
+		const q = `MATCH (st:Station)-[:HAS_SERIES]->(a) WHERE st.name = 'alpha' RETURN ts.mean(a, 0, 1000)`
+		hyqlRows(t, base, q, 120) // warm: reads the spans once
+		counters := func() (scans, anchored int64) {
+			c := reg.Snapshot().Counters
+			return c["hyql.view.span_scans"], c["hyql.match.anchored"]
+		}
+		scans, anchored := counters()
+		const runs = 5
+		for i := 0; i < runs; i++ {
+			appendPoint(t, base, a, int64(180+60*i), 10)
+			if got := hyqlRows(t, base, q, 120); len(got) != 1 {
+				t.Fatalf("run %d: rows %v", i, got)
+			}
+		}
+		s, an := counters()
+		if s != scans {
+			t.Fatalf("span_scans %d -> %d over %d steady-state queries, want flat", scans, s, runs)
+		}
+		if an-anchored != runs {
+			t.Fatalf("anchored moved by %d over %d queries, want %d", an-anchored, runs, runs)
+		}
+	})
 }

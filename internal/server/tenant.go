@@ -57,6 +57,7 @@ type tenant struct {
 	hyql        *hyql.Engine
 	structure   atomic.Uint64
 	rebuilds    *obs.Counter
+	spanScans   *obs.Counter
 	viewMu      sync.Mutex
 	view        *hyql.View
 	viewVersion uint64
@@ -64,14 +65,15 @@ type tenant struct {
 
 func newTenant(name string, db *coord.Coordinator, closer io.Closer, l Limits, reg *obs.Registry) *tenant {
 	t := &tenant{
-		name:     name,
-		db:       db,
-		closer:   closer,
-		sem:      make(chan struct{}, l.TenantConcurrent),
-		bucket:   newBucket(l.TenantRate, l.TenantBurst),
-		lat:      reg.Histogram("server.tenant." + name + ".latency"),
-		idem:     map[string]*idemEntry{},
-		rebuilds: reg.Counter("hyql.view.structural_rebuilds"),
+		name:      name,
+		db:        db,
+		closer:    closer,
+		sem:       make(chan struct{}, l.TenantConcurrent),
+		bucket:    newBucket(l.TenantRate, l.TenantBurst),
+		lat:       reg.Histogram("server.tenant." + name + ".latency"),
+		idem:      map[string]*idemEntry{},
+		rebuilds:  reg.Counter("hyql.view.structural_rebuilds"),
+		spanScans: reg.Counter("hyql.view.span_scans"),
 	}
 	t.hyql = hyql.NewEngine(t)
 	t.hyql.Instrument(reg)
@@ -167,7 +169,7 @@ func (t *tenant) hyqlQuery(ctx context.Context, src string, at ts.Time) (*hyql.R
 var errHyQLNotRun = errors.New("hyql query not run")
 
 // GraphAt implements hyql.Source from the memoised structure. Validity of
-// a series vertex at the instant is decided inside, per call (hyql.View).
+// a series vertex at the instant is decided inside (hyql.View).
 func (t *tenant) GraphAt(at ts.Time) *lpg.Graph {
 	t.viewMu.Lock()
 	// Read the counter before building: a write that lands mid-build bumps
@@ -175,6 +177,7 @@ func (t *tenant) GraphAt(at ts.Time) *lpg.Graph {
 	v := t.structure.Load()
 	if t.view == nil || t.viewVersion != v {
 		t.view = hyql.NewView(t.db.Structure())
+		t.view.CountSpanScans(t.spanScans)
 		t.viewVersion = v
 		t.rebuilds.Inc()
 	}

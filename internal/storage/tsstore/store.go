@@ -391,7 +391,7 @@ func (db *DB) orderedKeys() []seqKey {
 		}
 		sh.mu.RUnlock()
 	}
-	return MergeRuns(runs, func(sk seqKey) uint64 { return sk.seq })
+	return mergeRuns(runs, func(sk seqKey) uint64 { return sk.seq })
 }
 
 // Keys returns all series keys in first-insertion order.
@@ -825,14 +825,14 @@ func (db *DB) AggregateShard(shard int, metric string, start, end ts.Time) []Ent
 // order. Each AggregateShard batch follows its stripe's keys, so it ascends
 // by Seq (see tsShard), and the batches merge as runs.
 func MergeBySeq(parts [][]EntitySummary) []EntitySummary {
-	return MergeRuns(parts, func(e EntitySummary) uint64 { return e.Seq })
+	return mergeRuns(parts, func(e EntitySummary) uint64 { return e.Seq })
 }
 
-// MergeRuns merges runs, each ascending by key, into one ascending slice.
+// mergeRuns merges runs, each ascending by key, into one ascending slice.
 // Keys are distinct across runs. The runs are few (one per lock stripe or
 // partition), so the smallest head is found by a scan of the heads' keys,
 // which are kept beside the runs; the last run left is copied whole.
-func MergeRuns[T any](runs [][]T, key func(T) uint64) []T {
+func mergeRuns[T any](runs [][]T, key func(T) uint64) []T {
 	n := 0
 	live := make([][]T, 0, len(runs))
 	heads := make([]uint64, 0, len(runs))
