@@ -53,7 +53,10 @@ race:
 # must accept exactly the bodies the reflective encoding/json decode it
 # replaced accepts and decode them to the same request bit for bit, and a
 # Q4, Q5 or Q8 answer of any ids, district bytes and floats must encode
-# exactly as encoding/json encodes the map of its rows. Each
+# exactly as encoding/json encodes the map of its rows, and the graph a
+# HyQL engine over an instance matches at any instant, after any mix of
+# writes, ended edges, appends and backfills, must equal a fresh copy of
+# the instance's elements valid at that instant. Each
 # new interesting input is minimised for at most 1s: at Go's 60s default a
 # 10s run spends most of its time minimising instead of fuzzing.
 fuzz:
@@ -68,6 +71,7 @@ fuzz:
 	$(GO) test ./internal/storage/tsstore -run FuzzDownsample -fuzz FuzzDownsample -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/server -run FuzzStationBody -fuzz FuzzStationBody -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/storage/ttdb -run FuzzResultJSON -fuzz FuzzResultJSON -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/hyql -run FuzzViewEqualsSnapshot -fuzz FuzzViewEqualsSnapshot -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 bench:
 	$(GO) test -bench . -benchmem ./...

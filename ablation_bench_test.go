@@ -122,7 +122,7 @@ func BenchmarkAblation_HyQLParseVsExec(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		eng := hyql.NewEngine(hyql.NewView(fraudData.H.SnapshotAt(mid).Graph))
+		eng := hyql.NewEngine(fraudData.H)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := eng.Exec(parsed, mid); err != nil {

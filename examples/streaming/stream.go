@@ -117,15 +117,8 @@ func (in *Ingestor) apply(u Update) error {
 		in.stats.EdgesAdded++
 		return nil
 	case EndEdge:
-		e := in.H.Edge(u.Edge)
-		if e == nil {
-			return core.ErrNoEdge
-		}
-		if u.At < e.Valid.Start {
-			return fmt.Errorf("stream: EndEdge at %v before start %v", u.At, e.Valid.Start)
-		}
-		if u.At < e.Valid.End {
-			e.Valid.End = u.At
+		if err := in.H.EndEdge(u.Edge, u.At); err != nil {
+			return err
 		}
 		in.stats.EdgesEnded++
 		return nil

@@ -182,9 +182,10 @@ func TestPipelineAcrossScales(t *testing.T) {
 func TestHyGraphRoundTripThroughStorage(t *testing.T) {
 	d := dataset.GenerateFraud(dataset.DefaultFraud())
 	g, _ := d.H.ToTPG()
-	// The TPG → lpg snapshot at t=0 has every PG element (all are valid
-	// from 0 in this workload).
-	snap := g.SnapshotAt(0)
+	// The snapshot at t=0 of the PG part, through the TPG, has every PG
+	// element (all are valid from 0 in this workload).
+	pgPart, _ := core.FromTPG(g)
+	snap := pgPart.SnapshotAt(0)
 	if snap.Graph.NumVertices() == 0 {
 		t.Fatal("empty snapshot")
 	}

@@ -14,6 +14,7 @@ import (
 	"hygraph/internal/lpg"
 	"hygraph/internal/obs"
 	"hygraph/internal/storage/ttdb"
+	"hygraph/internal/tpg"
 	"hygraph/internal/ts"
 )
 
@@ -109,7 +110,7 @@ func hyqlResults(t *testing.T, data *dataset.BikeData) qResults {
 // storeEngine is the HyQL engine a served tenant runs: structure from the
 // stores, every series a handle onto them.
 func storeEngine(structure *lpg.Graph) *hyql.Engine {
-	return hyql.NewEngine(hyql.NewView(structure))
+	return hyql.NewEngine(fixed{structure})
 }
 
 // storeView lays one polyglot engine's stations (loaded in dataset order as
@@ -371,3 +372,10 @@ func TestDifferentialBattery(t *testing.T) {
 		})
 	}
 }
+
+// fixed is the Source of a structure graph that never changes, with no ρ.
+type fixed struct{ g *lpg.Graph }
+
+func (f fixed) Version() uint64 { return 0 }
+
+func (f fixed) Structure() (*lpg.Graph, []tpg.Interval, []tpg.Interval) { return f.g, nil, nil }

@@ -107,9 +107,10 @@ var servedGraph *lpg.Graph
 // BenchmarkHyQLServed times the served HyQL panels in process: H1–H4 as
 // hymark's hyql_live spells them (HyQLText in benchmark/mark), over the
 // structure of 100 stations × 90 days of hourly samples in a one-partition
-// coordinator wrapped by hyql.NewView, asked at the last loaded hour about
+// coordinator as a fixed source, asked at the last loaded hour about
 // the trailing 30 days. <H>/Query parses and executes; H1/Exec executes a
-// query parsed once; GraphAt is the per-query validity decision alone.
+// query parsed once; GraphAt is the per-query validity decision alone, on a View of the same
+// structure.
 func BenchmarkHyQLServed(b *testing.B) {
 	const stations, days = 100, 90
 	c, err := coord.NewMem(1, ts.Week)
@@ -136,8 +137,9 @@ func BenchmarkHyQLServed(b *testing.B) {
 			}
 		}
 	}
-	view := hyql.NewView(c.Structure())
-	eng := hyql.NewEngine(view)
+	structure := c.Structure()
+	view := hyql.NewView(structure, nil, nil)
+	eng := hyql.NewEngine(fixed{structure})
 	at := ts.Time(days*24-1) * ts.Hour
 	end := ts.Time(days) * ts.Day
 	start := end - 30*ts.Day

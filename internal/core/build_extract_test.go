@@ -138,3 +138,154 @@ func TestDegreeEvolutionStoresSeriesProp(t *testing.T) {
 		t.Fatalf("degree at 25 = %v", v)
 	}
 }
+
+// degreeSeries runs DegreeEvolution and returns the series it stored on v.
+func degreeSeries(t *testing.T, h *HyGraph, v VID, start, end, step ts.Time) (*ts.Series, bool) {
+	t.Helper()
+	if err := h.DegreeEvolution(start, end, step); err != nil {
+		t.Fatal(err)
+	}
+	return h.Vertex(v).Prop("degree_evolution").AsSeries()
+}
+
+func TestDegreeEvolution(t *testing.T) {
+	// b's degree: 0 before edge, 1 during [10,20), 0 after.
+	h := New()
+	a, _ := h.AddVertex(tpg.Always, "V")
+	b, _ := h.AddVertex(tpg.Always, "V")
+	h.AddEdge(a, b, "e", tpg.Between(10, 20))
+	sb, ok := degreeSeries(t, h, b, 0, 30, 5)
+	if !ok || sb.Len() != 6 {
+		t.Fatalf("b evolution=%v", sb)
+	}
+	wants := []float64{0, 0, 1, 1, 0, 0} // t=0,5,10,15,20,25
+	for i, w := range wants {
+		if sb.ValueAt(i) != w {
+			t.Fatalf("degree(b) at t=%d is %v want %v", 5*i, sb.ValueAt(i), w)
+		}
+	}
+}
+
+func TestDegreeEvolutionRespectsVertexValidity(t *testing.T) {
+	h := New()
+	a, _ := h.AddVertex(tpg.Between(10, 20), "V")
+	sa, ok := degreeSeries(t, h, a, 0, 30, 5)
+	if !ok {
+		t.Fatal("no series for a")
+	}
+	// Samples only at t=10,15.
+	if sa.Len() != 2 || sa.TimeAt(0) != 10 || sa.TimeAt(1) != 15 {
+		t.Fatalf("a sampled at %v", sa.Times())
+	}
+}
+
+func TestMetricEvolutionDegenerate(t *testing.T) {
+	h := New()
+	a, _ := h.AddVertex(tpg.Always, "V")
+	if _, ok := degreeSeries(t, h, a, 100, 100, 10); ok {
+		t.Fatal("empty window")
+	}
+	if _, ok := degreeSeries(t, h, a, 0, 100, 0); ok {
+		t.Fatal("zero step")
+	}
+}
+
+// companyStory is the paper's company lifecycle example as a temporal graph
+// imported into an instance: company C is founded at t=0, listed on an
+// exchange during [100, 300), acquired by D at t=300 (edge from then on),
+// and D goes bankrupt (ends) at t=500.
+func companyStory(t *testing.T) *HyGraph {
+	t.Helper()
+	g := tpg.NewGraph()
+	must := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := g.AddVertex(tpg.From(0), "Company")
+	must(err)
+	must(g.SetVertexProp(c, "name", lpg.Str("C")))
+	x, err := g.AddVertex(tpg.From(0), "Exchange")
+	must(err)
+	d, err := g.AddVertex(tpg.Between(0, 500), "Company")
+	must(err)
+	must(g.SetVertexProp(d, "name", lpg.Str("D")))
+	_, err = g.AddEdge(c, x, "LISTED_ON", tpg.Between(100, 300))
+	must(err)
+	_, err = g.AddEdge(d, c, "ACQUIRED", tpg.From(300))
+	must(err)
+	h, _ := FromTPG(g)
+	return h
+}
+
+func TestSnapshots(t *testing.T) {
+	h := companyStory(t)
+	// t=50: C, X, D alive; no edges.
+	s := h.SnapshotAt(50)
+	if s.Graph.NumVertices() != 3 || lpgEdges(s.Graph) != 0 {
+		t.Fatalf("t=50: %v", s.Graph)
+	}
+	// t=150: LISTED_ON active.
+	s = h.SnapshotAt(150)
+	if lpgEdges(s.Graph) != 1 {
+		t.Fatalf("t=150 edges=%d", lpgEdges(s.Graph))
+	}
+	// t=350: ACQUIRED active, LISTED_ON gone.
+	s = h.SnapshotAt(350)
+	if lpgEdges(s.Graph) != 1 {
+		t.Fatalf("t=350 edges=%d", lpgEdges(s.Graph))
+	}
+	var label string
+	s.Graph.Edges(func(e *lpg.Edge) bool { label = e.Label; return true })
+	if label != "ACQUIRED" {
+		t.Fatalf("t=350 edge=%s", label)
+	}
+	// t=550: D dead, and the ACQUIRED edge, clipped to [300, 500) by D's
+	// validity, with it: no edges, 2 vertices.
+	s = h.SnapshotAt(550)
+	if s.Graph.NumVertices() != 2 || lpgEdges(s.Graph) != 0 {
+		t.Fatalf("t=550: %v", s.Graph)
+	}
+	// Properties survive into snapshots, and mappings are consistent.
+	s = h.SnapshotAt(150)
+	for hv, sv := range s.VertexOf {
+		if s.HyV[sv] != hv {
+			t.Fatal("vertex mapping not bijective")
+		}
+	}
+	foundC := false
+	s.Graph.Vertices(func(v *lpg.Vertex) bool {
+		if v.Prop("name").String() == "C" {
+			foundC = true
+		}
+		return true
+	})
+	if !foundC {
+		t.Fatal("property lost in snapshot")
+	}
+}
+
+func TestSnapshotSubsetInvariant(t *testing.T) {
+	// Every snapshot is a subgraph of the instance: counts match the
+	// elements valid at that instant.
+	h := companyStory(t)
+	for _, at := range []ts.Time{0, 99, 100, 299, 300, 499, 500, 1000} {
+		s := h.SnapshotAt(at)
+		v, e := 0, 0
+		h.Vertices(func(x *Vertex) bool {
+			if x.Valid.Contains(at) {
+				v++
+			}
+			return true
+		})
+		h.Edges(func(x *Edge) bool {
+			if x.Valid.Contains(at) {
+				e++
+			}
+			return true
+		})
+		if s.Graph.NumVertices() != v || lpgEdges(s.Graph) != e {
+			t.Fatalf("t=%d snapshot %v vs active %d/%d", at, s.Graph, v, e)
+		}
+	}
+}

@@ -74,74 +74,109 @@ type View struct {
 	HyE      map[lpg.EdgeID]EID
 }
 
-// SnapshotAt projects the instance to a static LPG at instant t.
-func (h *HyGraph) SnapshotAt(t ts.Time) *View {
-	view := &View{
-		At:       t,
-		Graph:    lpg.NewGraph(),
-		VertexOf: map[VID]lpg.VertexID{},
-		HyV:      map[lpg.VertexID]VID{},
-		HyE:      map[lpg.EdgeID]EID{},
+// SnapshotAt projects the instance to a static LPG at instant t: a copy of
+// the structure graph minus every element whose EffectiveValid misses t.
+func (h *HyGraph) SnapshotAt(t ts.Time) *View { return h.snapshotAt(t, false) }
+
+// snapshotAt is SnapshotAt, leaving every TS element out too when pgOnly.
+func (h *HyGraph) snapshotAt(t ts.Time, pgOnly bool) *View {
+	var hiddenV []lpg.VertexID
+	var hiddenE []lpg.EdgeID
+	for _, v := range h.vertices {
+		if pgOnly && v.Kind == TS || !v.EffectiveValid().Contains(t) {
+			hiddenV = append(hiddenV, lpg.VertexID(v.ID))
+		}
 	}
-	h.Vertices(func(v *Vertex) bool {
-		if !v.EffectiveValid().Contains(t) {
-			return true
+	for _, e := range h.edges {
+		if pgOnly && e.Kind == TS || !e.EffectiveValid().Contains(t) {
+			hiddenE = append(hiddenE, lpg.EdgeID(e.ID))
 		}
-		id := view.Graph.AddVertex(v.Labels...)
-		for _, k := range v.PropKeys() {
-			view.Graph.SetVertexProp(id, k, v.Prop(k))
+	}
+	s, _, _ := h.Structure()
+	g, vertexOf, edgeOf := s.Without(hiddenV, hiddenE)
+	view := &View{At: t, Graph: g, VertexOf: make(map[VID]lpg.VertexID, g.NumVertices()),
+		HyV: make(map[lpg.VertexID]VID, g.NumVertices()), HyE: make(map[lpg.EdgeID]EID, len(edgeOf))}
+	for v, id := range vertexOf {
+		if id >= 0 {
+			view.VertexOf[VID(v)], view.HyV[id] = id, VID(v)
 		}
-		view.Graph.SetVertexProp(id, KindPropKey, lpg.Str(v.Kind.String()))
-		if v.Kind == TS {
-			view.Graph.SetVertexProp(id, SeriesPropKey, lpg.MultiVal(v.Series))
+	}
+	for e, id := range edgeOf {
+		if id >= 0 {
+			view.HyE[id] = EID(e)
 		}
-		view.VertexOf[v.ID] = id
-		view.HyV[id] = v.ID
-		return true
-	})
-	h.Edges(func(e *Edge) bool {
-		if !e.EffectiveValid().Contains(t) {
-			return true
-		}
-		from, okF := view.VertexOf[e.From]
-		to, okT := view.VertexOf[e.To]
-		if !okF || !okT {
-			return true
-		}
-		id := view.Graph.AddEdge(from, to, e.Label)
-		for _, k := range e.PropKeys() {
-			view.Graph.SetEdgeProp(id, k, e.Prop(k))
-		}
-		view.Graph.SetEdgeProp(id, KindPropKey, lpg.Str(e.Kind.String()))
-		if e.Kind == TS {
-			view.Graph.SetEdgeProp(id, SeriesPropKey, lpg.MultiVal(e.Series))
-		}
-		view.HyE[id] = e.ID
-		return true
-	})
+	}
 	return view
 }
 
-// GraphAt returns the graph of SnapshotAt(t): a fresh projection per call.
-func (h *HyGraph) GraphAt(t ts.Time) *lpg.Graph { return h.SnapshotAt(t).Graph }
+type structure struct {
+	gen        uint64
+	g          *lpg.Graph
+	vRho, eRho []tpg.Interval
+}
 
-// MetricEvolution runs tpg.MetricEvolution over the PG part and stores each
-// vertex's metric series back as a series-valued property named key — the
-// metricEvolution operator of Section 5, demonstrating that HyGraphTo<X> and
-// <X>ToHyGraph are dual: graph metrics become time-series data living in
-// the graph.
+// Version implements hyql.Source: it moves with every write to the
+// structure, and with nothing else.
+func (h *HyGraph) Version() uint64 { return h.gen }
+
+// Structure implements hyql.Source: every vertex and edge numbered by its
+// id, with its kind under KindPropKey and a TS element's series under
+// SeriesPropKey, and ρ by id. It is built once per generation, indexed and
+// shared (SnapshotAt selects from it), so it must not be modified.
+func (h *HyGraph) Structure() (g *lpg.Graph, vertexRho, edgeRho []tpg.Interval) {
+	if s := h.structure.Load(); s != nil && s.gen == h.gen {
+		return s.g, s.vRho, s.eRho
+	}
+	s := &structure{gen: h.gen, g: lpg.NewGraph(),
+		vRho: make([]tpg.Interval, len(h.vertices)), eRho: make([]tpg.Interval, len(h.edges))}
+	for _, v := range h.vertices {
+		id := s.g.AddVertex(v.Labels...)
+		for k, val := range v.props {
+			s.g.SetVertexProp(id, k, val)
+		}
+		s.g.SetVertexProp(id, KindPropKey, lpg.Str(v.Kind.String()))
+		if v.Kind == TS {
+			s.g.SetVertexProp(id, SeriesPropKey, lpg.MultiVal(v.Series))
+		}
+		s.vRho[v.ID] = v.Valid
+	}
+	for _, e := range h.edges {
+		id := s.g.AddEdge(lpg.VertexID(e.From), lpg.VertexID(e.To), e.Label)
+		for k, val := range e.props {
+			s.g.SetEdgeProp(id, k, val)
+		}
+		s.g.SetEdgeProp(id, KindPropKey, lpg.Str(e.Kind.String()))
+		if e.Kind == TS {
+			s.g.SetEdgeProp(id, SeriesPropKey, lpg.MultiVal(e.Series))
+		}
+		s.eRho[e.ID] = e.Valid
+	}
+	s.g.IndexStrings()
+	h.structure.Store(s)
+	return s.g, s.vRho, s.eRho
+}
+
+// MetricEvolution samples a graph metric over the PG part at start,
+// start+step, … before end, and stores each PG vertex's samples, taken while
+// it is valid, as a series-valued property named key — the metricEvolution
+// operator of Section 5, demonstrating that HyGraphTo<X> and <X>ToHyGraph
+// are dual: graph metrics become time-series data living in the graph.
 func (h *HyGraph) MetricEvolution(key string, start, end, step ts.Time,
 	metric func(*lpg.Graph) map[lpg.VertexID]float64) error {
 
-	g, vmap := h.ToTPG()
-	inverse := make(map[tpg.VID]VID, len(vmap))
-	for hv, tv := range vmap {
-		inverse[tv] = hv
+	evo := map[VID]*ts.Series{}
+	for t := start; step > 0 && t < end; t += step {
+		view := h.snapshotAt(t, true)
+		for id, m := range metric(view.Graph) {
+			v := view.HyV[id]
+			if evo[v] == nil {
+				evo[v] = ts.New(key)
+			}
+			evo[v].MustAppend(t, m)
+		}
 	}
-	evo := g.MetricEvolution(start, end, step, key, metric)
-	for tv, series := range evo {
-		series.SetName(key)
-		if err := h.SetVertexProp(inverse[tv], key, lpg.SeriesVal(series)); err != nil {
+	for v, series := range evo {
+		if err := h.SetVertexProp(v, key, lpg.SeriesVal(series)); err != nil {
 			return err
 		}
 	}

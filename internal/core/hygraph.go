@@ -25,6 +25,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"hygraph/internal/lpg"
 	"hygraph/internal/tpg"
@@ -64,7 +65,7 @@ type Vertex struct {
 	ID     VID
 	Kind   ElemKind
 	Labels []string
-	Valid  tpg.Interval    // ρ for PG vertices; for TS vertices see EffectiveValid
+	Valid  tpg.Interval    // ρ for PG vertices (TS: see EffectiveValid); set only by HyGraph methods
 	Series *ts.MultiSeries // δ payload; nil for PG vertices
 	props  map[string]lpg.Value
 }
@@ -78,7 +79,7 @@ type Edge struct {
 	Label  string
 	From   VID
 	To     VID
-	Valid  tpg.Interval
+	Valid  tpg.Interval // ρ, as on Vertex; set only by HyGraph methods (EndEdge)
 	Series *ts.MultiSeries
 	props  map[string]lpg.Value
 }
@@ -91,13 +92,18 @@ type Subgraph struct {
 	Valid  tpg.Interval
 }
 
-// HyGraph is one HGM instance. It is not safe for concurrent mutation.
+// HyGraph is one HGM instance. Reads may run concurrently; mutations may not.
 type HyGraph struct {
 	vertices  []*Vertex
 	edges     []*Edge
 	subgraphs []*Subgraph
 	outAdj    [][]EID
 	inAdj     [][]EID
+
+	// gen counts writes to the structure: Add*, Set*Prop and EndEdge, not
+	// appended samples (the structure holds each series by pointer).
+	gen       uint64
+	structure atomic.Pointer[structure] // of generation gen, built on first use
 }
 
 // Errors returned by HyGraph mutations.
@@ -157,6 +163,7 @@ func (h *HyGraph) AddTSVertexUni(series *ts.Series, labels ...string) (VID, erro
 }
 
 func (h *HyGraph) addVertex(v *Vertex) VID {
+	h.gen++
 	v.ID = VID(len(h.vertices))
 	v.props = map[string]lpg.Value{}
 	h.vertices = append(h.vertices, v)
@@ -199,6 +206,7 @@ func (h *HyGraph) addEdge(e *Edge) (EID, error) {
 	if h.Vertex(e.From) == nil || h.Vertex(e.To) == nil {
 		return 0, ErrNoVertex
 	}
+	h.gen++
 	e.ID = EID(len(h.edges))
 	e.props = map[string]lpg.Value{}
 	h.edges = append(h.edges, e)
@@ -242,24 +250,17 @@ func (h *HyGraph) Edges(fn func(*Edge) bool) {
 }
 
 // OutEdges returns all outgoing edges of a vertex.
-func (h *HyGraph) OutEdges(id VID) []*Edge {
-	if id < 0 || int(id) >= len(h.outAdj) {
-		return nil
-	}
-	out := make([]*Edge, 0, len(h.outAdj[id]))
-	for _, eid := range h.outAdj[id] {
-		out = append(out, h.edges[eid])
-	}
-	return out
-}
+func (h *HyGraph) OutEdges(id VID) []*Edge { return h.edgesOf(h.outAdj, id) }
 
 // InEdges returns all incoming edges of a vertex.
-func (h *HyGraph) InEdges(id VID) []*Edge {
-	if id < 0 || int(id) >= len(h.inAdj) {
+func (h *HyGraph) InEdges(id VID) []*Edge { return h.edgesOf(h.inAdj, id) }
+
+func (h *HyGraph) edgesOf(adj [][]EID, id VID) []*Edge {
+	if id < 0 || int(id) >= len(adj) {
 		return nil
 	}
-	out := make([]*Edge, 0, len(h.inAdj[id]))
-	for _, eid := range h.inAdj[id] {
+	out := make([]*Edge, 0, len(adj[id]))
+	for _, eid := range adj[id] {
 		out = append(out, h.edges[eid])
 	}
 	return out
@@ -272,6 +273,7 @@ func (h *HyGraph) SetVertexProp(id VID, key string, val lpg.Value) error {
 		return ErrNoVertex
 	}
 	v.props[key] = val
+	h.gen++
 	return nil
 }
 
@@ -282,6 +284,25 @@ func (h *HyGraph) SetEdgeProp(id EID, key string, val lpg.Value) error {
 		return ErrNoEdge
 	}
 	e.props[key] = val
+	h.gen++
+	return nil
+}
+
+// EndEdge narrows ρ of an edge to end at `at`: the edge is valid up to, not
+// at, that instant. An edge that already ends earlier keeps its end; ending
+// one before its start is an error.
+func (h *HyGraph) EndEdge(id EID, at ts.Time) error {
+	e := h.Edge(id)
+	if e == nil {
+		return ErrNoEdge
+	}
+	if at < e.Valid.Start {
+		return fmt.Errorf("core: EndEdge at %v before start %v", at, e.Valid.Start)
+	}
+	if at < e.Valid.End {
+		e.Valid.End = at
+		h.gen++
+	}
 	return nil
 }
 
@@ -289,35 +310,29 @@ func (h *HyGraph) SetEdgeProp(id EID, key string, val lpg.Value) error {
 func (v *Vertex) Prop(key string) lpg.Value { return v.props[key] }
 
 // PropKeys returns the vertex's property keys sorted.
-func (v *Vertex) PropKeys() []string { return sortedKeys(v.props) }
+func (v *Vertex) PropKeys() []string { return lpg.SortedKeys(v.props) }
 
 // Prop returns φ(e, key) (Null if absent).
 func (e *Edge) Prop(key string) lpg.Value { return e.props[key] }
 
 // PropKeys returns the edge's property keys sorted.
-func (e *Edge) PropKeys() []string { return sortedKeys(e.props) }
+func (e *Edge) PropKeys() []string { return lpg.SortedKeys(e.props) }
 
 // EffectiveValid returns ρ for PG vertices, and the series time span for TS
 // vertices (a TS element "exists" while it has observations).
-func (v *Vertex) EffectiveValid() tpg.Interval {
-	if v.Kind == TS && v.Series != nil {
-		if v.Series.Len() == 0 {
-			return tpg.Interval{}
-		}
-		return tpg.Between(v.Series.Start(), v.Series.End()+1)
-	}
-	return v.Valid
-}
+func (v *Vertex) EffectiveValid() tpg.Interval { return effectiveValid(v.Kind, v.Series, v.Valid) }
 
 // EffectiveValid is the edge analogue of Vertex.EffectiveValid.
-func (e *Edge) EffectiveValid() tpg.Interval {
-	if e.Kind == TS && e.Series != nil {
-		if e.Series.Len() == 0 {
-			return tpg.Interval{}
-		}
-		return tpg.Between(e.Series.Start(), e.Series.End()+1)
+func (e *Edge) EffectiveValid() tpg.Interval { return effectiveValid(e.Kind, e.Series, e.Valid) }
+
+func effectiveValid(k ElemKind, s *ts.MultiSeries, rho tpg.Interval) tpg.Interval {
+	switch {
+	case k != TS || s == nil:
+		return rho
+	case s.Len() == 0:
+		return tpg.Interval{}
 	}
-	return e.Valid
+	return tpg.Between(s.Start(), s.End()+1)
 }
 
 // SeriesVar extracts one variable of a TS element's series as a univariate
@@ -343,19 +358,6 @@ func seriesVar(m *ts.MultiSeries, name string) (*ts.Series, bool) {
 		name = vars[0]
 	}
 	return m.Var(name)
-}
-
-func sortedKeys(m map[string]lpg.Value) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
 
 // String renders a compact summary of the instance.

@@ -3,29 +3,39 @@ package hyql
 import (
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"hygraph/internal/lpg"
+	"hygraph/internal/tpg"
 	"hygraph/internal/ts"
 )
 
-// Engine executes HyQL queries against the graph its Source gives for an
-// instant, so temporal validity and series lifetimes are respected. It keeps
-// no state between queries except its metric handles: queries are as safe
-// for concurrent use as the Source, and Instrument is called before them.
+// Engine executes HyQL queries against what its Source's structure holds at
+// an instant, so temporal validity and series lifetimes are respected. It
+// keeps its metric handles and one View, of the source's latest version:
+// queries are as safe for concurrent use as the Source, and Instrument is
+// called before them.
 type Engine struct {
-	src Source
-	obs engineObs // metric handles; zero value = instrumentation off
+	src  Source
+	obs  engineObs            // metric handles; zero value = instrumentation off
+	mu   sync.Mutex           // serialises View rebuilds; queries never take it
+	view atomic.Pointer[View] // of the version the source last reported
 }
 
-// Source supplies the static graph a query "as of" an instant is matched
-// against. Series-valued properties in it may be lpg.SeriesRef handles
-// implementing Series, so the graph need not hold a single sample.
-// core.HyGraph, View and the server's tenant implement it.
+// Source supplies the structure queries are matched against: every vertex
+// and edge, valid or not, each with its kind under `_kind` and a TS element
+// with its series under `_series` (inline, or an lpg.SeriesRef handle
+// implementing Series, so the graph need not hold a sample), plus ρ of the
+// PG elements by id (nil: none). Version moves whenever the structure does;
+// the engine reads the structure only then. core.HyGraph and the served
+// tenant implement it.
 type Source interface {
-	GraphAt(at ts.Time) *lpg.Graph
+	Version() uint64
+	Structure() (g *lpg.Graph, vertexRho, edgeRho []tpg.Interval)
 }
 
-// NewEngine returns an engine that asks src for the graph of every query.
+// NewEngine returns an engine over src's structure.
 func NewEngine(src Source) *Engine { return &Engine{src: src} }
 
 // Result is a query result table.
@@ -47,7 +57,32 @@ func (e *Engine) Query(src string, at ts.Time) (*Result, error) {
 
 // Exec executes a parsed query at the given instant.
 func (e *Engine) Exec(q *Query, at ts.Time) (*Result, error) {
-	g := e.src.GraphAt(at)
+	return e.exec(q, e.graphAt(at))
+}
+
+// graphAt is the graph a query at the instant matches, from the View of the
+// source's current version.
+func (e *Engine) graphAt(at ts.Time) *lpg.Graph {
+	v := e.view.Load()
+	if v == nil || v.version != e.src.Version() {
+		e.mu.Lock()
+		// Read the version before building: a write that lands mid-build
+		// moves it past what is recorded here, and the next query builds
+		// again. A concurrent query may have built this version already.
+		version := e.src.Version()
+		if v = e.view.Load(); v == nil || v.version != version {
+			v = NewView(e.src.Structure())
+			v.version, v.scans = version, e.obs.spanScans
+			e.view.Store(v)
+			e.obs.rebuilds.Inc()
+		}
+		e.mu.Unlock()
+	}
+	return v.GraphAt(at)
+}
+
+// exec executes a parsed query against the graph of its instant.
+func (e *Engine) exec(q *Query, g *lpg.Graph) (*Result, error) {
 	sw := e.obs.match.Start()
 	rows, err := matchRows(g, q, e.obs)
 	sw.Stop()

@@ -89,7 +89,7 @@ func query(t *testing.T, h *core.HyGraph, src string) *Result {
 	if err != nil {
 		t.Fatalf("query %q: %v", src, err)
 	}
-	byRef, err := NewEngine(NewView(byReference(h.SnapshotAt(at).Graph))).Query(src, at)
+	byRef, err := NewEngine(fixed{byReference(h.SnapshotAt(at).Graph)}).Query(src, at)
 	if err != nil {
 		t.Fatalf("query %q by reference: %v", src, err)
 	}

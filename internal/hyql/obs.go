@@ -17,12 +17,17 @@ type engineObs struct {
 	pushNode *obs.Counter // WHERE conjuncts pushed onto pattern vertices
 	pushEdge *obs.Counter // WHERE conjuncts pushed onto pattern edges
 	anchored *obs.Counter // pattern vertices seeded from the string index
+
+	rebuilds  *obs.Counter // Views built, one per source version queried
+	spanScans *obs.Counter // View.GraphAt calls that read spans
 }
 
 // Instrument attaches metric handles to the engine; a nil registry detaches
 // instrumentation. It is not synchronized with queries: call it before
-// issuing any, never while one runs.
+// issuing any, never while one runs. It drops the View, so the next one is
+// built counting on the new handles.
 func (e *Engine) Instrument(r *obs.Registry) {
+	e.view.Store(nil)
 	if r == nil {
 		e.obs = engineObs{}
 		return
@@ -37,5 +42,8 @@ func (e *Engine) Instrument(r *obs.Registry) {
 		pushNode: r.Counter("hyql.pushdown.node_conjuncts"),
 		pushEdge: r.Counter("hyql.pushdown.edge_conjuncts"),
 		anchored: r.Counter("hyql.match.anchored"),
+
+		rebuilds:  r.Counter("hyql.view.structural_rebuilds"),
+		spanScans: r.Counter("hyql.view.span_scans"),
 	}
 }

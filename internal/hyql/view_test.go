@@ -97,7 +97,7 @@ func sensorStructure(series []*ts.Series) *lpg.Graph {
 // keeps doing so as the series behind it grow, without being rebuilt.
 func TestViewSnapshotMatchesHyGraph(t *testing.T) {
 	series := sensorSeries()
-	view := NewView(sensorStructure(series))
+	view := NewView(sensorStructure(series), nil, nil)
 	check := func(label string) {
 		t.Helper()
 		h := sensorHyGraph(t, series)
@@ -123,7 +123,7 @@ func TestViewSnapshotMatchesHyGraph(t *testing.T) {
 func TestViewSharesStructureWhenNothingIsHidden(t *testing.T) {
 	series := sensorSeries()
 	g := sensorStructure(series)
-	view := NewView(g)
+	view := NewView(g, nil, nil)
 	if view.GraphAt(90) == g {
 		t.Fatal("at 90 the middle series is over; its vertex must be hidden")
 	}
@@ -149,14 +149,14 @@ func TestViewSharesStructureWhenNothingIsHidden(t *testing.T) {
 func TestViewValidityMemoMatchesFreshView(t *testing.T) {
 	series := sensorSeries() // spans [0, 100], [50, 60], [80, 200]
 	g := sensorStructure(series)
-	view := NewView(g)
+	view := NewView(g, nil, nil)
 	reg := obs.New()
 	scans := reg.Counter("scans")
-	view.CountSpanScans(scans)
+	view.scans = scans
 	instants := []ts.Time{-10, 0, 40, 55, 70, 90, 100, 150, 200, 250}
 	check := func(label string) {
 		t.Helper()
-		fresh := NewView(g)
+		fresh := NewView(g, nil, nil)
 		for _, at := range instants {
 			if got, want := dumpGraph(view.GraphAt(at)), dumpGraph(fresh.GraphAt(at)); got != want {
 				t.Fatalf("%s at %d:\n got\n%s\nwant\n%s", label, at, got, want)
@@ -201,3 +201,10 @@ func TestSeriesOfRejectsForeignHandles(t *testing.T) {
 		t.Fatal("a reference to a Series did not resolve to it")
 	}
 }
+
+// fixed is the Source of a structure graph that never changes, with no ρ.
+type fixed struct{ g *lpg.Graph }
+
+func (f fixed) Version() uint64 { return 0 }
+
+func (f fixed) Structure() (*lpg.Graph, []tpg.Interval, []tpg.Interval) { return f.g, nil, nil }

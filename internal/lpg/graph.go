@@ -2,6 +2,7 @@ package lpg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -35,8 +36,8 @@ type Edge struct {
 //
 // A Graph is append-only: vertices and edges are added, never removed, so
 // ids stay dense. An element leaves the graph the way it leaves a HyGraph,
-// through a new projection at a later instant (core.HyGraph.SnapshotAt,
-// hyql.View.GraphAt), never by mutation.
+// through a copy that selects what is valid at an instant (Without, which
+// core.HyGraph.SnapshotAt and hyql.View call), never by mutation.
 type Graph struct {
 	vertices []*Vertex
 	edges    []*Edge
@@ -140,20 +141,21 @@ func (g *Graph) VerticesByLabel(label string) []VertexID {
 func (v *Vertex) Prop(key string) Value { return v.props[key] }
 
 // PropKeys returns the vertex's property keys in sorted order.
-func (v *Vertex) PropKeys() []string { return sortedKeys(v.props) }
+func (v *Vertex) PropKeys() []string { return SortedKeys(v.props) }
 
 // Prop returns an edge property value (Null if absent).
 func (e *Edge) Prop(key string) Value { return e.props[key] }
 
 // PropKeys returns the edge's property keys in sorted order.
-func (e *Edge) PropKeys() []string { return sortedKeys(e.props) }
+func (e *Edge) PropKeys() []string { return SortedKeys(e.props) }
 
-func sortedKeys(m map[string]Value) []string {
+// SortedKeys returns the keys of a property map in sorted order.
+func SortedKeys(m map[string]Value) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -164,8 +166,12 @@ func (g *Graph) SetVertexProp(id VertexID, key string, val Value) {
 }
 
 // IndexStrings indexes every string vertex property under each label of its
-// vertex for VerticesByString; AddVertex and SetVertexProp then panic.
+// vertex for VerticesByString; AddVertex and SetVertexProp then panic. An
+// indexed graph is left as it is, so concurrent readers may each call it.
 func (g *Graph) IndexStrings() {
+	if g.strIndex != nil {
+		return
+	}
 	g.strIndex = map[strKey][]VertexID{}
 	for _, v := range g.vertices {
 		for key, val := range v.props {
@@ -201,6 +207,45 @@ func (g *Graph) SetEdgeProp(id EdgeID, key string, val Value) {
 		panic(fmt.Sprintf("lpg: no edge %d", id))
 	}
 	e.props[key] = val
+}
+
+// Without copies g leaving out the hidden vertices, their incident edges and
+// the hidden edges; both lists are ascending. Survivors keep their relative
+// order and get dense ids: vertexOf and edgeOf map each id of g to its id in
+// the copy, -1 for one left out. The copy is not indexed.
+func (g *Graph) Without(hiddenV []VertexID, hiddenE []EdgeID) (out *Graph, vertexOf []VertexID, edgeOf []EdgeID) {
+	out = NewGraph()
+	vertexOf = make([]VertexID, len(g.vertices))
+	for _, x := range g.vertices {
+		if len(hiddenV) > 0 && hiddenV[0] == x.ID {
+			hiddenV = hiddenV[1:]
+			vertexOf[x.ID] = -1
+			continue
+		}
+		id := out.AddVertex(x.Labels...)
+		for _, k := range x.PropKeys() {
+			out.SetVertexProp(id, k, x.Prop(k))
+		}
+		vertexOf[x.ID] = id
+	}
+	edgeOf = make([]EdgeID, len(g.edges))
+	for _, e := range g.edges {
+		from, to := vertexOf[e.From], vertexOf[e.To]
+		if len(hiddenE) > 0 && hiddenE[0] == e.ID {
+			hiddenE = hiddenE[1:]
+			from = -1
+		}
+		if from < 0 || to < 0 {
+			edgeOf[e.ID] = -1
+			continue
+		}
+		id := out.AddEdge(from, to, e.Label)
+		for _, k := range e.PropKeys() {
+			out.SetEdgeProp(id, k, e.Prop(k))
+		}
+		edgeOf[e.ID] = id
+	}
+	return out, vertexOf, edgeOf
 }
 
 // OutEdges returns the outgoing edges of a vertex in insertion order.

@@ -345,7 +345,7 @@ func TestHyQLViewMemoMatchesFreshView(t *testing.T) {
 			}
 			check := func(label string) {
 				t.Helper()
-				fresh := hyql.NewEngine(hyql.NewView(ten.db.Structure()))
+				fresh := hyql.NewEngine(&tenant{db: ten.db})
 				for _, q := range queries {
 					for _, at := range []int64{-10, 0, 50, 100, 125, 150, 250, 400} {
 						want, err := fresh.Query(q, ts.Time(at))

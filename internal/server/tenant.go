@@ -14,6 +14,7 @@ import (
 	"hygraph/internal/lpg"
 	"hygraph/internal/obs"
 	"hygraph/internal/storage/ttdb"
+	"hygraph/internal/tpg"
 	"hygraph/internal/ts"
 )
 
@@ -47,33 +48,24 @@ type tenant struct {
 	mu   sync.Mutex // guards idem, nothing else
 	idem map[string]*idemEntry
 
-	// HyQL runs over the stores, not over a copy: hyql asks the tenant (a
-	// hyql.Source) for the graph of each query, and the tenant answers from
-	// a memo of db.Structure() — stations, trips and one handle per series,
-	// no samples. structure counts station and trip writes; the memo is
-	// rebuilt when it has moved and at no other time, so an appended point
-	// costs the next query nothing. viewMu guards the memo only — queries
-	// execute outside it, concurrently.
-	hyql        *hyql.Engine
-	structure   atomic.Uint64
-	rebuilds    *obs.Counter
-	spanScans   *obs.Counter
-	viewMu      sync.Mutex
-	view        *hyql.View
-	viewVersion uint64
+	// HyQL runs over the stores, not over a copy: the tenant is the engine's
+	// hyql.Source, whose structure is db.Structure() — stations, trips and
+	// one handle per series, no samples — and whose version, structure,
+	// counts station and trip writes, so an appended point costs the next
+	// query no rebuild.
+	hyql      *hyql.Engine
+	structure atomic.Uint64
 }
 
 func newTenant(name string, db *coord.Coordinator, closer io.Closer, l Limits, reg *obs.Registry) *tenant {
 	t := &tenant{
-		name:      name,
-		db:        db,
-		closer:    closer,
-		sem:       make(chan struct{}, l.TenantConcurrent),
-		bucket:    newBucket(l.TenantRate, l.TenantBurst),
-		lat:       reg.Histogram("server.tenant." + name + ".latency"),
-		idem:      map[string]*idemEntry{},
-		rebuilds:  reg.Counter("hyql.view.structural_rebuilds"),
-		spanScans: reg.Counter("hyql.view.span_scans"),
+		name:   name,
+		db:     db,
+		closer: closer,
+		sem:    make(chan struct{}, l.TenantConcurrent),
+		bucket: newBucket(l.TenantRate, l.TenantBurst),
+		lat:    reg.Histogram("server.tenant." + name + ".latency"),
+		idem:   map[string]*idemEntry{},
 	}
 	t.hyql = hyql.NewEngine(t)
 	t.hyql.Instrument(reg)
@@ -168,22 +160,13 @@ func (t *tenant) hyqlQuery(ctx context.Context, src string, at ts.Time) (*hyql.R
 
 var errHyQLNotRun = errors.New("hyql query not run")
 
-// GraphAt implements hyql.Source from the memoised structure. Validity of
-// a series vertex at the instant is decided inside (hyql.View).
-func (t *tenant) GraphAt(at ts.Time) *lpg.Graph {
-	t.viewMu.Lock()
-	// Read the counter before building: a write that lands mid-build bumps
-	// it past what is recorded here, and the next query builds again.
-	v := t.structure.Load()
-	if t.view == nil || t.viewVersion != v {
-		t.view = hyql.NewView(t.db.Structure())
-		t.view.CountSpanScans(t.spanScans)
-		t.viewVersion = v
-		t.rebuilds.Inc()
-	}
-	view := t.view
-	t.viewMu.Unlock()
-	return view.GraphAt(at)
+// Version implements hyql.Source: the count of station and trip writes.
+func (t *tenant) Version() uint64 { return t.structure.Load() }
+
+// Structure implements hyql.Source. The served structure has no ρ: a
+// station is valid always, its series vertex over the series' span.
+func (t *tenant) Structure() (*lpg.Graph, []tpg.Interval, []tpg.Interval) {
+	return t.db.Structure(), nil, nil
 }
 
 // String identifies the tenant in errors.

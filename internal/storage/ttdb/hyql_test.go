@@ -8,6 +8,7 @@ import (
 	"hygraph/internal/hyql"
 	"hygraph/internal/lpg"
 	"hygraph/internal/obs"
+	"hygraph/internal/tpg"
 	"hygraph/internal/ts"
 )
 
@@ -159,7 +160,7 @@ func TestBuildViewShape(t *testing.T) {
 
 	// Queried through HyQL: the sample-less station has no valid series
 	// vertex until a sample arrives, and no rebuild is needed to see it.
-	eng := hyql.NewEngine(hyql.NewView(g))
+	eng := hyql.NewEngine(fixed{g})
 	const q = `MATCH (st:Station)-[:HAS_SERIES]->(x) RETURN st.name, ts.len(x)`
 	rows := func() string {
 		res, err := eng.Query(q, ts.Day)
@@ -176,3 +177,10 @@ func TestBuildViewShape(t *testing.T) {
 		t.Fatalf("after c reports: %s", got)
 	}
 }
+
+// fixed is the Source of a structure graph that never changes, with no ρ.
+type fixed struct{ g *lpg.Graph }
+
+func (f fixed) Version() uint64 { return 0 }
+
+func (f fixed) Structure() (*lpg.Graph, []tpg.Interval, []tpg.Interval) { return f.g, nil, nil }

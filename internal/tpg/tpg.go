@@ -133,26 +133,13 @@ func (g *Graph) SetEdgeProp(id EID, key string, val lpg.Value) error {
 func (v *Vertex) Prop(key string) lpg.Value { return v.props[key] }
 
 // PropKeys returns sorted property keys.
-func (v *Vertex) PropKeys() []string { return sortedKeys(v.props) }
+func (v *Vertex) PropKeys() []string { return lpg.SortedKeys(v.props) }
 
 // Prop returns an edge property (Null if absent).
 func (e *Edge) Prop(key string) lpg.Value { return e.props[key] }
 
 // PropKeys returns sorted property keys.
-func (e *Edge) PropKeys() []string { return sortedKeys(e.props) }
-
-func sortedKeys(m map[string]lpg.Value) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
+func (e *Edge) PropKeys() []string { return lpg.SortedKeys(e.props) }
 
 // Vertices calls fn for every vertex in ID order.
 func (g *Graph) Vertices(fn func(*Vertex) bool) {

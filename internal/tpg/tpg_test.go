@@ -7,13 +7,6 @@ import (
 	"hygraph/internal/ts"
 )
 
-// lpgEdges counts an lpg graph's edges through Edges.
-func lpgEdges(g *lpg.Graph) int {
-	n := 0
-	g.Edges(func(*lpg.Edge) bool { n++; return true })
-	return n
-}
-
 // MustAddVertex is AddVertex that panics on error.
 func (g *Graph) MustAddVertex(valid Interval, labels ...string) VID {
 	id, err := g.AddVertex(valid, labels...)
@@ -93,84 +86,6 @@ func TestEdgeClippedToEndpoints(t *testing.T) {
 	// Missing endpoints.
 	if _, err := g.AddEdge(a, 99, "r", Always); err == nil {
 		t.Fatal("edge to missing vertex accepted")
-	}
-}
-
-func TestSnapshots(t *testing.T) {
-	g, _, _, _ := companyStory(t)
-	// t=50: C, X, D alive; no edges.
-	s := g.SnapshotAt(50)
-	if s.Graph.NumVertices() != 3 || lpgEdges(s.Graph) != 0 {
-		t.Fatalf("t=50: %v", s.Graph)
-	}
-	// t=150: LISTED_ON active.
-	s = g.SnapshotAt(150)
-	if lpgEdges(s.Graph) != 1 {
-		t.Fatalf("t=150 edges=%d", lpgEdges(s.Graph))
-	}
-	// t=350: ACQUIRED active, LISTED_ON gone.
-	s = g.SnapshotAt(350)
-	if lpgEdges(s.Graph) != 1 {
-		t.Fatalf("t=350 edges=%d", lpgEdges(s.Graph))
-	}
-	var label string
-	s.Graph.Edges(func(e *lpg.Edge) bool { label = e.Label; return true })
-	if label != "ACQUIRED" {
-		t.Fatalf("t=350 edge=%s", label)
-	}
-	// t=550: D dead; ACQUIRED edge needs both endpoints... D ended at 500 so
-	// the edge was clipped at creation? No: edge interval From(300) clipped
-	// by D's [0,500) → [300,500). So no edges, 2 vertices.
-	s = g.SnapshotAt(550)
-	if s.Graph.NumVertices() != 2 || lpgEdges(s.Graph) != 0 {
-		t.Fatalf("t=550: %v", s.Graph)
-	}
-	// Properties survive into snapshots, and mappings are consistent.
-	s = g.SnapshotAt(150)
-	for tid, sid := range s.VertexOf {
-		if s.TempV[sid] != tid {
-			t.Fatal("vertex mapping not bijective")
-		}
-	}
-	foundC := false
-	s.Graph.Vertices(func(v *lpg.Vertex) bool {
-		if v.Prop("name").String() == "C" {
-			foundC = true
-		}
-		return true
-	})
-	if !foundC {
-		t.Fatal("property lost in snapshot")
-	}
-}
-
-// activeCounts returns how many vertices and edges are valid at t.
-func activeCounts(g *Graph, t ts.Time) (vertices, edges int) {
-	g.Vertices(func(v *Vertex) bool {
-		if v.Valid.Contains(t) {
-			vertices++
-		}
-		return true
-	})
-	g.Edges(func(e *Edge) bool {
-		if e.Valid.Contains(t) {
-			edges++
-		}
-		return true
-	})
-	return vertices, edges
-}
-
-func TestSnapshotSubsetInvariant(t *testing.T) {
-	// Every snapshot is a subgraph of the TPG: counts match the elements
-	// valid at that instant.
-	g, _, _, _ := companyStory(t)
-	for _, at := range []ts.Time{0, 99, 100, 299, 300, 499, 500, 1000} {
-		s := g.SnapshotAt(at)
-		v, e := activeCounts(g, at)
-		if s.Graph.NumVertices() != v || lpgEdges(s.Graph) != e {
-			t.Fatalf("t=%d snapshot %v vs active %d/%d", at, s.Graph, v, e)
-		}
 	}
 }
 
